@@ -1,26 +1,20 @@
-// Ablation A7: pipelined streaming engine vs the legacy barrier-batch loop.
+// Ablation A7: the pipelined streaming engine across thread counts.
 //
-// The original streaming engines alternated a single-threaded parse burst
-// with a barrier-synchronized worker burst, and the hot path re-allocated
-// extraction buffers per tree and resolved every split through a virtual
-// per-key lookup. This bench isolates the overhaul:
+// Every build and query runs through one pipeline: the calling thread
+// parses and feeds a bounded queue while workers extract, hash and (for
+// the sharded store) route keys continuously — an inline zero-sync loop on
+// 1-core hosts, where overlap is impossible. This bench streams the same file
+// through it at 1..8 threads and reports build+query wall time per thread
+// count, the speedup over 1 thread, and bitwise equality of every run's
+// outputs with pipelined/t1 (classic RF is integer-valued, so ANY
+// difference is a bug, not roundoff).
 //
-//   legacy    : StreamingMode::BarrierBatch + reuse_scratch=false +
-//               batched_hash=false — the pre-overhaul engine, byte for
-//               byte (fill a batch, barrier, repeat).
-//   pipelined : StreamingMode::Pipelined + scratch reuse + sort-free
-//               classic extraction + batched prefetched hash inserts and
-//               lookups — parser feeds a bounded queue while workers
-//               drain continuously (inline zero-sync loop on 1-core
-//               hosts, where overlap is impossible).
-//
-// Reported: build+query wall time for both paths across thread counts, a
-// queue-capacity sweep at the widest thread count, and bitwise equality of
-// the two paths' outputs (classic RF is integer-valued, so ANY difference
-// is a bug, not roundoff).
+// The legacy barrier-batch baseline this bench used to race is gone from
+// the engine; its last multi-core numbers are recorded in EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
 #include <map>
 #include <string>
@@ -49,20 +43,20 @@ std::size_t r_trees() {
   return 0;
 }
 
-constexpr std::size_t kTaxa = 144;  // the Insect width (2 words per key)
+constexpr std::size_t kTaxa = 144;  // the Insect width (3 words per key)
 const std::size_t kThreadCounts[] = {1, 2, 4, 8};
-const std::size_t kQueueCapacities[] = {1, 4, 16, 64, 256};
-constexpr std::size_t kSweepThreads = 8;
 
 struct RunResult {
   double seconds = 0;
   std::vector<double> avg;
 };
-std::map<std::string, RunResult> g_results;
+std::map<std::size_t, RunResult> g_results;  // keyed by thread count
 
 std::string dataset_path() {
   static const std::string path = [] {
-    const std::string p = "/tmp/bfhrf_a7_pipeline.nwk";
+    const std::string p =
+        (std::filesystem::temp_directory_path() / "bfhrf_a7_pipeline.nwk")
+            .string();
     sim::DatasetSpec spec = sim::insect_like(r_trees());
     (void)sim::generate_to_file(spec, p);
     return p;
@@ -83,11 +77,11 @@ phylo::TaxonSetPtr file_taxa() {
 }
 
 /// Streamed build + streamed query (Q == R, both from file), timed.
-RunResult run_config(const core::BfhrfOptions& opts) {
+RunResult run_config(std::size_t threads) {
   const auto taxa = file_taxa();
   RunResult out;
   util::WallTimer timer;
-  core::Bfhrf engine(taxa->size(), opts);
+  core::Bfhrf engine(taxa->size(), {.threads = threads});
   core::FileTreeSource reference(dataset_path(), taxa);
   engine.build(reference);
   reference.reset();
@@ -96,91 +90,28 @@ RunResult run_config(const core::BfhrfOptions& opts) {
   return out;
 }
 
-core::BfhrfOptions legacy_opts(std::size_t threads) {
-  return core::BfhrfOptions{.threads = threads,
-                            .batch_size = 64,
-                            .streaming = core::StreamingMode::BarrierBatch,
-                            .reuse_scratch = false,
-                            .batched_hash = false};
-}
-
-core::BfhrfOptions pipelined_opts(std::size_t threads,
-                                  std::size_t queue_capacity = 0) {
-  return core::BfhrfOptions{.threads = threads,
-                            .streaming = core::StreamingMode::Pipelined,
-                            .queue_capacity = queue_capacity};
-}
-
-void register_cell(const std::string& label, core::BfhrfOptions opts) {
-  benchmark::RegisterBenchmark(label.c_str(),
-                               [label, opts](benchmark::State& state) {
-                                 for (auto _ : state) {
-                                   g_results[label] = run_config(opts);
-                                 }
-                               })
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-}
-
-bool same_results(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void report() {
-  std::printf("\n--- Ablation A7: barrier-batch legacy vs pipelined engine "
+  std::printf("\n--- Ablation A7: pipelined streaming engine "
               "(n=%zu, r=q=%zu, streamed from file) ---\n",
               kTaxa, r_trees());
 
-  util::TextTable table({"Threads", "legacy(s)", "pipelined(s)", "Speedup"});
-  for (const std::size_t t : kThreadCounts) {
-    const RunResult& legacy = g_results["legacy/t" + std::to_string(t)];
-    const RunResult& pipe = g_results["pipelined/t" + std::to_string(t)];
-    table.add_row({std::to_string(t), util::format_fixed(legacy.seconds, 2),
-                   util::format_fixed(pipe.seconds, 2),
-                   util::format_fixed(legacy.seconds / pipe.seconds, 2) +
-                       "x"});
-  }
-  table.print(std::cout);
-
-  std::printf("\nQueue-capacity sweep (pipelined, threads=%zu; 0 means the "
-              "max(4*threads,16) default):\n",
-              kSweepThreads);
-  util::TextTable sweep({"Capacity", "Time(s)"});
-  for (const std::size_t cap : kQueueCapacities) {
-    const RunResult& run = g_results["pipelined/q" + std::to_string(cap)];
-    sweep.add_row({std::to_string(cap), util::format_fixed(run.seconds, 2)});
-  }
-  sweep.print(std::cout);
-
-  // Bitwise equality: every configuration against the sequential legacy
-  // ground truth.
-  const RunResult& truth = g_results["legacy/t1"];
+  const RunResult& truth = g_results[1];
+  util::TextTable table({"Threads", "Time(s)", "Speedup vs t1"});
   bool all_equal = true;
-  for (const auto& [label, run] : g_results) {
-    if (!same_results(run.avg, truth.avg)) {
+  for (const auto& [threads, run] : g_results) {
+    table.add_row({std::to_string(threads),
+                   util::format_fixed(run.seconds, 2),
+                   util::format_fixed(truth.seconds / run.seconds, 2) + "x"});
+    if (run.avg != truth.avg) {
       all_equal = false;
-      std::printf("MISMATCH: %s differs from legacy/t1\n", label.c_str());
+      std::printf("MISMATCH: pipelined/t%zu differs from pipelined/t1\n",
+                  threads);
     }
   }
-  verdict("all engine configurations agree bitwise", all_equal,
+  table.print(std::cout);
+  verdict("every thread count agrees bitwise with pipelined/t1", all_equal,
           std::to_string(g_results.size()) + " configurations x " +
               std::to_string(truth.avg.size()) + " averages");
-
-  const double legacy8 = g_results["legacy/t8"].seconds;
-  const double pipe8 = g_results["pipelined/t8"].seconds;
-  verdict("pipelined >= 1.3x vs barrier-batch legacy at 8 threads",
-          pipe8 * 1.3 <= legacy8,
-          util::format_fixed(legacy8 / pipe8, 2) + "x (" +
-              util::format_fixed(legacy8, 2) + "s -> " +
-              util::format_fixed(pipe8, 2) + "s)");
 }
 
 }  // namespace
@@ -191,12 +122,14 @@ int main(int argc, char** argv) {
   print_header("Ablation A7 — pipelined streaming engine",
                "engine overhaul; paper SVI threading methodology");
   for (const std::size_t t : kThreadCounts) {
-    register_cell("legacy/t" + std::to_string(t), legacy_opts(t));
-    register_cell("pipelined/t" + std::to_string(t), pipelined_opts(t));
-  }
-  for (const std::size_t cap : kQueueCapacities) {
-    register_cell("pipelined/q" + std::to_string(cap),
-                  pipelined_opts(kSweepThreads, cap));
+    benchmark::RegisterBenchmark(("pipelined/t" + std::to_string(t)).c_str(),
+                                 [t](benchmark::State& state) {
+                                   for (auto _ : state) {
+                                     g_results[t] = run_config(t);
+                                   }
+                                 })
+        ->Iterations(1)
+        ->Unit(benchmark::kMillisecond);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {

@@ -3,11 +3,12 @@
 // Table I footnotes BFHRF's space as "O(n²) in theory, O(n²r) in the
 // current implementation due to the nature of multiprocessing" — the
 // Python build had to materialize R to fan it out to worker processes.
-// This implementation streams trees through worker threads in bounded
-// batches, so the claim is achievable; this bench measures it:
+// This implementation streams trees to worker threads through a bounded
+// queue, so the claim is achievable; this bench measures it:
 //
 //   in-memory path : all r trees resident + the hash
-//   streaming path : <= threads·batch_size trees resident + the hash
+//   streaming path : <= queue capacity + one tree per worker resident
+//                    (Bfhrf::max_resident_trees) + the hash
 //
 // Reported: exact resident bytes (trees + engine) for both paths, plus
 // process RSS deltas as corroboration (streaming runs first, while the
@@ -15,6 +16,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
 
 #include "common.hpp"
@@ -42,7 +44,6 @@ std::size_t r_trees() {
 }
 
 constexpr std::size_t kTaxa = 144;  // the Insect width
-constexpr std::size_t kBatch = 64;
 
 struct Path {
   double seconds = 0;
@@ -57,7 +58,9 @@ Path g_memory;
 
 std::string dataset_path() {
   static const std::string path = [] {
-    const std::string p = "/tmp/bfhrf_a6_insect_like.nwk";
+    const std::string p = (std::filesystem::temp_directory_path() /
+                           "bfhrf_a6_insect_like.nwk")
+                              .string();
     sim::DatasetSpec spec = sim::insect_like(r_trees());
     (void)sim::generate_to_file(spec, p);
     return p;
@@ -79,16 +82,18 @@ void run_streaming(benchmark::State& state) {
   for (auto _ : state) {
     g_stream.rss_before = util::current_rss_bytes();
     util::WallTimer timer;
-    core::Bfhrf engine(taxa->size(), {.threads = 2, .batch_size = kBatch});
+    core::Bfhrf engine(taxa->size(), {.threads = 2});
     core::FileTreeSource reference(dataset_path(), taxa);
     engine.build(reference);
     reference.reset();
     const auto avg = engine.query(reference);
     g_stream.seconds = timer.seconds();
     g_stream.engine_bytes = engine.stats().hash_memory_bytes;
-    // Residency bound: one batch of trees (Tree arena ~ 2n nodes).
-    g_stream.tree_bytes =
-        2 * kBatch * 2 * kTaxa * sizeof(phylo::Tree::Node);
+    // Residency bound: the trees the pipeline can hold at once (queue
+    // capacity + one per worker + the producer's), each a Tree arena of
+    // ~2n nodes.
+    g_stream.tree_bytes = engine.max_resident_trees() * 2 * kTaxa *
+                          sizeof(phylo::Tree::Node);
     g_stream.rss_peak = util::peak_rss_bytes();
     g_stream.head.assign(avg.begin(),
                          avg.begin() + std::min<std::size_t>(8, avg.size()));
@@ -126,7 +131,7 @@ void report() {
               kTaxa, r_trees());
   util::TextTable table({"Path", "Time(s)", "Resident tree MB",
                          "Hash MB", "Peak RSS MB"});
-  table.add_row({"streaming (batch=64)",
+  table.add_row({"streaming (pipeline)",
                  util::format_fixed(g_stream.seconds, 2),
                  mb(g_stream.tree_bytes), mb(g_stream.engine_bytes),
                  mb(g_stream.rss_peak)});

@@ -29,8 +29,8 @@ run() {
 # mode over a generated collection, full matrices cross-checked
 # bit-for-bit. Size can be overridden, e.g. BFHRF_VERIFY_ARGS="n=128 r=64".
 # The 1..8 thread sweep drives every all-pairs engine (legacy merge walk,
-# bit-matrix dense, bit-matrix sparse) and the BFHRF column paths at each
-# count under the sanitizers.
+# bit-matrix dense, bit-matrix sparse) and the BFHRF span and streamed
+# ingest paths at each count under the sanitizers: 35 engine configs.
 VERIFY_ARGS=${BFHRF_VERIFY_ARGS:-"n=64 r=32 q=32 --threads 1,2,4,8"}
 
 # Dynamic-index oracle workload: randomized interleaved add/remove/

@@ -1,17 +1,10 @@
 #include "core/bfhrf.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <exception>
-#include <mutex>
+#include <functional>
 #include <thread>
 #include <utility>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 #include "core/compressed_hash.hpp"
 #include "core/index_file.hpp"
@@ -24,12 +17,10 @@ namespace bfhrf::core {
 namespace {
 
 // Engine-phase metrics (docs/OBSERVABILITY.md): phase-1 build wall time and
-// tree/batch counts, merge cost, phase-2 query throughput inputs, and the
+// tree count, merge cost, phase-2 query throughput inputs, and the
 // post-build store shape (U, resident bytes).
 const obs::Counter g_build_trees = obs::counter("bfhrf.build.trees");
-const obs::Counter g_build_batches = obs::counter("bfhrf.build.batches");
 const obs::Counter g_query_trees = obs::counter("bfhrf.query.trees");
-const obs::Counter g_query_batches = obs::counter("bfhrf.query.batches");
 const obs::Counter g_query_bips = obs::counter("bfhrf.query.bipartitions");
 const obs::Gauge g_unique = obs::gauge("bfhrf.unique_bipartitions");
 const obs::Gauge g_resident = obs::gauge("bfhrf.hash.resident_bytes");
@@ -80,6 +71,111 @@ const obs::Gauge g_shard_skew = obs::gauge("bfhrf.build.shard.skew");
 const obs::Counter g_shard_keys = obs::counter("bfhrf.build.shard.keys");
 const obs::Counter g_shard_chunks = obs::counter("bfhrf.build.shard.chunks");
 
+/// Per-lane (stream index, value) records. Each worker appends to its own
+/// lane; in_stream_order() scatters them once the pipeline has joined, so
+/// no lock or shared resize sits on the hot path.
+using LaneValues = std::vector<std::vector<std::pair<std::size_t, double>>>;
+
+LaneValues make_lanes(std::size_t lanes, std::optional<std::size_t> hint) {
+  LaneValues out(lanes);
+  if (hint) {
+    for (auto& lane : out) {
+      lane.reserve(*hint / lanes + 1);
+    }
+  }
+  return out;
+}
+
+std::vector<double> in_stream_order(const LaneValues& lanes, std::size_t n) {
+  std::vector<double> out(n, 0.0);
+  for (const auto& lane : lanes) {
+    for (const auto& [index, value] : lane) {
+      out[index] = value;
+    }
+  }
+  return out;
+}
+
+/// Bounded-queue capacity of the ingest pipeline.
+std::size_t queue_capacity(std::size_t workers) {
+  return std::max<std::size_t>(4 * workers, 16);
+}
+
+using Drain = std::function<void(std::size_t)>;
+
+// The two schedulers of build_from/query_from, both on pipeline_run. A
+// scheduler is called as schedule(workers, consume, drain): the calling
+// thread produces, `workers` threads call consume(rank, index, item) for
+// every item, then drain(lane) on each worker once every consume has
+// returned (an empty drain is skipped). It returns the item count.
+
+/// Streams: the producer parses or decodes one item at a time and tags it
+/// with its stream index.
+template <typename Item, typename Next>
+auto stream_scheduler(Next next) {
+  return [next = std::move(next)](std::size_t workers, const auto& consume,
+                                  const Drain& drain) mutable {
+    struct Tagged {
+      Item item{};
+      std::size_t index = 0;
+    };
+    std::size_t seen = 0;
+    parallel::pipeline_run<Tagged>(
+        workers, queue_capacity(workers),
+        [&](const parallel::PipelineEmit<Tagged>& emit) {
+          Tagged tagged;
+          while (next(tagged.item)) {
+            tagged.index = seen++;
+            if (!emit(std::move(tagged))) {
+              break;  // pipeline aborted; the failure rethrows after join
+            }
+          }
+        },
+        [&](std::size_t rank, Tagged& tagged) {
+          consume(rank, tagged.index, tagged.item);
+        },
+        drain);
+    return seen;
+  };
+}
+
+/// In-memory spans: the items are pointers into the span (no tree is
+/// copied), queued as index ranges of kSpanChunk trees. One queue hop per
+/// tree cost more than a small tree's own work: in-memory queries at n=48
+/// and n=144 ran 1.6-2.3x slower with 4 workers on a 4-core host.
+auto span_scheduler(std::span<const phylo::Tree> trees) {
+  return [trees](std::size_t workers, const auto& consume,
+                 const Drain& drain) {
+    constexpr std::size_t kSpanChunk = 16;
+    struct Range {
+      std::size_t begin = 0;
+      std::size_t end = 0;
+    };
+    parallel::pipeline_run<Range>(
+        workers, queue_capacity(workers),
+        [&](const parallel::PipelineEmit<Range>& emit) {
+          for (std::size_t b = 0; b < trees.size(); b += kSpanChunk) {
+            if (!emit({b, std::min(trees.size(), b + kSpanChunk)})) {
+              break;  // pipeline aborted; the failure rethrows after join
+            }
+          }
+        },
+        [&](std::size_t rank, Range& range) {
+          for (std::size_t i = range.begin; i < range.end; ++i) {
+            consume(rank, i, &trees[i]);
+          }
+        },
+        drain);
+    return trees.size();
+  };
+}
+
+void check_width(const VectorSource& source, std::size_t n_bits) {
+  if (source.n_taxa() != n_bits) {
+    throw InvalidArgument("Bfhrf: vector source universe width mismatch");
+  }
+}
+
 }  // namespace
 
 Bfhrf::Bfhrf(std::size_t n_bits, BfhrfOptions opts)
@@ -88,15 +184,12 @@ Bfhrf::Bfhrf(std::size_t n_bits, BfhrfOptions opts)
     throw InvalidArgument("Bfhrf: empty taxon universe");
   }
   opts_.threads = parallel::effective_threads(opts_.threads);
-  if (opts_.batch_size == 0) {
-    opts_.batch_size = 1;
-  }
   if (opts_.shards > 1 &&
       (opts_.compressed_keys || opts_.variant != nullptr)) {
     throw InvalidArgument(
         "Bfhrf: shards > 1 requires the raw-key classic-RF path "
-        "(compressed stores have no sharded form; weighted variants need "
-        "a deterministic accumulation order)");
+        "(compressed stores have no sharded form; the routing buckets "
+        "carry no variant weights)");
   }
   const std::size_t shards = effective_shards();
   if (shards > 1) {
@@ -107,7 +200,7 @@ Bfhrf::Bfhrf(std::size_t n_bits, BfhrfOptions opts)
   } else {
     store_ = make_store(opts_.expected_unique);
     if (!opts_.compressed_keys) {
-      fast_store_ = static_cast<const FrequencyHash*>(store_.get());
+      fast_store_ = static_cast<FrequencyHash*>(store_.get());
     }
   }
   refresh_index_view();
@@ -138,212 +231,101 @@ std::unique_ptr<FrequencyStore> Bfhrf::make_store(
   return std::make_unique<FrequencyHash>(n_bits_, expected_unique);
 }
 
-std::size_t Bfhrf::queue_capacity() const noexcept {
-  if (opts_.queue_capacity != 0) {
-    return opts_.queue_capacity;
+std::size_t Bfhrf::pipeline_workers() const noexcept {
+  // The calling thread produces; `workers` consumers drain the queue. With
+  // threads <= 1 — or on a single-hardware-thread host, where produce/
+  // consume overlap is physically impossible and the queue would only add
+  // synchronization — the pipeline degenerates to an inline zero-sync
+  // loop (results are identical either way).
+  if (opts_.threads <= 1 || std::thread::hardware_concurrency() <= 1) {
+    return 0;
   }
-  return std::max<std::size_t>(4 * opts_.threads, 16);
+  return opts_.threads;
 }
 
-void Bfhrf::add_tree(const phylo::Tree& tree, FrequencyStore& target) const {
+std::size_t Bfhrf::max_resident_trees() const noexcept {
+  const std::size_t workers = pipeline_workers();
+  return workers == 0 ? 1 : queue_capacity(workers) + workers + 1;
+}
+
+const phylo::BipartitionSet& Bfhrf::extract(const phylo::Tree& tree,
+                                            WorkerScratch& scratch) const {
   if (!tree.taxa() || tree.taxa()->size() != n_bits_) {
     throw InvalidArgument("Bfhrf: tree taxon universe width mismatch");
   }
-  const phylo::BipartitionOptions bip_opts{.include_trivial =
-                                               opts_.include_trivial};
-  const auto bips = phylo::extract_bipartitions(tree, bip_opts);
-  const RfVariant& v = variant();
+  return scratch.extractor.extract(
+      tree, {.include_trivial = opts_.include_trivial,
+             .sorted = opts_.variant != nullptr});
+}
+
+const phylo::BipartitionSet& Bfhrf::extract(const phylo::Tree* tree,
+                                            WorkerScratch& scratch) const {
+  return extract(*tree, scratch);
+}
+
+const phylo::BipartitionSet& Bfhrf::extract(
+    std::span<const std::uint32_t> row, WorkerScratch& scratch) const {
+  if (row.size() + 1 != n_bits_) {
+    throw InvalidArgument("Bfhrf: vector row universe width mismatch");
+  }
+  return scratch.vec_extractor.extract(
+      row, {.include_trivial = opts_.include_trivial,
+            .sorted = opts_.variant != nullptr});
+}
+
+Bfhrf::KeptSplits Bfhrf::kept_splits(const phylo::BipartitionSet& bips,
+                                     WorkerScratch& scratch) const {
+  if (opts_.variant == nullptr) {
+    // Classic RF keeps every split at unit weight: the extractor's arena
+    // goes through as is — no per-split popcount or virtual keep/weight.
+    return {bips.arena_view().data(), nullptr, bips.size()};
+  }
+  const RfVariant& v = *opts_.variant;
+  scratch.kept_keys.clear();
+  scratch.kept_weights.clear();
   bips.for_each([&](util::ConstWordSpan words) {
     const BipartitionRef ref{words, n_bits_, util::popcount_words(words)};
     if (!v.keep(ref)) {
       return;
     }
-    target.add_weighted(words, 1, v.weight(ref));
+    scratch.kept_keys.insert(scratch.kept_keys.end(), words.begin(),
+                             words.end());
+    scratch.kept_weights.push_back(v.weight(ref));
   });
+  return {scratch.kept_keys.data(), scratch.kept_weights.data(),
+          scratch.kept_weights.size()};
 }
 
-void Bfhrf::add_tree(const phylo::Tree& tree, FrequencyStore& target,
-                     WorkerScratch& scratch) const {
-  if (!opts_.reuse_scratch && !use_batched_add()) {
-    add_tree(tree, target);  // full legacy path (ablation baseline)
-    return;
-  }
-  if (!tree.taxa() || tree.taxa()->size() != n_bits_) {
-    throw InvalidArgument("Bfhrf: tree taxon universe width mismatch");
-  }
-  // Classic RF needs neither sorted arenas nor per-split values, so skip
-  // the finalize sort; variants keep sorted order so their floating-point
-  // weight sums accumulate in exactly the legacy order.
-  const phylo::BipartitionOptions bip_opts{
-      .include_trivial = opts_.include_trivial,
-      .sorted = opts_.variant != nullptr};
-  phylo::BipartitionSet local;
-  const phylo::BipartitionSet& bips =
-      opts_.reuse_scratch
-          ? scratch.extractor.extract(tree, bip_opts)
-          : (local = phylo::extract_bipartitions(tree, bip_opts));
-  insert_bipartitions(bips, target, scratch);
-}
-
-void Bfhrf::insert_bipartitions(const phylo::BipartitionSet& bips,
-                                FrequencyStore& target,
-                                WorkerScratch& scratch) const {
-  if (auto* sharded = dynamic_cast<ShardedFrequencyHash*>(&target);
-      use_batched_add() && sharded != nullptr) {
-    // Inline sharded build (threads <= 1): route-and-insert through the
-    // store's own staging buffers. Sharding is classic-RF only (ctor
-    // invariant), so the whole arena goes in at unit weight.
-    sharded->add_many(bips.arena_view().data(), bips.size(), nullptr);
-    return;
-  }
-  // make_store() hands out FrequencyHash when keys are uncompressed; an
-  // adopted read-only mapped store fails the cast and falls through to
-  // the virtual path below, whose add_weighted throws for it.
-  if (auto* hash_ptr = dynamic_cast<FrequencyHash*>(&target);
-      use_batched_add() && hash_ptr != nullptr) {
-    FrequencyHash& hash = *hash_ptr;
-    if (opts_.variant == nullptr) {
-      // Classic RF keeps every split at unit weight: insert the arena
-      // wholesale — no per-split popcount, virtual keep/weight, or
-      // virtual add.
-      hash.add_many(bips.arena_view().data(), bips.size(), nullptr);
-    } else {
-      const RfVariant& v = variant();
-      scratch.kept_keys.clear();
-      scratch.kept_weights.clear();
-      bips.for_each([&](util::ConstWordSpan words) {
-        const BipartitionRef ref{words, n_bits_,
-                                 util::popcount_words(words)};
-        if (!v.keep(ref)) {
-          return;
-        }
-        scratch.kept_keys.insert(scratch.kept_keys.end(), words.begin(),
-                                 words.end());
-        scratch.kept_weights.push_back(v.weight(ref));
-      });
-      hash.add_many(scratch.kept_keys.data(), scratch.kept_weights.size(),
-                    scratch.kept_weights.data());
-    }
-    return;
-  }
-
-  const RfVariant& v = variant();
-  bips.for_each([&](util::ConstWordSpan words) {
-    const BipartitionRef ref{words, n_bits_, util::popcount_words(words)};
-    if (!v.keep(ref)) {
-      return;
-    }
-    target.add_weighted(words, 1, v.weight(ref));
-  });
-}
-
-void Bfhrf::merge_partials(
-    std::vector<std::unique_ptr<FrequencyStore>>& partials) {
-  const obs::ScopedTimer merge_timer(g_merge_seconds);
-  if (partials.empty()) {
-    return;
-  }
-  // Pre-size the final store for the union before keys start landing: the
-  // largest partial is a lower bound on U, the caller's hint may be better.
-  std::size_t largest = 0;
-  for (const auto& p : partials) {
-    largest = std::max(largest, p->unique_count());
-  }
-  store_->reserve(std::max(opts_.expected_unique,
-                           store_->unique_count() + largest));
-
-  // Pairwise tree reduction: each round merges disjoint partial pairs in
-  // parallel (log2 k rounds instead of a k-long sequential fold). Counts
-  // are integers, so the merged frequencies are identical to the rank-order
-  // fold in any order; only weighted totals can differ in the last ulp,
-  // exactly as they already do across parallel_for chunk assignments.
-  for (std::size_t stride = 1; stride < partials.size(); stride *= 2) {
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    for (std::size_t i = 0; i + stride < partials.size(); i += 2 * stride) {
-      pairs.emplace_back(i, i + stride);
-    }
-    parallel::parallel_for(
-        0, pairs.size(), opts_.threads,
-        [&](std::size_t j) {
-          const auto [dst, src] = pairs[j];
-          partials[dst]->reserve(partials[dst]->unique_count() +
-                                 partials[src]->unique_count());
-          partials[dst]->merge_from(*partials[src]);
-          partials[src].reset();
-        },
-        /*grain=*/1);
-  }
-  store_->merge_from(*partials.front());
-}
-
-void Bfhrf::build(std::span<const phylo::Tree> reference) {
-  const obs::TraceSpan span("bfhrf.build");
-  const obs::ScopedTimer timer(g_build_seconds);
-  if (opts_.threads <= 1 || reference.size() < 2) {
-    WorkerScratch scratch;
-    for (const auto& t : reference) {
-      add_tree(t, *store_, scratch);
-    }
-  } else if (sharded_store_ != nullptr) {
-    build_span_sharded(reference);
+double Bfhrf::insert_bipartitions(const phylo::BipartitionSet& bips,
+                                  FrequencyStore& target,
+                                  WorkerScratch& scratch) const {
+  const KeptSplits kept = kept_splits(bips, scratch);
+  if (auto* sharded = dynamic_cast<ShardedFrequencyHash*>(&target)) {
+    // Inline sharded build: route-and-insert through the store's own
+    // staging buffers.
+    sharded->add_many(kept.keys, kept.count, kept.weights);
+  } else if (auto* hash = dynamic_cast<FrequencyHash*>(&target)) {
+    hash->add_many(kept.keys, kept.count, kept.weights);
   } else {
-    // Per-worker private stores; pairwise-merged (deterministic counts).
-    std::vector<std::unique_ptr<FrequencyStore>> partials;
-    partials.reserve(opts_.threads);
-    for (std::size_t i = 0; i < opts_.threads; ++i) {
-      partials.push_back(make_store(opts_.expected_unique));
+    // Compressed stores take the virtual per-split add (an adopted
+    // read-only mapped store throws here).
+    const std::size_t wp = util::words_for_bits(n_bits_);
+    for (std::size_t i = 0; i < kept.count; ++i) {
+      target.add_weighted({kept.keys + i * wp, wp}, 1,
+                          kept.weights != nullptr ? kept.weights[i] : 1.0);
     }
-    std::vector<WorkerScratch> scratch(opts_.threads);
-    parallel::parallel_for_ranked(
-        0, reference.size(), opts_.threads,
-        [&](std::size_t rank, std::size_t i) {
-          add_tree(reference[i], *partials[rank], scratch[rank]);
-        });
-    merge_partials(partials);
   }
-  reference_trees_ += reference.size();
-  g_build_trees.inc(reference.size());
-  publish_store_metrics();
-}
-
-void Bfhrf::build_span_sharded(std::span<const phylo::Tree> reference) {
-  // Phase A — routing. Each rank owns buckets[rank][shard]: a contiguous
-  // key arena of the splits it routed to that shard. Ranks never share a
-  // bucket, so the phase is lock-free and allocation stays rank-local
-  // (first-touch places a rank's staging pages on its own node).
-  const std::size_t ranks = opts_.threads;
-  const std::size_t shards = sharded_store_->shard_count();
-  std::vector<std::vector<std::vector<std::uint64_t>>> buckets(
-      ranks, std::vector<std::vector<std::uint64_t>>(shards));
-  std::vector<WorkerScratch> scratch(ranks);
-  parallel::parallel_for_ranked(
-      0, reference.size(), opts_.threads,
-      [&](std::size_t rank, std::size_t i) {
-        route_tree(reference[i], scratch[rank], buckets[rank]);
-      });
-  // Phase B — per-shard insertion, one lane per contiguous shard range.
-  insert_buckets(buckets);
-}
-
-void Bfhrf::route_tree(
-    const phylo::Tree& tree, WorkerScratch& scratch,
-    std::vector<std::vector<std::uint64_t>>& buckets) const {
-  if (!tree.taxa() || tree.taxa()->size() != n_bits_) {
-    throw InvalidArgument("Bfhrf: tree taxon universe width mismatch");
+  if (kept.weights == nullptr) {
+    return static_cast<double>(kept.count);
   }
-  // Sharding is classic-RF only (every split kept at unit weight), so
-  // routing needs neither the variant filter nor sorted arenas.
-  const phylo::BipartitionOptions bip_opts{.include_trivial =
-                                               opts_.include_trivial};
-  phylo::BipartitionSet local;
-  const phylo::BipartitionSet& bips =
-      opts_.reuse_scratch
-          ? scratch.extractor.extract(tree, bip_opts)
-          : (local = phylo::extract_bipartitions(tree, bip_opts));
-  route_bipartitions(bips, buckets);
+  double weight = 0.0;
+  for (std::size_t i = 0; i < kept.count; ++i) {
+    weight += kept.weights[i];
+  }
+  return weight;
 }
 
-void Bfhrf::route_bipartitions(
+double Bfhrf::route_bipartitions(
     const phylo::BipartitionSet& bips,
     std::vector<std::vector<std::uint64_t>>& buckets) const {
   const std::size_t wp = util::words_for_bits(n_bits_);
@@ -356,39 +338,11 @@ void Bfhrf::route_bipartitions(
     auto& bucket = buckets[shard_of(fp, bits)];
     bucket.insert(bucket.end(), key, key + wp);
   }
+  return static_cast<double>(n);
 }
 
-void Bfhrf::add_vector(std::span<const std::uint32_t> row,
-                       FrequencyStore& target, WorkerScratch& scratch) const {
-  if (row.size() + 1 != n_bits_) {
-    throw InvalidArgument("Bfhrf: vector row universe width mismatch");
-  }
-  // Same sortedness rule as add_tree: classic RF skips the finalize sort;
-  // variants keep sorted order so weighted sums accumulate in the legacy
-  // order. Downstream of extraction both ingest forms share one tail.
-  const phylo::BipartitionOptions bip_opts{
-      .include_trivial = opts_.include_trivial,
-      .sorted = opts_.variant != nullptr};
-  insert_bipartitions(scratch.vec_extractor.extract(row, bip_opts), target,
-                      scratch);
-}
-
-void Bfhrf::route_vector(
-    std::span<const std::uint32_t> row, WorkerScratch& scratch,
-    std::vector<std::vector<std::uint64_t>>& buckets) const {
-  if (row.size() + 1 != n_bits_) {
-    throw InvalidArgument("Bfhrf: vector row universe width mismatch");
-  }
-  // Sharding is classic-RF only, so routing takes the unsorted arena.
-  const phylo::BipartitionOptions bip_opts{.include_trivial =
-                                               opts_.include_trivial};
-  route_bipartitions(scratch.vec_extractor.extract(row, bip_opts), buckets);
-}
-
-void Bfhrf::insert_lane(
-    std::size_t lane, std::size_t lanes,
-    std::vector<std::vector<std::vector<std::uint64_t>>>& buckets) {
-  maybe_pin_build_thread(lane);
+void Bfhrf::insert_lane(std::size_t lane, std::size_t lanes,
+                        ShardBuckets& buckets) {
   const std::size_t shards = sharded_store_->shard_count();
   const std::size_t wp = util::words_for_bits(n_bits_);
   // Chunked add_many: add_many pre-sizes its table from the batch length,
@@ -407,8 +361,8 @@ void Bfhrf::insert_lane(
       const std::size_t n = bucket.size() / wp;
       for (std::size_t off = 0; off < n; off += kChunkKeys) {
         const std::size_t take = std::min(kChunkKeys, n - off);
-        // The shard's bulk pages fault in here — on the lane that owns the
-        // shard (first-touch NUMA placement when lanes are pinned).
+        // The shard's bulk pages fault in here, on the lane that owns the
+        // shard (first-touch placement).
         shard.add_many(bucket.data() + off * wp, take, nullptr);
         ++lane_chunks;
       }
@@ -423,78 +377,43 @@ void Bfhrf::insert_lane(
   g_shard_chunks.inc(lane_chunks);
 }
 
-void Bfhrf::insert_buckets(
-    std::vector<std::vector<std::vector<std::uint64_t>>>& buckets) {
-  const std::size_t shards = sharded_store_->shard_count();
-  const std::size_t lanes =
-      std::max<std::size_t>(1, std::min(opts_.threads, shards));
-  if (lanes == 1) {
-    insert_lane(0, 1, buckets);
+void Bfhrf::merge_partials(
+    std::vector<std::unique_ptr<FrequencyStore>>& partials) {
+  if (partials.empty()) {
     return;
   }
-  std::exception_ptr first_error;
-  std::mutex err_mu;
-  {
-    std::vector<std::jthread> workers;
-    workers.reserve(lanes);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      workers.emplace_back([&, lane] {
-        const obs::ScopedThreadSink sink_flush;
-        try {
-          insert_lane(lane, lanes, buckets);
-        } catch (...) {
-          const std::lock_guard lock(err_mu);
-          if (!first_error) {
-            first_error = std::current_exception();
-          }
-        }
-      });
+  const obs::ScopedTimer merge_timer(g_merge_seconds);
+  // Pre-size the final store for the union before keys start landing: the
+  // largest partial is a lower bound on U, the caller's hint may be better.
+  std::size_t largest = 0;
+  for (const auto& p : partials) {
+    largest = std::max(largest, p->unique_count());
+  }
+  store_->reserve(std::max(opts_.expected_unique,
+                           store_->unique_count() + largest));
+
+  // Pairwise tree reduction: each round merges disjoint partial pairs in
+  // parallel (log2 k rounds instead of a k-long sequential fold). Counts
+  // are integers, so the merged frequencies are identical to the rank-order
+  // fold in any order; the weighted total the merge produces is replaced by
+  // build_from's stream-order fold.
+  for (std::size_t stride = 1; stride < partials.size(); stride *= 2) {
+    std::vector<std::pair<std::size_t, std::size_t>> pairs;
+    for (std::size_t i = 0; i + stride < partials.size(); i += 2 * stride) {
+      pairs.emplace_back(i, i + stride);
     }
-    // workers join here; lanes own disjoint shard ranges, so a throwing
-    // lane cannot corrupt another lane's shards.
+    parallel::parallel_for(
+        0, pairs.size(), opts_.threads,
+        [&](std::size_t j) {
+          const auto [dst, src] = pairs[j];
+          partials[dst]->reserve(partials[dst]->unique_count() +
+                                 partials[src]->unique_count());
+          partials[dst]->merge_from(*partials[src]);
+          partials[src].reset();
+        },
+        /*grain=*/1);
   }
-  if (first_error) {
-    std::rethrow_exception(first_error);
-  }
-}
-
-void Bfhrf::maybe_pin_build_thread(std::size_t lane) const {
-#if defined(__linux__)
-  if (!opts_.pin_build_threads) {
-    return;
-  }
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(lane % hw), &set);
-  // Best-effort: under a restricted cpuset the scheduler stays in charge.
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)lane;
-#endif
-}
-
-void Bfhrf::build(TreeSource& reference) {
-  const obs::TraceSpan span("bfhrf.build");
-  const obs::ScopedTimer timer(g_build_seconds);
-  if (opts_.streaming == StreamingMode::Pipelined) {
-    build_stream_pipelined(reference);
-  } else {
-    build_stream_barrier(reference);
-  }
-}
-
-void Bfhrf::build(VectorSource& reference) {
-  const obs::TraceSpan span("bfhrf.build");
-  const obs::ScopedTimer timer(g_build_seconds);
-  if (reference.n_taxa() != n_bits_) {
-    throw InvalidArgument("Bfhrf: vector source universe width mismatch");
-  }
-  if (opts_.streaming == StreamingMode::Pipelined) {
-    build_vectors_pipelined(reference);
-  } else {
-    build_vectors_barrier(reference);
-  }
+  store_->merge_from(*partials.front());
 }
 
 std::size_t Bfhrf::seed_unique_hint(std::optional<std::size_t> hint) const {
@@ -516,587 +435,182 @@ std::size_t Bfhrf::seed_unique_hint(std::optional<std::size_t> hint) const {
   return *hint * per_tree;
 }
 
-std::size_t Bfhrf::pipeline_workers() const noexcept {
-  // The calling thread parses; `workers` consumers drain the queue. With
-  // threads <= 1 — or on a single-hardware-thread host, where parse/hash
-  // overlap is physically impossible and the queue would only add
-  // synchronization — the pipeline degenerates to an inline zero-sync
-  // loop (results are identical either way).
-  if (opts_.threads <= 1 || std::thread::hardware_concurrency() <= 1) {
-    return 0;
-  }
-  return opts_.threads;
-}
-
-void Bfhrf::build_stream_pipelined(TreeSource& reference) {
+template <typename Schedule>
+void Bfhrf::build_from(Schedule schedule, std::optional<std::size_t> hint) {
+  const obs::TraceSpan span("bfhrf.build");
+  const obs::ScopedTimer timer(g_build_seconds);
   const std::size_t workers = pipeline_workers();
   const std::size_t lanes = std::max<std::size_t>(1, workers);
 
-  if (sharded_store_ != nullptr && opts_.threads > 1) {
-    // Sharded streaming build: consumers route keys into per-rank buckets
-    // while the producer keeps parsing; then the pipeline's drain barrier
-    // turns the same worker threads into insert lanes over disjoint shard
-    // ranges. No partials, no merge phase.
-    const std::size_t shards = sharded_store_->shard_count();
-    std::vector<std::vector<std::vector<std::uint64_t>>> buckets(
-        lanes, std::vector<std::vector<std::uint64_t>>(shards));
-    std::vector<WorkerScratch> scratch(lanes);
-    const std::size_t insert_lanes =
-        std::max<std::size_t>(1, std::min(lanes, shards));
-    std::size_t seen = 0;
-    parallel::pipeline_run<phylo::Tree>(
-        workers, queue_capacity(),
-        [&](const parallel::PipelineEmit<phylo::Tree>& emit) {
-          phylo::Tree t;
-          while (reference.next(t)) {
-            ++seen;
-            if (!emit(std::move(t))) {
-              break;  // aborted; the failure rethrows after join
-            }
-          }
-        },
-        [&](std::size_t rank, phylo::Tree& t) {
-          route_tree(t, scratch[rank], buckets[rank]);
-        },
-        [&](std::size_t lane) {
-          if (lane < insert_lanes) {
-            insert_lane(lane, insert_lanes, buckets);
-          }
-        });
-    reference_trees_ += seen;
-    g_build_trees.inc(seen);
-    publish_store_metrics();
-    return;
-  }
-
+  // Where a worker's keys go. Inline (no workers): straight into store_.
+  // Sharded store: per-rank routing buckets, which the scheduler's drain
+  // then turns into insert lanes over disjoint shard ranges — each key is
+  // inserted exactly once, no merge. Otherwise: per-rank partial stores,
+  // pre-sized from the hint (each lane takes ~1/lanes of the input) and
+  // merged afterwards.
+  const bool route = workers > 0 && sharded_store_ != nullptr;
+  const std::size_t shards = route ? sharded_store_->shard_count() : 0;
+  ShardBuckets buckets(route ? lanes : 0,
+                       std::vector<std::vector<std::uint64_t>>(shards));
   std::vector<std::unique_ptr<FrequencyStore>> partials;
-  std::vector<WorkerScratch> scratch(lanes);
-  if (workers > 0) {
-    // Pre-size partials from the stream's tree-count hint (exact for .p2v
-    // corpora, a semicolon-scan estimate for Newick files) when the caller
-    // gave no expected_unique of their own. Each lane drains ~1/lanes of
-    // the stream, so the hint is split before estimating.
-    std::optional<std::size_t> hint = reference.size_hint();
-    if (hint) {
-      hint = *hint / lanes + 1;
-    }
-    const std::size_t pre = seed_unique_hint(hint);
-    partials.reserve(lanes);
+  if (workers > 0 && !route) {
+    const std::size_t pre = seed_unique_hint(
+        hint ? std::optional<std::size_t>(*hint / lanes + 1) : std::nullopt);
     for (std::size_t i = 0; i < lanes; ++i) {
       partials.push_back(make_store(pre));
     }
   }
+  std::vector<WorkerScratch> scratch(lanes);
+  LaneValues tree_weights = make_lanes(lanes, hint);
+  const double base_weight = store_->total_weight();
 
-  std::size_t seen = 0;
-  parallel::pipeline_run<phylo::Tree>(
-      workers, queue_capacity(),
-      [&](const parallel::PipelineEmit<phylo::Tree>& emit) {
-        phylo::Tree t;
-        while (reference.next(t)) {
-          ++seen;
-          if (!emit(std::move(t))) {
-            break;  // pipeline aborted; the failure rethrows after join
-          }
-        }
-      },
-      [&](std::size_t rank, phylo::Tree& t) {
-        FrequencyStore& target = workers > 0 ? *partials[rank] : *store_;
-        add_tree(t, target, scratch[rank]);
-      });
-
-  if (workers > 0) {
-    merge_partials(partials);
+  Drain drain;
+  if (route) {
+    drain = [&, insert_lanes = std::min(lanes, shards)](std::size_t lane) {
+      if (lane < insert_lanes) {
+        insert_lane(lane, insert_lanes, buckets);
+      }
+    };
   }
+  const std::size_t seen = schedule(
+      workers,
+      [&](std::size_t rank, std::size_t index, const auto& item) {
+        const phylo::BipartitionSet& bips = extract(item, scratch[rank]);
+        const double weight =
+            route ? route_bipartitions(bips, buckets[rank])
+                  : insert_bipartitions(
+                        bips, partials.empty() ? *store_ : *partials[rank],
+                        scratch[rank]);
+        tree_weights[rank].emplace_back(index, weight);
+      },
+      drain);
+  merge_partials(partials);
+
+  // sumBFHR as one stream-order fold of per-tree kept weights: the float
+  // total is then the same for every thread count, schedule and store
+  // shape (classic weights are integers, exact in any order).
+  double total = base_weight;
+  for (const double w : in_stream_order(tree_weights, seen)) {
+    total += w;
+  }
+  store_->set_total_weight(total);
   reference_trees_ += seen;
   g_build_trees.inc(seen);
   publish_store_metrics();
 }
 
-void Bfhrf::build_stream_barrier(TreeSource& reference) {
-  std::vector<std::unique_ptr<FrequencyStore>> partials;
-  partials.reserve(opts_.threads);
-  for (std::size_t i = 0; i < opts_.threads; ++i) {
-    partials.push_back(make_store());
-  }
-  std::vector<phylo::Tree> batch;
-  batch.reserve(opts_.batch_size * opts_.threads);
-  std::size_t seen = 0;
-  while (true) {
-    batch.clear();
-    phylo::Tree t;
-    while (batch.size() < opts_.batch_size * opts_.threads &&
-           reference.next(t)) {
-      batch.push_back(std::move(t));
-    }
-    if (batch.empty()) {
-      break;
-    }
-    seen += batch.size();
-    g_build_batches.inc();
-    g_build_trees.inc(batch.size());
-    parallel::parallel_for_ranked(
-        0, batch.size(), opts_.threads,
-        [&](std::size_t rank, std::size_t i) {
-          add_tree(batch[i], *partials[rank]);
-        });
-  }
-  {
-    const obs::ScopedTimer merge_timer(g_merge_seconds);
-    for (const auto& p : partials) {
-      store_->merge_from(*p);
-    }
-  }
-  reference_trees_ += seen;
-  publish_store_metrics();
+void Bfhrf::build(std::span<const phylo::Tree> reference) {
+  build_from(span_scheduler(reference), reference.size());
 }
 
-void Bfhrf::build_vectors_pipelined(VectorSource& reference) {
-  const std::size_t workers = pipeline_workers();
-  const std::size_t lanes = std::max<std::size_t>(1, workers);
-
-  if (sharded_store_ != nullptr && opts_.threads > 1) {
-    // Sharded streaming build over vector rows: identical drain structure
-    // to the Tree driver — only the payload type and extractor differ.
-    const std::size_t shards = sharded_store_->shard_count();
-    std::vector<std::vector<std::vector<std::uint64_t>>> buckets(
-        lanes, std::vector<std::vector<std::uint64_t>>(shards));
-    std::vector<WorkerScratch> scratch(lanes);
-    const std::size_t insert_lanes =
-        std::max<std::size_t>(1, std::min(lanes, shards));
-    std::size_t seen = 0;
-    parallel::pipeline_run<phylo::TreeVector>(
-        workers, queue_capacity(),
-        [&](const parallel::PipelineEmit<phylo::TreeVector>& emit) {
-          phylo::TreeVector row;
-          while (reference.next(row)) {
-            ++seen;
-            if (!emit(std::move(row))) {
-              break;  // aborted; the failure rethrows after join
-            }
-          }
-        },
-        [&](std::size_t rank, phylo::TreeVector& row) {
-          route_vector(row, scratch[rank], buckets[rank]);
-        },
-        [&](std::size_t lane) {
-          if (lane < insert_lanes) {
-            insert_lane(lane, insert_lanes, buckets);
-          }
-        });
-    reference_trees_ += seen;
-    g_build_trees.inc(seen);
-    publish_store_metrics();
-    return;
-  }
-
-  std::vector<std::unique_ptr<FrequencyStore>> partials;
-  std::vector<WorkerScratch> scratch(lanes);
-  if (workers > 0) {
-    // The .p2v header makes this hint exact, so partials start at their
-    // final shape on corpus input (split per lane, as in the Tree driver).
-    std::optional<std::size_t> hint = reference.size_hint();
-    if (hint) {
-      hint = *hint / lanes + 1;
-    }
-    const std::size_t pre = seed_unique_hint(hint);
-    partials.reserve(lanes);
-    for (std::size_t i = 0; i < lanes; ++i) {
-      partials.push_back(make_store(pre));
-    }
-  }
-
-  std::size_t seen = 0;
-  parallel::pipeline_run<phylo::TreeVector>(
-      workers, queue_capacity(),
-      [&](const parallel::PipelineEmit<phylo::TreeVector>& emit) {
-        phylo::TreeVector row;
-        while (reference.next(row)) {
-          ++seen;
-          if (!emit(std::move(row))) {
-            break;  // pipeline aborted; the failure rethrows after join
-          }
-        }
-      },
-      [&](std::size_t rank, phylo::TreeVector& row) {
-        FrequencyStore& target = workers > 0 ? *partials[rank] : *store_;
-        add_vector(row, target, scratch[rank]);
-      });
-
-  if (workers > 0) {
-    merge_partials(partials);
-  }
-  reference_trees_ += seen;
-  g_build_trees.inc(seen);
-  publish_store_metrics();
+void Bfhrf::build(TreeSource& reference) {
+  build_from(stream_scheduler<phylo::Tree>(
+                 [&](phylo::Tree& out) { return reference.next(out); }),
+             reference.size_hint());
 }
 
-void Bfhrf::build_vectors_barrier(VectorSource& reference) {
-  std::vector<std::unique_ptr<FrequencyStore>> partials;
-  partials.reserve(opts_.threads);
-  for (std::size_t i = 0; i < opts_.threads; ++i) {
-    partials.push_back(make_store());
-  }
-  std::vector<WorkerScratch> scratch(std::max<std::size_t>(1, opts_.threads));
-  std::vector<phylo::TreeVector> batch;
-  batch.reserve(opts_.batch_size * opts_.threads);
-  std::size_t seen = 0;
-  while (true) {
-    batch.clear();
-    phylo::TreeVector row;
-    while (batch.size() < opts_.batch_size * opts_.threads &&
-           reference.next(row)) {
-      batch.push_back(std::move(row));
-    }
-    if (batch.empty()) {
-      break;
-    }
-    seen += batch.size();
-    g_build_batches.inc();
-    g_build_trees.inc(batch.size());
-    parallel::parallel_for_ranked(
-        0, batch.size(), opts_.threads,
-        [&](std::size_t rank, std::size_t i) {
-          add_vector(batch[i], *partials[rank], scratch[rank]);
-        });
-  }
-  {
-    const obs::ScopedTimer merge_timer(g_merge_seconds);
-    for (const auto& p : partials) {
-      store_->merge_from(*p);
-    }
-  }
-  reference_trees_ += seen;
-  publish_store_metrics();
+void Bfhrf::build(VectorSource& reference) {
+  check_width(reference, n_bits_);
+  build_from(stream_scheduler<phylo::TreeVector>(
+                 [&](phylo::TreeVector& out) { return reference.next(out); }),
+             reference.size_hint());
 }
 
-double Bfhrf::query_bipartitions(const phylo::BipartitionSet& bips) const {
+double Bfhrf::query_bipartitions(const phylo::BipartitionSet& bips,
+                                 WorkerScratch& scratch) const {
   if (reference_trees_ == 0) {
     throw InvalidArgument("Bfhrf::query before build");
   }
   const auto r = static_cast<double>(reference_trees_);
-  const RfVariant& v = variant();
+  const std::size_t wp = util::words_for_bits(n_bits_);
+  const KeptSplits kept = kept_splits(bips, scratch);
+  scratch.freqs.resize(kept.count);
+  if (index_view_.valid()) {
+    index_view_.frequency_many(kept.keys, kept.count, scratch.freqs.data());
+    g_prefetch_batches.inc();
+    g_prefetch_bips.inc(kept.count);
+    if (wp == 1) {
+      g_prefetch_fast_path.inc(kept.count);
+    }
+  } else {
+    // Compressed stores have no batched probe: virtual per-split lookups.
+    for (std::size_t i = 0; i < kept.count; ++i) {
+      scratch.freqs[i] = store_->frequency({kept.keys + i * wp, wp});
+    }
+  }
+  g_query_bips.inc(kept.count);
 
   // Algorithm 2's two accumulators, generalized to weights.
   double rf_left = store_->total_weight();  // sumBFHR
   double rf_right = 0.0;
   double query_weight_sum = 0.0;            // Σ w(b') for MaxScaled
-
-  std::uint64_t kept = 0;
-  bips.for_each([&](util::ConstWordSpan words) {
-    const BipartitionRef ref{words, n_bits_, util::popcount_words(words)};
-    if (!v.keep(ref)) {
-      return;
-    }
-    const double w = v.weight(ref);
-    const double freq = static_cast<double>(store_->frequency(words));
-    rf_left -= w * freq;
-    rf_right += w * (r - freq);
-    query_weight_sum += w;
-    ++kept;
-  });
-  g_query_bips.inc(kept);
-
-  const double avg = (rf_left + rf_right) / r;
-  const double max_avg = (store_->total_weight() / r) + query_weight_sum;
-  return apply_norm(avg, max_avg, opts_.norm);
-}
-
-double Bfhrf::query_bipartitions(const phylo::BipartitionSet& bips,
-                                 WorkerScratch& scratch) const {
-  if (!use_batched_query()) {
-    return query_bipartitions(bips);
-  }
-  if (reference_trees_ == 0) {
-    throw InvalidArgument("Bfhrf::query before build");
-  }
-  const auto r = static_cast<double>(reference_trees_);
-  const BfhIndexView& view = index_view_;
-  const std::size_t wp = util::words_for_bits(n_bits_);
-
-  double rf_left = store_->total_weight();  // sumBFHR
-  double rf_right = 0.0;
-  double query_weight_sum = 0.0;
-  std::size_t kept = 0;
-
-  if (opts_.variant == nullptr) {
-    // Classic RF: every split kept with unit weight — resolve frequencies
-    // straight off the sorted arena; all terms are integer-valued, so the
-    // rearranged accumulation is bit-identical to the per-split loop.
-    kept = bips.size();
-    scratch.freqs.resize(kept);
-    view.frequency_many(bips.arena_view().data(), kept,
-                        scratch.freqs.data());
+  if (kept.weights == nullptr) {
+    // Classic RF: unit weights make every term integer-valued, so summing
+    // the frequencies first is bit-identical to the per-split form.
     double sum_freq = 0.0;
-    for (std::size_t i = 0; i < kept; ++i) {
+    for (std::size_t i = 0; i < kept.count; ++i) {
       sum_freq += static_cast<double>(scratch.freqs[i]);
     }
     rf_left -= sum_freq;
-    rf_right = static_cast<double>(kept) * r - sum_freq;
-    query_weight_sum = static_cast<double>(kept);
+    rf_right = static_cast<double>(kept.count) * r - sum_freq;
+    query_weight_sum = static_cast<double>(kept.count);
   } else {
-    // Variant path: gather kept splits (and weights) into the staging
-    // arena, then batch-resolve. Same per-split accumulation order as the
-    // legacy loop.
-    const RfVariant& v = variant();
-    scratch.kept_keys.clear();
-    scratch.kept_weights.clear();
-    bips.for_each([&](util::ConstWordSpan words) {
-      const BipartitionRef ref{words, n_bits_, util::popcount_words(words)};
-      if (!v.keep(ref)) {
-        return;
-      }
-      scratch.kept_keys.insert(scratch.kept_keys.end(), words.begin(),
-                               words.end());
-      scratch.kept_weights.push_back(v.weight(ref));
-    });
-    kept = scratch.kept_weights.size();
-    scratch.freqs.resize(kept);
-    view.frequency_many(scratch.kept_keys.data(), kept,
-                        scratch.freqs.data());
-    for (std::size_t i = 0; i < kept; ++i) {
-      const double w = scratch.kept_weights[i];
+    for (std::size_t i = 0; i < kept.count; ++i) {
+      const double w = kept.weights[i];
       const double freq = static_cast<double>(scratch.freqs[i]);
       rf_left -= w * freq;
       rf_right += w * (r - freq);
       query_weight_sum += w;
     }
   }
-
-  g_query_bips.inc(kept);
-  g_prefetch_batches.inc();
-  g_prefetch_bips.inc(kept);
-  if (wp == 1) {
-    g_prefetch_fast_path.inc(kept);
-  }
-
   const double avg = (rf_left + rf_right) / r;
   const double max_avg = (store_->total_weight() / r) + query_weight_sum;
   return apply_norm(avg, max_avg, opts_.norm);
 }
 
-double Bfhrf::query_one(const phylo::Tree& tree,
-                        WorkerScratch& scratch) const {
-  if (!tree.taxa() || tree.taxa()->size() != n_bits_) {
-    throw InvalidArgument("Bfhrf: tree taxon universe width mismatch");
-  }
-  const phylo::BipartitionOptions bip_opts{
-      .include_trivial = opts_.include_trivial,
-      .sorted = opts_.variant != nullptr};
-  if (opts_.reuse_scratch) {
-    return query_bipartitions(scratch.extractor.extract(tree, bip_opts),
-                              scratch);
-  }
-  return query_bipartitions(phylo::extract_bipartitions(tree, bip_opts),
-                            scratch);
-}
-
 double Bfhrf::query_one(const phylo::Tree& tree) const {
   WorkerScratch scratch;
-  return query_one(tree, scratch);
+  return query_bipartitions(extract(tree, scratch), scratch);
 }
 
-double Bfhrf::query_row(std::span<const std::uint32_t> row,
-                        WorkerScratch& scratch) const {
-  if (row.size() + 1 != n_bits_) {
-    throw InvalidArgument("Bfhrf: vector row universe width mismatch");
-  }
-  const phylo::BipartitionOptions bip_opts{
-      .include_trivial = opts_.include_trivial,
-      .sorted = opts_.variant != nullptr};
-  return query_bipartitions(scratch.vec_extractor.extract(row, bip_opts),
-                            scratch);
+template <typename Schedule>
+std::vector<double> Bfhrf::query_from(Schedule schedule,
+                                      std::optional<std::size_t> hint) const {
+  const obs::TraceSpan span("bfhrf.query");
+  const obs::ScopedTimer timer(g_query_seconds);
+  const std::size_t workers = pipeline_workers();
+  const std::size_t lanes = std::max<std::size_t>(1, workers);
+  std::vector<WorkerScratch> scratch(lanes);
+  LaneValues results = make_lanes(lanes, hint);
+  const std::size_t seen = schedule(
+      workers,
+      [&](std::size_t rank, std::size_t index, const auto& item) {
+        results[rank].emplace_back(
+            index,
+            query_bipartitions(extract(item, scratch[rank]), scratch[rank]));
+      },
+      Drain{});
+  g_query_trees.inc(seen);
+  return in_stream_order(results, seen);
 }
 
 std::vector<double> Bfhrf::query(
     std::span<const phylo::Tree> queries) const {
-  const obs::TraceSpan span("bfhrf.query");
-  const obs::ScopedTimer timer(g_query_seconds);
-  std::vector<double> out(queries.size(), 0.0);
-  std::vector<WorkerScratch> scratch(std::max<std::size_t>(1, opts_.threads));
-  parallel::parallel_for_ranked(
-      0, queries.size(), opts_.threads,
-      [&](std::size_t rank, std::size_t i) {
-        out[i] = query_one(queries[i], scratch[rank]);
-      });
-  g_query_trees.inc(queries.size());
-  return out;
+  return query_from(span_scheduler(queries), queries.size());
 }
 
 std::vector<double> Bfhrf::query(TreeSource& queries) const {
-  const obs::TraceSpan span("bfhrf.query");
-  const obs::ScopedTimer timer(g_query_seconds);
-  std::vector<double> out = opts_.streaming == StreamingMode::Pipelined
-                                ? query_stream_pipelined(queries)
-                                : query_stream_barrier(queries);
-  g_query_trees.inc(out.size());
-  return out;
+  return query_from(stream_scheduler<phylo::Tree>(
+                        [&](phylo::Tree& out) { return queries.next(out); }),
+                    queries.size_hint());
 }
 
 std::vector<double> Bfhrf::query(VectorSource& queries) const {
-  const obs::TraceSpan span("bfhrf.query");
-  const obs::ScopedTimer timer(g_query_seconds);
-  if (queries.n_taxa() != n_bits_) {
-    throw InvalidArgument("Bfhrf: vector source universe width mismatch");
-  }
-  std::vector<double> out = opts_.streaming == StreamingMode::Pipelined
-                                ? query_vectors_pipelined(queries)
-                                : query_vectors_barrier(queries);
-  g_query_trees.inc(out.size());
-  return out;
-}
-
-std::vector<double> Bfhrf::query_stream_pipelined(TreeSource& queries) const {
-  // Order-preserving pipeline: the producer tags each parsed tree with its
-  // stream index; workers drop (index, value) pairs into per-lane buffers
-  // that are scattered into the result vector afterwards, so no lock or
-  // resize happens on the hot path.
-  struct IndexedTree {
-    phylo::Tree tree;
-    std::size_t index = 0;
-  };
-  const std::size_t workers = pipeline_workers();
-  const std::size_t lanes = std::max<std::size_t>(1, workers);
-
-  std::vector<WorkerScratch> scratch(lanes);
-  std::vector<std::vector<std::pair<std::size_t, double>>> lane_results(
-      lanes);
-  const std::optional<std::size_t> hint = queries.size_hint();
-  if (hint) {
-    for (auto& lane : lane_results) {
-      lane.reserve(*hint / lanes + 1);
-    }
-  }
-
-  std::size_t seen = 0;
-  parallel::pipeline_run<IndexedTree>(
-      workers, queue_capacity(),
-      [&](const parallel::PipelineEmit<IndexedTree>& emit) {
-        phylo::Tree t;
-        while (queries.next(t)) {
-          IndexedTree item{std::move(t), seen};
-          ++seen;
-          if (!emit(std::move(item))) {
-            break;
-          }
-        }
-      },
-      [&](std::size_t rank, IndexedTree& item) {
-        lane_results[rank].emplace_back(
-            item.index, query_one(item.tree, scratch[rank]));
-      });
-
-  std::vector<double> out(seen, 0.0);
-  for (const auto& lane : lane_results) {
-    for (const auto& [index, value] : lane) {
-      out[index] = value;
-    }
-  }
-  return out;
-}
-
-std::vector<double> Bfhrf::query_stream_barrier(TreeSource& queries) const {
-  std::vector<double> out;
-  if (const auto hint = queries.size_hint()) {
-    out.reserve(*hint);
-  }
-  std::vector<phylo::Tree> batch;
-  batch.reserve(opts_.batch_size * opts_.threads);
-  while (true) {
-    batch.clear();
-    phylo::Tree t;
-    while (batch.size() < opts_.batch_size * opts_.threads &&
-           queries.next(t)) {
-      batch.push_back(std::move(t));
-    }
-    if (batch.empty()) {
-      break;
-    }
-    g_query_batches.inc();
-    const std::size_t base = out.size();
-    out.resize(base + batch.size());
-    parallel::parallel_for(
-        0, batch.size(), opts_.threads,
-        [&](std::size_t i) { out[base + i] = query_one(batch[i]); });
-  }
-  return out;
-}
-
-std::vector<double> Bfhrf::query_vectors_pipelined(
-    VectorSource& queries) const {
-  // Same order-preserving scheme as the Tree driver: index-tagged rows,
-  // per-lane (index, value) buffers, one scatter at the end.
-  struct IndexedRow {
-    phylo::TreeVector row;
-    std::size_t index = 0;
-  };
-  const std::size_t workers = pipeline_workers();
-  const std::size_t lanes = std::max<std::size_t>(1, workers);
-
-  std::vector<WorkerScratch> scratch(lanes);
-  std::vector<std::vector<std::pair<std::size_t, double>>> lane_results(
-      lanes);
-  const std::optional<std::size_t> hint = queries.size_hint();
-  if (hint) {
-    for (auto& lane : lane_results) {
-      lane.reserve(*hint / lanes + 1);
-    }
-  }
-
-  std::size_t seen = 0;
-  parallel::pipeline_run<IndexedRow>(
-      workers, queue_capacity(),
-      [&](const parallel::PipelineEmit<IndexedRow>& emit) {
-        phylo::TreeVector row;
-        while (queries.next(row)) {
-          IndexedRow item{std::move(row), seen};
-          ++seen;
-          if (!emit(std::move(item))) {
-            break;
-          }
-        }
-      },
-      [&](std::size_t rank, IndexedRow& item) {
-        lane_results[rank].emplace_back(
-            item.index, query_row(item.row, scratch[rank]));
-      });
-
-  std::vector<double> out(seen, 0.0);
-  for (const auto& lane : lane_results) {
-    for (const auto& [index, value] : lane) {
-      out[index] = value;
-    }
-  }
-  return out;
-}
-
-std::vector<double> Bfhrf::query_vectors_barrier(VectorSource& queries) const {
-  std::vector<double> out;
-  if (const auto hint = queries.size_hint()) {
-    out.reserve(*hint);
-  }
-  std::vector<WorkerScratch> scratch(std::max<std::size_t>(1, opts_.threads));
-  std::vector<phylo::TreeVector> batch;
-  batch.reserve(opts_.batch_size * opts_.threads);
-  while (true) {
-    batch.clear();
-    phylo::TreeVector row;
-    while (batch.size() < opts_.batch_size * opts_.threads &&
-           queries.next(row)) {
-      batch.push_back(std::move(row));
-    }
-    if (batch.empty()) {
-      break;
-    }
-    g_query_batches.inc();
-    const std::size_t base = out.size();
-    out.resize(base + batch.size());
-    parallel::parallel_for_ranked(
-        0, batch.size(), opts_.threads,
-        [&](std::size_t rank, std::size_t i) {
-          out[base + i] = query_row(batch[i], scratch[rank]);
-        });
-  }
-  return out;
+  check_width(queries, n_bits_);
+  return query_from(
+      stream_scheduler<phylo::TreeVector>(
+          [&](phylo::TreeVector& out) { return queries.next(out); }),
+      queries.size_hint());
 }
 
 void Bfhrf::refresh_index_view() {
@@ -1114,7 +628,7 @@ void Bfhrf::refresh_index_view() {
     index_view_ = mapped->index_view();
     return;
   }
-  index_view_ = BfhIndexView{};  // compressed: legacy virtual query loop
+  index_view_ = BfhIndexView{};  // compressed: virtual per-split loop
 }
 
 void Bfhrf::adopt_store(std::unique_ptr<FrequencyStore> store,
@@ -1213,35 +727,40 @@ DynamicBfhIndex::Entry DynamicBfhIndex::extract_entry(
   return e;
 }
 
-void DynamicBfhIndex::apply_add(const Entry& e) {
+void DynamicBfhIndex::apply_keys(const std::uint64_t* keys, std::size_t n,
+                                 const double* weights, bool remove) {
+  if (FrequencyHash* hash = engine_.fast_store_) {
+    if (remove) {
+      hash->remove_many(keys, n, weights);
+    } else {
+      hash->add_many(keys, n, weights);
+    }
+    return;
+  }
   const std::size_t wp = util::words_for_bits(engine_.n_bits_);
-  const std::size_t n = e.size(wp);
-  const double* weights = e.weights.empty() ? nullptr : e.weights.data();
-  if (engine_.use_batched_add()) {
-    static_cast<FrequencyHash&>(*engine_.store_)
-        .add_many(e.keys.data(), n, weights);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      engine_.store_->add_weighted({e.keys.data() + i * wp, wp}, 1,
-                                   weights != nullptr ? weights[i] : 1.0);
+  FrequencyStore& store = *engine_.store_;
+  for (std::size_t i = 0; i < n; ++i) {
+    const util::ConstWordSpan key{keys + i * wp, wp};
+    const double w = weights != nullptr ? weights[i] : 1.0;
+    if (remove) {
+      store.remove_weighted(key, 1, w);
+    } else {
+      store.add_weighted(key, 1, w);
     }
   }
+}
+
+void DynamicBfhIndex::apply_add(const Entry& e) {
+  apply_keys(e.keys.data(), e.size(util::words_for_bits(engine_.n_bits_)),
+             e.weights.empty() ? nullptr : e.weights.data(),
+             /*remove=*/false);
   ++engine_.reference_trees_;
 }
 
 void DynamicBfhIndex::apply_remove(const Entry& e) {
-  const std::size_t wp = util::words_for_bits(engine_.n_bits_);
-  const std::size_t n = e.size(wp);
-  const double* weights = e.weights.empty() ? nullptr : e.weights.data();
-  if (engine_.use_batched_add()) {
-    static_cast<FrequencyHash&>(*engine_.store_)
-        .remove_many(e.keys.data(), n, weights);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      engine_.store_->remove_weighted({e.keys.data() + i * wp, wp}, 1,
-                                      weights != nullptr ? weights[i] : 1.0);
-    }
-  }
+  apply_keys(e.keys.data(), e.size(util::words_for_bits(engine_.n_bits_)),
+             e.weights.empty() ? nullptr : e.weights.data(),
+             /*remove=*/true);
   --engine_.reference_trees_;
 }
 
@@ -1365,23 +884,11 @@ DynamicBfhIndex::DeltaStats DynamicBfhIndex::replace_tree(
   // Apply removals first so a key moving out and back in the same swap
   // cannot transiently double-count; reference_trees_ is unchanged (the
   // collection still has the same number of trees).
-  const double* rem_w = weighted ? scratch_.kept_weights.data() : nullptr;
-  const double* add_w = weighted ? add_weights.data() : nullptr;
-  if (engine_.use_batched_add()) {
-    auto& hash = static_cast<FrequencyHash&>(*engine_.store_);
-    hash.remove_many(scratch_.kept_keys.data(), d.keys_removed, rem_w);
-    hash.add_many(add_keys.data(), d.keys_added, add_w);
-  } else {
-    for (std::size_t k = 0; k < d.keys_removed; ++k) {
-      engine_.store_->remove_weighted(
-          {scratch_.kept_keys.data() + k * wp, wp}, 1,
-          rem_w != nullptr ? rem_w[k] : 1.0);
-    }
-    for (std::size_t k = 0; k < d.keys_added; ++k) {
-      engine_.store_->add_weighted({add_keys.data() + k * wp, wp}, 1,
-                                   add_w != nullptr ? add_w[k] : 1.0);
-    }
-  }
+  apply_keys(scratch_.kept_keys.data(), d.keys_removed,
+             weighted ? scratch_.kept_weights.data() : nullptr,
+             /*remove=*/true);
+  apply_keys(add_keys.data(), d.keys_added,
+             weighted ? add_weights.data() : nullptr, /*remove=*/false);
 
   old = std::move(fresh);
   g_delta_replacements.inc();

@@ -14,9 +14,11 @@
 //   avgRF(T') = (RF_left + RF_right) / r
 //
 // Under a weighted variant every term carries w(b'); sumBFHR becomes the
-// weighted total. Both phases parallelize at tree granularity: the build
-// uses per-worker private hashes merged once (no locks on the hot path),
-// the query is embarrassingly parallel (read-only hash).
+// weighted total. Both phases parallelize at tree granularity in one
+// code path each: the build routes keys to per-worker-owned shards inserted
+// with no merge, or fills per-worker private stores merged once (no locks
+// on the hot path either way); the query is embarrassingly parallel
+// (read-only hash).
 //
 // Complexity (Table I): time O(max(n²r, n²q)/64), space O(U·n/64) for U
 // unique bipartitions — and U saturates as r grows (§VII-C).
@@ -25,6 +27,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -40,27 +43,9 @@
 
 namespace bfhrf::core {
 
-/// How the streaming (TreeSource) overloads couple parsing to hash work.
-enum class StreamingMode {
-  /// Producer/consumer pipeline over a bounded queue: the parser thread
-  /// feeds trees continuously while workers drain into per-worker private
-  /// stores, so parse and hash work overlap instead of alternating.
-  Pipelined,
-  /// Legacy fill-then-barrier loop: parse threads·batch_size trees on the
-  /// calling thread, process them under a parallel_for barrier, repeat.
-  /// Workers idle for the entire parse of every batch; kept as the
-  /// ablation baseline (bench_ablation_pipeline).
-  BarrierBatch,
-};
-
 struct BfhrfOptions {
   /// Worker threads for both phases (1 = sequential; 0 = hardware default).
   std::size_t threads = 1;
-
-  /// Trees per streaming batch; bounds resident memory for TreeSource input
-  /// under StreamingMode::BarrierBatch (the pipeline bounds residency with
-  /// queue_capacity instead).
-  std::size_t batch_size = 256;
 
   /// RF variant hooks applied identically at build and query time.
   /// nullptr selects classic RF. The pointee must outlive the engine.
@@ -85,25 +70,6 @@ struct BfhrfOptions {
   /// value (U saturates as r grows, §VII-C).
   std::size_t expected_unique = 0;
 
-  /// Streaming engine for the TreeSource overloads.
-  StreamingMode streaming = StreamingMode::Pipelined;
-
-  /// Bounded-queue capacity (trees) for StreamingMode::Pipelined;
-  /// 0 = max(4·threads, 16). Resident trees are bounded by this plus one
-  /// in flight per worker.
-  std::size_t queue_capacity = 0;
-
-  /// Reuse per-worker extraction scratch (phylo::BipartitionExtractor)
-  /// instead of allocating fresh traversal buffers and a fresh arena for
-  /// every tree. Off reproduces the legacy hot loop (ablation baseline).
-  bool reuse_scratch = true;
-
-  /// Route hash operations through the batched, software-prefetched,
-  /// devirtualized FrequencyHash paths — add_many on build, frequency_many
-  /// on query — when the store is a raw FrequencyHash. Off reproduces the
-  /// legacy virtual per-split loops (ablation baseline).
-  bool batched_hash = true;
-
   /// Frequency-store shard count (rounded up to a power of two, capped at
   /// 64). 0 = auto: min(threads, hardware concurrency), so multi-threaded
   /// builds on multi-core hosts shard by default; 1 disables sharding
@@ -113,19 +79,11 @@ struct BfhrfOptions {
   /// no locks and NO MERGE PHASE — each unique key is inserted exactly
   /// once instead of once per worker partial plus once per merge round.
   /// Classic-RF results are bit-identical to the single-table engine.
-  /// Only the raw-key classic path shards (weighted variants need a
-  /// deterministic float accumulation order; compressed stores have no
+  /// Only the raw-key classic path shards (the routing buckets carry bare
+  /// keys, with no variant filter or weights; compressed stores have no
   /// sharded form) — requesting shards > 1 with either throws
   /// InvalidArgument.
   std::size_t shards = 0;
-
-  /// Pin each sharded-build insert lane to a CPU (Linux only; no-op
-  /// elsewhere). With first-touch allocation a shard's bulk pages are
-  /// faulted by the lane that fills it; pinning keeps that lane — and so
-  /// the shard's pages — on a stable core/node for the NUMA-local case.
-  /// Off by default: the scheduler usually does fine, and pinning hurts
-  /// when the process shares the machine.
-  bool pin_build_threads = false;
 };
 
 /// Build/query statistics surfaced to the bench harness.
@@ -147,11 +105,16 @@ class Bfhrf {
   explicit Bfhrf(std::size_t n_bits, BfhrfOptions opts = {});
 
   // --- Phase 1: build BFH_R -----------------------------------------------
+  //
+  // All three overloads share one code path on one pipeline; they differ in
+  // the payload (a pointer into the span, a parsed Tree, a phylo2vec row)
+  // and in what the producer queues (spans queue index ranges). Builds
+  // accumulate: a second build() adds to the first.
 
   /// Build from an in-memory collection (parallel, zero-copy).
   void build(std::span<const phylo::Tree> reference);
 
-  /// Build from a stream; at most `threads·batch_size` trees resident.
+  /// Build from a stream; at most max_resident_trees() trees resident.
   void build(TreeSource& reference);
 
   /// Build from a phylo2vec row stream (e.g. a .p2v corpus): bipartitions
@@ -184,8 +147,13 @@ class Bfhrf {
   [[nodiscard]] BfhrfStats stats() const;
   [[nodiscard]] const BfhrfOptions& options() const noexcept { return opts_; }
 
+  /// Most trees (or rows) a streamed build or query holds at once: the
+  /// bounded queue, one item in flight per worker, and the one the
+  /// producer is filling.
+  [[nodiscard]] std::size_t max_resident_trees() const noexcept;
+
  private:
-  /// Per-worker hot-loop scratch: extraction buffers plus the batched-query
+  /// Per-worker hot-loop scratch: extraction buffers plus the batched
   /// staging vectors. One per worker rank; never shared across threads.
   struct WorkerScratch {
     phylo::BipartitionExtractor extractor;
@@ -195,65 +163,73 @@ class Bfhrf {
     std::vector<double> kept_weights;        ///< weights aligned with keys
   };
 
+  /// One tree's kept splits as a contiguous key arena: the extractor's own
+  /// arena under classic RF (weights == nullptr: unit weights), or the
+  /// variant-filtered copy in the scratch staging vectors.
+  struct KeptSplits {
+    const std::uint64_t* keys = nullptr;
+    const double* weights = nullptr;
+    std::size_t count = 0;
+  };
+
+  /// Per-worker routing buckets of the sharded build: [rank][shard] key
+  /// arenas. Ranks never share a bucket.
+  using ShardBuckets = std::vector<std::vector<std::vector<std::uint64_t>>>;
+
   /// Create an empty store of the configured kind, pre-sized for
   /// `expected_unique` distinct keys (0 = minimal).
   [[nodiscard]] std::unique_ptr<FrequencyStore> make_store(
       std::size_t expected_unique = 0) const;
 
-  /// Insert one tree's bipartitions into `target` (legacy allocating path;
-  /// the scratch overload is the hot loop).
-  void add_tree(const phylo::Tree& tree, FrequencyStore& target) const;
-  void add_tree(const phylo::Tree& tree, FrequencyStore& target,
-                WorkerScratch& scratch) const;
+  /// The extract step of build_from/query_from: check the payload's taxon
+  /// width, then run the matching per-worker extractor. Classic RF skips
+  /// the finalize sort; variants keep sorted arenas so a tree's weights
+  /// always sum in the same order whichever ingest form produced it.
+  const phylo::BipartitionSet& extract(const phylo::Tree& tree,
+                                       WorkerScratch& scratch) const;
+  const phylo::BipartitionSet& extract(const phylo::Tree* tree,
+                                       WorkerScratch& scratch) const;
+  const phylo::BipartitionSet& extract(std::span<const std::uint32_t> row,
+                                       WorkerScratch& scratch) const;
 
-  /// Shared insertion tail for an extracted bipartition set (batched
-  /// add_many when the store supports it; virtual per-split loop
-  /// otherwise). Both add_tree and add_vector funnel through this.
-  void insert_bipartitions(const phylo::BipartitionSet& bips,
-                           FrequencyStore& target,
-                           WorkerScratch& scratch) const;
+  /// Apply the variant's keep/weight hooks to an extracted set.
+  [[nodiscard]] KeptSplits kept_splits(const phylo::BipartitionSet& bips,
+                                       WorkerScratch& scratch) const;
 
-  /// Direct-from-vector analogues of add_tree / route_tree / query_one:
-  /// extract through scratch.vec_extractor, then reuse the same insertion,
-  /// routing, and Algorithm-2 tails, so vector and Newick ingest are
-  /// bit-identical downstream of extraction.
-  void add_vector(std::span<const std::uint32_t> row, FrequencyStore& target,
-                  WorkerScratch& scratch) const;
-  void route_vector(std::span<const std::uint32_t> row,
-                    WorkerScratch& scratch,
-                    std::vector<std::vector<std::uint64_t>>& buckets) const;
-  [[nodiscard]] double query_row(std::span<const std::uint32_t> row,
-                                 WorkerScratch& scratch) const;
+  /// Insert one tree's kept splits into `target` (batched add_many for raw
+  /// and sharded stores; the virtual per-split add otherwise). Returns the
+  /// tree's kept weight.
+  double insert_bipartitions(const phylo::BipartitionSet& bips,
+                             FrequencyStore& target,
+                             WorkerScratch& scratch) const;
 
-  /// The Algorithm-2 inner loop for one query tree: legacy virtual
-  /// per-split lookup, and the batched/prefetched overload.
-  [[nodiscard]] double query_bipartitions(
-      const phylo::BipartitionSet& bips) const;
+  /// Sharded build, phase A: append every split to its owner shard's
+  /// bucket (classic RF only, so every split is kept at unit weight).
+  /// Returns the tree's kept weight (its split count).
+  double route_bipartitions(
+      const phylo::BipartitionSet& bips,
+      std::vector<std::vector<std::uint64_t>>& buckets) const;
+
+  /// Sharded build, phase B: insert lane `lane` of `lanes` feeds its
+  /// contiguous shard range every rank's bucket through chunked add_many
+  /// calls. Runs as the pipeline's drain, on the workers that routed.
+  void insert_lane(std::size_t lane, std::size_t lanes, ShardBuckets& buckets);
+
+  /// The Algorithm-2 inner loop for one query tree: batched, prefetched
+  /// frequency_many on raw-key stores; the virtual per-split lookup on
+  /// compressed stores.
   [[nodiscard]] double query_bipartitions(const phylo::BipartitionSet& bips,
                                           WorkerScratch& scratch) const;
 
-  /// query_one through a caller-owned scratch (per-worker in the engines).
-  [[nodiscard]] double query_one(const phylo::Tree& tree,
-                                 WorkerScratch& scratch) const;
-
-  /// Sharded build drivers (engaged when the store is sharded): phase A
-  /// routes every tree's keys into per-rank per-shard buckets (parallel,
-  /// contention-free — ranks own their buckets); phase B assigns each
-  /// insert lane a contiguous shard range and feeds it every rank's bucket
-  /// for those shards through chunked add_many calls. No partials, no
-  /// merge: each key is inserted exactly once.
-  void build_span_sharded(std::span<const phylo::Tree> reference);
-  void route_tree(const phylo::Tree& tree, WorkerScratch& scratch,
-                  std::vector<std::vector<std::uint64_t>>& buckets) const;
-  void route_bipartitions(
-      const phylo::BipartitionSet& bips,
-      std::vector<std::vector<std::uint64_t>>& buckets) const;
-  void insert_lane(std::size_t lane, std::size_t lanes,
-                   std::vector<std::vector<std::vector<std::uint64_t>>>&
-                       buckets);
-  void insert_buckets(
-      std::vector<std::vector<std::vector<std::uint64_t>>>& buckets);
-  void maybe_pin_build_thread(std::size_t lane) const;
+  /// The one build path and the one query path. `schedule` feeds
+  /// them the payload — a pointer into an in-memory span, a parsed Tree,
+  /// or a TreeVector row — through parallel::pipeline_run; `hint` is the
+  /// input's size if known.
+  template <typename Schedule>
+  void build_from(Schedule schedule, std::optional<std::size_t> hint);
+  template <typename Schedule>
+  [[nodiscard]] std::vector<double> query_from(
+      Schedule schedule, std::optional<std::size_t> hint) const;
 
   /// Shard count the options resolve to (1 = unsharded single table).
   [[nodiscard]] std::size_t effective_shards() const;
@@ -268,23 +244,6 @@ class Bfhrf {
   void adopt_store(std::unique_ptr<FrequencyStore> store,
                    std::size_t reference_trees);
 
-  /// Streaming phase-1/2 drivers per StreamingMode.
-  void build_stream_pipelined(TreeSource& reference);
-  void build_stream_barrier(TreeSource& reference);
-  [[nodiscard]] std::vector<double> query_stream_pipelined(
-      TreeSource& queries) const;
-  [[nodiscard]] std::vector<double> query_stream_barrier(
-      TreeSource& queries) const;
-
-  /// Vector-row streaming drivers (mirror the TreeSource drivers with
-  /// phylo::TreeVector payloads and direct extraction).
-  void build_vectors_pipelined(VectorSource& reference);
-  void build_vectors_barrier(VectorSource& reference);
-  [[nodiscard]] std::vector<double> query_vectors_pipelined(
-      VectorSource& queries) const;
-  [[nodiscard]] std::vector<double> query_vectors_barrier(
-      VectorSource& queries) const;
-
   /// Pre-size estimate for per-worker partial stores when the caller gave
   /// no expected_unique: scale the stream's tree-count hint by the splits
   /// each binary tree contributes, capped so a wild hint cannot balloon
@@ -297,11 +256,8 @@ class Bfhrf {
   void merge_partials(
       std::vector<std::unique_ptr<FrequencyStore>>& partials);
 
-  /// Effective bounded-queue capacity for the pipelined mode.
-  [[nodiscard]] std::size_t queue_capacity() const noexcept;
-
-  /// Consumer count for the pipelined mode (0 = inline zero-sync loop;
-  /// chosen when threads <= 1 or the host has one hardware thread).
+  /// Pipeline consumer count (0 = inline zero-sync loop; chosen when
+  /// threads <= 1 or the host has one hardware thread).
   [[nodiscard]] std::size_t pipeline_workers() const noexcept;
 
   /// Publish post-build store shape (U, resident bytes) as obs gauges and
@@ -312,29 +268,17 @@ class Bfhrf {
     return opts_.variant != nullptr ? *opts_.variant : classic_rf();
   }
 
-  /// True when queries should run the batched frequency_many path (valid
-  /// for every raw-key store: single table, sharded, or mapped).
-  [[nodiscard]] bool use_batched_query() const noexcept {
-    return opts_.batched_hash && index_view_.valid();
-  }
-
-  /// True when builds should insert through FrequencyHash::add_many
-  /// (every non-compressed store make_store() hands out qualifies).
-  [[nodiscard]] bool use_batched_add() const noexcept {
-    return opts_.batched_hash && !opts_.compressed_keys;
-  }
-
   std::size_t n_bits_;
   BfhrfOptions opts_;
   std::unique_ptr<FrequencyStore> store_;
   /// store_ downcast when it is a raw single-table FrequencyHash
   /// (devirtualized batched add path); nullptr otherwise.
-  const FrequencyHash* fast_store_ = nullptr;
+  FrequencyHash* fast_store_ = nullptr;
   /// store_ downcast when it is sharded; nullptr otherwise.
   ShardedFrequencyHash* sharded_store_ = nullptr;
   /// Cached routing view for the batched query path — valid for every
-  /// raw-key store shape (single, sharded, mapped); invalid (falls back to
-  /// the virtual per-split loop) for compressed stores. Refreshed by
+  /// raw-key store shape (single, sharded, mapped); invalid (the query
+  /// takes the virtual per-split loop) for compressed stores. Refreshed by
   /// publish_store_metrics() at the end of every mutation path.
   BfhIndexView index_view_;
   std::size_t reference_trees_ = 0;
@@ -450,6 +394,10 @@ class DynamicBfhIndex {
   };
 
   [[nodiscard]] Entry extract_entry(const phylo::Tree& tree);
+  /// Add (or, with `remove`, subtract) one occurrence of each of `n` arena
+  /// keys: batched on the raw single-table store, per key otherwise.
+  void apply_keys(const std::uint64_t* keys, std::size_t n,
+                  const double* weights, bool remove);
   void apply_add(const Entry& e);     ///< insert keys, count the tree in
   void apply_remove(const Entry& e);  ///< decrement keys, count it out
   [[nodiscard]] Entry& live_entry(std::size_t id);

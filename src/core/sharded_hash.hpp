@@ -21,8 +21,7 @@
 //    sharded build wins even on a single core (bench_ablation_shard, A9).
 //  * NUMA FIRST-TOUCH. Shards start tiny; their bulk pages are faulted in
 //    by the worker that fills them (Linux first-touch places them on that
-//    worker's node). An optional affinity policy pins build workers so the
-//    touch happens on a stable socket (BfhrfOptions::pin_build_threads).
+//    worker's node).
 //  * A SHARD-SHAPED FILE FORMAT. The mmap index layout (core/index_file)
 //    persists each shard's (ctrl, slots, keys) sections verbatim, so a
 //    sharded build streams to disk with no re-keying and maps back with no

@@ -198,23 +198,12 @@ void run_matrix_engines(std::span<const Tree> trees, const OracleOptions& opts,
     bfhrf_cols(("bfhrf/span/t" + std::to_string(t)).c_str(),
                {.threads = t}, /*stream=*/false);
   }
-  // Legacy (pre-optimization) hot loops: virtual per-split hash ops, fresh
-  // extraction buffers per tree.
-  bfhrf_cols("bfhrf/span/legacy-paths",
-             {.threads = 1, .reuse_scratch = false, .batched_hash = false},
-             /*stream=*/false);
   if (opts.check_compressed) {
     bfhrf_cols("bfhrf/compressed-keys", {.threads = 1, .compressed_keys = true},
                /*stream=*/false);
   }
   if (opts.check_streaming) {
-    bfhrf_cols("bfhrf/stream-pipelined/t2",
-               {.threads = 2, .streaming = core::StreamingMode::Pipelined},
-               /*stream=*/true);
-    bfhrf_cols("bfhrf/stream-barrier/t2",
-               {.threads = 2,
-                .batch_size = 3,  // force multiple batches at QC scale
-                .streaming = core::StreamingMode::BarrierBatch},
+    bfhrf_cols("bfhrf/stream-pipelined/t2", {.threads = 2},
                /*stream=*/true);
   }
 }
@@ -272,9 +261,6 @@ void run_average_engines(std::span<const Tree> reference,
     bfhrf_avg("bfhrf/span/t" + std::to_string(t), {.threads = t},
               /*stream=*/false, 1.0);
   }
-  bfhrf_avg("bfhrf/span/legacy-paths",
-            {.threads = 1, .reuse_scratch = false, .batched_hash = false},
-            /*stream=*/false, 1.0);
   // Normalization conventions scale the exact value; HalfSum must be
   // exactly half of the raw average (§III-C "occasional division by 2").
   bfhrf_avg("bfhrf/span/half-sum",
@@ -287,13 +273,7 @@ void run_average_engines(std::span<const Tree> reference,
   if (opts.check_streaming) {
     for (const std::size_t t : opts.thread_counts) {
       bfhrf_avg("bfhrf/stream-pipelined/t" + std::to_string(t),
-                {.threads = t, .streaming = core::StreamingMode::Pipelined},
-                /*stream=*/true, 1.0);
-      bfhrf_avg("bfhrf/stream-barrier/t" + std::to_string(t),
-                {.threads = t,
-                 .batch_size = 3,
-                 .streaming = core::StreamingMode::BarrierBatch},
-                /*stream=*/true, 1.0);
+                {.threads = t}, /*stream=*/true, 1.0);
     }
   }
 

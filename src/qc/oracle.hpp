@@ -4,9 +4,9 @@
 // for tree-versus-tree RF. This module checks that claim mechanically and
 // exhaustively: one workload is pushed through every engine and mode in
 // the library — sequential BipartitionSet, Day's O(n) algorithm, HashRF,
-// the parallel all-pairs matrix, and BFHRF in barrier-batch / pipelined /
-// compressed-key / batched-and-legacy-hash form across thread counts —
-// and the *full pairwise RF matrix* is compared bit-for-bit, not just the
+// the parallel all-pairs matrix, and BFHRF over span and streamed input
+// with raw and compressed-key stores across thread counts — and the
+// *full pairwise RF matrix* is compared bit-for-bit, not just the
 // average vectors the engines report.
 //
 // The single source of truth is the sequential BipartitionSet matrix
@@ -41,7 +41,7 @@ struct OracleOptions {
   /// Also run the CompressedFrequencyHash (lossless SparseKeyCodec) store.
   bool check_compressed = true;
 
-  /// Also run the TreeSource streaming paths (pipelined + barrier-batch).
+  /// Also run the TreeSource streaming path.
   bool check_streaming = true;
 
   /// Also run one size-filtered RfVariant config through DS and BFHRF.

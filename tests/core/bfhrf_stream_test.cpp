@@ -1,13 +1,14 @@
-// Streaming-engine equivalence: the pipelined producer/consumer path, the
-// legacy barrier-batch path, and the in-memory span path must produce
-// BIT-IDENTICAL per-tree averages for classic RF (all three accumulate
-// integer-valued terms), regardless of thread count, queue capacity, or the
-// scratch-reuse and batched-hash toggles.
+// Streaming-engine equivalence: the pipelined engine over every payload
+// (span pointers, streamed trees) must produce per-tree averages
+// BIT-IDENTICAL to Algorithm 1 (core/sequential_rf, which shares no code
+// with BFHRF) for classic RF — all terms are integer-valued — regardless of
+// thread count, store kind, or pre-sizing hints.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/bfhrf.hpp"
+#include "core/sequential_rf.hpp"
 #include "core/tree_source.hpp"
 #include "phylo/taxon_set.hpp"
 #include "support/test_util.hpp"
@@ -49,88 +50,33 @@ std::vector<double> run_engine(const Collections& c, BfhrfOptions opts,
   return engine.query(c.queries);
 }
 
-/// Baseline: fully sequential span path with every new fast path disabled.
-std::vector<double> legacy_baseline(const Collections& c) {
-  return run_engine(c,
-                    BfhrfOptions{.threads = 1,
-                                 .reuse_scratch = false,
-                                 .batched_hash = false},
-                    /*stream=*/false);
+/// Baseline: Algorithm 1, the pairwise tree-vs-tree average.
+std::vector<double> sequential_baseline(const Collections& c) {
+  return sequential_avg_rf(c.queries, c.reference).avg_rf;
 }
 
 TEST(BfhrfStreamTest, PipelinedStreamMatchesSpanPathBitwise) {
   const Collections c = make_collections(18, 40, 13, 11);
-  const auto expect = legacy_baseline(c);
+  const auto expect = sequential_baseline(c);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}, std::size_t{8}}) {
-    const auto got = run_engine(
-        c,
-        BfhrfOptions{.threads = threads,
-                     .streaming = StreamingMode::Pipelined},
-        /*stream=*/true);
-    ASSERT_EQ(got.size(), expect.size()) << "threads=" << threads;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i], expect[i]) << "threads=" << threads << " query " << i;
+    for (const bool stream : {false, true}) {
+      const auto got =
+          run_engine(c, BfhrfOptions{.threads = threads}, stream);
+      ASSERT_EQ(got.size(), expect.size()) << "threads=" << threads;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i], expect[i])
+            << "threads=" << threads << " stream=" << stream << " query "
+            << i;
+      }
     }
-  }
-}
-
-TEST(BfhrfStreamTest, BarrierStreamMatchesPipelinedStreamBitwise) {
-  const Collections c = make_collections(16, 30, 9, 12);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-    const auto barrier = run_engine(
-        c,
-        BfhrfOptions{.threads = threads,
-                     .batch_size = 4,
-                     .streaming = StreamingMode::BarrierBatch},
-        /*stream=*/true);
-    const auto pipelined = run_engine(
-        c,
-        BfhrfOptions{.threads = threads,
-                     .streaming = StreamingMode::Pipelined},
-        /*stream=*/true);
-    ASSERT_EQ(barrier.size(), pipelined.size());
-    for (std::size_t i = 0; i < barrier.size(); ++i) {
-      EXPECT_EQ(barrier[i], pipelined[i])
-          << "threads=" << threads << " query " << i;
-    }
-  }
-}
-
-TEST(BfhrfStreamTest, TinyQueueCapacityDoesNotChangeResults) {
-  // Capacity 1 forces maximal producer/consumer blocking; results must not
-  // depend on scheduling.
-  const Collections c = make_collections(14, 25, 7, 13);
-  const auto expect = legacy_baseline(c);
-  const auto got = run_engine(c,
-                              BfhrfOptions{.threads = 4,
-                                           .streaming =
-                                               StreamingMode::Pipelined,
-                                           .queue_capacity = 1},
-                              /*stream=*/true);
-  ASSERT_EQ(got.size(), expect.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i], expect[i]) << "query " << i;
   }
 }
 
 TEST(BfhrfStreamTest, ScratchReuseIsInvariant) {
-  // Reusing per-worker extraction scratch across trees must be invisible:
-  // same results with the toggle on and off, across repeated queries (a
-  // warm extractor must not leak state from the previous tree).
+  // Re-querying through the same engine (same warm per-worker scratch)
+  // is stable: a warm extractor must not leak state from the previous tree.
   const Collections c = make_collections(20, 35, 11, 14);
-  const auto without = run_engine(
-      c, BfhrfOptions{.threads = 2, .reuse_scratch = false},
-      /*stream=*/false);
-  const auto with = run_engine(
-      c, BfhrfOptions{.threads = 2, .reuse_scratch = true},
-      /*stream=*/false);
-  ASSERT_EQ(with.size(), without.size());
-  for (std::size_t i = 0; i < with.size(); ++i) {
-    EXPECT_EQ(with[i], without[i]) << "query " << i;
-  }
-
-  // Re-querying through the same engine (same warm scratch) is stable.
   Bfhrf engine(c.n_bits, BfhrfOptions{.threads = 2});
   engine.build(c.reference);
   const auto first = engine.query(c.queries);
@@ -141,34 +87,26 @@ TEST(BfhrfStreamTest, ScratchReuseIsInvariant) {
 }
 
 TEST(BfhrfStreamTest, BatchedQueryIsInvariant) {
-  // The frequency_many prefetch path and the legacy virtual per-split
-  // lookup must agree bitwise (classic RF terms are integers in doubles).
-  const Collections c = make_collections(70, 30, 9, 15);  // 2 words per key
-  const auto legacy = run_engine(
-      c, BfhrfOptions{.threads = 1, .batched_hash = false},
-      /*stream=*/false);
-  const auto batched = run_engine(
-      c, BfhrfOptions{.threads = 1, .batched_hash = true},
-      /*stream=*/false);
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(batched[i], legacy[i]) << "query " << i;
-  }
-
-  const Collections small = make_collections(24, 20, 7, 16);  // 1 word
-  const auto legacy1 = run_engine(
-      small, BfhrfOptions{.threads = 1, .batched_hash = false},
-      /*stream=*/false);
-  const auto batched1 = run_engine(
-      small, BfhrfOptions{.threads = 1, .batched_hash = true},
-      /*stream=*/false);
-  for (std::size_t i = 0; i < legacy1.size(); ++i) {
-    EXPECT_EQ(batched1[i], legacy1[i]) << "query " << i;
+  // The frequency_many prefetch path (raw store) and the virtual per-split
+  // lookup (compressed store) must agree bitwise (classic RF terms are
+  // integers in doubles), at 2-word and 1-word keys.
+  for (const std::size_t n_taxa : {std::size_t{70}, std::size_t{24}}) {
+    const Collections c = make_collections(n_taxa, 30, 9, 15);
+    const auto batched = run_engine(c, BfhrfOptions{.threads = 1},
+                                    /*stream=*/false);
+    const auto per_split = run_engine(
+        c, BfhrfOptions{.threads = 1, .compressed_keys = true},
+        /*stream=*/false);
+    ASSERT_EQ(batched.size(), per_split.size());
+    for (std::size_t i = 0; i < batched.size(); ++i) {
+      EXPECT_EQ(batched[i], per_split[i]) << "n=" << n_taxa << " query " << i;
+    }
   }
 }
 
 TEST(BfhrfStreamTest, ExpectedUniqueHintDoesNotChangeResults) {
   const Collections c = make_collections(15, 30, 8, 17);
-  const auto expect = legacy_baseline(c);
+  const auto expect = sequential_baseline(c);
 
   Bfhrf sized(c.n_bits, BfhrfOptions{.threads = 2, .expected_unique = 4096});
   sized.build(c.reference);
@@ -187,16 +125,13 @@ TEST(BfhrfStreamTest, ExpectedUniqueHintDoesNotChangeResults) {
 }
 
 TEST(BfhrfStreamTest, CompressedStoreStreamsThroughPipeline) {
-  // Compressed stores have no frequency_many fast path; the pipeline and
-  // scratch reuse must still hold exactly.
+  // Compressed stores have no frequency_many fast path; the pipeline must
+  // still hold exactly.
   const Collections c = make_collections(17, 25, 7, 18);
-  const auto expect = legacy_baseline(c);
-  const auto got = run_engine(c,
-                              BfhrfOptions{.threads = 3,
-                                           .compressed_keys = true,
-                                           .streaming =
-                                               StreamingMode::Pipelined},
-                              /*stream=*/true);
+  const auto expect = sequential_baseline(c);
+  const auto got = run_engine(
+      c, BfhrfOptions{.threads = 3, .compressed_keys = true},
+      /*stream=*/true);
   ASSERT_EQ(got.size(), expect.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], expect[i]) << "query " << i;

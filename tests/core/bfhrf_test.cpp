@@ -99,7 +99,7 @@ TEST(BfhrfTest, StreamingBuildMatchesInMemory) {
   Bfhrf in_memory(taxa->size());
   in_memory.build(reference);
 
-  Bfhrf streaming(taxa->size(), {.threads = 2, .batch_size = 7});
+  Bfhrf streaming(taxa->size(), {.threads = 2});
   SpanTreeSource source(reference);
   streaming.build(source);
 
@@ -123,7 +123,7 @@ TEST(BfhrfTest, StreamingQueryPreservesOrder) {
   const auto reference = test::random_collection(taxa, 20, 3, rng);
   const auto queries = test::random_collection(taxa, 33, 5, rng);
 
-  Bfhrf engine(taxa->size(), {.threads = 3, .batch_size = 4});
+  Bfhrf engine(taxa->size(), {.threads = 3});
   engine.build(reference);
   const auto direct = engine.query(queries);
   SpanTreeSource source(queries);

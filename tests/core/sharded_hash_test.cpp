@@ -135,7 +135,7 @@ TEST(ShardedEngineTest, ShardedBuildMatchesSingleTableEngine) {
   }
 }
 
-TEST(ShardedEngineTest, PinnedStreamingShardedBuildMatches) {
+TEST(ShardedEngineTest, StreamingShardedBuildMatches) {
   const auto taxa = TaxonSet::make_numbered(24);
   util::Rng rng(31);
   const auto reference = test::random_collection(taxa, 30, 4, rng);
@@ -145,8 +145,7 @@ TEST(ShardedEngineTest, PinnedStreamingShardedBuildMatches) {
   single.build(reference);
   const auto want = single.query(queries);
 
-  Bfhrf sharded(taxa->size(),
-                {.threads = 4, .shards = 4, .pin_build_threads = true});
+  Bfhrf sharded(taxa->size(), {.threads = 4, .shards = 4});
   SpanTreeSource source(reference);
   sharded.build(source);
   const auto got = sharded.query(queries);

@@ -79,6 +79,15 @@ std::vector<double> tree_baseline(const Collections& c, BfhrfOptions opts) {
   return engine.query(c.queries);
 }
 
+/// Streamed Tree path over in-memory trees (build and query).
+std::vector<double> tree_stream_run(const Collections& c, BfhrfOptions opts) {
+  Bfhrf engine(c.n_bits, opts);
+  SpanTreeSource ref(c.reference);
+  SpanTreeSource queries(c.queries);
+  engine.build(ref);
+  return engine.query(queries);
+}
+
 /// Direct vector path over in-memory rows (build and query).
 std::vector<double> vector_run(const Collections& c, BfhrfOptions opts) {
   Bfhrf engine(c.n_bits, opts);
@@ -198,14 +207,12 @@ TEST(VectorSourceTest, DirectVectorBuildAndQueryMatchTreePathBitwise) {
   const Collections c = make_collections(20, 40, 12, 24);
   const auto expect = tree_baseline(c, BfhrfOptions{.threads = 1});
 
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    for (const StreamingMode mode :
-         {StreamingMode::Pipelined, StreamingMode::BarrierBatch}) {
-      const auto got = vector_run(
-          c, BfhrfOptions{.threads = threads, .streaming = mode});
-      expect_bitwise(got, expect, "direct vector path");
-    }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{3}, std::size_t{4},
+                                    std::size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto got = vector_run(c, BfhrfOptions{.threads = threads});
+    expect_bitwise(got, expect, "direct vector path");
   }
 }
 
@@ -223,15 +230,24 @@ TEST(VectorSourceTest, ShardedAndCompressedVectorBuildsMatch) {
 }
 
 TEST(VectorSourceTest, WeightedVariantAgreesAcrossIngestForms) {
-  // Variants force sorted arenas on both paths, so even floating-point
-  // weight sums accumulate in the same order and stay bit-identical.
+  // Variants force sorted arenas on every path, and the build folds each
+  // tree's kept weight into sumBFHR in stream order, so even floating-point
+  // weight sums are bit-identical across ingest forms and thread counts.
   const Collections c = make_collections(16, 20, 7, 26);
   const InformationWeightedRf variant(16);
-  BfhrfOptions opts{.threads = 2};
-  opts.variant = &variant;
-  const auto expect = tree_baseline(c, opts);
-  const auto got = vector_run(c, opts);
-  expect_bitwise(got, expect, "weighted variant vector path");
+  BfhrfOptions base{.threads = 1};
+  base.variant = &variant;
+  const auto expect = tree_baseline(c, base);
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    BfhrfOptions opts = base;
+    opts.threads = threads;
+    expect_bitwise(tree_baseline(c, opts), expect, "weighted span build");
+    expect_bitwise(tree_stream_run(c, opts), expect,
+                   "weighted TreeSource build");
+    expect_bitwise(vector_run(c, opts), expect, "weighted vector build");
+  }
 }
 
 TEST(VectorSourceTest, P2vCorpusFeedsTheEngine) {

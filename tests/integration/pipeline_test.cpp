@@ -54,7 +54,7 @@ TEST_F(PipelineTest, FileStreamingMatchesInMemory) {
   from_memory.build(reference_);
   const auto want = from_memory.query(queries_);
 
-  Bfhrf from_files(taxa_->size(), {.threads = 2, .batch_size = 8});
+  Bfhrf from_files(taxa_->size(), {.threads = 2});
   core::FileTreeSource ref_source(ref_path_, taxa_);
   from_files.build(ref_source);
   core::FileTreeSource query_source(query_path_, taxa_);

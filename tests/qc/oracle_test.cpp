@@ -122,7 +122,7 @@ TEST(OracleTest, MatrixOnlyCheckCoversEngineFamilies) {
   EXPECT_TRUE(ran_engine(report, "all_pairs/legacy/t2"));
   EXPECT_TRUE(ran_engine(report, "all_pairs/dense/t2"));
   EXPECT_TRUE(ran_engine(report, "all_pairs/sparse/t2"));
-  EXPECT_TRUE(ran_engine(report, "bfhrf/span/legacy-paths"));
+  EXPECT_TRUE(ran_engine(report, "bfhrf/compressed-keys"));
 }
 
 TEST(OracleTest, IncludeTrivialModeAgreesToo) {

@@ -1,8 +1,8 @@
 // bfhrf_verify — differential verification harness CLI.
 //
 // Runs one workload through every RF engine and mode in the library
-// (sequential, Day, HashRF, parallel all-pairs, BFHRF barrier-batch /
-// pipelined / compressed-key across thread counts), cross-checks the full
+// (sequential, Day, HashRF, parallel all-pairs, BFHRF span / streamed /
+// compressed-key across thread counts), cross-checks the full
 // pairwise matrices bit-for-bit, runs the metamorphic invariant library,
 // and on any divergence shrinks the collection to a minimal reproducer
 // and writes a replayable artifact.
