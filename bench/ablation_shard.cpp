@@ -11,10 +11,9 @@
 // once (DESIGN.md §6).
 //
 // This bench measures that contrast on a unique-heavy collection (n = 144,
-// high discordance, so most splits appear once), plus the other half of
-// PR7: cold-start cost of the two on-disk formats. The v1 stream must
-// re-insert every key on load; the BFHMAP layout is mmap-ed and queried
-// in place, so its cold load is metadata validation only.
+// high discordance, so most splits appear once), plus the cold-start cost
+// of the BFHMAP index, which is mmap-ed and queried in place, so its cold
+// load is validation only — no key is re-inserted.
 //
 //   single@1   — threads=1, shards=1: the serial reference.
 //   single@8   — threads=8, shards=1: per-thread partials + pairwise merge.
@@ -129,16 +128,9 @@ BuildOutcome measure_build(std::size_t threads, std::size_t shards) {
 // --- cold-load section -------------------------------------------------------
 
 struct LoadOutcome {
-  double v1_seconds = 0;      ///< median full-parse load of the v1 stream
   double mapped_seconds = 0;  ///< median mmap open of the BFHMAP layout
   bool results_identical = false;
 };
-
-std::string scratch_path(const char* tag) {
-  return (std::filesystem::temp_directory_path() /
-          ("bfhrf_shard_bench_" + std::to_string(::getpid()) + "." + tag))
-      .string();
-}
 
 LoadOutcome measure_cold_load(const std::vector<double>& want) {
   const Workload& w = workload();
@@ -146,38 +138,26 @@ LoadOutcome measure_cold_load(const std::vector<double>& want) {
   // every shard into one contiguous section per shard.
   core::Bfhrf built(w.ds.taxa->size(), engine_opts(kThreads, kShards));
   built.build(w.ds.trees);
-  const std::string v1_path = scratch_path("v1");
-  const std::string mapped_path = scratch_path("bfhmap");
-  core::save_bfhrf_file(built, v1_path, core::IndexFormat::V1Stream);
-  core::save_bfhrf_file(built, mapped_path, core::IndexFormat::Mapped);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("bfhrf_shard_bench_" + std::to_string(::getpid()) + ".bfhmap"))
+          .string();
+  core::save_bfhrf_file(built, path);
 
   LoadOutcome out;
-  std::vector<double> v1_secs, mapped_secs;
+  std::vector<double> secs;
   out.results_identical = true;
   for (std::size_t rep = 0; rep < kReps; ++rep) {
-    {
-      util::WallTimer timer;
-      core::Bfhrf engine = core::load_bfhrf_file(v1_path);
-      v1_secs.push_back(timer.seconds());
-      const auto got = engine.query(w.ds.trees);
-      out.results_identical &=
-          std::memcmp(got.data(), want.data(), want.size() * sizeof(double)) ==
-          0;
-    }
-    {
-      util::WallTimer timer;
-      core::Bfhrf engine = core::load_bfhrf_file(mapped_path);
-      mapped_secs.push_back(timer.seconds());
-      const auto got = engine.query(w.ds.trees);
-      out.results_identical &=
-          std::memcmp(got.data(), want.data(), want.size() * sizeof(double)) ==
-          0;
-    }
+    util::WallTimer timer;
+    core::Bfhrf engine = core::load_bfhrf_file(path);
+    secs.push_back(timer.seconds());
+    const auto got = engine.query(w.ds.trees);
+    out.results_identical &=
+        std::memcmp(got.data(), want.data(), want.size() * sizeof(double)) ==
+        0;
   }
-  std::filesystem::remove(v1_path);
-  std::filesystem::remove(mapped_path);
-  out.v1_seconds = median_of(v1_secs);
-  out.mapped_seconds = median_of(mapped_secs);
+  std::filesystem::remove(path);
+  out.mapped_seconds = median_of(secs);
   return out;
 }
 
@@ -269,25 +249,16 @@ void report() {
   table.print(std::cout);
 
   const double speedup = o.single_t8.ns_per_key / o.sharded_t8.ns_per_key;
-  std::printf("\ncold load (%zu unique keys): v1 parse %.3f ms, "
-              "mmap open %.3f ms (%.1fx)\n",
-              w.unique, o.load.v1_seconds * 1e3, o.load.mapped_seconds * 1e3,
-              o.load.v1_seconds /
-                  std::max(o.load.mapped_seconds, 1e-9));
+  std::printf("\ncold load (%zu unique keys): mmap open %.3f ms\n",
+              w.unique, o.load.mapped_seconds * 1e3);
 
   verdict("sharded build >= 1.3x single-table at 8 threads", speedup >= 1.3,
           "sharded " + util::format_fixed(speedup, 2) +
               "x single-table (merge phase eliminated)");
-  verdict("mmap cold load cheaper than v1 full parse",
-          o.load.mapped_seconds <= o.load.v1_seconds,
-          "mmap " + util::format_fixed(o.load.v1_seconds /
-                                           std::max(o.load.mapped_seconds,
-                                                    1e-9),
-                                       1) + "x faster");
-  verdict("mapped + v1 loads serve bit-identical RF results",
+  verdict("mapped load serves bit-identical RF results",
           o.load.results_identical,
           o.load.results_identical ? "all query vectors byte-equal"
-                                   : "DIVERGENCE between load paths");
+                                   : "DIVERGENCE from the in-memory engine");
 
   record_baseline("shard.build.t1.single_ns_per_key", o.single_t1.ns_per_key);
   record_baseline("shard.build.t8.single_ns_per_key", o.single_t8.ns_per_key);
@@ -297,7 +268,6 @@ void report() {
   // sharded/single at 8 threads. <= 0.77 is the >= 1.3x acceptance bar.
   record_baseline("shard.build.t8.sharded_over_single_ratio",
                   o.sharded_t8.ns_per_key / o.single_t8.ns_per_key);
-  record_baseline("shard.load.v1_parse_ms", o.load.v1_seconds * 1e3);
   record_baseline("shard.load.mmap_open_ms", o.load.mapped_seconds * 1e3);
 }
 

@@ -8,7 +8,7 @@
 //   bfhrf_cli -r reference.nwk [-q query.nwk] [-t THREADS]
 //             [--normalized | --half] [--min-size K] [--max-size K]
 //             [--include-trivial] [--compressed-keys] [--stats]
-//             [--shards N] [--save-index FILE [--mapped] | --load-index FILE]
+//             [--shards N] [--save-index FILE | --load-index FILE]
 //             [--input-format auto|newick|nexus|vector]
 //             [--emit-vector FILE]
 //             [--matrix [--matrix-engine auto|legacy|dense|sparse]]
@@ -62,7 +62,6 @@ struct CliOptions {
   TreeFormat input_format = TreeFormat::Auto;  // applies to -r and -q
   std::size_t threads = 1;
   std::size_t shards = 1;   // 0 = auto-size from threads/hardware
-  bool mapped_format = false;  // --save-index writes the mmap-able layout
   bfhrf::core::RfNorm norm = bfhrf::core::RfNorm::None;
   std::optional<std::size_t> min_size;
   std::optional<std::size_t> max_size;
@@ -204,7 +203,7 @@ void usage(const char* argv0) {
       "usage: %s -r reference.nwk [-q query.nwk] [-t THREADS]\n"
       "          [--normalized | --half] [--min-size K] [--max-size K]\n"
       "          [--include-trivial] [--compressed-keys] [--stats]\n"
-      "          [--shards N] [--save-index FILE [--mapped] | --load-index FILE]\n"
+      "          [--shards N] [--save-index FILE | --load-index FILE]\n"
       "          [--input-format auto|newick|nexus|vector]\n"
       "          [--emit-vector FILE]\n"
       "          [--matrix [--matrix-engine auto|legacy|dense|sparse]]\n"
@@ -252,8 +251,6 @@ CliOptions parse_args(int argc, char** argv) {
       o.shards = bfhrf::util::parse_size(need_value("--shards"));
     } else if (arg == "--save-index") {
       o.save_index = need_value("--save-index");
-    } else if (arg == "--mapped") {
-      o.mapped_format = true;
     } else if (arg == "--load-index") {
       o.load_index = need_value("--load-index");
     } else if (arg == "--input-format") {
@@ -280,9 +277,6 @@ CliOptions parse_args(int argc, char** argv) {
   if (!o.load_index.empty() && o.query_path.empty()) {
     throw bfhrf::InvalidArgument("--load-index requires -q (the reference "
                                  "trees are not stored in the index)");
-  }
-  if (o.mapped_format && o.save_index.empty()) {
-    throw bfhrf::InvalidArgument("--mapped only makes sense with --save-index");
   }
   if (o.matrix && !o.load_index.empty()) {
     throw bfhrf::InvalidArgument("--matrix needs the reference trees (-r); "
@@ -427,12 +421,8 @@ int main(int argc, char** argv) {
     }
     const double build_seconds = timer.seconds();
     if (!cli.save_index.empty()) {
-      core::save_bfhrf_file(engine, cli.save_index,
-                            cli.mapped_format ? core::IndexFormat::Mapped
-                                              : core::IndexFormat::V1Stream);
-      std::fprintf(stderr, "# index saved to %s (%s)\n",
-                   cli.save_index.c_str(),
-                   cli.mapped_format ? "mapped" : "v1 stream");
+      core::save_bfhrf_file(engine, cli.save_index);
+      std::fprintf(stderr, "# index saved to %s\n", cli.save_index.c_str());
     }
 
     // Phase 2: run Q (or R again) through the hash.

@@ -3,8 +3,7 @@
 #   1. ASan+UBSan build, full labeled suite + bfhrf_verify differential run
 #      + the delta-vs-rebuild dynamic-index oracle + the sharding/
 #      persistence oracle + the serve daemon loopback smoke + a CLI walk
-#      that builds a sharded index, saves the mmap-able layout, and
-#      reloads it zero-copy
+#      that builds a sharded index, saves it, and reloads it zero-copy
 #   2. TSan build, concurrency-sensitive labels only (parallel, obs,
 #      serve, codec) + bfhrf_verify differential run + the dynamic oracle
 #      with
@@ -39,9 +38,9 @@ VERIFY_ARGS=${BFHRF_VERIFY_ARGS:-"n=64 r=32 q=32 --threads 1,2,4,8"}
 # kind (raw + compressed), so sequences=100 yields 200 checked sequences.
 DYNAMIC_ARGS=${BFHRF_DYNAMIC_ARGS:-"sequences=100 n=16 trees=8 ops=24"}
 
-# Persistence oracle workload: sharded builds vs single-table, both
-# on-disk formats round-tripped (v1 stream parse and BFHMAP mmap view),
-# the tombstone-compacting save, and warm-started dynamic indexes — all
+# Persistence oracle workload: sharded builds vs single-table, every store
+# shape round-tripped through the BFHMAP index (save, mmap, query), the
+# tombstone-compacting save, and warm-started dynamic indexes — all
 # compared bit-for-bit.
 PERSIST_ARGS=${BFHRF_PERSIST_ARGS:-"n=24 r=24 q=10"}
 
@@ -60,18 +59,21 @@ run ./build/examples/bfhrf_generate --preset variable-trees -n 32 -r 24 \
 run ./build/examples/bfhrf_generate --preset variable-trees -n 32 -r 8 \
   --seed 11 -o "${SERVE_DIR}/q.nwk"
 ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" \
-  --save-index "${SERVE_DIR}/ref.bfh" > /dev/null
-./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" \
   -q "${SERVE_DIR}/q.nwk" > "${SERVE_DIR}/expected.tsv"
 
 # Loopback e2e smoke for a sanitizer-built daemon: start -> load index ->
 # query -> hot-swap (Publish opcode onto the saved index) -> query ->
-# shutdown. Both query TSVs must be byte-identical to the direct CLI
-# answers, and the daemon must exit 0 (the `wait` is the sanitizer gate).
+# save a smaller index over the file the daemon now maps -> query ->
+# shutdown. Every query TSV must be byte-identical to the direct CLI
+# answers: the save renames a new file into place, so the daemon keeps
+# serving the old one (an in-place rewrite would shrink the mapping under
+# it: SIGBUS). The daemon must exit 0 (the `wait` is the sanitizer gate).
 serve_smoke() {
   local build_dir=$1
   local out="${SERVE_DIR}/serve.out"
   : > "${out}"
+  ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" \
+    --save-index "${SERVE_DIR}/ref.bfh" > /dev/null
   "${build_dir}/tools/bfhrf_serve" -r "${SERVE_DIR}/ref.nwk" --workers 2 \
     > "${out}" 2>&1 &
   local pid=$!
@@ -96,6 +98,11 @@ serve_smoke() {
   "${client}" --port "${port}" query "${SERVE_DIR}/q.nwk" \
     2> /dev/null > "${SERVE_DIR}/got_after.tsv"
   diff "${SERVE_DIR}/expected.tsv" "${SERVE_DIR}/got_after.tsv"
+  ./build/examples/bfhrf_cli -r "${SERVE_DIR}/q.nwk" \
+    --save-index "${SERVE_DIR}/ref.bfh" > /dev/null
+  "${client}" --port "${port}" query "${SERVE_DIR}/q.nwk" \
+    2> /dev/null > "${SERVE_DIR}/got_resaved.tsv"
+  diff "${SERVE_DIR}/expected.tsv" "${SERVE_DIR}/got_resaved.tsv"
   "${client}" --port "${port}" shutdown
   wait "${pid}"
 }
@@ -118,10 +125,9 @@ run serve_smoke ./build-asan
 # uses the default tree — the mmap + asan interaction itself is covered
 # by the --persist oracle above, which maps index files under ASan.
 echo
-echo "=== bfhrf_cli sharded build -> mapped save -> mmap reload ==="
+echo "=== bfhrf_cli sharded build -> index save -> mmap reload ==="
 ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -t 2 --shards 4 \
-  --save-index "${PERSIST_DIR}/ref.bfhmap" --mapped \
-  > "${PERSIST_DIR}/direct.tsv"
+  --save-index "${PERSIST_DIR}/ref.bfhmap" > "${PERSIST_DIR}/direct.tsv"
 ./build/examples/bfhrf_cli --load-index "${PERSIST_DIR}/ref.bfhmap" \
   -q "${SERVE_DIR}/ref.nwk" > "${PERSIST_DIR}/mapped.tsv"
 run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/mapped.tsv"

@@ -636,13 +636,6 @@ void Bfhrf::adopt_store(std::unique_ptr<FrequencyStore> store,
   store_ = std::move(store);
   fast_store_ = nullptr;
   sharded_store_ = nullptr;
-  if (!opts_.compressed_keys) {
-    if (auto* sharded = dynamic_cast<ShardedFrequencyHash*>(store_.get())) {
-      sharded_store_ = sharded;
-    } else if (auto* hash = dynamic_cast<FrequencyHash*>(store_.get())) {
-      fast_store_ = hash;
-    }
-  }
   reference_trees_ = reference_trees;
   publish_store_metrics();
 }

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <span>
@@ -96,8 +95,7 @@ struct BfhrfStats {
 
 class Bfhrf {
  public:
-  friend Bfhrf load_bfhrf(std::istream& in, BfhrfOptions opts);
-  friend Bfhrf load_bfhrf_mapped(const std::string& path, BfhrfOptions opts);
+  friend Bfhrf load_bfhrf_file(const std::string& path, BfhrfOptions opts);
   friend class DynamicBfhIndex;
 
   /// `n_bits` is the taxon-universe width (TaxonSet::size()); all trees fed
@@ -240,7 +238,7 @@ class Bfhrf {
   /// mutation path ends with publish_store_metrics().
   void refresh_index_view();
 
-  /// Replace the store with a deserialized or mapped one (load paths).
+  /// Replace the store with a mapped one (the load path).
   void adopt_store(std::unique_ptr<FrequencyStore> store,
                    std::size_t reference_trees);
 
@@ -325,10 +323,10 @@ class DynamicBfhIndex {
   explicit DynamicBfhIndex(std::size_t n_bits, BfhrfOptions opts = {});
 
   /// Open a saved index file as a live dynamic index. A raw single-shard
-  /// MAPPED file takes the zero-parse fast path: the layout is mapped and
-  /// adopted verbatim into the mutable store (memcpy + tombstone recount —
-  /// no per-key re-probing); other formats/shapes replay their keys. The
-  /// baseline trees carry no per-tree key sets, so they cannot be
+  /// file takes the zero-parse fast path: the layout is mapped and adopted
+  /// verbatim into the mutable store (memcpy + tombstone recount — no
+  /// per-key re-probing); sharded or compressed files replay their keys.
+  /// The baseline trees carry no per-tree key sets, so they cannot be
   /// individually removed or replaced — only trees added afterwards can.
   /// Runtime options (threads, norm, …) come from `opts`; store kind and
   /// the trivial-split convention come from the file.

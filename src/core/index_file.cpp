@@ -1,20 +1,16 @@
 #include "core/index_file.hpp"
 
-#include <algorithm>
-#include <bit>
-#include <cstring>
-#include <fstream>
-#include <utility>
-
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#define BFHRF_HAVE_MMAP 1
-#else
-#define BFHRF_HAVE_MMAP 0
-#endif
+
+#include <atomic>
+#include <bit>
+#include <cerrno>
+#include <cstring>
+#include <filesystem>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/bitset.hpp"
@@ -28,7 +24,6 @@ const obs::Counter g_writes = obs::counter("bfhrf.index.file.writes");
 const obs::Counter g_save_compactions =
     obs::counter("bfhrf.index.file.save_compactions");
 const obs::Counter g_mmap_loads = obs::counter("bfhrf.index.mmap.loads");
-const obs::Counter g_mmap_advised = obs::counter("bfhrf.index.mmap.advised");
 const obs::Gauge g_mmap_bytes = obs::gauge("bfhrf.index.mmap.bytes");
 const obs::Histogram g_load_seconds =
     obs::histogram("bfhrf.index.mmap.load_seconds");
@@ -44,44 +39,91 @@ void require(bool ok, const std::string& path, const char* what) {
   }
 }
 
+[[noreturn]] void throw_io(const std::string& what, const std::string& path) {
+  throw Error(what + " '" + path + "': " + std::strerror(errno));
+}
+
 /// Position-tracking binary writer with zero-padding up to aligned offsets.
+/// Writes go to a fresh temp file beside `path`; commit() fsyncs it,
+/// renames it over `path` and fsyncs the directory, so readers see either
+/// the old file or the complete new one. Destroying an uncommitted writer
+/// removes the temp file.
 class FileWriter {
  public:
-  explicit FileWriter(const std::string& path)
-      : path_(path), out_(path, std::ios::binary | std::ios::trunc) {
-    if (!out_) {
-      throw Error("cannot open '" + path + "' for writing");
+  explicit FileWriter(const std::string& path) : path_(path) {
+    // O_EXCL on a pid + counter name: unique like mkstemp, but created
+    // with the usual 0666 & ~umask permissions.
+    static std::atomic<std::uint64_t> serial{0};
+    do {
+      tmp_ = path + ".tmp." + std::to_string(::getpid()) + "." +
+             std::to_string(serial.fetch_add(1));
+      fd_ = ::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                   0666);
+    } while (fd_ < 0 && errno == EEXIST);
+    if (fd_ < 0) {
+      throw_io("cannot create", tmp_);
+    }
+  }
+  FileWriter(const FileWriter&) = delete;
+  FileWriter& operator=(const FileWriter&) = delete;
+  ~FileWriter() {
+    if (fd_ >= 0) {
+      ::close(fd_);
+      ::unlink(tmp_.c_str());
     }
   }
 
   void write(const void* p, std::size_t n) {
-    out_.write(static_cast<const char*>(p),
-               static_cast<std::streamsize>(n));
+    const auto* bytes = static_cast<const char*>(p);
+    for (std::size_t done = 0; done < n;) {
+      const ::ssize_t w = ::write(fd_, bytes + done, n - done);
+      if (w < 0) {
+        if (errno == EINTR) {
+          continue;
+        }
+        throw_io("write failed for", tmp_);
+      }
+      done += static_cast<std::size_t>(w);
+    }
     pos_ += n;
   }
 
   void pad_to(std::uint64_t off) {
-    BFHRF_ASSERT(off >= pos_);
+    BFHRF_ASSERT(off >= pos_ && off - pos_ <= kMappedSectionAlign);
     static constexpr char kZeros[kMappedSectionAlign] = {};
-    while (pos_ < off) {
-      const std::uint64_t n = std::min<std::uint64_t>(off - pos_,
-                                                      sizeof kZeros);
-      write(kZeros, static_cast<std::size_t>(n));
-    }
+    write(kZeros, static_cast<std::size_t>(off - pos_));
   }
 
   [[nodiscard]] std::uint64_t pos() const noexcept { return pos_; }
 
-  void finish() {
-    out_.flush();
-    if (!out_) {
-      throw Error("write failed for '" + path_ + "'");
+  void commit() {
+    if (::fsync(fd_) != 0) {
+      throw_io("fsync failed for", tmp_);
+    }
+    if (::rename(tmp_.c_str(), path_.c_str()) != 0) {
+      throw_io("cannot rename temp file over", path_);
+    }
+    ::close(fd_);
+    fd_ = -1;
+    // Make the rename itself durable.
+    const std::string dir =
+        std::filesystem::path(path_).parent_path().string();
+    const int dfd =
+        ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (dfd < 0) {
+      throw_io("cannot open directory of", path_);
+    }
+    const int rc = ::fsync(dfd);
+    ::close(dfd);
+    if (rc != 0) {
+      throw_io("fsync failed for the directory of", path_);
     }
   }
 
  private:
   std::string path_;
-  std::ofstream out_;
+  std::string tmp_;
+  int fd_ = -1;
   std::uint64_t pos_ = 0;
 };
 
@@ -227,59 +269,34 @@ void write_index_file(const FrequencyStore& store, const IndexFileMeta& meta,
     }
   }
   BFHRF_ASSERT(w.pos() == h.file_bytes);
-  w.finish();
+  w.commit();
   g_writes.inc();
 }
 
-MappedIndex::MappedIndex(const std::string& path, MapAdvice advice) {
-#if BFHRF_HAVE_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    struct stat st{};
-    if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-      void* p = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                       PROT_READ, MAP_PRIVATE, fd, 0);
-      if (p != MAP_FAILED) {
-        base_ = static_cast<const std::uint8_t*>(p);
-        size_ = static_cast<std::size_t>(st.st_size);
-        mmapped_ = true;
-        if (advice != MapAdvice::None) {
-          // Advisory only: a failure (e.g. a filesystem without
-          // readahead) costs nothing but the default paging behaviour.
-          const int hint = advice == MapAdvice::WillNeed ? MADV_WILLNEED
-                                                         : MADV_SEQUENTIAL;
-          if (::madvise(p, static_cast<std::size_t>(st.st_size), hint) == 0) {
-            g_mmap_advised.inc();
-          }
-        }
-      }
-    }
-    ::close(fd);
+MappedIndex::MappedIndex(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    throw_io("cannot open index file", path);
   }
-#else
-  (void)advice;
-#endif
-  if (base_ == nullptr) {
-    // Aligned-read fallback (no mmap, or the map failed): the cache-line
-    // aligned buffer satisfies the same 16-byte group-load requirement.
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      throw Error("cannot open index file '" + path + "'");
-    }
-    in.seekg(0, std::ios::end);
-    const std::streamoff len = in.tellg();
-    in.seekg(0, std::ios::beg);
-    fallback_.resize(len > 0 ? static_cast<std::size_t>(len) : 0);
-    if (!fallback_.empty()) {
-      in.read(reinterpret_cast<char*>(fallback_.data()),
-              static_cast<std::streamsize>(fallback_.size()));
-    }
-    if (!in) {
-      throw Error("failed to read index file '" + path + "'");
-    }
-    base_ = fallback_.data();
-    size_ = fallback_.size();
+  struct stat st{};
+  const bool stat_ok = ::fstat(fd, &st) == 0;
+  const std::size_t size = stat_ok ? static_cast<std::size_t>(st.st_size) : 0;
+  void* p = MAP_FAILED;
+  if (size >= sizeof(MappedHeader)) {
+    p = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
   }
+  const int err = errno;
+  ::close(fd);  // the mapping holds its own reference to the file
+  errno = err;
+  if (!stat_ok) {
+    throw_io("cannot stat index file", path);
+  }
+  require(size >= sizeof(MappedHeader), path, "file shorter than header");
+  if (p == MAP_FAILED) {
+    throw_io("cannot mmap index file", path);
+  }
+  base_ = static_cast<const std::uint8_t*>(p);
+  size_ = size;
   try {
     validate(path);
   } catch (...) {
@@ -287,15 +304,10 @@ MappedIndex::MappedIndex(const std::string& path, MapAdvice advice) {
     throw;
   }
   g_mmap_loads.inc();
-  if (mmapped_) {
-    g_mmap_bytes.set(static_cast<double>(size_));
-  }
+  g_mmap_bytes.set(static_cast<double>(size_));
 }
 
 void MappedIndex::validate(const std::string& path) const {
-  require(size_ >= sizeof(MappedHeader), path, "file shorter than header");
-  require(reinterpret_cast<std::uintptr_t>(base_) % util::kGroupWidth == 0,
-          path, "backing memory is not 16-byte aligned");
   const MappedHeader& h = header();
   require(std::memcmp(h.magic, kMappedMagic, sizeof kMappedMagic) == 0, path,
           "bad magic (not a mapped BFHRF index)");
@@ -343,8 +355,8 @@ void MappedIndex::validate(const std::string& path) const {
             "slot section out of bounds");
     require(in_bounds(r.keys_offset, r.key_bytes), path,
             "key section out of bounds");
-    require(r.live_keys <= r.slot_count, path,
-            "more live keys than slots");
+    require(r.live_keys < r.slot_count, path,
+            "no EMPTY slot left for probes to stop at");
     if (raw) {
       // A persisted arena is dense (the writer compacts): exactly
       // live_keys keys of words_per_key words.
@@ -355,6 +367,7 @@ void MappedIndex::validate(const std::string& path) const {
                   words / h.words_per_key == r.live_keys,
               path, "raw key arena size does not match live keys");
     }
+    validate_slots(s, path);
     live += r.live_keys;
     total += r.total_count;
   }
@@ -364,47 +377,80 @@ void MappedIndex::validate(const std::string& path) const {
           "per-shard frequencies do not sum to the header total");
 }
 
+void MappedIndex::validate_slots(std::size_t s,
+                                 const std::string& path) const {
+  // One pass over the ctrl and slot sections (the key arena is never
+  // read): probes over these bytes terminate and stay inside the arena.
+  const MappedShardRecord& r = shard(s);
+  const bool raw = header().store_kind ==
+                   static_cast<std::uint32_t>(MappedStoreKind::Raw);
+  const std::span<const std::uint8_t> ctrl = this->ctrl(s);
+  const FrequencyHash::Slot* raw_slot = raw_slots(s).data();
+  const CompressedFrequencyHash::Slot* comp_slot = compressed_slots(s).data();
+  std::uint64_t full = 0;
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < ctrl.size(); ++i) {
+    const bool is_full = ctrl[i] < util::kCtrlEmpty;
+    require(is_full || ctrl[i] == util::kCtrlEmpty, path,
+            "ctrl byte is neither EMPTY nor FULL");
+    std::uint32_t count = 0;
+    bool key_in_arena = false;
+    if (raw) {
+      const FrequencyHash::Slot& slot = raw_slot[i];
+      count = slot.count;
+      key_in_arena = slot.key_index < r.live_keys;
+    } else {
+      const CompressedFrequencyHash::Slot& slot = comp_slot[i];
+      count = slot.count;
+      key_in_arena = slot.length > 0 &&
+                     std::uint64_t{slot.offset} + slot.length <= r.key_bytes;
+    }
+    require(is_full == (count != 0), path,
+            "ctrl byte disagrees with its slot's count");
+    if (is_full) {
+      require(key_in_arena, path, "slot addresses a key outside the arena");
+      ++full;
+      total += count;
+    }
+  }
+  require(full == r.live_keys, path,
+          "FULL ctrl bytes do not match the shard's live keys");
+  require(total == r.total_count, path,
+          "slot counts do not sum to the shard's total");
+}
+
 void MappedIndex::release() noexcept {
-#if BFHRF_HAVE_MMAP
-  if (mmapped_ && base_ != nullptr) {
+  if (base_ != nullptr) {
     ::munmap(const_cast<std::uint8_t*>(base_), size_);
   }
-#endif
   base_ = nullptr;
   size_ = 0;
-  mmapped_ = false;
-  fallback_.clear();
 }
 
 MappedIndex::~MappedIndex() { release(); }
 
 MappedIndex::MappedIndex(MappedIndex&& other) noexcept
     : base_(std::exchange(other.base_, nullptr)),
-      size_(std::exchange(other.size_, 0)),
-      mmapped_(std::exchange(other.mmapped_, false)),
-      fallback_(std::move(other.fallback_)) {}
+      size_(std::exchange(other.size_, 0)) {}
 
 MappedIndex& MappedIndex::operator=(MappedIndex&& other) noexcept {
   if (this != &other) {
     release();
     base_ = std::exchange(other.base_, nullptr);
     size_ = std::exchange(other.size_, 0);
-    mmapped_ = std::exchange(other.mmapped_, false);
-    fallback_ = std::move(other.fallback_);
   }
   return *this;
 }
 
 namespace {
-MappedIndex open_timed(const std::string& path, MapAdvice advice) {
+MappedIndex open_timed(const std::string& path) {
   const obs::ScopedTimer timer(g_load_seconds);
-  return MappedIndex(path, advice);
+  return MappedIndex(path);
 }
 }  // namespace
 
-MappedFrequencyStore::MappedFrequencyStore(const std::string& path,
-                                           MapAdvice advice)
-    : index_(open_timed(path, advice)) {
+MappedFrequencyStore::MappedFrequencyStore(const std::string& path)
+    : index_(open_timed(path)) {
   const MappedHeader& h = index_.header();
   if (kind() == MappedStoreKind::Raw) {
     shard_bits_ = static_cast<std::uint32_t>(

@@ -1,10 +1,6 @@
-// The mmap-able BFHRF index format ("BFHMAP", format v2 alongside the v1
-// "BFHv" stream in core/serialize.cpp).
-//
-// The v1 stream stores (count, key) records and REBUILDS the hash on load —
-// every key re-probed, every table line written. This format instead
-// persists the built tables verbatim, section-aligned so the file can be
-// mmapped read-only and queried IN PLACE:
+// The BFHRF index format ("BFHMAP"): the one on-disk form of a built
+// frequency store. The built tables are persisted verbatim, section-aligned
+// so the file can be mmapped read-only and queried IN PLACE:
 //
 //   offset 0    MappedHeader                (128 bytes, little-endian)
 //   offset 128  MappedShardRecord × S       (64 bytes each)
@@ -17,21 +13,27 @@
 // satisfies the 16-byte alignment the vectorized group probes require and
 // the 8-byte alignment of both slot layouts), so views constructed over
 // the mapped bytes run the exact same probe code as in-memory tables —
-// cold-load is an mmap + header validation, zero deserialization, and
-// query results are bit-identical by construction. Raw stores persist one
+// cold-load is an mmap + validation, zero deserialization, and query
+// results are bit-identical by construction. Raw stores persist one
 // record per shard (ShardedFrequencyHash) or a single record
 // (FrequencyHash); compressed stores persist one record whose "key arena"
 // is the encoding byte arena.
 //
 // Tombstones are never persisted: the writer compacts a private copy of
 // any shard that carries DELETED ctrl bytes, so a loaded index starts
-// dense (ROADMAP "delta-aware index persistence").
+// dense (ROADMAP "delta-aware index persistence"). Saves are atomic: the
+// writer fills a uniquely named temp file next to the target, fsyncs it
+// and renames it over the target, so a reader that still maps the old
+// file keeps its old inode and a crash never leaves a torn index.
 //
-// Like the v1 stream the format is explicitly little-endian and
-// fixed-layout; static_asserts pin the struct sizes. Loading validates
-// magic, version, section bounds, 64-byte section alignment, power-of-two
-// shard/slot counts, and per-shard vs header totals, throwing ParseError
-// on any mismatch.
+// The format is explicitly little-endian and fixed-layout; static_asserts
+// pin the struct sizes. Loading validates magic, version, section bounds,
+// 64-byte section alignment, power-of-two shard/slot counts, per-shard vs
+// header totals, and makes one pass over every shard's ctrl and slot
+// sections (never the key arena): each ctrl byte is EMPTY or FULL, FULL
+// exactly where the slot's count is non-zero, at least one EMPTY byte per
+// shard (so every probe terminates), and every live slot addresses its
+// key inside the arena. Any mismatch throws ParseError.
 #pragma once
 
 #include <cstddef>
@@ -101,29 +103,21 @@ struct IndexFileMeta {
 /// Write `store` to `path` in the mapped format. Accepts FrequencyHash,
 /// ShardedFrequencyHash, and CompressedFrequencyHash stores; shards
 /// carrying tombstones are compacted into a private copy first, so the
-/// file never contains DELETED ctrl bytes. Throws InvalidArgument for
-/// other store types (including an already-mapped store — the file it
+/// file never contains DELETED ctrl bytes. The write is atomic (temp file,
+/// fsync, rename over `path`, fsync of the directory); on failure the
+/// temp file is removed and `path` is untouched. Throws InvalidArgument
+/// for other store types (including an already-mapped store — the file it
 /// came from IS the mapped form) and Error on I/O failure.
 void write_index_file(const FrequencyStore& store, const IndexFileMeta& meta,
                       const std::string& path);
 
-/// Readahead policy applied to a fresh mapping (madvise on POSIX; a no-op
-/// on platforms without it and on the aligned-read fallback, which is
-/// already fully resident). Default None: pages fault in on demand — the
-/// right policy for sparse probe traffic over a warm cache. WillNeed asks
-/// the kernel to start reading the whole file ahead (cold-start serving:
-/// the first query burst doesn't eat a page fault per probe). Sequential
-/// doubles readahead and drops pages behind the scan (one-shot passes:
-/// compaction, external merge, bulk export).
-enum class MapAdvice : std::uint8_t { None, WillNeed, Sequential };
-
-/// A validated read-only mapping of an index file. Prefers mmap (the
-/// kernel pages sections in on demand); falls back to an aligned in-memory
-/// read where mmap is unavailable. Move-only; unmaps on destruction.
+/// A validated read-only mmap of an index file (the kernel pages sections
+/// in on demand). Throws Error when the file cannot be opened or mapped
+/// and ParseError when its contents are invalid. Move-only; unmaps on
+/// destruction.
 class MappedIndex {
  public:
-  explicit MappedIndex(const std::string& path,
-                       MapAdvice advice = MapAdvice::None);
+  explicit MappedIndex(const std::string& path);
   ~MappedIndex();
 
   MappedIndex(MappedIndex&& other) noexcept;
@@ -139,9 +133,6 @@ class MappedIndex {
         base_ + sizeof(MappedHeader))[s];
   }
   [[nodiscard]] std::size_t size_bytes() const noexcept { return size_; }
-  /// True when the bytes are an actual mmap (false = aligned-read
-  /// fallback). Obs gauge bfhrf.index.mmap.bytes only counts true maps.
-  [[nodiscard]] bool is_mmap() const noexcept { return mmapped_; }
 
   [[nodiscard]] std::span<const std::uint8_t> ctrl(std::size_t s) const {
     const MappedShardRecord& r = shard(s);
@@ -175,12 +166,11 @@ class MappedIndex {
 
  private:
   void validate(const std::string& path) const;
+  void validate_slots(std::size_t s, const std::string& path) const;
   void release() noexcept;
 
   const std::uint8_t* base_ = nullptr;
   std::size_t size_ = 0;
-  bool mmapped_ = false;
-  util::CacheAlignedVector<std::uint8_t> fallback_;
 };
 
 /// FrequencyStore served directly off a MappedIndex — the zero-copy
@@ -190,8 +180,7 @@ class MappedIndex {
 /// index_view()).
 class MappedFrequencyStore final : public FrequencyStore {
  public:
-  explicit MappedFrequencyStore(const std::string& path,
-                                MapAdvice advice = MapAdvice::None);
+  explicit MappedFrequencyStore(const std::string& path);
 
   [[nodiscard]] MappedStoreKind kind() const noexcept {
     return static_cast<MappedStoreKind>(index_.header().store_kind);

@@ -1,125 +1,26 @@
 #include "core/serialize.hpp"
 
-#include <cstring>
-#include <fstream>
-#include <istream>
-#include <ostream>
 #include <utility>
 
 #include "core/index_file.hpp"
 #include "util/error.hpp"
 
 namespace bfhrf::core {
-namespace {
 
-constexpr char kMagic[4] = {'B', 'F', 'H', 'v'};
-constexpr std::uint32_t kVersion = 1;
-
-// Little-endian scalar IO. The format is explicitly little-endian; on a
-// big-endian host these helpers would need byte swaps (statically noted
-// rather than silently wrong: all currently supported targets are LE).
-template <typename T>
-void put(std::ostream& out, T v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-template <typename T>
-T get(std::istream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!in) {
-    throw ParseError("bfhrf load: truncated stream");
-  }
-  return v;
-}
-
-}  // namespace
-
-void save_bfhrf(const Bfhrf& engine, std::ostream& out) {
+void save_bfhrf_file(const Bfhrf& engine, const std::string& path,
+                     IndexFormat /*format*/) {
   const BfhrfStats stats = engine.stats();
   if (stats.reference_trees == 0) {
-    throw InvalidArgument("save_bfhrf: engine has not been built");
+    throw InvalidArgument("save_bfhrf_file: engine has not been built");
   }
-  const FrequencyStore& store = engine.store();
-
-  out.write(kMagic, sizeof kMagic);
-  put<std::uint32_t>(out, kVersion);
-  put<std::uint8_t>(out, engine.options().compressed_keys ? 1 : 0);
-  put<std::uint8_t>(out, engine.options().include_trivial ? 1 : 0);
-  put<std::uint64_t>(out, store.n_bits());
-  put<std::uint64_t>(out, stats.reference_trees);
-  put<std::uint64_t>(out, stats.unique_bipartitions);
-  put<std::uint64_t>(out, stats.total_bipartitions);
-  put<double>(out, store.total_weight());
-
-  store.for_each_key([&](util::ConstWordSpan key, std::uint32_t count) {
-    put<std::uint32_t>(out, count);
-    out.write(reinterpret_cast<const char*>(key.data()),
-              static_cast<std::streamsize>(key.size() * sizeof(std::uint64_t)));
-  });
-  if (!out) {
-    throw Error("save_bfhrf: stream write failed");
-  }
+  write_index_file(
+      engine.store(),
+      IndexFileMeta{.include_trivial = engine.options().include_trivial,
+                    .reference_trees = stats.reference_trees},
+      path);
 }
 
-Bfhrf load_bfhrf(std::istream& in, BfhrfOptions opts) {
-  char magic[4] = {};
-  in.read(magic, sizeof magic);
-  if (!in || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
-    throw ParseError("bfhrf load: bad magic (not a saved BFHRF index)");
-  }
-  const auto version = get<std::uint32_t>(in);
-  if (version != kVersion) {
-    throw ParseError("bfhrf load: unsupported version " +
-                     std::to_string(version));
-  }
-  const bool compressed = get<std::uint8_t>(in) != 0;
-  const bool include_trivial = get<std::uint8_t>(in) != 0;
-  const auto n_bits = static_cast<std::size_t>(get<std::uint64_t>(in));
-  const auto reference_trees =
-      static_cast<std::size_t>(get<std::uint64_t>(in));
-  const auto unique = static_cast<std::size_t>(get<std::uint64_t>(in));
-  const auto total = get<std::uint64_t>(in);
-  const double total_weight = get<double>(in);
-  if (n_bits == 0 || reference_trees == 0) {
-    throw ParseError("bfhrf load: corrupt header");
-  }
-
-  // Store kind and trivial-split convention are properties of the saved
-  // index, not of the caller's runtime options.
-  opts.compressed_keys = compressed;
-  opts.include_trivial = include_trivial;
-  Bfhrf engine(n_bits, opts);
-  engine.reference_trees_ = reference_trees;
-
-  const std::size_t words_per = util::words_for_bits(n_bits);
-  std::vector<std::uint64_t> key(words_per);
-  std::uint64_t total_check = 0;
-  for (std::size_t i = 0; i < unique; ++i) {
-    const auto count = get<std::uint32_t>(in);
-    if (count == 0) {
-      throw ParseError("bfhrf load: zero-count key");
-    }
-    in.read(reinterpret_cast<char*>(key.data()),
-            static_cast<std::streamsize>(words_per * sizeof(std::uint64_t)));
-    if (!in) {
-      throw ParseError("bfhrf load: truncated key block");
-    }
-    engine.store_->add(key, count);
-    total_check += count;
-  }
-  if (total_check != total ||
-      engine.store_->unique_count() != unique) {
-    throw ParseError("bfhrf load: count mismatch (corrupt stream)");
-  }
-  engine.store_->set_total_weight(total_weight);
-  // The replay grew the store's tables; refresh the cached query view so
-  // it points at the final layout.
-  engine.publish_store_metrics();
-  return engine;
-}
-
-Bfhrf load_bfhrf_mapped(const std::string& path, BfhrfOptions opts) {
+Bfhrf load_bfhrf_file(const std::string& path, BfhrfOptions opts) {
   auto mapped = std::make_unique<MappedFrequencyStore>(path);
   // Store shape is the file's, not the caller's: the ctor-made store is
   // discarded by adopt_store, so keep it the minimal single table.
@@ -133,67 +34,11 @@ Bfhrf load_bfhrf_mapped(const std::string& path, BfhrfOptions opts) {
   return engine;
 }
 
-void save_bfhrf_file(const Bfhrf& engine, const std::string& path,
-                     IndexFormat format) {
-  if (format == IndexFormat::Mapped) {
-    const BfhrfStats stats = engine.stats();
-    if (stats.reference_trees == 0) {
-      throw InvalidArgument("save_bfhrf: engine has not been built");
-    }
-    write_index_file(
-        engine.store(),
-        IndexFileMeta{.include_trivial = engine.options().include_trivial,
-                      .reference_trees = stats.reference_trees},
-        path);
-    return;
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw Error("save_bfhrf: cannot open '" + path + "' for writing");
-  }
-  save_bfhrf(engine, out);
-}
-
-Bfhrf load_bfhrf_file(const std::string& path, BfhrfOptions opts) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw Error("load_bfhrf: cannot open '" + path + "'");
-  }
-  // Sniff the representation off the magic so callers need no format flag.
-  char magic[8] = {};
-  in.read(magic, sizeof magic);
-  if (in.gcount() >= 6 && std::memcmp(magic, kMappedMagic, 6) == 0) {
-    in.close();
-    return load_bfhrf_mapped(path, opts);
-  }
-  in.clear();
-  in.seekg(0);
-  return load_bfhrf(in, opts);
-}
-
 // --- DynamicBfhIndex::from_index_file ---------------------------------------
 
 DynamicBfhIndex DynamicBfhIndex::from_index_file(const std::string& path,
                                                  BfhrfOptions opts) {
   opts.shards = 1;  // dynamic index invariant (single concrete table)
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      throw Error("from_index_file: cannot open '" + path + "'");
-    }
-    char magic[8] = {};
-    in.read(magic, sizeof magic);
-    if (in.gcount() < 6 || std::memcmp(magic, kMappedMagic, 6) != 0) {
-      // v1 stream: full rebuild-on-load, then wrap.
-      in.clear();
-      in.seekg(0);
-      Bfhrf engine = load_bfhrf(in, opts);
-      DynamicBfhIndex index(engine.n_bits_, engine.options());
-      index.engine_ = std::move(engine);
-      return index;
-    }
-  }
-
   const MappedFrequencyStore mapped(path);
   opts.compressed_keys = mapped.kind() == MappedStoreKind::Compressed;
   opts.include_trivial = mapped.include_trivial();

@@ -6,24 +6,14 @@
 // deployment of the paper's two-phase design:
 //
 //   Bfhrf engine(n); engine.build(reference);
-//   save_bfhrf(engine, out);                    // once
+//   save_bfhrf_file(engine, path);                       // once
 //   ...
-//   Bfhrf engine = load_bfhrf(in, {.threads = 8});  // per query batch
+//   Bfhrf engine = load_bfhrf_file(path, {.threads = 8});  // per batch
 //
-// Two formats share the file-path entry points, distinguished by magic:
-//
-//  * V1Stream ("BFHv"): header {magic "BFHv", u32 version, u8 store-kind,
-//    u8 include-trivial, u64 n_bits, u64 reference_trees, u64 unique,
-//    u64 total, f64 total_weight}, then per unique key {u32 count, raw key
-//    words}. Keys are written in raw bitmask form for both store kinds; a
-//    compressed store re-encodes on load. Compact and store-agnostic, but
-//    load REBUILDS the hash (every key re-probed).
-//  * Mapped ("BFHMAP", core/index_file.hpp): the built tables persisted
-//    verbatim, section-aligned; load_bfhrf_mapped mmaps the file and
-//    serves queries directly off the mapping — zero deserialization.
-//
-// Integrity is checked on load for both (magic, version, counts, totals,
-// and for Mapped: section bounds and alignment).
+// There is one on-disk format, "BFHMAP" (core/index_file.hpp): the built
+// tables persisted verbatim and section-aligned. Loading mmaps the file,
+// validates it, and serves queries directly off the mapping — zero
+// deserialization. Only core/index_file knows the layout and its magic.
 //
 // NOTE: if the engine was built under a filter/weight variant, the stored
 // keys are the filtered ones and total_weight is the weighted sum; load
@@ -32,44 +22,30 @@
 // arbitrary code).
 #pragma once
 
-#include <iosfwd>
+#include <string>
 
 #include "core/bfhrf.hpp"
 
 namespace bfhrf::core {
 
-/// On-disk representation for the file-path save entry point.
+/// On-disk representation written by save_bfhrf_file. BFHMAP is the only
+/// one; the parameter remains so callers can name it explicitly.
 enum class IndexFormat {
-  V1Stream,  ///< "BFHv" key/count records (compact, rebuild on load)
-  Mapped,    ///< "BFHMAP" verbatim tables (mmap on load, zero-copy serve)
+  Mapped,  ///< "BFHMAP" verbatim tables (mmap on load, zero-copy serve)
 };
 
-/// Serialize a built engine to a binary stream (V1Stream only — the mapped
-/// format needs a seekable file; use save_bfhrf_file). Throws
-/// InvalidArgument if the engine has not been built, Error on stream
-/// failure.
-void save_bfhrf(const Bfhrf& engine, std::ostream& out);
-
-/// Reconstruct a saved engine from a V1Stream. Runtime options (threads,
-/// variant, norm) come from `opts`; the store kind, trivial-split
-/// convention, universe width and contents come from the stream. Throws
-/// ParseError on a malformed or truncated stream.
-[[nodiscard]] Bfhrf load_bfhrf(std::istream& in, BfhrfOptions opts = {});
-
-/// Open a mapped-format index file as a read-only engine: the file is
-/// mmapped (or read whole where mmap is unavailable), validated, and
-/// queried in place — no per-key deserialization, bit-identical results.
-/// The engine's store is immutable; calling build on it throws. Runtime
-/// options come from `opts` (shards/compressed_keys are overridden by the
-/// file's own layout). Throws ParseError on a malformed file.
-[[nodiscard]] Bfhrf load_bfhrf_mapped(const std::string& path,
-                                      BfhrfOptions opts = {});
-
-/// File-path conveniences. Saving picks the representation via `format`;
-/// loading sniffs the magic, so a caller needs no format flag ("BFHv" →
-/// stream rebuild, "BFHMAP" → zero-copy map).
+/// Save a built engine atomically (core/index_file: temp file, fsync,
+/// rename). Throws InvalidArgument if the engine has not been built or
+/// already serves a mapped file, Error on I/O failure.
 void save_bfhrf_file(const Bfhrf& engine, const std::string& path,
-                     IndexFormat format = IndexFormat::V1Stream);
+                     IndexFormat format = IndexFormat::Mapped);
+
+/// Open a saved index as a read-only engine: the file is mmapped,
+/// validated, and queried in place — bit-identical results. Calling build
+/// on the engine throws. Runtime options (threads, variant, norm) come
+/// from `opts`; the store kind, trivial-split convention, shard layout,
+/// universe width and contents come from the file. Throws Error when the
+/// file cannot be opened or mapped, ParseError when it is malformed.
 [[nodiscard]] Bfhrf load_bfhrf_file(const std::string& path,
                                     BfhrfOptions opts = {});
 

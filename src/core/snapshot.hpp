@@ -48,7 +48,7 @@ class IndexSnapshot {
       phylo::TaxonSetPtr taxa, std::span<const phylo::Tree> reference,
       const BfhrfOptions& opts = {}, std::string source = "inline");
 
-  /// Open a saved index file (either on-disk format; the magic is sniffed)
+  /// Open a saved index file (mmapped and validated, core/index_file)
   /// against an existing namespace. The file stores no taxon labels, so
   /// `taxa` MUST be the namespace the index was built over — the width is
   /// checked (InvalidArgument on mismatch), the label-to-bit assignment

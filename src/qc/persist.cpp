@@ -129,35 +129,23 @@ class ScratchFile {
   std::string path_;
 };
 
-void round_trip_both_formats(Context& ctx, const Bfhrf& engine,
-                             std::span<const phylo::Tree> queries,
-                             const StoreImage& want,
-                             std::span<const double> want_rf,
-                             const std::string& label) {
-  {
-    const ScratchFile file(ctx.opts.scratch_dir, ctx.opts.seed, "v1");
-    core::save_bfhrf_file(engine, file.path(), core::IndexFormat::V1Stream);
-    const Bfhrf loaded = core::load_bfhrf_file(file.path());
-    ++ctx.report.round_trips;
-    compare_stores(ctx, loaded.store(), want, label + " v1");
-    compare_queries(ctx, loaded.query(queries), want_rf, label + " v1");
+void round_trip(Context& ctx, const Bfhrf& engine,
+                std::span<const phylo::Tree> queries, const StoreImage& want,
+                std::span<const double> want_rf, const std::string& label) {
+  const ScratchFile file(ctx.opts.scratch_dir, ctx.opts.seed, "map");
+  core::save_bfhrf_file(engine, file.path());
+  const Bfhrf loaded = core::load_bfhrf_file(file.path());
+  ++ctx.report.round_trips;
+  const auto* mapped =
+      dynamic_cast<const core::MappedFrequencyStore*>(&loaded.store());
+  if (ctx.check(mapped != nullptr,
+                label + " mapped: load did not serve zero-copy "
+                        "(store is not MappedFrequencyStore)")) {
+    ctx.check(!has_tombstones(mapped->index()),
+              label + " mapped: file contains DELETED ctrl bytes");
   }
-  {
-    const ScratchFile file(ctx.opts.scratch_dir, ctx.opts.seed, "map");
-    core::save_bfhrf_file(engine, file.path(), core::IndexFormat::Mapped);
-    const Bfhrf loaded = core::load_bfhrf_file(file.path());
-    ++ctx.report.round_trips;
-    const auto* mapped =
-        dynamic_cast<const core::MappedFrequencyStore*>(&loaded.store());
-    if (ctx.check(mapped != nullptr,
-                  label + " mapped: load did not serve zero-copy "
-                          "(store is not MappedFrequencyStore)")) {
-      ctx.check(!has_tombstones(mapped->index()),
-                label + " mapped: file contains DELETED ctrl bytes");
-    }
-    compare_stores(ctx, loaded.store(), want, label + " mapped");
-    compare_queries(ctx, loaded.query(queries), want_rf, label + " mapped");
-  }
+  compare_stores(ctx, loaded.store(), want, label + " mapped");
+  compare_queries(ctx, loaded.query(queries), want_rf, label + " mapped");
 }
 
 }  // namespace
@@ -188,7 +176,7 @@ PersistOracleReport check_persist_equivalence(
   const StoreImage want = image_of(baseline.store());
   const std::vector<double> want_rf = baseline.query(queries);
 
-  round_trip_both_formats(ctx, baseline, queries, want, want_rf, "single");
+  round_trip(ctx, baseline, queries, want, want_rf, "single");
 
   // --- sharded builds vs baseline, plus their round trips ----------------
   for (const std::size_t shards : opts.shard_counts) {
@@ -209,7 +197,7 @@ PersistOracleReport check_persist_equivalence(
       if (threads != 1) {
         continue;  // round-trip each shard count once
       }
-      round_trip_both_formats(ctx, sharded, queries, want, want_rf, label);
+      round_trip(ctx, sharded, queries, want, want_rf, label);
     }
   }
 
@@ -221,8 +209,7 @@ PersistOracleReport check_persist_equivalence(
     Bfhrf compressed(n_bits, comp_opts);
     compressed.build(reference);
     compare_queries(ctx, compressed.query(queries), want_rf, "compressed");
-    round_trip_both_formats(ctx, compressed, queries, want, want_rf,
-                            "compressed");
+    round_trip(ctx, compressed, queries, want, want_rf, "compressed");
   }
 
   // --- tombstoned dynamic state: save must compact -----------------------

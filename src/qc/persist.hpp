@@ -8,8 +8,8 @@
 //  * sharded builds (each configured shard count, threaded and inline)
 //    hold exactly the single-table store's (key, count) multiset and
 //    produce bit-identical query vectors;
-//  * the v1 stream and the mapped ("BFHMAP") format both round-trip every
-//    shape — save, load, re-query, compare to the exact double;
+//  * the on-disk ("BFHMAP") format round-trips every shape — save, load,
+//    re-query, compare to the exact double;
 //  * a mapped load actually serves zero-copy (the loaded store is the
 //    read-only MappedFrequencyStore, not a rebuilt table) and its file
 //    never contains a DELETED ctrl byte, even when the saved store was

@@ -1,6 +1,7 @@
 #include "core/index_file.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -22,12 +23,14 @@ namespace {
 using phylo::TaxonSet;
 using phylo::Tree;
 
-/// Self-deleting scratch path under the system temp dir.
+/// Self-deleting scratch path under the system temp dir (per process:
+/// ctest runs every test as its own process, concurrently).
 class TempFile {
  public:
   explicit TempFile(const char* tag) {
     path_ = (std::filesystem::temp_directory_path() /
-             (std::string("bfhrf_index_test_") + tag + ".bfi"))
+             ("bfhrf_index_test_" + std::to_string(::getpid()) + "_" + tag +
+              ".bfi"))
                 .string();
   }
   ~TempFile() {
@@ -73,34 +76,34 @@ TEST(IndexFileTest, HeaderLayoutIsPinned) {
   EXPECT_EQ(kMappedSectionAlign % 16u, 0u);  // vector ctrl loads
 }
 
-TEST(IndexFileTest, MappedQueriesMatchMemoryAndV1Exactly) {
+TEST(IndexFileTest, MappedQueriesMatchMemoryExactly) {
   const BuiltEngine w = make_workload(26, 30, 10, 3);
-  Bfhrf engine(w.taxa->size(), {.shards = 1});
-  engine.build(w.reference);
-  const auto want = engine.query(w.queries);
+  for (const bool include_trivial : {false, true}) {
+    Bfhrf engine(w.taxa->size(),
+                 {.include_trivial = include_trivial, .shards = 1});
+    engine.build(w.reference);
+    const auto want = engine.query(w.queries);
 
-  const TempFile mapped_file("roundtrip_map");
-  const TempFile v1_file("roundtrip_v1");
-  save_bfhrf_file(engine, mapped_file.path(), IndexFormat::Mapped);
-  save_bfhrf_file(engine, v1_file.path(), IndexFormat::V1Stream);
+    const TempFile file("roundtrip");
+    save_bfhrf_file(engine, file.path());
+    const Bfhrf mapped = load_bfhrf_file(file.path(), {.threads = 3});
 
-  const Bfhrf mapped = load_bfhrf_file(mapped_file.path());
-  const Bfhrf parsed = load_bfhrf_file(v1_file.path());
+    // The load serves in place, with the caller's runtime options and the
+    // file's trivial-split convention.
+    EXPECT_NE(dynamic_cast<const MappedFrequencyStore*>(&mapped.store()),
+              nullptr);
+    EXPECT_EQ(mapped.options().threads, 3u);
+    EXPECT_EQ(mapped.options().include_trivial, include_trivial);
+    EXPECT_EQ(mapped.stats().reference_trees, engine.stats().reference_trees);
+    EXPECT_EQ(mapped.stats().unique_bipartitions,
+              engine.stats().unique_bipartitions);
+    EXPECT_EQ(mapped.stats().total_bipartitions,
+              engine.stats().total_bipartitions);
 
-  // The mapped load serves in place; the v1 load rebuilt a table.
-  EXPECT_NE(dynamic_cast<const MappedFrequencyStore*>(&mapped.store()),
-            nullptr);
-  EXPECT_EQ(dynamic_cast<const MappedFrequencyStore*>(&parsed.store()),
-            nullptr);
-  EXPECT_EQ(mapped.stats().reference_trees, engine.stats().reference_trees);
-  EXPECT_EQ(mapped.stats().unique_bipartitions,
-            engine.stats().unique_bipartitions);
-
-  const auto from_map = mapped.query(w.queries);
-  const auto from_v1 = parsed.query(w.queries);
-  for (std::size_t i = 0; i < w.queries.size(); ++i) {
-    EXPECT_EQ(from_map[i], want[i]) << "mapped query " << i;
-    EXPECT_EQ(from_v1[i], want[i]) << "v1 query " << i;
+    const auto got = mapped.query(w.queries);
+    for (std::size_t i = 0; i < w.queries.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << "query " << i;
+    }
   }
 }
 
@@ -111,7 +114,7 @@ TEST(IndexFileTest, ShardedLayoutRoundTrips) {
   const auto want = engine.query(w.queries);
 
   const TempFile file("sharded");
-  save_bfhrf_file(engine, file.path(), IndexFormat::Mapped);
+  save_bfhrf_file(engine, file.path());
   const MappedIndex index(file.path());
   EXPECT_EQ(index.header().shard_count, 4u);
   EXPECT_EQ(index.header().unique_keys, engine.stats().unique_bipartitions);
@@ -135,7 +138,7 @@ TEST(IndexFileTest, CompressedStoreRoundTrips) {
   const auto want = engine.query(w.queries);
 
   const TempFile file("compressed");
-  save_bfhrf_file(engine, file.path(), IndexFormat::Mapped);
+  save_bfhrf_file(engine, file.path());
   const Bfhrf loaded = load_bfhrf_file(file.path());
   const auto* store =
       dynamic_cast<const MappedFrequencyStore*>(&loaded.store());
@@ -182,7 +185,7 @@ TEST(IndexFileTest, WarmStartFromMappedFile) {
   const auto want = engine.query(w.queries);
 
   const TempFile file("warmstart");
-  save_bfhrf_file(engine, file.path(), IndexFormat::Mapped);
+  save_bfhrf_file(engine, file.path());
   DynamicBfhIndex dynamic = DynamicBfhIndex::from_index_file(file.path());
   EXPECT_EQ(dynamic.stats().reference_trees, w.reference.size());
   const auto got = dynamic.query(w.queries);
@@ -197,6 +200,21 @@ TEST(IndexFileTest, WarmStartFromMappedFile) {
   for (std::size_t i = 0; i < w.queries.size(); ++i) {
     EXPECT_EQ(after[i], want[i]);
   }
+  // Build once, extend later: growing the loaded index by a second
+  // collection matches one build over both.
+  util::Rng rng(12);
+  const auto second = test::random_collection(w.taxa, 7, 3, rng);
+  Bfhrf full(w.taxa->size(), {.shards = 1});
+  full.build(w.reference);
+  full.build(second);
+  (void)dynamic.add_trees(second);
+  EXPECT_EQ(dynamic.stats().reference_trees,
+            w.reference.size() + second.size());
+  const auto extended = dynamic.query(w.queries);
+  const auto rebuilt = full.query(w.queries);
+  for (std::size_t i = 0; i < w.queries.size(); ++i) {
+    EXPECT_EQ(extended[i], rebuilt[i]);
+  }
 }
 
 TEST(IndexFileTest, RejectsForeignAndCorruptFiles) {
@@ -204,7 +222,7 @@ TEST(IndexFileTest, RejectsForeignAndCorruptFiles) {
   Bfhrf engine(w.taxa->size(), {.shards = 1});
   engine.build(w.reference);
   const TempFile file("corrupt");
-  save_bfhrf_file(engine, file.path(), IndexFormat::Mapped);
+  save_bfhrf_file(engine, file.path());
   const std::vector<char> good = file.bytes();
   ASSERT_GE(good.size(), sizeof(MappedHeader));
 
@@ -255,12 +273,56 @@ TEST(IndexFileTest, RejectsForeignAndCorruptFiles) {
     file.write_bytes(bad);
     EXPECT_THROW(MappedIndex{file.path()}, ParseError);
   }
-  // A v1 stream is not a mapped file; the mapped loader must refuse it
-  // (the sniffing load_bfhrf_file entry point handles both).
-  file.write_bytes(good);
-  save_bfhrf_file(engine, file.path(), IndexFormat::V1Stream);
-  EXPECT_THROW(MappedIndex{file.path()}, ParseError);
-  EXPECT_NO_THROW(load_bfhrf_file(file.path()));
+  MappedShardRecord record{};
+  std::memcpy(&record, good.data() + sizeof(MappedHeader), sizeof record);
+  {  // live slots address keys far outside the arena (segfaulted a query)
+    std::vector<char> bad = good;
+    for (std::uint64_t i = 0; i < record.slot_count; ++i) {
+      FrequencyHash::Slot slot{};
+      char* at = bad.data() + record.slots_offset + i * sizeof slot;
+      std::memcpy(&slot, at, sizeof slot);
+      if (slot.count != 0) {
+        slot.key_index = 0x7fffffff;
+        std::memcpy(at, &slot, sizeof slot);
+      }
+    }
+    file.write_bytes(bad);
+    EXPECT_THROW((void)load_bfhrf_file(file.path()).query(w.queries),
+                 ParseError);
+  }
+  {  // every ctrl byte FULL: no EMPTY byte ends a probe (hung a query)
+    std::vector<char> bad = good;
+    std::memset(bad.data() + record.ctrl_offset, 0x2a, record.slot_count);
+    file.write_bytes(bad);
+    EXPECT_THROW((void)load_bfhrf_file(file.path()).query(w.queries),
+                 ParseError);
+  }
+  {  // compressed slots whose encodings start at the arena's end
+    Bfhrf compressed(w.taxa->size(), {.compressed_keys = true});
+    compressed.build(w.reference);
+    save_bfhrf_file(compressed, file.path());
+    std::vector<char> bad = file.bytes();
+    MappedShardRecord r{};
+    std::memcpy(&r, bad.data() + sizeof(MappedHeader), sizeof r);
+    for (std::uint64_t i = 0; i < r.slot_count; ++i) {
+      CompressedFrequencyHash::Slot slot{};
+      char* at = bad.data() + r.slots_offset + i * sizeof slot;
+      std::memcpy(&slot, at, sizeof slot);
+      if (slot.count != 0) {
+        slot.offset = static_cast<std::uint32_t>(r.key_bytes);
+        std::memcpy(at, &slot, sizeof slot);
+      }
+    }
+    file.write_bytes(bad);
+    EXPECT_THROW(MappedIndex{file.path()}, ParseError);
+  }
+  {  // a retired "BFHv" stream is not an index file
+    std::vector<char> bad = good;
+    std::memcpy(bad.data(), "BFHv", 4);
+    file.write_bytes(bad);
+    EXPECT_THROW((void)load_bfhrf_file(file.path()), ParseError);
+  }
+  EXPECT_THROW((void)load_bfhrf_file("/nonexistent/x.bfh"), Error);
 }
 
 TEST(IndexFileTest, SavingAMappedEngineToMappedFormatThrows) {
@@ -268,40 +330,46 @@ TEST(IndexFileTest, SavingAMappedEngineToMappedFormatThrows) {
   Bfhrf engine(w.taxa->size(), {.shards = 1});
   engine.build(w.reference);
   const TempFile file("remap");
-  save_bfhrf_file(engine, file.path(), IndexFormat::Mapped);
+  save_bfhrf_file(engine, file.path());
   const Bfhrf mapped = load_bfhrf_file(file.path());
   const TempFile second("remap2");
-  // Its file already IS the mapped form; re-serializing the read-only
-  // store is an error, but the v1 stream (via for_each_key) still works.
-  EXPECT_THROW(save_bfhrf_file(mapped, second.path(), IndexFormat::Mapped),
+  // Its file already IS the saved form; re-serializing the read-only
+  // store is an error, as is saving an engine that was never built.
+  EXPECT_THROW(save_bfhrf_file(mapped, second.path()), InvalidArgument);
+  EXPECT_THROW(save_bfhrf_file(Bfhrf(w.taxa->size()), second.path()),
                InvalidArgument);
-  EXPECT_NO_THROW(
-      save_bfhrf_file(mapped, second.path(), IndexFormat::V1Stream));
-  const Bfhrf reparsed = load_bfhrf_file(second.path());
-  EXPECT_EQ(reparsed.stats().unique_bipartitions,
-            engine.stats().unique_bipartitions);
+  EXPECT_FALSE(std::filesystem::exists(second.path()));
 }
 
-TEST(IndexFileTest, MapAdviceDoesNotChangeContents) {
-  // madvise is purely a paging hint: every readahead policy must serve
-  // the same header and the same frequencies, bit for bit.
-  const BuiltEngine w = make_workload(20, 12, 4, 23);
-  Bfhrf engine(w.taxa->size(), {.shards = 2});
-  engine.build(w.reference);
-  const TempFile file("advice");
-  save_bfhrf_file(engine, file.path(), IndexFormat::Mapped);
+TEST(IndexFileTest, ResavingUnderALiveMappingKeepsItsAnswers) {
+  // Save A, map it, save a much smaller B over the same path, query the
+  // mapping. An in-place rewrite would truncate the mapped file (SIGBUS);
+  // the atomic save renames a new inode into place instead.
+  const BuiltEngine w = make_workload(26, 30, 8, 29);
+  Bfhrf a(w.taxa->size(), {.shards = 1});
+  a.build(w.reference);
+  Bfhrf b(w.taxa->size(), {.shards = 1});
+  b.build(std::span<const Tree>(w.reference).first(2));
+  const auto want_a = a.query(w.queries);
+  const auto want_b = b.query(w.queries);
 
-  const MappedFrequencyStore plain(file.path());
-  const MappedFrequencyStore willneed(file.path(), MapAdvice::WillNeed);
-  const MappedFrequencyStore sequential(file.path(), MapAdvice::Sequential);
-  for (const MappedFrequencyStore* s : {&willneed, &sequential}) {
-    EXPECT_EQ(s->unique_count(), plain.unique_count());
-    EXPECT_EQ(s->total_count(), plain.total_count());
-    EXPECT_EQ(s->shard_count(), plain.shard_count());
-    EXPECT_EQ(s->reference_trees(), plain.reference_trees());
-    plain.for_each_key([&](util::ConstWordSpan key, std::uint32_t count) {
-      EXPECT_EQ(s->frequency(key), count);
-    });
+  const TempFile file("resave");
+  save_bfhrf_file(a, file.path());
+  const Bfhrf live = load_bfhrf_file(file.path());
+  save_bfhrf_file(b, file.path());
+  const auto got = live.query(w.queries);
+  const auto reopened = load_bfhrf_file(file.path()).query(w.queries);
+  for (std::size_t i = 0; i < w.queries.size(); ++i) {
+    EXPECT_EQ(got[i], want_a[i]) << "query " << i;
+    EXPECT_EQ(reopened[i], want_b[i]) << "query " << i;
+  }
+  // Both temp files were renamed into place; none is left behind.
+  const std::string prefix =
+      std::filesystem::path(file.path()).filename().string() + ".tmp.";
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(file.path()).parent_path())) {
+    EXPECT_NE(entry.path().filename().string().rfind(prefix, 0), 0u)
+        << entry.path();
   }
 }
 
@@ -310,7 +378,7 @@ TEST(IndexFileTest, MappedStoreIsReadOnly) {
   Bfhrf engine(w.taxa->size(), {.shards = 1});
   engine.build(w.reference);
   const TempFile file("readonly");
-  save_bfhrf_file(engine, file.path(), IndexFormat::Mapped);
+  save_bfhrf_file(engine, file.path());
   Bfhrf mapped = load_bfhrf_file(file.path());
   // Mutating a mapped engine (e.g. building more trees into it) throws.
   EXPECT_THROW(mapped.build(std::span<const Tree>(w.reference)), Error);

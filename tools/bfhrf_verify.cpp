@@ -75,8 +75,8 @@ void usage(const char* argv0) {
       "                    rebuild (raw and compressed stores); --threads'\n"
       "                    largest count drives concurrent probe readers\n"
       "  --persist         run the sharding/persistence oracle: sharded\n"
-      "                    builds, v1-stream and mapped (mmap) index round\n"
-      "                    trips, and warm starts are cross-checked\n"
+      "                    builds, mapped (mmap) index round trips, and\n"
+      "                    warm starts are cross-checked\n"
       "                    bit-for-bit against the single-table engine;\n"
       "                    mapped files are scanned for persisted\n"
       "                    tombstones\n"
