@@ -1,9 +1,9 @@
 // Ablation A7: the pipelined streaming engine across thread counts.
 //
 // Every build and query runs through one pipeline: the calling thread
-// parses and feeds a bounded queue while workers extract, hash and (for
-// the sharded store) route keys continuously — an inline zero-sync loop on
-// 1-core hosts, where overlap is impossible. This bench streams the same file
+// frames Newick records and queues them in batches while workers parse,
+// extract, hash and (for the sharded store) route keys continuously — an
+// inline zero-sync loop on 1-core hosts, where overlap is impossible. This bench streams the same file
 // through it at 1..8 threads and reports build+query wall time per thread
 // count, the speedup over 1 thread, and bitwise equality of every run's
 // outputs with pipelined/t1 (classic RF is integer-valued, so ANY

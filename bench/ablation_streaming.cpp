@@ -7,8 +7,9 @@
 // queue, so the claim is achievable; this bench measures it:
 //
 //   in-memory path : all r trees resident + the hash
-//   streaming path : <= queue capacity + one tree per worker resident
-//                    (Bfhrf::max_resident_trees) + the hash
+//   streaming path : <= the queued batches, one batch per worker and the
+//                    producer's, 16 trees each, plus one parse tree per
+//                    worker (Bfhrf::max_resident_trees) + the hash
 //
 // Reported: exact resident bytes (trees + engine) for both paths, plus
 // process RSS deltas as corroboration (streaming runs first, while the
@@ -89,9 +90,10 @@ void run_streaming(benchmark::State& state) {
     const auto avg = engine.query(reference);
     g_stream.seconds = timer.seconds();
     g_stream.engine_bytes = engine.stats().hash_memory_bytes;
-    // Residency bound: the trees the pipeline can hold at once (queue
-    // capacity + one per worker + the producer's), each a Tree arena of
-    // ~2n nodes.
+    // Residency bound: the trees the pipeline can hold at once (queued
+    // batches + one batch per worker + the producer's, 16 trees each, and
+    // each worker's parse tree), each counted as a Tree arena of ~2n nodes.
+    // Newick records queue as text, about a tenth of that.
     g_stream.tree_bytes = engine.max_resident_trees() * 2 * kTaxa *
                           sizeof(phylo::Tree::Node);
     g_stream.rss_peak = util::peak_rss_bytes();

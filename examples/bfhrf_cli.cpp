@@ -14,13 +14,17 @@
 //             [--matrix [--matrix-engine auto|legacy|dense|sparse]]
 //
 // With no -q, the reference collection is scored against itself (Q is R,
-// the paper's experimental setting). Input files may be Newick (streamed),
-// NEXUS (detected by the #NEXUS header; loaded via the TREES block), or a
-// phylo2vec .p2v corpus (detected by extension or the P2V1 magic; streamed
-// with bipartitions extracted directly from the vector rows — no Newick
-// parse, no Tree). --emit-vector converts the reference collection to a
-// .p2v corpus and exits. Output: one line per query tree,
-// "<index>\t<avg RF>".
+// the paper's experimental setting). --load-index takes the hash from a
+// saved index instead of building it, and needs both -q and -r: an index
+// stores no taxon labels, so the namespace (the label-to-bit order) comes
+// from the reference file, exactly as a build over it assigns it.
+//
+// Input files may be Newick (streamed), NEXUS (detected by the #NEXUS
+// header; loaded via the TREES block), or a phylo2vec .p2v corpus
+// (detected by extension or the P2V1 magic; streamed with bipartitions
+// extracted directly from the vector rows — no Newick parse, no Tree).
+// --emit-vector converts the reference collection to a .p2v corpus and
+// exits. Output: one line per query tree, "<index>\t<avg RF>".
 //
 // --matrix switches to the exact all-pairs product instead: the full RF
 // matrix of the reference collection (core/all_pairs bit-matrix engines)
@@ -197,6 +201,59 @@ std::vector<bfhrf::phylo::Tree> load_trees(const std::string& path,
   return trees;
 }
 
+/// The reference collection, opened for a build: one of the three forms
+/// is set, by file format.
+struct Reference {
+  std::unique_ptr<bfhrf::core::P2vFileSource> rows;     // .p2v
+  std::unique_ptr<bfhrf::core::FileTreeSource> stream;  // Newick
+  std::vector<bfhrf::phylo::Tree> trees;                // NEXUS
+};
+
+/// Open -r and fix the taxon namespace from it, then freeze it so a stray
+/// taxon in Q is a clean error rather than a silent widening. Newick files
+/// get a discovery pass (the engine needs the universe width up front,
+/// and its workers parse against the namespace without growing it) and
+/// are rewound for streaming; NEXUS files are loaded via their TREES
+/// block; a .p2v header fixes the namespace itself.
+Reference open_reference(const std::string& path, TreeFormat format,
+                         bfhrf::phylo::TaxonSetPtr& taxa) {
+  namespace core = bfhrf::core;
+  namespace phylo = bfhrf::phylo;
+  Reference ref;
+  if (format == TreeFormat::Vector) {
+    ref.rows = std::make_unique<core::P2vFileSource>(path);
+    taxa = p2v_taxa(ref.rows->header());
+  } else if (format == TreeFormat::Nexus) {
+    ref.trees = std::move(phylo::read_nexus_file(path, taxa).trees);
+  } else {
+    ref.stream = std::make_unique<core::FileTreeSource>(path, taxa);
+    phylo::Tree t;
+    while (ref.stream->next(t)) {
+    }
+    ref.stream->reset();
+  }
+  taxa->freeze();
+  return ref;
+}
+
+/// Run the -q file through `engine` over the reference namespace.
+std::vector<double> query_file(const bfhrf::core::Bfhrf& engine,
+                               const std::string& path, TreeFormat format,
+                               const bfhrf::phylo::TaxonSetPtr& taxa) {
+  namespace core = bfhrf::core;
+  if (format == TreeFormat::Vector) {
+    core::P2vFileSource queries(path);
+    check_p2v_labels(queries.header(), *taxa);
+    return engine.query(queries);  // direct extraction; width-checked
+  }
+  if (format == TreeFormat::Nexus) {
+    const auto data = bfhrf::phylo::read_nexus_file(path, taxa);
+    return engine.query(data.trees);
+  }
+  core::FileTreeSource queries(path, taxa);
+  return engine.query(queries);
+}
+
 void usage(const char* argv0) {
   std::fprintf(
       stderr,
@@ -211,6 +268,8 @@ void usage(const char* argv0) {
       "Average Robinson-Foulds distance of each query tree against the\n"
       "reference collection, via a bipartition frequency hash (BFHRF).\n"
       "With no -q the reference collection is compared against itself.\n"
+      "--load-index FILE queries a saved index instead of building one; it\n"
+      "needs -q and -r (the reference file fixes the taxon namespace).\n"
       "Inputs may be Newick, NEXUS, or phylo2vec .p2v corpora (vector rows\n"
       "stream straight into bipartition extraction — no Newick parse).\n"
       "--emit-vector converts the reference collection to a .p2v corpus\n"
@@ -270,9 +329,13 @@ CliOptions parse_args(int argc, char** argv) {
       throw bfhrf::InvalidArgument("unknown argument '" + arg + "'");
     }
   }
-  if (o.reference_path.empty() && o.load_index.empty()) {
+  if (o.reference_path.empty()) {
     usage(argv[0]);
-    throw bfhrf::InvalidArgument("missing -r reference file (or --load-index)");
+    throw bfhrf::InvalidArgument(
+        o.load_index.empty()
+            ? "missing -r reference file"
+            : "--load-index requires -r (an index stores no taxon labels; "
+              "the reference file fixes the namespace it was built over)");
   }
   if (!o.load_index.empty() && o.query_path.empty()) {
     throw bfhrf::InvalidArgument("--load-index requires -q (the reference "
@@ -352,31 +415,17 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // Phase 1: ingest R and build the frequency hash. Newick files are
-    // streamed (a first pass discovers the taxon namespace, which the
-    // engine needs up front); NEXUS files are loaded via their TREES
-    // block. The namespace is then frozen so a stray taxon in Q is a clean
-    // error rather than a silent widening.
-    std::vector<phylo::Tree> ref_trees;  // NEXUS path only
-    std::unique_ptr<core::FileTreeSource> ref_stream;
+    // Phase 1: fix the namespace from R, then build the frequency hash
+    // from R or load it from a saved index built over the same R.
+    const TreeFormat ref_format =
+        resolve_format(cli.reference_path, cli.input_format);
+    Reference ref = open_reference(cli.reference_path, ref_format, taxa);
     if (!cli.load_index.empty()) {
-      // Build-once / query-many: the reference hash comes off disk. The
-      // taxon namespace is rebuilt from the query file (widths checked by
-      // the engine).
-      core::Bfhrf engine = core::load_bfhrf_file(cli.load_index, opts);
+      const core::Bfhrf engine = core::load_bfhrf_file(cli.load_index, opts);
       util::WallTimer qtimer;
-      std::vector<double> avg_rf;
-      const TreeFormat qfmt = resolve_format(cli.query_path, cli.input_format);
-      if (qfmt == TreeFormat::Vector) {
-        core::P2vFileSource queries(cli.query_path);
-        avg_rf = engine.query(queries);  // direct extraction; width-checked
-      } else if (qfmt == TreeFormat::Nexus) {
-        const auto data = phylo::read_nexus_file(cli.query_path, taxa);
-        avg_rf = engine.query(data.trees);
-      } else {
-        core::FileTreeSource queries(cli.query_path, taxa);
-        avg_rf = engine.query(queries);
-      }
+      const std::vector<double> avg_rf = query_file(
+          engine, cli.query_path,
+          resolve_format(cli.query_path, cli.input_format), taxa);
       for (std::size_t i = 0; i < avg_rf.size(); ++i) {
         std::printf("%zu\t%.6f\n", i, avg_rf[i]);
       }
@@ -390,34 +439,14 @@ int main(int argc, char** argv) {
       }
       return 0;
     }
-    std::unique_ptr<core::P2vFileSource> ref_rows;  // vector path only
-    const TreeFormat ref_format =
-        resolve_format(cli.reference_path, cli.input_format);
-    if (ref_format == TreeFormat::Vector) {
-      // .p2v corpora skip taxon discovery entirely: the header fixes the
-      // namespace, and rows stream straight into direct extraction.
-      ref_rows = std::make_unique<core::P2vFileSource>(cli.reference_path);
-      taxa = p2v_taxa(ref_rows->header());
-    } else if (ref_format == TreeFormat::Nexus) {
-      ref_trees =
-          std::move(phylo::read_nexus_file(cli.reference_path, taxa).trees);
-    } else {
-      ref_stream =
-          std::make_unique<core::FileTreeSource>(cli.reference_path, taxa);
-      phylo::Tree t;
-      while (ref_stream->next(t)) {
-      }
-      ref_stream->reset();
-    }
-    taxa->freeze();
 
     core::Bfhrf engine(taxa->size(), opts);
-    if (ref_rows) {
-      engine.build(*ref_rows);
-    } else if (ref_stream) {
-      engine.build(*ref_stream);
+    if (ref.rows) {
+      engine.build(*ref.rows);
+    } else if (ref.stream) {
+      engine.build(*ref.stream);
     } else {
-      engine.build(ref_trees);
+      engine.build(ref.trees);
     }
     const double build_seconds = timer.seconds();
     if (!cli.save_index.empty()) {
@@ -428,29 +457,18 @@ int main(int argc, char** argv) {
     // Phase 2: run Q (or R again) through the hash.
     timer.restart();
     std::vector<double> avg_rf;
-    if (cli.query_path.empty()) {
-      if (ref_rows) {
-        ref_rows->reset();
-        avg_rf = engine.query(*ref_rows);
-      } else if (ref_stream) {
-        ref_stream->reset();
-        avg_rf = engine.query(*ref_stream);
-      } else {
-        avg_rf = engine.query(ref_trees);
-      }
+    if (!cli.query_path.empty()) {
+      avg_rf = query_file(engine, cli.query_path,
+                          resolve_format(cli.query_path, cli.input_format),
+                          taxa);
+    } else if (ref.rows) {
+      ref.rows->reset();
+      avg_rf = engine.query(*ref.rows);
+    } else if (ref.stream) {
+      ref.stream->reset();
+      avg_rf = engine.query(*ref.stream);
     } else {
-      const TreeFormat qfmt = resolve_format(cli.query_path, cli.input_format);
-      if (qfmt == TreeFormat::Vector) {
-        core::P2vFileSource queries(cli.query_path);
-        check_p2v_labels(queries.header(), *taxa);
-        avg_rf = engine.query(queries);
-      } else if (qfmt == TreeFormat::Nexus) {
-        const auto data = phylo::read_nexus_file(cli.query_path, taxa);
-        avg_rf = engine.query(data.trees);
-      } else {
-        core::FileTreeSource queries(cli.query_path, taxa);
-        avg_rf = engine.query(queries);
-      }
+      avg_rf = engine.query(ref.trees);
     }
     const double query_seconds = timer.seconds();
 

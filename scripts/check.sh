@@ -4,6 +4,8 @@
 #      + the delta-vs-rebuild dynamic-index oracle + the sharding/
 #      persistence oracle + the serve daemon loopback smoke + a CLI walk
 #      that builds a sharded index, saves it, and reloads it zero-copy
+#      (also over a query file with its taxa in another order), and a
+#      streamed CLI run at 4 threads diffed against 1 thread
 #   2. TSan build, concurrency-sensitive labels only (parallel, obs,
 #      serve, codec) + bfhrf_verify differential run + the dynamic oracle
 #      with
@@ -124,13 +126,41 @@ run serve_smoke ./build-asan
 # presets build without examples (BFHRF_BUILD_EXAMPLES=OFF), so this
 # uses the default tree — the mmap + asan interaction itself is covered
 # by the --persist oracle above, which maps index files under ASan.
+# --load-index takes the taxon namespace from -r (an index stores no
+# labels), so it must also answer a query file that lists the taxa in
+# another order exactly as a direct run does.
 echo
 echo "=== bfhrf_cli sharded build -> index save -> mmap reload ==="
 ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -t 2 --shards 4 \
   --save-index "${PERSIST_DIR}/ref.bfhmap" > "${PERSIST_DIR}/direct.tsv"
-./build/examples/bfhrf_cli --load-index "${PERSIST_DIR}/ref.bfhmap" \
+./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" \
+  --load-index "${PERSIST_DIR}/ref.bfhmap" \
   -q "${SERVE_DIR}/ref.nwk" > "${PERSIST_DIR}/mapped.tsv"
 run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/mapped.tsv"
+
+echo
+echo "=== bfhrf_cli --load-index with the query taxa in another order ==="
+printf '%s\n' '((A,B),(C,D),(E,F));' '((A,C),(B,D),(E,F));' \
+  '((A,B),(C,E),(D,F));' > "${PERSIST_DIR}/order_ref.nwk"
+printf '%s\n' '((E,A),(B,C),(D,F));' '((A,C),(B,D),(E,F));' \
+  > "${PERSIST_DIR}/order_q.nwk"
+./build/examples/bfhrf_cli -r "${PERSIST_DIR}/order_ref.nwk" \
+  -q "${PERSIST_DIR}/order_q.nwk" \
+  --save-index "${PERSIST_DIR}/order.bfhmap" > "${PERSIST_DIR}/order_direct.tsv"
+./build/examples/bfhrf_cli -r "${PERSIST_DIR}/order_ref.nwk" \
+  --load-index "${PERSIST_DIR}/order.bfhmap" \
+  -q "${PERSIST_DIR}/order_q.nwk" > "${PERSIST_DIR}/order_mapped.tsv"
+run diff "${PERSIST_DIR}/order_direct.tsv" "${PERSIST_DIR}/order_mapped.tsv"
+
+# Streamed Newick ingest parses on the workers; answers must not depend on
+# the thread count, byte for byte.
+echo
+echo "=== bfhrf_cli streamed -t 4 vs -t 1 ==="
+./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -q "${SERVE_DIR}/q.nwk" \
+  -t 1 > "${PERSIST_DIR}/t1.tsv"
+./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -q "${SERVE_DIR}/q.nwk" \
+  -t 4 > "${PERSIST_DIR}/t4.tsv"
+run diff "${PERSIST_DIR}/t1.tsv" "${PERSIST_DIR}/t4.tsv"
 
 run cmake --preset tsan
 run cmake --build --preset tsan -j "$(nproc)"

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "core/compressed_hash.hpp"
@@ -96,10 +98,20 @@ std::vector<double> in_stream_order(const LaneValues& lanes, std::size_t n) {
   return out;
 }
 
-/// Bounded-queue capacity of the ingest pipeline.
-std::size_t queue_capacity(std::size_t workers) {
-  return std::max<std::size_t>(4 * workers, 16);
-}
+/// Bounded-queue capacity of the ingest pipeline, in queue items (batches
+/// of up to kBatchItems stream items, or span index ranges): two batches
+/// of work per worker keep every worker fed while bounding residency.
+std::size_t queue_capacity(std::size_t workers) { return 2 * workers; }
+
+/// Stream items per queue item. One queue hop per tree cost more than a
+/// small tree's own work: in-memory queries at n=48 and n=144 ran 1.6-2.3x
+/// slower with 4 workers on a 4-core host, and a streamed 4,000-tree query
+/// woke a consumer about 4,040 times.
+constexpr std::size_t kBatchItems = 16;
+
+/// A Newick text batch also closes once it holds this many bytes, so wide
+/// trees do not multiply the text a stream keeps resident.
+constexpr std::size_t kBatchTextBytes = 64 * 1024;
 
 using Drain = std::function<void(std::size_t)>;
 
@@ -109,30 +121,78 @@ using Drain = std::function<void(std::size_t)>;
 // every item, then drain(lane) on each worker once every consume has
 // returned (an empty drain is skipped). It returns the item count.
 
-/// Streams: the producer parses or decodes one item at a time and tags it
-/// with its stream index.
+/// Consecutive stream items queued as one; `first` is the stream index of
+/// items[0].
+template <typename Item>
+struct Batch {
+  std::size_t first = 0;
+  std::vector<Item> items;
+};
+
+/// A worker's parse target, a cache line apart from its neighbours': every
+/// node a parse appends writes the tree's vector header.
+struct alignas(64) ParseTree {
+  phylo::Tree tree;
+};
+
+/// Text bytes an item adds to its batch: Newick records count, parsed
+/// trees and vector rows do not.
+std::size_t text_bytes(const std::string& record) { return record.size(); }
+template <typename Item>
+std::size_t text_bytes(const Item& /*item*/) {
+  return 0;
+}
+
+/// Streams: the producer pulls items with next(item) and queues them in
+/// batches of up to kBatchItems (text batches also close at
+/// kBatchTextBytes). An item is a Newick record (std::string), a parsed
+/// Tree or a TreeVector row. Records are only framed on the producer;
+/// each worker parses them with `records` into its own reused Tree, so
+/// parsing runs on every worker instead of on the one producer thread.
 template <typename Item, typename Next>
-auto stream_scheduler(Next next) {
-  return [next = std::move(next)](std::size_t workers, const auto& consume,
-                                  const Drain& drain) mutable {
-    struct Tagged {
-      Item item{};
-      std::size_t index = 0;
-    };
+auto stream_scheduler(Next next, const FileTreeSource* records = nullptr) {
+  return [next = std::move(next), records](
+             std::size_t workers, const auto& consume,
+             const Drain& drain) mutable {
+    constexpr bool kText = std::is_same_v<Item, std::string>;
+    std::vector<ParseTree> parsed(kText ? std::max<std::size_t>(1, workers)
+                                        : 0);
     std::size_t seen = 0;
-    parallel::pipeline_run<Tagged>(
+    parallel::pipeline_run<Batch<Item>>(
         workers, queue_capacity(workers),
-        [&](const parallel::PipelineEmit<Tagged>& emit) {
-          Tagged tagged;
-          while (next(tagged.item)) {
-            tagged.index = seen++;
-            if (!emit(std::move(tagged))) {
-              break;  // pipeline aborted; the failure rethrows after join
+        [&](const parallel::PipelineEmit<Batch<Item>>& emit) {
+          bool more = true;
+          while (more) {
+            Batch<Item> batch{.first = seen, .items = {}};
+            batch.items.reserve(kBatchItems);
+            std::size_t bytes = 0;
+            while (batch.items.size() < kBatchItems &&
+                   bytes < kBatchTextBytes) {
+              Item& item = batch.items.emplace_back();
+              if (!next(item)) {
+                batch.items.pop_back();
+                more = false;
+                break;
+              }
+              bytes += text_bytes(item);
+            }
+            seen += batch.items.size();
+            if (batch.items.empty() || !emit(std::move(batch))) {
+              break;  // end of stream, or the pipeline aborted (the
+                      // failure rethrows after join)
             }
           }
         },
-        [&](std::size_t rank, Tagged& tagged) {
-          consume(rank, tagged.index, tagged.item);
+        [&](std::size_t rank, Batch<Item>& batch) {
+          for (std::size_t i = 0; i < batch.items.size(); ++i) {
+            if constexpr (kText) {
+              phylo::Tree& tree = parsed[rank].tree;
+              records->parse_record(batch.items[i], tree);
+              consume(rank, batch.first + i, tree);
+            } else {
+              consume(rank, batch.first + i, batch.items[i]);
+            }
+          }
         },
         drain);
     return seen;
@@ -140,13 +200,10 @@ auto stream_scheduler(Next next) {
 }
 
 /// In-memory spans: the items are pointers into the span (no tree is
-/// copied), queued as index ranges of kSpanChunk trees. One queue hop per
-/// tree cost more than a small tree's own work: in-memory queries at n=48
-/// and n=144 ran 1.6-2.3x slower with 4 workers on a 4-core host.
+/// copied), queued as index ranges of kBatchItems trees.
 auto span_scheduler(std::span<const phylo::Tree> trees) {
   return [trees](std::size_t workers, const auto& consume,
                  const Drain& drain) {
-    constexpr std::size_t kSpanChunk = 16;
     struct Range {
       std::size_t begin = 0;
       std::size_t end = 0;
@@ -154,8 +211,8 @@ auto span_scheduler(std::span<const phylo::Tree> trees) {
     parallel::pipeline_run<Range>(
         workers, queue_capacity(workers),
         [&](const parallel::PipelineEmit<Range>& emit) {
-          for (std::size_t b = 0; b < trees.size(); b += kSpanChunk) {
-            if (!emit({b, std::min(trees.size(), b + kSpanChunk)})) {
+          for (std::size_t b = 0; b < trees.size(); b += kBatchItems) {
+            if (!emit({b, std::min(trees.size(), b + kBatchItems)})) {
               break;  // pipeline aborted; the failure rethrows after join
             }
           }
@@ -174,6 +231,20 @@ void check_width(const VectorSource& source, std::size_t n_bits) {
   if (source.n_taxa() != n_bits) {
     throw InvalidArgument("Bfhrf: vector source universe width mismatch");
   }
+}
+
+/// A Newick file streams as record text that the workers parse against
+/// the source's namespace as it stands, so that namespace must already
+/// span the engine's universe.
+auto record_scheduler(FileTreeSource& file, std::size_t n_bits) {
+  if (file.taxa()->size() != n_bits) {
+    throw InvalidArgument("Bfhrf: Newick source namespace has " +
+                          std::to_string(file.taxa()->size()) +
+                          " taxa but the engine's universe is " +
+                          std::to_string(n_bits) + " wide");
+  }
+  return stream_scheduler<std::string>(
+      [&file](std::string& out) { return file.next_record(out); }, &file);
 }
 
 }  // namespace
@@ -245,7 +316,9 @@ std::size_t Bfhrf::pipeline_workers() const noexcept {
 
 std::size_t Bfhrf::max_resident_trees() const noexcept {
   const std::size_t workers = pipeline_workers();
-  return workers == 0 ? 1 : queue_capacity(workers) + workers + 1;
+  const std::size_t batches =
+      workers == 0 ? 1 : queue_capacity(workers) + workers + 1;
+  return batches * kBatchItems + std::max<std::size_t>(1, workers);
 }
 
 const phylo::BipartitionSet& Bfhrf::extract(const phylo::Tree& tree,
@@ -504,6 +577,10 @@ void Bfhrf::build(std::span<const phylo::Tree> reference) {
 }
 
 void Bfhrf::build(TreeSource& reference) {
+  if (auto* file = dynamic_cast<FileTreeSource*>(&reference)) {
+    build_from(record_scheduler(*file, n_bits_), file->size_hint());
+    return;
+  }
   build_from(stream_scheduler<phylo::Tree>(
                  [&](phylo::Tree& out) { return reference.next(out); }),
              reference.size_hint());
@@ -600,6 +677,9 @@ std::vector<double> Bfhrf::query(
 }
 
 std::vector<double> Bfhrf::query(TreeSource& queries) const {
+  if (auto* file = dynamic_cast<FileTreeSource*>(&queries)) {
+    return query_from(record_scheduler(*file, n_bits_), file->size_hint());
+  }
   return query_from(stream_scheduler<phylo::Tree>(
                         [&](phylo::Tree& out) { return queries.next(out); }),
                     queries.size_hint());

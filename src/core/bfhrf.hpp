@@ -105,14 +105,19 @@ class Bfhrf {
   // --- Phase 1: build BFH_R -----------------------------------------------
   //
   // All three overloads share one code path on one pipeline; they differ in
-  // the payload (a pointer into the span, a parsed Tree, a phylo2vec row)
-  // and in what the producer queues (spans queue index ranges). Builds
-  // accumulate: a second build() adds to the first.
+  // the payload (a pointer into the span, a Tree, a phylo2vec row) and in
+  // what the producer queues (spans queue index ranges; streams queue
+  // batches of trees, rows, or Newick record text that the workers parse).
+  // Builds accumulate: a second build() adds to the first.
 
   /// Build from an in-memory collection (parallel, zero-copy).
   void build(std::span<const phylo::Tree> reference);
 
-  /// Build from a stream; at most max_resident_trees() trees resident.
+  /// Build from a stream; at most max_resident_trees() trees resident. A
+  /// FileTreeSource's records are framed on the calling thread and parsed
+  /// on the workers against its namespace, which must already be
+  /// `n_bits` wide (InvalidArgument otherwise, before any record is
+  /// read) and is never written: an unknown label throws InvalidArgument.
   void build(TreeSource& reference);
 
   /// Build from a phylo2vec row stream (e.g. a .p2v corpus): bipartitions
@@ -127,7 +132,8 @@ class Bfhrf {
   [[nodiscard]] std::vector<double> query(
       std::span<const phylo::Tree> queries) const;
 
-  /// Streaming query; results are in stream order.
+  /// Streaming query; results are in stream order. FileTreeSource input
+  /// is framed, parsed and checked as in build(TreeSource&).
   [[nodiscard]] std::vector<double> query(TreeSource& queries) const;
 
   /// Streaming query over phylo2vec rows (direct extraction, stream order).
@@ -145,9 +151,10 @@ class Bfhrf {
   [[nodiscard]] BfhrfStats stats() const;
   [[nodiscard]] const BfhrfOptions& options() const noexcept { return opts_; }
 
-  /// Most trees (or rows) a streamed build or query holds at once: the
-  /// bounded queue, one item in flight per worker, and the one the
-  /// producer is filling.
+  /// Most trees (Newick records, or rows) a streamed build or query holds
+  /// at once, counted in batches of up to 16: the bounded queue's batches,
+  /// one in flight per worker and the one the producer is filling, plus
+  /// the one Tree each worker parses Newick records into.
   [[nodiscard]] std::size_t max_resident_trees() const noexcept;
 
  private:
@@ -220,9 +227,9 @@ class Bfhrf {
                                           WorkerScratch& scratch) const;
 
   /// The one build path and the one query path. `schedule` feeds
-  /// them the payload — a pointer into an in-memory span, a parsed Tree,
-  /// or a TreeVector row — through parallel::pipeline_run; `hint` is the
-  /// input's size if known.
+  /// them the payload — a pointer into an in-memory span, a Tree (streamed,
+  /// or parsed by the worker from a Newick record), or a TreeVector row —
+  /// through parallel::pipeline_run; `hint` is the input's size if known.
   template <typename Schedule>
   void build_from(Schedule schedule, std::optional<std::size_t> hint);
   template <typename Schedule>

@@ -31,6 +31,15 @@ bool FileTreeSource::next(phylo::Tree& out) {
 
 void FileTreeSource::reset() { open(); }
 
+bool FileTreeSource::next_record(std::string& out) {
+  return reader_->next_record(out);
+}
+
+void FileTreeSource::parse_record(std::string_view record,
+                                  phylo::Tree& out) const {
+  phylo::parse_newick_into(record, taxa_, out, opts_);
+}
+
 std::optional<std::size_t> FileTreeSource::size_hint() const {
   if (!cached_hint_) {
     // One buffered pass over a separate descriptor (the streaming reader's

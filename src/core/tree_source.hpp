@@ -12,6 +12,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "phylo/newick.hpp"
 #include "phylo/tree.hpp"
@@ -63,6 +64,12 @@ class SpanTreeSource final : public TreeSource {
 };
 
 /// Streams trees from a Newick file; holds one parsed tree at a time.
+///
+/// next() frames and parses on the calling thread and grows a non-frozen
+/// namespace, like NewickReader::next. The engine (core/bfhrf) splits the
+/// two steps instead: its producer only frames records (next_record) and
+/// its workers parse them (parse_record) against the namespace as it
+/// stands, which they never write.
 class FileTreeSource final : public TreeSource {
  public:
   FileTreeSource(std::string path, phylo::TaxonSetPtr taxa,
@@ -77,6 +84,19 @@ class FileTreeSource final : public TreeSource {
   /// appears inside quoted labels or [comments] — acceptable for the
   /// reserve/pre-size consumers a hint feeds.
   [[nodiscard]] std::optional<std::size_t> size_hint() const override;
+
+  /// Frame the next record's text into `out` without parsing it
+  /// (NewickReader::next_record); false at end of stream.
+  bool next_record(std::string& out);
+
+  /// Parse one framed record into `out` over the source's namespace
+  /// without writing it (phylo::parse_newick_into): an unknown label
+  /// throws InvalidArgument. Safe to call from several threads at once.
+  void parse_record(std::string_view record, phylo::Tree& out) const;
+
+  [[nodiscard]] const phylo::TaxonSetPtr& taxa() const noexcept {
+    return taxa_;
+  }
 
  private:
   void open();

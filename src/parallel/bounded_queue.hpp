@@ -1,11 +1,11 @@
 // BoundedQueue: a bounded, blocking multi-producer/multi-consumer queue.
 //
-// The streaming engines (src/core/bfhrf) used to alternate a single-threaded
-// parse burst with a barrier-synchronized worker burst, leaving workers idle
-// for the entire parse of every batch. This queue is the coupling device of
-// the replacement producer/consumer pipeline (parallel/pipeline.hpp): the
-// parser thread pushes trees continuously while workers pop and process, so
-// parse and hash work overlap instead of alternating.
+// The coupling device of the producer/consumer pipeline
+// (parallel/pipeline.hpp) the streaming engines (src/core/bfhrf) run on:
+// the producer thread pushes batches of stream items (Newick record text,
+// trees or phylo2vec rows) continuously while workers pop, parse and
+// process them, so reading the input and the per-tree work overlap instead
+// of alternating.
 //
 // Semantics:
 //  * push() blocks while the queue is full; returns false once the queue is

@@ -2,11 +2,13 @@
 //
 // pipeline_run() is the structured driver the streaming engines use: the
 // CALLING thread is the producer (it owns the non-thread-safe input, e.g. a
-// NewickReader), `consumers` worker threads drain the queue concurrently.
-// Compared with the fill-then-barrier batch loop it replaces, the producer
-// never waits for a batch to finish and consumers never wait for a parse
-// burst — the bounded queue is the only coupling, so parse and hash work
-// overlap and the queue depth gauge shows which side is the bottleneck.
+// file being framed into Newick records), `consumers` worker threads drain
+// the queue concurrently. The producer never waits for an item to finish
+// and consumers never wait for a read burst — the bounded queue is the
+// only coupling, so input and per-item work (for BFHRF: parsing,
+// extraction and hashing, on every worker) overlap, and the queue depth
+// gauge shows which side is the bottleneck. Callers queue batches of
+// items, so a wake-up is paid per batch rather than per item.
 //
 // Error protocol:
 //  * a consumer exception aborts the queue — the producer's next emit()

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <sstream>
@@ -12,9 +13,30 @@
 namespace bfhrf::phylo {
 namespace {
 
-// Streaming-reader throughput: records yielded and bytes consumed.
+// Streaming-reader throughput: records framed and their bytes.
 const obs::Counter g_newick_trees = obs::counter("phylo.newick.trees");
 const obs::Counter g_newick_bytes = obs::counter("phylo.newick.bytes");
+
+/// NewickReader's read-ahead block.
+constexpr std::size_t kBlockBytes = 64 * 1024;
+
+/// Index of the first ';', '\'' or '[' in text[from, to), or `to`: outside
+/// quotes and comments, the only bytes the framer must look at.
+std::size_t next_special(const char* text, std::size_t from, std::size_t to) {
+  const auto find = [&](char c, std::size_t limit) {
+    const void* hit = std::memchr(text + from, c, limit - from);
+    return hit == nullptr
+               ? limit
+               : static_cast<std::size_t>(static_cast<const char*>(hit) - text);
+  };
+  return find('[', find('\'', find(';', to)));
+}
+
+/// The "C" locale's std::isspace set, without the locale lookup.
+constexpr bool is_space(char c) noexcept {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' ||
+         c == '\f';
+}
 
 /// Character-level cursor with comment and whitespace skipping.
 class Cursor {
@@ -51,15 +73,17 @@ class Cursor {
                      ": " + msg);
   }
 
-  /// Parse a (possibly quoted) label. Returns empty for no label.
-  std::string label() {
+  /// Parse a (possibly quoted) label. Returns empty for no label. The view
+  /// points into the text, or for a quoted label into the cursor's own
+  /// buffer, and is valid until the next label() call.
+  std::string_view label() {
     skip();
     if (pos_ >= text_.size()) {
       return {};
     }
     if (text_[pos_] == '\'') {
       ++pos_;
-      std::string out;
+      quoted_.clear();
       while (true) {
         if (pos_ >= text_.size()) {
           fail("unterminated quoted label");
@@ -67,28 +91,26 @@ class Cursor {
         const char c = text_[pos_++];
         if (c == '\'') {
           if (pos_ < text_.size() && text_[pos_] == '\'') {
-            out.push_back('\'');  // '' escapes a quote
+            quoted_.push_back('\'');  // '' escapes a quote
             ++pos_;
           } else {
-            return out;
+            return quoted_;
           }
         } else {
-          out.push_back(c);
+          quoted_.push_back(c);
         }
       }
     }
-    std::string out;
+    const std::size_t begin = pos_;
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
       if (c == '(' || c == ')' || c == ',' || c == ':' || c == ';' ||
-          c == '[' ||
-          std::isspace(static_cast<unsigned char>(c)) != 0) {
+          c == '[' || is_space(c)) {
         break;
       }
-      out.push_back(c);
       ++pos_;
     }
-    return out;
+    return text_.substr(begin, pos_ - begin);
   }
 
   /// Parse a branch length after ':'.
@@ -109,7 +131,7 @@ class Cursor {
   void skip() {
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
-      if (std::isspace(static_cast<unsigned char>(c)) != 0) {
+      if (is_space(c)) {
         ++pos_;
       } else if (c == '[') {
         int depth = 0;
@@ -135,18 +157,17 @@ class Cursor {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::string quoted_;  ///< unescaped text of the last quoted label
 };
 
-}  // namespace
-
-Tree parse_newick(std::string_view text, const TaxonSetPtr& taxa,
-                  const NewickParseOptions& opts) {
-  if (!taxa) {
-    throw InvalidArgument("parse_newick: null taxon set");
-  }
+/// The one parser behind parse_newick and parse_newick_into: builds the
+/// tree into `tree` (which must be empty) and maps each leaf label to a
+/// taxon id through `resolve`.
+template <typename Resolve>
+void parse_into(std::string_view text, const TaxonSet& taxa,
+                const NewickParseOptions& opts, Tree& tree,
+                Resolve&& resolve) {
   Cursor cur(text);
-  Tree tree(taxa);
-
   if (cur.peek() == '\0') {
     cur.fail("empty input");
   }
@@ -162,11 +183,11 @@ Tree parse_newick(std::string_view text, const TaxonSetPtr& taxa,
     current = kNoNode;
   } else {
     // Degenerate single-leaf tree, e.g. "A;" or "A:1.0;".
-    const std::string lbl = cur.label();
+    const std::string_view lbl = cur.label();
     if (lbl.empty()) {
       cur.fail("expected '(' or a label");
     }
-    tree.set_taxon(root, taxa->add_or_get(lbl));
+    tree.set_taxon(root, resolve(lbl));
     if (cur.peek() == ':') {
       cur.take();
       tree.set_length(root, cur.length());
@@ -177,11 +198,13 @@ Tree parse_newick(std::string_view text, const TaxonSetPtr& taxa,
     if (cur.peek() != '\0') {
       cur.fail("trailing characters after tree");
     }
-    return tree;
+    return;
   }
 
   // After this point: whenever current == kNoNode we are at the start of a
-  // subtree inside stack.back().
+  // subtree inside stack.back(). Every internal node is closed by a ')',
+  // which records whether it has a single child.
+  bool unary = false;
   while (true) {
     if (current == kNoNode) {
       if (cur.peek() == '(') {
@@ -191,11 +214,11 @@ Tree parse_newick(std::string_view text, const TaxonSetPtr& taxa,
         continue;
       }
       // A leaf (or an empty label, which is an error for leaves).
-      const std::string lbl = cur.label();
+      const std::string_view lbl = cur.label();
       if (lbl.empty()) {
         cur.fail("expected a leaf label");
       }
-      current = tree.add_leaf(stack.back(), taxa->add_or_get(lbl));
+      current = tree.add_leaf(stack.back(), resolve(lbl));
     }
 
     // Optional ":length" for the node just completed.
@@ -220,9 +243,11 @@ Tree parse_newick(std::string_view text, const TaxonSetPtr& taxa,
       }
       current = stack.back();
       stack.pop_back();
+      const NodeId first = tree.node(current).first_child;
+      unary |= tree.node(first).next_sibling == kNoNode;
       // Optional internal label; numeric ones are support values (the
       // common bootstrap/posterior convention), others are ignored.
-      const std::string internal_label = cur.label();
+      const std::string_view internal_label = cur.label();
       if (!internal_label.empty()) {
         double support = 0;
         const char* begin = internal_label.data();
@@ -250,18 +275,40 @@ Tree parse_newick(std::string_view text, const TaxonSetPtr& taxa,
   if (tree.num_leaves() == 0) {
     throw ParseError("newick tree has no leaves");
   }
-  for (NodeId id = 0; id < static_cast<NodeId>(tree.num_nodes()); ++id) {
-    if (!tree.is_leaf(id) && tree.num_children(id) == 1) {
-      tree.suppress_unary();
-      break;
-    }
+  if (unary) {
+    tree.suppress_unary();
   }
-  if (opts.require_full_taxon_set && tree.num_leaves() != taxa->size()) {
+  if (opts.require_full_taxon_set && tree.num_leaves() != taxa.size()) {
     throw ParseError("tree has " + std::to_string(tree.num_leaves()) +
                      " leaves but the taxon set has " +
-                     std::to_string(taxa->size()));
+                     std::to_string(taxa.size()));
   }
+}
+
+}  // namespace
+
+Tree parse_newick(std::string_view text, const TaxonSetPtr& taxa,
+                  const NewickParseOptions& opts) {
+  if (!taxa) {
+    throw InvalidArgument("parse_newick: null taxon set");
+  }
+  Tree tree(taxa);
+  parse_into(text, *taxa, opts, tree,
+             [&](std::string_view label) { return taxa->add_or_get(label); });
   return tree;
+}
+
+void parse_newick_into(std::string_view text, const TaxonSetPtr& taxa,
+                       Tree& out, const NewickParseOptions& opts) {
+  if (!taxa) {
+    throw InvalidArgument("parse_newick_into: null taxon set");
+  }
+  if (out.taxa() != taxa) {
+    out.set_taxa(taxa);
+  }
+  out.clear();
+  parse_into(text, *taxa, opts, out,
+             [&](std::string_view label) { return taxa->index_of(label); });
 }
 
 namespace {
@@ -365,57 +412,67 @@ NewickReader::NewickReader(std::istream& in, TaxonSetPtr taxa,
   }
 }
 
-std::optional<Tree> NewickReader::next() {
-  buffer_.clear();
-  char c = 0;
-  bool in_quote = false;
+bool NewickReader::refill() {
+  block_.resize(kBlockBytes);
+  in_.read(block_.data(), static_cast<std::streamsize>(block_.size()));
+  pos_ = 0;
+  end_ = static_cast<std::size_t>(in_.gcount());
+  return end_ > 0;
+}
+
+bool NewickReader::next_record(std::string& out) {
+  out.clear();
+  // Framing state survives block boundaries: a quoted label or a [comment]
+  // may straddle two blocks.
+  bool in_quote = false;  // '' escapes toggle twice, which is harmless
   int comment_depth = 0;
-  while (in_.get(c)) {
-    if (in_quote) {
-      buffer_.push_back(c);
-      if (c == '\'') {
-        in_quote = false;  // handles '' escapes as two toggles, harmless
+  while (pos_ < end_ || refill()) {
+    const char* const block = block_.data();
+    std::size_t i = pos_;
+    while (i < end_) {
+      if (!in_quote && comment_depth == 0) {
+        i = next_special(block, i, end_);
+        if (i == end_) {
+          break;
+        }
       }
-      continue;
-    }
-    if (comment_depth > 0) {
-      buffer_.push_back(c);
-      if (c == '[') {
-        ++comment_depth;
-      } else if (c == ']') {
-        --comment_depth;
-      }
-      continue;
-    }
-    switch (c) {
-      case '\'':
+      const char c = block[i++];
+      if (in_quote) {
+        in_quote = c != '\'';
+      } else if (comment_depth > 0) {
+        comment_depth += c == '[' ? 1 : (c == ']' ? -1 : 0);
+      } else if (c == '\'') {
         in_quote = true;
-        buffer_.push_back(c);
-        break;
-      case '[':
+      } else if (c == '[') {
         comment_depth = 1;
-        buffer_.push_back(c);
-        break;
-      case ';': {
-        buffer_.push_back(c);
+      } else if (c == ';') {
+        out.append(block + pos_, i - pos_);
+        pos_ = i;
         ++count_;
         g_newick_trees.inc();
-        g_newick_bytes.inc(buffer_.size());
-        return parse_newick(buffer_, taxa_, opts_);
+        g_newick_bytes.inc(out.size());
+        return true;
       }
-      default:
-        buffer_.push_back(c);
-        break;
     }
+    out.append(block + pos_, end_ - pos_);
+    pos_ = end_;
   }
-  if (!util::trim(buffer_).empty()) {
-    // Trailing record without ';' — accept it for robustness.
-    ++count_;
-    g_newick_trees.inc();
-    g_newick_bytes.inc(buffer_.size());
-    return parse_newick(buffer_, taxa_, opts_);
+  if (util::trim(out).empty()) {
+    out.clear();
+    return false;
   }
-  return std::nullopt;
+  // Trailing record without ';' — accept it for robustness.
+  ++count_;
+  g_newick_trees.inc();
+  g_newick_bytes.inc(out.size());
+  return true;
+}
+
+std::optional<Tree> NewickReader::next() {
+  if (!next_record(record_)) {
+    return std::nullopt;
+  }
+  return parse_newick(record_, taxa_, opts_);
 }
 
 std::vector<Tree> read_newick_file(const std::string& path,

@@ -35,6 +35,15 @@ struct NewickParseOptions {
 [[nodiscard]] Tree parse_newick(std::string_view text, const TaxonSetPtr& taxa,
                                 const NewickParseOptions& opts = {});
 
+/// Parse a single Newick string into `out` over a fixed namespace: labels
+/// resolve through TaxonSet::find only, an unknown label throws
+/// InvalidArgument naming it, and `taxa` is never written, so concurrent
+/// calls sharing one TaxonSet are safe. `out` is cleared first and keeps
+/// its node storage, so a tree re-parsed in a loop stops allocating once
+/// warm. Throws ParseError on malformed input.
+void parse_newick_into(std::string_view text, const TaxonSetPtr& taxa,
+                       Tree& out, const NewickParseOptions& opts = {});
+
 struct NewickWriteOptions {
   bool write_lengths = true;   ///< emit ":len" where a length was present
   bool write_support = false;  ///< emit internal support values as labels
@@ -45,27 +54,44 @@ struct NewickWriteOptions {
 [[nodiscard]] std::string write_newick(const Tree& tree,
                                        const NewickWriteOptions& opts = {});
 
-/// Streaming reader: yields one tree per ';'-terminated record from a
-/// stream. This is how the algorithms "dynamically load" collections —
-/// only one tree is resident at a time.
+/// Streaming reader: yields one ';'-terminated record (or the tree parsed
+/// from it) at a time from a stream. This is how the algorithms
+/// "dynamically load" collections — only one tree is resident at a time.
+///
+/// The reader reads its stream ahead, one 64 KiB block at a time, so the
+/// stream's position is past the last record returned; the stream belongs
+/// to the reader while it is in use.
 class NewickReader {
  public:
   NewickReader(std::istream& in, TaxonSetPtr taxa,
                NewickParseOptions opts = {});
 
-  /// Next tree, or std::nullopt at end of stream.
+  /// Frame the next record into `out`: its text up to and including the
+  /// ';' that ends it, with ';' inside quoted labels and nested [comments]
+  /// skipped. A trailing record without ';' counts if it has any
+  /// non-whitespace. False (and `out` empty) at end of stream.
+  bool next_record(std::string& out);
+
+  /// Next tree (next_record + parse_newick over the reader's taxon set),
+  /// or std::nullopt at end of stream.
   [[nodiscard]] std::optional<Tree> next();
 
-  /// Number of trees yielded so far.
+  /// Number of records framed so far.
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
 
   [[nodiscard]] const TaxonSetPtr& taxa() const noexcept { return taxa_; }
 
  private:
+  /// Read the next block; false at end of stream.
+  bool refill();
+
   std::istream& in_;
   TaxonSetPtr taxa_;
   NewickParseOptions opts_;
-  std::string buffer_;
+  std::string block_;        ///< read-ahead buffer
+  std::size_t pos_ = 0;      ///< next unframed byte of block_
+  std::size_t end_ = 0;      ///< bytes of block_ holding stream data
+  std::string record_;       ///< next()'s framing buffer
   std::size_t count_ = 0;
 };
 

@@ -16,7 +16,7 @@ TaxonSet::TaxonSet(const std::vector<std::string>& labels) {
 }
 
 TaxonId TaxonSet::add_or_get(std::string_view label) {
-  if (const auto it = index_.find(std::string(label)); it != index_.end()) {
+  if (const auto it = index_.find(label); it != index_.end()) {
     return it->second;
   }
   if (frozen_) {
@@ -30,7 +30,7 @@ TaxonId TaxonSet::add_or_get(std::string_view label) {
 }
 
 std::optional<TaxonId> TaxonSet::find(std::string_view label) const {
-  const auto it = index_.find(std::string(label));
+  const auto it = index_.find(label);
   if (it == index_.end()) {
     return std::nullopt;
   }

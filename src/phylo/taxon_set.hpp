@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,8 +60,17 @@ class TaxonSet {
       std::size_t n, std::string_view prefix = "t");
 
  private:
+  /// Hashes std::string and std::string_view alike, so lookups by view
+  /// build no temporary string.
+  struct LabelHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view label) const noexcept {
+      return std::hash<std::string_view>{}(label);
+    }
+  };
+
   std::vector<std::string> labels_;
-  std::unordered_map<std::string, TaxonId> index_;
+  std::unordered_map<std::string, TaxonId, LabelHash, std::equal_to<>> index_;
   bool frozen_ = false;
 };
 

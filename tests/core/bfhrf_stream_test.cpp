@@ -1,16 +1,27 @@
 // Streaming-engine equivalence: the pipelined engine over every payload
-// (span pointers, streamed trees) must produce per-tree averages
+// (span pointers, streamed trees, Newick records parsed on the workers)
+// must produce per-tree averages
 // BIT-IDENTICAL to Algorithm 1 (core/sequential_rf, which shares no code
 // with BFHRF) for classic RF — all terms are integer-valued — regardless of
 // thread count, store kind, or pre-sizing hints.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <span>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/bfhrf.hpp"
 #include "core/sequential_rf.hpp"
 #include "core/tree_source.hpp"
+#include "core/variants.hpp"
+#include "phylo/newick.hpp"
 #include "phylo/taxon_set.hpp"
+#include "sim/datasets.hpp"
 #include "support/test_util.hpp"
 #include "util/rng.hpp"
 
@@ -135,6 +146,198 @@ TEST(BfhrfStreamTest, CompressedStoreStreamsThroughPipeline) {
   ASSERT_EQ(got.size(), expect.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], expect[i]) << "query " << i;
+  }
+}
+
+/// A Newick file under the test temp dir, removed on scope exit. ctest
+/// runs every test as its own process, concurrently, so names carry the
+/// pid.
+class TempNewick {
+ public:
+  TempNewick(const std::string& name, std::span<const Tree> trees)
+      : path_(::testing::TempDir() + "/bfhrf_stream_" +
+              std::to_string(::getpid()) + "_" + name + ".nwk") {
+    phylo::write_newick_file(path_, trees);
+  }
+  TempNewick(const std::string& name, const std::string& text)
+      : path_(::testing::TempDir() + "/bfhrf_stream_" +
+              std::to_string(::getpid()) + "_" + name + ".nwk") {
+    std::ofstream(path_) << text;
+  }
+  ~TempNewick() { std::remove(path_.c_str()); }
+  TempNewick(const TempNewick&) = delete;
+  TempNewick& operator=(const TempNewick&) = delete;
+
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+};
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(BfhrfStreamTest, FileBackedStreamMatchesSpanPathBitwise) {
+  // Workers parse FileTreeSource records into per-rank trees from batches
+  // of up to 16 records; 16k + 7 records leave a short last batch, and a
+  // 1-record file is a single short batch.
+  const auto taxa = TaxonSet::make_numbered(40);
+  util::Rng rng(21);
+  const std::vector<Tree> reference = test::random_collection(taxa, 71, 5, rng);
+  const std::vector<Tree> queries = test::random_collection(taxa, 39, 7, rng);
+  struct Files {
+    std::span<const Tree> reference;
+    std::span<const Tree> queries;
+    TempNewick reference_file;
+    TempNewick query_file;
+  };
+  const Files collections[] = {
+      {reference, queries, {"ref", reference}, {"query", queries}},
+      {std::span(reference).first(1), std::span(queries).first(1),
+       {"ref1", std::span(reference).first(1)},
+       {"query1", std::span(queries).first(1)}},
+  };
+
+  const InformationWeightedRf weighted(taxa->size());
+  struct Engine {
+    const char* name;
+    BfhrfOptions opts;
+  };
+  const Engine engines[] = {
+      {"sharded", {.shards = 4}},
+      {"single-table", {.shards = 1}},
+      {"compressed", {.compressed_keys = true}},
+      {"weighted", {.variant = &weighted}},
+  };
+  for (const Files& c : collections) {
+    for (const Engine& e : engines) {
+      SCOPED_TRACE(std::string(e.name) + " r=" +
+                   std::to_string(c.reference.size()));
+      SequentialRfOptions seq_opts;
+      seq_opts.variant = e.opts.variant;
+      const std::vector<double> sequential =
+          sequential_avg_rf(c.queries, c.reference, seq_opts).avg_rf;
+      const std::vector<double> span = [&] {
+        Bfhrf engine(taxa->size(), e.opts);
+        engine.build(c.reference);
+        return engine.query(c.queries);
+      }();
+      ASSERT_EQ(span.size(), sequential.size());
+      for (std::size_t i = 0; i < span.size(); ++i) {
+        if (e.opts.variant == nullptr) {
+          EXPECT_EQ(span[i], sequential[i]) << "query " << i;
+        } else {
+          // Weighted terms are not integers: Algorithm 1 sums them in
+          // another order, so it agrees only to rounding.
+          EXPECT_NEAR(span[i], sequential[i], 1e-9) << "query " << i;
+        }
+      }
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                        std::size_t{3}, std::size_t{4},
+                                        std::size_t{8}}) {
+        BfhrfOptions opts = e.opts;
+        opts.threads = threads;
+        Bfhrf engine(taxa->size(), opts);
+        FileTreeSource ref_source(c.reference_file.path(), taxa);
+        engine.build(ref_source);
+        EXPECT_EQ(engine.stats().reference_trees, c.reference.size());
+        FileTreeSource query_source(c.query_file.path(), taxa);
+        EXPECT_TRUE(bitwise_equal(engine.query(query_source), span))
+            << "threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(BfhrfStreamTest, FileBackedMalformedRecordThrowsParseError) {
+  const auto taxa = TaxonSet::make_numbered(12);
+  util::Rng rng(22);
+  std::string text;
+  for (const Tree& t : test::random_collection(taxa, 40, 3, rng)) {
+    text += phylo::write_newick(t) + "\n";
+  }
+  const std::size_t cut = text.find('\n', text.size() / 2);
+  text.insert(cut + 1, "((t0,t1),(t2,t3);\n");
+  const TempNewick file("malformed", text);
+  const std::vector<Tree> good = test::random_collection(taxa, 5, 3, rng);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    Bfhrf engine(taxa->size(), BfhrfOptions{.threads = threads});
+    FileTreeSource build_source(file.path(), taxa);
+    EXPECT_THROW(engine.build(build_source), ParseError) << threads;
+    Bfhrf built(taxa->size(), BfhrfOptions{.threads = threads});
+    built.build(good);
+    FileTreeSource query_source(file.path(), taxa);
+    EXPECT_THROW((void)built.query(query_source), ParseError) << threads;
+  }
+}
+
+TEST(BfhrfStreamTest, UnknownLabelThrowsAndLeavesNamespaceUnchanged) {
+  // Workers parse against the caller's namespace read-only: a label
+  // outside it fails the stream naming the label, and the set never grows
+  // (growing it while workers read its size would be a data race; the
+  // TSan tier runs this test).
+  const sim::Dataset ds = sim::generate(sim::insect_like(600));
+  std::string text;
+  for (std::size_t i = 0; i < ds.trees.size(); ++i) {
+    std::string record = phylo::write_newick(ds.trees[i]);
+    if (i == 300) {
+      // Rename one leaf: the label that follows the record's first '('
+      // run is always a leaf.
+      const std::size_t begin = record.find_first_not_of('(');
+      const std::size_t end = record.find_first_of(",):", begin);
+      ASSERT_TRUE(ds.taxa->contains(record.substr(begin, end - begin)));
+      record.replace(begin, end - begin, "NEWTAXON");
+    }
+    text += record + "\n";
+  }
+  const TempNewick file("newtaxon", text);
+  const std::size_t width = ds.taxa->size();
+  const auto expect_unknown = [&](const auto& run) {
+    try {
+      run();
+      ADD_FAILURE() << "expected InvalidArgument";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("NEWTAXON"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(ds.taxa->size(), width);
+  };
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_unknown([&] {
+      Bfhrf engine(width, BfhrfOptions{.threads = threads});
+      FileTreeSource source(file.path(), ds.taxa);
+      engine.build(source);
+    });
+    Bfhrf built(width, BfhrfOptions{.threads = threads});
+    built.build(std::span(ds.trees).first(50));
+    expect_unknown([&] {
+      FileTreeSource source(file.path(), ds.taxa);
+      (void)built.query(source);
+    });
+  }
+}
+
+TEST(BfhrfStreamTest, FileSourceNamespaceWidthCheckedUpFront) {
+  const auto taxa = TaxonSet::make_numbered(10);
+  util::Rng rng(23);
+  const TempNewick file("width",
+                        test::random_collection(taxa, 20, 3, rng));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    // An empty namespace is not discovered on the fly any more.
+    auto empty = std::make_shared<TaxonSet>();
+    Bfhrf engine(taxa->size(), BfhrfOptions{.threads = threads});
+    FileTreeSource source(file.path(), empty);
+    EXPECT_THROW(engine.build(source), InvalidArgument);
+    EXPECT_TRUE(empty->empty());
+    EXPECT_EQ(engine.stats().reference_trees, 0u);
+
+    FileTreeSource good(file.path(), taxa);
+    engine.build(good);
+    FileTreeSource narrow(file.path(), TaxonSet::make_numbered(9));
+    EXPECT_THROW((void)engine.query(narrow), InvalidArgument);
   }
 }
 

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "support/test_util.hpp"
+#include "util/string_util.hpp"
 #include "util/rng.hpp"
 
 namespace bfhrf::phylo {
@@ -207,6 +210,142 @@ TEST(NewickReaderTest, TrailingRecordWithoutSemicolon) {
     ++count;
   }
   EXPECT_EQ(count, 2u);
+}
+
+/// NewickReader's read-ahead block size.
+constexpr std::size_t kBlock = 64 * 1024;
+
+/// Complete filler records, then spaces, so that `record` starts at
+/// byte `offset` of the stream. Returns the stream text and the number of
+/// filler records.
+std::pair<std::string, std::size_t> place_at(std::size_t offset,
+                                             const std::string& record) {
+  const std::string filler = "((A,B),(C,D));\n";
+  std::string text;
+  std::size_t fillers = 0;
+  while (text.size() + filler.size() < offset) {
+    text += filler;
+    ++fillers;
+  }
+  text.append(offset - text.size(), ' ');
+  return {text + record + "\n((A,C),(B,D));\n", fillers};
+}
+
+/// Frame every record of `text`.
+std::vector<std::string> frame_all(const std::string& text) {
+  std::istringstream in(text);
+  NewickReader reader(in, std::make_shared<TaxonSet>());
+  std::vector<std::string> records;
+  std::string record;
+  while (reader.next_record(record)) {
+    records.push_back(record);
+  }
+  EXPECT_TRUE(record.empty());
+  EXPECT_EQ(reader.count(), records.size());
+  return records;
+}
+
+TEST(NewickReaderTest, RecordStraddlesBlockBoundary) {
+  const std::string rec = "((A,B),(C,(D,E)));";
+  for (const std::size_t cut : {std::size_t{1}, std::size_t{9}, rec.size() - 1,
+                                rec.size()}) {
+    const auto [text, fillers] = place_at(kBlock - cut, rec);
+    const std::vector<std::string> records = frame_all(text);
+    ASSERT_EQ(records.size(), fillers + 2) << "cut " << cut;
+    EXPECT_EQ(util::trim(records[fillers]), rec) << "cut " << cut;
+    auto taxa = std::make_shared<TaxonSet>();
+    EXPECT_EQ(parse_newick(records[fillers], taxa).num_leaves(), 5u);
+  }
+}
+
+TEST(NewickReaderTest, QuotedSemicolonAcrossBlockBoundary) {
+  // The quote opens in the first block; its ';' and the closing quote sit
+  // in the second, so the framer must carry its quote state across.
+  const std::string rec = "(('x;y',B),(C,D));";
+  const auto [text, fillers] = place_at(kBlock - 4, rec);
+  ASSERT_EQ(text[kBlock - 1], 'x');
+  ASSERT_EQ(text[kBlock], ';');
+  const std::vector<std::string> records = frame_all(text);
+  ASSERT_EQ(records.size(), fillers + 2);
+  EXPECT_EQ(util::trim(records[fillers]), rec);
+  auto taxa = std::make_shared<TaxonSet>();
+  (void)parse_newick(records[fillers], taxa);
+  EXPECT_TRUE(taxa->contains("x;y"));
+}
+
+TEST(NewickReaderTest, NestedCommentAcrossBlockBoundary) {
+  const std::string rec = "((A[a[b;]c;],B),(C,D));";
+  // "[a[b" ends the first block; ";]c;]" opens the second.
+  const auto [text, fillers] = place_at(kBlock - 7, rec);
+  ASSERT_EQ(text.substr(kBlock - 4, 4), "[a[b");
+  const std::vector<std::string> records = frame_all(text);
+  ASSERT_EQ(records.size(), fillers + 2);
+  EXPECT_EQ(util::trim(records[fillers]), rec);
+  auto taxa = std::make_shared<TaxonSet>();
+  EXPECT_EQ(parse_newick(records[fillers], taxa).num_leaves(), 4u);
+  EXPECT_EQ(taxa->size(), 4u);
+}
+
+TEST(NewickReaderTest, CrlfSeparators) {
+  std::istringstream in("((A,B),(C,D));\r\n((A,C),(B,D));\r\n\r\n");
+  auto taxa = std::make_shared<TaxonSet>();
+  NewickReader reader(in, taxa);
+  std::size_t count = 0;
+  while (auto t = reader.next()) {
+    EXPECT_EQ(t->num_leaves(), 4u);
+    ++count;
+  }
+  EXPECT_EQ(count, 2u);
+  EXPECT_EQ(taxa->size(), 4u);
+}
+
+TEST(NewickReaderTest, TrailingRecordWithoutSemicolonIsFramed) {
+  // The unterminated last record also crosses the block boundary.
+  const std::string rec = "((A,C),(B,E))";
+  std::string text = place_at(kBlock - 5, "").first + rec + "  \n";
+  text.erase(text.find("\n((A,C),(B,D));"));  // drop place_at's tail record
+  text += " " + rec + "\n";
+  const std::vector<std::string> records = frame_all(text);
+  ASSERT_FALSE(records.empty());
+  EXPECT_EQ(util::trim(records.back()), rec);
+  auto taxa = std::make_shared<TaxonSet>();
+  EXPECT_EQ(parse_newick(records.back(), taxa).num_leaves(), 4u);
+}
+
+TEST(NewickParseIntoTest, MatchesParseNewickAndReusesTheTree) {
+  const auto taxa = TaxonSet::make_numbered(30);
+  util::Rng rng(5);
+  Tree reused;
+  for (const Tree& t : test::random_collection(taxa, 6, 4, rng, true)) {
+    const std::string text = write_newick(t);
+    parse_newick_into(text, taxa, reused);
+    EXPECT_EQ(reused.taxa(), taxa);
+    EXPECT_EQ(write_newick(reused), write_newick(parse_newick(text, taxa)));
+    reused.validate();
+  }
+  // Unary chains are still suppressed on the reuse path.
+  auto abc = std::make_shared<TaxonSet>(std::vector<std::string>{"A", "B", "C"});
+  parse_newick_into("(((A,B)),(C));", abc, reused);
+  EXPECT_EQ(reused.num_leaves(), 3u);
+  reused.validate();
+}
+
+TEST(NewickParseIntoTest, UnknownLabelThrowsWithoutWritingTheSet) {
+  auto taxa = std::make_shared<TaxonSet>(
+      std::vector<std::string>{"A", "B", "C", "D"});
+  Tree out;
+  parse_newick_into("((A,B),(C,D));", taxa, out);
+  EXPECT_EQ(out.num_leaves(), 4u);
+  try {
+    parse_newick_into("((A,B),(C,NEWTAXON));", taxa, out);
+    FAIL() << "an unknown label must throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("NEWTAXON"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(taxa->size(), 4u);  // never grown, frozen or not
+  EXPECT_FALSE(taxa->frozen());
+  EXPECT_THROW(parse_newick_into("((A,B),(C,D);", taxa, out), ParseError);
 }
 
 TEST(NewickFileTest, WriteReadRoundTrip) {

@@ -20,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/snapshot.hpp"
@@ -81,22 +82,13 @@ std::vector<std::string> read_newick_records(const std::string& path) {
     std::fprintf(stderr, "bfhrf_loadgen: cannot open '%s'\n", path.c_str());
     std::exit(1);
   }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
+  // Frame with the Newick reader, so a ';' inside a quoted label or a
+  // [comment] does not split a record.
+  bfhrf::phylo::NewickReader reader(in,
+                                    std::make_shared<bfhrf::phylo::TaxonSet>());
   std::vector<std::string> records;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    const std::size_t semi = text.find(';', start);
-    if (semi == std::string::npos) {
-      break;
-    }
-    std::string record = text.substr(start, semi - start + 1);
-    const std::size_t first = record.find_first_not_of(" \t\r\n");
-    if (first != std::string::npos && record[first] != ';') {
-      records.push_back(record.substr(first));
-    }
-    start = semi + 1;
+  for (std::string record; reader.next_record(record);) {
+    records.push_back(std::move(record));
   }
   if (records.empty()) {
     std::fprintf(stderr, "bfhrf_loadgen: no trees in '%s'\n", path.c_str());
