@@ -134,8 +134,8 @@ struct LoadOutcome {
 
 LoadOutcome measure_cold_load(const std::vector<double>& want) {
   const Workload& w = workload();
-  // The persisted index comes from the sharded build: the writer compacts
-  // every shard into one contiguous section per shard.
+  // The persisted index comes from the sharded build: the writer persists
+  // each shard's tables verbatim as one set of sections per shard.
   core::Bfhrf built(w.ds.taxa->size(), engine_opts(kThreads, kShards));
   built.build(w.ds.trees);
   const std::string path =

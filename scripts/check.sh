@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
 # Deeper verification tier than the plain `ctest` loop:
 #   1. ASan+UBSan build, full labeled suite + bfhrf_verify differential run
-#      + the delta-vs-rebuild dynamic-index oracle + the sharding/
-#      persistence oracle + the serve daemon loopback smoke + a CLI walk
-#      that builds a sharded index, saves it, and reloads it zero-copy
-#      (also over a query file with its taxa in another order), and a
-#      streamed CLI run at 4 threads diffed against 1 thread
+#      + the sharding/persistence oracle + the serve daemon loopback smoke
+#      + a CLI walk that builds a sharded index, saves it, and reloads it
+#      zero-copy (also over a query file with its taxa in another order),
+#      and a streamed CLI run at 4 threads diffed against 1 thread
 #   2. TSan build, concurrency-sensitive labels only (parallel, obs,
-#      serve, codec) + bfhrf_verify differential run + the dynamic oracle
-#      with
-#      concurrent probe readers + the persistence oracle with 4 build
-#      lanes + the serve daemon loopback smoke
+#      serve, codec) + bfhrf_verify differential run (concurrent readers
+#      of one table across its 1..8 thread sweep) + the persistence oracle
+#      with 4 build lanes + the serve daemon loopback smoke
 #   3. BFHRF_OBS=OFF build, full suite (instrumentation compiled out)
 #   4. BFHRF_DISABLE_SIMD=ON build, full suite + bfhrf_verify (portable
 #      SWAR paths only; proves dispatch-level equivalence end to end)
@@ -34,16 +32,9 @@ run() {
 # ingest paths at each count under the sanitizers: 35 engine configs.
 VERIFY_ARGS=${BFHRF_VERIFY_ARGS:-"n=64 r=32 q=32 --threads 1,2,4,8"}
 
-# Dynamic-index oracle workload: randomized interleaved add/remove/
-# replace/compact sequences, each state checked bit-for-bit against a
-# from-scratch rebuild. The harness runs the sequence count once per store
-# kind (raw + compressed), so sequences=100 yields 200 checked sequences.
-DYNAMIC_ARGS=${BFHRF_DYNAMIC_ARGS:-"sequences=100 n=16 trees=8 ops=24"}
-
-# Persistence oracle workload: sharded builds vs single-table, every store
-# shape round-tripped through the BFHMAP index (save, mmap, query), the
-# tombstone-compacting save, and warm-started dynamic indexes — all
-# compared bit-for-bit.
+# Persistence oracle workload: sharded builds vs single-table, and every
+# store shape round-tripped through the BFHMAP index (save, mmap, query) —
+# all compared bit-for-bit.
 PERSIST_ARGS=${BFHRF_PERSIST_ARGS:-"n=24 r=24 q=10"}
 
 # Scratch dirs for the CLI index walk and the serve loopback smoke.
@@ -115,8 +106,6 @@ run ctest --preset asan-ubsan
 # shellcheck disable=SC2086  # VERIFY_ARGS is a word list by design
 run ./build-asan/tools/bfhrf_verify --generate ${VERIFY_ARGS}
 # shellcheck disable=SC2086
-run ./build-asan/tools/bfhrf_verify --dynamic ${DYNAMIC_ARGS}
-# shellcheck disable=SC2086
 run ./build-asan/tools/bfhrf_verify --persist ${PERSIST_ARGS} --threads 4
 run serve_smoke ./build-asan
 
@@ -167,8 +156,6 @@ run cmake --build --preset tsan -j "$(nproc)"
 run ctest --preset tsan
 # shellcheck disable=SC2086
 run ./build-tsan/tools/bfhrf_verify --generate ${VERIFY_ARGS}
-# shellcheck disable=SC2086  # --threads 4: concurrent probe readers
-run ./build-tsan/tools/bfhrf_verify --dynamic ${DYNAMIC_ARGS} --threads 4
 # shellcheck disable=SC2086  # sharded build lanes under TSan
 run ./build-tsan/tools/bfhrf_verify --persist ${PERSIST_ARGS} --threads 4
 run serve_smoke ./build-tsan

@@ -48,23 +48,6 @@ const obs::Counter g_prefetch_bips =
 const obs::Counter g_prefetch_fast_path =
     obs::counter("bfhrf.query.prefetch.fast_path_keys");
 
-// Incremental-maintenance metrics (DynamicBfhIndex): trees added/removed/
-// replaced after the initial build, hash mutations the replacement diffs
-// performed vs. avoided, and the store's tombstoned-slot fraction.
-const obs::Counter g_delta_tree_adds = obs::counter("bfhrf.delta.tree_adds");
-const obs::Counter g_delta_tree_removes =
-    obs::counter("bfhrf.delta.tree_removes");
-const obs::Counter g_delta_replacements =
-    obs::counter("bfhrf.delta.replacements");
-const obs::Counter g_delta_keys_added =
-    obs::counter("bfhrf.delta.keys_added");
-const obs::Counter g_delta_keys_removed =
-    obs::counter("bfhrf.delta.keys_removed");
-const obs::Counter g_delta_keys_shared =
-    obs::counter("bfhrf.delta.keys_shared");
-const obs::Gauge g_tombstone_ratio =
-    obs::gauge("bfhrf.hash.tombstone_ratio");
-
 // Sharded-build metrics: resolved shard count and post-build balance
 // (largest shard / mean, 1.0 = perfect), plus the keys and add_many chunks
 // the insert lanes pushed (chunking bounds per-batch table pre-sizing).
@@ -733,7 +716,6 @@ void Bfhrf::publish_store_metrics() {
     const auto stats = fast_store_->probe_stats();
     g_mean_probe.set(stats.mean_groups);
     g_max_probe.set(static_cast<double>(stats.max_groups));
-    g_tombstone_ratio.set(fast_store_->tombstone_ratio());
   }
   if (sharded_store_ != nullptr) {
     g_shard_count.set(static_cast<double>(sharded_store_->shard_count()));
@@ -748,233 +730,6 @@ BfhrfStats Bfhrf::stats() const {
       .total_bipartitions = store_->total_count(),
       .hash_memory_bytes = store_->memory_bytes(),
   };
-}
-
-// --- DynamicBfhIndex --------------------------------------------------------
-
-namespace {
-// The dynamic index's remove/replace paths mutate one concrete
-// FrequencyHash; force the single-table store regardless of the caller's
-// shard request.
-BfhrfOptions dynamic_opts(BfhrfOptions o) {
-  o.shards = 1;
-  return o;
-}
-}  // namespace
-
-DynamicBfhIndex::DynamicBfhIndex(std::size_t n_bits, BfhrfOptions opts)
-    : engine_(n_bits, dynamic_opts(std::move(opts))) {}
-
-DynamicBfhIndex::Entry DynamicBfhIndex::extract_entry(
-    const phylo::Tree& tree) {
-  if (!tree.taxa() || tree.taxa()->size() != engine_.n_bits_) {
-    throw InvalidArgument(
-        "DynamicBfhIndex: tree taxon universe width mismatch");
-  }
-  // Always sorted: replace_tree's merge walk relies on compare_words order
-  // (the BipartitionSet finalize order).
-  const phylo::BipartitionOptions bip_opts{
-      .include_trivial = engine_.opts_.include_trivial, .sorted = true};
-  const phylo::BipartitionSet& bips =
-      scratch_.extractor.extract(tree, bip_opts);
-
-  Entry e;
-  e.live = true;
-  if (engine_.opts_.variant == nullptr) {
-    const auto arena = bips.arena_view();
-    e.keys.assign(arena.begin(), arena.end());
-    return e;
-  }
-  const RfVariant& v = engine_.variant();
-  const std::size_t n_bits = engine_.n_bits_;
-  e.keys.reserve(bips.arena_view().size());
-  e.weights.reserve(bips.size());
-  bips.for_each([&](util::ConstWordSpan words) {
-    const BipartitionRef ref{words, n_bits, util::popcount_words(words)};
-    if (!v.keep(ref)) {
-      return;
-    }
-    e.keys.insert(e.keys.end(), words.begin(), words.end());
-    e.weights.push_back(v.weight(ref));
-  });
-  return e;
-}
-
-void DynamicBfhIndex::apply_keys(const std::uint64_t* keys, std::size_t n,
-                                 const double* weights, bool remove) {
-  if (FrequencyHash* hash = engine_.fast_store_) {
-    if (remove) {
-      hash->remove_many(keys, n, weights);
-    } else {
-      hash->add_many(keys, n, weights);
-    }
-    return;
-  }
-  const std::size_t wp = util::words_for_bits(engine_.n_bits_);
-  FrequencyStore& store = *engine_.store_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const util::ConstWordSpan key{keys + i * wp, wp};
-    const double w = weights != nullptr ? weights[i] : 1.0;
-    if (remove) {
-      store.remove_weighted(key, 1, w);
-    } else {
-      store.add_weighted(key, 1, w);
-    }
-  }
-}
-
-void DynamicBfhIndex::apply_add(const Entry& e) {
-  apply_keys(e.keys.data(), e.size(util::words_for_bits(engine_.n_bits_)),
-             e.weights.empty() ? nullptr : e.weights.data(),
-             /*remove=*/false);
-  ++engine_.reference_trees_;
-}
-
-void DynamicBfhIndex::apply_remove(const Entry& e) {
-  apply_keys(e.keys.data(), e.size(util::words_for_bits(engine_.n_bits_)),
-             e.weights.empty() ? nullptr : e.weights.data(),
-             /*remove=*/true);
-  --engine_.reference_trees_;
-}
-
-DynamicBfhIndex::Entry& DynamicBfhIndex::live_entry(std::size_t id) {
-  if (id >= entries_.size() || !entries_[id].live) {
-    throw InvalidArgument("DynamicBfhIndex: unknown or removed tree id");
-  }
-  return entries_[id];
-}
-
-std::size_t DynamicBfhIndex::add_tree(const phylo::Tree& tree) {
-  Entry e = extract_entry(tree);
-  apply_add(e);
-  entries_.push_back(std::move(e));
-  ++live_;
-  g_delta_tree_adds.inc();
-  engine_.publish_store_metrics();
-  return entries_.size() - 1;
-}
-
-std::vector<std::size_t> DynamicBfhIndex::add_trees(
-    std::span<const phylo::Tree> trees) {
-  std::vector<std::size_t> ids;
-  ids.reserve(trees.size());
-  for (const phylo::Tree& t : trees) {
-    Entry e = extract_entry(t);
-    apply_add(e);
-    entries_.push_back(std::move(e));
-    ++live_;
-    ids.push_back(entries_.size() - 1);
-  }
-  g_delta_tree_adds.inc(trees.size());
-  engine_.publish_store_metrics();
-  return ids;
-}
-
-void DynamicBfhIndex::remove_tree(std::size_t id) {
-  Entry& e = live_entry(id);
-  apply_remove(e);
-  // Release the dead entry's key storage; the id slot stays (ids are
-  // stable, is_live(id) turns false).
-  e = Entry{};
-  --live_;
-  g_delta_tree_removes.inc();
-  engine_.publish_store_metrics();
-}
-
-void DynamicBfhIndex::remove_trees(std::span<const std::size_t> ids) {
-  for (const std::size_t id : ids) {
-    Entry& e = live_entry(id);
-    apply_remove(e);
-    e = Entry{};
-    --live_;
-  }
-  g_delta_tree_removes.inc(ids.size());
-  engine_.publish_store_metrics();
-}
-
-DynamicBfhIndex::DeltaStats DynamicBfhIndex::replace_tree(
-    std::size_t id, const phylo::Tree& next) {
-  Entry& old = live_entry(id);
-  Entry fresh = extract_entry(next);
-  const std::size_t wp = util::words_for_bits(engine_.n_bits_);
-
-  // One merge walk over the two compare_words-sorted arenas: keys only in
-  // `old` are decremented, keys only in `fresh` are incremented, shared
-  // keys are never touched — so the hash does exactly
-  // |old Δ fresh| operations, O(edges-changed) for an SPR/NNI perturbation.
-  scratch_.kept_keys.clear();      // staging: keys to remove
-  scratch_.kept_weights.clear();   // aligned weights to remove
-  std::vector<std::uint64_t> add_keys;
-  std::vector<double> add_weights;
-  const bool weighted = engine_.opts_.variant != nullptr;
-  DeltaStats d;
-  const std::size_t n_old = old.size(wp);
-  const std::size_t n_new = fresh.size(wp);
-  std::size_t i = 0;
-  std::size_t j = 0;
-  const auto old_key = [&](std::size_t k) {
-    return util::ConstWordSpan{old.keys.data() + k * wp, wp};
-  };
-  const auto new_key = [&](std::size_t k) {
-    return util::ConstWordSpan{fresh.keys.data() + k * wp, wp};
-  };
-  const auto stage_remove = [&](std::size_t k) {
-    const auto key = old_key(k);
-    scratch_.kept_keys.insert(scratch_.kept_keys.end(), key.begin(),
-                              key.end());
-    if (weighted) {
-      scratch_.kept_weights.push_back(old.weights[k]);
-    }
-    ++d.keys_removed;
-  };
-  const auto stage_add = [&](std::size_t k) {
-    const auto key = new_key(k);
-    add_keys.insert(add_keys.end(), key.begin(), key.end());
-    if (weighted) {
-      add_weights.push_back(fresh.weights[k]);
-    }
-    ++d.keys_added;
-  };
-  while (i < n_old && j < n_new) {
-    const int c = util::compare_words(old_key(i), new_key(j));
-    if (c == 0) {
-      ++d.keys_shared;
-      ++i;
-      ++j;
-    } else if (c < 0) {
-      stage_remove(i++);
-    } else {
-      stage_add(j++);
-    }
-  }
-  for (; i < n_old; ++i) {
-    stage_remove(i);
-  }
-  for (; j < n_new; ++j) {
-    stage_add(j);
-  }
-
-  // Apply removals first so a key moving out and back in the same swap
-  // cannot transiently double-count; reference_trees_ is unchanged (the
-  // collection still has the same number of trees).
-  apply_keys(scratch_.kept_keys.data(), d.keys_removed,
-             weighted ? scratch_.kept_weights.data() : nullptr,
-             /*remove=*/true);
-  apply_keys(add_keys.data(), d.keys_added,
-             weighted ? add_weights.data() : nullptr, /*remove=*/false);
-
-  old = std::move(fresh);
-  g_delta_replacements.inc();
-  g_delta_keys_added.inc(d.keys_added);
-  g_delta_keys_removed.inc(d.keys_removed);
-  g_delta_keys_shared.inc(d.keys_shared);
-  engine_.publish_store_metrics();
-  return d;
-}
-
-void DynamicBfhIndex::compact() {
-  engine_.store_->compact();
-  engine_.publish_store_metrics();
 }
 
 std::vector<double> bfhrf_average_rf(std::span<const phylo::Tree> queries,

@@ -96,7 +96,6 @@ struct BfhrfStats {
 class Bfhrf {
  public:
   friend Bfhrf load_bfhrf_file(const std::string& path, BfhrfOptions opts);
-  friend class DynamicBfhIndex;
 
   /// `n_bits` is the taxon-universe width (TaxonSet::size()); all trees fed
   /// to this engine must be over a taxon set of exactly that width.
@@ -287,130 +286,6 @@ class Bfhrf {
   /// publish_store_metrics() at the end of every mutation path.
   BfhIndexView index_view_;
   std::size_t reference_trees_ = 0;
-};
-
-/// DynamicBfhIndex — incremental maintenance of a live BFH_R.
-///
-/// Wraps a Bfhrf whose reference collection mutates: trees can be added,
-/// removed, or replaced after the initial build, and queries stay exact
-/// against the current collection (equivalent to rebuilding from scratch —
-/// the qc delta-vs-rebuild oracle, src/qc/dynamic.hpp, enforces this
-/// bit-for-bit). The index retains each live tree's kept, sorted key set
-/// (not the tree itself), so:
-///
-///  * remove_tree decrements exactly the tree's own kept bipartitions —
-///    no re-extraction — via the hashes' tombstoning remove paths;
-///  * replace_tree diffs the old and new sorted key sets with one merge
-///    walk and touches only the symmetric difference: O(edges-changed)
-///    hash operations for a tree perturbed by one SPR/NNI move (an NNI
-///    changes at most one internal split, so at most 1 remove + 1 add).
-///
-/// Weighted variants are supported (kept weights ride along with the
-/// keys), but note removal subtracts floating-point weight mass, so
-/// total_weight can drift from a fresh rebuild by accumulated rounding;
-/// classic RF (unit weights) is exactly integer-valued and drift-free.
-///
-/// Concurrency matches Bfhrf: mutations are single-writer; queries are
-/// safe concurrently with each other but not with a mutation.
-class DynamicBfhIndex {
- public:
-  /// Per-replacement delta: how many distinct bipartitions each side of
-  /// the diff touched. keys_removed + keys_added is the number of hash
-  /// mutations performed (== the symmetric difference of the kept sets);
-  /// keys_shared splits were left untouched.
-  struct DeltaStats {
-    std::size_t keys_removed = 0;
-    std::size_t keys_added = 0;
-    std::size_t keys_shared = 0;
-  };
-
-  /// Note: the dynamic index always runs a single-shard store (opts.shards
-  /// is overridden to 1) — incremental removal needs the one concrete
-  /// FrequencyHash the tombstoning remove paths mutate.
-  explicit DynamicBfhIndex(std::size_t n_bits, BfhrfOptions opts = {});
-
-  /// Open a saved index file as a live dynamic index. A raw single-shard
-  /// file takes the zero-parse fast path: the layout is mapped and adopted
-  /// verbatim into the mutable store (memcpy + tombstone recount — no
-  /// per-key re-probing); sharded or compressed files replay their keys.
-  /// The baseline trees carry no per-tree key sets, so they cannot be
-  /// individually removed or replaced — only trees added afterwards can.
-  /// Runtime options (threads, norm, …) come from `opts`; store kind and
-  /// the trivial-split convention come from the file.
-  [[nodiscard]] static DynamicBfhIndex from_index_file(
-      const std::string& path, BfhrfOptions opts = {});
-
-  /// Insert one tree; returns its id (stable for the index's lifetime).
-  std::size_t add_tree(const phylo::Tree& tree);
-
-  /// Insert a batch; returns the ids in order.
-  std::vector<std::size_t> add_trees(std::span<const phylo::Tree> trees);
-
-  /// Remove a live tree by id (its kept splits are decremented; splits
-  /// reaching zero are tombstoned). Throws InvalidArgument for an unknown
-  /// or already-removed id.
-  void remove_tree(std::size_t id);
-
-  void remove_trees(std::span<const std::size_t> ids);
-
-  /// Swap the tree behind `id` for `next`, touching only the bipartitions
-  /// in the symmetric difference of the two kept sets (O(edges-changed)).
-  DeltaStats replace_tree(std::size_t id, const phylo::Tree& next);
-
-  /// Average RF of `tree` against the CURRENT collection.
-  [[nodiscard]] double query_one(const phylo::Tree& tree) const {
-    return engine_.query_one(tree);
-  }
-  [[nodiscard]] std::vector<double> query(
-      std::span<const phylo::Tree> queries) const {
-    return engine_.query(queries);
-  }
-
-  /// Force tombstone/arena reclamation now (also runs automatically when
-  /// the store's tombstone ratio passes its threshold). Contents and query
-  /// results are unchanged.
-  void compact();
-
-  [[nodiscard]] std::size_t tree_count() const noexcept { return live_; }
-  [[nodiscard]] bool is_live(std::size_t id) const noexcept {
-    return id < entries_.size() && entries_[id].live;
-  }
-  [[nodiscard]] const FrequencyStore& store() const noexcept {
-    return engine_.store();
-  }
-  [[nodiscard]] BfhrfStats stats() const { return engine_.stats(); }
-  [[nodiscard]] const BfhrfOptions& options() const noexcept {
-    return engine_.options();
-  }
-
- private:
-  /// A live tree's contribution: its kept canonical keys in
-  /// util::compare_words order (the BipartitionSet finalize order, so
-  /// replace_tree can merge-walk two entries), plus aligned weights when a
-  /// variant is active (empty = unit weights).
-  struct Entry {
-    std::vector<std::uint64_t> keys;  ///< sorted arena, words_per each
-    std::vector<double> weights;      ///< empty for classic RF
-    bool live = false;
-
-    [[nodiscard]] std::size_t size(std::size_t words_per) const noexcept {
-      return keys.size() / words_per;
-    }
-  };
-
-  [[nodiscard]] Entry extract_entry(const phylo::Tree& tree);
-  /// Add (or, with `remove`, subtract) one occurrence of each of `n` arena
-  /// keys: batched on the raw single-table store, per key otherwise.
-  void apply_keys(const std::uint64_t* keys, std::size_t n,
-                  const double* weights, bool remove);
-  void apply_add(const Entry& e);     ///< insert keys, count the tree in
-  void apply_remove(const Entry& e);  ///< decrement keys, count it out
-  [[nodiscard]] Entry& live_entry(std::size_t id);
-
-  Bfhrf engine_;
-  Bfhrf::WorkerScratch scratch_;  ///< extraction + staging scratch
-  std::vector<Entry> entries_;    ///< id -> contribution (dead ids stay)
-  std::size_t live_ = 0;
 };
 
 /// One-call convenience mirroring the paper's tool: average RF of every

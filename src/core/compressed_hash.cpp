@@ -15,9 +15,6 @@ const obs::Counter g_probes = obs::counter("core.compressed_hash.probes");
 const obs::Counter g_collisions =
     obs::counter("core.compressed_hash.collisions");
 const obs::Counter g_inserts = obs::counter("core.compressed_hash.inserts");
-const obs::Counter g_removes = obs::counter("core.compressed_hash.removes");
-const obs::Counter g_compactions =
-    obs::counter("core.compressed_hash.compactions");
 
 void record_probe(std::size_t steps) noexcept {
   g_probes.inc(steps);
@@ -89,67 +86,6 @@ void CompressedFrequencyHash::add_weighted(util::ConstWordSpan key,
   total_weight_ += static_cast<double>(count) * weight;
 }
 
-void CompressedFrequencyHash::remove_weighted(util::ConstWordSpan key,
-                                              std::uint32_t count,
-                                              double weight) {
-  BFHRF_ASSERT(key.size() == util::words_for_bits(codec_.n_bits()));
-  BFHRF_ASSERT(count > 0);
-  g_removes.inc();
-  auto& scratch = tl_scratch();
-  scratch.clear();
-  codec_.encode(key, scratch);
-  const std::uint64_t fp = util::hash_words(key);
-  const auto r = find(scratch, fp);
-  if (!r.found) {
-    throw InvalidArgument(
-        "CompressedFrequencyHash::remove: unknown bipartition");
-  }
-  Slot& s = slots_[r.index];
-  if (count > s.count) {
-    throw InvalidArgument(
-        "CompressedFrequencyHash::remove: count exceeds stored frequency");
-  }
-  s.count -= count;
-  total_ -= count;
-  total_weight_ -= static_cast<double>(count) * weight;
-  if (s.count == 0) {
-    // Tombstone the control byte; the dead encoding stays in the arena
-    // until compact() repacks it.
-    dir_.erase(r.index);
-    s = Slot{};
-    --size_;
-  }
-  if (!slots_.empty() &&
-      static_cast<double>(dir_.tombstone_count()) >
-          kMaxTombstoneRatio * static_cast<double>(slots_.size())) {
-    compact();
-  }
-}
-
-void CompressedFrequencyHash::compact() {
-  g_compactions.inc();
-  // Repack arena + slots in old slot order (deterministic across dispatch
-  // levels), dropping tombstones and dead encodings. Slot count is kept.
-  std::vector<std::byte> packed;
-  packed.reserve(arena_.size());
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.size(), Slot{});
-  dir_.reset(old.size());
-  for (const Slot& s : old) {
-    if (s.count == 0) {
-      continue;
-    }
-    Slot moved = s;
-    moved.offset = static_cast<std::uint32_t>(packed.size());
-    packed.insert(packed.end(), arena_.begin() + s.offset,
-                  arena_.begin() + s.offset + s.length);
-    const auto r = dir_.find_insert(moved.fingerprint);
-    dir_.mark(r.index, moved.fingerprint);
-    slots_[r.index] = moved;
-  }
-  arena_ = std::move(packed);
-}
-
 std::uint32_t CompressedFrequencyHash::frequency(
     util::ConstWordSpan key) const {
   BFHRF_ASSERT(key.size() == util::words_for_bits(codec_.n_bits()));
@@ -186,25 +122,6 @@ void CompressedFrequencyHash::for_each_key(
   }
 }
 
-void CompressedFrequencyHash::adopt_layout(std::span<const std::uint8_t> ctrl,
-                                           std::span<const Slot> slots,
-                                           std::span<const std::byte> arena_bytes,
-                                           std::size_t live_keys,
-                                           std::uint64_t total_count,
-                                           double total_weight) {
-  if (ctrl.size() != slots.size() || ctrl.size() < util::kGroupWidth) {
-    throw InvalidArgument(
-        "CompressedFrequencyHash::adopt_layout: ctrl/slot arrays must be "
-        "the same power-of-two length");
-  }
-  dir_.assign(ctrl);
-  slots_.assign(slots.begin(), slots.end());
-  arena_.assign(arena_bytes.begin(), arena_bytes.end());
-  size_ = live_keys;
-  total_ = total_count;
-  total_weight_ = total_weight;
-}
-
 std::uint32_t CompressedHashView::frequency(util::ConstWordSpan key) const {
   BFHRF_ASSERT(key.size() == util::words_for_bits(codec_.n_bits()));
   auto& scratch = tl_scratch();
@@ -222,18 +139,14 @@ std::uint32_t CompressedHashView::frequency(util::ConstWordSpan key) const {
 }
 
 void CompressedFrequencyHash::ensure_capacity(std::size_t incoming) {
-  // Same policy as FrequencyHash::ensure_capacity: occupancy counts
-  // tombstones, the target size counts live keys only (the rehash drops
-  // tombstones), so a tombstone-heavy table rehashes in place.
-  const std::size_t occupancy = size_ + dir_.tombstone_count();
-  if (static_cast<double>(occupancy + incoming) <=
-      kMaxLoad * static_cast<double>(slots_.size())) {
-    return;
-  }
+  // Same growth policy as FrequencyHash::grow_to_fit.
   std::size_t want = slots_.size();
   while (static_cast<double>(size_ + incoming) >
          kMaxLoad * static_cast<double>(want)) {
     want <<= 1;
+  }
+  if (want == slots_.size()) {
+    return;
   }
   std::vector<Slot> old = std::move(slots_);
   slots_.assign(want, Slot{});

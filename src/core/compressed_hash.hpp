@@ -49,23 +49,6 @@ class CompressedFrequencyHash final : public FrequencyStore {
   void add_weighted(util::ConstWordSpan key, std::uint32_t count,
                     double weight) override;
 
-  /// Remove `count` occurrences; a key reaching zero is tombstoned (same
-  /// semantics and InvalidArgument conditions as
-  /// FrequencyHash::remove_weighted). Dead encodings linger in the byte
-  /// arena until compact().
-  void remove_weighted(util::ConstWordSpan key, std::uint32_t count,
-                       double weight) override;
-
-  /// Drop tombstones and repack the byte arena; contents and iteration
-  /// results are unchanged. Triggered automatically when removals push the
-  /// tombstone ratio past kMaxTombstoneRatio.
-  void compact() override;
-
-  /// Tombstoned (erased, not yet reclaimed) slots.
-  [[nodiscard]] std::size_t tombstone_count() const noexcept {
-    return dir_.tombstone_count();
-  }
-
   [[nodiscard]] std::uint32_t frequency(
       util::ConstWordSpan key) const override;
 
@@ -99,20 +82,11 @@ class CompressedFrequencyHash final : public FrequencyStore {
     return {slots_.data(), slots_.size()};
   }
 
-  /// The raw encoding arena (index-file writer). May contain dead
-  /// encodings while tombstones exist; compact() first to persist densely.
+  /// The raw encoding arena (index-file writer): one encoding per stored
+  /// bipartition.
   [[nodiscard]] std::span<const std::byte> arena() const noexcept {
     return {arena_.data(), arena_.size()};
   }
-
-  /// Adopt a verbatim (ctrl, slots, arena) image previously produced by a
-  /// CompressedFrequencyHash over the same universe — the deserialization
-  /// warm start (see FrequencyHash::adopt_layout).
-  void adopt_layout(std::span<const std::uint8_t> ctrl,
-                    std::span<const Slot> slots,
-                    std::span<const std::byte> arena_bytes,
-                    std::size_t live_keys, std::uint64_t total_count,
-                    double total_weight);
 
  private:
   /// Group-probed find for the slot matching (`fp`, encoded bytes); see
@@ -124,7 +98,6 @@ class CompressedFrequencyHash final : public FrequencyStore {
   void ensure_capacity(std::size_t incoming);
 
   static constexpr double kMaxLoad = 0.7;
-  static constexpr double kMaxTombstoneRatio = 0.25;
 
   SparseKeyCodec codec_;
   std::size_t size_ = 0;

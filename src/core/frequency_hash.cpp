@@ -19,9 +19,6 @@ const obs::Counter g_collisions =
     obs::counter("core.frequency_hash.collisions");
 const obs::Counter g_inserts = obs::counter("core.frequency_hash.inserts");
 const obs::Counter g_merges = obs::counter("core.frequency_hash.merges");
-const obs::Counter g_removes = obs::counter("core.frequency_hash.removes");
-const obs::Counter g_compactions =
-    obs::counter("core.frequency_hash.compactions");
 
 void record_probe(std::size_t groups) noexcept {
   g_probes.inc(groups);
@@ -66,7 +63,7 @@ void FrequencyHash::add_weighted(util::ConstWordSpan key, std::uint32_t count,
                                  double weight) {
   BFHRF_ASSERT(key.size() == words_per_);
   BFHRF_ASSERT(count > 0);
-  ensure_capacity(1);
+  grow_to_fit(size_ + 1);
   g_inserts.inc();
   const std::uint64_t fp = util::hash_words(key);
   const auto r = util::simd::vectorized()
@@ -83,43 +80,6 @@ void FrequencyHash::add_weighted(util::ConstWordSpan key, std::uint32_t count,
   s.count += count;
   total_ += count;
   total_weight_ += static_cast<double>(count) * weight;
-}
-
-void FrequencyHash::remove_at(std::size_t idx, std::uint32_t count,
-                              double weight) {
-  Slot& s = slots_[idx];
-  if (count > s.count) {
-    throw InvalidArgument(
-        "FrequencyHash::remove: count exceeds stored frequency");
-  }
-  s.count -= count;
-  total_ -= count;
-  total_weight_ -= static_cast<double>(count) * weight;
-  if (s.count == 0) {
-    // Tombstone the control byte (probe chains displaced past this slot
-    // stay findable) and zero the slot so miss-path reads still see a zero
-    // count there. The arena key goes dead; compact() reclaims it.
-    dir_.erase(idx);
-    s = Slot{};
-    --size_;
-  }
-}
-
-void FrequencyHash::remove_weighted(util::ConstWordSpan key,
-                                    std::uint32_t count, double weight) {
-  BFHRF_ASSERT(key.size() == words_per_);
-  BFHRF_ASSERT(count > 0);
-  g_removes.inc();
-  const std::uint64_t fp = util::hash_words(key);
-  const auto r = util::simd::vectorized()
-                     ? find_key<util::simd::Group16Vec>(key, fp)
-                     : find_key<util::simd::Group16Swar>(key, fp);
-  record_probe(r.groups_probed);
-  if (!r.found) {
-    throw InvalidArgument("FrequencyHash::remove: unknown bipartition");
-  }
-  remove_at(r.index, count, weight);
-  maybe_compact();
 }
 
 std::uint32_t FrequencyHash::frequency(util::ConstWordSpan key) const {
@@ -377,7 +337,7 @@ void FrequencyHash::add_many(const std::uint64_t* keys, std::size_t count,
   }
   // Pre-size for the worst case (every key new) so the table never rehashes
   // mid-batch: prefetched group lines stay valid for the whole pipeline.
-  ensure_capacity(count);
+  grow_to_fit(size_ + count);
   g_inserts.inc(count);
   if (util::simd::vectorized()) {
     add_many_impl<util::simd::Group16Vec>(keys, count, weights);
@@ -386,99 +346,9 @@ void FrequencyHash::add_many(const std::uint64_t* keys, std::size_t count,
   }
 }
 
-template <typename Group>
-void FrequencyHash::remove_many_impl(const std::uint64_t* keys,
-                                     std::size_t count,
-                                     const double* weights) {
-  // Same two-stage pipeline as add_many_impl: control+slot group lines
-  // prefetched kGroupAhead out, the candidate's key-arena line kKeyAhead
-  // out. Removal never grows the table or the arena, so every prefetched
-  // line stays valid for the whole batch.
-  constexpr std::size_t kGroupAhead = 8;
-  constexpr std::size_t kKeyAhead = 4;
-  const std::size_t wp = words_per_;
-  const bool one_word = (wp == 1);
-  const std::size_t nslots = slots_.size();
-
-  std::uint64_t fps[kGroupAhead];
-  std::uint64_t probe_groups = 0;  // flushed to obs once per batch
-  const auto key_i = [&](std::size_t i) {
-    return util::ConstWordSpan{keys + i * wp, wp};
-  };
-  const auto prefetch_groups = [&](std::uint64_t fp) {
-    const std::size_t base = dir_.home_group(fp) * util::kGroupWidth;
-    dir_.prefetch(fp);
-    __builtin_prefetch(slots_.data() + base, 1);
-    __builtin_prefetch(slots_.data() + base + 8, 1);
-  };
-  const std::size_t warm = count < kGroupAhead ? count : kGroupAhead;
-  for (std::size_t i = 0; i < warm; ++i) {
-    const std::uint64_t fp = util::hash_words(key_i(i));
-    fps[i % kGroupAhead] = fp;
-    prefetch_groups(fp);
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t fp = fps[i % kGroupAhead];
-    if (i + kGroupAhead < count) {
-      const std::uint64_t ahead = util::hash_words(key_i(i + kGroupAhead));
-      fps[(i + kGroupAhead) % kGroupAhead] = ahead;
-      prefetch_groups(ahead);
-    }
-    if (i + kKeyAhead < count) {
-      const std::uint64_t near = fps[(i + kKeyAhead) % kGroupAhead];
-      const std::size_t cand = dir_.first_candidate<Group>(near);
-      if (cand != nslots) {
-        __builtin_prefetch(
-            keys_.data() +
-            static_cast<std::size_t>(slots_[cand].key_index) * wp);
-      }
-    }
-    util::GroupDirectory::FindResult r;
-    if (one_word) {
-      const std::uint64_t k = keys[i];
-      r = dir_.find_with<Group>(fp, [&](std::size_t idx) {
-        return keys_[slots_[idx].key_index] == k;
-      });
-    } else {
-      r = find_key<Group>(key_i(i), fp);
-    }
-    probe_groups += r.groups_probed;
-    if (!r.found) {
-      g_probes.inc(probe_groups);
-      throw InvalidArgument("FrequencyHash::remove_many: unknown bipartition");
-    }
-    remove_at(r.index, 1, weights != nullptr ? weights[i] : 1.0);
-  }
-  g_probes.inc(probe_groups);
-  if (probe_groups > count) {
-    g_collisions.inc(probe_groups - count);
-  }
-}
-
-void FrequencyHash::remove_many(const std::uint64_t* keys, std::size_t count,
-                                const double* weights) {
-  if (count == 0) {
-    return;
-  }
-  g_removes.inc(count);
-  if (util::simd::vectorized()) {
-    remove_many_impl<util::simd::Group16Vec>(keys, count, weights);
-  } else {
-    remove_many_impl<util::simd::Group16Swar>(keys, count, weights);
-  }
-  maybe_compact();
-}
-
 void FrequencyHash::reserve(std::size_t expected_unique) {
   keys_.reserve(expected_unique * words_per_);
-  std::size_t want = slots_.size();
-  while (static_cast<double>(expected_unique) >
-         kMaxLoad * static_cast<double>(want)) {
-    want <<= 1;
-  }
-  if (want != slots_.size()) {
-    rehash(want);
-  }
+  grow_to_fit(expected_unique);
 }
 
 void FrequencyHash::merge(const FrequencyHash& other) {
@@ -506,76 +376,14 @@ void FrequencyHash::merge_from(const FrequencyStore& other) {
   merge(*o);
 }
 
-void FrequencyHash::adopt_layout(std::span<const std::uint8_t> ctrl,
-                                 std::span<const Slot> slots,
-                                 std::span<const std::uint64_t> key_words,
-                                 std::size_t live_keys,
-                                 std::uint64_t total_count,
-                                 double total_weight) {
-  if (ctrl.size() != slots.size() || ctrl.size() < util::kGroupWidth ||
-      !std::has_single_bit(ctrl.size())) {
-    throw InvalidArgument(
-        "FrequencyHash::adopt_layout: ctrl/slot arrays must be the same "
-        "power-of-two length");
-  }
-  dir_.assign(ctrl);
-  slots_.assign(slots.begin(), slots.end());
-  keys_.assign(key_words.begin(), key_words.end());
-  size_ = live_keys;
-  total_ = total_count;
-  total_weight_ = total_weight;
-}
-
-void FrequencyHash::ensure_capacity(std::size_t incoming) {
-  // Occupancy counts tombstones: they don't stop probes, so a table full of
-  // live keys + tombstones could otherwise run out of empty bytes and probe
-  // forever. The target size is computed from LIVE keys only (rehash drops
-  // every tombstone), so a mostly-tombstoned table rehashes at its current
-  // size — reclamation, not growth.
-  const std::size_t occupancy = size_ + dir_.tombstone_count();
-  if (static_cast<double>(occupancy + incoming) <=
-      kMaxLoad * static_cast<double>(slots_.size())) {
-    return;
-  }
+void FrequencyHash::grow_to_fit(std::size_t keys) {
   std::size_t want = slots_.size();
-  while (static_cast<double>(size_ + incoming) >
-         kMaxLoad * static_cast<double>(want)) {
+  while (static_cast<double>(keys) > kMaxLoad * static_cast<double>(want)) {
     want <<= 1;
   }
-  rehash(want);
-}
-
-void FrequencyHash::maybe_compact() {
-  if (tombstone_ratio() > kMaxTombstoneRatio) {
-    compact();
+  if (want != slots_.size()) {
+    rehash(want);
   }
-}
-
-void FrequencyHash::compact() {
-  g_compactions.inc();
-  // Repack the key arena in old slot order (deterministic across dispatch
-  // levels — erase/insert history, not probe paths, decides the order),
-  // then re-place every live key at the current slot count. Tombstones die
-  // with dir_.reset(); the slot count never shrinks.
-  std::vector<std::uint64_t> packed;
-  packed.reserve(size_ * words_per_);
-  util::CacheAlignedVector<Slot> old = std::move(slots_);
-  slots_.assign(old.size(), Slot{});
-  dir_.reset(old.size());
-  for (const Slot& s : old) {
-    if (s.count == 0) {
-      continue;
-    }
-    const util::ConstWordSpan key = key_at(s.key_index);  // old arena
-    const std::uint32_t new_index =
-        static_cast<std::uint32_t>(packed.size() / words_per_);
-    packed.insert(packed.end(), key.begin(), key.end());
-    const std::uint64_t fp = util::hash_words(key);
-    const auto r = dir_.find_insert(fp);
-    dir_.mark(r.index, fp);
-    slots_[r.index] = Slot{new_index, s.count};
-  }
-  keys_ = std::move(packed);
 }
 
 void FrequencyHash::rehash(std::size_t new_slot_count) {

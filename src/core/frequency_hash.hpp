@@ -89,14 +89,6 @@ class FrequencyHash final : public FrequencyStore {
   void add_weighted(util::ConstWordSpan key, std::uint32_t count,
                     double weight) override;
 
-  /// Remove `count` occurrences (the inverse of add_weighted). A key whose
-  /// frequency reaches zero is erased: its control byte becomes a DELETED
-  /// tombstone (probe chains stay intact) and its arena key lingers until
-  /// compaction. Throws InvalidArgument if the key is absent or `count`
-  /// exceeds its frequency — a count can never go below zero.
-  void remove_weighted(util::ConstWordSpan key, std::uint32_t count,
-                       double weight) override;
-
   /// Frequency of a bipartition (0 if absent).
   [[nodiscard]] std::uint32_t frequency(
       util::ConstWordSpan key) const override;
@@ -104,12 +96,11 @@ class FrequencyHash final : public FrequencyStore {
   /// Sentinel returned by key_index_of() for an absent key.
   static constexpr std::uint32_t kNoKeyIndex = 0xffffffffU;
 
-  /// Arena index of a stored bipartition, or kNoKeyIndex if absent. On a
-  /// freshly built (never-mutated) hash the arena appends keys in first-
-  /// insertion order, so these indexes form a dense id space [0, U) — the
-  /// universe numbering the bit-matrix all-pairs engine (core/bit_matrix)
-  /// encodes trees against. A hash that has seen removals may have arena
-  /// holes until compact(); the bit-matrix path only ever builds fresh.
+  /// Arena index of a stored bipartition, or kNoKeyIndex if absent. The
+  /// arena appends keys in first-insertion order and never drops one, so
+  /// these indexes form a dense id space [0, U) — the universe numbering
+  /// the bit-matrix all-pairs engine (core/bit_matrix) encodes trees
+  /// against.
   [[nodiscard]] std::uint32_t key_index_of(util::ConstWordSpan key) const;
 
   /// Batched lookup: `keys` is a contiguous arena of `count` keys of
@@ -133,22 +124,6 @@ class FrequencyHash final : public FrequencyStore {
   /// per-key add_weighted loop would.
   void add_many(const std::uint64_t* keys, std::size_t count,
                 const double* weights);
-
-  /// Batched remove: subtract one occurrence of each of `count` arena keys,
-  /// with per-key weights (nullptr = unit weights) — the inverse of
-  /// add_many. Mirrors add_many's prefetch pipeline; removal never grows or
-  /// reallocates, so prefetched lines stay valid for the whole batch.
-  /// Throws InvalidArgument on an unknown key (removals earlier in the
-  /// batch stand — the caller's oracle treats any throw as fatal). May end
-  /// with a tombstone-ratio-triggered compaction (see compact()).
-  void remove_many(const std::uint64_t* keys, std::size_t count,
-                   const double* weights);
-
-  /// Rebuild in place at the current slot count: drops every tombstone,
-  /// repacks the key arena (dead keys freed), preserves all (key, count)
-  /// contents and iteration results. Runs automatically when removals push
-  /// the tombstone ratio past kMaxTombstoneRatio.
-  void compact() override;
 
   /// Pre-size for `expected_unique` distinct keys: one rehash now instead
   /// of a cascade of doublings during build/merge. Never shrinks.
@@ -197,20 +172,6 @@ class FrequencyHash final : public FrequencyStore {
     return slots_.size();
   }
 
-  /// Tombstoned (erased, not yet reclaimed) slots.
-  [[nodiscard]] std::size_t tombstone_count() const noexcept {
-    return dir_.tombstone_count();
-  }
-
-  /// Tombstoned fraction of the slot table (obs gauge
-  /// bfhrf.hash.tombstone_ratio; compaction triggers past
-  /// kMaxTombstoneRatio).
-  [[nodiscard]] double tombstone_ratio() const noexcept {
-    return slots_.empty() ? 0.0
-                          : static_cast<double>(dir_.tombstone_count()) /
-                                static_cast<double>(slots_.size());
-  }
-
   /// The control-byte directory (tests / layout-equivalence oracles).
   [[nodiscard]] const util::GroupDirectory& directory() const noexcept {
     return dir_;
@@ -221,25 +182,11 @@ class FrequencyHash final : public FrequencyStore {
     return {slots_.data(), slots_.size()};
   }
 
-  /// The raw key arena in words (index-file writer). Length can exceed
-  /// unique_count()*words_per_key() when tombstoned keys linger; compact()
-  /// first to persist a dense arena.
+  /// The raw key arena in words (index-file writer): exactly
+  /// unique_count()*words_per_key() words, one key per stored bipartition.
   [[nodiscard]] std::span<const std::uint64_t> key_arena() const noexcept {
     return {keys_.data(), keys_.size()};
   }
-
-  /// Adopt a verbatim (ctrl, slots, keys) image previously produced by a
-  /// FrequencyHash over the same universe — the warm-start path of index
-  /// deserialization: O(bytes) copies instead of re-probing every key.
-  /// `ctrl` and `slots` must be the same power-of-two length; `live_keys`,
-  /// `total_count` and `total_weight` restore the summary counters. The
-  /// image is trusted to be self-consistent (it came from this codebase's
-  /// writer, which validated it on save).
-  void adopt_layout(std::span<const std::uint8_t> ctrl,
-                    std::span<const Slot> slots,
-                    std::span<const std::uint64_t> key_words,
-                    std::size_t live_keys, std::uint64_t total_count,
-                    double total_weight);
 
   /// Probe-length distribution over the RESIDENT keys: how many control
   /// groups a successful lookup of each stored key walks (1 = found in its
@@ -266,28 +213,14 @@ class FrequencyHash final : public FrequencyStore {
   template <typename Group>
   void add_many_impl(const std::uint64_t* keys, std::size_t count,
                      const double* weights);
-  template <typename Group>
-  void remove_many_impl(const std::uint64_t* keys, std::size_t count,
-                        const double* weights);
 
-  /// Decrement slot `idx` (already found under `key`) by `count`, erasing
-  /// it on reaching zero. Shared by the single and batched remove paths.
-  void remove_at(std::size_t idx, std::uint32_t count, double weight);
-
-  /// Grow/clean before admitting `incoming` inserts: occupancy counts
-  /// tombstones (they consume probe distance and — if ignored — could
-  /// starve probes of empty bytes). When live keys alone fit the current
-  /// size, the rehash is same-size and just reclaims tombstones.
-  void ensure_capacity(std::size_t incoming);
-
-  /// Compact when removals have tombstoned more than kMaxTombstoneRatio of
-  /// the table.
-  void maybe_compact();
+  /// Grow (never shrink) so `keys` distinct keys fit under kMaxLoad, which
+  /// also leaves every probe an empty byte to stop at.
+  void grow_to_fit(std::size_t keys);
 
   void rehash(std::size_t new_slot_count);
 
   static constexpr double kMaxLoad = 0.7;
-  static constexpr double kMaxTombstoneRatio = 0.25;
 
   std::size_t n_bits_ = 0;
   std::size_t words_per_ = 0;

@@ -1,14 +1,20 @@
 // FrequencyStore: the abstract bipartition-frequency map BFHRF builds on.
 //
-// Two implementations ship:
-//  * FrequencyHash          — raw fixed-width bitmask keys (the default).
+// Four implementations ship:
+//  * FrequencyHash           — raw fixed-width bitmask keys (the default).
+//  * ShardedFrequencyHash    — FrequencyHash shards routed by fingerprint
+//    (core/sharded_hash.hpp), for lock-free parallel builds.
 //  * CompressedFrequencyHash — losslessly compressed keys (§IX future
 //    work: "a loss less and reversible compression of the bipartitions as
 //    keys in the hash to further reduce memory").
+//  * MappedFrequencyStore    — a read-only store served in place off a
+//    saved index file (core/index_file.hpp).
 //
-// Both are collision-free (full-key verification) and reversible (keys can
+// All are collision-free (full-key verification) and reversible (keys can
 // be enumerated back out), so every consumer — the RF query, variants,
-// consensus — works against this interface unchanged.
+// consensus — works against this interface unchanged. Stores are add-only,
+// like the paper's Algorithm 2: BFH_R is built once, then only probed; a
+// changed collection is a new build.
 #pragma once
 
 #include <cstdint>
@@ -42,23 +48,6 @@ class FrequencyStore {
   void add(util::ConstWordSpan key, std::uint32_t count = 1) {
     add_weighted(key, count, 1.0);
   }
-
-  /// Remove `count` occurrences of a canonical bipartition with a per-key
-  /// weight (the inverse of add_weighted). A key whose frequency reaches
-  /// zero is erased from the store. Throws InvalidArgument if the key is
-  /// absent or `count` exceeds the stored frequency — frequencies never go
-  /// below zero.
-  virtual void remove_weighted(util::ConstWordSpan key, std::uint32_t count,
-                               double weight) = 0;
-
-  void remove(util::ConstWordSpan key, std::uint32_t count = 1) {
-    remove_weighted(key, count, 1.0);
-  }
-
-  /// Reclaim storage left behind by removals (tombstoned slots, dead key
-  /// bytes). Contents and iteration results are unchanged. Default: no-op
-  /// for stores that never fragment.
-  virtual void compact() {}
 
   /// Frequency of a bipartition (0 if absent).
   [[nodiscard]] virtual std::uint32_t frequency(

@@ -21,8 +21,6 @@ namespace bfhrf::core {
 namespace {
 
 const obs::Counter g_writes = obs::counter("bfhrf.index.file.writes");
-const obs::Counter g_save_compactions =
-    obs::counter("bfhrf.index.file.save_compactions");
 const obs::Counter g_mmap_loads = obs::counter("bfhrf.index.mmap.loads");
 const obs::Gauge g_mmap_bytes = obs::gauge("bfhrf.index.mmap.bytes");
 const obs::Histogram g_load_seconds =
@@ -155,27 +153,6 @@ void write_index_file(const FrequencyStore& store, const IndexFileMeta& meta,
         "file already is the index)");
   }
 
-  // Never persist tombstones: compact a private copy of any shard carrying
-  // DELETED control bytes, so loaded indexes always start dense and the
-  // key arenas written below hold exactly the live keys.
-  std::vector<std::unique_ptr<FrequencyHash>> scrubbed;
-  for (const FrequencyHash*& p : raw) {
-    if (p->tombstone_count() != 0) {
-      auto copy = std::make_unique<FrequencyHash>(*p);
-      copy->compact();
-      p = copy.get();
-      scrubbed.push_back(std::move(copy));
-      g_save_compactions.inc();
-    }
-  }
-  std::unique_ptr<CompressedFrequencyHash> comp_scrubbed;
-  if (comp != nullptr && comp->tombstone_count() != 0) {
-    comp_scrubbed = std::make_unique<CompressedFrequencyHash>(*comp);
-    comp_scrubbed->compact();
-    comp = comp_scrubbed.get();
-    g_save_compactions.inc();
-  }
-
   const std::size_t shard_count = comp != nullptr ? 1 : raw.size();
   const std::size_t wp = util::words_for_bits(store.n_bits());
   const std::size_t slot_size = comp != nullptr
@@ -209,8 +186,7 @@ void write_index_file(const FrequencyStore& store, const IndexFileMeta& meta,
       r.total_weight = comp->total_weight();
     } else {
       const FrequencyHash& fh = *raw[s];
-      // A compacted (or never-tombstoned) table's arena is dense: exactly
-      // one key per live slot.
+      // An add-only table's arena is dense: exactly one key per live slot.
       BFHRF_ASSERT(fh.key_arena().size() == fh.unique_count() * wp);
       r.slot_count = fh.capacity_slots();
       r.key_bytes = fh.key_arena().size() * sizeof(std::uint64_t);
@@ -358,8 +334,8 @@ void MappedIndex::validate(const std::string& path) const {
     require(r.live_keys < r.slot_count, path,
             "no EMPTY slot left for probes to stop at");
     if (raw) {
-      // A persisted arena is dense (the writer compacts): exactly
-      // live_keys keys of words_per_key words.
+      // A persisted arena is dense: exactly live_keys keys of
+      // words_per_key words.
       require(r.key_bytes % sizeof(std::uint64_t) == 0, path,
               "raw key arena not word-sized");
       const std::uint64_t words = r.key_bytes / sizeof(std::uint64_t);
@@ -478,17 +454,13 @@ MappedFrequencyStore::MappedFrequencyStore(const std::string& path)
 
 void MappedFrequencyStore::read_only_violation(const char* op) {
   throw Error(std::string("MappedFrequencyStore is read-only: ") + op +
-              " (warm-start a mutable store to modify a loaded index)");
+              " (rebuild from the reference trees to change a loaded "
+              "index)");
 }
 
 void MappedFrequencyStore::add_weighted(util::ConstWordSpan, std::uint32_t,
                                         double) {
   read_only_violation("add_weighted");
-}
-
-void MappedFrequencyStore::remove_weighted(util::ConstWordSpan,
-                                           std::uint32_t, double) {
-  read_only_violation("remove_weighted");
 }
 
 void MappedFrequencyStore::merge_from(const FrequencyStore&) {
@@ -539,21 +511,6 @@ void MappedFrequencyStore::for_each_key(
                        decoded);
     fn(decoded.words(), slot.count);
   }
-}
-
-void MappedFrequencyStore::warm_start(FrequencyHash& target) const {
-  if (kind() != MappedStoreKind::Raw || shard_count() != 1) {
-    throw InvalidArgument(
-        "MappedFrequencyStore::warm_start: only raw single-shard indexes "
-        "adopt directly (replay multi-shard/compressed via for_each_key)");
-  }
-  if (target.n_bits() != n_bits()) {
-    throw InvalidArgument(
-        "MappedFrequencyStore::warm_start: taxon universe mismatch");
-  }
-  target.adopt_layout(index_.ctrl(0), index_.raw_slots(0),
-                      index_.raw_keys(0), unique_count(), total_count(),
-                      total_weight());
 }
 
 }  // namespace bfhrf::core

@@ -19,12 +19,11 @@
 // (FrequencyHash); compressed stores persist one record whose "key arena"
 // is the encoding byte arena.
 //
-// Tombstones are never persisted: the writer compacts a private copy of
-// any shard that carries DELETED ctrl bytes, so a loaded index starts
-// dense (ROADMAP "delta-aware index persistence"). Saves are atomic: the
-// writer fills a uniquely named temp file next to the target, fsyncs it
-// and renames it over the target, so a reader that still maps the old
-// file keeps its old inode and a crash never leaves a torn index.
+// Stores are add-only, so the tables are written as they stand: every
+// ctrl byte is EMPTY or a tag and every key arena is dense. Saves are
+// atomic: the writer fills a uniquely named temp file next to the target,
+// fsyncs it and renames it over the target, so a reader that still maps
+// the old file keeps its old inode and a crash never leaves a torn index.
 //
 // The format is explicitly little-endian and fixed-layout; static_asserts
 // pin the struct sizes. Loading validates magic, version, section bounds,
@@ -38,7 +37,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -101,13 +99,12 @@ struct IndexFileMeta {
 };
 
 /// Write `store` to `path` in the mapped format. Accepts FrequencyHash,
-/// ShardedFrequencyHash, and CompressedFrequencyHash stores; shards
-/// carrying tombstones are compacted into a private copy first, so the
-/// file never contains DELETED ctrl bytes. The write is atomic (temp file,
-/// fsync, rename over `path`, fsync of the directory); on failure the
-/// temp file is removed and `path` is untouched. Throws InvalidArgument
-/// for other store types (including an already-mapped store — the file it
-/// came from IS the mapped form) and Error on I/O failure.
+/// ShardedFrequencyHash, and CompressedFrequencyHash stores. The write is
+/// atomic (temp file, fsync, rename over `path`, fsync of the directory);
+/// on failure the temp file is removed and `path` is untouched. Throws
+/// InvalidArgument for other store types (including an already-mapped
+/// store — the file it came from IS the mapped form) and Error on I/O
+/// failure.
 void write_index_file(const FrequencyStore& store, const IndexFileMeta& meta,
                       const std::string& path);
 
@@ -202,13 +199,6 @@ class MappedFrequencyStore final : public FrequencyStore {
     return view_;
   }
 
-  /// Copy the mapped layout into a mutable FrequencyHash over the same
-  /// universe — the DynamicBfhIndex warm start (memcpy + tombstone
-  /// recount, no per-key re-probing). Raw single-shard only; throws
-  /// InvalidArgument otherwise (multi-shard/compressed callers replay
-  /// through for_each_key).
-  void warm_start(FrequencyHash& target) const;
-
   // FrequencyStore interface (read-only).
   [[nodiscard]] std::size_t n_bits() const noexcept override {
     return static_cast<std::size_t>(index_.header().n_bits);
@@ -224,8 +214,6 @@ class MappedFrequencyStore final : public FrequencyStore {
   }
   void add_weighted(util::ConstWordSpan key, std::uint32_t count,
                     double weight) override;
-  void remove_weighted(util::ConstWordSpan key, std::uint32_t count,
-                       double weight) override;
   [[nodiscard]] std::uint32_t frequency(util::ConstWordSpan key)
       const override;
   void merge_from(const FrequencyStore& other) override;

@@ -34,31 +34,4 @@ Bfhrf load_bfhrf_file(const std::string& path, BfhrfOptions opts) {
   return engine;
 }
 
-// --- DynamicBfhIndex::from_index_file ---------------------------------------
-
-DynamicBfhIndex DynamicBfhIndex::from_index_file(const std::string& path,
-                                                 BfhrfOptions opts) {
-  opts.shards = 1;  // dynamic index invariant (single concrete table)
-  const MappedFrequencyStore mapped(path);
-  opts.compressed_keys = mapped.kind() == MappedStoreKind::Compressed;
-  opts.include_trivial = mapped.include_trivial();
-  DynamicBfhIndex index(mapped.n_bits(), opts);
-  Bfhrf& engine = index.engine_;
-  if (mapped.kind() == MappedStoreKind::Raw && mapped.shard_count() == 1) {
-    // Zero-parse warm start: adopt the mapped layout verbatim into the
-    // index's mutable table (memcpy + tombstone recount; the writer
-    // compacted, so the recount finds none).
-    mapped.warm_start(static_cast<FrequencyHash&>(*engine.store_));
-  } else {
-    // Multi-shard or compressed files replay into the single table.
-    mapped.for_each_key([&](util::ConstWordSpan key, std::uint32_t count) {
-      engine.store_->add(key, count);
-    });
-    engine.store_->set_total_weight(mapped.total_weight());
-  }
-  engine.reference_trees_ = mapped.reference_trees();
-  engine.publish_store_metrics();
-  return index;
-}
-
 }  // namespace bfhrf::core

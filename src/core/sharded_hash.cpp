@@ -73,12 +73,6 @@ void ShardedFrequencyHash::add_weighted(util::ConstWordSpan key,
   shards_[shard_index(key)]->add_weighted(key, count, weight);
 }
 
-void ShardedFrequencyHash::remove_weighted(util::ConstWordSpan key,
-                                           std::uint32_t count,
-                                           double weight) {
-  shards_[shard_index(key)]->remove_weighted(key, count, weight);
-}
-
 void ShardedFrequencyHash::add_many(const std::uint64_t* keys,
                                     std::size_t count,
                                     const double* weights) {
@@ -110,12 +104,6 @@ void ShardedFrequencyHash::add_many(const std::uint64_t* keys,
                            weights != nullptr ? stage_weights_[s].data()
                                               : nullptr);
     }
-  }
-}
-
-void ShardedFrequencyHash::compact() {
-  for (auto& s : shards_) {
-    s->compact();
   }
 }
 

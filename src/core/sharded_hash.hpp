@@ -95,8 +95,6 @@ class ShardedFrequencyHash final : public FrequencyStore {
 
   void add_weighted(util::ConstWordSpan key, std::uint32_t count,
                     double weight) override;
-  void remove_weighted(util::ConstWordSpan key, std::uint32_t count,
-                       double weight) override;
 
   /// Batched insert of `count` contiguous arena keys (mirrors
   /// FrequencyHash::add_many): keys are routed into per-shard staging
@@ -107,7 +105,6 @@ class ShardedFrequencyHash final : public FrequencyStore {
   void add_many(const std::uint64_t* keys, std::size_t count,
                 const double* weights);
 
-  void compact() override;
   [[nodiscard]] std::uint32_t frequency(util::ConstWordSpan key)
       const override;
   void merge_from(const FrequencyStore& other) override;

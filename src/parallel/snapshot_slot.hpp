@@ -1,8 +1,8 @@
 // SnapshotSlot: RCU-style publish/acquire of immutable versioned values.
 //
 // The query server (src/serve) serves a built BFH index to many concurrent
-// readers while a writer occasionally publishes a replacement (a full
-// reload or a DynamicBfhIndex delta publish). The classic answer is
+// readers while a writer occasionally publishes a replacement (a rebuilt
+// or reloaded index). The classic answer is
 // read-copy-update: readers acquire a reference to the CURRENT version
 // without taking any lock the writer can hold, the writer swaps in the next
 // version with one atomic pointer store, and a retired version is destroyed

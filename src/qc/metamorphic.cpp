@@ -266,64 +266,6 @@ void check_nni_delta(std::span<const Tree> trees, util::Rng& rng,
   }
 }
 
-void check_add_remove_identity(std::span<const Tree> trees, util::Rng& rng,
-                               const InvariantOptions& opts,
-                               InvariantReport& report) {
-  report.invariants_run.push_back("add-remove-identity");
-  if (trees.empty()) {
-    return;
-  }
-  // Baseline: a dynamic index over the whole collection, with sampled
-  // self-query results recorded. Inserting a perturbed batch and removing
-  // it again must restore every count and every query result exactly —
-  // classic RF is integer-valued throughout, so equality is bit-for-bit.
-  core::BfhrfOptions engine_opts;
-  engine_opts.include_trivial = opts.include_trivial;
-  core::DynamicBfhIndex index(trees.front().taxa()->size(), engine_opts);
-  index.add_trees(trees);
-
-  const std::vector<std::size_t> probe_idx =
-      sample_indices(trees.size(), opts.samples, rng);
-  std::vector<double> before;
-  before.reserve(probe_idx.size());
-  for (const std::size_t i : probe_idx) {
-    before.push_back(index.query_one(trees[i]));
-  }
-  const std::size_t base_unique = index.store().unique_count();
-  const std::uint64_t base_total = index.store().total_count();
-
-  std::vector<Tree> batch;
-  for (const std::size_t i :
-       sample_indices(trees.size(), opts.samples, rng)) {
-    Tree t = trees[i];
-    sim::perturb(t, rng, 2);
-    batch.push_back(std::move(t));
-  }
-  const std::vector<std::size_t> ids = index.add_trees(batch);
-  index.remove_trees(ids);
-
-  ++report.checks;
-  if (index.store().unique_count() != base_unique ||
-      index.store().total_count() != base_total) {
-    fail(report, "add-remove-identity",
-         "store shape not restored: unique " +
-             std::to_string(index.store().unique_count()) + "/" +
-             std::to_string(base_unique) + ", total " +
-             std::to_string(index.store().total_count()) + "/" +
-             std::to_string(base_total));
-  }
-  for (std::size_t k = 0; k < probe_idx.size(); ++k) {
-    ++report.checks;
-    const double after = index.query_one(trees[probe_idx[k]]);
-    if (after != before[k]) {
-      fail(report, "add-remove-identity",
-           "query result for tree " + std::to_string(probe_idx[k]) +
-               " drifted after add+remove: " + std::to_string(after) +
-               " != " + std::to_string(before[k]));
-    }
-  }
-}
-
 void check_round_trip(std::span<const Tree> trees, util::Rng& rng,
                       const InvariantOptions& opts, InvariantReport& report) {
   report.invariants_run.push_back("round-trip");
@@ -494,7 +436,6 @@ InvariantReport check_invariants(std::span<const Tree> trees,
   check_duplicates(trees, rng, opts, report);
   check_pruning(trees, rng, opts, report);
   check_nni_delta(trees, rng, opts, report);
-  check_add_remove_identity(trees, rng, opts, report);
   check_round_trip(trees, rng, opts, report);
   check_saturation(trees, opts, report);
   check_vector_codec(trees, rng, opts, report);

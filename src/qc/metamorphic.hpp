@@ -12,8 +12,6 @@
 //                   unshared full split), and restricting to all shared
 //                   taxa is the identity
 //   NNI delta       one NNI changes at most one bipartition: RF <= 2
-//   add/remove      inserting a tree batch into a dynamic index and
-//                   removing it restores every count and query result
 //   round-trip      Newick write -> parse -> write is idempotent and
 //                   distance-free; a Nexus TREES block re-read likewise
 //   saturation      identity-order vs riffle-order caterpillars share no
@@ -82,9 +80,6 @@ void check_pruning(std::span<const phylo::Tree> trees, util::Rng& rng,
                    const InvariantOptions& opts, InvariantReport& report);
 void check_nni_delta(std::span<const phylo::Tree> trees, util::Rng& rng,
                      const InvariantOptions& opts, InvariantReport& report);
-void check_add_remove_identity(std::span<const phylo::Tree> trees,
-                               util::Rng& rng, const InvariantOptions& opts,
-                               InvariantReport& report);
 void check_round_trip(std::span<const phylo::Tree> trees, util::Rng& rng,
                       const InvariantOptions& opts, InvariantReport& report);
 void check_saturation(std::span<const phylo::Tree> trees,

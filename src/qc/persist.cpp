@@ -13,7 +13,6 @@
 #include "core/sharded_hash.hpp"
 #include "qc/harness.hpp"
 #include "util/error.hpp"
-#include "util/group_table.hpp"
 
 namespace bfhrf::qc {
 namespace {
@@ -95,19 +94,6 @@ void compare_queries(Context& ctx, std::span<const double> got,
   }
 }
 
-/// True when any shard's ctrl section carries a DELETED byte — saved
-/// index files must never (writer-side compaction invariant).
-bool has_tombstones(const core::MappedIndex& index) {
-  for (std::size_t s = 0; s < index.header().shard_count; ++s) {
-    const auto ctrl = index.ctrl(s);
-    if (std::find(ctrl.begin(), ctrl.end(), util::kCtrlDeleted) !=
-        ctrl.end()) {
-      return true;
-    }
-  }
-  return false;
-}
-
 class ScratchFile {
  public:
   ScratchFile(const std::string& dir, std::uint64_t seed, const char* tag) {
@@ -136,14 +122,10 @@ void round_trip(Context& ctx, const Bfhrf& engine,
   core::save_bfhrf_file(engine, file.path());
   const Bfhrf loaded = core::load_bfhrf_file(file.path());
   ++ctx.report.round_trips;
-  const auto* mapped =
-      dynamic_cast<const core::MappedFrequencyStore*>(&loaded.store());
-  if (ctx.check(mapped != nullptr,
-                label + " mapped: load did not serve zero-copy "
-                        "(store is not MappedFrequencyStore)")) {
-    ctx.check(!has_tombstones(mapped->index()),
-              label + " mapped: file contains DELETED ctrl bytes");
-  }
+  ctx.check(dynamic_cast<const core::MappedFrequencyStore*>(
+                &loaded.store()) != nullptr,
+            label + " mapped: load did not serve zero-copy "
+                    "(store is not MappedFrequencyStore)");
   compare_stores(ctx, loaded.store(), want, label + " mapped");
   compare_queries(ctx, loaded.query(queries), want_rf, label + " mapped");
 }
@@ -210,47 +192,6 @@ PersistOracleReport check_persist_equivalence(
     compressed.build(reference);
     compare_queries(ctx, compressed.query(queries), want_rf, "compressed");
     round_trip(ctx, compressed, queries, want, want_rf, "compressed");
-  }
-
-  // --- tombstoned dynamic state: save must compact -----------------------
-  {
-    BfhrfOptions dyn_opts;
-    dyn_opts.include_trivial = opts.include_trivial;
-    core::DynamicBfhIndex index(n_bits, dyn_opts);
-    const std::vector<std::size_t> ids = index.add_trees(reference);
-    // Remove a third of the trees so some counts hit zero and tombstone.
-    for (std::size_t i = 0; i < ids.size(); i += 3) {
-      index.remove_tree(ids[i]);
-    }
-    const StoreImage dyn_want = image_of(index.store());
-    const std::vector<double> dyn_rf = index.query(queries);
-
-    const ScratchFile file(opts.scratch_dir, opts.seed, "tomb");
-    core::write_index_file(
-        index.store(),
-        core::IndexFileMeta{.include_trivial = opts.include_trivial,
-                            .reference_trees = index.tree_count()},
-        file.path());
-    ++report.round_trips;
-    const Bfhrf loaded = core::load_bfhrf_file(file.path());
-    const auto* mapped =
-        dynamic_cast<const core::MappedFrequencyStore*>(&loaded.store());
-    if (ctx.check(mapped != nullptr, "tombstoned mapped: not zero-copy")) {
-      ctx.check(!has_tombstones(mapped->index()),
-                "tombstoned mapped: writer persisted DELETED ctrl bytes");
-    }
-    compare_stores(ctx, loaded.store(), dyn_want, "tombstoned mapped");
-    compare_queries(ctx, loaded.query(queries), dyn_rf, "tombstoned mapped");
-
-    // Warm start: reopen the file as a live dynamic index and mutate it.
-    core::DynamicBfhIndex reopened =
-        core::DynamicBfhIndex::from_index_file(file.path(), dyn_opts);
-    compare_stores(ctx, reopened.store(), dyn_want, "warm-start");
-    compare_queries(ctx, reopened.query(queries), dyn_rf, "warm-start");
-    const std::size_t added = reopened.add_tree(reference.front());
-    reopened.remove_tree(added);
-    compare_stores(ctx, reopened.store(), dyn_want,
-                   "warm-start after add+remove");
   }
 
   return report;

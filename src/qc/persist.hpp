@@ -11,12 +11,8 @@
 //  * the on-disk ("BFHMAP") format round-trips every shape — save, load,
 //    re-query, compare to the exact double;
 //  * a mapped load actually serves zero-copy (the loaded store is the
-//    read-only MappedFrequencyStore, not a rebuilt table) and its file
-//    never contains a DELETED ctrl byte, even when the saved store was
-//    tombstoned by DynamicBfhIndex removals (the writer must compact);
-//  * DynamicBfhIndex::from_index_file on a raw single-shard mapped file
-//    (the warm-start path) matches a replayed index state for state and
-//    queries.
+//    read-only MappedFrequencyStore, not a rebuilt table), and so passes
+//    the loader's byte-level validation of every ctrl and slot section.
 //
 // Failure messages carry the seed in the --seed/BFHRF_FUZZ_SEED replay
 // convention. Designed to run under the asan-ubsan preset (mapped views

@@ -2,12 +2,11 @@
 // open-addressed frequency hashes (core/frequency_hash, compressed_hash,
 // branch_score).
 //
-// Layout: one byte per slot, 0x80 = empty, 0xfe = deleted (tombstone),
-// 0x00..0x7f = the 7-bit tag of the occupant's fingerprint. Bytes are
-// probed 16 at a time ("groups") with a single vector compare (SSE2/NEON)
-// or two 64-bit SWAR words. The directory is cache-line aligned, so a
-// group load is one aligned 16-byte read inside one line, and four
-// consecutive groups share a line.
+// Layout: one byte per slot, 0x80 = empty, 0x00..0x7f = the 7-bit tag of
+// the occupant's fingerprint. Bytes are probed 16 at a time ("groups")
+// with a single vector compare (SSE2/NEON) or two 64-bit SWAR words. The
+// directory is cache-line aligned, so a group load is one aligned 16-byte
+// read inside one line, and four consecutive groups share a line.
 //
 // Fingerprint split: the 64-bit key fingerprint fp (util::hash_words)
 // provides the low 7 bits as the control tag and the remaining 57 bits as
@@ -19,20 +18,16 @@
 // per-shard directory behaves exactly like a standalone one.)
 //
 // Probing: start at the home group, scan tag matches (caller verifies the
-// full key), and stop at the first group containing an EMPTY byte — an
-// empty byte proves the key was never displaced past it, because erase()
-// writes DELETED, never empty. DELETED bytes are skipped by the scan (a
-// 7-bit tag can never equal 0xfe) but are remembered: when the key is
-// absent, the reported insertion point is the first available (deleted or
-// empty) slot along the probe path, so insertions reuse tombstones and a
-// delete-then-reinsert cycle restores the original layout. Group stride is
-// linear, so the displacement chain is contiguous memory.
+// full key), and stop at the first group containing an EMPTY byte. Tables
+// are add-only, so an empty byte proves the key was never displaced past
+// it, and when the key is absent that group's first empty byte is the
+// insertion point. Group stride is linear, so the displacement chain is
+// contiguous memory.
 //
 // The SWAR path may surface false tag candidates on occupied bytes (never
-// on empty or deleted ones — see util/simd.hpp); callers' full-key
-// verification rejects them, and the empty/available masks are exact on
-// every path, so table contents — including tombstone placement — are
-// byte-identical across dispatch levels.
+// on empty ones — see util/simd.hpp); callers' full-key verification
+// rejects them, and the empty mask is exact on every path, so table
+// contents are byte-identical across dispatch levels.
 //
 // The read path is split out as GroupDirectoryView: a non-owning (ctrl
 // pointer, slot count) pair carrying every const probing primitive.
@@ -42,12 +37,14 @@
 // the exact same probe code. Because the vectorized path issues ALIGNED
 // 16-byte loads, any memory a view covers must be at least 16-byte
 // aligned; the on-disk format 64-byte-aligns every section and the loader
-// rejects files that violate it.
+// rejects files that violate it, or that hold any ctrl byte other than
+// EMPTY or a tag.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "util/memory.hpp"
 #include "util/simd.hpp"
@@ -56,7 +53,6 @@ namespace bfhrf::util {
 
 inline constexpr std::size_t kGroupWidth = 16;
 inline constexpr std::uint8_t kCtrlEmpty = 0x80;
-inline constexpr std::uint8_t kCtrlDeleted = 0xfe;
 
 /// Low 7 bits of the fingerprint: the control tag.
 [[nodiscard]] constexpr std::uint8_t ctrl_tag(std::uint64_t fp) noexcept {
@@ -77,7 +73,7 @@ class GroupDirectoryView {
  public:
   struct FindResult {
     std::size_t index;   ///< matching slot, or the insertion point (the
-                         ///< first deleted-or-empty slot on the probe path)
+                         ///< first empty slot of the probe's last group)
     bool found;          ///< true when the caller's key predicate matched
     std::uint32_t groups_probed;  ///< control groups inspected (>= 1)
   };
@@ -86,7 +82,7 @@ class GroupDirectoryView {
   /// probe, hoisted so pipelined lookups inspect each group exactly once.
   /// Only valid while the directory is unmodified: an insert between
   /// inspect() and find_hinted() can occupy a slot the hint still reports
-  /// empty, so hints are strictly for read-only batches.
+  /// empty, so only read-only batches may run hints ahead of the resolve.
   struct GroupHint {
     std::uint32_t match_mask;  ///< bytes (possibly) equal to fp's tag
     std::uint32_t empty_mask;  ///< empty bytes (exact on every path)
@@ -104,9 +100,6 @@ class GroupDirectoryView {
   [[nodiscard]] bool occupied(std::size_t index) const noexcept {
     return ctrl_[index] < kCtrlEmpty;
   }
-  [[nodiscard]] bool deleted(std::size_t index) const noexcept {
-    return ctrl_[index] == kCtrlDeleted;
-  }
 
   [[nodiscard]] std::size_t home_group(std::uint64_t fp) const noexcept {
     return static_cast<std::size_t>(slot_hash(fp)) & (group_count() - 1);
@@ -118,47 +111,14 @@ class GroupDirectoryView {
   }
 
   /// Find the slot whose occupant satisfies `eq` among slots tagged with
-  /// fp's tag, or the insertion point (first deleted-or-empty slot on the
-  /// probe path) if none does. `eq(slot_index)` is only called on occupied
-  /// slots. Statically dispatched variant for hot loops that hoist the
-  /// level check.
+  /// fp's tag, or the insertion point (the first empty slot of the group
+  /// that ends the probe) if none does. `eq(slot_index)` is only called on
+  /// occupied slots. Statically dispatched variant for hot loops that hoist
+  /// the level check.
   template <typename Group, typename Eq>
   [[nodiscard]] FindResult find_with(std::uint64_t fp,
                                      Eq&& eq) const noexcept {
-    constexpr std::size_t kNoSlot = ~std::size_t{0};
-    const std::size_t gmask = group_count() - 1;
-    const std::uint8_t tag = ctrl_tag(fp);
-    std::size_t g = static_cast<std::size_t>(slot_hash(fp)) & gmask;
-    std::size_t insert_at = kNoSlot;
-    std::uint32_t probed = 0;
-    while (true) {
-      ++probed;
-      const std::uint8_t* base = ctrl_ + g * kGroupWidth;
-      const Group group = Group::load(base);
-      std::uint32_t m = group.match(tag);
-      while (m != 0) {
-        const std::size_t idx =
-            g * kGroupWidth + static_cast<std::size_t>(std::countr_zero(m));
-        if (eq(idx)) {
-          return {idx, true, probed};
-        }
-        m &= m - 1;
-      }
-      if (insert_at == kNoSlot) {
-        // First deleted-or-empty slot seen so far: the insertion point if
-        // the key turns out to be absent. With no tombstones this is the
-        // first empty byte, i.e. the insert-only behaviour.
-        const std::uint32_t avail = group.match_available();
-        if (avail != 0) {
-          insert_at = g * kGroupWidth +
-                      static_cast<std::size_t>(std::countr_zero(avail));
-        }
-      }
-      if (group.match_empty() != 0) {
-        return {insert_at, false, probed};
-      }
-      g = (g + 1) & gmask;
-    }
+    return find_hinted<Group>(fp, inspect<Group>(fp), std::forward<Eq>(eq));
   }
 
   /// Inspect fp's home group once: the stage the batched lookup pipelines
@@ -170,10 +130,8 @@ class GroupDirectoryView {
   }
 
   /// find_with() resuming from a precomputed home-group hint, so the common
-  /// home-group hit touches no control memory at resolve time. Read-only
-  /// batches only (see GroupHint): on a miss the reported index is the
-  /// first EMPTY slot (tombstones are skipped, not claimed), which is fine
-  /// for lookups — the slot read there is vacant either way.
+  /// home-group hit touches no control memory at resolve time. The hint
+  /// must postdate the directory's last modification (see GroupHint).
   template <typename Group, typename Eq>
   [[nodiscard]] FindResult find_hinted(std::uint64_t fp, GroupHint hint,
                                        Eq&& eq) const noexcept {
@@ -245,29 +203,12 @@ class GroupDirectory {
 
   GroupDirectory() = default;
 
-  /// Reset to `slot_count` empty slots (dropping any tombstones).
-  /// `slot_count` must be a power of two and at least kGroupWidth.
-  void reset(std::size_t slot_count) {
-    ctrl_.assign(slot_count, kCtrlEmpty);
-    tombstones_ = 0;
-  }
-
-  /// Adopt a verbatim control-byte image (deserialization warm starts:
-  /// the bytes were produced by another GroupDirectory over the same key
-  /// set, so probe chains are valid as-is). Tombstones are recounted from
-  /// the image.
-  void assign(std::span<const std::uint8_t> ctrl) {
-    ctrl_.assign(ctrl.begin(), ctrl.end());
-    tombstones_ = 0;
-    for (const std::uint8_t byte : ctrl_) {
-      if (byte == kCtrlDeleted) {
-        ++tombstones_;
-      }
-    }
-  }
+  /// Reset to `slot_count` empty slots. `slot_count` must be a power of
+  /// two and at least kGroupWidth.
+  void reset(std::size_t slot_count) { ctrl_.assign(slot_count, kCtrlEmpty); }
 
   /// Non-owning probing view over the current bytes. Invalidated by
-  /// reset/assign (reallocation), like any container reference.
+  /// reset (reallocation), like any container reference.
   [[nodiscard]] GroupDirectoryView view() const noexcept {
     return {ctrl_.data(), ctrl_.size()};
   }
@@ -281,14 +222,6 @@ class GroupDirectory {
   [[nodiscard]] bool occupied(std::size_t index) const noexcept {
     return ctrl_[index] < kCtrlEmpty;
   }
-  [[nodiscard]] bool deleted(std::size_t index) const noexcept {
-    return ctrl_[index] == kCtrlDeleted;
-  }
-
-  /// Live tombstones (erased slots not yet reused or compacted away).
-  [[nodiscard]] std::size_t tombstone_count() const noexcept {
-    return tombstones_;
-  }
 
   /// The raw control bytes (tests / layout-equivalence oracles / the
   /// index-file writer).
@@ -296,20 +229,9 @@ class GroupDirectory {
     return {ctrl_.data(), ctrl_.size()};
   }
 
-  /// Record `fp`'s tag at a slot returned by a failed find(). Reclaims the
-  /// slot's tombstone when the insertion point was a deleted slot.
+  /// Record `fp`'s tag at a slot returned by a failed find().
   void mark(std::size_t index, std::uint64_t fp) noexcept {
-    if (ctrl_[index] == kCtrlDeleted) {
-      --tombstones_;
-    }
     ctrl_[index] = ctrl_tag(fp);
-  }
-
-  /// Tombstone an occupied slot. The byte becomes DELETED — never EMPTY —
-  /// so probe chains that were displaced past this slot stay intact.
-  void erase(std::size_t index) noexcept {
-    ctrl_[index] = kCtrlDeleted;
-    ++tombstones_;
   }
 
   [[nodiscard]] std::size_t home_group(std::uint64_t fp) const noexcept {
@@ -361,7 +283,6 @@ class GroupDirectory {
 
  private:
   CacheAlignedVector<std::uint8_t> ctrl_;
-  std::size_t tombstones_ = 0;
 };
 
 }  // namespace bfhrf::util

@@ -15,27 +15,21 @@
 // target attributes).
 //
 // The 16-byte control-group view (Group16*) implements Swiss-table probing:
-// `match(tag)` returns a bitmask of bytes equal to a 7-bit tag,
-// `match_empty()` a bitmask of empty (0x80) bytes, and `match_available()`
-// a bitmask of empty-or-deleted (0x80 or 0xfe) bytes — the slots an
-// insertion may claim once tombstones exist (util/group_table.hpp).
+// `match(tag)` returns a bitmask of bytes equal to a 7-bit tag and
+// `match_empty()` a bitmask of empty (0x80) bytes (util/group_table.hpp).
 //
 // SWAR exactness contract (relied on by util/group_table.hpp):
-//  * match_empty() is EXACT. Empty is 0x80 (high bit set, bit 6 clear),
-//    deleted is 0xfe (high bit set, bit 6 set), full bytes are 0x00..0x7f
-//    (high bit clear) — so `ctrl & (~ctrl << 1) & 0x80` isolates exactly
-//    the empty bytes with pure bitwise ops; the shift only moves bit 6 to
-//    bit 7 within each byte (cross-byte leakage lands in bits 0..6, which
-//    the high-bit mask discards).
-//  * match_available() is EXACT — a pure high-bit extract: both sentinel
-//    bytes (and only they) have the high bit set.
+//  * match_empty() is EXACT — a pure high-bit extract. A control byte is
+//    either EMPTY (0x80) or a full 7-bit tag (0x00..0x7f, high bit clear):
+//    in-memory tables never write anything else, and the BFHMAP loader
+//    rejects a mapped file holding any other byte, so the high bit alone
+//    flags exactly the empty bytes.
 //  * match(tag) may report false positives, but ONLY on full bytes: for an
-//    empty or deleted byte, x = ctrl ^ tag has its high bit set (ctrl >=
-//    0x80, tag <= 0x7f), so `& ~x` clears its lane no matter what the
-//    subtraction's borrow did. A false positive therefore only sends the
-//    probe loop to a full slot whose key comparison rejects it — table
-//    contents and insertion positions stay byte-identical to the exact
-//    vector paths.
+//    empty byte, x = ctrl ^ tag has its high bit set (ctrl = 0x80, tag <=
+//    0x7f), so `& ~x` clears its lane no matter what the subtraction's
+//    borrow did. A false positive therefore only sends the probe loop to a
+//    full slot whose key comparison rejects it — table contents and
+//    insertion positions stay byte-identical to the exact vector paths.
 #pragma once
 
 #include <cstdint>
@@ -132,17 +126,9 @@ struct Group16Swar {
            (movemask8((xh - kLsb) & ~xh & kMsb) << 8);
   }
 
-  /// Exact bitmask of empty (0x80) bytes. Deleted bytes (0xfe) carry bit 6,
-  /// which `& (~x << 1)` clears from the high-bit extract (see the file
-  /// comment's contract); the shift cannot leak across bytes because only
-  /// high bits survive the kMsb mask.
+  /// Exact bitmask of empty (0x80) bytes: the per-byte high bit (see the
+  /// file comment's contract).
   [[nodiscard]] std::uint32_t match_empty() const noexcept {
-    return movemask8(lo & (~lo << 1) & kMsb) |
-           (movemask8(hi & (~hi << 1) & kMsb) << 8);
-  }
-
-  /// Exact bitmask of empty-or-deleted bytes (pure high-bit extract).
-  [[nodiscard]] std::uint32_t match_available() const noexcept {
     return movemask8(lo & kMsb) | (movemask8(hi & kMsb) << 8);
   }
 };
@@ -165,15 +151,8 @@ struct Group16Sse2 {
   }
 
   [[nodiscard]] std::uint32_t match_empty() const noexcept {
-    // Exact equality against the empty sentinel (deleted bytes differ).
-    const __m128i empty = _mm_set1_epi8(static_cast<char>(0x80));
-    return static_cast<std::uint32_t>(
-        _mm_movemask_epi8(_mm_cmpeq_epi8(v, empty)));
-  }
-
-  [[nodiscard]] std::uint32_t match_available() const noexcept {
-    // Full bytes are 0x00..0x7f, so the per-byte sign bit flags both
-    // sentinels (empty 0x80, deleted 0xfe) and nothing else.
+    // Full bytes are 0x00..0x7f, so the per-byte sign bit flags exactly
+    // the empty (0x80) bytes.
     return static_cast<std::uint32_t>(_mm_movemask_epi8(v));
   }
 };
@@ -203,12 +182,7 @@ struct Group16Neon {
   }
 
   [[nodiscard]] std::uint32_t match_empty() const noexcept {
-    // Exact equality against the empty sentinel (deleted bytes differ).
-    return compress(vceqq_u8(v, vdupq_n_u8(0x80)));
-  }
-
-  [[nodiscard]] std::uint32_t match_available() const noexcept {
-    return compress(v);  // sign bit flags empty (0x80) and deleted (0xfe)
+    return compress(v);  // the sign bit flags exactly the empty (0x80) bytes
   }
 };
 

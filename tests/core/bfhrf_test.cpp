@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/sequential_rf.hpp"
 #include "core/tree_source.hpp"
@@ -264,25 +268,64 @@ TEST(BfhrfTest, IncludeTrivialChangesNothingForFixedTaxa) {
   }
 }
 
+/// A store's contents as a comparable value: sorted (key words, count).
+std::vector<std::pair<std::vector<std::uint64_t>, std::uint32_t>> store_image(
+    const FrequencyStore& store) {
+  std::vector<std::pair<std::vector<std::uint64_t>, std::uint32_t>> img;
+  store.for_each_key([&](util::ConstWordSpan key, std::uint32_t count) {
+    img.emplace_back(std::vector<std::uint64_t>(key.begin(), key.end()),
+                     count);
+  });
+  std::sort(img.begin(), img.end());
+  return img;
+}
+
 TEST(BfhrfTest, IncrementalBuildAccumulates) {
+  // Stores are add-only, so a second build() is the only way to grow a
+  // built engine: on every store shape, split builds must hold exactly
+  // what one build over the whole collection holds.
   const auto taxa = TaxonSet::make_numbered(10);
   util::Rng rng(16);
   const auto all = test::random_collection(taxa, 20, 3, rng);
   const std::span<const Tree> first(all.data(), 12);
   const std::span<const Tree> second(all.data() + 12, 8);
-
-  Bfhrf split_build(taxa->size());
-  split_build.build(first);
-  split_build.build(second);
-
-  Bfhrf one_build(taxa->size());
-  one_build.build(all);
-
   const auto queries = test::random_collection(taxa, 5, 4, rng);
-  const auto a = split_build.query(queries);
-  const auto b = one_build.query(queries);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i], b[i]);
+  const InformationWeightedRf weighted(taxa->size());
+
+  std::vector<BfhrfOptions> configs;
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+      configs.push_back({.threads = threads, .shards = shards});
+    }
+    // Variants cannot shard.
+    configs.push_back({.threads = threads, .variant = &weighted, .shards = 1});
+  }
+  for (const BfhrfOptions& opts : configs) {
+    SCOPED_TRACE("threads=" + std::to_string(opts.threads) +
+                 " shards=" + std::to_string(opts.shards) +
+                 (opts.variant != nullptr ? " weighted" : ""));
+    Bfhrf split_build(taxa->size(), opts);
+    split_build.build(first);
+    split_build.build(second);
+    Bfhrf one_build(taxa->size(), opts);
+    one_build.build(all);
+
+    const FrequencyStore& split = split_build.store();
+    const FrequencyStore& one = one_build.store();
+    EXPECT_EQ(dynamic_cast<const ShardedFrequencyHash*>(&split) != nullptr,
+              opts.shards > 1);
+    EXPECT_EQ(store_image(split), store_image(one));
+    EXPECT_EQ(split.total_count(), one.total_count());
+    EXPECT_EQ(split.total_weight(), one.total_weight());
+    EXPECT_EQ(split_build.stats().reference_trees,
+              one_build.stats().reference_trees);
+    const auto a = split_build.query(queries);
+    const auto b = one_build.query(queries);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(a[i], b[i]) << "query " << i;
+    }
   }
 }
 

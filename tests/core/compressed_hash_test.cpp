@@ -198,82 +198,5 @@ TEST(CompressedHashTest, VariantWeightsWorkWithCompressedKeys) {
   }
 }
 
-// --- removal / tombstones / compaction --------------------------------------
-
-TEST(CompressedHashTest, RemoveDecrementsAndErasesAtZero) {
-  CompressedFrequencyHash h(100);
-  const auto a = key(100, {1, 2});
-  const auto b = key(100, {64, 65});
-  h.add(a.words(), 3);
-  h.add(b.words());
-  h.remove(a.words(), 2);
-  EXPECT_EQ(h.frequency(a.words()), 1u);
-  EXPECT_EQ(h.tombstone_count(), 0u);
-  h.remove(a.words());
-  EXPECT_EQ(h.frequency(a.words()), 0u);
-  EXPECT_EQ(h.unique_count(), 1u);
-  EXPECT_EQ(h.total_count(), 1u);
-  EXPECT_EQ(h.tombstone_count(), 1u);
-  // The dead encoding lingers in the byte arena, but the slot is reusable.
-  h.add(a.words());
-  EXPECT_EQ(h.frequency(a.words()), 1u);
-  EXPECT_EQ(h.tombstone_count(), 0u);
-}
-
-TEST(CompressedHashTest, RemoveNeverUnderflows) {
-  CompressedFrequencyHash h(100);
-  const auto a = key(100, {1, 2});
-  h.add(a.words(), 2);
-  EXPECT_THROW(h.remove(a.words(), 3), InvalidArgument);
-  EXPECT_EQ(h.frequency(a.words()), 2u);
-  EXPECT_EQ(h.total_count(), 2u);
-  EXPECT_THROW(h.remove(key(100, {5}).words()), InvalidArgument);
-  EXPECT_EQ(h.unique_count(), 1u);
-}
-
-TEST(CompressedHashTest, CompactionPreservesContents) {
-  constexpr std::size_t kBits = 80;
-  CompressedFrequencyHash h(kBits);
-  std::vector<util::DynamicBitset> keys;
-  for (int i = 0; i < 20; ++i) {
-    for (int j = i + 1; j < 21; ++j) {
-      keys.push_back(key(kBits, {i, j}));  // 210 distinct keys
-    }
-  }
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    h.add(keys[i].words(), static_cast<std::uint32_t>(1 + i % 4));
-  }
-  // Fully erase every fourth key, staying under the auto-compaction ratio
-  // so the explicit compact() below is the one reclaiming the arena.
-  for (std::size_t i = 0; i < keys.size(); i += 4) {
-    h.remove(keys[i].words(), static_cast<std::uint32_t>(1 + i % 4));
-  }
-  ASSERT_GT(h.tombstone_count(), 0u);
-
-  const auto image = [&h] {
-    std::vector<std::pair<std::string, std::uint32_t>> img;
-    h.for_each_key([&](util::ConstWordSpan k, std::uint32_t freq) {
-      img.emplace_back(
-          std::string(reinterpret_cast<const char*>(k.data()),
-                      k.size() * sizeof(std::uint64_t)),
-          freq);
-    });
-    std::sort(img.begin(), img.end());
-    return img;
-  };
-  const auto before = image();
-  const std::uint64_t total = h.total_count();
-  const std::size_t bytes_before = h.memory_bytes();
-  h.compact();
-  EXPECT_EQ(h.tombstone_count(), 0u);
-  EXPECT_EQ(h.total_count(), total);
-  EXPECT_LE(h.memory_bytes(), bytes_before);  // dead encodings dropped
-  EXPECT_EQ(image(), before);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(h.frequency(keys[i].words()),
-              i % 4 == 0 ? 0u : static_cast<std::uint32_t>(1 + i % 4));
-  }
-}
-
 }  // namespace
 }  // namespace bfhrf::core

@@ -291,129 +291,5 @@ TEST(FrequencyHashTest, ProbeStatsReflectResidentKeys) {
   EXPECT_LE(stats.max_groups, h.capacity_slots() / 16);
 }
 
-// --- removal / tombstones / compaction --------------------------------------
-
-TEST(FrequencyHashTest, RemoveDecrementsAndErasesAtZero) {
-  FrequencyHash h(100);
-  const auto a = key(100, {1, 2});
-  const auto b = key(100, {64, 65});
-  h.add(a.words(), 3);
-  h.add(b.words());
-  h.remove(a.words(), 2);
-  EXPECT_EQ(h.frequency(a.words()), 1u);
-  EXPECT_EQ(h.total_count(), 2u);
-  EXPECT_EQ(h.tombstone_count(), 0u);  // still live: no tombstone yet
-  h.remove(a.words());
-  EXPECT_EQ(h.frequency(a.words()), 0u);  // erased keys read zero
-  EXPECT_EQ(h.unique_count(), 1u);
-  EXPECT_EQ(h.total_count(), 1u);
-  EXPECT_DOUBLE_EQ(h.total_weight(), 1.0);
-  EXPECT_EQ(h.tombstone_count(), 1u);
-  // The tombstoned slot is reusable: the key can come straight back.
-  h.add(a.words());
-  EXPECT_EQ(h.frequency(a.words()), 1u);
-  EXPECT_EQ(h.tombstone_count(), 0u);
-}
-
-TEST(FrequencyHashTest, RemoveNeverUnderflows) {
-  FrequencyHash h(100);
-  const auto a = key(100, {1, 2});
-  h.add(a.words(), 2);
-  EXPECT_THROW(h.remove(a.words(), 3), InvalidArgument);
-  EXPECT_EQ(h.frequency(a.words()), 2u);  // untouched on failure
-  EXPECT_EQ(h.total_count(), 2u);
-  EXPECT_THROW(h.remove(key(100, {5}).words()), InvalidArgument);  // unknown
-  EXPECT_EQ(h.unique_count(), 1u);
-}
-
-TEST(FrequencyHashTest, RemoveManyDrainsExactlyToZero) {
-  constexpr std::size_t kBits = 96;
-  const std::size_t words = util::words_for_bits(kBits);
-  FrequencyHash h(kBits);
-  util::Rng rng(0x1234);
-  std::vector<std::uint64_t> arena;
-  for (int i = 0; i < 300; ++i) {
-    util::DynamicBitset b(kBits);
-    b.set(rng.below(kBits));
-    b.set(rng.below(kBits));
-    arena.insert(arena.end(), b.words().begin(), b.words().end());
-  }
-  const std::size_t count = arena.size() / words;
-  h.add_many(arena.data(), count, nullptr);
-  EXPECT_GT(h.unique_count(), 0u);
-  // Batched removal of the exact add sequence drains the table; repeated
-  // keys in the arena decrement once per occurrence, never below zero.
-  h.remove_many(arena.data(), count, nullptr);
-  EXPECT_EQ(h.unique_count(), 0u);
-  EXPECT_EQ(h.total_count(), 0u);
-  EXPECT_DOUBLE_EQ(h.total_weight(), 0.0);
-  // Everything is gone, so a further batched removal must refuse.
-  EXPECT_THROW(h.remove_many(arena.data(), 1, nullptr), InvalidArgument);
-}
-
-TEST(FrequencyHashTest, CompactionPreservesContents) {
-  constexpr std::size_t kBits = 80;
-  FrequencyHash h(kBits);
-  std::vector<util::DynamicBitset> keys;
-  for (int i = 0; i < 20; ++i) {
-    for (int j = i + 1; j < 21; ++j) {
-      keys.push_back(key(kBits, {i, j}));  // 210 distinct keys
-    }
-  }
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    h.add(keys[i].words(), static_cast<std::uint32_t>(1 + i % 4));
-  }
-  // Fully erase every fourth key: enough tombstones to make compaction
-  // observable, few enough to stay under the auto-compaction ratio.
-  for (std::size_t i = 0; i < keys.size(); i += 4) {
-    h.remove(keys[i].words(), static_cast<std::uint32_t>(1 + i % 4));
-  }
-  ASSERT_GT(h.tombstone_count(), 0u);
-
-  const auto image = [&h] {
-    std::vector<std::pair<std::string, std::uint32_t>> img;
-    h.for_each([&](util::ConstWordSpan k, std::uint32_t freq) {
-      img.emplace_back(
-          std::string(reinterpret_cast<const char*>(k.data()),
-                      k.size() * sizeof(std::uint64_t)),
-          freq);
-    });
-    std::sort(img.begin(), img.end());
-    return img;
-  };
-  const auto before = image();
-  const std::uint64_t total = h.total_count();
-  h.compact();
-  EXPECT_EQ(h.tombstone_count(), 0u);
-  EXPECT_EQ(h.total_count(), total);
-  EXPECT_EQ(image(), before);  // same key/count multiset
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(h.frequency(keys[i].words()),
-              i % 4 == 0 ? 0u : static_cast<std::uint32_t>(1 + i % 4));
-  }
-}
-
-TEST(FrequencyHashTest, HeavyRemovalTriggersAutoCompaction) {
-  constexpr std::size_t kBits = 80;
-  FrequencyHash h(kBits);
-  std::vector<util::DynamicBitset> keys;
-  for (int i = 0; i < 20; ++i) {
-    for (int j = i + 1; j < 21; ++j) {
-      keys.push_back(key(kBits, {i, j}));
-    }
-  }
-  for (const auto& k : keys) {
-    h.add(k.words());
-  }
-  // Erase all but ten. The ratio check runs after every removal, so the
-  // table can never sit above the compaction threshold.
-  for (std::size_t i = 0; i + 10 < keys.size(); ++i) {
-    h.remove(keys[i].words());
-    EXPECT_LE(h.tombstone_ratio(), 0.25);
-  }
-  EXPECT_LT(h.tombstone_count(), keys.size() - 10);  // compaction fired
-  EXPECT_EQ(h.unique_count(), 10u);
-}
-
 }  // namespace
 }  // namespace bfhrf::core

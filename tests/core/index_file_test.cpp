@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -151,72 +152,6 @@ TEST(IndexFileTest, CompressedStoreRoundTrips) {
   }
 }
 
-TEST(IndexFileTest, SaveCompactsTombstonedState) {
-  const BuiltEngine w = make_workload(18, 18, 6, 9);
-  DynamicBfhIndex index(w.taxa->size());
-  const auto ids = index.add_trees(w.reference);
-  for (std::size_t i = 0; i < ids.size(); i += 2) {
-    index.remove_tree(ids[i]);
-  }
-  const auto want = index.query(w.queries);
-
-  const TempFile file("tombstones");
-  write_index_file(index.store(),
-                   IndexFileMeta{.reference_trees = index.tree_count()},
-                   file.path());
-  const MappedIndex mapped(file.path());
-  for (std::size_t s = 0; s < mapped.header().shard_count; ++s) {
-    for (const std::uint8_t byte : mapped.ctrl(s)) {
-      ASSERT_NE(byte, util::kCtrlDeleted)
-          << "writer persisted a DELETED ctrl byte";
-    }
-  }
-  const Bfhrf loaded = load_bfhrf_file(file.path());
-  const auto got = loaded.query(w.queries);
-  for (std::size_t i = 0; i < w.queries.size(); ++i) {
-    EXPECT_EQ(got[i], want[i]);
-  }
-}
-
-TEST(IndexFileTest, WarmStartFromMappedFile) {
-  const BuiltEngine w = make_workload(22, 20, 6, 11);
-  Bfhrf engine(w.taxa->size(), {.shards = 1});
-  engine.build(w.reference);
-  const auto want = engine.query(w.queries);
-
-  const TempFile file("warmstart");
-  save_bfhrf_file(engine, file.path());
-  DynamicBfhIndex dynamic = DynamicBfhIndex::from_index_file(file.path());
-  EXPECT_EQ(dynamic.stats().reference_trees, w.reference.size());
-  const auto got = dynamic.query(w.queries);
-  for (std::size_t i = 0; i < w.queries.size(); ++i) {
-    EXPECT_EQ(got[i], want[i]);
-  }
-  // The warm-started index is mutable: adding and removing a tree keeps
-  // exact equivalence with the engine's own state transitions.
-  const std::size_t id = dynamic.add_tree(w.reference.front());
-  dynamic.remove_tree(id);
-  const auto after = dynamic.query(w.queries);
-  for (std::size_t i = 0; i < w.queries.size(); ++i) {
-    EXPECT_EQ(after[i], want[i]);
-  }
-  // Build once, extend later: growing the loaded index by a second
-  // collection matches one build over both.
-  util::Rng rng(12);
-  const auto second = test::random_collection(w.taxa, 7, 3, rng);
-  Bfhrf full(w.taxa->size(), {.shards = 1});
-  full.build(w.reference);
-  full.build(second);
-  (void)dynamic.add_trees(second);
-  EXPECT_EQ(dynamic.stats().reference_trees,
-            w.reference.size() + second.size());
-  const auto extended = dynamic.query(w.queries);
-  const auto rebuilt = full.query(w.queries);
-  for (std::size_t i = 0; i < w.queries.size(); ++i) {
-    EXPECT_EQ(extended[i], rebuilt[i]);
-  }
-}
-
 TEST(IndexFileTest, RejectsForeignAndCorruptFiles) {
   const BuiltEngine w = make_workload(16, 10, 4, 13);
   Bfhrf engine(w.taxa->size(), {.shards = 1});
@@ -296,6 +231,17 @@ TEST(IndexFileTest, RejectsForeignAndCorruptFiles) {
     file.write_bytes(bad);
     EXPECT_THROW((void)load_bfhrf_file(file.path()).query(w.queries),
                  ParseError);
+  }
+  {  // a retired tombstone byte (0xfe) over an EMPTY ctrl byte: probes
+     // read every top-bit byte as EMPTY, so the loader must refuse it
+    std::vector<char> bad = good;
+    char* ctrl = bad.data() + record.ctrl_offset;
+    char* empty = std::find(ctrl, ctrl + record.slot_count,
+                            static_cast<char>(util::kCtrlEmpty));
+    ASSERT_NE(empty, ctrl + record.slot_count);
+    *empty = static_cast<char>(0xfe);
+    file.write_bytes(bad);
+    EXPECT_THROW(MappedIndex{file.path()}, ParseError);
   }
   {  // compressed slots whose encodings start at the arena's end
     Bfhrf compressed(w.taxa->size(), {.compressed_keys = true});

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/all_pairs.hpp"
@@ -99,6 +101,23 @@ TEST(ObsInvariance, MetricsActuallyRecordWhenEnabled) {
     }
   }
   EXPECT_TRUE(unique_gauge_seen);
+
+  // Query-path identities: every query tree on a raw-key store is one
+  // prefetch batch, and every split it looks up goes through that batch.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    core::Bfhrf engine(taxa->size(), {.threads = 2, .shards = shards});
+    engine.build(trees);
+    obs::reset();
+    const auto rf = engine.query(std::span<const phylo::Tree>(trees));
+    ASSERT_EQ(rf.size(), trees.size());
+    EXPECT_EQ(obs::counter_value("bfhrf.query.trees"), trees.size());
+    EXPECT_GT(obs::counter_value("bfhrf.query.bipartitions"), 0u);
+    EXPECT_EQ(obs::counter_value("bfhrf.query.prefetch.bipartitions"),
+              obs::counter_value("bfhrf.query.bipartitions"));
+    EXPECT_EQ(obs::counter_value("bfhrf.query.prefetch.batches"),
+              obs::counter_value("bfhrf.query.trees"));
+  }
 }
 
 }  // namespace

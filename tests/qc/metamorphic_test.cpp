@@ -29,7 +29,7 @@ TEST(MetamorphicTest, AllInvariantsHoldOnBinaryCollections) {
   opts.seed = seed;
   const InvariantReport report = check_invariants(trees, opts);
   EXPECT_TRUE(report.ok()) << report.summary();
-  EXPECT_EQ(report.invariants_run.size(), 9u);
+  EXPECT_EQ(report.invariants_run.size(), 8u);
   EXPECT_GT(report.checks, 0u);
 }
 

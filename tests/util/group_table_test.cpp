@@ -1,25 +1,22 @@
-// GroupDirectory tombstone tests (util/group_table.hpp).
+// GroupDirectory probe tests (util/group_table.hpp).
 //
-// The dynamic-index layer leans on three directory properties:
-//   * erase() writes DELETED, never EMPTY, so probe chains displaced past
-//     an erased slot stay reachable — even through fully-tombstoned groups;
-//   * a failed find() reports the FIRST deleted-or-empty slot on the probe
-//     path, so reinsertion reuses tombstones and delete-then-reinsert
-//     restores the original control bytes;
-//   * all of the above is byte-identical across SIMD/SWAR dispatch, which
-//     the mixed insert/erase sweep pins on the real FrequencyHash.
+// Tables are add-only, so a probe ends at the first group holding an EMPTY
+// byte: a key displaced out of a full home group must still be found in
+// the next group, and a miss reports that group's first EMPTY byte as the
+// insertion point. Both must hold at native and SWAR dispatch, which the
+// mixed insert sweep also pins on the real FrequencyHash, across the
+// directory erasures its growth rehashes make.
 #include "util/group_table.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/frequency_hash.hpp"
 #include "util/bitset.hpp"
-#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
@@ -27,8 +24,6 @@ namespace bfhrf {
 namespace {
 
 using util::GroupDirectory;
-using util::kCtrlDeleted;
-using util::kCtrlEmpty;
 using util::kGroupWidth;
 using util::simd::Level;
 
@@ -69,95 +64,47 @@ struct ModelTable {
   }
 };
 
-TEST(GroupTableTest, DeleteThenReinsertReusesSlot) {
-  for (const Level level : {util::simd::active_level(), Level::Swar}) {
-    ForceLevelGuard guard(level);
-    ModelTable t(64);
-    const std::uint64_t fp = fp_for(1, 0x11);
-    t.insert(fp_for(1, 0x10));
-    const std::size_t idx = t.insert(fp);
-    t.insert(fp_for(1, 0x12));
-    const std::vector<std::uint8_t> before(t.dir.ctrl_bytes().begin(),
-                                           t.dir.ctrl_bytes().end());
-
-    t.dir.erase(idx);
-    t.fps[idx] = 0;
-    EXPECT_TRUE(t.dir.deleted(idx));
-    EXPECT_FALSE(t.dir.occupied(idx));
-    EXPECT_EQ(t.dir.tombstone_count(), 1u);
-    EXPECT_FALSE(t.find(fp).found);
-    // The tombstone IS the reported insertion point...
-    EXPECT_EQ(t.find(fp).index, idx);
-
-    // ...so reinsertion restores the exact pre-erase layout.
-    EXPECT_EQ(t.insert(fp), idx);
-    EXPECT_EQ(t.dir.tombstone_count(), 0u);
-    const std::vector<std::uint8_t> after(t.dir.ctrl_bytes().begin(),
-                                          t.dir.ctrl_bytes().end());
-    EXPECT_EQ(after, before);
-  }
-}
-
-TEST(GroupTableTest, ProbeChainCrossesFullyDeletedGroup) {
+TEST(GroupTableTest, ProbeChainCrossesFullGroup) {
   for (const Level level : {util::simd::active_level(), Level::Swar}) {
     ForceLevelGuard guard(level);
     ModelTable t(64);  // 4 groups
     // 17 keys homed on group 2: sixteen fill it, the 17th displaces into
-    // group 3.
+    // the first slot of group 3.
     std::vector<std::size_t> slots;
     for (std::uint8_t tag = 0; tag < 17; ++tag) {
       slots.push_back(t.insert(fp_for(2, tag)));
     }
-    const std::size_t overflow = slots.back();
-    ASSERT_GE(overflow, 3 * kGroupWidth) << "17th key did not displace";
-
-    // Tombstone the entire home group: no EMPTY byte remains there, so a
-    // probe that stopped at DELETED bytes would lose the displaced key.
     for (std::size_t i = 0; i < kGroupWidth; ++i) {
-      t.dir.erase(2 * kGroupWidth + i);
-      t.fps[2 * kGroupWidth + i] = 0;
+      EXPECT_TRUE(t.dir.occupied(2 * kGroupWidth + i));
     }
-    EXPECT_EQ(t.dir.tombstone_count(), kGroupWidth);
+    const std::size_t overflow = slots.back();
+    ASSERT_EQ(overflow, 3 * kGroupWidth) << "17th key did not displace";
 
+    // The full home group holds no EMPTY byte, so the probe walks on into
+    // group 3 and finds the displaced key there.
     const auto hit = t.find(fp_for(2, 16));
     EXPECT_TRUE(hit.found);
     EXPECT_EQ(hit.index, overflow);
-    EXPECT_GE(hit.groups_probed, 2u);
+    EXPECT_EQ(hit.groups_probed, 2u);
 
-    // An absent key homed on the dead group probes THROUGH it to the first
-    // empty byte, but reports the first tombstone as the insertion point.
+    // An absent key homed on the full group reports the first EMPTY byte
+    // of the next group as its insertion point.
     const auto miss = t.find(fp_for(2, 0x55));
     EXPECT_FALSE(miss.found);
-    EXPECT_EQ(miss.index, 2 * kGroupWidth);
-    EXPECT_GE(miss.groups_probed, 2u);
-
-    // Reinsertion claims that tombstone back.
-    EXPECT_EQ(t.insert(fp_for(2, 0x55)), 2 * kGroupWidth);
-    EXPECT_EQ(t.dir.tombstone_count(), kGroupWidth - 1);
+    EXPECT_EQ(miss.index, 3 * kGroupWidth + 1);
+    EXPECT_EQ(miss.groups_probed, 2u);
   }
 }
 
-TEST(GroupTableTest, ResetDropsTombstones) {
-  ModelTable t(32);
-  const std::size_t idx = t.insert(fp_for(0, 0x01));
-  t.dir.erase(idx);
-  EXPECT_EQ(t.dir.tombstone_count(), 1u);
-  t.dir.reset(32);
-  EXPECT_EQ(t.dir.tombstone_count(), 0u);
-  for (const std::uint8_t byte : t.dir.ctrl_bytes()) {
-    EXPECT_EQ(byte, kCtrlEmpty);
-  }
-}
+// --- dispatch equivalence under a mixed insert workload ---------------------
 
-// --- dispatch equivalence under mixed insert/erase --------------------------
-
-/// The full observable state of a FrequencyHash after a deterministic
-/// insert/erase/reinsert workload at the CURRENT dispatch level: control
-/// bytes (tombstone placement included), live tombstone count, and the
-/// iteration image.
+/// The full observable state of a FrequencyHash after a deterministic mixed
+/// insert workload at the CURRENT dispatch level: control bytes, unique and
+/// total counts, and the iteration image.
 struct MixedImage {
   std::vector<std::uint8_t> ctrl;
-  std::size_t tombstones = 0;
+  std::size_t unique = 0;
+  std::uint64_t total = 0;
   std::vector<std::pair<std::vector<std::uint64_t>, std::uint32_t>> contents;
 };
 
@@ -185,27 +132,34 @@ MixedImage mixed_image(std::size_t n_bits, std::uint64_t seed) {
     keys.push_back(std::move(k));
   }
 
-  core::FrequencyHash hash(n_bits, 0);
   const auto span = [&](std::size_t i) {
     return util::ConstWordSpan{keys[i].data(), words};
   };
-  for (std::size_t i = 0; i < keys.size(); ++i) {
+  // Start empty so growth rehashes land mid-stream: each one erases the
+  // whole directory (GroupDirectory::reset) and reinserts every key.
+  core::FrequencyHash hash(n_bits, 0);
+  for (std::size_t i = 0; i < 600; ++i) {
     hash.add(span(i), static_cast<std::uint32_t>(1 + i % 3));
   }
-  // Fully erase every second key (tombstoning; the ratio-triggered
-  // compaction may fire mid-stream — it is deterministic either way)...
-  for (std::size_t i = 0; i < keys.size(); i += 2) {
-    hash.remove(span(i), static_cast<std::uint32_t>(1 + i % 3));
-  }
-  // ...then reinsert every fourth, reclaiming a subset of the tombstones.
-  for (std::size_t i = 0; i < keys.size(); i += 4) {
+  // Repeat hits on every second stored key...
+  for (std::size_t i = 0; i < 600; i += 2) {
     hash.add(span(i));
   }
+  // ...then one batched insert of every fourth stored key plus the 400 not
+  // yet stored, pre-sized and rehashed up front.
+  std::vector<std::uint64_t> batch;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (i >= 600 || i % 4 == 0) {
+      batch.insert(batch.end(), keys[i].begin(), keys[i].end());
+    }
+  }
+  hash.add_many(batch.data(), batch.size() / words, nullptr);
 
   MixedImage img;
   img.ctrl.assign(hash.directory().ctrl_bytes().begin(),
                   hash.directory().ctrl_bytes().end());
-  img.tombstones = hash.tombstone_count();
+  img.unique = hash.unique_count();
+  img.total = hash.total_count();
   hash.for_each([&](util::ConstWordSpan key, std::uint32_t freq) {
     img.contents.emplace_back(
         std::vector<std::uint64_t>(key.begin(), key.end()), freq);
@@ -223,7 +177,9 @@ TEST(GroupTableTest, MixedInsertEraseIsByteIdenticalAcrossLevels) {
       swar = mixed_image(n_bits, 0xd1d0 ^ n_bits);
     }
     const MixedImage vec = mixed_image(n_bits, 0xd1d0 ^ n_bits);  // native
-    EXPECT_EQ(swar.tombstones, vec.tombstones) << "n_bits=" << n_bits;
+    EXPECT_EQ(swar.unique, 1000u) << "n_bits=" << n_bits;
+    EXPECT_EQ(swar.unique, vec.unique) << "n_bits=" << n_bits;
+    EXPECT_EQ(swar.total, vec.total) << "n_bits=" << n_bits;
     EXPECT_EQ(swar.ctrl, vec.ctrl) << "n_bits=" << n_bits;
     EXPECT_EQ(swar.contents, vec.contents) << "n_bits=" << n_bits;
   }

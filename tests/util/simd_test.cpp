@@ -82,40 +82,6 @@ TEST(SimdGroupTest, MatchEmptyIsExactOnBothPaths) {
   }
 }
 
-TEST(SimdGroupTest, DeletedBytesAreAvailableButNeverEmpty) {
-  // Tombstones (0xfe) must be skipped by the probe scan (never tag- or
-  // empty-matched) yet offered for reuse (available-matched) — the
-  // property that keeps erase/reinsert layouts identical across levels.
-  util::Rng rng(0xdead5eedu);
-  alignas(64) std::array<std::uint8_t, 16> ctrl;
-  for (int round = 0; round < 2000; ++round) {
-    std::uint32_t empties = 0;
-    std::uint32_t available = 0;
-    for (int i = 0; i < 16; ++i) {
-      const std::uint64_t roll = rng() & 3;
-      if (roll == 0) {
-        ctrl[static_cast<std::size_t>(i)] = 0x80;
-        empties |= 1u << i;
-        available |= 1u << i;
-      } else if (roll == 1) {
-        ctrl[static_cast<std::size_t>(i)] = 0xfe;  // deleted
-        available |= 1u << i;
-      } else {
-        ctrl[static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(rng() & 0x7f);
-      }
-    }
-    EXPECT_EQ(Group16Swar::load(ctrl.data()).match_empty(), empties);
-    EXPECT_EQ(Group16Vec::load(ctrl.data()).match_empty(), empties);
-    EXPECT_EQ(Group16Swar::load(ctrl.data()).match_available(), available);
-    EXPECT_EQ(Group16Vec::load(ctrl.data()).match_available(), available);
-    const auto tag = static_cast<std::uint8_t>(rng() & 0x7f);
-    const std::uint32_t deleted = available & ~empties;
-    EXPECT_EQ(Group16Swar::load(ctrl.data()).match(tag) & deleted, 0u);
-    EXPECT_EQ(Group16Vec::load(ctrl.data()).match(tag) & deleted, 0u);
-  }
-}
-
 TEST(SimdGroupTest, SwarMatchIsSupersetAndNeverFlagsEmptyBytes) {
   util::Rng rng(0x5eedf00du);
   alignas(64) std::array<std::uint8_t, 16> ctrl;
@@ -193,9 +159,11 @@ std::vector<std::uint64_t> random_keys(std::size_t n_bits, std::size_t count,
 }
 
 /// Build a table from `keys` at the CURRENT dispatch level and return every
-/// observable: per-key frequencies, unique/total, and the iteration image.
+/// observable: per-key frequencies, unique/total, the control bytes, and
+/// the iteration image.
 struct TableImage {
   std::vector<std::uint32_t> frequencies;
+  std::vector<std::uint8_t> ctrl;
   std::size_t unique = 0;
   std::uint64_t total = 0;
   std::vector<std::pair<std::vector<std::uint64_t>, std::uint32_t>> contents;
@@ -212,6 +180,8 @@ TableImage build_image(std::size_t n_bits,
   hash.frequency_many(keys.data(), count, img.frequencies.data());
   img.unique = hash.unique_count();
   img.total = hash.total_count();
+  img.ctrl.assign(hash.directory().ctrl_bytes().begin(),
+                  hash.directory().ctrl_bytes().end());
   hash.for_each([&](util::ConstWordSpan key, std::uint32_t freq) {
     img.contents.emplace_back(
         std::vector<std::uint64_t>(key.begin(), key.end()), freq);
@@ -233,7 +203,9 @@ TEST(SimdDispatchTest, TableStateIsByteIdenticalAcrossLevels) {
     EXPECT_EQ(swar.unique, vec.unique) << "n_bits=" << n_bits;
     EXPECT_EQ(swar.total, vec.total) << "n_bits=" << n_bits;
     EXPECT_EQ(swar.frequencies, vec.frequencies) << "n_bits=" << n_bits;
-    // Insertion positions identical => for_each order identical too.
+    // Insertion positions identical => control bytes and for_each order
+    // identical too.
+    EXPECT_EQ(swar.ctrl, vec.ctrl) << "n_bits=" << n_bits;
     EXPECT_EQ(swar.contents, vec.contents) << "n_bits=" << n_bits;
   }
 }

@@ -24,7 +24,6 @@
 
 #include "phylo/newick.hpp"
 #include "phylo/taxon_set.hpp"
-#include "qc/dynamic.hpp"
 #include "qc/persist.hpp"
 #include "qc/harness.hpp"
 #include "util/error.hpp"
@@ -32,12 +31,11 @@
 
 namespace {
 
-enum class Mode { Unset, Generate, Files, Replay, Dynamic, Persist };
+enum class Mode { Unset, Generate, Files, Replay, Persist };
 
 struct CliOptions {
   Mode mode = Mode::Unset;
   bfhrf::qc::HarnessOptions harness;
-  bfhrf::qc::DynamicOracleOptions dynamic;
   bfhrf::qc::PersistOracleOptions persist;
   std::string reference_path;
   std::string query_path;
@@ -51,8 +49,6 @@ void usage(const char* argv0) {
       "usage: %s --generate [n=N] [r=R] [q=Q] [moves=M]\n"
       "          | --files reference.nwk [query.nwk]\n"
       "          | --replay failure.repro\n"
-      "          | --dynamic [sequences=S] [n=N] [trees=T] [ops=O]\n"
-      "                      [probes=P]\n"
       "          | --persist [n=N] [r=R] [q=Q] [moves=M]\n"
       "       [--seed S] [--threads a,b,c] [--artifact PATH]\n"
       "       [--no-invariants] [--no-shrink] [--no-multi]\n"
@@ -68,18 +64,10 @@ void usage(const char* argv0) {
       "                    key=value tokens following the flag\n"
       "  --files           verify Newick collections from disk\n"
       "  --replay FILE     re-run a previously written failure artifact\n"
-      "  --dynamic         run the delta-vs-rebuild oracle: randomized\n"
-      "                    interleaved add/remove/SPR-NNI-replace/compact\n"
-      "                    sequences against a DynamicBfhIndex, each state\n"
-      "                    checked bit-for-bit against a from-scratch\n"
-      "                    rebuild (raw and compressed stores); --threads'\n"
-      "                    largest count drives concurrent probe readers\n"
       "  --persist         run the sharding/persistence oracle: sharded\n"
-      "                    builds, mapped (mmap) index round trips, and\n"
-      "                    warm starts are cross-checked\n"
-      "                    bit-for-bit against the single-table engine;\n"
-      "                    mapped files are scanned for persisted\n"
-      "                    tombstones\n"
+      "                    builds and mapped (mmap) index round trips are\n"
+      "                    cross-checked bit-for-bit against the\n"
+      "                    single-table engine\n"
       "  --seed S          workload seed (decimal or 0x hex); also read\n"
       "                    from BFHRF_FUZZ_SEED when the flag is absent\n"
       "  --threads a,b,c   thread counts to sweep (0 = hardware default)\n"
@@ -134,30 +122,6 @@ CliOptions parse_args(int argc, char** argv) {
         } else {
           throw bfhrf::InvalidArgument("unknown --generate key '" + key +
                                        "' (expected n/r/q/moves)");
-        }
-      }
-    } else if (arg == "--dynamic") {
-      o.mode = Mode::Dynamic;
-      while (i + 1 < argc && std::strchr(argv[i + 1], '=') != nullptr &&
-             argv[i + 1][0] != '-') {
-        const std::string token = argv[++i];
-        const std::size_t eq = token.find('=');
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
-        if (key == "sequences") {
-          o.dynamic.sequences = bfhrf::util::parse_size(value);
-        } else if (key == "n") {
-          o.dynamic.n = bfhrf::util::parse_size(value);
-        } else if (key == "trees") {
-          o.dynamic.initial_trees = bfhrf::util::parse_size(value);
-        } else if (key == "ops") {
-          o.dynamic.ops = bfhrf::util::parse_size(value);
-        } else if (key == "probes") {
-          o.dynamic.probes = bfhrf::util::parse_size(value);
-        } else {
-          throw bfhrf::InvalidArgument(
-              "unknown --dynamic key '" + key +
-              "' (expected sequences/n/trees/ops/probes)");
         }
       }
     } else if (arg == "--persist") {
@@ -216,7 +180,6 @@ CliOptions parse_args(int argc, char** argv) {
     } else if (arg == "--include-trivial") {
       o.harness.oracle.include_trivial = true;
       o.harness.invariant.include_trivial = true;
-      o.dynamic.include_trivial = true;
       o.persist.include_trivial = true;
     } else if (arg == "--quiet") {
       o.quiet = true;
@@ -230,8 +193,7 @@ CliOptions parse_args(int argc, char** argv) {
   if (o.mode == Mode::Unset) {
     usage(argv[0]);
     throw bfhrf::InvalidArgument(
-        "pick one of --generate / --files / --replay / --dynamic / "
-        "--persist");
+        "pick one of --generate / --files / --replay / --persist");
   }
   if (!seed_set) {
     // Same replay convention as the test suites (tests/support/test_main).
@@ -239,43 +201,13 @@ CliOptions parse_args(int argc, char** argv) {
       o.harness.seed = parse_seed(env);
     }
   }
-  o.dynamic.seed = o.harness.seed;
   o.persist.seed = o.harness.seed;
-  // The oracle runs one index; the largest requested thread count drives
-  // its concurrent probe readers.
+  // The largest requested thread count drives the persist oracle's
+  // threaded sharded builds.
   for (const std::size_t t : o.harness.oracle.thread_counts) {
-    o.dynamic.threads = std::max(o.dynamic.threads, t);
     o.persist.threads = std::max(o.persist.threads, t);
   }
   return o;
-}
-
-/// --dynamic: the delta-vs-rebuild oracle over both store kinds.
-int run_dynamic(const CliOptions& cli) {
-  bfhrf::qc::DynamicOracleReport combined;
-  combined.seed = cli.dynamic.seed;
-  for (const bool compressed : {false, true}) {
-    bfhrf::qc::DynamicOracleOptions opts = cli.dynamic;
-    opts.compressed_keys = compressed;
-    const auto report = bfhrf::qc::check_dynamic_equivalence(opts);
-    combined.sequences_run += report.sequences_run;
-    combined.operations += report.operations;
-    combined.checks += report.checks;
-    combined.failures.insert(combined.failures.end(),
-                             report.failures.begin(), report.failures.end());
-    if (!cli.quiet) {
-      std::fprintf(stderr, "# %s store: %s\n",
-                   compressed ? "compressed" : "raw",
-                   report.summary().c_str());
-    }
-  }
-  if (!cli.quiet) {
-    for (const std::string& f : combined.failures) {
-      std::fprintf(stderr, "FAIL %s\n", f.c_str());
-    }
-  }
-  std::printf("%s\n", combined.summary().c_str());
-  return combined.ok() ? 0 : 1;
 }
 
 /// --persist: the sharding / persistence / mmap equivalence oracle.
@@ -303,9 +235,6 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (cli.mode == Mode::Dynamic) {
-      return run_dynamic(cli);
-    }
     if (cli.mode == Mode::Persist) {
       return run_persist(cli);
     }
@@ -329,7 +258,6 @@ int main(int argc, char** argv) {
       case Mode::Replay:
         result = qc::replay_artifact(cli.replay_path, cli.harness);
         break;
-      case Mode::Dynamic:
       case Mode::Persist:
       case Mode::Unset:
         return 2;  // unreachable; handled/rejected above
