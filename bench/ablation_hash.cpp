@@ -16,7 +16,6 @@
 
 #include "common.hpp"
 #include "core/bfhrf.hpp"
-#include "core/compressed_hash.hpp"
 #include "sim/datasets.hpp"
 #include "sim/generators.hpp"
 #include "util/rng.hpp"
@@ -119,8 +118,8 @@ void run_codec(benchmark::State& state) {
       p.comp_seconds = timer.seconds();
       p.comp_mb = mb;
       p.mean_key_bytes =
-          dynamic_cast<const core::CompressedFrequencyHash&>(engine.store())
-              .mean_key_bytes();
+          static_cast<double>(engine.store().key_bytes()) /
+          static_cast<double>(engine.store().unique_count());
     } else {
       p.raw_seconds = timer.seconds();
       p.raw_mb = mb;

@@ -3,8 +3,9 @@
 #   1. ASan+UBSan build, full labeled suite + bfhrf_verify differential run
 #      + the sharding/persistence oracle + the serve daemon loopback smoke
 #      + a CLI walk that builds a sharded index, saves it, and reloads it
-#      zero-copy (also over a query file with its taxa in another order),
-#      and a streamed CLI run at 4 threads diffed against 1 thread
+#      zero-copy (raw and compressed keys; also over a query file with its
+#      taxa in another order), and a streamed CLI run at 4 threads diffed
+#      against 1 thread
 #   2. TSan build, concurrency-sensitive labels only (parallel, obs,
 #      serve, codec) + bfhrf_verify differential run (concurrent readers
 #      of one table across its 1..8 thread sweep) + the persistence oracle
@@ -32,9 +33,9 @@ run() {
 # ingest paths at each count under the sanitizers: 35 engine configs.
 VERIFY_ARGS=${BFHRF_VERIFY_ARGS:-"n=64 r=32 q=32 --threads 1,2,4,8"}
 
-# Persistence oracle workload: sharded builds vs single-table, and every
-# store shape round-tripped through the BFHMAP index (save, mmap, query) —
-# all compared bit-for-bit.
+# Persistence oracle workload: sharded builds vs single-table in both key
+# encodings, and every store shape round-tripped through the BFHMAP index
+# (save, mmap, query) — all compared bit-for-bit.
 PERSIST_ARGS=${BFHRF_PERSIST_ARGS:-"n=24 r=24 q=10"}
 
 # Scratch dirs for the CLI index walk and the serve loopback smoke.
@@ -126,6 +127,19 @@ echo "=== bfhrf_cli sharded build -> index save -> mmap reload ==="
   --load-index "${PERSIST_DIR}/ref.bfhmap" \
   -q "${SERVE_DIR}/ref.nwk" > "${PERSIST_DIR}/mapped.tsv"
 run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/mapped.tsv"
+
+# The same walk with compressed keys: a sharded build of the sparse key
+# encoding, saved and reloaded, must answer exactly as the raw direct run.
+echo
+echo "=== bfhrf_cli --compressed-keys sharded build -> index save -> reload ==="
+./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -t 2 --shards 4 \
+  --compressed-keys --save-index "${PERSIST_DIR}/ref_sparse.bfhmap" \
+  > "${PERSIST_DIR}/sparse_direct.tsv"
+./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" \
+  --load-index "${PERSIST_DIR}/ref_sparse.bfhmap" \
+  -q "${SERVE_DIR}/ref.nwk" > "${PERSIST_DIR}/sparse_mapped.tsv"
+run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/sparse_direct.tsv"
+run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/sparse_mapped.tsv"
 
 echo
 echo "=== bfhrf_cli --load-index with the query taxa in another order ==="

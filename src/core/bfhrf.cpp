@@ -8,7 +8,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "core/compressed_hash.hpp"
 #include "core/index_file.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/pipeline.hpp"
@@ -26,9 +25,10 @@ const obs::Counter g_query_trees = obs::counter("bfhrf.query.trees");
 const obs::Counter g_query_bips = obs::counter("bfhrf.query.bipartitions");
 const obs::Gauge g_unique = obs::gauge("bfhrf.unique_bipartitions");
 const obs::Gauge g_resident = obs::gauge("bfhrf.hash.resident_bytes");
-// Table-shape gauges for the group-probed FrequencyHash (fast path only):
-// load factor, slot capacity, and the probe-length distribution over
-// resident keys (mean/max control groups walked per successful lookup).
+// Table-shape gauges for a single-table FrequencyHash of either key
+// encoding: load factor, slot capacity, and the probe-length distribution
+// over resident keys (mean/max control groups walked per successful
+// lookup).
 const obs::Gauge g_load_factor = obs::gauge("bfhrf.hash.load_factor");
 const obs::Gauge g_capacity = obs::gauge("bfhrf.hash.capacity_slots");
 const obs::Gauge g_mean_probe = obs::gauge("bfhrf.hash.mean_probe_groups");
@@ -39,8 +39,8 @@ const obs::Histogram g_query_seconds = obs::histogram("bfhrf.query.seconds");
 
 // Batched-query path (FrequencyHash::frequency_many): one batch per query
 // tree, plus the split count resolved through the prefetch pipeline and the
-// subset that took the single-word-key fast path (words_per_key == 1, e.g.
-// the paper's Avian n=48 case).
+// subset that took the single-word raw-key fast path (words_per_key == 1,
+// e.g. the paper's Avian n=48 case).
 const obs::Counter g_prefetch_batches =
     obs::counter("bfhrf.query.prefetch.batches");
 const obs::Counter g_prefetch_bips =
@@ -238,32 +238,22 @@ Bfhrf::Bfhrf(std::size_t n_bits, BfhrfOptions opts)
     throw InvalidArgument("Bfhrf: empty taxon universe");
   }
   opts_.threads = parallel::effective_threads(opts_.threads);
-  if (opts_.shards > 1 &&
-      (opts_.compressed_keys || opts_.variant != nullptr)) {
-    throw InvalidArgument(
-        "Bfhrf: shards > 1 requires the raw-key classic-RF path "
-        "(compressed stores have no sharded form; the routing buckets "
-        "carry no variant weights)");
-  }
   const std::size_t shards = effective_shards();
   if (shards > 1) {
     auto sharded = std::make_unique<ShardedFrequencyHash>(
-        n_bits_, shards, opts_.expected_unique);
+        n_bits_, shards, opts_.expected_unique, key_encoding());
     sharded_store_ = sharded.get();
     store_ = std::move(sharded);
   } else {
-    store_ = make_store(opts_.expected_unique);
-    if (!opts_.compressed_keys) {
-      fast_store_ = static_cast<FrequencyHash*>(store_.get());
-    }
+    auto single = std::make_unique<FrequencyHash>(
+        n_bits_, opts_.expected_unique, key_encoding());
+    fast_store_ = single.get();
+    store_ = std::move(single);
   }
   refresh_index_view();
 }
 
 std::size_t Bfhrf::effective_shards() const {
-  if (opts_.compressed_keys || opts_.variant != nullptr) {
-    return 1;
-  }
   std::size_t want = opts_.shards;
   if (want == 0) {
     // Auto: one shard per build worker the hardware can actually run, so
@@ -274,15 +264,6 @@ std::size_t Bfhrf::effective_shards() const {
   }
   want = std::min<std::size_t>(want, 64);
   return want <= 1 ? 1 : std::bit_ceil(want);
-}
-
-std::unique_ptr<FrequencyStore> Bfhrf::make_store(
-    std::size_t expected_unique) const {
-  if (opts_.compressed_keys) {
-    return std::make_unique<CompressedFrequencyHash>(n_bits_,
-                                                     expected_unique);
-  }
-  return std::make_unique<FrequencyHash>(n_bits_, expected_unique);
 }
 
 std::size_t Bfhrf::pipeline_workers() const noexcept {
@@ -352,49 +333,47 @@ Bfhrf::KeptSplits Bfhrf::kept_splits(const phylo::BipartitionSet& bips,
           scratch.kept_weights.size()};
 }
 
+double Bfhrf::KeptSplits::weight() const noexcept {
+  if (weights == nullptr) {
+    return static_cast<double>(count);
+  }
+  double sum = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    sum += weights[i];
+  }
+  return sum;
+}
+
 double Bfhrf::insert_bipartitions(const phylo::BipartitionSet& bips,
-                                  FrequencyStore& target,
+                                  FrequencyHash* partial,
                                   WorkerScratch& scratch) const {
   const KeptSplits kept = kept_splits(bips, scratch);
-  if (auto* sharded = dynamic_cast<ShardedFrequencyHash*>(&target)) {
+  if (partial != nullptr) {
+    partial->add_many(kept.keys, kept.count, kept.weights);
+  } else if (sharded_store_ != nullptr) {
     // Inline sharded build: route-and-insert through the store's own
     // staging buffers.
-    sharded->add_many(kept.keys, kept.count, kept.weights);
-  } else if (auto* hash = dynamic_cast<FrequencyHash*>(&target)) {
-    hash->add_many(kept.keys, kept.count, kept.weights);
+    sharded_store_->add_many(kept.keys, kept.count, kept.weights);
   } else {
-    // Compressed stores take the virtual per-split add (an adopted
-    // read-only mapped store throws here).
-    const std::size_t wp = util::words_for_bits(n_bits_);
-    for (std::size_t i = 0; i < kept.count; ++i) {
-      target.add_weighted({kept.keys + i * wp, wp}, 1,
-                          kept.weights != nullptr ? kept.weights[i] : 1.0);
-    }
+    fast_store_->add_many(kept.keys, kept.count, kept.weights);
   }
-  if (kept.weights == nullptr) {
-    return static_cast<double>(kept.count);
-  }
-  double weight = 0.0;
-  for (std::size_t i = 0; i < kept.count; ++i) {
-    weight += kept.weights[i];
-  }
-  return weight;
+  return kept.weight();
 }
 
 double Bfhrf::route_bipartitions(
     const phylo::BipartitionSet& bips,
-    std::vector<std::vector<std::uint64_t>>& buckets) const {
+    std::vector<std::vector<std::uint64_t>>& buckets,
+    WorkerScratch& scratch) const {
+  const KeptSplits kept = kept_splits(bips, scratch);
   const std::size_t wp = util::words_for_bits(n_bits_);
   const std::uint32_t bits = sharded_store_->shard_bits();
-  const auto arena = bips.arena_view();
-  const std::size_t n = bips.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::uint64_t* key = arena.data() + k * wp;
+  for (std::size_t k = 0; k < kept.count; ++k) {
+    const std::uint64_t* key = kept.keys + k * wp;
     const std::uint64_t fp = util::hash_words({key, wp});
     auto& bucket = buckets[shard_of(fp, bits)];
     bucket.insert(bucket.end(), key, key + wp);
   }
-  return static_cast<double>(n);
+  return kept.weight();
 }
 
 void Bfhrf::insert_lane(std::size_t lane, std::size_t lanes,
@@ -434,7 +413,7 @@ void Bfhrf::insert_lane(std::size_t lane, std::size_t lanes,
 }
 
 void Bfhrf::merge_partials(
-    std::vector<std::unique_ptr<FrequencyStore>>& partials) {
+    std::vector<std::unique_ptr<FrequencyHash>>& partials) {
   if (partials.empty()) {
     return;
   }
@@ -445,8 +424,8 @@ void Bfhrf::merge_partials(
   for (const auto& p : partials) {
     largest = std::max(largest, p->unique_count());
   }
-  store_->reserve(std::max(opts_.expected_unique,
-                           store_->unique_count() + largest));
+  fast_store_->reserve(std::max(opts_.expected_unique,
+                                fast_store_->unique_count() + largest));
 
   // Pairwise tree reduction: each round merges disjoint partial pairs in
   // parallel (log2 k rounds instead of a k-long sequential fold). Counts
@@ -464,12 +443,12 @@ void Bfhrf::merge_partials(
           const auto [dst, src] = pairs[j];
           partials[dst]->reserve(partials[dst]->unique_count() +
                                  partials[src]->unique_count());
-          partials[dst]->merge_from(*partials[src]);
+          partials[dst]->merge(*partials[src]);
           partials[src].reset();
         },
         /*grain=*/1);
   }
-  store_->merge_from(*partials.front());
+  fast_store_->merge(*partials.front());
 }
 
 std::size_t Bfhrf::seed_unique_hint(std::optional<std::size_t> hint) const {
@@ -493,6 +472,11 @@ std::size_t Bfhrf::seed_unique_hint(std::optional<std::size_t> hint) const {
 
 template <typename Schedule>
 void Bfhrf::build_from(Schedule schedule, std::optional<std::size_t> hint) {
+  if (fast_store_ == nullptr && sharded_store_ == nullptr) {
+    throw Error(
+        "Bfhrf::build: the engine serves a loaded index, which is "
+        "read-only (rebuild from the reference trees to change it)");
+  }
   const obs::TraceSpan span("bfhrf.build");
   const obs::ScopedTimer timer(g_build_seconds);
   const std::size_t workers = pipeline_workers();
@@ -508,12 +492,13 @@ void Bfhrf::build_from(Schedule schedule, std::optional<std::size_t> hint) {
   const std::size_t shards = route ? sharded_store_->shard_count() : 0;
   ShardBuckets buckets(route ? lanes : 0,
                        std::vector<std::vector<std::uint64_t>>(shards));
-  std::vector<std::unique_ptr<FrequencyStore>> partials;
+  std::vector<std::unique_ptr<FrequencyHash>> partials;
   if (workers > 0 && !route) {
     const std::size_t pre = seed_unique_hint(
         hint ? std::optional<std::size_t>(*hint / lanes + 1) : std::nullopt);
     for (std::size_t i = 0; i < lanes; ++i) {
-      partials.push_back(make_store(pre));
+      partials.push_back(
+          std::make_unique<FrequencyHash>(n_bits_, pre, key_encoding()));
     }
   }
   std::vector<WorkerScratch> scratch(lanes);
@@ -533,9 +518,10 @@ void Bfhrf::build_from(Schedule schedule, std::optional<std::size_t> hint) {
       [&](std::size_t rank, std::size_t index, const auto& item) {
         const phylo::BipartitionSet& bips = extract(item, scratch[rank]);
         const double weight =
-            route ? route_bipartitions(bips, buckets[rank])
+            route ? route_bipartitions(bips, buckets[rank], scratch[rank])
                   : insert_bipartitions(
-                        bips, partials.empty() ? *store_ : *partials[rank],
+                        bips,
+                        partials.empty() ? nullptr : partials[rank].get(),
                         scratch[rank]);
         tree_weights[rank].emplace_back(index, weight);
       },
@@ -585,18 +571,11 @@ double Bfhrf::query_bipartitions(const phylo::BipartitionSet& bips,
   const std::size_t wp = util::words_for_bits(n_bits_);
   const KeptSplits kept = kept_splits(bips, scratch);
   scratch.freqs.resize(kept.count);
-  if (index_view_.valid()) {
-    index_view_.frequency_many(kept.keys, kept.count, scratch.freqs.data());
-    g_prefetch_batches.inc();
-    g_prefetch_bips.inc(kept.count);
-    if (wp == 1) {
-      g_prefetch_fast_path.inc(kept.count);
-    }
-  } else {
-    // Compressed stores have no batched probe: virtual per-split lookups.
-    for (std::size_t i = 0; i < kept.count; ++i) {
-      scratch.freqs[i] = store_->frequency({kept.keys + i * wp, wp});
-    }
+  index_view_.frequency_many(kept.keys, kept.count, scratch.freqs.data());
+  g_prefetch_batches.inc();
+  g_prefetch_bips.inc(kept.count);
+  if (wp == 1 && !opts_.compressed_keys) {
+    g_prefetch_fast_path.inc(kept.count);
   }
   g_query_bips.inc(kept.count);
 
@@ -679,23 +658,14 @@ std::vector<double> Bfhrf::query(VectorSource& queries) const {
 void Bfhrf::refresh_index_view() {
   if (fast_store_ != nullptr) {
     index_view_ = BfhIndexView(*fast_store_);
-    return;
-  }
-  if (sharded_store_ != nullptr) {
+  } else if (sharded_store_ != nullptr) {
     index_view_ = BfhIndexView(*sharded_store_);
-    return;
   }
-  if (const auto* mapped =
-          dynamic_cast<const MappedFrequencyStore*>(store_.get());
-      mapped != nullptr && mapped->kind() == MappedStoreKind::Raw) {
-    index_view_ = mapped->index_view();
-    return;
-  }
-  index_view_ = BfhIndexView{};  // compressed: virtual per-split loop
 }
 
-void Bfhrf::adopt_store(std::unique_ptr<FrequencyStore> store,
+void Bfhrf::adopt_store(std::unique_ptr<MappedFrequencyStore> store,
                         std::size_t reference_trees) {
+  index_view_ = store->index_view();
   store_ = std::move(store);
   fast_store_ = nullptr;
   sharded_store_ = nullptr;
@@ -710,9 +680,10 @@ void Bfhrf::publish_store_metrics() {
   if (fast_store_ != nullptr) {
     g_load_factor.set(fast_store_->load_factor());
     g_capacity.set(static_cast<double>(fast_store_->capacity_slots()));
-    // probe_stats() is an O(U) scan; publish runs once per build, so the
-    // cost stays off the hot paths (Gauge::set also takes the registry
-    // lock, which is why these are not updated per lookup).
+    // probe_stats() is an O(U) scan (decoding sparse keys); publish runs
+    // once per build, so the cost stays off the hot paths (Gauge::set also
+    // takes the registry lock, which is why these are not updated per
+    // lookup).
     const auto stats = fast_store_->probe_stats();
     g_mean_probe.set(stats.mean_groups);
     g_max_probe.set(static_cast<double>(stats.max_groups));

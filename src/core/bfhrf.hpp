@@ -42,6 +42,8 @@
 
 namespace bfhrf::core {
 
+class MappedFrequencyStore;
+
 struct BfhrfOptions {
   /// Worker threads for both phases (1 = sequential; 0 = hardware default).
   std::size_t threads = 1;
@@ -57,9 +59,10 @@ struct BfhrfOptions {
   /// the default matches the paper; enable for variable-taxa experiments.
   bool include_trivial = false;
 
-  /// Store keys losslessly compressed (SparseKeyCodec) instead of as raw
-  /// bitmasks — the paper's §IX memory-reduction future work. Exactness
-  /// and all variants are unaffected; see bench_ablation_hash (A4c).
+  /// Store keys losslessly compressed (KeyEncoding::Sparse: SparseKeyCodec
+  /// bytes) instead of as raw bitmasks — the paper's §IX memory-reduction
+  /// future work. Exactness, variants, sharding and the batched query are
+  /// unaffected; see bench_ablation_hash (A4c).
   bool compressed_keys = false;
 
   /// Expected number of unique bipartitions U. Pre-sizes the frequency
@@ -77,11 +80,12 @@ struct BfhrfOptions {
   /// (core/sharded_hash.hpp): parallel builds write disjoint shards with
   /// no locks and NO MERGE PHASE — each unique key is inserted exactly
   /// once instead of once per worker partial plus once per merge round.
-  /// Classic-RF results are bit-identical to the single-table engine.
-  /// Only the raw-key classic path shards (the routing buckets carry bare
-  /// keys, with no variant filter or weights; compressed stores have no
-  /// sharded form) — requesting shards > 1 with either throws
-  /// InvalidArgument.
+  /// Results are bit-identical to the single-table engine for every
+  /// variant and key encoding: shards hold integer counts only, and
+  /// sumBFHR is folded from per-tree weights in stream order. A sharded
+  /// build stages every kept split as raw words until its final drain, so
+  /// its peak memory does not shrink with compressed_keys; pass 1 to keep
+  /// a multi-threaded compressed build's peak near its compressed size.
   std::size_t shards = 0;
 };
 
@@ -107,7 +111,9 @@ class Bfhrf {
   // the payload (a pointer into the span, a Tree, a phylo2vec row) and in
   // what the producer queues (spans queue index ranges; streams queue
   // batches of trees, rows, or Newick record text that the workers parse).
-  // Builds accumulate: a second build() adds to the first.
+  // Builds accumulate: a second build() adds to the first. An engine that
+  // serves a loaded index is read-only: build() throws Error before it
+  // reads any input.
 
   /// Build from an in-memory collection (parallel, zero-copy).
   void build(std::span<const phylo::Tree> reference);
@@ -143,7 +149,9 @@ class Bfhrf {
 
   // --- introspection --------------------------------------------------------
 
-  /// The underlying frequency store (raw or compressed, per options).
+  /// The underlying frequency store: a FrequencyHash or shards of one, in
+  /// the key encoding the options chose, or the MappedFrequencyStore of a
+  /// loaded index.
   [[nodiscard]] const FrequencyStore& store() const noexcept {
     return *store_;
   }
@@ -174,16 +182,18 @@ class Bfhrf {
     const std::uint64_t* keys = nullptr;
     const double* weights = nullptr;
     std::size_t count = 0;
+
+    /// The tree's kept weight, summed in split order.
+    [[nodiscard]] double weight() const noexcept;
   };
 
   /// Per-worker routing buckets of the sharded build: [rank][shard] key
   /// arenas. Ranks never share a bucket.
   using ShardBuckets = std::vector<std::vector<std::vector<std::uint64_t>>>;
 
-  /// Create an empty store of the configured kind, pre-sized for
-  /// `expected_unique` distinct keys (0 = minimal).
-  [[nodiscard]] std::unique_ptr<FrequencyStore> make_store(
-      std::size_t expected_unique = 0) const;
+  [[nodiscard]] KeyEncoding key_encoding() const noexcept {
+    return opts_.compressed_keys ? KeyEncoding::Sparse : KeyEncoding::Raw;
+  }
 
   /// The extract step of build_from/query_from: check the payload's taxon
   /// width, then run the matching per-worker extractor. Classic RF skips
@@ -200,28 +210,27 @@ class Bfhrf {
   [[nodiscard]] KeptSplits kept_splits(const phylo::BipartitionSet& bips,
                                        WorkerScratch& scratch) const;
 
-  /// Insert one tree's kept splits into `target` (batched add_many for raw
-  /// and sharded stores; the virtual per-split add otherwise). Returns the
-  /// tree's kept weight.
+  /// Insert one tree's kept splits through add_many: into `partial` (a
+  /// worker's private table) when given, else into the engine's own store.
+  /// Returns the tree's kept weight.
   double insert_bipartitions(const phylo::BipartitionSet& bips,
-                             FrequencyStore& target,
+                             FrequencyHash* partial,
                              WorkerScratch& scratch) const;
 
-  /// Sharded build, phase A: append every split to its owner shard's
-  /// bucket (classic RF only, so every split is kept at unit weight).
-  /// Returns the tree's kept weight (its split count).
-  double route_bipartitions(
-      const phylo::BipartitionSet& bips,
-      std::vector<std::vector<std::uint64_t>>& buckets) const;
+  /// Sharded build, phase A: append every kept split to its owner shard's
+  /// bucket. Buckets carry bare keys: shards count occurrences only, and
+  /// build_from folds sumBFHR from the returned per-tree kept weights.
+  double route_bipartitions(const phylo::BipartitionSet& bips,
+                            std::vector<std::vector<std::uint64_t>>& buckets,
+                            WorkerScratch& scratch) const;
 
   /// Sharded build, phase B: insert lane `lane` of `lanes` feeds its
   /// contiguous shard range every rank's bucket through chunked add_many
   /// calls. Runs as the pipeline's drain, on the workers that routed.
   void insert_lane(std::size_t lane, std::size_t lanes, ShardBuckets& buckets);
 
-  /// The Algorithm-2 inner loop for one query tree: batched, prefetched
-  /// frequency_many on raw-key stores; the virtual per-split lookup on
-  /// compressed stores.
+  /// The Algorithm-2 inner loop for one query tree: one batched, prefetched
+  /// frequency_many through index_view_.
   [[nodiscard]] double query_bipartitions(const phylo::BipartitionSet& bips,
                                           WorkerScratch& scratch) const;
 
@@ -238,14 +247,14 @@ class Bfhrf {
   /// Shard count the options resolve to (1 = unsharded single table).
   [[nodiscard]] std::size_t effective_shards() const;
 
-  /// Rebuild the cached query view over the current store (must run after
+  /// Rebuild the cached query view over an owned store (must run after
   /// every store mutation batch — table growth reallocates the memory the
   /// view points into). publish_store_metrics() calls this, and every
   /// mutation path ends with publish_store_metrics().
   void refresh_index_view();
 
   /// Replace the store with a mapped one (the load path).
-  void adopt_store(std::unique_ptr<FrequencyStore> store,
+  void adopt_store(std::unique_ptr<MappedFrequencyStore> store,
                    std::size_t reference_trees);
 
   /// Pre-size estimate for per-worker partial stores when the caller gave
@@ -255,10 +264,10 @@ class Bfhrf {
   [[nodiscard]] std::size_t seed_unique_hint(
       std::optional<std::size_t> hint) const;
 
-  /// Fold per-worker partial stores into store_: pairwise tree reduction
-  /// on the pool, with merge targets pre-sized from observed uniques.
-  void merge_partials(
-      std::vector<std::unique_ptr<FrequencyStore>>& partials);
+  /// Fold per-worker partial tables into the single-table store:
+  /// pairwise tree reduction on the pool, with merge targets pre-sized
+  /// from observed uniques.
+  void merge_partials(std::vector<std::unique_ptr<FrequencyHash>>& partials);
 
   /// Pipeline consumer count (0 = inline zero-sync loop; chosen when
   /// threads <= 1 or the host has one hardware thread).
@@ -275,15 +284,16 @@ class Bfhrf {
   std::size_t n_bits_;
   BfhrfOptions opts_;
   std::unique_ptr<FrequencyStore> store_;
-  /// store_ downcast when it is a raw single-table FrequencyHash
-  /// (devirtualized batched add path); nullptr otherwise.
+  /// store_ downcast when it is a single-table FrequencyHash (the
+  /// devirtualized batched add path); nullptr otherwise.
   FrequencyHash* fast_store_ = nullptr;
-  /// store_ downcast when it is sharded; nullptr otherwise.
+  /// store_ downcast when it is sharded; nullptr otherwise. Both are
+  /// nullptr exactly when store_ is a loaded, read-only index.
   ShardedFrequencyHash* sharded_store_ = nullptr;
-  /// Cached routing view for the batched query path — valid for every
-  /// raw-key store shape (single, sharded, mapped); invalid (the query
-  /// takes the virtual per-split loop) for compressed stores. Refreshed by
-  /// publish_store_metrics() at the end of every mutation path.
+  /// Cached routing view for the batched query path, over every store
+  /// shape (single, sharded, mapped) and key encoding. Refreshed by
+  /// publish_store_metrics() at the end of every mutation path; a loaded
+  /// index's view is set once by adopt_store.
   BfhIndexView index_view_;
   std::size_t reference_trees_ = 0;
 };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <type_traits>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -20,10 +22,10 @@ const obs::Counter g_collisions =
 const obs::Counter g_inserts = obs::counter("core.frequency_hash.inserts");
 const obs::Counter g_merges = obs::counter("core.frequency_hash.merges");
 
-void record_probe(std::size_t groups) noexcept {
+void record_probes(std::uint64_t groups, std::size_t keys) noexcept {
   g_probes.inc(groups);
-  if (groups > 1) {
-    g_collisions.inc(groups - 1);
+  if (groups > keys) {
+    g_collisions.inc(groups - keys);
   }
 }
 
@@ -38,25 +40,108 @@ std::size_t table_size_for(std::size_t expected_unique) {
   return want;
 }
 
+using RawTag = std::integral_constant<KeyEncoding, KeyEncoding::Raw>;
+using SparseTag = std::integral_constant<KeyEncoding, KeyEncoding::Sparse>;
+
+/// Call fn(Group{}, encoding tag) with the SIMD level and the key encoding
+/// chosen once, so the loops fn runs carry no per-key branch on either.
+template <typename Fn>
+decltype(auto) dispatch(KeyEncoding encoding, Fn&& fn) {
+  const bool sparse = encoding == KeyEncoding::Sparse;
+  if (util::simd::vectorized()) {
+    return sparse ? fn(util::simd::Group16Vec{}, SparseTag{})
+                  : fn(util::simd::Group16Vec{}, RawTag{});
+  }
+  return sparse ? fn(util::simd::Group16Swar{}, SparseTag{})
+                : fn(util::simd::Group16Swar{}, RawTag{});
+}
+
+/// Encode a probe key into this thread's reusable buffer (read paths run
+/// on any number of concurrent readers). The bytes stay valid until the
+/// thread's next call.
+ByteSpan encode_probe(std::size_t n_bits, const std::uint64_t* key) {
+  thread_local std::vector<std::byte> buf;
+  const SparseKeyCodec codec(n_bits);
+  if (buf.size() < codec.max_encoded_size()) {
+    buf.resize(codec.max_encoded_size());
+  }
+  return {buf.data(),
+          codec.encode_to({key, util::words_for_bits(n_bits)}, buf.data())};
+}
+
+/// Is `enc` the encoding stored at byte `offset` of an arena of
+/// `arena_bytes` bytes? The code is prefix-free, so comparing the probe's
+/// own length is exact; the bound keeps a long probe from reading past the
+/// arena's end.
+bool sparse_equal(const std::byte* arena, std::size_t arena_bytes,
+                  std::uint32_t offset, ByteSpan enc) noexcept {
+  return offset <= arena_bytes && enc.size() <= arena_bytes - offset &&
+         std::memcmp(arena + offset, enc.data(), enc.size()) == 0;
+}
+
 }  // namespace
 
-FrequencyHash::FrequencyHash(std::size_t n_bits, std::size_t expected_unique)
-    : n_bits_(n_bits), words_per_(util::words_for_bits(n_bits)) {
+FrequencyHash::FrequencyHash(std::size_t n_bits, std::size_t expected_unique,
+                             KeyEncoding encoding)
+    : n_bits_(n_bits),
+      words_per_(util::words_for_bits(n_bits)),
+      encoding_(encoding) {
+  if (encoding_ == KeyEncoding::Sparse) {
+    (void)SparseKeyCodec(n_bits);  // rejects an empty universe
+  }
   const std::size_t slot_count = table_size_for(expected_unique);
   dir_.reset(slot_count);
   slots_.assign(slot_count, Slot{});
-  keys_.reserve(expected_unique * words_per_);
+  if (encoding_ == KeyEncoding::Raw) {
+    words_.reserve(expected_unique * words_per_);
+  }
 }
 
-template <typename Group>
-util::GroupDirectory::FindResult FrequencyHash::find_key(
-    util::ConstWordSpan key, std::uint64_t fp) const noexcept {
-  return dir_.find_with<Group>(fp, [&](std::size_t idx) {
-    return util::equal_words_fold(
-        keys_.data() + static_cast<std::size_t>(slots_[idx].key_index) *
-                           words_per_,
-        key.data(), words_per_);
-  });
+template <typename Group, KeyEncoding E>
+FrequencyHash::Slot& FrequencyHash::upsert(const std::uint64_t* key,
+                                           std::uint64_t fp,
+                                           std::uint64_t& probe_groups) {
+  // The arenas may reallocate between calls, so every probe reads data()
+  // fresh.
+  const std::size_t wp = words_per_;
+  util::GroupDirectory::FindResult r;
+  ByteSpan enc;
+  if constexpr (E == KeyEncoding::Sparse) {
+    enc = encode_probe(n_bits_, key);
+    r = dir_.find_with<Group>(fp, [&](std::size_t idx) {
+      return sparse_equal(bytes_.data(), bytes_.size(),
+                          slots_[idx].key_index, enc);
+    });
+  } else if (wp == 1) {
+    const std::uint64_t k = *key;
+    r = dir_.find_with<Group>(fp, [&](std::size_t idx) {
+      return words_[slots_[idx].key_index] == k;
+    });
+  } else {
+    r = dir_.find_with<Group>(fp, [&](std::size_t idx) {
+      return util::equal_words_fold(
+          words_.data() + static_cast<std::size_t>(slots_[idx].key_index) * wp,
+          key, wp);
+    });
+  }
+  probe_groups += r.groups_probed;
+  Slot& s = slots_[r.index];
+  if (!r.found) {
+    // Append first: a throw leaves the slot EMPTY.
+    if constexpr (E == KeyEncoding::Sparse) {
+      if (bytes_.size() > 0xffffffffU) {  // slots hold 32-bit offsets
+        throw Error("FrequencyHash: sparse key arena exceeds 4 GiB");
+      }
+      s.key_index = static_cast<std::uint32_t>(bytes_.size());
+      bytes_.insert(bytes_.end(), enc.begin(), enc.end());
+    } else {
+      s.key_index = static_cast<std::uint32_t>(words_.size() / wp);
+      words_.insert(words_.end(), key, key + wp);
+    }
+    dir_.mark(r.index, fp);
+    ++size_;
+  }
+  return s;
 }
 
 void FrequencyHash::add_weighted(util::ConstWordSpan key, std::uint32_t count,
@@ -66,69 +151,76 @@ void FrequencyHash::add_weighted(util::ConstWordSpan key, std::uint32_t count,
   grow_to_fit(size_ + 1);
   g_inserts.inc();
   const std::uint64_t fp = util::hash_words(key);
-  const auto r = util::simd::vectorized()
-                     ? find_key<util::simd::Group16Vec>(key, fp)
-                     : find_key<util::simd::Group16Swar>(key, fp);
-  record_probe(r.groups_probed);
-  Slot& s = slots_[r.index];
-  if (!r.found) {
-    dir_.mark(r.index, fp);
-    s.key_index = static_cast<std::uint32_t>(keys_.size() / words_per_);
-    keys_.insert(keys_.end(), key.begin(), key.end());
-    ++size_;
-  }
+  std::uint64_t groups = 0;
+  Slot& s = dispatch(encoding_, [&](auto group, auto enc) -> Slot& {
+    return upsert<decltype(group), decltype(enc)::value>(key.data(), fp,
+                                                         groups);
+  });
+  record_probes(groups, 1);
   s.count += count;
   total_ += count;
   total_weight_ += static_cast<double>(count) * weight;
 }
 
 std::uint32_t FrequencyHash::frequency(util::ConstWordSpan key) const {
-  BFHRF_ASSERT(key.size() == words_per_);
-  const std::uint64_t fp = util::hash_words(key);
-  const auto r = util::simd::vectorized()
-                     ? find_key<util::simd::Group16Vec>(key, fp)
-                     : find_key<util::simd::Group16Swar>(key, fp);
-  record_probe(r.groups_probed);
-  // An empty slot's count is 0, so found/not-found reads uniformly.
-  return slots_[r.index].count;
+  return FrequencyHashView(*this).frequency(key);
 }
 
 std::uint32_t FrequencyHash::key_index_of(util::ConstWordSpan key) const {
-  BFHRF_ASSERT(key.size() == words_per_);
-  const std::uint64_t fp = util::hash_words(key);
-  const auto r = util::simd::vectorized()
-                     ? find_key<util::simd::Group16Vec>(key, fp)
-                     : find_key<util::simd::Group16Swar>(key, fp);
-  record_probe(r.groups_probed);
+  const auto r = FrequencyHashView(*this).find_key(key);
   return r.found ? slots_[r.index].key_index : kNoKeyIndex;
 }
 
-std::uint32_t FrequencyHashView::frequency(util::ConstWordSpan key) const {
-  BFHRF_ASSERT(key.size() == words_per_);
-  const std::uint64_t fp = util::hash_words(key);
-  const auto r = dir_.find(fp, [&](std::size_t idx) {
-    return util::equal_words_fold(
-        keys_ + static_cast<std::size_t>(slots_[idx].key_index) * words_per_,
-        key.data(), words_per_);
-  });
-  record_probe(r.groups_probed);
-  return slots_[r.index].count;
+bool FrequencyHashView::holds(std::size_t idx, ByteSpan enc) const noexcept {
+  return sparse_equal(bytes_, arena_bytes_, slots_[idx].key_index, enc);
 }
 
+util::ConstWordSpan FrequencyHashView::decode(std::uint32_t offset,
+                                              util::DynamicBitset& out) const {
+  BFHRF_ASSERT(offset <= arena_bytes_);
+  (void)SparseKeyCodec(n_bits_).decode(
+      ByteSpan{bytes_ + offset, arena_bytes_ - offset}, out);
+  return out.words();
+}
+
+FrequencyHashView::FindResult FrequencyHashView::find_key(
+    util::ConstWordSpan key) const {
+  BFHRF_ASSERT(key.size() == words_per_);
+  const std::uint64_t fp = util::hash_words(key);
+  FindResult r;
+  if (encoding_ == KeyEncoding::Sparse) {
+    const ByteSpan enc = encode_probe(n_bits_, key.data());
+    r = dir_.find(fp, [&](std::size_t idx) { return holds(idx, enc); });
+  } else {
+    r = dir_.find(fp, [&](std::size_t idx) {
+      return util::equal_words_fold(
+          words_ +
+              static_cast<std::size_t>(slots_[idx].key_index) * words_per_,
+          key.data(), words_per_);
+    });
+  }
+  record_probes(r.groups_probed, 1);
+  return r;
+}
+
+template <KeyEncoding E>
 std::uint32_t FrequencyHashView::count_for(std::uint64_t fp,
                                            const std::uint64_t* key,
                                            std::uint64_t& probe_groups) const {
   const std::size_t wp = words_per_;
-  util::GroupDirectoryView::FindResult r;
-  if (wp == 1) {
+  FindResult r;
+  if constexpr (E == KeyEncoding::Sparse) {
+    const ByteSpan enc = encode_probe(n_bits_, key);
+    r = dir_.find(fp, [&](std::size_t idx) { return holds(idx, enc); });
+  } else if (wp == 1) {
     const std::uint64_t k = *key;
     r = dir_.find(fp, [&](std::size_t idx) {
-      return keys_[slots_[idx].key_index] == k;
+      return words_[slots_[idx].key_index] == k;
     });
   } else {
     r = dir_.find(fp, [&](std::size_t idx) {
       return util::equal_words_fold(
-          keys_ + static_cast<std::size_t>(slots_[idx].key_index) * wp, key,
+          words_ + static_cast<std::size_t>(slots_[idx].key_index) * wp, key,
           wp);
     });
   }
@@ -136,7 +228,12 @@ std::uint32_t FrequencyHashView::count_for(std::uint64_t fp,
   return slots_[r.index].count;
 }
 
-template <typename Group>
+template std::uint32_t FrequencyHashView::count_for<KeyEncoding::Raw>(
+    std::uint64_t, const std::uint64_t*, std::uint64_t&) const;
+template std::uint32_t FrequencyHashView::count_for<KeyEncoding::Sparse>(
+    std::uint64_t, const std::uint64_t*, std::uint64_t&) const;
+
+template <typename Group, KeyEncoding E>
 void FrequencyHashView::frequency_many_impl(const std::uint64_t* keys,
                                             std::size_t count,
                                             std::uint32_t* out) const {
@@ -188,8 +285,12 @@ void FrequencyHashView::frequency_many_impl(const std::uint64_t* keys,
   const auto stage_c = [&](std::size_t j) {
     const std::uint32_t cand = cands[j & (kRing - 1)];
     if (cand != kNoCand) {
-      __builtin_prefetch(
-          keys_ + static_cast<std::size_t>(slots_[cand].key_index) * wp);
+      const std::size_t at = slots_[cand].key_index;
+      if constexpr (E == KeyEncoding::Sparse) {
+        __builtin_prefetch(bytes_ + at);
+      } else {
+        __builtin_prefetch(words_ + at * wp);
+      }
     }
   };
   const auto warm = [count](std::size_t ahead) {
@@ -217,37 +318,36 @@ void FrequencyHashView::frequency_many_impl(const std::uint64_t* keys,
       stage_c(i + kKeyAhead);
     }
     util::GroupDirectory::FindResult r;
-    if (one_word) {
+    if constexpr (E == KeyEncoding::Sparse) {
+      const ByteSpan enc = encode_probe(n_bits_, keys + i * wp);
+      r = dir_.find_hinted<Group>(
+          fp, hint, [&](std::size_t idx) { return holds(idx, enc); });
+    } else if (one_word) {
       const std::uint64_t k = keys[i];
       r = dir_.find_hinted<Group>(fp, hint, [&](std::size_t idx) {
-        return keys_[slots_[idx].key_index] == k;
+        return words_[slots_[idx].key_index] == k;
       });
     } else {
       const std::uint64_t* k = keys + i * wp;
       r = dir_.find_hinted<Group>(fp, hint, [&](std::size_t idx) {
         return util::equal_words_fold(
-            keys_ + static_cast<std::size_t>(slots_[idx].key_index) * wp, k,
+            words_ + static_cast<std::size_t>(slots_[idx].key_index) * wp, k,
             wp);
       });
     }
     probe_groups += r.groups_probed;
     out[i] = slots_[r.index].count;
   }
-  g_probes.inc(probe_groups);
-  if (probe_groups > count) {
-    g_collisions.inc(probe_groups - count);
-  }
+  record_probes(probe_groups, count);
 }
 
 void FrequencyHashView::frequency_many(const std::uint64_t* keys,
                                        std::size_t count,
                                        std::uint32_t* out) const {
-  // Hoist the dispatch-level check out of the per-key loop.
-  if (util::simd::vectorized()) {
-    frequency_many_impl<util::simd::Group16Vec>(keys, count, out);
-  } else {
-    frequency_many_impl<util::simd::Group16Swar>(keys, count, out);
-  }
+  dispatch(encoding_, [&](auto group, auto enc) {
+    frequency_many_impl<decltype(group), decltype(enc)::value>(keys, count,
+                                                               out);
+  });
 }
 
 void FrequencyHash::frequency_many(const std::uint64_t* keys,
@@ -256,15 +356,14 @@ void FrequencyHash::frequency_many(const std::uint64_t* keys,
   FrequencyHashView(*this).frequency_many(keys, count, out);
 }
 
-template <typename Group>
+template <typename Group, KeyEncoding E>
 void FrequencyHash::add_many_impl(const std::uint64_t* keys,
                                   std::size_t count, const double* weights) {
   constexpr std::size_t kGroupAhead = 8;
   constexpr std::size_t kKeyAhead = 4;
   const std::size_t wp = words_per_;
-  const bool one_word = (wp == 1);
   const std::size_t nslots = slots_.size();
-  // keys_ growth is left to the vector's geometric policy — an exact
+  // Arena growth is left to the vector's geometric policy — an exact
   // reserve per batch would reallocate (and copy) the whole arena on
   // almost every call. Arena prefetches read data() fresh each iteration,
   // so intra-batch reallocation is safe.
@@ -298,36 +397,20 @@ void FrequencyHash::add_many_impl(const std::uint64_t* keys,
       const std::uint64_t near = fps[(i + kKeyAhead) % kGroupAhead];
       const std::size_t cand = dir_.first_candidate<Group>(near);
       if (cand != nslots) {
-        __builtin_prefetch(
-            keys_.data() +
-            static_cast<std::size_t>(slots_[cand].key_index) * wp);
+        const std::size_t at = slots_[cand].key_index;
+        if constexpr (E == KeyEncoding::Sparse) {
+          __builtin_prefetch(bytes_.data() + at);
+        } else {
+          __builtin_prefetch(words_.data() + at * wp);
+        }
       }
     }
-    util::GroupDirectory::FindResult r;
-    if (one_word) {
-      const std::uint64_t k = keys[i];
-      r = dir_.find_with<Group>(fp, [&](std::size_t idx) {
-        return keys_[slots_[idx].key_index] == k;
-      });
-    } else {
-      r = find_key<Group>(key_i(i), fp);
-    }
-    probe_groups += r.groups_probed;
-    Slot& s = slots_[r.index];
-    if (!r.found) {
-      dir_.mark(r.index, fp);
-      s.key_index = static_cast<std::uint32_t>(keys_.size() / wp);
-      keys_.insert(keys_.end(), keys + i * wp, keys + (i + 1) * wp);
-      ++size_;
-    }
+    Slot& s = upsert<Group, E>(keys + i * wp, fp, probe_groups);
     s.count += 1;
     total_ += 1;
     total_weight_ += weights != nullptr ? weights[i] : 1.0;
   }
-  g_probes.inc(probe_groups);
-  if (probe_groups > count) {
-    g_collisions.inc(probe_groups - count);
-  }
+  record_probes(probe_groups, count);
 }
 
 void FrequencyHash::add_many(const std::uint64_t* keys, std::size_t count,
@@ -339,41 +422,34 @@ void FrequencyHash::add_many(const std::uint64_t* keys, std::size_t count,
   // mid-batch: prefetched group lines stay valid for the whole pipeline.
   grow_to_fit(size_ + count);
   g_inserts.inc(count);
-  if (util::simd::vectorized()) {
-    add_many_impl<util::simd::Group16Vec>(keys, count, weights);
-  } else {
-    add_many_impl<util::simd::Group16Swar>(keys, count, weights);
-  }
+  dispatch(encoding_, [&](auto group, auto enc) {
+    add_many_impl<decltype(group), decltype(enc)::value>(keys, count,
+                                                         weights);
+  });
 }
 
 void FrequencyHash::reserve(std::size_t expected_unique) {
-  keys_.reserve(expected_unique * words_per_);
+  if (encoding_ == KeyEncoding::Raw) {
+    words_.reserve(expected_unique * words_per_);
+  }
   grow_to_fit(expected_unique);
 }
 
 void FrequencyHash::merge(const FrequencyHash& other) {
-  if (other.n_bits_ != n_bits_) {
-    throw InvalidArgument("FrequencyHash::merge: universe width mismatch");
+  if (other.n_bits_ != n_bits_ || other.encoding_ != encoding_) {
+    throw InvalidArgument(
+        "FrequencyHash::merge: universe width or key encoding mismatch");
   }
   g_merges.inc();
   // Weighted totals must be preserved exactly, so replay each unique key
   // with its aggregate weight contribution. Since weight is a pure function
   // of the key, other's per-key average weight equals the true weight.
-  other.for_each([this, &other](util::ConstWordSpan key, std::uint32_t count) {
-    (void)other;
+  other.for_each([this](util::ConstWordSpan key, std::uint32_t count) {
     add(key, count);
   });
   // add() accumulated unit weights; fix total_weight_ to account for the
   // true weighted mass moved over.
   total_weight_ += other.total_weight_ - static_cast<double>(other.total_);
-}
-
-void FrequencyHash::merge_from(const FrequencyStore& other) {
-  const auto* o = dynamic_cast<const FrequencyHash*>(&other);
-  if (o == nullptr) {
-    throw InvalidArgument("FrequencyHash::merge_from: incompatible store");
-  }
-  merge(*o);
 }
 
 void FrequencyHash::grow_to_fit(std::size_t keys) {
@@ -387,16 +463,19 @@ void FrequencyHash::grow_to_fit(std::size_t keys) {
 }
 
 void FrequencyHash::rehash(std::size_t new_slot_count) {
+  // No stored fingerprints: recompute each live slot's from its key (the
+  // arena is untouched by rehashing, so the view's key reads stay valid).
+  const FrequencyHashView view(*this);
+  util::DynamicBitset scratch(n_bits_);
   util::CacheAlignedVector<Slot> old = std::move(slots_);
   slots_.assign(new_slot_count, Slot{});
   dir_.reset(new_slot_count);
-  // No stored fingerprints: recompute from the retained keys (the arena is
-  // untouched by rehashing, so key_at stays valid throughout).
   for (const Slot& s : old) {
     if (s.count == 0) {
       continue;
     }
-    const std::uint64_t fp = util::hash_words(key_at(s.key_index));
+    const std::uint64_t fp =
+        util::hash_words(view.key_words(s.key_index, scratch));
     const auto r = dir_.find_insert(fp);
     dir_.mark(r.index, fp);
     slots_[r.index] = s;
@@ -408,13 +487,16 @@ FrequencyHash::ProbeStats FrequencyHash::probe_stats() const {
   if (size_ == 0) {
     return st;
   }
+  const FrequencyHashView view(*this);
+  util::DynamicBitset scratch(n_bits_);
   const std::size_t gcount = dir_.group_count();
   std::uint64_t total_groups = 0;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     if (slots_[i].count == 0) {
       continue;
     }
-    const std::uint64_t fp = util::hash_words(key_at(slots_[i].key_index));
+    const std::uint64_t fp =
+        util::hash_words(view.key_words(slots_[i].key_index, scratch));
     const std::size_t home = dir_.home_group(fp);
     const std::size_t displacement =
         ((i / util::kGroupWidth) + gcount - home) & (gcount - 1);

@@ -27,6 +27,21 @@
 // halved slot size keeps a whole group's slots inside two cache lines.
 // Both the control directory and the slot array are cache-line aligned.
 //
+// Key encodings (KeyEncoding, fixed at construction). RAW keys are the
+// canonical bitmask words, ⌈n/64⌉ per key. SPARSE keys are SparseKeyCodec
+// byte strings (core/key_codec.hpp) — the paper's §IX lossless, reversible
+// key compression, which stores a split's smaller side as varint indices
+// instead of n/8 bytes. Both encodings share the slot and the fingerprint
+// (util::hash_words of the raw key), so probing, shard routing and the
+// on-disk slot layout do not depend on the encoding; only key verification
+// does. A raw slot's key_index is a dense key id; a sparse slot's is the
+// byte offset of its encoding. A sparse probe encodes its key and compares
+// those bytes with the arena: the code is prefix-free, so equal bytes over
+// the probe's length (bounds-checked against the arena's end) mean equal
+// keys. Rehash, for_each and probe_stats decode sparse keys. The batched
+// paths choose the encoding once per call, as they choose the SIMD level,
+// so the raw loops carry no per-key encoding branch.
+//
 // Concurrency model: a FrequencyHash is single-writer. Parallel builds give
 // each worker a private hash and merge() them afterwards (src/core/bfhrf).
 // The read path (frequency/frequency_many) is safe for concurrent readers.
@@ -34,9 +49,11 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/frequency_store.hpp"
+#include "core/key_codec.hpp"
 #include "util/bitset.hpp"
 #include "util/group_table.hpp"
 #include "util/hash.hpp"
@@ -44,21 +61,29 @@
 
 namespace bfhrf::core {
 
+/// How a FrequencyHash stores its keys (see the header comment).
+enum class KeyEncoding : std::uint8_t {
+  Raw,     ///< canonical bitmask words; key_index is a dense key id
+  Sparse,  ///< SparseKeyCodec bytes; key_index is the encoding's offset
+};
+
 class FrequencyHash final : public FrequencyStore {
  public:
-  /// One table slot: an index into the key arena plus the key's frequency.
+  /// One table slot: where the key lives in the arena plus its frequency.
   /// Public (and exactly 8 bytes with no padding) because the slot array is
   /// persisted verbatim by the mapped index format (core/index_file) and
   /// addressed directly by FrequencyHashView over mapped memory.
   struct Slot {
-    std::uint32_t key_index = 0;  ///< key lives at keys[key_index*words_per]
+    std::uint32_t key_index = 0;  ///< raw: key id (words at key_index *
+                                  ///< words_per); sparse: byte offset
     std::uint32_t count = 0;      ///< 0 marks an empty slot
   };
   static_assert(sizeof(Slot) == 8 && alignof(Slot) == 4,
                 "Slot layout is part of the on-disk index format");
 
   /// `n_bits` = taxon universe width; `expected_unique` pre-sizes the table.
-  explicit FrequencyHash(std::size_t n_bits, std::size_t expected_unique = 0);
+  explicit FrequencyHash(std::size_t n_bits, std::size_t expected_unique = 0,
+                         KeyEncoding encoding = KeyEncoding::Raw);
 
   [[nodiscard]] std::size_t n_bits() const noexcept override {
     return n_bits_;
@@ -66,6 +91,7 @@ class FrequencyHash final : public FrequencyStore {
   [[nodiscard]] std::size_t words_per_key() const noexcept {
     return words_per_;
   }
+  [[nodiscard]] KeyEncoding encoding() const noexcept { return encoding_; }
 
   /// Number of distinct bipartitions stored.
   [[nodiscard]] std::size_t unique_count() const noexcept override {
@@ -96,11 +122,12 @@ class FrequencyHash final : public FrequencyStore {
   /// Sentinel returned by key_index_of() for an absent key.
   static constexpr std::uint32_t kNoKeyIndex = 0xffffffffU;
 
-  /// Arena index of a stored bipartition, or kNoKeyIndex if absent. The
-  /// arena appends keys in first-insertion order and never drops one, so
-  /// these indexes form a dense id space [0, U) — the universe numbering
-  /// the bit-matrix all-pairs engine (core/bit_matrix) encodes trees
-  /// against.
+  /// Slot key_index of a stored bipartition, or kNoKeyIndex if absent.
+  /// Under the raw encoding the arena appends keys in first-insertion
+  /// order and never drops one, so these indexes form a dense id space
+  /// [0, U) — the universe numbering the bit-matrix all-pairs engine
+  /// (core/bit_matrix) encodes trees against. Sparse indexes are byte
+  /// offsets, not dense ids.
   [[nodiscard]] std::uint32_t key_index_of(util::ConstWordSpan key) const;
 
   /// Batched lookup: `keys` is a contiguous arena of `count` keys of
@@ -127,12 +154,11 @@ class FrequencyHash final : public FrequencyStore {
 
   /// Pre-size for `expected_unique` distinct keys: one rehash now instead
   /// of a cascade of doublings during build/merge. Never shrinks.
-  void reserve(std::size_t expected_unique) override;
+  void reserve(std::size_t expected_unique);
 
   /// Fold another hash into this one (used to combine per-thread builds).
+  /// Throws InvalidArgument unless both share width and key encoding.
   void merge(const FrequencyHash& other);
-
-  void merge_from(const FrequencyStore& other) override;
 
   void for_each_key(const std::function<void(util::ConstWordSpan,
                                              std::uint32_t)>& fn)
@@ -142,21 +168,20 @@ class FrequencyHash final : public FrequencyStore {
 
   void set_total_weight(double w) override { total_weight_ = w; }
 
-  /// Visit every (key, frequency) pair. Order is unspecified.
+  /// Visit every (key, frequency) pair, keys in raw word form (sparse keys
+  /// are decoded). Order is unspecified.
   template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const Slot& s : slots_) {
-      if (s.count != 0) {
-        fn(key_at(s.key_index), s.count);
-      }
-    }
-  }
+  void for_each(Fn&& fn) const;
 
   /// Exact bytes held by the control directory (including its cache-line
   /// padding), the slot array, and the key arena.
   [[nodiscard]] std::size_t memory_bytes() const noexcept override {
     return dir_.memory_bytes() + slots_.capacity() * sizeof(Slot) +
-           keys_.capacity() * sizeof(std::uint64_t);
+           words_.capacity() * sizeof(std::uint64_t) + bytes_.capacity();
+  }
+
+  [[nodiscard]] std::size_t key_bytes() const noexcept override {
+    return arena().size();
   }
 
   /// Occupied fraction of the slot table (diagnostics/ablation).
@@ -182,16 +207,22 @@ class FrequencyHash final : public FrequencyStore {
     return {slots_.data(), slots_.size()};
   }
 
-  /// The raw key arena in words (index-file writer): exactly
-  /// unique_count()*words_per_key() words, one key per stored bipartition.
-  [[nodiscard]] std::span<const std::uint64_t> key_arena() const noexcept {
-    return {keys_.data(), keys_.size()};
+  /// The key arena as bytes (index-file writer): one key per stored
+  /// bipartition, either words_per_key() raw words (exactly
+  /// unique_count()*words_per_key() words, 8-byte aligned) or one
+  /// encoding.
+  [[nodiscard]] std::span<const std::byte> arena() const noexcept {
+    if (encoding_ == KeyEncoding::Raw) {
+      return std::as_bytes(std::span<const std::uint64_t>(words_));
+    }
+    return {bytes_.data(), bytes_.size()};
   }
 
   /// Probe-length distribution over the RESIDENT keys: how many control
   /// groups a successful lookup of each stored key walks (1 = found in its
-  /// home group). Computed by an O(U) scan on demand — the read path keeps
-  /// no mutable statistics, so concurrent lookups stay race-free.
+  /// home group). Computed by an O(U) scan on demand (sparse keys are
+  /// decoded to rehash them) — the read path keeps no mutable statistics,
+  /// so concurrent lookups stay race-free.
   struct ProbeStats {
     double mean_groups = 0.0;
     std::size_t max_groups = 0;
@@ -199,18 +230,16 @@ class FrequencyHash final : public FrequencyStore {
   [[nodiscard]] ProbeStats probe_stats() const;
 
  private:
-  [[nodiscard]] util::ConstWordSpan key_at(std::uint32_t index) const noexcept {
-    return {keys_.data() + static_cast<std::size_t>(index) * words_per_,
-            words_per_};
-  }
+  /// Find `key` (fingerprint `fp`), inserting it if absent; returns its
+  /// slot. Statically dispatched on the Group type and the encoding (hot
+  /// loops hoist both checks); adds the groups probed to `probe_groups`.
+  /// Always inlined: it is the body of the add_many loop.
+  template <typename Group, KeyEncoding E>
+  [[gnu::always_inline]] inline Slot& upsert(const std::uint64_t* key,
+                                             std::uint64_t fp,
+                                             std::uint64_t& probe_groups);
 
-  /// Group-probed find of `key` under fingerprint `fp`; statically
-  /// dispatched on the Group type (hot loops hoist the level check).
-  template <typename Group>
-  [[nodiscard]] util::GroupDirectory::FindResult find_key(
-      util::ConstWordSpan key, std::uint64_t fp) const noexcept;
-
-  template <typename Group>
+  template <typename Group, KeyEncoding E>
   void add_many_impl(const std::uint64_t* keys, std::size_t count,
                      const double* weights);
 
@@ -224,35 +253,47 @@ class FrequencyHash final : public FrequencyStore {
 
   std::size_t n_bits_ = 0;
   std::size_t words_per_ = 0;
+  KeyEncoding encoding_ = KeyEncoding::Raw;
   std::size_t size_ = 0;
   std::uint64_t total_ = 0;
   double total_weight_ = 0.0;
   util::GroupDirectory dir_;               ///< control bytes (7-bit tags)
   util::CacheAlignedVector<Slot> slots_;   ///< power-of-two sized
-  std::vector<std::uint64_t> keys_;        ///< arena of full keys
+  std::vector<std::uint64_t> words_;       ///< raw key arena
+  std::vector<std::byte> bytes_;           ///< sparse key arena
 };
 
 /// Non-owning read-only view over a FrequencyHash layout: the control
-/// directory, slot array, and key arena as raw pointers. The batched
-/// lookup pipeline lives HERE — FrequencyHash::frequency_many delegates to
-/// its view, a ShardedFrequencyHash exposes one view per shard, and the
-/// mapped index (core/index_file) builds views straight over mmapped file
-/// sections. One probe implementation, three backings, bit-identical
-/// results. All pointed-to memory must outlive the view and must satisfy
-/// the directory's 16-byte alignment requirement.
+/// directory, slot array, and key arena as raw pointers. The lookup
+/// pipelines live HERE — FrequencyHash's read paths delegate to its view,
+/// a ShardedFrequencyHash exposes one view per shard, and the mapped index
+/// (core/index_file) builds views straight over mmapped file sections. One
+/// probe implementation, three backings, bit-identical results. All
+/// pointed-to memory must outlive the view and must satisfy the
+/// directory's 16-byte alignment requirement; a raw arena must be 8-byte
+/// aligned.
 class FrequencyHashView {
  public:
   using Slot = FrequencyHash::Slot;
+  using FindResult = util::GroupDirectoryView::FindResult;
 
   FrequencyHashView() = default;
   FrequencyHashView(util::GroupDirectoryView dir, const Slot* slots,
-                    const std::uint64_t* keys, std::size_t words_per) noexcept
-      : dir_(dir), slots_(slots), keys_(keys), words_per_(words_per) {}
+                    std::span<const std::byte> arena, std::size_t n_bits,
+                    KeyEncoding encoding) noexcept
+      : dir_(dir),
+        slots_(slots),
+        words_(reinterpret_cast<const std::uint64_t*>(arena.data())),
+        bytes_(arena.data()),
+        arena_bytes_(arena.size()),
+        n_bits_(n_bits),
+        words_per_(util::words_for_bits(n_bits)),
+        encoding_(encoding) {}
 
   /// View over a live FrequencyHash (invalidated by any mutation of it).
   explicit FrequencyHashView(const FrequencyHash& h) noexcept
-      : FrequencyHashView(h.directory().view(), h.slots().data(),
-                          h.key_arena().data(), h.words_per_key()) {}
+      : FrequencyHashView(h.directory().view(), h.slots().data(), h.arena(),
+                          h.n_bits(), h.encoding()) {}
 
   [[nodiscard]] util::GroupDirectoryView directory() const noexcept {
     return dir_;
@@ -260,9 +301,15 @@ class FrequencyHashView {
   [[nodiscard]] std::size_t words_per_key() const noexcept {
     return words_per_;
   }
+  [[nodiscard]] KeyEncoding encoding() const noexcept { return encoding_; }
+
+  /// Probe for one bipartition: the matching slot, or the insertion point.
+  [[nodiscard]] FindResult find_key(util::ConstWordSpan key) const;
 
   /// Frequency of one bipartition (0 if absent).
-  [[nodiscard]] std::uint32_t frequency(util::ConstWordSpan key) const;
+  [[nodiscard]] std::uint32_t frequency(util::ConstWordSpan key) const {
+    return slots_[find_key(key).index].count;
+  }
 
   /// Batched lookup over a contiguous arena of `count` keys — the 4-stage
   /// software-prefetch pipeline documented at
@@ -275,20 +322,60 @@ class FrequencyHashView {
 
   /// Count stored for `key` under its precomputed fingerprint (0 if
   /// absent); accumulates control groups probed into `probe_groups` for
-  /// the caller's one-flush-per-batch obs accounting.
+  /// the caller's one-flush-per-batch obs accounting. E must be this
+  /// view's encoding (routing loops choose it once per batch).
+  template <KeyEncoding E>
   [[nodiscard]] std::uint32_t count_for(std::uint64_t fp,
                                         const std::uint64_t* key,
                                         std::uint64_t& probe_groups) const;
 
+  /// The raw words of the key stored at `key_index`: in place for raw
+  /// keys, decoded into `scratch` (sized n_bits) for sparse ones.
+  [[nodiscard]] util::ConstWordSpan key_words(
+      std::uint32_t key_index, util::DynamicBitset& scratch) const {
+    if (encoding_ == KeyEncoding::Raw) {
+      return {words_ + static_cast<std::size_t>(key_index) * words_per_,
+              words_per_};
+    }
+    return decode(key_index, scratch);
+  }
+
+  /// Visit every (key, frequency) pair in slot order, keys in raw word
+  /// form.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    util::DynamicBitset scratch(n_bits_);
+    for (std::size_t i = 0; i < dir_.slot_count(); ++i) {
+      if (slots_[i].count != 0) {
+        fn(key_words(slots_[i].key_index, scratch), slots_[i].count);
+      }
+    }
+  }
+
  private:
-  template <typename Group>
+  template <typename Group, KeyEncoding E>
   void frequency_many_impl(const std::uint64_t* keys, std::size_t count,
                            std::uint32_t* out) const;
 
+  [[nodiscard]] util::ConstWordSpan decode(std::uint32_t offset,
+                                           util::DynamicBitset& out) const;
+
+  /// Does slot `idx` hold the sparse key whose encoding is `enc`?
+  [[nodiscard]] bool holds(std::size_t idx, ByteSpan enc) const noexcept;
+
   util::GroupDirectoryView dir_;
   const Slot* slots_ = nullptr;
-  const std::uint64_t* keys_ = nullptr;
+  const std::uint64_t* words_ = nullptr;  ///< raw arena
+  const std::byte* bytes_ = nullptr;      ///< sparse arena (same memory)
+  std::size_t arena_bytes_ = 0;
+  std::size_t n_bits_ = 0;
   std::size_t words_per_ = 0;
+  KeyEncoding encoding_ = KeyEncoding::Raw;
 };
+
+template <typename Fn>
+void FrequencyHash::for_each(Fn&& fn) const {
+  FrequencyHashView(*this).for_each(std::forward<Fn>(fn));
+}
 
 }  // namespace bfhrf::core

@@ -1,14 +1,14 @@
 // FrequencyStore: the abstract bipartition-frequency map BFHRF builds on.
 //
-// Four implementations ship:
-//  * FrequencyHash           — raw fixed-width bitmask keys (the default).
-//  * ShardedFrequencyHash    — FrequencyHash shards routed by fingerprint
+// Three implementations ship:
+//  * FrequencyHash        — the table itself, with raw bitmask keys (the
+//    default) or losslessly compressed ones (§IX future work: "a loss less
+//    and reversible compression of the bipartitions as keys in the hash to
+//    further reduce memory"); see KeyEncoding in core/frequency_hash.hpp.
+//  * ShardedFrequencyHash — FrequencyHash shards routed by fingerprint
 //    (core/sharded_hash.hpp), for lock-free parallel builds.
-//  * CompressedFrequencyHash — losslessly compressed keys (§IX future
-//    work: "a loss less and reversible compression of the bipartitions as
-//    keys in the hash to further reduce memory").
-//  * MappedFrequencyStore    — a read-only store served in place off a
-//    saved index file (core/index_file.hpp).
+//  * MappedFrequencyStore — a read-only store served in place off a saved
+//    index file (core/index_file.hpp).
 //
 // All are collision-free (full-key verification) and reversible (keys can
 // be enumerated back out), so every consumer — the RF query, variants,
@@ -53,15 +53,6 @@ class FrequencyStore {
   [[nodiscard]] virtual std::uint32_t frequency(
       util::ConstWordSpan key) const = 0;
 
-  /// Fold another store of the SAME concrete type into this one.
-  /// Throws InvalidArgument on type or width mismatch.
-  virtual void merge_from(const FrequencyStore& other) = 0;
-
-  /// Hint that ~`expected_unique` distinct keys are coming, so the store
-  /// can size its table once instead of growing through a rehash cascade.
-  /// Default: no-op.
-  virtual void reserve(std::size_t expected_unique) { (void)expected_unique; }
-
   /// Enumerate every (key, frequency) pair; keys are decoded to the raw
   /// canonical word form. Order unspecified.
   virtual void for_each_key(
@@ -70,6 +61,9 @@ class FrequencyStore {
 
   /// Exact bytes held by the table and key storage.
   [[nodiscard]] virtual std::size_t memory_bytes() const = 0;
+
+  /// Bytes of stored keys: the key arenas' length in their encoding.
+  [[nodiscard]] virtual std::size_t key_bytes() const = 0;
 
   /// Overwrite the weighted total. ONLY for deserialization: per-key
   /// weights are aggregates that cannot be replayed from counts alone, so

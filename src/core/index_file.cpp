@@ -133,37 +133,30 @@ void write_index_file(const FrequencyStore& store, const IndexFileMeta& meta,
     throw Error("the mapped index format is little-endian only");
   }
 
-  // Resolve the concrete store: a list of raw shards, or one compressed
-  // table.
-  std::vector<const FrequencyHash*> raw;
-  const CompressedFrequencyHash* comp = nullptr;
+  // Resolve the concrete store to its list of tables.
+  std::vector<const FrequencyHash*> tables;
   if (const auto* sh = dynamic_cast<const ShardedFrequencyHash*>(&store)) {
-    raw.reserve(sh->shard_count());
+    tables.reserve(sh->shard_count());
     for (std::size_t s = 0; s < sh->shard_count(); ++s) {
-      raw.push_back(&sh->shard(s));
+      tables.push_back(&sh->shard(s));
     }
   } else if (const auto* f = dynamic_cast<const FrequencyHash*>(&store)) {
-    raw.push_back(f);
-  } else if (const auto* c =
-                 dynamic_cast<const CompressedFrequencyHash*>(&store)) {
-    comp = c;
+    tables.push_back(f);
   } else {
     throw InvalidArgument(
         "write_index_file: unsupported store type (a mapped store's backing "
         "file already is the index)");
   }
 
-  const std::size_t shard_count = comp != nullptr ? 1 : raw.size();
+  const std::size_t shard_count = tables.size();
   const std::size_t wp = util::words_for_bits(store.n_bits());
-  const std::size_t slot_size = comp != nullptr
-                                    ? sizeof(CompressedFrequencyHash::Slot)
-                                    : sizeof(FrequencyHash::Slot);
+  const bool sparse = tables.front()->encoding() == KeyEncoding::Sparse;
 
   MappedHeader h{};
   std::memcpy(h.magic, kMappedMagic, sizeof h.magic);
   h.version = kMappedVersion;
-  h.store_kind = static_cast<std::uint32_t>(
-      comp != nullptr ? MappedStoreKind::Compressed : MappedStoreKind::Raw);
+  h.store_kind = static_cast<std::uint32_t>(sparse ? MappedStoreKind::Sparse
+                                                   : MappedStoreKind::Raw);
   h.flags = meta.include_trivial ? kMappedFlagIncludeTrivial : 0;
   h.shard_count = static_cast<std::uint32_t>(shard_count);
   h.n_bits = store.n_bits();
@@ -178,28 +171,22 @@ void write_index_file(const FrequencyStore& store, const IndexFileMeta& meta,
       sizeof(MappedHeader) + shard_count * sizeof(MappedShardRecord);
   for (std::size_t s = 0; s < shard_count; ++s) {
     MappedShardRecord& r = records[s];
-    if (comp != nullptr) {
-      r.slot_count = comp->slots().size();
-      r.key_bytes = comp->arena().size();
-      r.live_keys = comp->unique_count();
-      r.total_count = comp->total_count();
-      r.total_weight = comp->total_weight();
-    } else {
-      const FrequencyHash& fh = *raw[s];
-      // An add-only table's arena is dense: exactly one key per live slot.
-      BFHRF_ASSERT(fh.key_arena().size() == fh.unique_count() * wp);
-      r.slot_count = fh.capacity_slots();
-      r.key_bytes = fh.key_arena().size() * sizeof(std::uint64_t);
-      r.live_keys = fh.unique_count();
-      r.total_count = fh.total_count();
-      r.total_weight = fh.total_weight();
-    }
+    const FrequencyHash& fh = *tables[s];
+    // An add-only raw table's arena is dense: exactly one key per live
+    // slot.
+    BFHRF_ASSERT(sparse || fh.arena().size() ==
+                               fh.unique_count() * wp * sizeof(std::uint64_t));
+    r.slot_count = fh.capacity_slots();
+    r.key_bytes = fh.arena().size();
+    r.live_keys = fh.unique_count();
+    r.total_count = fh.total_count();
+    r.total_weight = fh.total_weight();
     off = align_up(off);
     r.ctrl_offset = off;
     off += r.slot_count;
     off = align_up(off);
     r.slots_offset = off;
-    off += r.slot_count * slot_size;
+    off += r.slot_count * sizeof(FrequencyHash::Slot);
     off = align_up(off);
     r.keys_offset = off;
     off += r.key_bytes;
@@ -211,38 +198,16 @@ void write_index_file(const FrequencyStore& store, const IndexFileMeta& meta,
   w.write(records.data(), shard_count * sizeof(MappedShardRecord));
   for (std::size_t s = 0; s < shard_count; ++s) {
     const MappedShardRecord& r = records[s];
+    const FrequencyHash& fh = *tables[s];
     w.pad_to(r.ctrl_offset);
-    const std::span<const std::uint8_t> ctrl =
-        comp != nullptr ? comp->directory().ctrl_bytes()
-                        : raw[s]->directory().ctrl_bytes();
+    const std::span<const std::uint8_t> ctrl = fh.directory().ctrl_bytes();
     w.write(ctrl.data(), ctrl.size());
     w.pad_to(r.slots_offset);
-    if (comp != nullptr) {
-      // The compressed slot has 4 bytes of tail padding; stage through a
-      // memset-zeroed buffer so persisted padding is deterministic.
-      const std::span<const CompressedFrequencyHash::Slot> slots =
-          comp->slots();
-      std::vector<CompressedFrequencyHash::Slot> staged(slots.size());
-      std::memset(staged.data(), 0, staged.size() * slot_size);
-      for (std::size_t i = 0; i < slots.size(); ++i) {
-        staged[i].fingerprint = slots[i].fingerprint;
-        staged[i].offset = slots[i].offset;
-        staged[i].length = slots[i].length;
-        staged[i].count = slots[i].count;
-      }
-      w.write(staged.data(), staged.size() * slot_size);
-    } else {
-      const std::span<const FrequencyHash::Slot> slots = raw[s]->slots();
-      w.write(slots.data(), slots.size() * slot_size);
-    }
+    const std::span<const FrequencyHash::Slot> slots = fh.slots();
+    w.write(slots.data(), slots.size() * sizeof(FrequencyHash::Slot));
     w.pad_to(r.keys_offset);
-    if (comp != nullptr) {
-      const std::span<const std::byte> arena = comp->arena();
-      w.write(arena.data(), arena.size());
-    } else {
-      const std::span<const std::uint64_t> keys = raw[s]->key_arena();
-      w.write(keys.data(), keys.size() * sizeof(std::uint64_t));
-    }
+    const std::span<const std::byte> arena = fh.arena();
+    w.write(arena.data(), arena.size());
   }
   BFHRF_ASSERT(w.pos() == h.file_bytes);
   w.commit();
@@ -288,14 +253,17 @@ void MappedIndex::validate(const std::string& path) const {
   require(std::memcmp(h.magic, kMappedMagic, sizeof kMappedMagic) == 0, path,
           "bad magic (not a mapped BFHRF index)");
   require(h.version == kMappedVersion, path, "unsupported format version");
-  require(h.store_kind <= 1, path, "unknown store kind");
+  require(h.store_kind != 1, path,
+          "store kind 1 (compressed keys in 24-byte slots) is a retired "
+          "layout; rebuild the index from its reference trees");
+  const bool raw =
+      h.store_kind == static_cast<std::uint32_t>(MappedStoreKind::Raw);
+  require(raw || h.store_kind ==
+                     static_cast<std::uint32_t>(MappedStoreKind::Sparse),
+          path, "unknown store kind");
   require(h.shard_count >= 1 &&
               std::has_single_bit(std::uint64_t{h.shard_count}),
           path, "shard count must be a power of two");
-  require(h.store_kind ==
-                  static_cast<std::uint32_t>(MappedStoreKind::Raw) ||
-              h.shard_count == 1,
-          path, "compressed stores are single-shard");
   require(h.file_bytes == size_, path, "truncated or oversized file");
   require(h.n_bits >= 1 && h.n_bits <= (std::uint64_t{1} << 31), path,
           "implausible taxon count");
@@ -306,11 +274,6 @@ void MappedIndex::validate(const std::string& path) const {
       sizeof(MappedHeader) +
       std::uint64_t{h.shard_count} * sizeof(MappedShardRecord);
   require(records_end <= size_, path, "shard records out of bounds");
-  const bool raw =
-      h.store_kind == static_cast<std::uint32_t>(MappedStoreKind::Raw);
-  const std::uint64_t slot_size = raw
-                                      ? sizeof(FrequencyHash::Slot)
-                                      : sizeof(CompressedFrequencyHash::Slot);
   const auto in_bounds = [&](std::uint64_t off, std::uint64_t len) {
     return off >= records_end && off <= size_ && len <= size_ - off;
   };
@@ -327,8 +290,9 @@ void MappedIndex::validate(const std::string& path) const {
             path, "misaligned section offset");
     require(in_bounds(r.ctrl_offset, r.slot_count), path,
             "ctrl section out of bounds");
-    require(in_bounds(r.slots_offset, r.slot_count * slot_size), path,
-            "slot section out of bounds");
+    require(in_bounds(r.slots_offset,
+                      r.slot_count * sizeof(FrequencyHash::Slot)),
+            path, "slot section out of bounds");
     require(in_bounds(r.keys_offset, r.key_bytes), path,
             "key section out of bounds");
     require(r.live_keys < r.slot_count, path,
@@ -357,36 +321,28 @@ void MappedIndex::validate_slots(std::size_t s,
                                  const std::string& path) const {
   // One pass over the ctrl and slot sections (the key arena is never
   // read): probes over these bytes terminate and stay inside the arena.
+  // A raw key_index counts keys; a sparse one is a byte offset whose
+  // encoding the probes bounds-check against the arena's end.
   const MappedShardRecord& r = shard(s);
-  const bool raw = header().store_kind ==
-                   static_cast<std::uint32_t>(MappedStoreKind::Raw);
+  const std::uint64_t key_limit =
+      header().store_kind == static_cast<std::uint32_t>(MappedStoreKind::Raw)
+          ? r.live_keys
+          : r.key_bytes;
   const std::span<const std::uint8_t> ctrl = this->ctrl(s);
-  const FrequencyHash::Slot* raw_slot = raw_slots(s).data();
-  const CompressedFrequencyHash::Slot* comp_slot = compressed_slots(s).data();
+  const FrequencyHash::Slot* slot = slots(s).data();
   std::uint64_t full = 0;
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < ctrl.size(); ++i) {
     const bool is_full = ctrl[i] < util::kCtrlEmpty;
     require(is_full || ctrl[i] == util::kCtrlEmpty, path,
             "ctrl byte is neither EMPTY nor FULL");
-    std::uint32_t count = 0;
-    bool key_in_arena = false;
-    if (raw) {
-      const FrequencyHash::Slot& slot = raw_slot[i];
-      count = slot.count;
-      key_in_arena = slot.key_index < r.live_keys;
-    } else {
-      const CompressedFrequencyHash::Slot& slot = comp_slot[i];
-      count = slot.count;
-      key_in_arena = slot.length > 0 &&
-                     std::uint64_t{slot.offset} + slot.length <= r.key_bytes;
-    }
-    require(is_full == (count != 0), path,
+    require(is_full == (slot[i].count != 0), path,
             "ctrl byte disagrees with its slot's count");
     if (is_full) {
-      require(key_in_arena, path, "slot addresses a key outside the arena");
+      require(slot[i].key_index < key_limit, path,
+              "slot addresses a key outside the arena");
       ++full;
-      total += count;
+      total += slot[i].count;
     }
   }
   require(full == r.live_keys, path,
@@ -428,28 +384,18 @@ MappedIndex open_timed(const std::string& path) {
 MappedFrequencyStore::MappedFrequencyStore(const std::string& path)
     : index_(open_timed(path)) {
   const MappedHeader& h = index_.header();
-  if (kind() == MappedStoreKind::Raw) {
-    shard_bits_ = static_cast<std::uint32_t>(
-        std::countr_zero(std::uint64_t{h.shard_count}));
-    raw_views_.reserve(h.shard_count);
-    for (std::size_t s = 0; s < h.shard_count; ++s) {
-      raw_views_.emplace_back(
-          util::GroupDirectoryView(index_.ctrl(s).data(),
-                                   static_cast<std::size_t>(
-                                       index_.shard(s).slot_count)),
-          index_.raw_slots(s).data(), index_.raw_keys(s).data(),
-          static_cast<std::size_t>(h.words_per_key));
-    }
-    view_ = BfhIndexView(raw_views_, shard_bits_);
-  } else {
-    compressed_view_ = CompressedHashView(
-        static_cast<std::size_t>(h.n_bits),
-        util::GroupDirectoryView(index_.ctrl(0).data(),
-                                 static_cast<std::size_t>(
-                                     index_.shard(0).slot_count)),
-        index_.compressed_slots(0).data(),
-        index_.compressed_arena(0).data());
+  shard_bits_ = static_cast<std::uint32_t>(
+      std::countr_zero(std::uint64_t{h.shard_count}));
+  views_.reserve(h.shard_count);
+  for (std::size_t s = 0; s < h.shard_count; ++s) {
+    views_.emplace_back(
+        util::GroupDirectoryView(
+            index_.ctrl(s).data(),
+            static_cast<std::size_t>(index_.shard(s).slot_count)),
+        index_.slots(s).data(), index_.arena(s),
+        static_cast<std::size_t>(h.n_bits), encoding());
   }
+  view_ = BfhIndexView(views_, shard_bits_);
 }
 
 void MappedFrequencyStore::read_only_violation(const char* op) {
@@ -463,54 +409,28 @@ void MappedFrequencyStore::add_weighted(util::ConstWordSpan, std::uint32_t,
   read_only_violation("add_weighted");
 }
 
-void MappedFrequencyStore::merge_from(const FrequencyStore&) {
-  read_only_violation("merge_from");
-}
-
 void MappedFrequencyStore::set_total_weight(double) {
   read_only_violation("set_total_weight");
 }
 
 std::uint32_t MappedFrequencyStore::frequency(util::ConstWordSpan key) const {
-  if (kind() == MappedStoreKind::Compressed) {
-    return compressed_view_.frequency(key);
-  }
   const std::uint64_t fp = util::hash_words(key);
-  return raw_views_[shard_of(fp, shard_bits_)].frequency(key);
+  return views_[shard_of(fp, shard_bits_)].frequency(key);
 }
 
 void MappedFrequencyStore::for_each_key(
     const std::function<void(util::ConstWordSpan, std::uint32_t)>& fn) const {
-  const MappedHeader& h = index_.header();
-  if (kind() == MappedStoreKind::Raw) {
-    const std::size_t wp = static_cast<std::size_t>(h.words_per_key);
-    for (std::size_t s = 0; s < h.shard_count; ++s) {
-      const std::span<const FrequencyHash::Slot> slots = index_.raw_slots(s);
-      const std::span<const std::uint64_t> keys = index_.raw_keys(s);
-      for (const FrequencyHash::Slot& slot : slots) {
-        if (slot.count != 0) {
-          fn({keys.data() +
-                  static_cast<std::size_t>(slot.key_index) * wp,
-              wp},
-             slot.count);
-        }
-      }
-    }
-    return;
+  for (const FrequencyHashView& view : views_) {
+    view.for_each(fn);
   }
-  const SparseKeyCodec codec(static_cast<std::size_t>(h.n_bits));
-  util::DynamicBitset decoded(static_cast<std::size_t>(h.n_bits));
-  const std::span<const CompressedFrequencyHash::Slot> slots =
-      index_.compressed_slots(0);
-  const std::span<const std::byte> arena = index_.compressed_arena(0);
-  for (const CompressedFrequencyHash::Slot& slot : slots) {
-    if (slot.count == 0) {
-      continue;
-    }
-    (void)codec.decode(ByteSpan{arena.data() + slot.offset, slot.length},
-                       decoded);
-    fn(decoded.words(), slot.count);
+}
+
+std::size_t MappedFrequencyStore::key_bytes() const {
+  std::size_t sum = 0;
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    sum += static_cast<std::size_t>(index_.shard(s).key_bytes);
   }
+  return sum;
 }
 
 }  // namespace bfhrf::core

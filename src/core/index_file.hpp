@@ -11,13 +11,14 @@
 //
 // Every section starts on a 64-byte boundary (one cache line; also
 // satisfies the 16-byte alignment the vectorized group probes require and
-// the 8-byte alignment of both slot layouts), so views constructed over
+// the 8-byte alignment of slots and raw keys), so views constructed over
 // the mapped bytes run the exact same probe code as in-memory tables —
 // cold-load is an mmap + validation, zero deserialization, and query
-// results are bit-identical by construction. Raw stores persist one
-// record per shard (ShardedFrequencyHash) or a single record
-// (FrequencyHash); compressed stores persist one record whose "key arena"
-// is the encoding byte arena.
+// results are bit-identical by construction. A store persists one record
+// per shard (ShardedFrequencyHash) or a single record (FrequencyHash).
+// Both key encodings share the slot layout; the header's store kind names
+// the encoding, and a shard's key arena holds raw words or SparseKeyCodec
+// bytes accordingly.
 //
 // Stores are add-only, so the tables are written as they stand: every
 // ctrl byte is EMPTY or a tag and every key arena is dense. Saves are
@@ -32,7 +33,9 @@
 // sections (never the key arena): each ctrl byte is EMPTY or FULL, FULL
 // exactly where the slot's count is non-zero, at least one EMPTY byte per
 // shard (so every probe terminates), and every live slot addresses its
-// key inside the arena. Any mismatch throws ParseError.
+// key inside the arena (raw: key_index < live_keys; sparse: key_index <
+// key_bytes — sparse probes bounds-check the rest). Any mismatch throws
+// ParseError.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "core/compressed_hash.hpp"
 #include "core/frequency_hash.hpp"
 #include "core/sharded_hash.hpp"
 
@@ -51,10 +53,12 @@ inline constexpr char kMappedMagic[8] = {'B', 'F', 'H', 'M', 'A', 'P', 0, 0};
 inline constexpr std::uint32_t kMappedVersion = 1;
 inline constexpr std::size_t kMappedSectionAlign = 64;
 
-/// Store kinds a mapped index can hold.
+/// Store kinds a mapped index can hold: the key encoding of its shards.
+/// Kind 1 was a retired compressed layout with 24-byte slots; such files
+/// fail to open with a ParseError that asks for a rebuild.
 enum class MappedStoreKind : std::uint32_t {
-  Raw = 0,         ///< FrequencyHash shards (raw bitmask keys)
-  Compressed = 1,  ///< one CompressedFrequencyHash (SparseKeyCodec arena)
+  Raw = 0,     ///< KeyEncoding::Raw shards
+  Sparse = 2,  ///< KeyEncoding::Sparse shards
 };
 
 struct MappedHeader {
@@ -83,7 +87,7 @@ struct MappedShardRecord {
   std::uint64_t key_bytes;     ///< arena length in bytes
   std::uint64_t live_keys;
   std::uint64_t total_count;
-  double total_weight;
+  double total_weight;  ///< a sharded store keeps its whole total in shard 0
 };
 static_assert(sizeof(MappedShardRecord) == 64,
               "MappedShardRecord is part of the on-disk format");
@@ -98,8 +102,8 @@ struct IndexFileMeta {
   std::size_t reference_trees = 0;
 };
 
-/// Write `store` to `path` in the mapped format. Accepts FrequencyHash,
-/// ShardedFrequencyHash, and CompressedFrequencyHash stores. The write is
+/// Write `store` to `path` in the mapped format. Accepts FrequencyHash and
+/// ShardedFrequencyHash stores of either key encoding. The write is
 /// atomic (temp file, fsync, rename over `path`, fsync of the directory);
 /// on failure the temp file is removed and `path` is untouched. Throws
 /// InvalidArgument for other store types (including an already-mapped
@@ -135,27 +139,14 @@ class MappedIndex {
     const MappedShardRecord& r = shard(s);
     return {base_ + r.ctrl_offset, static_cast<std::size_t>(r.slot_count)};
   }
-  [[nodiscard]] std::span<const FrequencyHash::Slot> raw_slots(
+  [[nodiscard]] std::span<const FrequencyHash::Slot> slots(
       std::size_t s) const {
     const MappedShardRecord& r = shard(s);
     return {reinterpret_cast<const FrequencyHash::Slot*>(base_ +
                                                          r.slots_offset),
             static_cast<std::size_t>(r.slot_count)};
   }
-  [[nodiscard]] std::span<const std::uint64_t> raw_keys(std::size_t s) const {
-    const MappedShardRecord& r = shard(s);
-    return {reinterpret_cast<const std::uint64_t*>(base_ + r.keys_offset),
-            static_cast<std::size_t>(r.key_bytes / sizeof(std::uint64_t))};
-  }
-  [[nodiscard]] std::span<const CompressedFrequencyHash::Slot>
-  compressed_slots(std::size_t s) const {
-    const MappedShardRecord& r = shard(s);
-    return {reinterpret_cast<const CompressedFrequencyHash::Slot*>(
-                base_ + r.slots_offset),
-            static_cast<std::size_t>(r.slot_count)};
-  }
-  [[nodiscard]] std::span<const std::byte> compressed_arena(
-      std::size_t s) const {
+  [[nodiscard]] std::span<const std::byte> arena(std::size_t s) const {
     const MappedShardRecord& r = shard(s);
     return {reinterpret_cast<const std::byte*>(base_ + r.keys_offset),
             static_cast<std::size_t>(r.key_bytes)};
@@ -172,15 +163,17 @@ class MappedIndex {
 
 /// FrequencyStore served directly off a MappedIndex — the zero-copy
 /// cold-load path. Read-only: every mutator throws Error. Queries go
-/// through the same FrequencyHashView/CompressedHashView probe code as
-/// in-memory tables (Bfhrf routes its batched query path through
-/// index_view()).
+/// through the same FrequencyHashView probe code as in-memory tables
+/// (Bfhrf routes its batched query path through index_view()).
 class MappedFrequencyStore final : public FrequencyStore {
  public:
   explicit MappedFrequencyStore(const std::string& path);
 
-  [[nodiscard]] MappedStoreKind kind() const noexcept {
-    return static_cast<MappedStoreKind>(index_.header().store_kind);
+  [[nodiscard]] KeyEncoding encoding() const noexcept {
+    return index_.header().store_kind ==
+                   static_cast<std::uint32_t>(MappedStoreKind::Sparse)
+               ? KeyEncoding::Sparse
+               : KeyEncoding::Raw;
   }
   [[nodiscard]] bool include_trivial() const noexcept {
     return (index_.header().flags & kMappedFlagIncludeTrivial) != 0;
@@ -193,8 +186,7 @@ class MappedFrequencyStore final : public FrequencyStore {
   }
   [[nodiscard]] const MappedIndex& index() const noexcept { return index_; }
 
-  /// Routing view over the mapped shards (raw kind only; invalid view for
-  /// compressed).
+  /// Routing view over the mapped shards.
   [[nodiscard]] const BfhIndexView& index_view() const noexcept {
     return view_;
   }
@@ -216,23 +208,22 @@ class MappedFrequencyStore final : public FrequencyStore {
                     double weight) override;
   [[nodiscard]] std::uint32_t frequency(util::ConstWordSpan key)
       const override;
-  void merge_from(const FrequencyStore& other) override;
   void for_each_key(const std::function<void(util::ConstWordSpan,
                                              std::uint32_t)>& fn)
       const override;
   [[nodiscard]] std::size_t memory_bytes() const override {
     return index_.size_bytes();
   }
+  [[nodiscard]] std::size_t key_bytes() const override;
   void set_total_weight(double w) override;
 
  private:
   [[noreturn]] static void read_only_violation(const char* op);
 
   MappedIndex index_;
-  std::vector<FrequencyHashView> raw_views_;  ///< raw kind, one per shard
+  std::vector<FrequencyHashView> views_;  ///< one per shard
   std::uint32_t shard_bits_ = 0;
-  BfhIndexView view_;                   ///< raw kind (over raw_views_ copies)
-  CompressedHashView compressed_view_;  ///< compressed kind
+  BfhIndexView view_;  ///< routes over copies of views_
 };
 
 }  // namespace bfhrf::core

@@ -6,12 +6,23 @@
 
 namespace bfhrf::core {
 
-void put_varint(std::uint64_t v, std::vector<std::byte>& out) {
+namespace {
+
+/// put_varint into a buffer known to have room; returns the next byte.
+std::byte* put_varint_to(std::uint64_t v, std::byte* p) noexcept {
   while (v >= 0x80) {
-    out.push_back(static_cast<std::byte>((v & 0x7f) | 0x80));
+    *p++ = static_cast<std::byte>((v & 0x7f) | 0x80);
     v >>= 7;
   }
-  out.push_back(static_cast<std::byte>(v));
+  *p++ = static_cast<std::byte>(v);
+  return p;
+}
+
+}  // namespace
+
+void put_varint(std::uint64_t v, std::vector<std::byte>& out) {
+  std::byte buf[10];  // a 64-bit value takes at most 10 varint bytes
+  out.insert(out.end(), buf, put_varint_to(v, buf));
 }
 
 std::uint64_t get_varint(ByteSpan bytes, std::size_t& pos) {
@@ -39,14 +50,14 @@ SparseKeyCodec::SparseKeyCodec(std::size_t n_bits) : n_bits_(n_bits) {
   }
 }
 
-std::size_t SparseKeyCodec::encode(util::ConstWordSpan key,
-                                   std::vector<std::byte>& out) const {
+std::size_t SparseKeyCodec::encode_to(util::ConstWordSpan key,
+                                      std::byte* out) const {
   BFHRF_ASSERT(key.size() == util::words_for_bits(n_bits_));
-  const std::size_t before = out.size();
+  std::byte* p = out;
   const std::size_t ones = util::popcount_words(key);
   const bool store_zeros = ones > n_bits_ / 2;
-  out.push_back(static_cast<std::byte>(store_zeros ? 1 : 0));
-  put_varint(store_zeros ? n_bits_ - ones : ones, out);
+  *p++ = static_cast<std::byte>(store_zeros ? 1 : 0);
+  p = put_varint_to(store_zeros ? n_bits_ - ones : ones, p);
 
   std::uint64_t prev = 0;
   bool first = true;
@@ -60,16 +71,22 @@ std::size_t SparseKeyCodec::encode(util::ConstWordSpan key,
       const auto bit =
           w * 64 + static_cast<std::size_t>(std::countr_zero(word));
       word &= word - 1;
-      if (first) {
-        put_varint(bit, out);
-        first = false;
-      } else {
-        put_varint(bit - prev - 1, out);  // gap-1 coding
-      }
+      // The first index as is, then gap-1 coding.
+      p = put_varint_to(first ? bit : bit - prev - 1, p);
+      first = false;
       prev = bit;
     }
   }
-  return out.size() - before;
+  return static_cast<std::size_t>(p - out);
+}
+
+std::size_t SparseKeyCodec::encode(util::ConstWordSpan key,
+                                   std::vector<std::byte>& out) const {
+  const std::size_t before = out.size();
+  out.resize(before + max_encoded_size());
+  const std::size_t len = encode_to(key, out.data() + before);
+  out.resize(before + len);
+  return len;
 }
 
 std::size_t SparseKeyCodec::decode(ByteSpan bytes,

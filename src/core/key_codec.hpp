@@ -35,8 +35,11 @@ class SparseKeyCodec {
 
   [[nodiscard]] std::size_t n_bits() const noexcept { return n_bits_; }
 
-  /// Append the encoding of `key` (raw canonical words) to `out`.
-  /// Returns the number of bytes appended.
+  /// Write the encoding of `key` (raw canonical words) to `out`, which
+  /// must hold max_encoded_size() bytes. Returns the encoding's length.
+  std::size_t encode_to(util::ConstWordSpan key, std::byte* out) const;
+
+  /// Append the encoding of `key` to `out`. Returns the bytes appended.
   std::size_t encode(util::ConstWordSpan key,
                      std::vector<std::byte>& out) const;
 

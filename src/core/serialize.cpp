@@ -24,7 +24,7 @@ Bfhrf load_bfhrf_file(const std::string& path, BfhrfOptions opts) {
   auto mapped = std::make_unique<MappedFrequencyStore>(path);
   // Store shape is the file's, not the caller's: the ctor-made store is
   // discarded by adopt_store, so keep it the minimal single table.
-  opts.compressed_keys = mapped->kind() == MappedStoreKind::Compressed;
+  opts.compressed_keys = mapped->encoding() == KeyEncoding::Sparse;
   opts.include_trivial = mapped->include_trivial();
   opts.shards = 1;
   const std::size_t n_bits = mapped->n_bits();

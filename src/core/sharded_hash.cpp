@@ -24,7 +24,8 @@ std::size_t round_up_pow2(std::size_t v) {
 
 ShardedFrequencyHash::ShardedFrequencyHash(std::size_t n_bits,
                                            std::size_t shard_count,
-                                           std::size_t expected_unique)
+                                           std::size_t expected_unique,
+                                           KeyEncoding encoding)
     : n_bits_(n_bits) {
   const std::size_t count = round_up_pow2(shard_count);
   shard_bits_ = static_cast<std::uint32_t>(std::countr_zero(count));
@@ -34,7 +35,8 @@ ShardedFrequencyHash::ShardedFrequencyHash(std::size_t n_bits,
     // Shards start at their minimum size when no hint is given: their bulk
     // pages should be faulted in by the build worker that fills them
     // (first-touch NUMA placement), not by this constructor's thread.
-    shards_.push_back(std::make_unique<FrequencyHash>(n_bits, per_shard));
+    shards_.push_back(
+        std::make_unique<FrequencyHash>(n_bits, per_shard, encoding));
   }
   stage_keys_.resize(count);
   stage_weights_.resize(count);
@@ -111,33 +113,6 @@ std::uint32_t ShardedFrequencyHash::frequency(util::ConstWordSpan key) const {
   return shards_[shard_index(key)]->frequency(key);
 }
 
-void ShardedFrequencyHash::merge_from(const FrequencyStore& other) {
-  if (const auto* o = dynamic_cast<const ShardedFrequencyHash*>(&other)) {
-    if (o->shard_bits_ == shard_bits_ && o->n_bits_ == n_bits_) {
-      // Same routing: shards correspond pairwise, merge without re-routing.
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        shards_[s]->merge(o->shard(s));
-      }
-      return;
-    }
-  }
-  // Different shape (or a plain FrequencyHash): replay keys through the
-  // router. Matches FrequencyHash::merge's weighted-total bookkeeping.
-  const double other_weight = other.total_weight();
-  const double other_total = static_cast<double>(other.total_count());
-  other.for_each_key([this](util::ConstWordSpan key, std::uint32_t count) {
-    add(key, count);
-  });
-  set_total_weight(total_weight() + other_weight - other_total);
-}
-
-void ShardedFrequencyHash::reserve(std::size_t expected_unique) {
-  const std::size_t per_shard = expected_unique / shards_.size();
-  for (auto& s : shards_) {
-    s->reserve(per_shard);
-  }
-}
-
 void ShardedFrequencyHash::for_each_key(
     const std::function<void(util::ConstWordSpan, std::uint32_t)>& fn) const {
   for (const auto& s : shards_) {
@@ -153,15 +128,19 @@ std::size_t ShardedFrequencyHash::memory_bytes() const {
   return sum;
 }
 
-void ShardedFrequencyHash::set_total_weight(double w) {
-  // Only shard 0's total is adjusted: per-shard weighted totals are
-  // meaningless in isolation (deserialization restores the aggregate), so
-  // park the correction where the sum comes out right.
-  double others = 0.0;
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    others += shards_[s]->total_weight();
+std::size_t ShardedFrequencyHash::key_bytes() const {
+  std::size_t sum = 0;
+  for (const auto& s : shards_) {
+    sum += s->key_bytes();
   }
-  shards_[0]->set_total_weight(w - others);
+  return sum;
+}
+
+void ShardedFrequencyHash::set_total_weight(double w) {
+  for (std::size_t s = 1; s < shards_.size(); ++s) {
+    shards_[s]->set_total_weight(0.0);
+  }
+  shards_[0]->set_total_weight(w);
 }
 
 double ShardedFrequencyHash::shard_skew() const {
@@ -192,8 +171,16 @@ void BfhIndexView::frequency_many(const std::uint64_t* keys,
   if (shards_.size() == 1) {
     // Single table: the full 4-stage hinted prefetch pipeline.
     shards_[0].frequency_many(keys, count, out);
-    return;
+  } else if (shards_[0].encoding() == KeyEncoding::Sparse) {
+    route<KeyEncoding::Sparse>(keys, count, out);
+  } else {
+    route<KeyEncoding::Raw>(keys, count, out);
   }
+}
+
+template <KeyEncoding E>
+void BfhIndexView::route(const std::uint64_t* keys, std::size_t count,
+                         std::uint32_t* out) const {
   // Multi-shard router: fingerprint + shard a few keys ahead and prefetch
   // each key's home control group inside its owning shard, then resolve
   // in order. Shallower than the single-table pipeline (the shard is a
@@ -222,7 +209,8 @@ void BfhIndexView::frequency_many(const std::uint64_t* keys,
     if (i + kAhead < count) {
       stage(i + kAhead);
     }
-    out[i] = shards_[sid].count_for(fp, keys + i * wp, probe_groups);
+    out[i] =
+        shards_[sid].template count_for<E>(fp, keys + i * wp, probe_groups);
   }
   g_routed_probes.inc(probe_groups);
 }

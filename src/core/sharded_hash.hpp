@@ -27,11 +27,11 @@
 //    sharded build streams to disk with no re-keying and maps back with no
 //    deserialization.
 //
-// Determinism: classic RF frequencies are order-independent sums, so a
+// Determinism: frequencies are order-independent integer sums, so a
 // sharded build reaches bit-identical counts regardless of worker
-// interleaving. Weighted variants accumulate floating-point totals whose
-// value depends on addition order, so Bfhrf only engages the sharded store
-// for the unit-weight classic path (variant == nullptr).
+// interleaving. Stores keep no per-key weight, and Bfhrf sets a weighted
+// variant's sumBFHR from a stream-order fold of per-tree weights
+// (set_total_weight), so variants and both key encodings shard too.
 //
 // Concurrency model: single writer PER SHARD (distinct shards may be
 // written concurrently by distinct threads); the read path is safe for any
@@ -60,9 +60,11 @@ namespace bfhrf::core {
 class ShardedFrequencyHash final : public FrequencyStore {
  public:
   /// `shard_count` is rounded up to a power of two (min 1);
-  /// `expected_unique` is split evenly across shards as a pre-size hint.
+  /// `expected_unique` is split evenly across shards as a pre-size hint;
+  /// every shard stores its keys in `encoding`.
   ShardedFrequencyHash(std::size_t n_bits, std::size_t shard_count,
-                       std::size_t expected_unique = 0);
+                       std::size_t expected_unique = 0,
+                       KeyEncoding encoding = KeyEncoding::Raw);
 
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
@@ -107,12 +109,15 @@ class ShardedFrequencyHash final : public FrequencyStore {
 
   [[nodiscard]] std::uint32_t frequency(util::ConstWordSpan key)
       const override;
-  void merge_from(const FrequencyStore& other) override;
-  void reserve(std::size_t expected_unique) override;
   void for_each_key(const std::function<void(util::ConstWordSpan,
                                              std::uint32_t)>& fn)
       const override;
   [[nodiscard]] std::size_t memory_bytes() const override;
+  [[nodiscard]] std::size_t key_bytes() const override;
+
+  /// Sets the whole total on shard 0 and zero on the rest, so the sum
+  /// across shards is exactly `w` (a per-shard share of a variant's
+  /// weighted total has no meaning of its own).
   void set_total_weight(double w) override;
 
   /// Largest shard's unique-key count over the mean — 1.0 is a perfectly
@@ -129,13 +134,13 @@ class ShardedFrequencyHash final : public FrequencyStore {
 };
 
 /// Read-only routing view over one or more FrequencyHash layouts — THE
-/// query-path object of the raw-key engine. One shard: delegates to the
-/// shard's full 4-stage prefetch pipeline (bit-identical to the historical
-/// single-table fast path). Multiple shards: a fingerprint-routing loop
-/// that prefetches each key's home control group in its owning shard a few
-/// keys ahead. Backed equally by live tables (Bfhrf after a build) and by
-/// mmapped index sections (core/index_file) — the zero-copy cold-serve
-/// path.
+/// query-path object of the engine, for every store shape and key
+/// encoding. One shard: delegates to the shard's full 4-stage prefetch
+/// pipeline (bit-identical to the historical single-table fast path).
+/// Multiple shards: a fingerprint-routing loop that prefetches each key's
+/// home control group in its owning shard a few keys ahead. Backed equally
+/// by live tables (Bfhrf after a build) and by mmapped index sections
+/// (core/index_file) — the zero-copy cold-serve path.
 class BfhIndexView {
  public:
   BfhIndexView() = default;
@@ -146,7 +151,6 @@ class BfhIndexView {
                std::uint32_t shard_bits)
       : shards_(std::move(shards)), shard_bits_(shard_bits) {}
 
-  [[nodiscard]] bool valid() const noexcept { return !shards_.empty(); }
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
   }
@@ -157,6 +161,11 @@ class BfhIndexView {
                       std::uint32_t* out) const;
 
  private:
+  /// The multi-shard router; E is the shards' common key encoding.
+  template <KeyEncoding E>
+  void route(const std::uint64_t* keys, std::size_t count,
+             std::uint32_t* out) const;
+
   std::vector<FrequencyHashView> shards_;
   std::uint32_t shard_bits_ = 0;
 };

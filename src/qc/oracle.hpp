@@ -38,7 +38,8 @@ struct OracleOptions {
 
   bool include_trivial = false;
 
-  /// Also run the CompressedFrequencyHash (lossless SparseKeyCodec) store.
+  /// Also run the compressed-key store (KeyEncoding::Sparse: lossless
+  /// SparseKeyCodec keys).
   bool check_compressed = true;
 
   /// Also run the TreeSource streaming path.

@@ -149,7 +149,7 @@ PersistOracleReport check_persist_equivalence(
   const std::span<const phylo::Tree> queries = workload.queries;
   const std::size_t n_bits = workload.taxa->size();
 
-  // --- baseline: single-table, single-threaded ---------------------------
+  // --- baseline: raw keys, single table, single-threaded -----------------
   BfhrfOptions base_opts;
   base_opts.shards = 1;
   base_opts.include_trivial = opts.include_trivial;
@@ -158,40 +158,38 @@ PersistOracleReport check_persist_equivalence(
   const StoreImage want = image_of(baseline.store());
   const std::vector<double> want_rf = baseline.query(queries);
 
-  round_trip(ctx, baseline, queries, want, want_rf, "single");
-
-  // --- sharded builds vs baseline, plus their round trips ----------------
-  for (const std::size_t shards : opts.shard_counts) {
-    for (const std::size_t threads : {std::size_t{1}, opts.threads}) {
-      BfhrfOptions sharded_opts;
-      sharded_opts.shards = shards;
-      sharded_opts.threads = threads;
-      sharded_opts.include_trivial = opts.include_trivial;
-      Bfhrf sharded(n_bits, sharded_opts);
-      sharded.build(reference);
-      const std::string label = "shards=" + std::to_string(shards) +
-                                " threads=" + std::to_string(threads);
-      ctx.check(dynamic_cast<const core::ShardedFrequencyHash*>(
-                    &sharded.store()) != nullptr,
-                label + ": engine did not build a sharded store");
-      compare_stores(ctx, sharded.store(), want, label);
-      compare_queries(ctx, sharded.query(queries), want_rf, label);
-      if (threads != 1) {
-        continue;  // round-trip each shard count once
+  // --- every store shape in both key encodings vs the baseline -----------
+  // The single table and each sharded layout, built with 1 and
+  // opts.threads workers (the partials merge and the routed sharded
+  // build), compared bit for bit and round-tripped once per shape.
+  std::vector<std::size_t> shapes{1};
+  shapes.insert(shapes.end(), opts.shard_counts.begin(),
+                opts.shard_counts.end());
+  for (const bool compressed : {false, true}) {
+    for (const std::size_t shards : shapes) {
+      for (const std::size_t threads : {std::size_t{1}, opts.threads}) {
+        BfhrfOptions shape_opts;
+        shape_opts.compressed_keys = compressed;
+        shape_opts.shards = shards;
+        shape_opts.threads = threads;
+        shape_opts.include_trivial = opts.include_trivial;
+        Bfhrf engine(n_bits, shape_opts);
+        engine.build(reference);
+        const std::string label = std::string(compressed ? "sparse" : "raw") +
+                                  " shards=" + std::to_string(shards) +
+                                  " threads=" + std::to_string(threads);
+        if (shards > 1) {
+          ctx.check(dynamic_cast<const core::ShardedFrequencyHash*>(
+                        &engine.store()) != nullptr,
+                    label + ": engine did not build a sharded store");
+        }
+        compare_stores(ctx, engine.store(), want, label);
+        compare_queries(ctx, engine.query(queries), want_rf, label);
+        if (threads == 1) {
+          round_trip(ctx, engine, queries, want, want_rf, label);
+        }
       }
-      round_trip(ctx, sharded, queries, want, want_rf, label);
     }
-  }
-
-  // --- compressed store round trips --------------------------------------
-  {
-    BfhrfOptions comp_opts;
-    comp_opts.compressed_keys = true;
-    comp_opts.include_trivial = opts.include_trivial;
-    Bfhrf compressed(n_bits, comp_opts);
-    compressed.build(reference);
-    compare_queries(ctx, compressed.query(queries), want_rf, "compressed");
-    round_trip(ctx, compressed, queries, want, want_rf, "compressed");
   }
 
   return report;

@@ -5,9 +5,10 @@
 // round trip the engine supports and asserts they are all bit-for-bit
 // interchangeable:
 //
-//  * sharded builds (each configured shard count, threaded and inline)
-//    hold exactly the single-table store's (key, count) multiset and
-//    produce bit-identical query vectors;
+//  * the single table and sharded builds (each configured shard count,
+//    threaded and inline), under both key encodings (raw words and sparse
+//    SparseKeyCodec bytes), hold exactly the raw single-table store's
+//    (key, count) multiset and produce bit-identical query vectors;
 //  * the on-disk ("BFHMAP") format round-trips every shape — save, load,
 //    re-query, compare to the exact double;
 //  * a mapped load actually serves zero-copy (the loaded store is the
@@ -36,11 +37,12 @@ struct PersistOracleOptions {
   std::size_t moves = 4;   ///< perturbation strength
 
   /// Shard counts to cross-check against the single-table baseline
-  /// (1 is always checked implicitly as the baseline itself).
+  /// (1, the single table, is always checked too).
   std::vector<std::size_t> shard_counts = {2, 8};
 
-  /// Worker threads for the sharded builds (the routed, lock-free path);
-  /// inline single-threaded sharded builds are always checked too.
+  /// Worker threads for the threaded builds (the partials merge of the
+  /// single table, the routed, lock-free sharded path); inline
+  /// single-threaded builds are always checked too.
   std::size_t threads = 4;
 
   bool include_trivial = false;

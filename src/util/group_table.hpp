@@ -1,6 +1,5 @@
 // GroupDirectory: Swiss-table-style control-byte directory for the
-// open-addressed frequency hashes (core/frequency_hash, compressed_hash,
-// branch_score).
+// open-addressed hash tables (core/frequency_hash, branch_score).
 //
 // Layout: one byte per slot, 0x80 = empty, 0x00..0x7f = the 7-bit tag of
 // the occupant's fingerprint. Bytes are probed 16 at a time ("groups")

@@ -268,18 +268,6 @@ TEST(BfhrfTest, IncludeTrivialChangesNothingForFixedTaxa) {
   }
 }
 
-/// A store's contents as a comparable value: sorted (key words, count).
-std::vector<std::pair<std::vector<std::uint64_t>, std::uint32_t>> store_image(
-    const FrequencyStore& store) {
-  std::vector<std::pair<std::vector<std::uint64_t>, std::uint32_t>> img;
-  store.for_each_key([&](util::ConstWordSpan key, std::uint32_t count) {
-    img.emplace_back(std::vector<std::uint64_t>(key.begin(), key.end()),
-                     count);
-  });
-  std::sort(img.begin(), img.end());
-  return img;
-}
-
 TEST(BfhrfTest, IncrementalBuildAccumulates) {
   // Stores are add-only, so a second build() is the only way to grow a
   // built engine: on every store shape, split builds must hold exactly
@@ -315,7 +303,7 @@ TEST(BfhrfTest, IncrementalBuildAccumulates) {
     const FrequencyStore& one = one_build.store();
     EXPECT_EQ(dynamic_cast<const ShardedFrequencyHash*>(&split) != nullptr,
               opts.shards > 1);
-    EXPECT_EQ(store_image(split), store_image(one));
+    EXPECT_EQ(test::store_image(split), test::store_image(one));
     EXPECT_EQ(split.total_count(), one.total_count());
     EXPECT_EQ(split.total_weight(), one.total_weight());
     EXPECT_EQ(split_build.stats().reference_trees,

@@ -9,6 +9,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/bfhrf.hpp"
+#include "core/consensus.hpp"
+#include "core/rf.hpp"
+#include "support/test_util.hpp"
 #include "util/bitset.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -276,19 +280,218 @@ TEST(FrequencyHashTest, MergeWeightedRandomizedPreservesTotals) {
 }
 
 TEST(FrequencyHashTest, ProbeStatsReflectResidentKeys) {
-  FrequencyHash h(64);
-  EXPECT_EQ(h.probe_stats().max_groups, 0u);
+  // Both encodings place keys by the raw key's fingerprint, so the same
+  // inserts give the same layout and, once sparse keys are decoded, the
+  // same statistics.
+  FrequencyHash raw(64);
+  FrequencyHash sparse(64, 0, KeyEncoding::Sparse);
+  EXPECT_EQ(raw.probe_stats().max_groups, 0u);
+  EXPECT_EQ(sparse.probe_stats().max_groups, 0u);
   util::Rng rng(0x99);
   for (int i = 0; i < 500; ++i) {
     const std::uint64_t k = rng();
-    h.add(util::ConstWordSpan{&k, 1});
+    raw.add(util::ConstWordSpan{&k, 1});
+    sparse.add(util::ConstWordSpan{&k, 1});
   }
-  const auto stats = h.probe_stats();
+  const auto stats = raw.probe_stats();
   EXPECT_GE(stats.mean_groups, 1.0);
   EXPECT_GE(stats.max_groups, 1u);
   EXPECT_LE(stats.mean_groups, static_cast<double>(stats.max_groups));
   // A probe can never walk more groups than the directory holds.
-  EXPECT_LE(stats.max_groups, h.capacity_slots() / 16);
+  EXPECT_LE(stats.max_groups, raw.capacity_slots() / 16);
+  const auto sparse_stats = sparse.probe_stats();
+  EXPECT_EQ(sparse_stats.max_groups, stats.max_groups);
+  EXPECT_DOUBLE_EQ(sparse_stats.mean_groups, stats.mean_groups);
+}
+
+// --- compressed keys: the sparse key encoding ----------------------------
+
+FrequencyHash sparse_hash(std::size_t n_bits) {
+  return FrequencyHash(n_bits, 0, KeyEncoding::Sparse);
+}
+
+TEST(CompressedHashTest, AddAndLookup) {
+  FrequencyHash h = sparse_hash(100);
+  const auto a = key(100, {1, 2});
+  const auto b = key(100, {64, 65});
+  h.add(a.words());
+  h.add(a.words());
+  h.add(b.words(), 3);
+  EXPECT_EQ(h.frequency(a.words()), 2u);
+  EXPECT_EQ(h.frequency(b.words()), 3u);
+  EXPECT_EQ(h.unique_count(), 2u);
+  EXPECT_EQ(h.total_count(), 5u);
+  EXPECT_EQ(h.frequency(key(100, {9}).words()), 0u);
+}
+
+TEST(CompressedHashTest, MirrorsRawHashUnderRandomLoad) {
+  constexpr std::size_t kBits = 150;
+  FrequencyHash raw(kBits);
+  FrequencyHash comp = sparse_hash(kBits);
+  util::Rng rng(7);
+  std::vector<util::DynamicBitset> keys;
+  std::vector<std::uint64_t> arena;
+  for (int i = 0; i < 3000; ++i) {
+    util::DynamicBitset b(kBits);
+    for (int j = 0; j < 4; ++j) {
+      b.set(rng.below(kBits));
+    }
+    raw.add(b.words());
+    comp.add(b.words());
+    arena.insert(arena.end(), b.words().begin(), b.words().end());
+    keys.push_back(std::move(b));
+  }
+  // The batched insert and lookup agree with the per-key paths.
+  FrequencyHash batched = sparse_hash(kBits);
+  batched.add_many(arena.data(), keys.size(), nullptr);
+  std::vector<std::uint32_t> freqs(keys.size());
+  comp.frequency_many(arena.data(), keys.size(), freqs.data());
+  EXPECT_EQ(comp.unique_count(), raw.unique_count());
+  EXPECT_EQ(comp.total_count(), raw.total_count());
+  EXPECT_EQ(batched.unique_count(), raw.unique_count());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(comp.frequency(keys[i].words()), raw.frequency(keys[i].words()));
+    EXPECT_EQ(batched.frequency(keys[i].words()), freqs[i]);
+    EXPECT_EQ(freqs[i], raw.frequency(keys[i].words()));
+  }
+}
+
+TEST(CompressedHashTest, ForEachKeyDecodesExactKeys) {
+  constexpr std::size_t kBits = 96;
+  FrequencyHash h = sparse_hash(kBits);
+  util::Rng rng(11);
+  std::map<std::string, std::uint32_t> mirror;
+  for (int i = 0; i < 300; ++i) {
+    util::DynamicBitset b(kBits);
+    b.set(rng.below(kBits));
+    b.set(rng.below(kBits));
+    h.add(b.words());
+    ++mirror[b.to_string()];
+  }
+  std::map<std::string, std::uint32_t> seen;
+  h.for_each_key([&](util::ConstWordSpan words, std::uint32_t count) {
+    seen[util::DynamicBitset(kBits, words).to_string()] = count;
+  });
+  EXPECT_EQ(seen, mirror);
+}
+
+TEST(CompressedHashTest, MergeCombines) {
+  FrequencyHash a = sparse_hash(80);
+  FrequencyHash b = sparse_hash(80);
+  a.add(key(80, {1}).words(), 2);
+  b.add(key(80, {1}).words(), 3);
+  b.add(key(80, {2}).words(), 1);
+  a.merge(b);
+  EXPECT_EQ(a.frequency(key(80, {1}).words()), 5u);
+  EXPECT_EQ(a.frequency(key(80, {2}).words()), 1u);
+  EXPECT_EQ(a.total_count(), 6u);
+}
+
+TEST(CompressedHashTest, MergeTypeMismatchThrows) {
+  FrequencyHash a = sparse_hash(80);
+  FrequencyHash raw(80);
+  EXPECT_THROW(a.merge(raw), InvalidArgument);
+  EXPECT_THROW(raw.merge(a), InvalidArgument);
+  FrequencyHash other = sparse_hash(90);
+  EXPECT_THROW(a.merge(other), InvalidArgument);
+}
+
+TEST(CompressedHashTest, WeightedTotalsSurviveMerge) {
+  FrequencyHash a = sparse_hash(64);
+  FrequencyHash b = sparse_hash(64);
+  a.add_weighted(key(64, {1}).words(), 2, 0.5);
+  b.add_weighted(key(64, {2}).words(), 3, 2.0);
+  a.merge(b);
+  EXPECT_DOUBLE_EQ(a.total_weight(), 2 * 0.5 + 3 * 2.0);
+}
+
+TEST(CompressedHashTest, UsesLessKeyMemoryOnLargeUniverses) {
+  constexpr std::size_t kTaxa = 1000;
+  const auto taxa = phylo::TaxonSet::make_numbered(kTaxa);
+  util::Rng rng(5);
+  const auto trees = test::random_collection(taxa, 100, 5, rng);
+
+  FrequencyHash raw(kTaxa);
+  FrequencyHash comp = sparse_hash(kTaxa);
+  for (const auto& t : trees) {
+    const auto bips = phylo::extract_bipartitions(t);
+    bips.for_each([&](util::ConstWordSpan w) {
+      raw.add(w);
+      comp.add(w);
+    });
+  }
+  EXPECT_EQ(comp.unique_count(), raw.unique_count());
+  // Mean encoded key beats the 128-byte raw key at n=1000. (The win
+  // depends on split depth: shallow clades cost a few bytes, balanced ones
+  // less so — bench_ablation_hash A4c quantifies the distribution.)
+  const double raw_key_bytes =
+      static_cast<double>(util::words_for_bits(kTaxa)) * 8.0;
+  EXPECT_DOUBLE_EQ(static_cast<double>(raw.key_bytes()),
+                   raw_key_bytes * static_cast<double>(raw.unique_count()));
+  const double mean_key_bytes = static_cast<double>(comp.key_bytes()) /
+                                static_cast<double>(comp.unique_count());
+  EXPECT_LT(mean_key_bytes, 0.9 * raw_key_bytes);
+  EXPECT_LT(comp.memory_bytes(), raw.memory_bytes());
+}
+
+// --- engine-level integration -------------------------------------------
+
+TEST(CompressedHashTest, BfhrfResultsIdenticalWithCompressedKeys) {
+  const auto taxa = phylo::TaxonSet::make_numbered(40);
+  util::Rng rng(13);
+  const auto reference = test::random_collection(taxa, 30, 4, rng);
+  const auto queries = test::random_collection(taxa, 10, 6, rng);
+
+  const auto raw = bfhrf_average_rf(queries, reference);
+  const auto comp = bfhrf_average_rf(queries, reference,
+                                     {.compressed_keys = true});
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_DOUBLE_EQ(comp[i], raw[i]);
+  }
+}
+
+TEST(CompressedHashTest, ParallelCompressedBuildMatchesSequential) {
+  const auto taxa = phylo::TaxonSet::make_numbered(24);
+  util::Rng rng(17);
+  const auto reference = test::random_collection(taxa, 40, 3, rng);
+  const auto queries = test::random_collection(taxa, 8, 5, rng);
+
+  const auto seq = bfhrf_average_rf(queries, reference,
+                                    {.threads = 1, .compressed_keys = true});
+  const auto par = bfhrf_average_rf(queries, reference,
+                                    {.threads = 4, .compressed_keys = true});
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_DOUBLE_EQ(par[i], seq[i]);
+  }
+}
+
+TEST(CompressedHashTest, ConsensusWorksOffCompressedStore) {
+  const auto taxa = phylo::TaxonSet::make_numbered(14);
+  util::Rng rng(19);
+  const phylo::Tree base = sim::yule_tree(taxa, rng);
+  const std::vector<phylo::Tree> trees(9, base);
+  Bfhrf engine(taxa->size(), {.compressed_keys = true});
+  engine.build(trees);
+  const phylo::Tree cons = consensus_tree(engine.store(), trees.size(), taxa);
+  EXPECT_EQ(rf_distance(cons, base), 0u);
+}
+
+TEST(CompressedHashTest, VariantWeightsWorkWithCompressedKeys) {
+  const auto taxa = phylo::TaxonSet::make_numbered(16);
+  util::Rng rng(23);
+  const auto reference = test::random_collection(taxa, 15, 3, rng);
+  const auto queries = test::random_collection(taxa, 5, 4, rng);
+  const InformationWeightedRf variant(16);
+
+  BfhrfOptions raw_opts;
+  raw_opts.variant = &variant;
+  BfhrfOptions comp_opts = raw_opts;
+  comp_opts.compressed_keys = true;
+  const auto raw = bfhrf_average_rf(queries, reference, raw_opts);
+  const auto comp = bfhrf_average_rf(queries, reference, comp_opts);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_NEAR(comp[i], raw[i], 1e-9);
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include "core/bfhrf.hpp"
 #include "core/serialize.hpp"
+#include "core/tree_source.hpp"
 #include "support/test_util.hpp"
 #include "util/error.hpp"
 #include "util/group_table.hpp"
@@ -134,21 +135,34 @@ TEST(IndexFileTest, ShardedLayoutRoundTrips) {
 
 TEST(IndexFileTest, CompressedStoreRoundTrips) {
   const BuiltEngine w = make_workload(40, 20, 6, 7);
-  Bfhrf engine(w.taxa->size(), {.compressed_keys = true});
-  engine.build(w.reference);
-  const auto want = engine.query(w.queries);
+  Bfhrf raw(w.taxa->size(), {.shards = 1});
+  raw.build(w.reference);
+  const auto want = raw.query(w.queries);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    Bfhrf engine(w.taxa->size(),
+                 {.threads = 2, .compressed_keys = true, .shards = shards});
+    engine.build(w.reference);
+    ASSERT_EQ(engine.query(w.queries), want) << "shards=" << shards;
 
-  const TempFile file("compressed");
-  save_bfhrf_file(engine, file.path());
-  const Bfhrf loaded = load_bfhrf_file(file.path());
-  const auto* store =
-      dynamic_cast<const MappedFrequencyStore*>(&loaded.store());
-  ASSERT_NE(store, nullptr);
-  EXPECT_EQ(store->kind(), MappedStoreKind::Compressed);
-  EXPECT_TRUE(loaded.options().compressed_keys);
-  const auto got = loaded.query(w.queries);
-  for (std::size_t i = 0; i < w.queries.size(); ++i) {
-    EXPECT_EQ(got[i], want[i]);
+    const TempFile file("compressed");
+    save_bfhrf_file(engine, file.path());
+    const Bfhrf loaded = load_bfhrf_file(file.path());
+    const auto* store =
+        dynamic_cast<const MappedFrequencyStore*>(&loaded.store());
+    ASSERT_NE(store, nullptr);
+    EXPECT_EQ(store->encoding(), KeyEncoding::Sparse);
+    EXPECT_EQ(store->shard_count(), shards);
+    EXPECT_EQ(store->index().header().store_kind,
+              static_cast<std::uint32_t>(MappedStoreKind::Sparse));
+    EXPECT_TRUE(loaded.options().compressed_keys);
+    EXPECT_EQ(test::store_image(loaded.store()),
+              test::store_image(raw.store()))
+        << "shards=" << shards;
+    EXPECT_EQ(store->key_bytes(), engine.store().key_bytes());
+    const auto got = loaded.query(w.queries);
+    for (std::size_t i = 0; i < w.queries.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << "shards=" << shards << " query " << i;
+    }
   }
 }
 
@@ -243,7 +257,7 @@ TEST(IndexFileTest, RejectsForeignAndCorruptFiles) {
     file.write_bytes(bad);
     EXPECT_THROW(MappedIndex{file.path()}, ParseError);
   }
-  {  // compressed slots whose encodings start at the arena's end
+  {  // sparse slots whose encodings start at the arena's end
     Bfhrf compressed(w.taxa->size(), {.compressed_keys = true});
     compressed.build(w.reference);
     save_bfhrf_file(compressed, file.path());
@@ -251,16 +265,43 @@ TEST(IndexFileTest, RejectsForeignAndCorruptFiles) {
     MappedShardRecord r{};
     std::memcpy(&r, bad.data() + sizeof(MappedHeader), sizeof r);
     for (std::uint64_t i = 0; i < r.slot_count; ++i) {
-      CompressedFrequencyHash::Slot slot{};
+      FrequencyHash::Slot slot{};
       char* at = bad.data() + r.slots_offset + i * sizeof slot;
       std::memcpy(&slot, at, sizeof slot);
       if (slot.count != 0) {
-        slot.offset = static_cast<std::uint32_t>(r.key_bytes);
+        slot.key_index = static_cast<std::uint32_t>(r.key_bytes);
         std::memcpy(at, &slot, sizeof slot);
       }
     }
     file.write_bytes(bad);
     EXPECT_THROW(MappedIndex{file.path()}, ParseError);
+  }
+  {  // the retired kind-1 layout (compressed keys in 24-byte slots)
+    MappedHeader h{};
+    std::memcpy(h.magic, kMappedMagic, sizeof h.magic);
+    h.version = kMappedVersion;
+    h.store_kind = 1;
+    h.shard_count = 1;
+    h.n_bits = 16;
+    h.words_per_key = 1;
+    MappedShardRecord r{};
+    r.slot_count = util::kGroupWidth;
+    r.ctrl_offset = sizeof(MappedHeader) + sizeof(MappedShardRecord);
+    r.slots_offset = r.ctrl_offset + kMappedSectionAlign;
+    r.keys_offset = r.slots_offset + r.slot_count * 24;
+    h.file_bytes = r.keys_offset;
+    std::vector<char> old(h.file_bytes, 0);
+    std::memcpy(old.data(), &h, sizeof h);
+    std::memcpy(old.data() + sizeof h, &r, sizeof r);
+    std::memset(old.data() + r.ctrl_offset, util::kCtrlEmpty, r.slot_count);
+    file.write_bytes(old);
+    try {
+      (void)load_bfhrf_file(file.path());
+      ADD_FAILURE() << "a kind-1 file opened";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("rebuild"), std::string::npos)
+          << e.what();
+    }
   }
   {  // a retired "BFHv" stream is not an index file
     std::vector<char> bad = good;
@@ -319,15 +360,37 @@ TEST(IndexFileTest, ResavingUnderALiveMappingKeepsItsAnswers) {
   }
 }
 
+/// Counts next() calls, to show a build read nothing before it threw.
+class CountingSource final : public TreeSource {
+ public:
+  explicit CountingSource(std::span<const Tree> trees) : inner_(trees) {}
+  bool next(Tree& out) override {
+    ++calls;
+    return inner_.next(out);
+  }
+  void reset() override { inner_.reset(); }
+  std::size_t calls = 0;
+
+ private:
+  SpanTreeSource inner_;
+};
+
 TEST(IndexFileTest, MappedStoreIsReadOnly) {
   const BuiltEngine w = make_workload(16, 8, 2, 19);
   Bfhrf engine(w.taxa->size(), {.shards = 1});
   engine.build(w.reference);
   const TempFile file("readonly");
   save_bfhrf_file(engine, file.path());
-  Bfhrf mapped = load_bfhrf_file(file.path());
-  // Mutating a mapped engine (e.g. building more trees into it) throws.
-  EXPECT_THROW(mapped.build(std::span<const Tree>(w.reference)), Error);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    Bfhrf mapped = load_bfhrf_file(file.path(), {.threads = threads});
+    // Building more trees into a mapped engine throws before any input is
+    // read, whichever ingest path the thread count picks.
+    EXPECT_THROW(mapped.build(std::span<const Tree>(w.reference)), Error);
+    CountingSource source(w.reference);
+    EXPECT_THROW(mapped.build(source), Error);
+    EXPECT_EQ(source.calls, 0u) << "threads=" << threads;
+    EXPECT_EQ(mapped.stats().reference_trees, w.reference.size());
+  }
 }
 
 }  // namespace

@@ -2,14 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/bfhrf.hpp"
 #include "core/frequency_hash.hpp"
 #include "core/tree_source.hpp"
+#include "core/variants.hpp"
 #include "support/test_util.hpp"
 #include "util/bitset.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace bfhrf::core {
@@ -90,7 +91,6 @@ TEST(BfhIndexViewTest, RoutedLookupMatchesPerShardLookup) {
   sharded.add_many(keys.data(), count, nullptr);
 
   const BfhIndexView view(sharded);
-  ASSERT_TRUE(view.valid());
   EXPECT_EQ(view.shard_count(), 4u);
   std::vector<std::uint32_t> freqs(count);
   view.frequency_many(keys.data(), count, freqs.data());
@@ -154,37 +154,45 @@ TEST(ShardedEngineTest, StreamingShardedBuildMatches) {
   }
 }
 
-TEST(ShardedEngineTest, ShardsRejectVariantAndCompressedStores) {
-  EXPECT_THROW(Bfhrf(16, {.compressed_keys = true, .shards = 4}),
-               InvalidArgument);
-  const RfVariant& v = classic_rf();
-  EXPECT_THROW(Bfhrf(16, {.variant = &v, .shards = 4}), InvalidArgument);
-  // shards <= 1 with either is fine (explicitly unsharded).
-  EXPECT_NO_THROW(Bfhrf(16, {.compressed_keys = true, .shards = 1}));
-}
-
-TEST(ShardedEngineTest, MergeFromReplaysAcrossShardShapes) {
-  const std::size_t n_bits = 48;
-  const std::size_t wp = util::words_for_bits(n_bits);
-  util::Rng rng(41);
-  std::vector<std::uint64_t> keys;
-  const std::size_t count = 200;
-  for (std::size_t i = 0; i < count * wp; ++i) {
-    keys.push_back(rng());
-  }
-  ShardedFrequencyHash a(n_bits, 2);
-  ShardedFrequencyHash b(n_bits, 8);  // different shape: replay merge
-  a.add_many(keys.data(), count / 2, nullptr);
-  b.add_many(keys.data() + (count / 2) * wp, count - count / 2, nullptr);
-  a.merge_from(b);
-
-  FrequencyHash all(n_bits);
-  all.add_many(keys.data(), count, nullptr);
-  EXPECT_EQ(a.unique_count(), all.unique_count());
-  EXPECT_EQ(a.total_count(), all.total_count());
-  for (std::size_t i = 0; i < count; ++i) {
-    const util::ConstWordSpan key{keys.data() + i * wp, wp};
-    EXPECT_EQ(a.frequency(key), all.frequency(key));
+TEST(ShardedEngineTest, VariantAndCompressedStoresShardBitForBit) {
+  const auto taxa = TaxonSet::make_numbered(28);
+  util::Rng rng(43);
+  const auto reference = test::random_collection(taxa, 36, 4, rng);
+  const auto queries = test::random_collection(taxa, 10, 6, rng);
+  const SizeFilteredRf size_filtered(3, 10);
+  const InformationWeightedRf info_weighted(taxa->size());
+  struct Config {
+    const char* name;
+    BfhrfOptions opts;
+  };
+  const Config configs[] = {
+      {"size-filtered", {.variant = &size_filtered}},
+      {"info-weighted", {.variant = &info_weighted}},
+      {"compressed", {.compressed_keys = true}},
+  };
+  for (const Config& c : configs) {
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      BfhrfOptions one = c.opts;
+      one.threads = threads;
+      one.shards = 1;
+      BfhrfOptions four = one;
+      four.shards = 4;
+      Bfhrf single(taxa->size(), one);
+      Bfhrf sharded(taxa->size(), four);
+      single.build(reference);
+      sharded.build(reference);
+      SCOPED_TRACE(std::string(c.name) + " threads=" +
+                   std::to_string(threads));
+      ASSERT_NE(dynamic_cast<const ShardedFrequencyHash*>(&sharded.store()),
+                nullptr);
+      EXPECT_EQ(test::store_image(sharded.store()),
+                test::store_image(single.store()));
+      EXPECT_EQ(sharded.store().total_count(), single.store().total_count());
+      EXPECT_EQ(sharded.store().total_weight(),
+                single.store().total_weight());
+      EXPECT_EQ(sharded.query(queries), single.query(queries));
+    }
   }
 }
 

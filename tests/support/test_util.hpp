@@ -1,13 +1,16 @@
 // Shared helpers for the bfhrf test suites.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/frequency_store.hpp"
 #include "phylo/newick.hpp"
 #include "phylo/taxon_set.hpp"
 #include "phylo/tree.hpp"
@@ -78,6 +81,18 @@ inline std::vector<phylo::Tree> independent_collection(
     trees.push_back(sim::uniform_tree(taxa, rng));
   }
   return trees;
+}
+
+/// A store's contents as a comparable value: sorted (key words, count).
+inline std::vector<std::pair<std::vector<std::uint64_t>, std::uint32_t>>
+store_image(const core::FrequencyStore& store) {
+  std::vector<std::pair<std::vector<std::uint64_t>, std::uint32_t>> img;
+  store.for_each_key([&](util::ConstWordSpan key, std::uint32_t count) {
+    img.emplace_back(std::vector<std::uint64_t>(key.begin(), key.end()),
+                     count);
+  });
+  std::sort(img.begin(), img.end());
+  return img;
 }
 
 }  // namespace bfhrf::test

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/frequency_hash.hpp"
@@ -170,10 +171,11 @@ struct TableImage {
 };
 
 TableImage build_image(std::size_t n_bits,
-                       const std::vector<std::uint64_t>& keys) {
+                       const std::vector<std::uint64_t>& keys,
+                       core::KeyEncoding encoding) {
   const std::size_t words = util::words_for_bits(n_bits);
   const std::size_t count = keys.size() / words;
-  core::FrequencyHash hash(n_bits, 0);
+  core::FrequencyHash hash(n_bits, 0, encoding);
   hash.add_many(keys.data(), count, nullptr);
   TableImage img;
   img.frequencies.resize(count);
@@ -190,23 +192,31 @@ TableImage build_image(std::size_t n_bits,
 }
 
 TEST(SimdDispatchTest, TableStateIsByteIdenticalAcrossLevels) {
-  // n spans the one-word fast path boundary (63/64) and multi-word keys.
-  for (const std::size_t n_bits : {std::size_t{63}, std::size_t{64},
-                                   std::size_t{65}, std::size_t{1000}}) {
-    const auto keys = random_keys(n_bits, 4096, 0x9e3779b9u ^ n_bits);
-    TableImage swar;
-    {
-      ForceLevelGuard guard(Level::Swar);
-      swar = build_image(n_bits, keys);
+  // n spans the one-word fast path boundary (63/64) and multi-word keys;
+  // both key encodings probe through the same dispatched group code.
+  for (const auto encoding :
+       {core::KeyEncoding::Raw, core::KeyEncoding::Sparse}) {
+    for (const std::size_t n_bits : {std::size_t{63}, std::size_t{64},
+                                     std::size_t{65}, std::size_t{1000}}) {
+      const auto keys = random_keys(n_bits, 4096, 0x9e3779b9u ^ n_bits);
+      TableImage swar;
+      {
+        ForceLevelGuard guard(Level::Swar);
+        swar = build_image(n_bits, keys, encoding);
+      }
+      const TableImage vec =
+          build_image(n_bits, keys, encoding);  // native dispatch
+      const std::string where =
+          "n_bits=" + std::to_string(n_bits) +
+          (encoding == core::KeyEncoding::Sparse ? " sparse" : " raw");
+      EXPECT_EQ(swar.unique, vec.unique) << where;
+      EXPECT_EQ(swar.total, vec.total) << where;
+      EXPECT_EQ(swar.frequencies, vec.frequencies) << where;
+      // Insertion positions identical => control bytes and for_each order
+      // identical too.
+      EXPECT_EQ(swar.ctrl, vec.ctrl) << where;
+      EXPECT_EQ(swar.contents, vec.contents) << where;
     }
-    const TableImage vec = build_image(n_bits, keys);  // native dispatch
-    EXPECT_EQ(swar.unique, vec.unique) << "n_bits=" << n_bits;
-    EXPECT_EQ(swar.total, vec.total) << "n_bits=" << n_bits;
-    EXPECT_EQ(swar.frequencies, vec.frequencies) << "n_bits=" << n_bits;
-    // Insertion positions identical => control bytes and for_each order
-    // identical too.
-    EXPECT_EQ(swar.ctrl, vec.ctrl) << "n_bits=" << n_bits;
-    EXPECT_EQ(swar.contents, vec.contents) << "n_bits=" << n_bits;
   }
 }
 
