@@ -11,9 +11,13 @@
 //                    producer's, 16 trees each, plus one parse tree per
 //                    worker (Bfhrf::max_resident_trees) + the hash
 //
-// Reported: exact resident bytes (trees + engine) for both paths, plus
-// process RSS deltas as corroboration (streaming runs first, while the
-// high-water mark is still low).
+// Build workers also stage split keys on their way into the sharded hash,
+// at most Bfhrf::kStageKeys plus one tree each whatever r is
+// (Bfhrf::max_staged_keys), so staging adds no r term either.
+//
+// Reported: exact resident bytes (trees + engine) and the staged-key bound
+// for both paths, plus process RSS deltas as corroboration (streaming runs
+// first, while the high-water mark is still low).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -49,6 +53,7 @@ constexpr std::size_t kTaxa = 144;  // the Insect width
 struct Path {
   double seconds = 0;
   std::size_t tree_bytes = 0;    // resident Tree arenas at peak
+  std::size_t staged_bytes = 0;  // staged-key bound
   std::size_t engine_bytes = 0;  // hash
   std::size_t rss_before = 0;
   std::size_t rss_peak = 0;
@@ -78,6 +83,12 @@ phylo::TaxonSetPtr file_taxa() {
   return taxa;
 }
 
+/// Bytes of the most keys `engine`'s build workers can stage at once.
+std::size_t staged_bound_bytes(const core::Bfhrf& engine) {
+  return engine.max_staged_keys() * util::words_for_bits(kTaxa) *
+         sizeof(std::uint64_t);
+}
+
 void run_streaming(benchmark::State& state) {
   const auto taxa = file_taxa();
   for (auto _ : state) {
@@ -90,6 +101,7 @@ void run_streaming(benchmark::State& state) {
     const auto avg = engine.query(reference);
     g_stream.seconds = timer.seconds();
     g_stream.engine_bytes = engine.stats().hash_memory_bytes;
+    g_stream.staged_bytes = staged_bound_bytes(engine);
     // Residency bound: the trees the pipeline can hold at once (queued
     // batches + one batch per worker + the producer's, 16 trees each, and
     // each worker's parse tree), each counted as a Tree arena of ~2n nodes.
@@ -117,6 +129,7 @@ void run_in_memory(benchmark::State& state) {
     const auto avg = engine.query(trees);
     g_memory.seconds = timer.seconds();
     g_memory.engine_bytes = engine.stats().hash_memory_bytes;
+    g_memory.staged_bytes = staged_bound_bytes(engine);
     g_memory.tree_bytes = tree_bytes;
     g_memory.rss_peak = util::peak_rss_bytes();
     g_memory.head.assign(avg.begin(),
@@ -132,14 +145,14 @@ void report() {
               "r=%zu, Q=R from file) ---\n",
               kTaxa, r_trees());
   util::TextTable table({"Path", "Time(s)", "Resident tree MB",
-                         "Hash MB", "Peak RSS MB"});
+                         "Staged key MB", "Hash MB", "Peak RSS MB"});
   table.add_row({"streaming (pipeline)",
                  util::format_fixed(g_stream.seconds, 2),
-                 mb(g_stream.tree_bytes), mb(g_stream.engine_bytes),
-                 mb(g_stream.rss_peak)});
+                 mb(g_stream.tree_bytes), mb(g_stream.staged_bytes),
+                 mb(g_stream.engine_bytes), mb(g_stream.rss_peak)});
   table.add_row({"in-memory", util::format_fixed(g_memory.seconds, 2),
-                 mb(g_memory.tree_bytes), mb(g_memory.engine_bytes),
-                 mb(g_memory.rss_peak)});
+                 mb(g_memory.tree_bytes), mb(g_memory.staged_bytes),
+                 mb(g_memory.engine_bytes), mb(g_memory.rss_peak)});
   table.print(std::cout);
   std::printf("(streaming ran first, so its peak RSS is an honest upper "
               "bound on that path — though it still includes the one-time "

@@ -8,7 +8,7 @@
 //   bfhrf_cli -r reference.nwk [-q query.nwk] [-t THREADS]
 //             [--normalized | --half] [--min-size K] [--max-size K]
 //             [--include-trivial] [--compressed-keys] [--stats]
-//             [--shards N] [--save-index FILE | --load-index FILE]
+//             [--save-index FILE | --load-index FILE]
 //             [--input-format auto|newick|nexus|vector]
 //             [--emit-vector FILE]
 //             [--matrix [--matrix-engine auto|legacy|dense|sparse]]
@@ -65,7 +65,6 @@ struct CliOptions {
   std::string emit_vector;  // convert -r to a .p2v corpus and exit
   TreeFormat input_format = TreeFormat::Auto;  // applies to -r and -q
   std::size_t threads = 1;
-  std::size_t shards = 1;   // 0 = auto-size from threads/hardware
   bfhrf::core::RfNorm norm = bfhrf::core::RfNorm::None;
   std::optional<std::size_t> min_size;
   std::optional<std::size_t> max_size;
@@ -260,7 +259,7 @@ void usage(const char* argv0) {
       "usage: %s -r reference.nwk [-q query.nwk] [-t THREADS]\n"
       "          [--normalized | --half] [--min-size K] [--max-size K]\n"
       "          [--include-trivial] [--compressed-keys] [--stats]\n"
-      "          [--shards N] [--save-index FILE | --load-index FILE]\n"
+      "          [--save-index FILE | --load-index FILE]\n"
       "          [--input-format auto|newick|nexus|vector]\n"
       "          [--emit-vector FILE]\n"
       "          [--matrix [--matrix-engine auto|legacy|dense|sparse]]\n"
@@ -306,8 +305,6 @@ CliOptions parse_args(int argc, char** argv) {
       o.include_trivial = true;
     } else if (arg == "--compressed-keys") {
       o.compressed_keys = true;
-    } else if (arg == "--shards") {
-      o.shards = bfhrf::util::parse_size(need_value("--shards"));
     } else if (arg == "--save-index") {
       o.save_index = need_value("--save-index");
     } else if (arg == "--load-index") {
@@ -374,7 +371,6 @@ int main(int argc, char** argv) {
     opts.norm = cli.norm;
     opts.include_trivial = cli.include_trivial;
     opts.compressed_keys = cli.compressed_keys;
-    opts.shards = cli.shards;
     opts.variant = variant.get();
 
     util::WallTimer timer;

@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # Deeper verification tier than the plain `ctest` loop:
 #   1. ASan+UBSan build, full labeled suite + bfhrf_verify differential run
-#      + the sharding/persistence oracle + the serve daemon loopback smoke
-#      + a CLI walk that builds a sharded index, saves it, and reloads it
-#      zero-copy (raw and compressed keys; also over a query file with its
-#      taxa in another order), and a streamed CLI run at 4 threads diffed
-#      against 1 thread
+#      + the sharding/persistence oracle at 1/2/4/8 threads (store shapes
+#      1, 2, 4 and 8) + the serve daemon loopback smoke + a CLI walk that
+#      builds a sharded index at 4 threads (4 shards on a multi-core
+#      host), saves it, and reloads it zero-copy (raw and compressed keys;
+#      also over a query file with its taxa in another order), and a
+#      streamed CLI run at 4 threads diffed against 1 thread
 #   2. TSan build, concurrency-sensitive labels only (parallel, obs,
 #      serve, codec) + bfhrf_verify differential run (concurrent readers
 #      of one table across its 1..8 thread sweep) + the persistence oracle
-#      with 4 build lanes + the serve daemon loopback smoke
+#      at 1/2/4/8 threads (workers flushing shards under per-shard locks)
+#      + the serve daemon loopback smoke
 #   3. BFHRF_OBS=OFF build, full suite (instrumentation compiled out)
 #   4. BFHRF_DISABLE_SIMD=ON build, full suite + bfhrf_verify (portable
 #      SWAR paths only; proves dispatch-level equivalence end to end)
@@ -33,9 +35,10 @@ run() {
 # ingest paths at each count under the sanitizers: 35 engine configs.
 VERIFY_ARGS=${BFHRF_VERIFY_ARGS:-"n=64 r=32 q=32 --threads 1,2,4,8"}
 
-# Persistence oracle workload: sharded builds vs single-table in both key
-# encodings, and every store shape round-tripped through the BFHMAP index
-# (save, mmap, query) — all compared bit-for-bit.
+# Persistence oracle workload: a build at each --threads count (each count
+# gives its own store shape) vs single-table in both key encodings, and
+# every shape round-tripped through the BFHMAP index (save, mmap, query)
+# — all compared bit-for-bit.
 PERSIST_ARGS=${BFHRF_PERSIST_ARGS:-"n=24 r=24 q=10"}
 
 # Scratch dirs for the CLI index walk and the serve loopback smoke.
@@ -107,11 +110,12 @@ run ctest --preset asan-ubsan
 # shellcheck disable=SC2086  # VERIFY_ARGS is a word list by design
 run ./build-asan/tools/bfhrf_verify --generate ${VERIFY_ARGS}
 # shellcheck disable=SC2086
-run ./build-asan/tools/bfhrf_verify --persist ${PERSIST_ARGS} --threads 4
+run ./build-asan/tools/bfhrf_verify --persist ${PERSIST_ARGS} --threads 1,2,4,8
 run serve_smoke ./build-asan
 
-# End-to-end index walk: build a small sharded index with the CLI,
-# persist it in the mmap-able layout, reload it zero-copy, and require
+# End-to-end index walk: build a small sharded index with the CLI (-t 4
+# gives 4 shards on a multi-core host), persist it in the mmap-able
+# layout, reload it zero-copy, and require
 # byte-identical query output from the mapped view. The sanitizer
 # presets build without examples (BFHRF_BUILD_EXAMPLES=OFF), so this
 # uses the default tree — the mmap + asan interaction itself is covered
@@ -121,7 +125,7 @@ run serve_smoke ./build-asan
 # another order exactly as a direct run does.
 echo
 echo "=== bfhrf_cli sharded build -> index save -> mmap reload ==="
-./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -t 2 --shards 4 \
+./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -t 4 \
   --save-index "${PERSIST_DIR}/ref.bfhmap" > "${PERSIST_DIR}/direct.tsv"
 ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" \
   --load-index "${PERSIST_DIR}/ref.bfhmap" \
@@ -132,7 +136,7 @@ run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/mapped.tsv"
 # encoding, saved and reloaded, must answer exactly as the raw direct run.
 echo
 echo "=== bfhrf_cli --compressed-keys sharded build -> index save -> reload ==="
-./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -t 2 --shards 4 \
+./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -t 4 \
   --compressed-keys --save-index "${PERSIST_DIR}/ref_sparse.bfhmap" \
   > "${PERSIST_DIR}/sparse_direct.tsv"
 ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" \
@@ -170,8 +174,8 @@ run cmake --build --preset tsan -j "$(nproc)"
 run ctest --preset tsan
 # shellcheck disable=SC2086
 run ./build-tsan/tools/bfhrf_verify --generate ${VERIFY_ARGS}
-# shellcheck disable=SC2086  # sharded build lanes under TSan
-run ./build-tsan/tools/bfhrf_verify --persist ${PERSIST_ARGS} --threads 4
+# shellcheck disable=SC2086  # sharded builds' flush locks under TSan
+run ./build-tsan/tools/bfhrf_verify --persist ${PERSIST_ARGS} --threads 1,2,4,8
 run serve_smoke ./build-tsan
 
 run cmake --preset obs-off

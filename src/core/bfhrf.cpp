@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -18,8 +18,8 @@ namespace bfhrf::core {
 namespace {
 
 // Engine-phase metrics (docs/OBSERVABILITY.md): phase-1 build wall time and
-// tree count, merge cost, phase-2 query throughput inputs, and the
-// post-build store shape (U, resident bytes).
+// tree count, phase-2 query throughput inputs, and the post-build store
+// shape (U, resident bytes).
 const obs::Counter g_build_trees = obs::counter("bfhrf.build.trees");
 const obs::Counter g_query_trees = obs::counter("bfhrf.query.trees");
 const obs::Counter g_query_bips = obs::counter("bfhrf.query.bipartitions");
@@ -34,7 +34,6 @@ const obs::Gauge g_capacity = obs::gauge("bfhrf.hash.capacity_slots");
 const obs::Gauge g_mean_probe = obs::gauge("bfhrf.hash.mean_probe_groups");
 const obs::Gauge g_max_probe = obs::gauge("bfhrf.hash.max_probe_groups");
 const obs::Histogram g_build_seconds = obs::histogram("bfhrf.build.seconds");
-const obs::Histogram g_merge_seconds = obs::histogram("bfhrf.merge.seconds");
 const obs::Histogram g_query_seconds = obs::histogram("bfhrf.query.seconds");
 
 // Batched-query path (FrequencyHash::frequency_many): one batch per query
@@ -49,12 +48,15 @@ const obs::Counter g_prefetch_fast_path =
     obs::counter("bfhrf.query.prefetch.fast_path_keys");
 
 // Sharded-build metrics: resolved shard count and post-build balance
-// (largest shard / mean, 1.0 = perfect), plus the keys and add_many chunks
-// the insert lanes pushed (chunking bounds per-batch table pre-sizing).
+// (largest shard / mean, 1.0 = perfect), the keys flushed from staging
+// buckets into shards and the flushes (add_many calls) that moved them,
+// and the most key bytes one worker staged at once in the last build.
 const obs::Gauge g_shard_count = obs::gauge("bfhrf.build.shard.count");
 const obs::Gauge g_shard_skew = obs::gauge("bfhrf.build.shard.skew");
 const obs::Counter g_shard_keys = obs::counter("bfhrf.build.shard.keys");
 const obs::Counter g_shard_chunks = obs::counter("bfhrf.build.shard.chunks");
+const obs::Gauge g_staged_bytes =
+    obs::gauge("bfhrf.build.shard.staged_bytes_max");
 
 /// Per-lane (stream index, value) records. Each worker appends to its own
 /// lane; in_stream_order() scatters them once the pipeline has joined, so
@@ -96,13 +98,10 @@ constexpr std::size_t kBatchItems = 16;
 /// trees do not multiply the text a stream keeps resident.
 constexpr std::size_t kBatchTextBytes = 64 * 1024;
 
-using Drain = std::function<void(std::size_t)>;
-
 // The two schedulers of build_from/query_from, both on pipeline_run. A
-// scheduler is called as schedule(workers, consume, drain): the calling
-// thread produces, `workers` threads call consume(rank, index, item) for
-// every item, then drain(lane) on each worker once every consume has
-// returned (an empty drain is skipped). It returns the item count.
+// scheduler is called as schedule(workers, consume): the calling thread
+// produces and `workers` threads call consume(rank, index, item) for every
+// item. It returns the item count once every worker has joined.
 
 /// Consecutive stream items queued as one; `first` is the stream index of
 /// items[0].
@@ -134,9 +133,8 @@ std::size_t text_bytes(const Item& /*item*/) {
 /// parsing runs on every worker instead of on the one producer thread.
 template <typename Item, typename Next>
 auto stream_scheduler(Next next, const FileTreeSource* records = nullptr) {
-  return [next = std::move(next), records](
-             std::size_t workers, const auto& consume,
-             const Drain& drain) mutable {
+  return [next = std::move(next), records](std::size_t workers,
+                                          const auto& consume) mutable {
     constexpr bool kText = std::is_same_v<Item, std::string>;
     std::vector<ParseTree> parsed(kText ? std::max<std::size_t>(1, workers)
                                         : 0);
@@ -176,8 +174,7 @@ auto stream_scheduler(Next next, const FileTreeSource* records = nullptr) {
               consume(rank, batch.first + i, batch.items[i]);
             }
           }
-        },
-        drain);
+        });
     return seen;
   };
 }
@@ -185,8 +182,7 @@ auto stream_scheduler(Next next, const FileTreeSource* records = nullptr) {
 /// In-memory spans: the items are pointers into the span (no tree is
 /// copied), queued as index ranges of kBatchItems trees.
 auto span_scheduler(std::span<const phylo::Tree> trees) {
-  return [trees](std::size_t workers, const auto& consume,
-                 const Drain& drain) {
+  return [trees](std::size_t workers, const auto& consume) {
     struct Range {
       std::size_t begin = 0;
       std::size_t end = 0;
@@ -204,10 +200,23 @@ auto span_scheduler(std::span<const phylo::Tree> trees) {
           for (std::size_t i = range.begin; i < range.end; ++i) {
             consume(rank, i, &trees[i]);
           }
-        },
-        drain);
+        });
     return trees.size();
   };
+}
+
+/// Insert a staging bucket's keys into `shard` through add_many and empty
+/// the bucket, keeping its capacity for the next fill. Returns the number
+/// of keys flushed.
+std::size_t flush_bucket(FrequencyHash& shard,
+                         std::vector<std::uint64_t>& bucket,
+                         std::size_t words_per_key) {
+  const std::size_t keys = bucket.size() / words_per_key;
+  shard.add_many(bucket.data(), keys, nullptr);
+  bucket.clear();
+  g_shard_keys.inc(keys);
+  g_shard_chunks.inc();
+  return keys;
 }
 
 void check_width(const VectorSource& source, std::size_t n_bits) {
@@ -253,17 +262,13 @@ Bfhrf::Bfhrf(std::size_t n_bits, BfhrfOptions opts)
   refresh_index_view();
 }
 
-std::size_t Bfhrf::effective_shards() const {
-  std::size_t want = opts_.shards;
-  if (want == 0) {
-    // Auto: one shard per build worker the hardware can actually run, so
-    // single-threaded (or single-core) engines keep the single-table
-    // layout and its exact historical behavior.
-    const auto hw = std::max(1u, std::thread::hardware_concurrency());
-    want = std::min(opts_.threads, static_cast<std::size_t>(hw));
-  }
-  want = std::min<std::size_t>(want, 64);
-  return want <= 1 ? 1 : std::bit_ceil(want);
+std::size_t Bfhrf::effective_shards() const noexcept {
+  // One table when the build runs inline; otherwise a shard per worker,
+  // rounded up to a power of two and capped at 64, so a store is sharded
+  // exactly when its build has workers.
+  const std::size_t workers = pipeline_workers();
+  return workers == 0 ? 1
+                      : std::bit_ceil(std::min<std::size_t>(workers, 64));
 }
 
 std::size_t Bfhrf::pipeline_workers() const noexcept {
@@ -283,6 +288,12 @@ std::size_t Bfhrf::max_resident_trees() const noexcept {
   const std::size_t batches =
       workers == 0 ? 1 : queue_capacity(workers) + workers + 1;
   return batches * kBatchItems + std::max<std::size_t>(1, workers);
+}
+
+std::size_t Bfhrf::max_staged_keys() const noexcept {
+  // A tree keeps at most n-3 splits, or 2n-3 with the trivial ones.
+  const std::size_t per_tree = opts_.include_trivial ? 2 * n_bits_ : n_bits_;
+  return pipeline_workers() * (kStageKeys + per_tree);
 }
 
 const phylo::BipartitionSet& Bfhrf::extract(const phylo::Tree& tree,
@@ -345,129 +356,38 @@ double Bfhrf::KeptSplits::weight() const noexcept {
 }
 
 double Bfhrf::insert_bipartitions(const phylo::BipartitionSet& bips,
-                                  FrequencyHash* partial,
                                   WorkerScratch& scratch) const {
   const KeptSplits kept = kept_splits(bips, scratch);
-  if (partial != nullptr) {
-    partial->add_many(kept.keys, kept.count, kept.weights);
-  } else if (sharded_store_ != nullptr) {
-    // Inline sharded build: route-and-insert through the store's own
-    // staging buffers.
-    sharded_store_->add_many(kept.keys, kept.count, kept.weights);
-  } else {
-    fast_store_->add_many(kept.keys, kept.count, kept.weights);
-  }
+  fast_store_->add_many(kept.keys, kept.count, kept.weights);
   return kept.weight();
 }
 
-double Bfhrf::route_bipartitions(
-    const phylo::BipartitionSet& bips,
-    std::vector<std::vector<std::uint64_t>>& buckets,
-    WorkerScratch& scratch) const {
+double Bfhrf::route_bipartitions(const phylo::BipartitionSet& bips,
+                                 Staging& staging,
+                                 std::vector<std::mutex>& locks,
+                                 WorkerScratch& scratch) const {
   const KeptSplits kept = kept_splits(bips, scratch);
   const std::size_t wp = util::words_for_bits(n_bits_);
   const std::uint32_t bits = sharded_store_->shard_bits();
   for (std::size_t k = 0; k < kept.count; ++k) {
     const std::uint64_t* key = kept.keys + k * wp;
     const std::uint64_t fp = util::hash_words({key, wp});
-    auto& bucket = buckets[shard_of(fp, bits)];
+    auto& bucket = staging.buckets[shard_of(fp, bits)];
     bucket.insert(bucket.end(), key, key + wp);
   }
+  staging.keys += kept.count;
+  staging.peak_keys = std::max(staging.peak_keys, staging.keys);
+  // Every bucket held less than its share of kStageKeys before this tree,
+  // so the worker never stages more than kStageKeys keys plus one tree.
+  const std::size_t full = kStageKeys / staging.buckets.size() * wp;
+  for (std::size_t s = 0; s < staging.buckets.size(); ++s) {
+    if (staging.buckets[s].size() >= full) {
+      const std::lock_guard lock(locks[s]);
+      staging.keys -=
+          flush_bucket(sharded_store_->shard(s), staging.buckets[s], wp);
+    }
+  }
   return kept.weight();
-}
-
-void Bfhrf::insert_lane(std::size_t lane, std::size_t lanes,
-                        ShardBuckets& buckets) {
-  const std::size_t shards = sharded_store_->shard_count();
-  const std::size_t wp = util::words_for_bits(n_bits_);
-  // Chunked add_many: add_many pre-sizes its table from the batch length,
-  // so feeding a whole duplicate-heavy bucket at once would reserve for
-  // keys that all collapse onto existing slots. 4096 keys amortizes the
-  // pipeline ramp while keeping the over-reserve bounded.
-  constexpr std::size_t kChunkKeys = 4096;
-  const std::size_t begin = lane * shards / lanes;
-  const std::size_t end = (lane + 1) * shards / lanes;
-  std::uint64_t lane_keys = 0;
-  std::uint64_t lane_chunks = 0;
-  for (std::size_t s = begin; s < end; ++s) {
-    FrequencyHash& shard = sharded_store_->shard(s);
-    for (auto& rank_buckets : buckets) {
-      std::vector<std::uint64_t>& bucket = rank_buckets[s];
-      const std::size_t n = bucket.size() / wp;
-      for (std::size_t off = 0; off < n; off += kChunkKeys) {
-        const std::size_t take = std::min(kChunkKeys, n - off);
-        // The shard's bulk pages fault in here, on the lane that owns the
-        // shard (first-touch placement).
-        shard.add_many(bucket.data() + off * wp, take, nullptr);
-        ++lane_chunks;
-      }
-      lane_keys += n;
-      // Release routing storage as it drains; peak memory is one shard
-      // range, not the whole key stream.
-      bucket.clear();
-      bucket.shrink_to_fit();
-    }
-  }
-  g_shard_keys.inc(lane_keys);
-  g_shard_chunks.inc(lane_chunks);
-}
-
-void Bfhrf::merge_partials(
-    std::vector<std::unique_ptr<FrequencyHash>>& partials) {
-  if (partials.empty()) {
-    return;
-  }
-  const obs::ScopedTimer merge_timer(g_merge_seconds);
-  // Pre-size the final store for the union before keys start landing: the
-  // largest partial is a lower bound on U, the caller's hint may be better.
-  std::size_t largest = 0;
-  for (const auto& p : partials) {
-    largest = std::max(largest, p->unique_count());
-  }
-  fast_store_->reserve(std::max(opts_.expected_unique,
-                                fast_store_->unique_count() + largest));
-
-  // Pairwise tree reduction: each round merges disjoint partial pairs in
-  // parallel (log2 k rounds instead of a k-long sequential fold). Counts
-  // are integers, so the merged frequencies are identical to the rank-order
-  // fold in any order; the weighted total the merge produces is replaced by
-  // build_from's stream-order fold.
-  for (std::size_t stride = 1; stride < partials.size(); stride *= 2) {
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    for (std::size_t i = 0; i + stride < partials.size(); i += 2 * stride) {
-      pairs.emplace_back(i, i + stride);
-    }
-    parallel::parallel_for(
-        0, pairs.size(), opts_.threads,
-        [&](std::size_t j) {
-          const auto [dst, src] = pairs[j];
-          partials[dst]->reserve(partials[dst]->unique_count() +
-                                 partials[src]->unique_count());
-          partials[dst]->merge(*partials[src]);
-          partials[src].reset();
-        },
-        /*grain=*/1);
-  }
-  fast_store_->merge(*partials.front());
-}
-
-std::size_t Bfhrf::seed_unique_hint(std::optional<std::size_t> hint) const {
-  if (opts_.expected_unique != 0 || !hint) {
-    return opts_.expected_unique;
-  }
-  // Each binary tree contributes at most n-3 non-trivial splits (n with
-  // trivial ones); most collections share heavily, so this over-estimates
-  // — the cap keeps a huge corpus hint from reserving pathological tables.
-  const std::size_t per_tree =
-      opts_.include_trivial ? n_bits_ : (n_bits_ > 3 ? n_bits_ - 3 : 1);
-  constexpr std::size_t kCap = std::size_t{1} << 20;
-  if (*hint == 0) {
-    return 0;
-  }
-  if (*hint > kCap / per_tree) {
-    return kCap;
-  }
-  return *hint * per_tree;
 }
 
 template <typename Schedule>
@@ -481,52 +401,55 @@ void Bfhrf::build_from(Schedule schedule, std::optional<std::size_t> hint) {
   const obs::ScopedTimer timer(g_build_seconds);
   const std::size_t workers = pipeline_workers();
   const std::size_t lanes = std::max<std::size_t>(1, workers);
+  const std::size_t wp = util::words_for_bits(n_bits_);
 
-  // Where a worker's keys go. Inline (no workers): straight into store_.
-  // Sharded store: per-rank routing buckets, which the scheduler's drain
-  // then turns into insert lanes over disjoint shard ranges — each key is
-  // inserted exactly once, no merge. Otherwise: per-rank partial stores,
-  // pre-sized from the hint (each lane takes ~1/lanes of the input) and
-  // merged afterwards.
-  const bool route = workers > 0 && sharded_store_ != nullptr;
+  // Where a worker's keys go. One table (the inline build): straight into
+  // it. A sharded store (a build with workers): into the worker's own
+  // per-shard buckets, each flushed into its shard under that shard's lock
+  // once it holds its share of kStageKeys; the residue drains after the
+  // pipeline joins. Every key is inserted exactly once, with no merge.
+  const bool route = sharded_store_ != nullptr;
   const std::size_t shards = route ? sharded_store_->shard_count() : 0;
-  ShardBuckets buckets(route ? lanes : 0,
-                       std::vector<std::vector<std::uint64_t>>(shards));
-  std::vector<std::unique_ptr<FrequencyHash>> partials;
-  if (workers > 0 && !route) {
-    const std::size_t pre = seed_unique_hint(
-        hint ? std::optional<std::size_t>(*hint / lanes + 1) : std::nullopt);
-    for (std::size_t i = 0; i < lanes; ++i) {
-      partials.push_back(
-          std::make_unique<FrequencyHash>(n_bits_, pre, key_encoding()));
+  std::vector<std::mutex> locks(shards);
+  std::vector<Staging> staging(route ? lanes : 0);
+  for (Staging& st : staging) {
+    st.buckets.resize(shards);
+    for (auto& bucket : st.buckets) {
+      bucket.reserve((kStageKeys / shards + n_bits_) * wp);
     }
   }
   std::vector<WorkerScratch> scratch(lanes);
   LaneValues tree_weights = make_lanes(lanes, hint);
   const double base_weight = store_->total_weight();
 
-  Drain drain;
-  if (route) {
-    drain = [&, insert_lanes = std::min(lanes, shards)](std::size_t lane) {
-      if (lane < insert_lanes) {
-        insert_lane(lane, insert_lanes, buckets);
-      }
-    };
-  }
   const std::size_t seen = schedule(
-      workers,
-      [&](std::size_t rank, std::size_t index, const auto& item) {
+      workers, [&](std::size_t rank, std::size_t index, const auto& item) {
         const phylo::BipartitionSet& bips = extract(item, scratch[rank]);
         const double weight =
-            route ? route_bipartitions(bips, buckets[rank], scratch[rank])
-                  : insert_bipartitions(
-                        bips,
-                        partials.empty() ? nullptr : partials[rank].get(),
-                        scratch[rank]);
+            route ? route_bipartitions(bips, staging[rank], locks,
+                                       scratch[rank])
+                  : insert_bipartitions(bips, scratch[rank]);
         tree_weights[rank].emplace_back(index, weight);
+      });
+
+  // The residue, one task per shard (none after an inline build); the
+  // workers have joined, so no lock.
+  parallel::parallel_for(
+      0, shards, opts_.threads,
+      [&](std::size_t s) {
+        for (Staging& st : staging) {
+          if (!st.buckets[s].empty()) {
+            flush_bucket(sharded_store_->shard(s), st.buckets[s], wp);
+          }
+        }
       },
-      drain);
-  merge_partials(partials);
+      /*grain=*/1);
+  std::size_t peak_keys = 0;
+  for (const Staging& st : staging) {
+    peak_keys = std::max(peak_keys, st.peak_keys);
+  }
+  g_staged_bytes.set(
+      static_cast<double>(peak_keys * wp * sizeof(std::uint64_t)));
 
   // sumBFHR as one stream-order fold of per-tree kept weights: the float
   // total is then the same for every thread count, schedule and store
@@ -622,13 +545,11 @@ std::vector<double> Bfhrf::query_from(Schedule schedule,
   std::vector<WorkerScratch> scratch(lanes);
   LaneValues results = make_lanes(lanes, hint);
   const std::size_t seen = schedule(
-      workers,
-      [&](std::size_t rank, std::size_t index, const auto& item) {
+      workers, [&](std::size_t rank, std::size_t index, const auto& item) {
         results[rank].emplace_back(
             index,
             query_bipartitions(extract(item, scratch[rank]), scratch[rank]));
-      },
-      Drain{});
+      });
   g_query_trees.inc(seen);
   return in_stream_order(results, seen);
 }

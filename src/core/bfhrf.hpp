@@ -15,10 +15,10 @@
 //
 // Under a weighted variant every term carries w(b'); sumBFHR becomes the
 // weighted total. Both phases parallelize at tree granularity in one
-// code path each: the build routes keys to per-worker-owned shards inserted
-// with no merge, or fills per-worker private stores merged once (no locks
-// on the hot path either way); the query is embarrassingly parallel
-// (read-only hash).
+// code path each. With workers, the build routes each tree's keys into
+// per-worker, per-shard buckets and flushes a full bucket into its shard
+// under that shard's lock, so staging stays bounded whatever r is and no
+// merge follows; the query is embarrassingly parallel (read-only hash).
 //
 // Complexity (Table I): time O(max(n²r, n²q)/64), space O(U·n/64) for U
 // unique bipartitions — and U saturates as r grows (§VII-C).
@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -46,6 +47,13 @@ class MappedFrequencyStore;
 
 struct BfhrfOptions {
   /// Worker threads for both phases (1 = sequential; 0 = hardware default).
+  /// The count also shapes the store: a build with pipeline workers
+  /// (threads > 1 on a multi-core host) fills a ShardedFrequencyHash of
+  /// bit_ceil(min(threads, 64)) shards, routed by the top fingerprint bits
+  /// (core/sharded_hash.hpp); otherwise the store is one FrequencyHash.
+  /// Results are bit-identical either way, for every variant and key
+  /// encoding: shards hold integer counts only, and sumBFHR is folded from
+  /// per-tree weights in stream order.
   std::size_t threads = 1;
 
   /// RF variant hooks applied identically at build and query time.
@@ -66,27 +74,11 @@ struct BfhrfOptions {
   bool compressed_keys = false;
 
   /// Expected number of unique bipartitions U. Pre-sizes the frequency
-  /// store, the per-worker partial stores, and the merge targets, so a
-  /// build is one table allocation instead of a rehash cascade. 0 = grow
-  /// on demand. A prior build's stats().unique_bipartitions is a good
-  /// value (U saturates as r grows, §VII-C).
+  /// store (split evenly across its shards), so a build is one table
+  /// allocation per shard instead of a rehash cascade. 0 = grow on demand.
+  /// A prior build's stats().unique_bipartitions is a good value (U
+  /// saturates as r grows, §VII-C).
   std::size_t expected_unique = 0;
-
-  /// Frequency-store shard count (rounded up to a power of two, capped at
-  /// 64). 0 = auto: min(threads, hardware concurrency), so multi-threaded
-  /// builds on multi-core hosts shard by default; 1 disables sharding
-  /// explicitly. Sharding splits the store into per-worker-owned
-  /// FrequencyHash shards routed by the top fingerprint bits
-  /// (core/sharded_hash.hpp): parallel builds write disjoint shards with
-  /// no locks and NO MERGE PHASE — each unique key is inserted exactly
-  /// once instead of once per worker partial plus once per merge round.
-  /// Results are bit-identical to the single-table engine for every
-  /// variant and key encoding: shards hold integer counts only, and
-  /// sumBFHR is folded from per-tree weights in stream order. A sharded
-  /// build stages every kept split as raw words until its final drain, so
-  /// its peak memory does not shrink with compressed_keys; pass 1 to keep
-  /// a multi-threaded compressed build's peak near its compressed size.
-  std::size_t shards = 0;
 };
 
 /// Build/query statistics surfaced to the bench harness.
@@ -113,7 +105,9 @@ class Bfhrf {
   // batches of trees, rows, or Newick record text that the workers parse).
   // Builds accumulate: a second build() adds to the first. An engine that
   // serves a loaded index is read-only: build() throws Error before it
-  // reads any input.
+  // reads any input. A build that throws otherwise (a malformed record, a
+  // width mismatch) leaves the store partly filled at every thread count:
+  // discard the engine.
 
   /// Build from an in-memory collection (parallel, zero-copy).
   void build(std::span<const phylo::Tree> reference);
@@ -149,9 +143,10 @@ class Bfhrf {
 
   // --- introspection --------------------------------------------------------
 
-  /// The underlying frequency store: a FrequencyHash or shards of one, in
-  /// the key encoding the options chose, or the MappedFrequencyStore of a
-  /// loaded index.
+  /// The underlying frequency store, in the key encoding the options
+  /// chose: one FrequencyHash when builds run inline, a
+  /// ShardedFrequencyHash when they have workers (see
+  /// BfhrfOptions::threads), or the MappedFrequencyStore of a loaded index.
   [[nodiscard]] const FrequencyStore& store() const noexcept {
     return *store_;
   }
@@ -163,6 +158,16 @@ class Bfhrf {
   /// one in flight per worker and the one the producer is filling, plus
   /// the one Tree each worker parses Newick records into.
   [[nodiscard]] std::size_t max_resident_trees() const noexcept;
+
+  /// Keys a build worker stages before flushing: each of its S shard
+  /// buckets flushes into its shard once it holds kStageKeys / S keys.
+  static constexpr std::size_t kStageKeys = 16384;
+
+  /// Most keys a build stages at once, over all its workers: under
+  /// kStageKeys each, plus the tree being routed. 0 when the build runs
+  /// inline, straight into one table. A staged key is ⌈n/64⌉ words
+  /// whatever the store's key encoding.
+  [[nodiscard]] std::size_t max_staged_keys() const noexcept;
 
  private:
   /// Per-worker hot-loop scratch: extraction buffers plus the batched
@@ -187,9 +192,14 @@ class Bfhrf {
     [[nodiscard]] double weight() const noexcept;
   };
 
-  /// Per-worker routing buckets of the sharded build: [rank][shard] key
-  /// arenas. Ranks never share a bucket.
-  using ShardBuckets = std::vector<std::vector<std::vector<std::uint64_t>>>;
+  /// One build worker's routing buckets, one key arena per shard, and the
+  /// keys they hold: now, and at most (the staged-bytes gauge). Workers
+  /// never share a Staging.
+  struct Staging {
+    std::vector<std::vector<std::uint64_t>> buckets;
+    std::size_t keys = 0;
+    std::size_t peak_keys = 0;
+  };
 
   [[nodiscard]] KeyEncoding key_encoding() const noexcept {
     return opts_.compressed_keys ? KeyEncoding::Sparse : KeyEncoding::Raw;
@@ -210,24 +220,19 @@ class Bfhrf {
   [[nodiscard]] KeptSplits kept_splits(const phylo::BipartitionSet& bips,
                                        WorkerScratch& scratch) const;
 
-  /// Insert one tree's kept splits through add_many: into `partial` (a
-  /// worker's private table) when given, else into the engine's own store.
-  /// Returns the tree's kept weight.
+  /// Inline build: insert one tree's kept splits into the single table
+  /// through add_many. Returns the tree's kept weight.
   double insert_bipartitions(const phylo::BipartitionSet& bips,
-                             FrequencyHash* partial,
                              WorkerScratch& scratch) const;
 
-  /// Sharded build, phase A: append every kept split to its owner shard's
-  /// bucket. Buckets carry bare keys: shards count occurrences only, and
+  /// Build with workers: append every kept split to its owner shard's
+  /// bucket in `staging`, then flush each bucket that holds its share of
+  /// kStageKeys into the shard under that shard's mutex in `locks`.
+  /// Buckets carry bare keys: shards count occurrences only, and
   /// build_from folds sumBFHR from the returned per-tree kept weights.
   double route_bipartitions(const phylo::BipartitionSet& bips,
-                            std::vector<std::vector<std::uint64_t>>& buckets,
+                            Staging& staging, std::vector<std::mutex>& locks,
                             WorkerScratch& scratch) const;
-
-  /// Sharded build, phase B: insert lane `lane` of `lanes` feeds its
-  /// contiguous shard range every rank's bucket through chunked add_many
-  /// calls. Runs as the pipeline's drain, on the workers that routed.
-  void insert_lane(std::size_t lane, std::size_t lanes, ShardBuckets& buckets);
 
   /// The Algorithm-2 inner loop for one query tree: one batched, prefetched
   /// frequency_many through index_view_.
@@ -244,8 +249,9 @@ class Bfhrf {
   [[nodiscard]] std::vector<double> query_from(
       Schedule schedule, std::optional<std::size_t> hint) const;
 
-  /// Shard count the options resolve to (1 = unsharded single table).
-  [[nodiscard]] std::size_t effective_shards() const;
+  /// Shard count the thread count resolves to (1 = unsharded single
+  /// table, the inline build's store).
+  [[nodiscard]] std::size_t effective_shards() const noexcept;
 
   /// Rebuild the cached query view over an owned store (must run after
   /// every store mutation batch — table growth reallocates the memory the
@@ -256,18 +262,6 @@ class Bfhrf {
   /// Replace the store with a mapped one (the load path).
   void adopt_store(std::unique_ptr<MappedFrequencyStore> store,
                    std::size_t reference_trees);
-
-  /// Pre-size estimate for per-worker partial stores when the caller gave
-  /// no expected_unique: scale the stream's tree-count hint by the splits
-  /// each binary tree contributes, capped so a wild hint cannot balloon
-  /// the tables. Returns opts_.expected_unique unchanged when it is set.
-  [[nodiscard]] std::size_t seed_unique_hint(
-      std::optional<std::size_t> hint) const;
-
-  /// Fold per-worker partial tables into the single-table store:
-  /// pairwise tree reduction on the pool, with merge targets pre-sized
-  /// from observed uniques.
-  void merge_partials(std::vector<std::unique_ptr<FrequencyHash>>& partials);
 
   /// Pipeline consumer count (0 = inline zero-sync loop; chosen when
   /// threads <= 1 or the host has one hardware thread).
@@ -284,11 +278,12 @@ class Bfhrf {
   std::size_t n_bits_;
   BfhrfOptions opts_;
   std::unique_ptr<FrequencyStore> store_;
-  /// store_ downcast when it is a single-table FrequencyHash (the
-  /// devirtualized batched add path); nullptr otherwise.
+  /// store_ downcast when it is a single-table FrequencyHash (the inline
+  /// build's devirtualized batched add path); nullptr otherwise.
   FrequencyHash* fast_store_ = nullptr;
-  /// store_ downcast when it is sharded; nullptr otherwise. Both are
-  /// nullptr exactly when store_ is a loaded, read-only index.
+  /// store_ downcast when it is sharded (the routed build's target);
+  /// nullptr otherwise. Both are nullptr exactly when store_ is a loaded,
+  /// read-only index.
   ShardedFrequencyHash* sharded_store_ = nullptr;
   /// Cached routing view for the batched query path, over every store
   /// shape (single, sharded, mapped) and key encoding. Refreshed by

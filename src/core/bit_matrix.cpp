@@ -151,12 +151,13 @@ RfMatrix bit_matrix_rf(std::span<const phylo::BipartitionSet> sets,
     stats.total_memberships += s.size();
   }
 
-  // Universe pass: one FrequencyHash build over every tree's arena. The
-  // arena appends keys in first-insertion order, so each unique
-  // bipartition's key_index IS its dense universe id in [0, U).
+  // Universe pass: one FrequencyHash build over every tree's arena,
+  // pre-sized as if every membership were unique. The arena appends keys
+  // in first-insertion order, so each unique bipartition's key_index IS
+  // its dense universe id in [0, U).
   const util::WallTimer encode_timer;
-  FrequencyHash universe(n_bits);
-  universe.reserve(static_cast<std::size_t>(stats.total_memberships));
+  FrequencyHash universe(n_bits,
+                         static_cast<std::size_t>(stats.total_memberships));
   for (const auto& s : sets) {
     universe.add_many(s.arena_view().data(), s.size(), nullptr);
   }

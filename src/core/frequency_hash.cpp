@@ -20,7 +20,6 @@ const obs::Counter g_probes = obs::counter("core.frequency_hash.probes");
 const obs::Counter g_collisions =
     obs::counter("core.frequency_hash.collisions");
 const obs::Counter g_inserts = obs::counter("core.frequency_hash.inserts");
-const obs::Counter g_merges = obs::counter("core.frequency_hash.merges");
 
 void record_probes(std::uint64_t groups, std::size_t keys) noexcept {
   g_probes.inc(groups);
@@ -426,30 +425,6 @@ void FrequencyHash::add_many(const std::uint64_t* keys, std::size_t count,
     add_many_impl<decltype(group), decltype(enc)::value>(keys, count,
                                                          weights);
   });
-}
-
-void FrequencyHash::reserve(std::size_t expected_unique) {
-  if (encoding_ == KeyEncoding::Raw) {
-    words_.reserve(expected_unique * words_per_);
-  }
-  grow_to_fit(expected_unique);
-}
-
-void FrequencyHash::merge(const FrequencyHash& other) {
-  if (other.n_bits_ != n_bits_ || other.encoding_ != encoding_) {
-    throw InvalidArgument(
-        "FrequencyHash::merge: universe width or key encoding mismatch");
-  }
-  g_merges.inc();
-  // Weighted totals must be preserved exactly, so replay each unique key
-  // with its aggregate weight contribution. Since weight is a pure function
-  // of the key, other's per-key average weight equals the true weight.
-  other.for_each([this](util::ConstWordSpan key, std::uint32_t count) {
-    add(key, count);
-  });
-  // add() accumulated unit weights; fix total_weight_ to account for the
-  // true weighted mass moved over.
-  total_weight_ += other.total_weight_ - static_cast<double>(other.total_);
 }
 
 void FrequencyHash::grow_to_fit(std::size_t keys) {

@@ -42,9 +42,11 @@
 // paths choose the encoding once per call, as they choose the SIMD level,
 // so the raw loops carry no per-key encoding branch.
 //
-// Concurrency model: a FrequencyHash is single-writer. Parallel builds give
-// each worker a private hash and merge() them afterwards (src/core/bfhrf).
-// The read path (frequency/frequency_many) is safe for concurrent readers.
+// Concurrency model: a FrequencyHash is single-writer. A parallel build
+// shards the store and each worker flushes its staged keys into a shard
+// while holding that shard's lock (src/core/bfhrf). The read path
+// (frequency/frequency_many) is safe for concurrent readers once writers
+// are quiesced.
 #pragma once
 
 #include <cstdint>
@@ -151,14 +153,6 @@ class FrequencyHash final : public FrequencyStore {
   /// per-key add_weighted loop would.
   void add_many(const std::uint64_t* keys, std::size_t count,
                 const double* weights);
-
-  /// Pre-size for `expected_unique` distinct keys: one rehash now instead
-  /// of a cascade of doublings during build/merge. Never shrinks.
-  void reserve(std::size_t expected_unique);
-
-  /// Fold another hash into this one (used to combine per-thread builds).
-  /// Throws InvalidArgument unless both share width and key encoding.
-  void merge(const FrequencyHash& other);
 
   void for_each_key(const std::function<void(util::ConstWordSpan,
                                              std::uint32_t)>& fn)

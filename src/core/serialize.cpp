@@ -22,11 +22,10 @@ void save_bfhrf_file(const Bfhrf& engine, const std::string& path,
 
 Bfhrf load_bfhrf_file(const std::string& path, BfhrfOptions opts) {
   auto mapped = std::make_unique<MappedFrequencyStore>(path);
-  // Store shape is the file's, not the caller's: the ctor-made store is
-  // discarded by adopt_store, so keep it the minimal single table.
+  // Store shape is the file's, not the caller's: adopt_store discards the
+  // ctor-made store, whose tables are still at their minimum size.
   opts.compressed_keys = mapped->encoding() == KeyEncoding::Sparse;
   opts.include_trivial = mapped->include_trivial();
-  opts.shards = 1;
   const std::size_t n_bits = mapped->n_bits();
   const std::size_t trees = mapped->reference_trees();
   Bfhrf engine(n_bits, opts);

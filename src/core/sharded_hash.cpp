@@ -32,14 +32,9 @@ ShardedFrequencyHash::ShardedFrequencyHash(std::size_t n_bits,
   shards_.reserve(count);
   const std::size_t per_shard = expected_unique / count;
   for (std::size_t s = 0; s < count; ++s) {
-    // Shards start at their minimum size when no hint is given: their bulk
-    // pages should be faulted in by the build worker that fills them
-    // (first-touch NUMA placement), not by this constructor's thread.
     shards_.push_back(
         std::make_unique<FrequencyHash>(n_bits, per_shard, encoding));
   }
-  stage_keys_.resize(count);
-  stage_weights_.resize(count);
 }
 
 std::size_t ShardedFrequencyHash::shard_index(util::ConstWordSpan key) const {
@@ -73,40 +68,6 @@ double ShardedFrequencyHash::total_weight() const noexcept {
 void ShardedFrequencyHash::add_weighted(util::ConstWordSpan key,
                                         std::uint32_t count, double weight) {
   shards_[shard_index(key)]->add_weighted(key, count, weight);
-}
-
-void ShardedFrequencyHash::add_many(const std::uint64_t* keys,
-                                    std::size_t count,
-                                    const double* weights) {
-  if (count == 0) {
-    return;
-  }
-  const std::size_t wp = words_per_key();
-  for (auto& v : stage_keys_) {
-    v.clear();
-  }
-  if (weights != nullptr) {
-    for (auto& v : stage_weights_) {
-      v.clear();
-    }
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t* k = keys + i * wp;
-    const std::size_t s =
-        shard_of(util::hash_words({k, wp}), shard_bits_);
-    stage_keys_[s].insert(stage_keys_[s].end(), k, k + wp);
-    if (weights != nullptr) {
-      stage_weights_[s].push_back(weights[i]);
-    }
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::size_t n = stage_keys_[s].size() / wp;
-    if (n != 0) {
-      shards_[s]->add_many(stage_keys_[s].data(), n,
-                           weights != nullptr ? stage_weights_[s].data()
-                                              : nullptr);
-    }
-  }
 }
 
 std::uint32_t ShardedFrequencyHash::frequency(util::ConstWordSpan key) const {

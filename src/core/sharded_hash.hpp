@@ -9,19 +9,12 @@
 // lengths, same layouts, same batched pipelines — and the routing function
 // is a single shift.
 //
-// What sharding buys (the build-scaling tentpole, ROADMAP "million-tree
-// scale"):
-//  * CONTENTION-FREE PARALLEL BUILDS. Key ownership is static, so build
-//    workers write disjoint shards with no locks and no shared cache
-//    lines. The legacy parallel build gives every worker a private table
-//    and then MERGES: each unique key is inserted once per worker partial,
-//    re-probed once per pairwise merge round, and once more in the final
-//    fold into the engine store — ~(1 + log2 W + 1)x insert work per key.
-//    Sharded routing inserts each key exactly once, which is why the
-//    sharded build wins even on a single core (bench_ablation_shard, A9).
-//  * NUMA FIRST-TOUCH. Shards start tiny; their bulk pages are faulted in
-//    by the worker that fills them (Linux first-touch places them on that
-//    worker's node).
+// What sharding buys:
+//  * PARALLEL BUILDS WITHOUT A MERGE. Key ownership is static, so each
+//    key is inserted exactly once, into the one shard that owns it. Bfhrf's
+//    parallel build stages keys per worker and per shard, then flushes a
+//    full bucket into its shard under that shard's lock (core/bfhrf):
+//    workers flushing different shards never wait on each other.
 //  * A SHARD-SHAPED FILE FORMAT. The mmap index layout (core/index_file)
 //    persists each shard's (ctrl, slots, keys) sections verbatim, so a
 //    sharded build streams to disk with no re-keying and maps back with no
@@ -33,9 +26,10 @@
 // variant's sumBFHR from a stream-order fold of per-tree weights
 // (set_total_weight), so variants and both key encodings shard too.
 //
-// Concurrency model: single writer PER SHARD (distinct shards may be
-// written concurrently by distinct threads); the read path is safe for any
-// number of concurrent readers once writers are quiesced.
+// Concurrency model: each shard is a single-writer FrequencyHash, so
+// concurrent writers to one shard must serialize (Bfhrf holds a mutex per
+// shard while it flushes); the read path is safe for any number of
+// concurrent readers once writers are quiesced.
 #pragma once
 
 #include <cstdint>
@@ -98,15 +92,6 @@ class ShardedFrequencyHash final : public FrequencyStore {
   void add_weighted(util::ConstWordSpan key, std::uint32_t count,
                     double weight) override;
 
-  /// Batched insert of `count` contiguous arena keys (mirrors
-  /// FrequencyHash::add_many): keys are routed into per-shard staging
-  /// buffers (reused across calls, so steady-state batches allocate
-  /// nothing) and each shard ingests its slice through the prefetch
-  /// pipeline. Single-threaded; parallel builds bypass this and feed
-  /// shards directly from per-worker buckets (core/bfhrf).
-  void add_many(const std::uint64_t* keys, std::size_t count,
-                const double* weights);
-
   [[nodiscard]] std::uint32_t frequency(util::ConstWordSpan key)
       const override;
   void for_each_key(const std::function<void(util::ConstWordSpan,
@@ -128,9 +113,6 @@ class ShardedFrequencyHash final : public FrequencyStore {
   std::size_t n_bits_ = 0;
   std::uint32_t shard_bits_ = 0;
   std::vector<std::unique_ptr<FrequencyHash>> shards_;
-  // add_many routing scratch, reused across batches.
-  std::vector<std::vector<std::uint64_t>> stage_keys_;
-  std::vector<std::vector<double>> stage_weights_;
 };
 
 /// Read-only routing view over one or more FrequencyHash layouts — THE

@@ -337,6 +337,13 @@ std::uint64_t counter_value(std::string_view name) {
   return it == r.counter_ids.end() ? 0 : r.counters[it->second];
 }
 
+double gauge_value(std::string_view name) {
+  Registry& r = reg();
+  const std::lock_guard lock(r.mu);
+  const auto it = r.gauge_ids.find(std::string(name));
+  return it == r.gauge_ids.end() ? 0.0 : r.gauges[it->second];
+}
+
 void reset() noexcept {
   Registry& r = reg();
   {
@@ -386,6 +393,8 @@ Snapshot snapshot() {
 }
 
 std::uint64_t counter_value(std::string_view) { return 0; }
+
+double gauge_value(std::string_view) { return 0.0; }
 
 void reset() noexcept {}
 

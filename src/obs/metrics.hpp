@@ -246,6 +246,10 @@ struct Snapshot {
 /// calling thread first. Test/diagnostic convenience.
 [[nodiscard]] std::uint64_t counter_value(std::string_view name);
 
+/// Look up a gauge's last value (0 if unknown). Test/diagnostic
+/// convenience.
+[[nodiscard]] double gauge_value(std::string_view name);
+
 /// Zero all aggregated values and drop spans; registrations (names and
 /// handles) survive. Pending sinks of OTHER threads are invalidated via an
 /// epoch bump — call this only on a quiescent system (tests, bench setup).

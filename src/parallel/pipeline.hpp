@@ -22,11 +22,9 @@
 // This keeps the sequential baseline honest, exactly like parallel_for.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <latch>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -56,25 +54,13 @@ using PipelineEmit = std::function<bool(T&&)>;
 
 /// Run `produce(emit)` on the calling thread against `consumers` worker
 /// threads each looping `consume(rank, item)`. Blocks until the stream is
-/// drained; rethrows the first worker (or producer) exception.
-///
-/// `drain(rank)` — when non-null — is a per-worker epilogue: it runs ON
-/// EACH WORKER THREAD after EVERY worker has finished its consume loop (an
-/// internal latch provides the barrier), so a drain callback may safely
-/// read data produced by other workers' consume calls. The sharded BFHRF
-/// build uses this for its insert phase: workers route keys into
-/// per-worker buckets while consuming, then each drain lane inserts its
-/// shard range across all buckets — reusing the pipeline's threads with no
-/// second spawn. Drains are skipped entirely (on every worker) if the
-/// producer or any consumer threw; the latch is counted down on all paths,
-/// so an exception can never deadlock a waiting drain. Drain exceptions
-/// follow the consumer first-error protocol. In inline mode
-/// (consumers == 0) the drain runs once, as drain(0), after production.
+/// drained and every worker has joined, so anything the consumers wrote is
+/// visible to the caller on return; rethrows the first worker (or
+/// producer) exception.
 template <typename T>
 void pipeline_run(std::size_t consumers, std::size_t queue_capacity,
                   const std::function<void(const PipelineEmit<T>&)>& produce,
-                  const std::function<void(std::size_t, T&)>& consume,
-                  const std::function<void(std::size_t)>& drain = nullptr) {
+                  const std::function<void(std::size_t, T&)>& consume) {
   const detail::PipelineMetrics& m = detail::pipeline_metrics();
   // Touch the queue-metric family too, so every parallel.pipeline.* series
   // is registered (and exported, at zero) even when inline mode or an
@@ -91,37 +77,20 @@ void pipeline_run(std::size_t consumers, std::size_t queue_capacity,
       return true;
     };
     produce(emit);
-    if (drain) {
-      drain(0);
-    }
     return;
   }
 
   BoundedQueue<T> queue(queue_capacity);
   std::exception_ptr first_error;
   std::mutex err_mu;
-  std::latch consumed(static_cast<std::ptrdiff_t>(consumers));
-  std::atomic<bool> failed{false};
 
   const auto worker = [&](std::size_t rank) {
     const obs::ScopedThreadSink sink_flush;
     T item;
-    bool counted = false;
     try {
       while (queue.pop(item)) {
         consume(rank, item);
         m.items.inc();
-      }
-      counted = true;
-      consumed.count_down();
-      if (drain) {
-        // Exiting the pop loop requires a prior close() or abort(); in the
-        // failure case `failed` is set before the abort, so the post-wait
-        // check cannot miss an error that unblocked this worker.
-        consumed.wait();
-        if (!failed.load(std::memory_order_acquire)) {
-          drain(rank);
-        }
       }
     } catch (...) {
       {
@@ -130,13 +99,9 @@ void pipeline_run(std::size_t consumers, std::size_t queue_capacity,
           first_error = std::current_exception();
         }
       }
-      failed.store(true, std::memory_order_release);
       // Wake the producer (possibly blocked on a full queue) and the other
       // consumers; pending items are dropped — the run is failing anyway.
       queue.abort();
-      if (!counted) {
-        consumed.count_down();
-      }
     }
   };
 
@@ -154,7 +119,6 @@ void pipeline_run(std::size_t consumers, std::size_t queue_capacity,
       produce(emit);
     } catch (...) {
       producer_error = std::current_exception();
-      failed.store(true, std::memory_order_release);
       queue.abort();
     }
     queue.close();

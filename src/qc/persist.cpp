@@ -1,9 +1,11 @@
 #include "qc/persist.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <span>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -151,44 +153,43 @@ PersistOracleReport check_persist_equivalence(
 
   // --- baseline: raw keys, single table, single-threaded -----------------
   BfhrfOptions base_opts;
-  base_opts.shards = 1;
   base_opts.include_trivial = opts.include_trivial;
   Bfhrf baseline(n_bits, base_opts);
   baseline.build(reference);
   const StoreImage want = image_of(baseline.store());
   const std::vector<double> want_rf = baseline.query(queries);
 
-  // --- every store shape in both key encodings vs the baseline -----------
-  // The single table and each sharded layout, built with 1 and
-  // opts.threads workers (the partials merge and the routed sharded
-  // build), compared bit for bit and round-tripped once per shape.
-  std::vector<std::size_t> shapes{1};
-  shapes.insert(shapes.end(), opts.shard_counts.begin(),
-                opts.shard_counts.end());
+  // --- every thread count's store shape in both key encodings ------------
+  // A build with workers shards its store, bit_ceil(threads) ways; an
+  // inline one (one thread, or a one-core host) fills one table. Each is
+  // compared bit for bit and round-tripped.
+  const bool multi_core = std::thread::hardware_concurrency() > 1;
   for (const bool compressed : {false, true}) {
-    for (const std::size_t shards : shapes) {
-      for (const std::size_t threads : {std::size_t{1}, opts.threads}) {
-        BfhrfOptions shape_opts;
-        shape_opts.compressed_keys = compressed;
-        shape_opts.shards = shards;
-        shape_opts.threads = threads;
-        shape_opts.include_trivial = opts.include_trivial;
-        Bfhrf engine(n_bits, shape_opts);
-        engine.build(reference);
-        const std::string label = std::string(compressed ? "sparse" : "raw") +
-                                  " shards=" + std::to_string(shards) +
-                                  " threads=" + std::to_string(threads);
-        if (shards > 1) {
-          ctx.check(dynamic_cast<const core::ShardedFrequencyHash*>(
-                        &engine.store()) != nullptr,
-                    label + ": engine did not build a sharded store");
-        }
-        compare_stores(ctx, engine.store(), want, label);
-        compare_queries(ctx, engine.query(queries), want_rf, label);
-        if (threads == 1) {
-          round_trip(ctx, engine, queries, want, want_rf, label);
-        }
-      }
+    for (const std::size_t requested : opts.threads) {
+      BfhrfOptions shape_opts;
+      shape_opts.compressed_keys = compressed;
+      shape_opts.threads = requested;
+      shape_opts.include_trivial = opts.include_trivial;
+      Bfhrf engine(n_bits, shape_opts);
+      engine.build(reference);
+      const std::size_t threads = engine.options().threads;
+      const auto* sharded =
+          dynamic_cast<const core::ShardedFrequencyHash*>(&engine.store());
+      const std::size_t shards =
+          sharded != nullptr ? sharded->shard_count() : 1;
+      const std::string label = std::string(compressed ? "sparse" : "raw") +
+                                " threads=" + std::to_string(threads) +
+                                " shards=" + std::to_string(shards);
+      const std::size_t want_shards =
+          threads > 1 && multi_core
+              ? std::bit_ceil(std::min<std::size_t>(threads, 64))
+              : 1;
+      ctx.check(shards == want_shards,
+                label + ": expected " + std::to_string(want_shards) +
+                    " shards");
+      compare_stores(ctx, engine.store(), want, label);
+      compare_queries(ctx, engine.query(queries), want_rf, label);
+      round_trip(ctx, engine, queries, want, want_rf, label);
     }
   }
 

@@ -5,10 +5,11 @@
 // round trip the engine supports and asserts they are all bit-for-bit
 // interchangeable:
 //
-//  * the single table and sharded builds (each configured shard count,
-//    threaded and inline), under both key encodings (raw words and sparse
-//    SparseKeyCodec bytes), hold exactly the raw single-table store's
-//    (key, count) multiset and produce bit-identical query vectors;
+//  * a build at each configured thread count — one table inline, or
+//    bit_ceil(threads) shards when the build has workers — under both key
+//    encodings (raw words and sparse SparseKeyCodec bytes), has the shape
+//    its thread count gives, holds exactly the raw single-table store's
+//    (key, count) multiset and produces bit-identical query vectors;
 //  * the on-disk ("BFHMAP") format round-trips every shape — save, load,
 //    re-query, compare to the exact double;
 //  * a mapped load actually serves zero-copy (the loaded store is the
@@ -36,14 +37,10 @@ struct PersistOracleOptions {
   std::size_t q = 10;      ///< query trees
   std::size_t moves = 4;   ///< perturbation strength
 
-  /// Shard counts to cross-check against the single-table baseline
-  /// (1, the single table, is always checked too).
-  std::vector<std::size_t> shard_counts = {2, 8};
-
-  /// Worker threads for the threaded builds (the partials merge of the
-  /// single table, the routed, lock-free sharded path); inline
-  /// single-threaded builds are always checked too.
-  std::size_t threads = 4;
+  /// Thread counts to build at (0 = hardware default). Each count gives
+  /// its own store shape, which is cross-checked against the inline
+  /// single-table baseline and round-tripped through an index file.
+  std::vector<std::size_t> threads = {1, 2, 4, 8};
 
   bool include_trivial = false;
 

@@ -19,6 +19,7 @@
 #include "core/sequential_rf.hpp"
 #include "core/tree_source.hpp"
 #include "core/variants.hpp"
+#include "obs/metrics.hpp"
 #include "phylo/newick.hpp"
 #include "phylo/taxon_set.hpp"
 #include "sim/datasets.hpp"
@@ -98,19 +99,20 @@ TEST(BfhrfStreamTest, ScratchReuseIsInvariant) {
 }
 
 TEST(BfhrfStreamTest, BatchedQueryIsInvariant) {
-  // The frequency_many prefetch path (raw store) and the virtual per-split
-  // lookup (compressed store) must agree bitwise (classic RF terms are
-  // integers in doubles), at 2-word and 1-word keys.
+  // Both key encodings resolve through the frequency_many prefetch path:
+  // raw keys compare words, sparse keys compare their encoded bytes. They
+  // must agree bitwise (classic RF terms are integers in doubles), at
+  // 2-word and 1-word keys.
   for (const std::size_t n_taxa : {std::size_t{70}, std::size_t{24}}) {
     const Collections c = make_collections(n_taxa, 30, 9, 15);
-    const auto batched = run_engine(c, BfhrfOptions{.threads = 1},
-                                    /*stream=*/false);
-    const auto per_split = run_engine(
+    const auto raw = run_engine(c, BfhrfOptions{.threads = 1},
+                                /*stream=*/false);
+    const auto sparse = run_engine(
         c, BfhrfOptions{.threads = 1, .compressed_keys = true},
         /*stream=*/false);
-    ASSERT_EQ(batched.size(), per_split.size());
-    for (std::size_t i = 0; i < batched.size(); ++i) {
-      EXPECT_EQ(batched[i], per_split[i]) << "n=" << n_taxa << " query " << i;
+    ASSERT_EQ(raw.size(), sparse.size());
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+      EXPECT_EQ(raw[i], sparse[i]) << "n=" << n_taxa << " query " << i;
     }
   }
 }
@@ -136,8 +138,9 @@ TEST(BfhrfStreamTest, ExpectedUniqueHintDoesNotChangeResults) {
 }
 
 TEST(BfhrfStreamTest, CompressedStoreStreamsThroughPipeline) {
-  // Compressed stores have no frequency_many fast path; the pipeline must
-  // still hold exactly.
+  // Compressed stores take the same batched add_many/frequency_many paths
+  // as raw ones, comparing encoded bytes instead of words; the pipeline
+  // must still hold exactly.
   const Collections c = make_collections(17, 25, 7, 18);
   const auto expect = sequential_baseline(c);
   const auto got = run_engine(
@@ -206,8 +209,8 @@ TEST(BfhrfStreamTest, FileBackedStreamMatchesSpanPathBitwise) {
     BfhrfOptions opts;
   };
   const Engine engines[] = {
-      {"sharded", {.shards = 4}},
-      {"single-table", {.shards = 1}},
+      {"sharded", {.threads = 4}},
+      {"single-table", {.threads = 1}},
       {"compressed", {.compressed_keys = true}},
       {"weighted", {.variant = &weighted}},
   };
@@ -246,6 +249,47 @@ TEST(BfhrfStreamTest, FileBackedStreamMatchesSpanPathBitwise) {
         FileTreeSource query_source(c.query_file.path(), taxa);
         EXPECT_TRUE(bitwise_equal(engine.query(query_source), span))
             << "threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(BfhrfStreamTest, StagedKeysStayUnderTheBudgetAtEveryThreadCount) {
+  // A build worker flushes a shard's bucket once it holds its share of
+  // Bfhrf::kStageKeys, so it never stages more than kStageKeys keys plus
+  // one tree, however long the stream. 16k + 7 trees of 37 splits are
+  // about 600k keys; staging them all would take 0.6-2.4 MB per worker.
+  if (!obs::compiled_in()) {
+    GTEST_SKIP() << "observability compiled out";
+  }
+  constexpr std::size_t kTaxa = 40;
+  constexpr std::size_t kTrees = 16 * 1024 + 7;
+  const auto taxa = TaxonSet::make_numbered(kTaxa);
+  util::Rng rng(24);
+  const std::vector<Tree> reference =
+      test::random_collection(taxa, kTrees, 5, rng);
+  const TempNewick file("staging", reference);
+  const double bound = static_cast<double>(
+      (Bfhrf::kStageKeys + kTaxa) * util::words_for_bits(kTaxa) *
+      sizeof(std::uint64_t));
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{3},
+                                    std::size_t{4}, std::size_t{8}}) {
+    for (const bool from_file : {true, false}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   (from_file ? " file" : " span"));
+      Bfhrf engine(kTaxa, BfhrfOptions{.threads = threads});
+      if (from_file) {
+        FileTreeSource source(file.path(), taxa);
+        engine.build(source);
+      } else {
+        engine.build(reference);
+      }
+      ASSERT_EQ(engine.stats().reference_trees, kTrees);
+      const double staged =
+          obs::gauge_value("bfhrf.build.shard.staged_bytes_max");
+      EXPECT_LE(staged, bound);
+      if (test::expected_shards(threads) > 1) {
+        EXPECT_GT(staged, 0.0);  // the build had workers, which staged
       }
     }
   }

@@ -270,8 +270,9 @@ TEST(BfhrfTest, IncludeTrivialChangesNothingForFixedTaxa) {
 
 TEST(BfhrfTest, IncrementalBuildAccumulates) {
   // Stores are add-only, so a second build() is the only way to grow a
-  // built engine: on every store shape, split builds must hold exactly
-  // what one build over the whole collection holds.
+  // built engine: on every store shape (one table at 1 thread, shards
+  // above), split builds must hold exactly what one build over the whole
+  // collection holds.
   const auto taxa = TaxonSet::make_numbered(10);
   util::Rng rng(16);
   const auto all = test::random_collection(taxa, 20, 3, rng);
@@ -283,15 +284,12 @@ TEST(BfhrfTest, IncrementalBuildAccumulates) {
   std::vector<BfhrfOptions> configs;
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      configs.push_back({.threads = threads, .shards = shards});
-    }
-    // Variants cannot shard.
-    configs.push_back({.threads = threads, .variant = &weighted, .shards = 1});
+    configs.push_back({.threads = threads});
+    // Variants shard like classic RF.
+    configs.push_back({.threads = threads, .variant = &weighted});
   }
   for (const BfhrfOptions& opts : configs) {
     SCOPED_TRACE("threads=" + std::to_string(opts.threads) +
-                 " shards=" + std::to_string(opts.shards) +
                  (opts.variant != nullptr ? " weighted" : ""));
     Bfhrf split_build(taxa->size(), opts);
     split_build.build(first);
@@ -301,8 +299,7 @@ TEST(BfhrfTest, IncrementalBuildAccumulates) {
 
     const FrequencyStore& split = split_build.store();
     const FrequencyStore& one = one_build.store();
-    EXPECT_EQ(dynamic_cast<const ShardedFrequencyHash*>(&split) != nullptr,
-              opts.shards > 1);
+    EXPECT_EQ(test::shard_count(split), test::expected_shards(opts.threads));
     EXPECT_EQ(test::store_image(split), test::store_image(one));
     EXPECT_EQ(split.total_count(), one.total_count());
     EXPECT_EQ(split.total_weight(), one.total_weight());

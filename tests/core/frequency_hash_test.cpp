@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <string>
 #include <utility>
@@ -14,7 +13,6 @@
 #include "core/rf.hpp"
 #include "support/test_util.hpp"
 #include "util/bitset.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace bfhrf::core {
@@ -99,41 +97,6 @@ TEST(FrequencyHashTest, ExpectedUniquePresizesTable) {
   }
   // Presized: no slot-table or arena reallocation while under capacity.
   EXPECT_EQ(h.memory_bytes(), before);
-}
-
-TEST(FrequencyHashTest, MergeCombinesCounts) {
-  FrequencyHash a(100);
-  FrequencyHash b(100);
-  const auto k1 = key(100, {1, 2});
-  const auto k2 = key(100, {3, 4});
-  const auto k3 = key(100, {5, 6});
-  a.add(k1.words(), 2);
-  a.add(k2.words(), 1);
-  b.add(k2.words(), 5);
-  b.add(k3.words(), 7);
-  a.merge(b);
-  EXPECT_EQ(a.frequency(k1.words()), 2u);
-  EXPECT_EQ(a.frequency(k2.words()), 6u);
-  EXPECT_EQ(a.frequency(k3.words()), 7u);
-  EXPECT_EQ(a.unique_count(), 3u);
-  EXPECT_EQ(a.total_count(), 15u);
-  EXPECT_DOUBLE_EQ(a.total_weight(), 15.0);
-}
-
-TEST(FrequencyHashTest, MergeWidthMismatchThrows) {
-  FrequencyHash a(100);
-  FrequencyHash b(200);
-  EXPECT_THROW(a.merge(b), InvalidArgument);
-}
-
-TEST(FrequencyHashTest, MergePreservesWeightedTotals) {
-  FrequencyHash a(64);
-  FrequencyHash b(64);
-  a.add_weighted(key(64, {1}).words(), 2, 0.5);
-  b.add_weighted(key(64, {2}).words(), 3, 2.0);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.total_weight(), 2 * 0.5 + 3 * 2.0);
-  EXPECT_EQ(a.total_count(), 5u);
 }
 
 TEST(FrequencyHashTest, ForEachVisitsEveryUniqueKeyOnce) {
@@ -242,43 +205,6 @@ TEST(FrequencyHashTest, AddManyAtExactLoadBoundaryGrowsUpFrontOnly) {
   EXPECT_EQ(h.frequency(util::ConstWordSpan{&extra, 1}), 1u);
 }
 
-TEST(FrequencyHashTest, MergeWeightedRandomizedPreservesTotals) {
-  // Weight is a pure function of the key (the merge() contract), so the
-  // merged weighted mass must equal the sum of both sides' masses exactly
-  // up to floating-point association.
-  util::Rng rng(0x77);
-  const std::size_t n_bits = 96;
-  const auto weight_of = [](const util::DynamicBitset& b) {
-    return 0.25 + static_cast<double>(b.count());
-  };
-  FrequencyHash a(n_bits);
-  FrequencyHash b(n_bits);
-  std::map<std::string, std::uint64_t> mirror;
-  double expected_weight = 0;
-  for (int op = 0; op < 400; ++op) {
-    util::DynamicBitset k(n_bits);
-    const std::size_t ones = 1 + rng.below(6);
-    for (std::size_t j = 0; j < ones; ++j) {
-      k.set(rng.below(n_bits));
-    }
-    const auto count = static_cast<std::uint32_t>(1 + rng.below(3));
-    FrequencyHash& target = (op % 2 == 0) ? a : b;
-    target.add_weighted(k.words(), count, weight_of(k));
-    mirror[k.to_string()] += count;
-    expected_weight += static_cast<double>(count) * weight_of(k);
-  }
-  const std::uint64_t expected_total = a.total_count() + b.total_count();
-  a.merge(b);
-  EXPECT_EQ(a.total_count(), expected_total);
-  EXPECT_EQ(a.unique_count(), mirror.size());
-  EXPECT_NEAR(a.total_weight(), expected_weight,
-              1e-9 * std::abs(expected_weight));
-  for (const auto& [s, count] : mirror) {
-    EXPECT_EQ(a.frequency(util::DynamicBitset::from_string(s).words()),
-              count);
-  }
-}
-
 TEST(FrequencyHashTest, ProbeStatsReflectResidentKeys) {
   // Both encodings place keys by the raw key's fingerprint, so the same
   // inserts give the same layout and, once sparse keys are decoded, the
@@ -373,36 +299,6 @@ TEST(CompressedHashTest, ForEachKeyDecodesExactKeys) {
     seen[util::DynamicBitset(kBits, words).to_string()] = count;
   });
   EXPECT_EQ(seen, mirror);
-}
-
-TEST(CompressedHashTest, MergeCombines) {
-  FrequencyHash a = sparse_hash(80);
-  FrequencyHash b = sparse_hash(80);
-  a.add(key(80, {1}).words(), 2);
-  b.add(key(80, {1}).words(), 3);
-  b.add(key(80, {2}).words(), 1);
-  a.merge(b);
-  EXPECT_EQ(a.frequency(key(80, {1}).words()), 5u);
-  EXPECT_EQ(a.frequency(key(80, {2}).words()), 1u);
-  EXPECT_EQ(a.total_count(), 6u);
-}
-
-TEST(CompressedHashTest, MergeTypeMismatchThrows) {
-  FrequencyHash a = sparse_hash(80);
-  FrequencyHash raw(80);
-  EXPECT_THROW(a.merge(raw), InvalidArgument);
-  EXPECT_THROW(raw.merge(a), InvalidArgument);
-  FrequencyHash other = sparse_hash(90);
-  EXPECT_THROW(a.merge(other), InvalidArgument);
-}
-
-TEST(CompressedHashTest, WeightedTotalsSurviveMerge) {
-  FrequencyHash a = sparse_hash(64);
-  FrequencyHash b = sparse_hash(64);
-  a.add_weighted(key(64, {1}).words(), 2, 0.5);
-  b.add_weighted(key(64, {2}).words(), 3, 2.0);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.total_weight(), 2 * 0.5 + 3 * 2.0);
 }
 
 TEST(CompressedHashTest, UsesLessKeyMemoryOnLargeUniverses) {

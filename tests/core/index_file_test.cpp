@@ -13,7 +13,9 @@
 
 #include "core/bfhrf.hpp"
 #include "core/serialize.hpp"
+#include "core/sharded_hash.hpp"
 #include "core/tree_source.hpp"
+#include "phylo/bipartition.hpp"
 #include "support/test_util.hpp"
 #include "util/error.hpp"
 #include "util/group_table.hpp"
@@ -81,8 +83,7 @@ TEST(IndexFileTest, HeaderLayoutIsPinned) {
 TEST(IndexFileTest, MappedQueriesMatchMemoryExactly) {
   const BuiltEngine w = make_workload(26, 30, 10, 3);
   for (const bool include_trivial : {false, true}) {
-    Bfhrf engine(w.taxa->size(),
-                 {.include_trivial = include_trivial, .shards = 1});
+    Bfhrf engine(w.taxa->size(), {.include_trivial = include_trivial});
     engine.build(w.reference);
     const auto want = engine.query(w.queries);
 
@@ -110,38 +111,54 @@ TEST(IndexFileTest, MappedQueriesMatchMemoryExactly) {
 }
 
 TEST(IndexFileTest, ShardedLayoutRoundTrips) {
+  // A 4-shard store built directly, so the layout is covered on any host
+  // (an engine shards only when its build has workers).
   const BuiltEngine w = make_workload(20, 24, 8, 5);
-  Bfhrf engine(w.taxa->size(), {.threads = 2, .shards = 4});
+  Bfhrf engine(w.taxa->size());
   engine.build(w.reference);
   const auto want = engine.query(w.queries);
 
-  const TempFile file("sharded");
-  save_bfhrf_file(engine, file.path());
-  const MappedIndex index(file.path());
-  EXPECT_EQ(index.header().shard_count, 4u);
-  EXPECT_EQ(index.header().unique_keys, engine.stats().unique_bipartitions);
-  for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(index.shard(s).ctrl_offset % kMappedSectionAlign, 0u);
-    EXPECT_EQ(index.shard(s).slots_offset % kMappedSectionAlign, 0u);
-    EXPECT_EQ(index.shard(s).keys_offset % kMappedSectionAlign, 0u);
-  }
+  for (const KeyEncoding encoding : {KeyEncoding::Raw, KeyEncoding::Sparse}) {
+    ShardedFrequencyHash sharded(w.taxa->size(), 4, 0, encoding);
+    for (const Tree& t : w.reference) {
+      phylo::extract_bipartitions(t).for_each(
+          [&](util::ConstWordSpan key) { sharded.add_weighted(key, 1, 1.0); });
+    }
+    ASSERT_EQ(test::store_image(sharded), test::store_image(engine.store()));
 
-  const Bfhrf loaded = load_bfhrf_file(file.path());
-  const auto got = loaded.query(w.queries);
-  for (std::size_t i = 0; i < w.queries.size(); ++i) {
-    EXPECT_EQ(got[i], want[i]);
+    const TempFile file("sharded");
+    write_index_file(sharded, {.reference_trees = w.reference.size()},
+                     file.path());
+    const MappedIndex index(file.path());
+    EXPECT_EQ(index.header().shard_count, 4u);
+    EXPECT_EQ(index.header().unique_keys, engine.stats().unique_bipartitions);
+    for (std::size_t s = 0; s < 4; ++s) {
+      EXPECT_EQ(index.shard(s).ctrl_offset % kMappedSectionAlign, 0u);
+      EXPECT_EQ(index.shard(s).slots_offset % kMappedSectionAlign, 0u);
+      EXPECT_EQ(index.shard(s).keys_offset % kMappedSectionAlign, 0u);
+    }
+
+    const Bfhrf loaded = load_bfhrf_file(file.path());
+    EXPECT_EQ(loaded.options().compressed_keys,
+              encoding == KeyEncoding::Sparse);
+    const auto got = loaded.query(w.queries);
+    for (std::size_t i = 0; i < w.queries.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]);
+    }
   }
 }
 
 TEST(IndexFileTest, CompressedStoreRoundTrips) {
   const BuiltEngine w = make_workload(40, 20, 6, 7);
-  Bfhrf raw(w.taxa->size(), {.shards = 1});
+  Bfhrf raw(w.taxa->size());
   raw.build(w.reference);
   const auto want = raw.query(w.queries);
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     Bfhrf engine(w.taxa->size(),
-                 {.threads = 2, .compressed_keys = true, .shards = shards});
+                 {.threads = threads, .compressed_keys = true});
     engine.build(w.reference);
+    const std::size_t shards = test::expected_shards(threads);
+    ASSERT_EQ(test::shard_count(engine.store()), shards);
     ASSERT_EQ(engine.query(w.queries), want) << "shards=" << shards;
 
     const TempFile file("compressed");
@@ -168,7 +185,7 @@ TEST(IndexFileTest, CompressedStoreRoundTrips) {
 
 TEST(IndexFileTest, RejectsForeignAndCorruptFiles) {
   const BuiltEngine w = make_workload(16, 10, 4, 13);
-  Bfhrf engine(w.taxa->size(), {.shards = 1});
+  Bfhrf engine(w.taxa->size());
   engine.build(w.reference);
   const TempFile file("corrupt");
   save_bfhrf_file(engine, file.path());
@@ -314,7 +331,7 @@ TEST(IndexFileTest, RejectsForeignAndCorruptFiles) {
 
 TEST(IndexFileTest, SavingAMappedEngineToMappedFormatThrows) {
   const BuiltEngine w = make_workload(16, 8, 2, 17);
-  Bfhrf engine(w.taxa->size(), {.shards = 1});
+  Bfhrf engine(w.taxa->size());
   engine.build(w.reference);
   const TempFile file("remap");
   save_bfhrf_file(engine, file.path());
@@ -333,9 +350,9 @@ TEST(IndexFileTest, ResavingUnderALiveMappingKeepsItsAnswers) {
   // mapping. An in-place rewrite would truncate the mapped file (SIGBUS);
   // the atomic save renames a new inode into place instead.
   const BuiltEngine w = make_workload(26, 30, 8, 29);
-  Bfhrf a(w.taxa->size(), {.shards = 1});
+  Bfhrf a(w.taxa->size());
   a.build(w.reference);
-  Bfhrf b(w.taxa->size(), {.shards = 1});
+  Bfhrf b(w.taxa->size());
   b.build(std::span<const Tree>(w.reference).first(2));
   const auto want_a = a.query(w.queries);
   const auto want_b = b.query(w.queries);
@@ -377,7 +394,7 @@ class CountingSource final : public TreeSource {
 
 TEST(IndexFileTest, MappedStoreIsReadOnly) {
   const BuiltEngine w = make_workload(16, 8, 2, 19);
-  Bfhrf engine(w.taxa->size(), {.shards = 1});
+  Bfhrf engine(w.taxa->size());
   engine.build(w.reference);
   const TempFile file("readonly");
   save_bfhrf_file(engine, file.path());

@@ -53,14 +53,17 @@ TEST(ShardedHashTest, MatchesSingleTableOnRandomKeys) {
 
   FrequencyHash single(n_bits);
   ShardedFrequencyHash sharded(n_bits, 8);
-  // Insert every key twice through different entry points so routing is
-  // exercised on both the scalar and batched paths.
+  // Insert every key twice: the single table through its scalar and
+  // batched paths, the sharded store through add_weighted, which routes
+  // each key to its owner shard.
   for (std::size_t i = 0; i < count; ++i) {
     single.add({keys.data() + i * wp, wp}, 1);
     sharded.add_weighted({keys.data() + i * wp, wp}, 1, 1.0);
   }
   single.add_many(keys.data(), count, nullptr);
-  sharded.add_many(keys.data(), count, nullptr);
+  for (std::size_t i = 0; i < count; ++i) {
+    sharded.add_weighted({keys.data() + i * wp, wp}, 1, 1.0);
+  }
 
   EXPECT_EQ(sharded.unique_count(), single.unique_count());
   EXPECT_EQ(sharded.total_count(), single.total_count());
@@ -88,7 +91,9 @@ TEST(BfhIndexViewTest, RoutedLookupMatchesPerShardLookup) {
     keys.push_back(rng());
   }
   ShardedFrequencyHash sharded(n_bits, 4);
-  sharded.add_many(keys.data(), count, nullptr);
+  for (std::size_t i = 0; i < count; ++i) {
+    sharded.add_weighted({keys.data() + i * wp, wp}, 1, 1.0);
+  }
 
   const BfhIndexView view(sharded);
   EXPECT_EQ(view.shard_count(), 4u);
@@ -110,20 +115,25 @@ TEST(BfhIndexViewTest, RoutedLookupMatchesPerShardLookup) {
 }
 
 TEST(ShardedEngineTest, ShardedBuildMatchesSingleTableEngine) {
+  // The thread count shapes the store: a build with workers shards it
+  // bit_ceil(threads) ways, an inline one fills one table.
   const auto taxa = TaxonSet::make_numbered(30);
   util::Rng rng(21);
   const auto reference = test::random_collection(taxa, 40, 4, rng);
   const auto queries = test::random_collection(taxa, 12, 6, rng);
 
-  Bfhrf single(taxa->size(), {.threads = 1, .shards = 1});
+  Bfhrf single(taxa->size(), {.threads = 1});
   single.build(reference);
+  ASSERT_EQ(test::shard_count(single.store()), 1u);
   const auto want = single.query(queries);
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    Bfhrf sharded(taxa->size(), {.threads = threads, .shards = 8});
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{3},
+                                    std::size_t{4}, std::size_t{8}}) {
+    Bfhrf sharded(taxa->size(), {.threads = threads});
     sharded.build(reference);
-    ASSERT_NE(dynamic_cast<const ShardedFrequencyHash*>(&sharded.store()),
-              nullptr);
+    EXPECT_EQ(test::shard_count(sharded.store()),
+              test::expected_shards(threads))
+        << "threads=" << threads;
     EXPECT_EQ(sharded.stats().unique_bipartitions,
               single.stats().unique_bipartitions);
     EXPECT_EQ(sharded.stats().total_bipartitions,
@@ -141,13 +151,14 @@ TEST(ShardedEngineTest, StreamingShardedBuildMatches) {
   const auto reference = test::random_collection(taxa, 30, 4, rng);
   const auto queries = test::random_collection(taxa, 8, 5, rng);
 
-  Bfhrf single(taxa->size(), {.threads = 1, .shards = 1});
+  Bfhrf single(taxa->size(), {.threads = 1});
   single.build(reference);
   const auto want = single.query(queries);
 
-  Bfhrf sharded(taxa->size(), {.threads = 4, .shards = 4});
+  Bfhrf sharded(taxa->size(), {.threads = 4});
   SpanTreeSource source(reference);
   sharded.build(source);
+  EXPECT_EQ(test::shard_count(sharded.store()), test::expected_shards(4));
   const auto got = sharded.query(queries);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(got[i], want[i]);
@@ -155,6 +166,8 @@ TEST(ShardedEngineTest, StreamingShardedBuildMatches) {
 }
 
 TEST(ShardedEngineTest, VariantAndCompressedStoresShardBitForBit) {
+  // Weighted totals are folded across workers in stream order, so a
+  // sharded build matches the inline single table bit for bit.
   const auto taxa = TaxonSet::make_numbered(28);
   util::Rng rng(43);
   const auto reference = test::random_collection(taxa, 36, 4, rng);
@@ -171,21 +184,20 @@ TEST(ShardedEngineTest, VariantAndCompressedStoresShardBitForBit) {
       {"compressed", {.compressed_keys = true}},
   };
   for (const Config& c : configs) {
+    BfhrfOptions one = c.opts;
+    one.threads = 1;
+    Bfhrf single(taxa->size(), one);
+    single.build(reference);
     for (const std::size_t threads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      BfhrfOptions one = c.opts;
-      one.threads = threads;
-      one.shards = 1;
-      BfhrfOptions four = one;
-      four.shards = 4;
-      Bfhrf single(taxa->size(), one);
-      Bfhrf sharded(taxa->size(), four);
-      single.build(reference);
+         {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+      BfhrfOptions many = c.opts;
+      many.threads = threads;
+      Bfhrf sharded(taxa->size(), many);
       sharded.build(reference);
       SCOPED_TRACE(std::string(c.name) + " threads=" +
                    std::to_string(threads));
-      ASSERT_NE(dynamic_cast<const ShardedFrequencyHash*>(&sharded.store()),
-                nullptr);
+      EXPECT_EQ(test::shard_count(sharded.store()),
+                test::expected_shards(threads));
       EXPECT_EQ(test::store_image(sharded.store()),
                 test::store_image(single.store()));
       EXPECT_EQ(sharded.store().total_count(), single.store().total_count());

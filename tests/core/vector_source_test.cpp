@@ -220,8 +220,7 @@ TEST(VectorSourceTest, ShardedAndCompressedVectorBuildsMatch) {
   const Collections c = make_collections(18, 30, 9, 25);
   const auto expect = tree_baseline(c, BfhrfOptions{.threads = 1});
 
-  const auto sharded =
-      vector_run(c, BfhrfOptions{.threads = 4, .shards = 4});
+  const auto sharded = vector_run(c, BfhrfOptions{.threads = 4});
   expect_bitwise(sharded, expect, "sharded vector build");
 
   const auto compressed =

@@ -167,8 +167,8 @@ TEST(FuzzTest, EngineSurvivesAdversarialCollections) {
 
 TEST(FuzzTest, FrequencyHashInvariantsUnderRandomOps) {
   // The group-probed table is insert-only (no tombstones), so a random mix
-  // of single adds, weighted adds, batched adds, reserves, and merges must
-  // keep four invariants at every step: load factor never exceeds 0.7,
+  // of single adds, weighted adds and batched adds must keep four
+  // invariants at every step: load factor never exceeds 0.7,
   // every mirrored key looks up to its exact count, for_each visits each
   // unique key exactly once, and counts never decrease.
   const std::uint64_t seed = test::fuzz_seed(0xF425);
@@ -190,7 +190,7 @@ TEST(FuzzTest, FrequencyHashInvariantsUnderRandomOps) {
   };
 
   for (int op = 0; op < 600; ++op) {
-    switch (rng.below(5)) {
+    switch (rng.below(3)) {
       case 0: {  // single add
         const auto k = random_key();
         hash.add(k.words());
@@ -207,7 +207,7 @@ TEST(FuzzTest, FrequencyHashInvariantsUnderRandomOps) {
         total += count;
         break;
       }
-      case 2: {  // batched add
+      default: {  // batched add
         const std::size_t batch = 1 + rng.below(64);
         std::vector<std::uint64_t> arena;
         for (std::size_t i = 0; i < batch; ++i) {
@@ -217,22 +217,6 @@ TEST(FuzzTest, FrequencyHashInvariantsUnderRandomOps) {
         }
         hash.add_many(arena.data(), batch, nullptr);
         total += batch;
-        break;
-      }
-      case 3: {  // reserve must never disturb contents
-        hash.reserve(hash.unique_count() + rng.below(128));
-        break;
-      }
-      default: {  // merge in a small side table
-        core::FrequencyHash side(n_bits);
-        const std::size_t adds = 1 + rng.below(16);
-        for (std::size_t i = 0; i < adds; ++i) {
-          const auto k = random_key();
-          side.add(k.words());
-          mirror[k.to_string()] += 1;
-        }
-        hash.merge(side);
-        total += adds;
         break;
       }
     }

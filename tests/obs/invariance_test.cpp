@@ -102,12 +102,25 @@ TEST(ObsInvariance, MetricsActuallyRecordWhenEnabled) {
   }
   EXPECT_TRUE(unique_gauge_seen);
 
+  // Build-path identity: a sharded build flushes every key it routes into
+  // its shard exactly once, during the pipeline or in the residue drain,
+  // so the flushed keys equal sumBFHR of the inline one-table build (which
+  // routes nothing).
   // Query-path identities: every query tree on a raw-key store is one
   // prefetch batch, and every split it looks up goes through that batch.
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    core::Bfhrf engine(taxa->size(), {.threads = 2, .shards = shards});
+  core::Bfhrf inline_engine(taxa->size(), {.threads = 1});
+  inline_engine.build(trees);
+  const std::uint64_t sum_bfhr = inline_engine.stats().total_bipartitions;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{4}, std::size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    obs::reset();
+    core::Bfhrf engine(taxa->size(), {.threads = threads});
     engine.build(trees);
+    EXPECT_EQ(test::shard_count(engine.store()),
+              test::expected_shards(threads));
+    EXPECT_EQ(obs::counter_value("bfhrf.build.shard.keys"),
+              test::expected_shards(threads) > 1 ? sum_bfhr : 0u);
     obs::reset();
     const auto rf = engine.query(std::span<const phylo::Tree>(trees));
     ASSERT_EQ(rf.size(), trees.size());

@@ -30,7 +30,7 @@ TEST(PersistOracleTest, TrivialSplitsModeAlsoPasses) {
   opts.r = 12;
   opts.q = 5;
   opts.include_trivial = true;
-  opts.shard_counts = {4};
+  opts.threads = {1, 4};
   const auto report = check_persist_equivalence(opts);
   for (const auto& f : report.failures) {
     ADD_FAILURE() << f;
@@ -44,7 +44,7 @@ TEST(PersistOracleTest, SummaryCarriesSeed) {
   opts.n = 10;
   opts.r = 6;
   opts.q = 3;
-  opts.shard_counts = {2};
+  opts.threads = {2};
   const auto report = check_persist_equivalence(opts);
   EXPECT_NE(report.summary().find("0xCAFE"), std::string::npos);
 }

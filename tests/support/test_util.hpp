@@ -2,15 +2,18 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/frequency_store.hpp"
+#include "core/sharded_hash.hpp"
 #include "phylo/newick.hpp"
 #include "phylo/taxon_set.hpp"
 #include "phylo/tree.hpp"
@@ -93,6 +96,22 @@ store_image(const core::FrequencyStore& store) {
   });
   std::sort(img.begin(), img.end());
   return img;
+}
+
+/// Shards of a store (1 = one table, or a mapped index).
+inline std::size_t shard_count(const core::FrequencyStore& store) {
+  const auto* sharded =
+      dynamic_cast<const core::ShardedFrequencyHash*>(&store);
+  return sharded != nullptr ? sharded->shard_count() : 1;
+}
+
+/// The shards a Bfhrf build at `threads` must produce: bit_ceil(threads)
+/// when the build has workers (threads > 1 on a multi-core host), else one
+/// table.
+inline std::size_t expected_shards(std::size_t threads) {
+  return threads > 1 && std::thread::hardware_concurrency() > 1
+             ? std::bit_ceil(std::min<std::size_t>(threads, 64))
+             : 1;
 }
 
 }  // namespace bfhrf::test

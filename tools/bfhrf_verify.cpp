@@ -14,7 +14,6 @@
 // Exit status: 0 = all engines agree, 1 = divergence (or invariant
 // failure), 2 = usage / input error. Designed to run under the asan-ubsan
 // and tsan presets (scripts/check.sh "verify" tier).
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,9 +63,10 @@ void usage(const char* argv0) {
       "                    key=value tokens following the flag\n"
       "  --files           verify Newick collections from disk\n"
       "  --replay FILE     re-run a previously written failure artifact\n"
-      "  --persist         run the sharding/persistence oracle: sharded\n"
-      "                    builds and mapped (mmap) index round trips are\n"
-      "                    cross-checked bit-for-bit against the\n"
+      "  --persist         run the sharding/persistence oracle: builds at\n"
+      "                    each --threads count (sharded when they have\n"
+      "                    workers) and mapped (mmap) index round trips\n"
+      "                    are cross-checked bit-for-bit against the\n"
       "                    single-table engine\n"
       "  --seed S          workload seed (decimal or 0x hex); also read\n"
       "                    from BFHRF_FUZZ_SEED when the flag is absent\n"
@@ -202,11 +202,9 @@ CliOptions parse_args(int argc, char** argv) {
     }
   }
   o.persist.seed = o.harness.seed;
-  // The largest requested thread count drives the persist oracle's
-  // threaded sharded builds.
-  for (const std::size_t t : o.harness.oracle.thread_counts) {
-    o.persist.threads = std::max(o.persist.threads, t);
-  }
+  // The persist oracle builds at every requested thread count; each gives
+  // its own store shape.
+  o.persist.threads = o.harness.oracle.thread_counts;
   return o;
 }
 
