@@ -1,16 +1,21 @@
 // Ablation A11: vector tree codec front end vs the Newick text front end.
 //
-// The Newick path pays per-tree for character scanning, label lookups and
-// node allocation before bipartition extraction can even start. The
-// phylo2vec path replaces all of that with n-1 fixed-width integer codes
-// per tree: a .p2v corpus streams raw rows and VectorBipartitionExtractor
-// accumulates subtree masks over a flat parent array, so no Tree is ever
-// materialized. This bench isolates the codec overhaul:
+// The Newick path pays per tree for character scanning and label lookups;
+// the engine's record path takes the splits straight from the text
+// (NewickSplitExtractor) and builds no Tree. The phylo2vec path replaces
+// the text with n-1 fixed-width integer codes per tree: a .p2v corpus
+// streams raw rows and VectorBipartitionExtractor accumulates subtree
+// masks over a flat parent array, so no Tree is materialized either. This
+// bench isolates the codec overhaul:
 //
 //   load      : stream the corpus and discard rows/trees — pure decode
-//               (text parse vs fixed-record reads), plus corpus bytes/sec.
+//               (a full parse into a Tree vs fixed-record reads), plus
+//               corpus bytes/sec.
 //   frontend  : stream + canonical bipartition extraction per tree — the
-//               exact per-tree work the engine's ingest workers perform.
+//               exact per-tree work the engine's ingest workers perform:
+//               framing plus the split pass from text (parse + extract
+//               only for a record the pass hands back), or a row read
+//               plus the vector extractor.
 //   e2e       : engine build + self-query (Q == R) streamed from file,
 //               Tree ingest vs direct vector ingest across thread counts.
 //
@@ -126,11 +131,17 @@ RunResult run_frontend_newick() {
   RunResult out;
   util::WallTimer timer;
   core::FileTreeSource src(c.nwk, c.taxa);
+  std::string record;
+  phylo::NewickSplitExtractor extractor;
   phylo::Tree tree;
-  phylo::BipartitionExtractor extractor;
+  phylo::BipartitionExtractor fallback;
+  phylo::BipartitionSet bips;
   const phylo::BipartitionOptions opts{};
-  while (src.next(tree)) {
-    const phylo::BipartitionSet& bips = extractor.extract(tree, opts);
+  while (src.next_record(record)) {
+    if (!extractor.extract_into(record, *c.taxa, opts, bips)) {
+      src.parse_record(record, tree);
+      fallback.extract_into(tree, opts, bips);
+    }
     out.splits += bips.size();
     ++out.trees;
   }

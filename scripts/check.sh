@@ -5,8 +5,10 @@
 #      1, 2, 4 and 8) + the serve daemon loopback smoke + a CLI walk that
 #      builds a sharded index at 4 threads (4 shards on a multi-core
 #      host), saves it, and reloads it zero-copy (raw and compressed keys;
-#      also over a query file with its taxa in another order), and a
-#      streamed CLI run at 4 threads diffed against 1 thread
+#      also over a query file with its taxa in another order), a streamed
+#      CLI run at 4 threads diffed against 1 thread (a generated corpus and
+#      a hand-written decorated Newick file), and a generated corpus
+#      answered from its Newick text and from its .p2v vector form
 #   2. TSan build, concurrency-sensitive labels only (parallel, obs,
 #      serve, codec) + bfhrf_verify differential run (concurrent readers
 #      of one table across its 1..8 thread sweep) + the persistence oracle
@@ -31,8 +33,9 @@ run() {
 # mode over a generated collection, full matrices cross-checked
 # bit-for-bit. Size can be overridden, e.g. BFHRF_VERIFY_ARGS="n=128 r=64".
 # The 1..8 thread sweep drives every all-pairs engine (legacy merge walk,
-# bit-matrix dense, bit-matrix sparse) and the BFHRF span and streamed
-# ingest paths at each count under the sanitizers: 35 engine configs.
+# bit-matrix dense, bit-matrix sparse) and the BFHRF span, streamed and
+# Newick-record ingest paths at each count under the sanitizers: 39
+# engine configs.
 VERIFY_ARGS=${BFHRF_VERIFY_ARGS:-"n=64 r=32 q=32 --threads 1,2,4,8"}
 
 # Persistence oracle workload: a build at each --threads count (each count
@@ -159,8 +162,11 @@ printf '%s\n' '((E,A),(B,C),(D,F));' '((A,C),(B,D),(E,F));' \
   -q "${PERSIST_DIR}/order_q.nwk" > "${PERSIST_DIR}/order_mapped.tsv"
 run diff "${PERSIST_DIR}/order_direct.tsv" "${PERSIST_DIR}/order_mapped.tsv"
 
-# Streamed Newick ingest parses on the workers; answers must not depend on
-# the thread count, byte for byte.
+# Streamed Newick ingest extracts splits from the record text on the
+# workers; answers must not depend on the thread count, byte for byte. The
+# decorated file has quoted labels, nested comments, supports, lengths, a
+# unary group (which takes the parse + extract route) and degree-2 and
+# degree-3 roots.
 echo
 echo "=== bfhrf_cli streamed -t 4 vs -t 1 ==="
 ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -q "${SERVE_DIR}/q.nwk" \
@@ -168,6 +174,33 @@ echo "=== bfhrf_cli streamed -t 4 vs -t 1 ==="
 ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -q "${SERVE_DIR}/q.nwk" \
   -t 4 > "${PERSIST_DIR}/t4.tsv"
 run diff "${PERSIST_DIR}/t1.tsv" "${PERSIST_DIR}/t4.tsv"
+cat > "${PERSIST_DIR}/decorated.nwk" <<'NEWICK'
+[decorated [nested] records]
+('Homo sapiens':0.1,('Pan [x]':2.5e-3,(Gorilla,'O''Brien':1E+2)95:0.5)0.87,
+ (Macaca,Papio)'node label');
+((('Homo sapiens',Gorilla)),('Pan [x]','O''Brien'),(Macaca,Papio)[c;]) ;
+	(Macaca:1,(Papio:2,('Homo sapiens',(Gorilla,('Pan [x]','O''Brien')))));
+NEWICK
+./build/examples/bfhrf_cli -r "${PERSIST_DIR}/decorated.nwk" -t 1 \
+  > "${PERSIST_DIR}/decorated_t1.tsv"
+./build/examples/bfhrf_cli -r "${PERSIST_DIR}/decorated.nwk" -t 4 \
+  > "${PERSIST_DIR}/decorated_t4.tsv"
+run diff "${PERSIST_DIR}/decorated_t1.tsv" "${PERSIST_DIR}/decorated_t4.tsv"
+
+# The Newick front end against code it shares nothing with: the same
+# corpus answered from its text and from its phylo2vec form, whose rows
+# go through the vector extractor.
+echo
+echo "=== bfhrf_cli Newick vs .p2v answers ==="
+./build/examples/bfhrf_generate --preset avian -n 48 -r 200 --seed 13 \
+  -o "${PERSIST_DIR}/avian.nwk"
+./build/examples/bfhrf_cli -r "${PERSIST_DIR}/avian.nwk" \
+  --emit-vector "${PERSIST_DIR}/avian.p2v"
+./build/examples/bfhrf_cli -r "${PERSIST_DIR}/avian.nwk" -t 4 \
+  > "${PERSIST_DIR}/avian_newick.tsv"
+./build/examples/bfhrf_cli -r "${PERSIST_DIR}/avian.p2v" -t 4 \
+  > "${PERSIST_DIR}/avian_vector.tsv"
+run diff "${PERSIST_DIR}/avian_newick.tsv" "${PERSIST_DIR}/avian_vector.tsv"
 
 run cmake --preset tsan
 run cmake --build --preset tsan -j "$(nproc)"

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <utility>
 
 #include "core/index_file.hpp"
@@ -111,12 +111,6 @@ struct Batch {
   std::vector<Item> items;
 };
 
-/// A worker's parse target, a cache line apart from its neighbours': every
-/// node a parse appends writes the tree's vector header.
-struct alignas(64) ParseTree {
-  phylo::Tree tree;
-};
-
 /// Text bytes an item adds to its batch: Newick records count, parsed
 /// trees and vector rows do not.
 std::size_t text_bytes(const std::string& record) { return record.size(); }
@@ -128,16 +122,13 @@ std::size_t text_bytes(const Item& /*item*/) {
 /// Streams: the producer pulls items with next(item) and queues them in
 /// batches of up to kBatchItems (text batches also close at
 /// kBatchTextBytes). An item is a Newick record (std::string), a parsed
-/// Tree or a TreeVector row. Records are only framed on the producer;
-/// each worker parses them with `records` into its own reused Tree, so
-/// parsing runs on every worker instead of on the one producer thread.
-template <typename Item, typename Next>
-auto stream_scheduler(Next next, const FileTreeSource* records = nullptr) {
-  return [next = std::move(next), records](std::size_t workers,
+/// Tree or a TreeVector row; the workers consume payload(item). Records
+/// are only framed on the producer, so all the per-record text work runs
+/// on the workers instead of on the one producer thread.
+template <typename Item, typename Next, typename Payload = std::identity>
+auto stream_scheduler(Next next, Payload payload = {}) {
+  return [next = std::move(next), payload](std::size_t workers,
                                           const auto& consume) mutable {
-    constexpr bool kText = std::is_same_v<Item, std::string>;
-    std::vector<ParseTree> parsed(kText ? std::max<std::size_t>(1, workers)
-                                        : 0);
     std::size_t seen = 0;
     parallel::pipeline_run<Batch<Item>>(
         workers, queue_capacity(workers),
@@ -166,13 +157,7 @@ auto stream_scheduler(Next next, const FileTreeSource* records = nullptr) {
         },
         [&](std::size_t rank, Batch<Item>& batch) {
           for (std::size_t i = 0; i < batch.items.size(); ++i) {
-            if constexpr (kText) {
-              phylo::Tree& tree = parsed[rank].tree;
-              records->parse_record(batch.items[i], tree);
-              consume(rank, batch.first + i, tree);
-            } else {
-              consume(rank, batch.first + i, batch.items[i]);
-            }
+            consume(rank, batch.first + i, payload(batch.items[i]));
           }
         });
     return seen;
@@ -225,9 +210,11 @@ void check_width(const VectorSource& source, std::size_t n_bits) {
   }
 }
 
-/// A Newick file streams as record text that the workers parse against
+/// A Newick file streams as record text, which the workers read against
 /// the source's namespace as it stands, so that namespace must already
-/// span the engine's universe.
+/// span the engine's universe. Each record reaches them as a `Record`
+/// (Bfhrf::NewickRecord): its text and the source.
+template <typename Record>
 auto record_scheduler(FileTreeSource& file, std::size_t n_bits) {
   if (file.taxa()->size() != n_bits) {
     throw InvalidArgument("Bfhrf: Newick source namespace has " +
@@ -236,7 +223,8 @@ auto record_scheduler(FileTreeSource& file, std::size_t n_bits) {
                           std::to_string(n_bits) + " wide");
   }
   return stream_scheduler<std::string>(
-      [&file](std::string& out) { return file.next_record(out); }, &file);
+      [&file](std::string& out) { return file.next_record(out); },
+      [&file](const std::string& text) { return Record{text, &file}; });
 }
 
 }  // namespace
@@ -296,14 +284,17 @@ std::size_t Bfhrf::max_staged_keys() const noexcept {
   return pipeline_workers() * (kStageKeys + per_tree);
 }
 
+Bfhrf::WorkerScratch& Bfhrf::thread_scratch() {
+  static thread_local WorkerScratch scratch;
+  return scratch;
+}
+
 const phylo::BipartitionSet& Bfhrf::extract(const phylo::Tree& tree,
                                             WorkerScratch& scratch) const {
   if (!tree.taxa() || tree.taxa()->size() != n_bits_) {
     throw InvalidArgument("Bfhrf: tree taxon universe width mismatch");
   }
-  return scratch.extractor.extract(
-      tree, {.include_trivial = opts_.include_trivial,
-             .sorted = opts_.variant != nullptr});
+  return scratch.extractor.extract(tree, split_options());
 }
 
 const phylo::BipartitionSet& Bfhrf::extract(const phylo::Tree* tree,
@@ -316,9 +307,18 @@ const phylo::BipartitionSet& Bfhrf::extract(
   if (row.size() + 1 != n_bits_) {
     throw InvalidArgument("Bfhrf: vector row universe width mismatch");
   }
-  return scratch.vec_extractor.extract(
-      row, {.include_trivial = opts_.include_trivial,
-            .sorted = opts_.variant != nullptr});
+  return scratch.vec_extractor.extract(row, split_options());
+}
+
+const phylo::BipartitionSet& Bfhrf::extract(const NewickRecord& record,
+                                            WorkerScratch& scratch) const {
+  // record_scheduler checked the namespace's width up front.
+  if (scratch.newick.extract_into(record.text, *record.source->taxa(),
+                                  split_options(), scratch.newick_splits)) {
+    return scratch.newick_splits;
+  }
+  record.source->parse_record(record.text, scratch.tree);
+  return extract(scratch.tree, scratch);
 }
 
 Bfhrf::KeptSplits Bfhrf::kept_splits(const phylo::BipartitionSet& bips,
@@ -470,7 +470,8 @@ void Bfhrf::build(std::span<const phylo::Tree> reference) {
 
 void Bfhrf::build(TreeSource& reference) {
   if (auto* file = dynamic_cast<FileTreeSource*>(&reference)) {
-    build_from(record_scheduler(*file, n_bits_), file->size_hint());
+    build_from(record_scheduler<NewickRecord>(*file, n_bits_),
+               file->size_hint());
     return;
   }
   build_from(stream_scheduler<phylo::Tree>(
@@ -531,7 +532,19 @@ double Bfhrf::query_bipartitions(const phylo::BipartitionSet& bips,
 }
 
 double Bfhrf::query_one(const phylo::Tree& tree) const {
-  WorkerScratch scratch;
+  WorkerScratch& scratch = thread_scratch();
+  return query_bipartitions(extract(tree, scratch), scratch);
+}
+
+double Bfhrf::query_newick(std::string_view record,
+                           const phylo::TaxonSetPtr& taxa) const {
+  WorkerScratch& scratch = thread_scratch();
+  if (taxa && taxa->size() == n_bits_ &&
+      scratch.newick.extract_into(record, *taxa, split_options(),
+                                  scratch.newick_splits)) {
+    return query_bipartitions(scratch.newick_splits, scratch);
+  }
+  const phylo::Tree tree = phylo::parse_newick(record, taxa);
   return query_bipartitions(extract(tree, scratch), scratch);
 }
 
@@ -561,7 +574,8 @@ std::vector<double> Bfhrf::query(
 
 std::vector<double> Bfhrf::query(TreeSource& queries) const {
   if (auto* file = dynamic_cast<FileTreeSource*>(&queries)) {
-    return query_from(record_scheduler(*file, n_bits_), file->size_hint());
+    return query_from(record_scheduler<NewickRecord>(*file, n_bits_),
+                      file->size_hint());
   }
   return query_from(stream_scheduler<phylo::Tree>(
                         [&](phylo::Tree& out) { return queries.next(out); }),

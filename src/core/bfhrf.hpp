@@ -30,6 +30,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/frequency_hash.hpp"
@@ -39,6 +40,7 @@
 #include "core/tree_source.hpp"
 #include "core/variants.hpp"
 #include "phylo/bipartition.hpp"
+#include "phylo/newick.hpp"
 #include "phylo/tree.hpp"
 
 namespace bfhrf::core {
@@ -100,9 +102,10 @@ class Bfhrf {
   // --- Phase 1: build BFH_R -----------------------------------------------
   //
   // All three overloads share one code path on one pipeline; they differ in
-  // the payload (a pointer into the span, a Tree, a phylo2vec row) and in
-  // what the producer queues (spans queue index ranges; streams queue
-  // batches of trees, rows, or Newick record text that the workers parse).
+  // the payload (a pointer into the span, a Tree, a phylo2vec row, a Newick
+  // record) and in what the producer queues (spans queue index ranges;
+  // streams queue batches of trees, rows, or Newick record text that the
+  // workers extract splits from).
   // Builds accumulate: a second build() adds to the first. An engine that
   // serves a loaded index is read-only: build() throws Error before it
   // reads any input. A build that throws otherwise (a malformed record, a
@@ -113,10 +116,14 @@ class Bfhrf {
   void build(std::span<const phylo::Tree> reference);
 
   /// Build from a stream; at most max_resident_trees() trees resident. A
-  /// FileTreeSource's records are framed on the calling thread and parsed
-  /// on the workers against its namespace, which must already be
-  /// `n_bits` wide (InvalidArgument otherwise, before any record is
-  /// read) and is never written: an unknown label throws InvalidArgument.
+  /// FileTreeSource's records are framed on the calling thread, and the
+  /// workers extract each record's splits straight from its text
+  /// (phylo::NewickSplitExtractor) against the source's namespace. That
+  /// namespace must already be `n_bits` wide (InvalidArgument otherwise,
+  /// before any record is read) and is never written. A record the text
+  /// pass hands back (a unary group, a repeated taxon, an unknown label, a
+  /// single leaf) is parsed into a Tree and extracted from that, so an
+  /// unknown label throws InvalidArgument naming it.
   void build(TreeSource& reference);
 
   /// Build from a phylo2vec row stream (e.g. a .p2v corpus): bipartitions
@@ -132,14 +139,24 @@ class Bfhrf {
       std::span<const phylo::Tree> queries) const;
 
   /// Streaming query; results are in stream order. FileTreeSource input
-  /// is framed, parsed and checked as in build(TreeSource&).
+  /// is framed, extracted and checked as in build(TreeSource&).
   [[nodiscard]] std::vector<double> query(TreeSource& queries) const;
 
   /// Streaming query over phylo2vec rows (direct extraction, stream order).
   [[nodiscard]] std::vector<double> query(VectorSource& queries) const;
 
-  /// Average RF of a single tree against R. Thread-safe after build.
+  /// Average RF of a single tree against R. Thread-safe after build;
+  /// each calling thread reuses its own extraction scratch.
   [[nodiscard]] double query_one(const phylo::Tree& tree) const;
+
+  /// Average RF of one Newick record against R, its labels resolved in
+  /// `taxa` (which must be `n_bits` wide). The splits come straight from
+  /// the text; a record that needs a Tree goes through
+  /// phylo::parse_newick(record, taxa) instead, whose errors it raises
+  /// (ParseError on malformed text; InvalidArgument on a label outside a
+  /// frozen `taxa`). Thread-safe after build, like query_one.
+  [[nodiscard]] double query_newick(std::string_view record,
+                                    const phylo::TaxonSetPtr& taxa) const;
 
   // --- introspection --------------------------------------------------------
 
@@ -156,7 +173,8 @@ class Bfhrf {
   /// Most trees (Newick records, or rows) a streamed build or query holds
   /// at once, counted in batches of up to 16: the bounded queue's batches,
   /// one in flight per worker and the one the producer is filling, plus
-  /// the one Tree each worker parses Newick records into.
+  /// one Tree per worker, into which a Newick record that needs the Tree
+  /// path is parsed.
   [[nodiscard]] std::size_t max_resident_trees() const noexcept;
 
   /// Keys a build worker stages before flushing: each of its S shard
@@ -171,10 +189,14 @@ class Bfhrf {
 
  private:
   /// Per-worker hot-loop scratch: extraction buffers plus the batched
-  /// staging vectors. One per worker rank; never shared across threads.
+  /// staging vectors. One per worker rank, or per thread for query_one and
+  /// query_newick (thread_scratch); never shared across threads.
   struct WorkerScratch {
     phylo::BipartitionExtractor extractor;
     phylo::VectorBipartitionExtractor vec_extractor;  ///< phylo2vec rows
+    phylo::NewickSplitExtractor newick;      ///< Newick record text
+    phylo::BipartitionSet newick_splits;     ///< its output
+    phylo::Tree tree;  ///< a record that needs the Tree path, parsed
     std::vector<std::uint32_t> freqs;        ///< frequency_many output
     std::vector<std::uint64_t> kept_keys;    ///< variant-filtered key arena
     std::vector<double> kept_weights;        ///< weights aligned with keys
@@ -205,15 +227,36 @@ class Bfhrf {
     return opts_.compressed_keys ? KeyEncoding::Sparse : KeyEncoding::Raw;
   }
 
+  /// One framed record of a FileTreeSource: the payload of a streamed
+  /// Newick build or query.
+  struct NewickRecord {
+    std::string_view text;
+    const FileTreeSource* source = nullptr;
+  };
+
+  /// This thread's scratch for query_one and query_newick, reused across
+  /// calls (and engines) instead of built per call.
+  [[nodiscard]] static WorkerScratch& thread_scratch();
+
+  /// What every extractor is asked for. Classic RF skips the finalize
+  /// sort; variants keep sorted arenas so a tree's weights always sum in
+  /// the same order whichever ingest form produced it.
+  [[nodiscard]] phylo::BipartitionOptions split_options() const noexcept {
+    return {.include_trivial = opts_.include_trivial,
+            .sorted = opts_.variant != nullptr};
+  }
+
   /// The extract step of build_from/query_from: check the payload's taxon
-  /// width, then run the matching per-worker extractor. Classic RF skips
-  /// the finalize sort; variants keep sorted arenas so a tree's weights
-  /// always sum in the same order whichever ingest form produced it.
+  /// width, then run the matching per-worker extractor. A Newick record
+  /// goes through the text pass, or else is parsed into scratch.tree
+  /// (FileTreeSource::parse_record) and extracted from that.
   const phylo::BipartitionSet& extract(const phylo::Tree& tree,
                                        WorkerScratch& scratch) const;
   const phylo::BipartitionSet& extract(const phylo::Tree* tree,
                                        WorkerScratch& scratch) const;
   const phylo::BipartitionSet& extract(std::span<const std::uint32_t> row,
+                                       WorkerScratch& scratch) const;
+  const phylo::BipartitionSet& extract(const NewickRecord& record,
                                        WorkerScratch& scratch) const;
 
   /// Apply the variant's keep/weight hooks to an extracted set.
@@ -240,8 +283,8 @@ class Bfhrf {
                                           WorkerScratch& scratch) const;
 
   /// The one build path and the one query path. `schedule` feeds
-  /// them the payload — a pointer into an in-memory span, a Tree (streamed,
-  /// or parsed by the worker from a Newick record), or a TreeVector row —
+  /// them the payload — a pointer into an in-memory span, a streamed Tree,
+  /// a NewickRecord or a TreeVector row —
   /// through parallel::pipeline_run; `hint` is the input's size if known.
   template <typename Schedule>
   void build_from(Schedule schedule, std::optional<std::size_t> hint);

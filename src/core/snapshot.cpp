@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "core/serialize.hpp"
-#include "phylo/newick.hpp"
 #include "util/error.hpp"
 
 namespace bfhrf::core {
@@ -57,8 +56,7 @@ std::shared_ptr<const IndexSnapshot> IndexSnapshot::open(
 }
 
 double IndexSnapshot::query_newick(std::string_view newick) const {
-  const phylo::Tree tree = phylo::parse_newick(newick, taxa_);
-  return engine_.query_one(tree);
+  return engine_.query_newick(newick, taxa_);
 }
 
 }  // namespace bfhrf::core

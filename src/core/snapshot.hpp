@@ -5,7 +5,7 @@
 // touches": the built engine AND the taxon namespace its bitmasks are
 // expressed over. An index file stores only bitmasks (core/index_file), so
 // a snapshot pins the TaxonSet that gives those bits names — queries
-// arriving as Newick text parse against the snapshot's own namespace, and
+// arriving as Newick text resolve against the snapshot's own namespace, and
 // a swapped-in snapshot over a different namespace can never be probed
 // with stale bit positions.
 //
@@ -67,9 +67,11 @@ class IndexSnapshot {
     return engine_.query(queries);
   }
 
-  /// Parse a Newick record against the snapshot's namespace and score it.
-  /// Throws ParseError on malformed text and InvalidArgument on a taxon
-  /// outside the namespace.
+  /// Score one Newick record against the snapshot's namespace
+  /// (Bfhrf::query_newick): its splits come straight from the text on a
+  /// per-thread scratch, and only a record that needs a Tree is parsed
+  /// into one. Throws ParseError on malformed text and InvalidArgument on
+  /// a taxon outside the namespace.
   [[nodiscard]] double query_newick(std::string_view newick) const;
 
   [[nodiscard]] const Bfhrf& engine() const noexcept { return engine_; }

@@ -4,9 +4,8 @@
 
 namespace bfhrf::core {
 
-FileTreeSource::FileTreeSource(std::string path, phylo::TaxonSetPtr taxa,
-                               phylo::NewickParseOptions opts)
-    : path_(std::move(path)), taxa_(std::move(taxa)), opts_(opts) {
+FileTreeSource::FileTreeSource(std::string path, phylo::TaxonSetPtr taxa)
+    : path_(std::move(path)), taxa_(std::move(taxa)) {
   open();
 }
 
@@ -17,7 +16,7 @@ void FileTreeSource::open() {
   if (!in_) {
     throw ParseError("cannot open '" + path_ + "'");
   }
-  reader_ = std::make_unique<phylo::NewickReader>(in_, taxa_, opts_);
+  reader_ = std::make_unique<phylo::NewickReader>(in_, taxa_);
 }
 
 bool FileTreeSource::next(phylo::Tree& out) {
@@ -37,7 +36,7 @@ bool FileTreeSource::next_record(std::string& out) {
 
 void FileTreeSource::parse_record(std::string_view record,
                                   phylo::Tree& out) const {
-  phylo::parse_newick_into(record, taxa_, out, opts_);
+  phylo::parse_newick_into(record, taxa_, out);
 }
 
 std::optional<std::size_t> FileTreeSource::size_hint() const {

@@ -67,13 +67,14 @@ class SpanTreeSource final : public TreeSource {
 ///
 /// next() frames and parses on the calling thread and grows a non-frozen
 /// namespace, like NewickReader::next. The engine (core/bfhrf) splits the
-/// two steps instead: its producer only frames records (next_record) and
-/// its workers parse them (parse_record) against the namespace as it
-/// stands, which they never write.
+/// two steps instead: its producer only frames records (next_record), and
+/// its workers extract each record's splits straight from the text
+/// (phylo::NewickSplitExtractor) against the namespace as it stands, which
+/// they never write. A record that pass hands back is parsed into a Tree
+/// (parse_record) and extracted from that.
 class FileTreeSource final : public TreeSource {
  public:
-  FileTreeSource(std::string path, phylo::TaxonSetPtr taxa,
-                 phylo::NewickParseOptions opts = {});
+  FileTreeSource(std::string path, phylo::TaxonSetPtr taxa);
 
   bool next(phylo::Tree& out) override;
   void reset() override;
@@ -103,7 +104,6 @@ class FileTreeSource final : public TreeSource {
 
   std::string path_;
   phylo::TaxonSetPtr taxa_;
-  phylo::NewickParseOptions opts_;
   std::ifstream in_;
   std::unique_ptr<phylo::NewickReader> reader_;
   mutable std::optional<std::size_t> cached_hint_;

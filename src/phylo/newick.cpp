@@ -16,6 +16,12 @@ namespace {
 // Streaming-reader throughput: records framed and their bytes.
 const obs::Counter g_newick_trees = obs::counter("phylo.newick.trees");
 const obs::Counter g_newick_bytes = obs::counter("phylo.newick.bytes");
+// The two routes a record's splits take: straight from its text
+// (NewickSplitExtractor), or handed back for parse + extract.
+const obs::Counter g_split_records =
+    obs::counter("phylo.newick.split_records");
+const obs::Counter g_tree_fallbacks =
+    obs::counter("phylo.newick.tree_fallbacks");
 
 /// NewickReader's read-ahead block.
 constexpr std::size_t kBlockBytes = 64 * 1024;
@@ -160,37 +166,35 @@ class Cursor {
   std::string quoted_;  ///< unescaped text of the last quoted label
 };
 
-/// The one parser behind parse_newick and parse_newick_into: builds the
-/// tree into `tree` (which must be empty) and maps each leaf label to a
-/// taxon id through `resolve`.
-template <typename Resolve>
-void parse_into(std::string_view text, const TaxonSet& taxa,
-                const NewickParseOptions& opts, Tree& tree,
-                Resolve&& resolve) {
+/// The one Newick grammar: an iterative descent over `text` that reports
+/// each event to `sink` —
+///   open()                '(' opens a group; the first one is the root
+///   leaf(label)           a leaf; root_leaf(label) for a one-leaf "A;"
+///   length(v)             ":v" after the node just completed
+///   close()               ')' closes the innermost open group
+///   internal_label(label) a label after ')'
+///   finish()              the whole record parsed
+/// A sink event returning false stops the descent there, and parse()
+/// returns false: that is how the split pass hands a record to the Tree
+/// path. Malformed text throws ParseError from the cursor.
+template <typename Sink>
+bool parse(std::string_view text, Sink& sink) {
   Cursor cur(text);
   if (cur.peek() == '\0') {
     cur.fail("empty input");
   }
-
-  // Iterative descent: the stack holds the open '(' ancestors.
-  std::vector<NodeId> stack;
-  const NodeId root = tree.add_root();
-  NodeId current = root;  // node whose label/length we are about to read
-
-  if (cur.peek() == '(') {
-    cur.take();
-    stack.push_back(root);
-    current = kNoNode;
-  } else {
+  if (cur.peek() != '(') {
     // Degenerate single-leaf tree, e.g. "A;" or "A:1.0;".
     const std::string_view lbl = cur.label();
     if (lbl.empty()) {
       cur.fail("expected '(' or a label");
     }
-    tree.set_taxon(root, resolve(lbl));
+    if (!sink.root_leaf(lbl)) {
+      return false;
+    }
     if (cur.peek() == ':') {
       cur.take();
-      tree.set_length(root, cur.length());
+      sink.length(cur.length());
     }
     if (cur.peek() == ';') {
       cur.take();
@@ -198,19 +202,22 @@ void parse_into(std::string_view text, const TaxonSet& taxa,
     if (cur.peek() != '\0') {
       cur.fail("trailing characters after tree");
     }
-    return;
+    return sink.finish();
   }
+  cur.take();
+  sink.open();
 
-  // After this point: whenever current == kNoNode we are at the start of a
-  // subtree inside stack.back(). Every internal node is closed by a ')',
-  // which records whether it has a single child.
-  bool unary = false;
+  // `depth` counts the open '(' groups. While `subtree` is set we are at
+  // the start of a subtree inside the innermost one; otherwise a node has
+  // just completed, a leaf or a group closed by ')'.
+  std::size_t depth = 1;
+  bool subtree = true;
   while (true) {
-    if (current == kNoNode) {
+    if (subtree) {
       if (cur.peek() == '(') {
         cur.take();
-        const NodeId nd = tree.add_child(stack.back());
-        stack.push_back(nd);
+        sink.open();
+        ++depth;
         continue;
       }
       // A leaf (or an empty label, which is an error for leaves).
@@ -218,44 +225,39 @@ void parse_into(std::string_view text, const TaxonSet& taxa,
       if (lbl.empty()) {
         cur.fail("expected a leaf label");
       }
-      current = tree.add_leaf(stack.back(), resolve(lbl));
+      if (!sink.leaf(lbl)) {
+        return false;
+      }
+      subtree = false;
     }
 
     // Optional ":length" for the node just completed.
     if (cur.peek() == ':') {
       cur.take();
-      tree.set_length(current, cur.length());
+      sink.length(cur.length());
     }
 
     const char c = cur.peek();
     if (c == ',') {
       cur.take();
-      if (stack.empty()) {
+      if (depth == 0) {
         cur.fail("',' outside parentheses");
       }
-      current = kNoNode;
+      subtree = true;
       continue;
     }
     if (c == ')') {
       cur.take();
-      if (stack.empty()) {
+      if (depth == 0) {
         cur.fail("unbalanced ')'");
       }
-      current = stack.back();
-      stack.pop_back();
-      const NodeId first = tree.node(current).first_child;
-      unary |= tree.node(first).next_sibling == kNoNode;
-      // Optional internal label; numeric ones are support values (the
-      // common bootstrap/posterior convention), others are ignored.
+      --depth;
+      if (!sink.close()) {
+        return false;
+      }
       const std::string_view internal_label = cur.label();
       if (!internal_label.empty()) {
-        double support = 0;
-        const char* begin = internal_label.data();
-        const char* end = begin + internal_label.size();
-        const auto [ptr, ec] = std::from_chars(begin, end, support);
-        if (ec == std::errc{} && ptr == end) {
-          tree.set_support(current, support);
-        }
+        sink.internal_label(internal_label);
       }
       continue;
     }
@@ -263,43 +265,101 @@ void parse_into(std::string_view text, const TaxonSet& taxa,
       if (c == ';') {
         cur.take();
       }
-      if (!stack.empty()) {
-        cur.fail("missing ')': " + std::to_string(stack.size()) +
+      if (depth != 0) {
+        cur.fail("missing ')': " + std::to_string(depth) +
                  " group(s) still open");
       }
       break;
     }
     cur.fail(std::string("unexpected character '") + c + "'");
   }
+  return sink.finish();
+}
 
-  if (tree.num_leaves() == 0) {
-    throw ParseError("newick tree has no leaves");
+/// The Tree-building sink of parse_newick and parse_newick_into: grows
+/// `tree` (which must be empty) and maps each leaf label to a taxon id
+/// through `resolve`. Unary groups are suppressed once the tree is whole.
+template <typename Resolve>
+class TreeSink {
+ public:
+  TreeSink(Tree& tree, Resolve& resolve) : tree_(tree), resolve_(resolve) {}
+
+  bool root_leaf(std::string_view label) {
+    current_ = tree_.add_root();
+    tree_.set_taxon(current_, resolve_(label));
+    return true;
   }
-  if (unary) {
-    tree.suppress_unary();
+
+  void open() {
+    open_.push_back(open_.empty() ? tree_.add_root()
+                                  : tree_.add_child(open_.back()));
   }
-  if (opts.require_full_taxon_set && tree.num_leaves() != taxa.size()) {
-    throw ParseError("tree has " + std::to_string(tree.num_leaves()) +
-                     " leaves but the taxon set has " +
-                     std::to_string(taxa.size()));
+
+  bool leaf(std::string_view label) {
+    current_ = tree_.add_leaf(open_.back(), resolve_(label));
+    return true;
   }
+
+  void length(double v) { tree_.set_length(current_, v); }
+
+  bool close() {
+    current_ = open_.back();
+    open_.pop_back();
+    const NodeId first = tree_.node(current_).first_child;
+    unary_ |= tree_.node(first).next_sibling == kNoNode;
+    return true;
+  }
+
+  /// Numeric internal labels are support values (the common bootstrap /
+  /// posterior convention); others are ignored.
+  void internal_label(std::string_view label) {
+    double support = 0;
+    const char* begin = label.data();
+    const char* end = begin + label.size();
+    const auto [ptr, ec] = std::from_chars(begin, end, support);
+    if (ec == std::errc{} && ptr == end) {
+      tree_.set_support(current_, support);
+    }
+  }
+
+  bool finish() {
+    if (tree_.num_leaves() == 0) {
+      throw ParseError("newick tree has no leaves");
+    }
+    if (unary_) {
+      tree_.suppress_unary();
+    }
+    return true;
+  }
+
+ private:
+  Tree& tree_;
+  Resolve& resolve_;
+  std::vector<NodeId> open_;  ///< the open '(' groups, innermost last
+  NodeId current_ = kNoNode;  ///< node whose length/label comes next
+  bool unary_ = false;        ///< some group closed with one child
+};
+
+template <typename Resolve>
+void parse_tree(std::string_view text, Tree& tree, Resolve resolve) {
+  TreeSink<Resolve> sink(tree, resolve);
+  (void)parse(text, sink);
 }
 
 }  // namespace
 
-Tree parse_newick(std::string_view text, const TaxonSetPtr& taxa,
-                  const NewickParseOptions& opts) {
+Tree parse_newick(std::string_view text, const TaxonSetPtr& taxa) {
   if (!taxa) {
     throw InvalidArgument("parse_newick: null taxon set");
   }
   Tree tree(taxa);
-  parse_into(text, *taxa, opts, tree,
+  parse_tree(text, tree,
              [&](std::string_view label) { return taxa->add_or_get(label); });
   return tree;
 }
 
 void parse_newick_into(std::string_view text, const TaxonSetPtr& taxa,
-                       Tree& out, const NewickParseOptions& opts) {
+                       Tree& out) {
   if (!taxa) {
     throw InvalidArgument("parse_newick_into: null taxon set");
   }
@@ -307,8 +367,151 @@ void parse_newick_into(std::string_view text, const TaxonSetPtr& taxa,
     out.set_taxa(taxa);
   }
   out.clear();
-  parse_into(text, *taxa, opts, out,
+  parse_tree(text, out,
              [&](std::string_view label) { return taxa->index_of(label); });
+}
+
+/// The split pass's sink: one leaf mask per open group, OR-ed into the
+/// parent's at ')' and appended to the postorder list of closed groups
+/// (with include_trivial, each leaf's singleton too). Every event that
+/// would make the result differ from the Tree path's returns false.
+struct NewickSplitExtractor::Sink {
+  NewickSplitExtractor& x;
+  const TaxonSet& taxa;
+  const BipartitionOptions& opts;
+  BipartitionSet& out;
+  std::size_t words = 0;
+  std::size_t leaves = 0;
+  /// The closed-list entry of the root's second child, if it has one: the
+  /// twin of the first child's split under a degree-2 root.
+  std::size_t twin = kNone;
+  std::uint32_t root_degree = 0;
+
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  bool root_leaf(std::string_view /*label*/) { return false; }
+
+  void open() {
+    x.open_.resize(x.open_.size() + words, 0);
+    x.children_.push_back(0);
+  }
+
+  bool leaf(std::string_view label) {
+    const std::optional<TaxonId> id = taxa.find(label);
+    if (!id) {
+      return false;  // outside the namespace: the Tree path names it
+    }
+    const auto taxon = static_cast<std::size_t>(*id);
+    const std::size_t w = taxon >> 6;
+    const std::uint64_t bit = std::uint64_t{1} << (taxon & 63);
+    std::uint64_t& seen = x.leaf_mask_.mutable_words()[w];
+    if ((seen & bit) != 0) {
+      return false;  // a repeated taxon
+    }
+    seen |= bit;
+    ++leaves;
+    x.open_[x.open_.size() - words + w] |= bit;
+    if (opts.include_trivial) {
+      x.closed_.resize(x.closed_.size() + words, 0);
+      x.closed_[x.closed_.size() - words + w] = bit;
+    }
+    child_done(opts.include_trivial);
+    return true;
+  }
+
+  void length(double /*v*/) {}
+
+  bool close() {
+    const std::uint32_t degree = x.children_.back();
+    if (degree == 1) {
+      return false;  // a unary group, which the Tree path suppresses
+    }
+    x.children_.pop_back();
+    const std::size_t top = x.open_.size() - words;
+    if (x.children_.empty()) {
+      root_degree = degree;  // the root's mask is the leaf mask
+    } else {
+      std::uint64_t* parent = x.open_.data() + top - words;
+      const std::uint64_t* group = x.open_.data() + top;
+      for (std::size_t w = 0; w < words; ++w) {
+        parent[w] |= group[w];
+      }
+      x.closed_.insert(x.closed_.end(), group, group + words);
+      child_done(true);
+    }
+    x.open_.resize(top);
+    return true;
+  }
+
+  void internal_label(std::string_view /*label*/) {}
+
+  /// Canonicalize the closed groups against the leaf mask, dropping the
+  /// root twin and the trivial splits, exactly as extract_into does.
+  bool finish() {
+    const std::size_t lowest = x.leaf_mask_.find_first();
+    const std::size_t min_side = opts.include_trivial ? 1 : 2;
+    const std::size_t skip = root_degree == 2 ? twin : kNone;
+    const util::ConstWordSpan lm{x.leaf_mask_.words().data(), words};
+    // A record that parsed has a leaf, so words > 0 here.
+    const std::size_t count = x.closed_.size() / words;
+    for (std::size_t i = 0; i < count; ++i) {
+      if (i == skip) {
+        continue;
+      }
+      const util::ConstWordSpan side{x.closed_.data() + i * words, words};
+      const std::size_t ones = util::popcount_words(side);
+      if (ones < min_side || ones > leaves - min_side) {
+        continue;
+      }
+      const bool flip = ((side[lowest >> 6] >> (lowest & 63)) & 1) != 0;
+      out.append_canonical(side, lm, flip);
+    }
+    out.assign_leaf_mask(x.leaf_mask_);
+    if (opts.sorted) {
+      out.finalize(&x.finalize_scratch_);
+    }
+    return true;
+  }
+
+ private:
+  /// A child of the innermost open group completed; `listed` if it took
+  /// the last closed-list entry.
+  void child_done(bool listed) {
+    if (++x.children_.back() == 2 && x.children_.size() == 1) {
+      twin = listed ? x.closed_.size() / words - 1 : kNone;
+    }
+  }
+};
+
+bool NewickSplitExtractor::extract_into(std::string_view text,
+                                        const TaxonSet& taxa,
+                                        const BipartitionOptions& opts,
+                                        BipartitionSet& out) {
+  if (opts.value != SplitValue::None) {
+    g_tree_fallbacks.inc();
+    return false;
+  }
+  const std::size_t n_bits = taxa.size();
+  out.clear(n_bits);
+  if (leaf_mask_.size() != n_bits) {
+    leaf_mask_ = util::DynamicBitset(n_bits);
+  } else {
+    leaf_mask_.clear();
+  }
+  open_.clear();
+  children_.clear();
+  closed_.clear();
+  Sink sink{.x = *this,
+            .taxa = taxa,
+            .opts = opts,
+            .out = out,
+            .words = util::words_for_bits(n_bits)};
+  if (!parse(text, sink)) {
+    g_tree_fallbacks.inc();
+    return false;
+  }
+  g_split_records.inc();
+  return true;
 }
 
 namespace {
@@ -404,9 +607,8 @@ std::string write_newick(const Tree& tree, const NewickWriteOptions& opts) {
   return std::move(os).str();
 }
 
-NewickReader::NewickReader(std::istream& in, TaxonSetPtr taxa,
-                           NewickParseOptions opts)
-    : in_(in), taxa_(std::move(taxa)), opts_(opts) {
+NewickReader::NewickReader(std::istream& in, TaxonSetPtr taxa)
+    : in_(in), taxa_(std::move(taxa)) {
   if (!taxa_) {
     throw InvalidArgument("NewickReader: null taxon set");
   }
@@ -472,18 +674,17 @@ std::optional<Tree> NewickReader::next() {
   if (!next_record(record_)) {
     return std::nullopt;
   }
-  return parse_newick(record_, taxa_, opts_);
+  return parse_newick(record_, taxa_);
 }
 
 std::vector<Tree> read_newick_file(const std::string& path,
-                                   const TaxonSetPtr& taxa,
-                                   const NewickParseOptions& opts) {
+                                   const TaxonSetPtr& taxa) {
   std::ifstream in(path);
   if (!in) {
     throw ParseError("cannot open '" + path + "'");
   }
   std::vector<Tree> trees;
-  NewickReader reader(in, taxa, opts);
+  NewickReader reader(in, taxa);
   while (auto t = reader.next()) {
     trees.push_back(std::move(*t));
   }

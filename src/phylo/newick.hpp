@@ -6,34 +6,33 @@
 //               | label [":" length]
 //   label      := unquoted | "'" quoted-with-''-escapes "'"
 //   comments   := "[" ... "]"   (ignored, nestable)
-// Multifurcations, internal labels (ignored), missing branch lengths
-// (the Insect dataset is unweighted), and arbitrary whitespace are handled.
+// Multifurcations, internal labels (numeric ones are supports, others are
+// ignored), missing branch lengths (the Insect dataset is unweighted), and
+// arbitrary whitespace are handled.
 //
-// The parser is iterative (explicit stack), so pathological caterpillar
-// trees cannot overflow the call stack.
+// One iterative descent (explicit stack, so pathological caterpillar trees
+// cannot overflow the call stack) implements the grammar for all three
+// consumers: parse_newick and parse_newick_into build a Tree from it, and
+// NewickSplitExtractor turns the same events straight into canonical
+// splits. Malformed text therefore fails with the same ParseError, at the
+// same offset, whichever of them reads it.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "phylo/bipartition.hpp"
 #include "phylo/tree.hpp"
 
 namespace bfhrf::phylo {
 
-struct NewickParseOptions {
-  /// Reject trees whose leaves are not exactly the full taxon set. The
-  /// paper's core experiments assume fixed taxa (§II-A); variable-taxa
-  /// workflows disable this and go through core/restrict.
-  bool require_full_taxon_set = false;
-};
-
 /// Parse a single Newick string into a tree over `taxa` (new labels are
 /// added unless the set is frozen). Throws ParseError on malformed input.
-[[nodiscard]] Tree parse_newick(std::string_view text, const TaxonSetPtr& taxa,
-                                const NewickParseOptions& opts = {});
+[[nodiscard]] Tree parse_newick(std::string_view text, const TaxonSetPtr& taxa);
 
 /// Parse a single Newick string into `out` over a fixed namespace: labels
 /// resolve through TaxonSet::find only, an unknown label throws
@@ -42,7 +41,37 @@ struct NewickParseOptions {
 /// its node storage, so a tree re-parsed in a loop stops allocating once
 /// warm. Throws ParseError on malformed input.
 void parse_newick_into(std::string_view text, const TaxonSetPtr& taxa,
-                       Tree& out, const NewickParseOptions& opts = {});
+                       Tree& out);
+
+/// Canonical splits straight from one record's Newick text, with no Tree.
+/// One pass keeps a ⌈n/64⌉-word leaf mask per open '(' and ORs it into its
+/// parent's at ')'; the closed groups come out in postorder, and once the
+/// root closes they are canonicalized against the record's leaf mask. The
+/// result is byte for byte, order included, what parse_newick_into plus
+/// BipartitionExtractor::extract_into give for `opts`.
+///
+/// Not thread-safe: one extractor per worker. `taxa` is only read
+/// (TaxonSet::find), so extractors on several threads may share it.
+class NewickSplitExtractor {
+ public:
+  /// Extract `text`'s splits over `taxa` into `out` (cleared first) and
+  /// return true, or return false, with `out` unspecified, for a record the
+  /// Tree path must take: a single leaf, a group with one child, a repeated
+  /// taxon, a label outside `taxa`, or opts.value other than None. That
+  /// path then gives the answer or raises its own error. Throws ParseError
+  /// on malformed text, as parse_newick does.
+  bool extract_into(std::string_view text, const TaxonSet& taxa,
+                    const BipartitionOptions& opts, BipartitionSet& out);
+
+ private:
+  struct Sink;  ///< the grammar's event handler (newick.cpp)
+
+  std::vector<std::uint64_t> open_;      ///< masks of the open groups
+  std::vector<std::uint32_t> children_;  ///< their child counts so far
+  std::vector<std::uint64_t> closed_;    ///< closed group masks, postorder
+  util::DynamicBitset leaf_mask_;        ///< taxa seen so far
+  BipartitionSet::FinalizeScratch finalize_scratch_;
+};
 
 struct NewickWriteOptions {
   bool write_lengths = true;   ///< emit ":len" where a length was present
@@ -63,8 +92,7 @@ struct NewickWriteOptions {
 /// to the reader while it is in use.
 class NewickReader {
  public:
-  NewickReader(std::istream& in, TaxonSetPtr taxa,
-               NewickParseOptions opts = {});
+  NewickReader(std::istream& in, TaxonSetPtr taxa);
 
   /// Frame the next record into `out`: its text up to and including the
   /// ';' that ends it, with ';' inside quoted labels and nested [comments]
@@ -87,7 +115,6 @@ class NewickReader {
 
   std::istream& in_;
   TaxonSetPtr taxa_;
-  NewickParseOptions opts_;
   std::string block_;        ///< read-ahead buffer
   std::size_t pos_ = 0;      ///< next unframed byte of block_
   std::size_t end_ = 0;      ///< bytes of block_ holding stream data
@@ -97,9 +124,7 @@ class NewickReader {
 
 /// Read every tree from a Newick file (one or more trees, ';'-separated).
 [[nodiscard]] std::vector<Tree> read_newick_file(const std::string& path,
-                                                 const TaxonSetPtr& taxa,
-                                                 const NewickParseOptions&
-                                                     opts = {});
+                                                 const TaxonSetPtr& taxa);
 
 /// Write trees to a file, one per line.
 void write_newick_file(const std::string& path, std::span<const Tree> trees,

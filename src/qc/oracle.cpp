@@ -1,8 +1,13 @@
 #include "qc/oracle.hpp"
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <system_error>
+
+#include <unistd.h>
 
 #include "core/all_pairs.hpp"
 #include "core/bfhrf.hpp"
@@ -13,6 +18,7 @@
 #include "core/tree_source.hpp"
 #include "core/variants.hpp"
 #include "phylo/bipartition.hpp"
+#include "phylo/newick.hpp"
 #include "util/error.hpp"
 
 namespace bfhrf::qc {
@@ -140,6 +146,45 @@ void compare_averages(const std::string& engine,
   }
 }
 
+/// Reference and query collections written once as Newick text (lengths
+/// included) into a private temp directory, removed again on destruction.
+class NewickCorpus {
+ public:
+  NewickCorpus(std::span<const Tree> reference, std::span<const Tree> queries) {
+    phylo::write_newick_file(reference_path(), reference);
+    phylo::write_newick_file(query_path(), queries);
+  }
+
+  [[nodiscard]] std::string reference_path() const {
+    return (dir_.path / "reference.nwk").string();
+  }
+  [[nodiscard]] std::string query_path() const {
+    return (dir_.path / "queries.nwk").string();
+  }
+
+ private:
+  /// Made before the files are written and removed with them, also when a
+  /// write throws.
+  struct TempDir {
+    TempDir() {
+      static std::atomic<unsigned> serial{0};
+      path = std::filesystem::temp_directory_path() /
+             ("bfhrf_oracle_" + std::to_string(::getpid()) + "_" +
+              std::to_string(serial++));
+      std::filesystem::create_directories(path);
+    }
+    ~TempDir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+    TempDir(const TempDir&) = delete;
+    TempDir& operator=(const TempDir&) = delete;
+
+    std::filesystem::path path;
+  };
+  TempDir dir_;
+};
+
 bool all_binary(std::span<const Tree> trees) {
   for (const Tree& t : trees) {
     if (!t.is_binary()) {
@@ -238,17 +283,30 @@ void run_average_engines(std::span<const Tree> reference,
     compare_averages("seq/day", expected, day.avg_rf, 1.0, report);
   }
 
+  // How the engine reads the collections: the spans, a TreeSource over
+  // them, or Newick files streamed through FileTreeSource (the record path,
+  // whose workers extract splits straight from the text).
+  enum class Ingest { Span, Stream, Newick };
+  const std::unique_ptr<const NewickCorpus> corpus =
+      opts.check_streaming ? std::make_unique<const NewickCorpus>(reference,
+                                                                  queries)
+                           : nullptr;
   const auto bfhrf_avg = [&](const std::string& label, core::BfhrfOptions o,
-                             bool stream, double scale) {
+                             Ingest ingest, double scale) {
     o.include_trivial = opts.include_trivial;
-    const std::size_t n_bits =
-        reference.empty() ? 0 : reference[0].taxa()->size();
-    core::Bfhrf engine(n_bits, o);
+    const phylo::TaxonSetPtr taxa =
+        reference.empty() ? nullptr : reference[0].taxa();
+    core::Bfhrf engine(taxa ? taxa->size() : 0, o);
     std::vector<double> avg;
-    if (stream) {
+    if (ingest == Ingest::Stream) {
       core::SpanTreeSource ref(reference);
       engine.build(ref);
       core::SpanTreeSource q(queries);
+      avg = engine.query(q);
+    } else if (ingest == Ingest::Newick) {
+      core::FileTreeSource ref(corpus->reference_path(), taxa);
+      engine.build(ref);
+      core::FileTreeSource q(corpus->query_path(), taxa);
       avg = engine.query(q);
     } else {
       engine.build(reference);
@@ -259,21 +317,24 @@ void run_average_engines(std::span<const Tree> reference,
 
   for (const std::size_t t : opts.thread_counts) {
     bfhrf_avg("bfhrf/span/t" + std::to_string(t), {.threads = t},
-              /*stream=*/false, 1.0);
+              Ingest::Span, 1.0);
   }
   // Normalization conventions scale the exact value; HalfSum must be
   // exactly half of the raw average (§III-C "occasional division by 2").
   bfhrf_avg("bfhrf/span/half-sum",
-            {.threads = 1, .norm = core::RfNorm::HalfSum},
-            /*stream=*/false, 0.5);
+            {.threads = 1, .norm = core::RfNorm::HalfSum}, Ingest::Span, 0.5);
   if (opts.check_compressed) {
     bfhrf_avg("bfhrf/compressed-keys", {.threads = 1, .compressed_keys = true},
-              /*stream=*/false, 1.0);
+              Ingest::Span, 1.0);
   }
   if (opts.check_streaming) {
     for (const std::size_t t : opts.thread_counts) {
       bfhrf_avg("bfhrf/stream-pipelined/t" + std::to_string(t),
-                {.threads = t}, /*stream=*/true, 1.0);
+                {.threads = t}, Ingest::Stream, 1.0);
+    }
+    for (const std::size_t t : opts.thread_counts) {
+      bfhrf_avg("bfhrf/stream-newick/t" + std::to_string(t), {.threads = t},
+                Ingest::Newick, 1.0);
     }
   }
 

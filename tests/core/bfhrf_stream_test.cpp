@@ -254,6 +254,73 @@ TEST(BfhrfStreamTest, FileBackedStreamMatchesSpanPathBitwise) {
   }
 }
 
+TEST(BfhrfStreamTest, NewickRecordRoutesMatchSpanPathAndReconcile) {
+  // Workers extract most records' splits straight from the text and hand
+  // the rest to parse + extract. k records of m here need the Tree path:
+  // a unary group (suppressed by the parse) or a repeated taxon. Either
+  // way the answers must equal the span path over the same parsed trees,
+  // and every framed record must be counted by exactly one route: the k
+  // handed back once per pass, in the build and in the query.
+  constexpr std::size_t kRecords = 90;
+  const auto taxa = TaxonSet::make_numbered(70);  // 2-word keys
+  util::Rng rng(25);
+  const std::vector<Tree> base = test::random_collection(taxa, kRecords, 5, rng);
+  std::string text;
+  std::size_t handed_back = 0;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    std::string record = phylo::write_newick(base[i]);
+    // The label after the record's first '(' run is always a leaf.
+    const std::size_t begin = record.find_first_not_of('(');
+    const std::size_t end = record.find_first_of(",):", begin);
+    if (i % 9 == 4) {
+      record.insert(end, ")");  // a unary group around that leaf
+      record.insert(begin, "(");
+      ++handed_back;
+    } else if (i % 9 == 7) {
+      const std::string other = record.substr(begin, end - begin) == "t0"
+                                    ? "t1"
+                                    : "t0";
+      record.replace(begin, end - begin, other);  // a repeated taxon
+      ++handed_back;
+    }
+    text += record + "\n";
+  }
+  const TempNewick file("routes", text);
+  const std::vector<Tree> trees = phylo::read_newick_file(file.path(), taxa);
+  ASSERT_EQ(trees.size(), kRecords);
+
+  const std::vector<double> span = [&] {
+    Bfhrf engine(taxa->size(), BfhrfOptions{.threads = 1});
+    engine.build(trees);
+    return engine.query(trees);
+  }();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::uint64_t framed0 = obs::counter_value("phylo.newick.trees");
+    const std::uint64_t split0 =
+        obs::counter_value("phylo.newick.split_records");
+    const std::uint64_t fallback0 =
+        obs::counter_value("phylo.newick.tree_fallbacks");
+    Bfhrf engine(taxa->size(), BfhrfOptions{.threads = threads});
+    FileTreeSource ref_source(file.path(), taxa);
+    engine.build(ref_source);
+    FileTreeSource query_source(file.path(), taxa);
+    EXPECT_TRUE(bitwise_equal(engine.query(query_source), span));
+    if (!obs::compiled_in()) {
+      continue;  // the counter half needs observability
+    }
+    const std::uint64_t framed =
+        obs::counter_value("phylo.newick.trees") - framed0;
+    const std::uint64_t split =
+        obs::counter_value("phylo.newick.split_records") - split0;
+    const std::uint64_t fallbacks =
+        obs::counter_value("phylo.newick.tree_fallbacks") - fallback0;
+    EXPECT_EQ(framed, 2 * kRecords);
+    EXPECT_EQ(split + fallbacks, framed);
+    EXPECT_EQ(fallbacks, 2 * handed_back);
+  }
+}
+
 TEST(BfhrfStreamTest, StagedKeysStayUnderTheBudgetAtEveryThreadCount) {
   // A build worker flushes a shard's bucket once it holds its share of
   // Bfhrf::kStageKeys, so it never stages more than kStageKeys keys plus

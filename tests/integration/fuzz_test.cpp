@@ -7,13 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "core/bfhrf.hpp"
 #include "core/frequency_hash.hpp"
+#include "phylo/bipartition.hpp"
 #include "phylo/newick.hpp"
 #include "phylo/nexus.hpp"
 #include "support/test_util.hpp"
@@ -40,6 +44,291 @@ std::string mutate(std::string s, std::size_t edits, util::Rng& rng) {
     }
   }
   return s;
+}
+
+/// Whitespace and [comments] the cursor skips between tokens.
+std::string gap(util::Rng& rng) {
+  static const char* const kGaps[] = {
+      "", "", "", " ", "\t", "\r\n", "\n", " [c] ", "[a [nested] note]",
+      "[(,);:']"};
+  return kGaps[rng.below(std::size(kGaps))];
+}
+
+/// A label as Newick text: quoted (with '' escapes) when it must be, and
+/// sometimes when it need not be.
+std::string label_text(const std::string& label, util::Rng& rng) {
+  if (label.find_first_of("()[]',:; \t\r\n") == std::string::npos &&
+      !rng.bernoulli(0.2)) {
+    return label;
+  }
+  std::string out = "'";
+  for (const char c : label) {
+    out += c == '\'' ? std::string("''") : std::string(1, c);
+  }
+  return out + "'";
+}
+
+/// An optional ":length", in plain and exponent forms.
+std::string length_text(util::Rng& rng) {
+  static const char* const kLengths[] = {"0.1",  "1",        "2.5e-3", "1E+2",
+                                         "0.000", "3.25E-05", "7e1"};
+  if (rng.bernoulli(0.5)) {
+    return "";
+  }
+  return gap(rng) + ":" + gap(rng) + kLengths[rng.below(std::size(kLengths))];
+}
+
+/// An optional internal label after ')': supports and names.
+std::string internal_text(util::Rng& rng) {
+  static const char* const kLabels[] = {"95", "0.87", "1e2", "n1",
+                                        "'node label'", "'a''b(c)'"};
+  return rng.bernoulli(0.5) ? "" : kLabels[rng.below(std::size(kLabels))];
+}
+
+/// What a written record carries that makes the split pass hand it to
+/// the Tree path.
+enum class Feature { None, Unary, Repeated, Unknown };
+
+/// A decorated Newick writer: random quoting, comments, whitespace (tab,
+/// CR, LF), lengths, internal labels and supports. `feature` applies at
+/// node `target`: unary groups wrapped around it, or (at a leaf) another
+/// leaf's label or a label outside the namespace.
+struct DecoratedWriter {
+  const phylo::Tree& tree;
+  util::Rng& rng;
+  Feature feature = Feature::None;
+  phylo::NodeId target = phylo::kNoNode;
+  std::string other_label;  ///< for Feature::Repeated
+
+  std::string subtree(phylo::NodeId id) {
+    std::string out;
+    if (tree.is_leaf(id)) {
+      std::string label = tree.taxa()->label_of(tree.node(id).taxon);
+      if (id == target && feature == Feature::Repeated) {
+        label = other_label;
+      } else if (id == target && feature == Feature::Unknown) {
+        label = "no such taxon";
+      }
+      out = gap(rng) + label_text(label, rng) + length_text(rng) + gap(rng);
+    } else {
+      out = group(tree.children(id));
+    }
+    if (id == target && feature == Feature::Unary) {
+      const std::uint64_t depth = 1 + rng.below(3);
+      for (std::uint64_t k = 0; k < depth; ++k) {
+        out = "(" + out + ")" + internal_text(rng) + length_text(rng);
+      }
+    }
+    return out;
+  }
+
+  std::string group(const std::vector<phylo::NodeId>& kids) {
+    std::string out = "(";
+    for (std::size_t i = 0; i < kids.size(); ++i) {
+      out += (i == 0 ? "" : ",") + subtree(kids[i]);
+    }
+    return out + ")" + internal_text(rng) + length_text(rng) + gap(rng);
+  }
+
+  /// The whole record. `root_degree_two` regroups a root of degree three
+  /// or more as (child, (rest)) or ((rest), child), so the root twin is
+  /// sometimes a leaf and sometimes a group, first or second.
+  std::string record(bool root_degree_two) {
+    std::string body;
+    const phylo::NodeId root = tree.root();
+    std::vector<phylo::NodeId> kids = tree.children(root);
+    if (root_degree_two && kids.size() >= 3) {
+      const std::size_t pick = rng.below(kids.size());
+      const std::string one = subtree(kids[pick]);
+      kids.erase(kids.begin() + static_cast<std::ptrdiff_t>(pick));
+      const std::string rest = group(kids);
+      body = rng.bernoulli(0.5) ? "(" + one + "," + rest + ")"
+                                : "(" + rest + "," + one + ")";
+      body += internal_text(rng) + length_text(rng);
+    } else {
+      body = subtree(root);
+    }
+    return gap(rng) + body + gap(rng) + ";" + gap(rng);
+  }
+};
+
+/// One route's answer for a record: its arena and leaf mask, or the
+/// exception it threw (type and message).
+struct RouteResult {
+  std::string error;
+  std::size_t n_bits = 0;
+  std::size_t count = 0;
+  std::vector<std::uint64_t> arena;
+  std::vector<std::uint64_t> leaf_mask;
+
+  void take(const phylo::BipartitionSet& set) {
+    n_bits = set.n_bits();
+    count = set.size();
+    const util::ConstWordSpan a = set.arena_view();
+    arena.assign(a.begin(), a.end());
+    const util::ConstWordSpan m = set.leaf_mask().words();
+    leaf_mask.assign(m.begin(), m.end());
+  }
+
+  bool operator==(const RouteResult&) const = default;
+};
+
+std::string describe(const Error& e) {
+  return std::string(typeid(e).name()) + ": " + e.what();
+}
+
+/// parse_newick_into + BipartitionExtractor::extract_into: the Tree path.
+RouteResult tree_route(const std::string& text,
+                       const phylo::TaxonSetPtr& taxa,
+                       const phylo::BipartitionOptions& opts,
+                       phylo::BipartitionExtractor& extractor,
+                       phylo::Tree& tree, phylo::BipartitionSet& out) {
+  RouteResult r;
+  try {
+    phylo::parse_newick_into(text, taxa, tree);
+    extractor.extract_into(tree, opts, out);
+    r.take(out);
+  } catch (const Error& e) {
+    r.error = describe(e);
+  }
+  return r;
+}
+
+TEST(FuzzTest, FusedSplitsMatchTreeExtraction) {
+  // The engine's record route (the split pass straight from text, or else
+  // parse + extract) must give exactly what parse + extract gives: the
+  // same arena bytes in the same order and the same leaf mask, or the
+  // same exception type and message. n = 64, 65 and 130 cross the word
+  // boundary (1-, 2- and 3-word keys).
+  const std::uint64_t seed = test::fuzz_seed(0xF427);
+  SCOPED_TRACE("seed=" + test::hex_seed(seed));
+  util::Rng rng(seed);
+  phylo::NewickSplitExtractor fused;
+  phylo::BipartitionExtractor extractor;
+  phylo::Tree tree;
+  phylo::BipartitionSet fused_set;
+  phylo::BipartitionSet tree_set;
+  std::size_t accepted = 0;
+  std::size_t handed_back = 0;
+  std::size_t errors = 0;
+
+  // Every input runs through both routes under the four option pairs.
+  // `expect_fused`: 1 = the split pass must accept it (a clean record), 0
+  // = it must hand it back (a record with a Tree-path feature), -1 =
+  // either (mutated and truncated text).
+  const auto check = [&](const std::string& text,
+                         const phylo::TaxonSetPtr& taxa, int expect_fused) {
+    for (const bool include_trivial : {false, true}) {
+      for (const bool sorted : {false, true}) {
+        SCOPED_TRACE("include_trivial=" + std::to_string(include_trivial) +
+                     " sorted=" + std::to_string(sorted) + " text=" + text);
+        const phylo::BipartitionOptions opts{.include_trivial = include_trivial,
+                                             .sorted = sorted};
+        const RouteResult expect =
+            tree_route(text, taxa, opts, extractor, tree, tree_set);
+        RouteResult got;
+        bool took_fused = false;
+        try {
+          took_fused = fused.extract_into(text, *taxa, opts, fused_set);
+          if (took_fused) {
+            got.take(fused_set);
+          }
+        } catch (const Error& e) {
+          got.error = describe(e);
+        }
+        if (!took_fused && got.error.empty()) {
+          got = tree_route(text, taxa, opts, extractor, tree, tree_set);
+        }
+        EXPECT_EQ(got, expect);
+        if (expect_fused >= 0) {
+          EXPECT_EQ(took_fused, expect_fused == 1);
+        }
+        if (expect_fused == 1) {
+          EXPECT_TRUE(expect.error.empty()) << expect.error;
+        }
+        if (took_fused) {
+          ++accepted;
+        } else if (got.error.empty()) {
+          ++handed_back;
+        }
+        if (!expect.error.empty()) {
+          ++errors;
+        }
+      }
+    }
+  };
+
+  for (const std::size_t n : {std::size_t{4}, std::size_t{12}, std::size_t{64},
+                              std::size_t{65}, std::size_t{130}}) {
+    // A namespace whose labels need quoting: quotes, brackets, separators.
+    static const char* const kStems[] = {"t", "Taxon ", "a'b", "x(y)",
+                                         "p,q:", "[b];", "tab\t"};
+    std::vector<std::string> labels;
+    for (std::size_t i = 0; i < n; ++i) {
+      labels.push_back(kStems[rng.below(std::size(kStems))] +
+                       std::to_string(i));
+    }
+    const auto taxa = std::make_shared<phylo::TaxonSet>(labels);
+    for (int rep = 0; rep < 24; ++rep) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " rep=" + std::to_string(rep));
+      // Binary (degree-3 root), multifurcating, caterpillar, and a tree
+      // over a subset of the namespace.
+      phylo::Tree t = [&] {
+        switch (rep % 4) {
+          case 0:
+            return sim::yule_tree(taxa, rng);
+          case 1:
+            return sim::multifurcating_tree(taxa, rng, 0.5);
+          case 2:
+            return sim::caterpillar_tree(taxa, rng);
+          default: {
+            std::vector<std::string> subset = labels;
+            rng.shuffle(subset);
+            subset.resize(3 + rng.below(n - 2));
+            return sim::uniform_tree(
+                std::make_shared<phylo::TaxonSet>(subset), rng);
+          }
+        }
+      }();
+      const std::vector<phylo::NodeId> leaves = t.leaves();
+      const std::size_t pick = rng.below(leaves.size());
+      const phylo::NodeId leaf = leaves[pick];
+      const phylo::NodeId other =
+          leaves[(pick + 1 + rng.below(leaves.size() - 1)) % leaves.size()];
+      DecoratedWriter writer{.tree = t,
+                             .rng = rng,
+                             .feature = Feature::None,
+                             .target = phylo::kNoNode,
+                             .other_label = {}};
+      const std::string clean = writer.record(rng.bernoulli(0.5));
+      check(clean, taxa, 1);
+
+      writer.target = leaf;
+      writer.feature = Feature::Unknown;
+      check(writer.record(rng.bernoulli(0.5)), taxa, 0);
+      writer.feature = Feature::Repeated;
+      writer.other_label = t.taxa()->label_of(t.node(other).taxon);
+      check(writer.record(rng.bernoulli(0.5)), taxa, 0);
+      // Unary groups anywhere, the root included (which record() writes
+      // as is only without the degree-2 regrouping).
+      writer.feature = Feature::Unary;
+      writer.target = static_cast<phylo::NodeId>(rng.below(t.num_nodes()));
+      check(writer.record(writer.target != t.root() && rng.bernoulli(0.5)),
+            taxa, 0);
+      check(gap(rng) + label_text(labels[rng.below(n)], rng) +
+                length_text(rng) + gap(rng) + ";",
+            taxa, 0);
+
+      for (int m = 0; m < 3; ++m) {
+        check(mutate(clean, 1 + rng.below(6), rng), taxa, -1);
+      }
+      check(clean.substr(0, rng.below(clean.size())), taxa, -1);
+    }
+  }
+  // Liveness: each route and the error path were exercised.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(handed_back, 0u);
+  EXPECT_GT(errors, 0u);
 }
 
 TEST(FuzzTest, MutatedNewickNeverCrashes) {

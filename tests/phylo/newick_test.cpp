@@ -116,14 +116,6 @@ TEST(NewickParseTest, FrozenTaxonSetRejectsUnknownTaxa) {
   EXPECT_THROW((void)parse_newick("((A,B),(C,E));", taxa), InvalidArgument);
 }
 
-TEST(NewickParseTest, RequireFullTaxonSet) {
-  auto taxa = std::make_shared<TaxonSet>(
-      std::vector<std::string>{"A", "B", "C", "D"});
-  const NewickParseOptions opts{.require_full_taxon_set = true};
-  EXPECT_NO_THROW((void)parse_newick("((A,B),(C,D));", taxa, opts));
-  EXPECT_THROW((void)parse_newick("(A,(B,C));", taxa, opts), ParseError);
-}
-
 TEST(NewickParseTest, UnaryNodesSuppressed) {
   TaxonSetPtr taxa;
   const Tree t = test::tree_of("(((A,B)));", taxa);  // extra wrapping parens

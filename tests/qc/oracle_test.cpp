@@ -74,6 +74,7 @@ TEST(OracleTest, SelfCrossCheckPassesOnBinaryCollections) {
   EXPECT_TRUE(ran_engine(report, "bfhrf/span/t1"));
   EXPECT_TRUE(ran_engine(report, "bfhrf/compressed-keys"));
   EXPECT_TRUE(ran_engine(report, "bfhrf/stream-pipelined/t2"));
+  EXPECT_TRUE(ran_engine(report, "bfhrf/stream-newick/t2"));
 }
 
 TEST(OracleTest, DayEngineIsSkippedOnMultifurcatingCollections) {
