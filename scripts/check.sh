@@ -4,11 +4,12 @@
 #      + the sharding/persistence oracle at 1/2/4/8 threads (store shapes
 #      1, 2, 4 and 8) + the serve daemon loopback smoke + a CLI walk that
 #      builds a sharded index at 4 threads (4 shards on a multi-core
-#      host), saves it, and reloads it zero-copy (raw and compressed keys;
-#      also over a query file with its taxa in another order), a streamed
-#      CLI run at 4 threads diffed against 1 thread (a generated corpus and
-#      a hand-written decorated Newick file), and a generated corpus
-#      answered from its Newick text and from its .p2v vector form
+#      host), saves it, and reloads it zero-copy at 1 and 4 threads (raw
+#      and compressed keys; also, at 1 thread, over a query file with its
+#      taxa in another order), a streamed CLI run at 4 threads diffed
+#      against 1 thread (a generated corpus and a hand-written decorated
+#      Newick file), and a generated corpus answered from its Newick text
+#      and from its .p2v vector form
 #   2. TSan build, concurrency-sensitive labels only (parallel, obs,
 #      serve, codec) + bfhrf_verify differential run (concurrent readers
 #      of one table across its 1..8 thread sweep) + the persistence oracle
@@ -118,8 +119,9 @@ run serve_smoke ./build-asan
 
 # End-to-end index walk: build a small sharded index with the CLI (-t 4
 # gives 4 shards on a multi-core host), persist it in the mmap-able
-# layout, reload it zero-copy, and require
-# byte-identical query output from the mapped view. The sanitizer
+# layout, reload it zero-copy at 1 thread and at 4 (pipeline workers
+# routing over the mapped shards), and require byte-identical query
+# output from the mapped view. The sanitizer
 # presets build without examples (BFHRF_BUILD_EXAMPLES=OFF), so this
 # uses the default tree — the mmap + asan interaction itself is covered
 # by the --persist oracle above, which maps index files under ASan.
@@ -133,10 +135,15 @@ echo "=== bfhrf_cli sharded build -> index save -> mmap reload ==="
 ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" \
   --load-index "${PERSIST_DIR}/ref.bfhmap" \
   -q "${SERVE_DIR}/ref.nwk" > "${PERSIST_DIR}/mapped.tsv"
+./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -t 4 \
+  --load-index "${PERSIST_DIR}/ref.bfhmap" \
+  -q "${SERVE_DIR}/ref.nwk" > "${PERSIST_DIR}/mapped_t4.tsv"
 run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/mapped.tsv"
+run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/mapped_t4.tsv"
 
 # The same walk with compressed keys: a sharded build of the sparse key
-# encoding, saved and reloaded, must answer exactly as the raw direct run.
+# encoding, saved and reloaded at 1 and 4 threads, must answer exactly as
+# the raw direct run.
 echo
 echo "=== bfhrf_cli --compressed-keys sharded build -> index save -> reload ==="
 ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -t 4 \
@@ -145,8 +152,12 @@ echo "=== bfhrf_cli --compressed-keys sharded build -> index save -> reload ==="
 ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" \
   --load-index "${PERSIST_DIR}/ref_sparse.bfhmap" \
   -q "${SERVE_DIR}/ref.nwk" > "${PERSIST_DIR}/sparse_mapped.tsv"
+./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -t 4 \
+  --load-index "${PERSIST_DIR}/ref_sparse.bfhmap" \
+  -q "${SERVE_DIR}/ref.nwk" > "${PERSIST_DIR}/sparse_mapped_t4.tsv"
 run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/sparse_direct.tsv"
 run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/sparse_mapped.tsv"
+run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/sparse_mapped_t4.tsv"
 
 echo
 echo "=== bfhrf_cli --load-index with the query taxa in another order ==="

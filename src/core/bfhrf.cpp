@@ -8,7 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/index_file.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/pipeline.hpp"
 #include "parallel/thread_pool.hpp"
@@ -25,10 +24,10 @@ const obs::Counter g_query_trees = obs::counter("bfhrf.query.trees");
 const obs::Counter g_query_bips = obs::counter("bfhrf.query.bipartitions");
 const obs::Gauge g_unique = obs::gauge("bfhrf.unique_bipartitions");
 const obs::Gauge g_resident = obs::gauge("bfhrf.hash.resident_bytes");
-// Table-shape gauges for a single-table FrequencyHash of either key
-// encoding: load factor, slot capacity, and the probe-length distribution
-// over resident keys (mean/max control groups walked per successful
-// lookup).
+// Table-shape gauges, written on every publish for every store shape:
+// load factor and slot capacity over all shards, and the probe-length
+// distribution over resident keys (mean/max control groups walked per
+// successful lookup; 0 = not scanned, see publish_store_metrics).
 const obs::Gauge g_load_factor = obs::gauge("bfhrf.hash.load_factor");
 const obs::Gauge g_capacity = obs::gauge("bfhrf.hash.capacity_slots");
 const obs::Gauge g_mean_probe = obs::gauge("bfhrf.hash.mean_probe_groups");
@@ -47,10 +46,11 @@ const obs::Counter g_prefetch_bips =
 const obs::Counter g_prefetch_fast_path =
     obs::counter("bfhrf.query.prefetch.fast_path_keys");
 
-// Sharded-build metrics: resolved shard count and post-build balance
-// (largest shard / mean, 1.0 = perfect), the keys flushed from staging
-// buckets into shards and the flushes (add_many calls) that moved them,
-// and the most key bytes one worker staged at once in the last build.
+// Sharded-store metrics: shard count and balance (largest shard / mean,
+// 1.0 = perfect) of the store last built or loaded, the keys flushed from
+// staging buckets into shards and the flushes (add_many calls) that moved
+// them, and the most key bytes one worker staged at once in the last
+// build.
 const obs::Gauge g_shard_count = obs::gauge("bfhrf.build.shard.count");
 const obs::Gauge g_shard_skew = obs::gauge("bfhrf.build.shard.skew");
 const obs::Counter g_shard_keys = obs::counter("bfhrf.build.shard.keys");
@@ -235,19 +235,24 @@ Bfhrf::Bfhrf(std::size_t n_bits, BfhrfOptions opts)
     throw InvalidArgument("Bfhrf: empty taxon universe");
   }
   opts_.threads = parallel::effective_threads(opts_.threads);
-  const std::size_t shards = effective_shards();
-  if (shards > 1) {
-    auto sharded = std::make_unique<ShardedFrequencyHash>(
-        n_bits_, shards, opts_.expected_unique, key_encoding());
-    sharded_store_ = sharded.get();
-    store_ = std::move(sharded);
-  } else {
-    auto single = std::make_unique<FrequencyHash>(
-        n_bits_, opts_.expected_unique, key_encoding());
-    fast_store_ = single.get();
-    store_ = std::move(single);
-  }
-  refresh_index_view();
+  tables_.emplace(n_bits_, effective_shards(), opts_.expected_unique,
+                  key_encoding());
+  view_ = BfhIndexView(*tables_, total_weight_);
+}
+
+Bfhrf::Bfhrf(MappedIndex index, BfhrfOptions opts)
+    : n_bits_(static_cast<std::size_t>(index.header().n_bits)), opts_(opts) {
+  const MappedHeader& h = index.header();
+  opts_.threads = parallel::effective_threads(opts_.threads);
+  opts_.compressed_keys = index.encoding() == KeyEncoding::Sparse;
+  opts_.include_trivial = (h.flags & kMappedFlagIncludeTrivial) != 0;
+  total_weight_ = h.total_weight;
+  reference_trees_ = static_cast<std::size_t>(h.reference_trees);
+  // The view points into the mapping, which stays put when the index
+  // moves into place (and when the engine moves).
+  mapped_.emplace(std::move(index));
+  view_ = mapped_->view();
+  publish_store_metrics();
 }
 
 std::size_t Bfhrf::effective_shards() const noexcept {
@@ -356,19 +361,21 @@ double Bfhrf::KeptSplits::weight() const noexcept {
 }
 
 double Bfhrf::insert_bipartitions(const phylo::BipartitionSet& bips,
+                                  FrequencyHash& table,
                                   WorkerScratch& scratch) const {
   const KeptSplits kept = kept_splits(bips, scratch);
-  fast_store_->add_many(kept.keys, kept.count, kept.weights);
+  table.add_many(kept.keys, kept.count, kept.weights);
   return kept.weight();
 }
 
 double Bfhrf::route_bipartitions(const phylo::BipartitionSet& bips,
+                                 ShardedFrequencyHash& tables,
                                  Staging& staging,
                                  std::vector<std::mutex>& locks,
                                  WorkerScratch& scratch) const {
   const KeptSplits kept = kept_splits(bips, scratch);
   const std::size_t wp = util::words_for_bits(n_bits_);
-  const std::uint32_t bits = sharded_store_->shard_bits();
+  const std::uint32_t bits = tables.shard_bits();
   for (std::size_t k = 0; k < kept.count; ++k) {
     const std::uint64_t* key = kept.keys + k * wp;
     const std::uint64_t fp = util::hash_words({key, wp});
@@ -383,8 +390,7 @@ double Bfhrf::route_bipartitions(const phylo::BipartitionSet& bips,
   for (std::size_t s = 0; s < staging.buckets.size(); ++s) {
     if (staging.buckets[s].size() >= full) {
       const std::lock_guard lock(locks[s]);
-      staging.keys -=
-          flush_bucket(sharded_store_->shard(s), staging.buckets[s], wp);
+      staging.keys -= flush_bucket(tables.shard(s), staging.buckets[s], wp);
     }
   }
   return kept.weight();
@@ -392,24 +398,25 @@ double Bfhrf::route_bipartitions(const phylo::BipartitionSet& bips,
 
 template <typename Schedule>
 void Bfhrf::build_from(Schedule schedule, std::optional<std::size_t> hint) {
-  if (fast_store_ == nullptr && sharded_store_ == nullptr) {
+  if (!tables_) {
     throw Error(
         "Bfhrf::build: the engine serves a loaded index, which is "
         "read-only (rebuild from the reference trees to change it)");
   }
+  ShardedFrequencyHash& tables = *tables_;
   const obs::TraceSpan span("bfhrf.build");
   const obs::ScopedTimer timer(g_build_seconds);
   const std::size_t workers = pipeline_workers();
   const std::size_t lanes = std::max<std::size_t>(1, workers);
   const std::size_t wp = util::words_for_bits(n_bits_);
 
-  // Where a worker's keys go. One table (the inline build): straight into
-  // it. A sharded store (a build with workers): into the worker's own
+  // Where a worker's keys go. One shard (the inline build): straight into
+  // its table. Several (a build with workers): into the worker's own
   // per-shard buckets, each flushed into its shard under that shard's lock
   // once it holds its share of kStageKeys; the residue drains after the
   // pipeline joins. Every key is inserted exactly once, with no merge.
-  const bool route = sharded_store_ != nullptr;
-  const std::size_t shards = route ? sharded_store_->shard_count() : 0;
+  const bool route = tables.shard_count() > 1;
+  const std::size_t shards = route ? tables.shard_count() : 0;
   std::vector<std::mutex> locks(shards);
   std::vector<Staging> staging(route ? lanes : 0);
   for (Staging& st : staging) {
@@ -420,15 +427,14 @@ void Bfhrf::build_from(Schedule schedule, std::optional<std::size_t> hint) {
   }
   std::vector<WorkerScratch> scratch(lanes);
   LaneValues tree_weights = make_lanes(lanes, hint);
-  const double base_weight = store_->total_weight();
 
   const std::size_t seen = schedule(
       workers, [&](std::size_t rank, std::size_t index, const auto& item) {
         const phylo::BipartitionSet& bips = extract(item, scratch[rank]);
         const double weight =
-            route ? route_bipartitions(bips, staging[rank], locks,
+            route ? route_bipartitions(bips, tables, staging[rank], locks,
                                        scratch[rank])
-                  : insert_bipartitions(bips, scratch[rank]);
+                  : insert_bipartitions(bips, tables.shard(0), scratch[rank]);
         tree_weights[rank].emplace_back(index, weight);
       });
 
@@ -439,7 +445,7 @@ void Bfhrf::build_from(Schedule schedule, std::optional<std::size_t> hint) {
       [&](std::size_t s) {
         for (Staging& st : staging) {
           if (!st.buckets[s].empty()) {
-            flush_bucket(sharded_store_->shard(s), st.buckets[s], wp);
+            flush_bucket(tables.shard(s), st.buckets[s], wp);
           }
         }
       },
@@ -454,11 +460,9 @@ void Bfhrf::build_from(Schedule schedule, std::optional<std::size_t> hint) {
   // sumBFHR as one stream-order fold of per-tree kept weights: the float
   // total is then the same for every thread count, schedule and store
   // shape (classic weights are integers, exact in any order).
-  double total = base_weight;
   for (const double w : in_stream_order(tree_weights, seen)) {
-    total += w;
+    total_weight_ += w;
   }
-  store_->set_total_weight(total);
   reference_trees_ += seen;
   g_build_trees.inc(seen);
   publish_store_metrics();
@@ -495,7 +499,7 @@ double Bfhrf::query_bipartitions(const phylo::BipartitionSet& bips,
   const std::size_t wp = util::words_for_bits(n_bits_);
   const KeptSplits kept = kept_splits(bips, scratch);
   scratch.freqs.resize(kept.count);
-  index_view_.frequency_many(kept.keys, kept.count, scratch.freqs.data());
+  view_.frequency_many(kept.keys, kept.count, scratch.freqs.data());
   g_prefetch_batches.inc();
   g_prefetch_bips.inc(kept.count);
   if (wp == 1 && !opts_.compressed_keys) {
@@ -504,7 +508,7 @@ double Bfhrf::query_bipartitions(const phylo::BipartitionSet& bips,
   g_query_bips.inc(kept.count);
 
   // Algorithm 2's two accumulators, generalized to weights.
-  double rf_left = store_->total_weight();  // sumBFHR
+  double rf_left = total_weight_;  // sumBFHR
   double rf_right = 0.0;
   double query_weight_sum = 0.0;            // Σ w(b') for MaxScaled
   if (kept.weights == nullptr) {
@@ -527,7 +531,7 @@ double Bfhrf::query_bipartitions(const phylo::BipartitionSet& bips,
     }
   }
   const double avg = (rf_left + rf_right) / r;
-  const double max_avg = (store_->total_weight() / r) + query_weight_sum;
+  const double max_avg = (total_weight_ / r) + query_weight_sum;
   return apply_norm(avg, max_avg, opts_.norm);
 }
 
@@ -590,51 +594,38 @@ std::vector<double> Bfhrf::query(VectorSource& queries) const {
       queries.size_hint());
 }
 
-void Bfhrf::refresh_index_view() {
-  if (fast_store_ != nullptr) {
-    index_view_ = BfhIndexView(*fast_store_);
-  } else if (sharded_store_ != nullptr) {
-    index_view_ = BfhIndexView(*sharded_store_);
-  }
-}
-
-void Bfhrf::adopt_store(std::unique_ptr<MappedFrequencyStore> store,
-                        std::size_t reference_trees) {
-  index_view_ = store->index_view();
-  store_ = std::move(store);
-  fast_store_ = nullptr;
-  sharded_store_ = nullptr;
-  reference_trees_ = reference_trees;
-  publish_store_metrics();
-}
-
 void Bfhrf::publish_store_metrics() {
-  refresh_index_view();
-  g_unique.set(static_cast<double>(store_->unique_count()));
-  g_resident.set(static_cast<double>(store_->memory_bytes()));
-  if (fast_store_ != nullptr) {
-    g_load_factor.set(fast_store_->load_factor());
-    g_capacity.set(static_cast<double>(fast_store_->capacity_slots()));
-    // probe_stats() is an O(U) scan (decoding sparse keys); publish runs
-    // once per build, so the cost stays off the hot paths (Gauge::set also
-    // takes the registry lock, which is why these are not updated per
-    // lookup).
-    const auto stats = fast_store_->probe_stats();
-    g_mean_probe.set(stats.mean_groups);
-    g_max_probe.set(static_cast<double>(stats.max_groups));
+  if (tables_) {
+    view_ = BfhIndexView(*tables_, total_weight_);
   }
-  if (sharded_store_ != nullptr) {
-    g_shard_count.set(static_cast<double>(sharded_store_->shard_count()));
-    g_shard_skew.set(sharded_store_->shard_skew());
+  g_unique.set(static_cast<double>(view_.unique_count()));
+  g_resident.set(static_cast<double>(view_.memory_bytes()));
+  g_shard_count.set(static_cast<double>(view_.shard_count()));
+  g_shard_skew.set(view_.shard_skew());
+  const std::size_t slots = view_.capacity_slots();
+  g_capacity.set(static_cast<double>(slots));
+  g_load_factor.set(static_cast<double>(view_.unique_count()) /
+                    static_cast<double>(slots));
+  // Probe lengths come from an O(U) scan (decoding sparse keys), run only
+  // on an inline build's single table: over shards it would slow every
+  // multi-threaded build, and over a mapped index it would page in the key
+  // arenas. Every other shape publishes 0, "not scanned". Publish runs once
+  // per build or load, and Gauge::set takes the registry lock, so none of
+  // these are updated per lookup.
+  FrequencyHash::ProbeStats probes;
+  if (tables_ && tables_->shard_count() == 1) {
+    probes = tables_->shard(0).probe_stats();
   }
+  g_mean_probe.set(probes.mean_groups);
+  g_max_probe.set(static_cast<double>(probes.max_groups));
 }
 
 BfhrfStats Bfhrf::stats() const {
   return BfhrfStats{
       .reference_trees = reference_trees_,
-      .unique_bipartitions = store_->unique_count(),
-      .total_bipartitions = store_->total_count(),
-      .hash_memory_bytes = store_->memory_bytes(),
+      .unique_bipartitions = view_.unique_count(),
+      .total_bipartitions = view_.total_count(),
+      .hash_memory_bytes = view_.memory_bytes(),
   };
 }
 

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -34,7 +33,7 @@
 #include <vector>
 
 #include "core/frequency_hash.hpp"
-#include "core/frequency_store.hpp"
+#include "core/index_file.hpp"
 #include "core/rf.hpp"
 #include "core/sharded_hash.hpp"
 #include "core/tree_source.hpp"
@@ -45,14 +44,12 @@
 
 namespace bfhrf::core {
 
-class MappedFrequencyStore;
-
 struct BfhrfOptions {
   /// Worker threads for both phases (1 = sequential; 0 = hardware default).
   /// The count also shapes the store: a build with pipeline workers
   /// (threads > 1 on a multi-core host) fills a ShardedFrequencyHash of
   /// bit_ceil(min(threads, 64)) shards, routed by the top fingerprint bits
-  /// (core/sharded_hash.hpp); otherwise the store is one FrequencyHash.
+  /// (core/sharded_hash.hpp); otherwise its one shard is a single table.
   /// Results are bit-identical either way, for every variant and key
   /// encoding: shards hold integer counts only, and sumBFHR is folded from
   /// per-tree weights in stream order.
@@ -83,6 +80,8 @@ struct BfhrfOptions {
   std::size_t expected_unique = 0;
 };
 
+enum class IndexFormat;  // core/serialize.hpp
+
 /// Build/query statistics surfaced to the bench harness.
 struct BfhrfStats {
   std::size_t reference_trees = 0;
@@ -94,6 +93,8 @@ struct BfhrfStats {
 class Bfhrf {
  public:
   friend Bfhrf load_bfhrf_file(const std::string& path, BfhrfOptions opts);
+  friend void save_bfhrf_file(const Bfhrf& engine, const std::string& path,
+                              IndexFormat format);
 
   /// `n_bits` is the taxon-universe width (TaxonSet::size()); all trees fed
   /// to this engine must be over a taxon set of exactly that width.
@@ -160,13 +161,11 @@ class Bfhrf {
 
   // --- introspection --------------------------------------------------------
 
-  /// The underlying frequency store, in the key encoding the options
-  /// chose: one FrequencyHash when builds run inline, a
-  /// ShardedFrequencyHash when they have workers (see
-  /// BfhrfOptions::threads), or the MappedFrequencyStore of a loaded index.
-  [[nodiscard]] const FrequencyStore& store() const noexcept {
-    return *store_;
-  }
+  /// The frequency store, read-only: a view over the build's tables (one
+  /// shard when builds run inline, else one per worker rounded up to a
+  /// power of two; see BfhrfOptions::threads), or over the mapped shards
+  /// of a loaded index. A build replaces it, so do not hold it across one.
+  [[nodiscard]] const BfhIndexView& store() const noexcept { return view_; }
   [[nodiscard]] BfhrfStats stats() const;
   [[nodiscard]] const BfhrfOptions& options() const noexcept { return opts_; }
 
@@ -263,22 +262,24 @@ class Bfhrf {
   [[nodiscard]] KeptSplits kept_splits(const phylo::BipartitionSet& bips,
                                        WorkerScratch& scratch) const;
 
-  /// Inline build: insert one tree's kept splits into the single table
-  /// through add_many. Returns the tree's kept weight.
+  /// Inline build: insert one tree's kept splits into the one-shard
+  /// store's table through add_many. Returns the tree's kept weight.
   double insert_bipartitions(const phylo::BipartitionSet& bips,
+                             FrequencyHash& table,
                              WorkerScratch& scratch) const;
 
   /// Build with workers: append every kept split to its owner shard's
   /// bucket in `staging`, then flush each bucket that holds its share of
-  /// kStageKeys into the shard under that shard's mutex in `locks`.
-  /// Buckets carry bare keys: shards count occurrences only, and
+  /// kStageKeys into its shard of `tables` under that shard's mutex in
+  /// `locks`. Buckets carry bare keys: shards count occurrences only, and
   /// build_from folds sumBFHR from the returned per-tree kept weights.
   double route_bipartitions(const phylo::BipartitionSet& bips,
-                            Staging& staging, std::vector<std::mutex>& locks,
+                            ShardedFrequencyHash& tables, Staging& staging,
+                            std::vector<std::mutex>& locks,
                             WorkerScratch& scratch) const;
 
   /// The Algorithm-2 inner loop for one query tree: one batched, prefetched
-  /// frequency_many through index_view_.
+  /// frequency_many through view_.
   [[nodiscard]] double query_bipartitions(const phylo::BipartitionSet& bips,
                                           WorkerScratch& scratch) const;
 
@@ -292,26 +293,22 @@ class Bfhrf {
   [[nodiscard]] std::vector<double> query_from(
       Schedule schedule, std::optional<std::size_t> hint) const;
 
+  /// The engine over a loaded index (load_bfhrf_file): no table is
+  /// allocated; the store, sumBFHR, reference count, key encoding and
+  /// trivial-split convention all come from the file.
+  Bfhrf(MappedIndex index, BfhrfOptions opts);
+
   /// Shard count the thread count resolves to (1 = unsharded single
   /// table, the inline build's store).
   [[nodiscard]] std::size_t effective_shards() const noexcept;
-
-  /// Rebuild the cached query view over an owned store (must run after
-  /// every store mutation batch — table growth reallocates the memory the
-  /// view points into). publish_store_metrics() calls this, and every
-  /// mutation path ends with publish_store_metrics().
-  void refresh_index_view();
-
-  /// Replace the store with a mapped one (the load path).
-  void adopt_store(std::unique_ptr<MappedFrequencyStore> store,
-                   std::size_t reference_trees);
 
   /// Pipeline consumer count (0 = inline zero-sync loop; chosen when
   /// threads <= 1 or the host has one hardware thread).
   [[nodiscard]] std::size_t pipeline_workers() const noexcept;
 
-  /// Publish post-build store shape (U, resident bytes) as obs gauges and
-  /// refresh the cached query view (every mutation path ends here).
+  /// Remake view_ over the tables (table growth reallocates the memory it
+  /// points into, so every build ends here) and publish the store's shape
+  /// as obs gauges, every gauge on every call.
   void publish_store_metrics();
 
   [[nodiscard]] const RfVariant& variant() const noexcept {
@@ -320,19 +317,16 @@ class Bfhrf {
 
   std::size_t n_bits_;
   BfhrfOptions opts_;
-  std::unique_ptr<FrequencyStore> store_;
-  /// store_ downcast when it is a single-table FrequencyHash (the inline
-  /// build's devirtualized batched add path); nullptr otherwise.
-  FrequencyHash* fast_store_ = nullptr;
-  /// store_ downcast when it is sharded (the routed build's target);
-  /// nullptr otherwise. Both are nullptr exactly when store_ is a loaded,
-  /// read-only index.
-  ShardedFrequencyHash* sharded_store_ = nullptr;
-  /// Cached routing view for the batched query path, over every store
-  /// shape (single, sharded, mapped) and key encoding. Refreshed by
-  /// publish_store_metrics() at the end of every mutation path; a loaded
-  /// index's view is set once by adopt_store.
-  BfhIndexView index_view_;
+  /// What the engine owns: the tables its builds fill, or the index file
+  /// it serves (exactly one of the two is set).
+  std::optional<ShardedFrequencyHash> tables_;
+  std::optional<MappedIndex> mapped_;
+  /// The one read-only store over either, read by every query, stat and
+  /// gauge.
+  BfhIndexView view_;
+  /// sumBFHR: the stream-order fold of every build's per-tree kept
+  /// weights, or a loaded index's header total.
+  double total_weight_ = 0.0;
   std::size_t reference_trees_ = 0;
 };
 

@@ -22,7 +22,7 @@ bool compatible(const util::DynamicBitset& a, const util::DynamicBitset& b) {
 
 }  // namespace
 
-phylo::Tree consensus_tree(const FrequencyStore& hash, std::size_t r,
+phylo::Tree consensus_tree(const BfhIndexView& store, std::size_t r,
                            const phylo::TaxonSetPtr& taxa,
                            const ConsensusOptions& opts) {
   if (r == 0) {
@@ -36,7 +36,7 @@ phylo::Tree consensus_tree(const FrequencyStore& hash, std::size_t r,
   // Gather candidate splits above / below the majority threshold.
   const double cutoff = opts.threshold * static_cast<double>(r);
   std::vector<Candidate> cands;
-  hash.for_each_key([&](util::ConstWordSpan words, std::uint32_t freq) {
+  store.for_each_key([&](util::ConstWordSpan words, std::uint32_t freq) {
     if (opts.threshold >= 0.5 && static_cast<double>(freq) <= cutoff) {
       return;
     }

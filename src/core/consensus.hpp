@@ -10,11 +10,15 @@
 //    assemble into a tree.
 //  * greedy / extended majority (t <= 0.5): scan splits by decreasing
 //    frequency, keeping each one compatible with everything kept so far.
+//
+// It reads the engine's one read-only store (BfhIndexView,
+// core/sharded_hash.hpp), so a consensus comes equally from a fresh build
+// at any thread count or from a loaded index file.
 #pragma once
 
 #include <cstddef>
 
-#include "core/frequency_store.hpp"
+#include "core/sharded_hash.hpp"
 #include "phylo/taxon_set.hpp"
 #include "phylo/tree.hpp"
 
@@ -31,12 +35,13 @@ struct ConsensusOptions {
   bool annotate_support = true;
 };
 
-/// Build the consensus tree of the collection summarized by `hash`.
-/// `r` is the number of trees that went into the hash; `taxa` the shared
-/// namespace. The result is an unrooted tree containing every taxon, with
-/// one internal edge per accepted bipartition (multifurcating wherever
-/// the accepted splits do not resolve the topology).
-[[nodiscard]] phylo::Tree consensus_tree(const FrequencyStore& hash,
+/// Build the consensus tree of the collection summarized by `store`
+/// (Bfhrf::store(), built or loaded). `r` is the number of trees that went
+/// into it; `taxa` the shared namespace. The result is an unrooted tree
+/// containing every taxon, with one internal edge per accepted bipartition
+/// (multifurcating wherever the accepted splits do not resolve the
+/// topology).
+[[nodiscard]] phylo::Tree consensus_tree(const BfhIndexView& store,
                                          std::size_t r,
                                          const phylo::TaxonSetPtr& taxa,
                                          const ConsensusOptions& opts = {});

@@ -143,8 +143,8 @@ FrequencyHash::Slot& FrequencyHash::upsert(const std::uint64_t* key,
   return s;
 }
 
-void FrequencyHash::add_weighted(util::ConstWordSpan key, std::uint32_t count,
-                                 double weight) {
+void FrequencyHash::add(util::ConstWordSpan key, std::uint32_t count,
+                        double weight) {
   BFHRF_ASSERT(key.size() == words_per_);
   BFHRF_ASSERT(count > 0);
   grow_to_fit(size_ + 1);

@@ -42,6 +42,12 @@
 // paths choose the encoding once per call, as they choose the SIMD level,
 // so the raw loops carry no per-key encoding branch.
 //
+// Where it sits: a FrequencyHash is one table, usable on its own (the
+// bit-matrix universe, benches). A Bfhrf build fills the shards of a
+// ShardedFrequencyHash (one shard when the build runs inline), and the
+// engine reads them only through a BfhIndexView (core/sharded_hash.hpp),
+// the one read-only store that a loaded index file also serves.
+//
 // Concurrency model: a FrequencyHash is single-writer. A parallel build
 // shards the store and each worker flushes its staged keys into a shard
 // while holding that shard's lock (src/core/bfhrf). The read path
@@ -54,7 +60,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/frequency_store.hpp"
 #include "core/key_codec.hpp"
 #include "util/bitset.hpp"
 #include "util/group_table.hpp"
@@ -69,7 +74,7 @@ enum class KeyEncoding : std::uint8_t {
   Sparse,  ///< SparseKeyCodec bytes; key_index is the encoding's offset
 };
 
-class FrequencyHash final : public FrequencyStore {
+class FrequencyHash {
  public:
   /// One table slot: where the key lives in the arena plus its frequency.
   /// Public (and exactly 8 bytes with no padding) because the slot array is
@@ -87,39 +92,33 @@ class FrequencyHash final : public FrequencyStore {
   explicit FrequencyHash(std::size_t n_bits, std::size_t expected_unique = 0,
                          KeyEncoding encoding = KeyEncoding::Raw);
 
-  [[nodiscard]] std::size_t n_bits() const noexcept override {
-    return n_bits_;
-  }
+  [[nodiscard]] std::size_t n_bits() const noexcept { return n_bits_; }
   [[nodiscard]] std::size_t words_per_key() const noexcept {
     return words_per_;
   }
   [[nodiscard]] KeyEncoding encoding() const noexcept { return encoding_; }
 
   /// Number of distinct bipartitions stored.
-  [[nodiscard]] std::size_t unique_count() const noexcept override {
-    return size_;
-  }
+  [[nodiscard]] std::size_t unique_count() const noexcept { return size_; }
 
   /// Σ frequencies — the paper's `sumBFHR` (unit-weight case).
-  [[nodiscard]] std::uint64_t total_count() const noexcept override {
+  [[nodiscard]] std::uint64_t total_count() const noexcept {
     return total_;
   }
 
-  /// Σ weight·frequency — `sumBFHR` under a weighted variant. The weight of
-  /// each key is supplied at insertion time and must be consistent across
-  /// calls (it is a function of the key).
-  [[nodiscard]] double total_weight() const noexcept override {
+  /// Σ weight·frequency over the weights supplied at insertion. A Bfhrf
+  /// engine does not read it: it folds sumBFHR from per-tree weights itself.
+  [[nodiscard]] double total_weight() const noexcept {
     return total_weight_;
   }
 
-  /// Add `count` occurrences with an explicit per-key weight (`add(key)`
-  /// from the base class is the unit-weight shorthand).
-  void add_weighted(util::ConstWordSpan key, std::uint32_t count,
-                    double weight) override;
+  /// Add `count` occurrences of a canonical bipartition with a per-key
+  /// weight (1.0 for classic RF).
+  void add(util::ConstWordSpan key, std::uint32_t count = 1,
+           double weight = 1.0);
 
   /// Frequency of a bipartition (0 if absent).
-  [[nodiscard]] std::uint32_t frequency(
-      util::ConstWordSpan key) const override;
+  [[nodiscard]] std::uint32_t frequency(util::ConstWordSpan key) const;
 
   /// Sentinel returned by key_index_of() for an absent key.
   static constexpr std::uint32_t kNoKeyIndex = 0xffffffffU;
@@ -150,17 +149,9 @@ class FrequencyHash final : public FrequencyStore {
   /// frequency_many — the table is pre-sized for the whole batch up front,
   /// so no rehash invalidates prefetched lines mid-batch. Insertion
   /// order matches the arena order, so totals accumulate exactly as the
-  /// per-key add_weighted loop would.
+  /// per-key add loop would.
   void add_many(const std::uint64_t* keys, std::size_t count,
                 const double* weights);
-
-  void for_each_key(const std::function<void(util::ConstWordSpan,
-                                             std::uint32_t)>& fn)
-      const override {
-    for_each(fn);
-  }
-
-  void set_total_weight(double w) override { total_weight_ = w; }
 
   /// Visit every (key, frequency) pair, keys in raw word form (sparse keys
   /// are decoded). Order is unspecified.
@@ -169,12 +160,13 @@ class FrequencyHash final : public FrequencyStore {
 
   /// Exact bytes held by the control directory (including its cache-line
   /// padding), the slot array, and the key arena.
-  [[nodiscard]] std::size_t memory_bytes() const noexcept override {
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return dir_.memory_bytes() + slots_.capacity() * sizeof(Slot) +
            words_.capacity() * sizeof(std::uint64_t) + bytes_.capacity();
   }
 
-  [[nodiscard]] std::size_t key_bytes() const noexcept override {
+  /// Bytes of stored keys: the key arena's length in its encoding.
+  [[nodiscard]] std::size_t key_bytes() const noexcept {
     return arena().size();
   }
 
@@ -260,12 +252,12 @@ class FrequencyHash final : public FrequencyStore {
 /// Non-owning read-only view over a FrequencyHash layout: the control
 /// directory, slot array, and key arena as raw pointers. The lookup
 /// pipelines live HERE — FrequencyHash's read paths delegate to its view,
-/// a ShardedFrequencyHash exposes one view per shard, and the mapped index
-/// (core/index_file) builds views straight over mmapped file sections. One
-/// probe implementation, three backings, bit-identical results. All
-/// pointed-to memory must outlive the view and must satisfy the
-/// directory's 16-byte alignment requirement; a raw arena must be 8-byte
-/// aligned.
+/// and a BfhIndexView (core/sharded_hash.hpp) routes over one view per
+/// shard, whether the shard is a live table or the mmapped sections of a
+/// saved index (core/index_file). One probe implementation, two backings,
+/// bit-identical results. All pointed-to memory must outlive the view and
+/// must satisfy the directory's 16-byte alignment requirement; a raw arena
+/// must be 8-byte aligned.
 class FrequencyHashView {
  public:
   using Slot = FrequencyHash::Slot;
@@ -292,10 +284,15 @@ class FrequencyHashView {
   [[nodiscard]] util::GroupDirectoryView directory() const noexcept {
     return dir_;
   }
+  [[nodiscard]] std::size_t n_bits() const noexcept { return n_bits_; }
   [[nodiscard]] std::size_t words_per_key() const noexcept {
     return words_per_;
   }
   [[nodiscard]] KeyEncoding encoding() const noexcept { return encoding_; }
+  /// Length of the key arena in bytes.
+  [[nodiscard]] std::size_t arena_bytes() const noexcept {
+    return arena_bytes_;
+  }
 
   /// Probe for one bipartition: the matching slot, or the insertion point.
   [[nodiscard]] FindResult find_key(util::ConstWordSpan key) const;

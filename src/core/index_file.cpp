@@ -15,7 +15,6 @@
 #include "obs/metrics.hpp"
 #include "util/bitset.hpp"
 #include "util/error.hpp"
-#include "util/hash.hpp"
 
 namespace bfhrf::core {
 namespace {
@@ -127,30 +126,16 @@ class FileWriter {
 
 }  // namespace
 
-void write_index_file(const FrequencyStore& store, const IndexFileMeta& meta,
-                      const std::string& path) {
+void write_index_file(const ShardedFrequencyHash& tables, double total_weight,
+                      const IndexFileMeta& meta, const std::string& path) {
   if (std::endian::native != std::endian::little) {
     throw Error("the mapped index format is little-endian only");
   }
 
-  // Resolve the concrete store to its list of tables.
-  std::vector<const FrequencyHash*> tables;
-  if (const auto* sh = dynamic_cast<const ShardedFrequencyHash*>(&store)) {
-    tables.reserve(sh->shard_count());
-    for (std::size_t s = 0; s < sh->shard_count(); ++s) {
-      tables.push_back(&sh->shard(s));
-    }
-  } else if (const auto* f = dynamic_cast<const FrequencyHash*>(&store)) {
-    tables.push_back(f);
-  } else {
-    throw InvalidArgument(
-        "write_index_file: unsupported store type (a mapped store's backing "
-        "file already is the index)");
-  }
-
-  const std::size_t shard_count = tables.size();
-  const std::size_t wp = util::words_for_bits(store.n_bits());
-  const bool sparse = tables.front()->encoding() == KeyEncoding::Sparse;
+  const std::size_t shard_count = tables.shard_count();
+  const FrequencyHash& first = tables.shard(0);
+  const std::size_t wp = first.words_per_key();
+  const bool sparse = first.encoding() == KeyEncoding::Sparse;
 
   MappedHeader h{};
   std::memcpy(h.magic, kMappedMagic, sizeof h.magic);
@@ -159,19 +144,17 @@ void write_index_file(const FrequencyStore& store, const IndexFileMeta& meta,
                                                    : MappedStoreKind::Raw);
   h.flags = meta.include_trivial ? kMappedFlagIncludeTrivial : 0;
   h.shard_count = static_cast<std::uint32_t>(shard_count);
-  h.n_bits = store.n_bits();
+  h.n_bits = first.n_bits();
   h.words_per_key = wp;
   h.reference_trees = meta.reference_trees;
-  h.unique_keys = store.unique_count();
-  h.total_count = store.total_count();
-  h.total_weight = store.total_weight();
+  h.total_weight = total_weight;
 
   std::vector<MappedShardRecord> records(shard_count);
   std::uint64_t off =
       sizeof(MappedHeader) + shard_count * sizeof(MappedShardRecord);
   for (std::size_t s = 0; s < shard_count; ++s) {
     MappedShardRecord& r = records[s];
-    const FrequencyHash& fh = *tables[s];
+    const FrequencyHash& fh = tables.shard(s);
     // An add-only raw table's arena is dense: exactly one key per live
     // slot.
     BFHRF_ASSERT(sparse || fh.arena().size() ==
@@ -180,7 +163,9 @@ void write_index_file(const FrequencyStore& store, const IndexFileMeta& meta,
     r.key_bytes = fh.arena().size();
     r.live_keys = fh.unique_count();
     r.total_count = fh.total_count();
-    r.total_weight = fh.total_weight();
+    r.total_weight = s == 0 ? total_weight : 0.0;
+    h.unique_keys += r.live_keys;
+    h.total_count += r.total_count;
     off = align_up(off);
     r.ctrl_offset = off;
     off += r.slot_count;
@@ -198,7 +183,7 @@ void write_index_file(const FrequencyStore& store, const IndexFileMeta& meta,
   w.write(records.data(), shard_count * sizeof(MappedShardRecord));
   for (std::size_t s = 0; s < shard_count; ++s) {
     const MappedShardRecord& r = records[s];
-    const FrequencyHash& fh = *tables[s];
+    const FrequencyHash& fh = tables.shard(s);
     w.pad_to(r.ctrl_offset);
     const std::span<const std::uint8_t> ctrl = fh.directory().ctrl_bytes();
     w.write(ctrl.data(), ctrl.size());
@@ -215,6 +200,7 @@ void write_index_file(const FrequencyStore& store, const IndexFileMeta& meta,
 }
 
 MappedIndex::MappedIndex(const std::string& path) {
+  const obs::ScopedTimer timer(g_load_seconds);
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     throw_io("cannot open index file", path);
@@ -374,63 +360,22 @@ MappedIndex& MappedIndex::operator=(MappedIndex&& other) noexcept {
   return *this;
 }
 
-namespace {
-MappedIndex open_timed(const std::string& path) {
-  const obs::ScopedTimer timer(g_load_seconds);
-  return MappedIndex(path);
-}
-}  // namespace
-
-MappedFrequencyStore::MappedFrequencyStore(const std::string& path)
-    : index_(open_timed(path)) {
-  const MappedHeader& h = index_.header();
-  shard_bits_ = static_cast<std::uint32_t>(
-      std::countr_zero(std::uint64_t{h.shard_count}));
-  views_.reserve(h.shard_count);
+BfhIndexView MappedIndex::view() const {
+  const MappedHeader& h = header();
+  std::vector<FrequencyHashView> shards;
+  std::vector<std::size_t> shard_keys;
+  shards.reserve(h.shard_count);
+  shard_keys.reserve(h.shard_count);
   for (std::size_t s = 0; s < h.shard_count; ++s) {
-    views_.emplace_back(
-        util::GroupDirectoryView(
-            index_.ctrl(s).data(),
-            static_cast<std::size_t>(index_.shard(s).slot_count)),
-        index_.slots(s).data(), index_.arena(s),
-        static_cast<std::size_t>(h.n_bits), encoding());
+    shards.emplace_back(
+        util::GroupDirectoryView(ctrl(s).data(),
+                                 static_cast<std::size_t>(shard(s).slot_count)),
+        slots(s).data(), arena(s), static_cast<std::size_t>(h.n_bits),
+        encoding());
+    shard_keys.push_back(static_cast<std::size_t>(shard(s).live_keys));
   }
-  view_ = BfhIndexView(views_, shard_bits_);
-}
-
-void MappedFrequencyStore::read_only_violation(const char* op) {
-  throw Error(std::string("MappedFrequencyStore is read-only: ") + op +
-              " (rebuild from the reference trees to change a loaded "
-              "index)");
-}
-
-void MappedFrequencyStore::add_weighted(util::ConstWordSpan, std::uint32_t,
-                                        double) {
-  read_only_violation("add_weighted");
-}
-
-void MappedFrequencyStore::set_total_weight(double) {
-  read_only_violation("set_total_weight");
-}
-
-std::uint32_t MappedFrequencyStore::frequency(util::ConstWordSpan key) const {
-  const std::uint64_t fp = util::hash_words(key);
-  return views_[shard_of(fp, shard_bits_)].frequency(key);
-}
-
-void MappedFrequencyStore::for_each_key(
-    const std::function<void(util::ConstWordSpan, std::uint32_t)>& fn) const {
-  for (const FrequencyHashView& view : views_) {
-    view.for_each(fn);
-  }
-}
-
-std::size_t MappedFrequencyStore::key_bytes() const {
-  std::size_t sum = 0;
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    sum += static_cast<std::size_t>(index_.shard(s).key_bytes);
-  }
-  return sum;
+  return {std::move(shards), std::move(shard_keys), h.total_count,
+          h.total_weight, size_};
 }
 
 }  // namespace bfhrf::core

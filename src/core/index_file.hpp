@@ -14,11 +14,13 @@
 // the 8-byte alignment of slots and raw keys), so views constructed over
 // the mapped bytes run the exact same probe code as in-memory tables —
 // cold-load is an mmap + validation, zero deserialization, and query
-// results are bit-identical by construction. A store persists one record
-// per shard (ShardedFrequencyHash) or a single record (FrequencyHash).
-// Both key encodings share the slot layout; the header's store kind names
-// the encoding, and a shard's key arena holds raw words or SparseKeyCodec
-// bytes accordingly.
+// results are bit-identical by construction. A build persists one record
+// per shard of its ShardedFrequencyHash (a single record when it ran
+// inline). Both key encodings share the slot layout; the header's store
+// kind names the encoding, and a shard's key arena holds raw words or
+// SparseKeyCodec bytes accordingly. A loaded index answers through the
+// same BfhIndexView a build does (MappedIndex::view): there is no
+// separate read-only store type.
 //
 // Stores are add-only, so the tables are written as they stand: every
 // ctrl byte is EMPTY or a tag and every key arena is dense. Saves are
@@ -95,26 +97,25 @@ static_assert(sizeof(MappedShardRecord) == 64,
 inline constexpr std::uint32_t kMappedFlagIncludeTrivial = 1u << 0;
 
 /// Engine metadata carried in the header (what BfhrfOptions needs back).
-/// The store kind is derived from the store's concrete type, not declared
-/// here.
+/// The store kind is the tables' key encoding, not declared here.
 struct IndexFileMeta {
   bool include_trivial = false;
   std::size_t reference_trees = 0;
 };
 
-/// Write `store` to `path` in the mapped format. Accepts FrequencyHash and
-/// ShardedFrequencyHash stores of either key encoding. The write is
+/// Write a build's tables to `path` in the mapped format, one shard record
+/// per shard, in either key encoding. `total_weight` is the engine's
+/// sumBFHR; the header and shard 0's record carry it whole. The write is
 /// atomic (temp file, fsync, rename over `path`, fsync of the directory);
 /// on failure the temp file is removed and `path` is untouched. Throws
-/// InvalidArgument for other store types (including an already-mapped
-/// store — the file it came from IS the mapped form) and Error on I/O
-/// failure.
-void write_index_file(const FrequencyStore& store, const IndexFileMeta& meta,
-                      const std::string& path);
+/// Error on I/O failure.
+void write_index_file(const ShardedFrequencyHash& tables, double total_weight,
+                      const IndexFileMeta& meta, const std::string& path);
 
 /// A validated read-only mmap of an index file (the kernel pages sections
 /// in on demand). Throws Error when the file cannot be opened or mapped
-/// and ParseError when its contents are invalid. Move-only; unmaps on
+/// and ParseError when its contents are invalid. Move-only (a move keeps
+/// the mapping where it is, so views over it stay valid); unmaps on
 /// destruction.
 class MappedIndex {
  public:
@@ -134,6 +135,19 @@ class MappedIndex {
         base_ + sizeof(MappedHeader))[s];
   }
   [[nodiscard]] std::size_t size_bytes() const noexcept { return size_; }
+
+  /// The shards' key encoding (the header's store kind).
+  [[nodiscard]] KeyEncoding encoding() const noexcept {
+    return header().store_kind ==
+                   static_cast<std::uint32_t>(MappedStoreKind::Sparse)
+               ? KeyEncoding::Sparse
+               : KeyEncoding::Raw;
+  }
+
+  /// The read-only store over the mapped sections, zero-copy: one
+  /// FrequencyHashView per shard record, the header's totals, and the
+  /// file's size as its memory. Valid while this mapping lives.
+  [[nodiscard]] BfhIndexView view() const;
 
   [[nodiscard]] std::span<const std::uint8_t> ctrl(std::size_t s) const {
     const MappedShardRecord& r = shard(s);
@@ -159,71 +173,6 @@ class MappedIndex {
 
   const std::uint8_t* base_ = nullptr;
   std::size_t size_ = 0;
-};
-
-/// FrequencyStore served directly off a MappedIndex — the zero-copy
-/// cold-load path. Read-only: every mutator throws Error. Queries go
-/// through the same FrequencyHashView probe code as in-memory tables
-/// (Bfhrf routes its batched query path through index_view()).
-class MappedFrequencyStore final : public FrequencyStore {
- public:
-  explicit MappedFrequencyStore(const std::string& path);
-
-  [[nodiscard]] KeyEncoding encoding() const noexcept {
-    return index_.header().store_kind ==
-                   static_cast<std::uint32_t>(MappedStoreKind::Sparse)
-               ? KeyEncoding::Sparse
-               : KeyEncoding::Raw;
-  }
-  [[nodiscard]] bool include_trivial() const noexcept {
-    return (index_.header().flags & kMappedFlagIncludeTrivial) != 0;
-  }
-  [[nodiscard]] std::size_t reference_trees() const noexcept {
-    return static_cast<std::size_t>(index_.header().reference_trees);
-  }
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return index_.header().shard_count;
-  }
-  [[nodiscard]] const MappedIndex& index() const noexcept { return index_; }
-
-  /// Routing view over the mapped shards.
-  [[nodiscard]] const BfhIndexView& index_view() const noexcept {
-    return view_;
-  }
-
-  // FrequencyStore interface (read-only).
-  [[nodiscard]] std::size_t n_bits() const noexcept override {
-    return static_cast<std::size_t>(index_.header().n_bits);
-  }
-  [[nodiscard]] std::size_t unique_count() const noexcept override {
-    return static_cast<std::size_t>(index_.header().unique_keys);
-  }
-  [[nodiscard]] std::uint64_t total_count() const noexcept override {
-    return index_.header().total_count;
-  }
-  [[nodiscard]] double total_weight() const noexcept override {
-    return index_.header().total_weight;
-  }
-  void add_weighted(util::ConstWordSpan key, std::uint32_t count,
-                    double weight) override;
-  [[nodiscard]] std::uint32_t frequency(util::ConstWordSpan key)
-      const override;
-  void for_each_key(const std::function<void(util::ConstWordSpan,
-                                             std::uint32_t)>& fn)
-      const override;
-  [[nodiscard]] std::size_t memory_bytes() const override {
-    return index_.size_bytes();
-  }
-  [[nodiscard]] std::size_t key_bytes() const override;
-  void set_total_weight(double w) override;
-
- private:
-  [[noreturn]] static void read_only_violation(const char* op);
-
-  MappedIndex index_;
-  std::vector<FrequencyHashView> views_;  ///< one per shard
-  std::uint32_t shard_bits_ = 0;
-  BfhIndexView view_;  ///< routes over copies of views_
 };
 
 }  // namespace bfhrf::core

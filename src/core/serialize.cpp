@@ -1,7 +1,5 @@
 #include "core/serialize.hpp"
 
-#include <utility>
-
 #include "core/index_file.hpp"
 #include "util/error.hpp"
 
@@ -9,28 +7,23 @@ namespace bfhrf::core {
 
 void save_bfhrf_file(const Bfhrf& engine, const std::string& path,
                      IndexFormat /*format*/) {
-  const BfhrfStats stats = engine.stats();
-  if (stats.reference_trees == 0) {
+  if (engine.reference_trees_ == 0) {
     throw InvalidArgument("save_bfhrf_file: engine has not been built");
   }
+  if (!engine.tables_) {
+    throw InvalidArgument(
+        "save_bfhrf_file: the engine serves a loaded index, whose file "
+        "already is the saved form");
+  }
   write_index_file(
-      engine.store(),
+      *engine.tables_, engine.total_weight_,
       IndexFileMeta{.include_trivial = engine.options().include_trivial,
-                    .reference_trees = stats.reference_trees},
+                    .reference_trees = engine.reference_trees_},
       path);
 }
 
 Bfhrf load_bfhrf_file(const std::string& path, BfhrfOptions opts) {
-  auto mapped = std::make_unique<MappedFrequencyStore>(path);
-  // Store shape is the file's, not the caller's: adopt_store discards the
-  // ctor-made store, whose tables are still at their minimum size.
-  opts.compressed_keys = mapped->encoding() == KeyEncoding::Sparse;
-  opts.include_trivial = mapped->include_trivial();
-  const std::size_t n_bits = mapped->n_bits();
-  const std::size_t trees = mapped->reference_trees();
-  Bfhrf engine(n_bits, opts);
-  engine.adopt_store(std::move(mapped), trees);
-  return engine;
+  return Bfhrf(MappedIndex(path), opts);
 }
 
 }  // namespace bfhrf::core

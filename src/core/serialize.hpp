@@ -13,7 +13,9 @@
 // There is one on-disk format, "BFHMAP" (core/index_file.hpp): the built
 // tables persisted verbatim and section-aligned. Loading mmaps the file,
 // validates it, and serves queries directly off the mapping — zero
-// deserialization. Only core/index_file knows the layout and its magic.
+// deserialization, and no table allocated: the loaded engine answers
+// through the same read-only BfhIndexView a build gives, laid over the
+// mapped shards. Only core/index_file knows the layout and its magic.
 //
 // NOTE: if the engine was built under a filter/weight variant, the stored
 // keys are the filtered ones and total_weight is the weighted sum; load
@@ -44,8 +46,10 @@ void save_bfhrf_file(const Bfhrf& engine, const std::string& path,
 /// validated, and queried in place — bit-identical results. Calling build
 /// on the engine throws. Runtime options (threads, variant, norm) come
 /// from `opts`; the store kind, trivial-split convention, shard layout,
-/// universe width and contents come from the file. Throws Error when the
-/// file cannot be opened or mapped, ParseError when it is malformed.
+/// universe width and contents come from the file, and
+/// `opts.expected_unique` is unused (no table is allocated). Throws Error
+/// when the file cannot be opened or mapped, ParseError when it is
+/// malformed.
 [[nodiscard]] Bfhrf load_bfhrf_file(const std::string& path,
                                     BfhrfOptions opts = {});
 

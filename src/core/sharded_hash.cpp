@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -25,8 +26,7 @@ std::size_t round_up_pow2(std::size_t v) {
 ShardedFrequencyHash::ShardedFrequencyHash(std::size_t n_bits,
                                            std::size_t shard_count,
                                            std::size_t expected_unique,
-                                           KeyEncoding encoding)
-    : n_bits_(n_bits) {
+                                           KeyEncoding encoding) {
   const std::size_t count = round_up_pow2(shard_count);
   shard_bits_ = static_cast<std::uint32_t>(std::countr_zero(count));
   shards_.reserve(count);
@@ -37,93 +37,63 @@ ShardedFrequencyHash::ShardedFrequencyHash(std::size_t n_bits,
   }
 }
 
-std::size_t ShardedFrequencyHash::shard_index(util::ConstWordSpan key) const {
-  return shard_of(util::hash_words(key), shard_bits_);
+BfhIndexView::BfhIndexView(const ShardedFrequencyHash& tables,
+                           double total_weight)
+    : shard_bits_(tables.shard_bits()), total_weight_(total_weight) {
+  shards_.reserve(tables.shard_count());
+  shard_keys_.reserve(tables.shard_count());
+  for (std::size_t s = 0; s < tables.shard_count(); ++s) {
+    const FrequencyHash& shard = tables.shard(s);
+    shards_.emplace_back(shard);
+    shard_keys_.push_back(shard.unique_count());
+    unique_ += shard.unique_count();
+    total_count_ += shard.total_count();
+    memory_bytes_ += shard.memory_bytes();
+  }
 }
 
-std::size_t ShardedFrequencyHash::unique_count() const noexcept {
+BfhIndexView::BfhIndexView(std::vector<FrequencyHashView> shards,
+                           std::vector<std::size_t> shard_keys,
+                           std::uint64_t total_count, double total_weight,
+                           std::size_t memory_bytes)
+    : shards_(std::move(shards)),
+      shard_keys_(std::move(shard_keys)),
+      shard_bits_(static_cast<std::uint32_t>(std::countr_zero(shards_.size()))),
+      total_count_(total_count),
+      total_weight_(total_weight),
+      memory_bytes_(memory_bytes) {
+  BFHRF_ASSERT(std::has_single_bit(shards_.size()) &&
+               shard_keys_.size() == shards_.size());
+  for (const std::size_t keys : shard_keys_) {
+    unique_ += keys;
+  }
+}
+
+std::size_t BfhIndexView::key_bytes() const noexcept {
   std::size_t sum = 0;
-  for (const auto& s : shards_) {
-    sum += s->unique_count();
+  for (const FrequencyHashView& shard : shards_) {
+    sum += shard.arena_bytes();
   }
   return sum;
 }
 
-std::uint64_t ShardedFrequencyHash::total_count() const noexcept {
-  std::uint64_t sum = 0;
-  for (const auto& s : shards_) {
-    sum += s->total_count();
-  }
-  return sum;
-}
-
-double ShardedFrequencyHash::total_weight() const noexcept {
-  double sum = 0.0;
-  for (const auto& s : shards_) {
-    sum += s->total_weight();
-  }
-  return sum;
-}
-
-void ShardedFrequencyHash::add_weighted(util::ConstWordSpan key,
-                                        std::uint32_t count, double weight) {
-  shards_[shard_index(key)]->add_weighted(key, count, weight);
-}
-
-std::uint32_t ShardedFrequencyHash::frequency(util::ConstWordSpan key) const {
-  return shards_[shard_index(key)]->frequency(key);
-}
-
-void ShardedFrequencyHash::for_each_key(
-    const std::function<void(util::ConstWordSpan, std::uint32_t)>& fn) const {
-  for (const auto& s : shards_) {
-    s->for_each_key(fn);
-  }
-}
-
-std::size_t ShardedFrequencyHash::memory_bytes() const {
+std::size_t BfhIndexView::capacity_slots() const noexcept {
   std::size_t sum = 0;
-  for (const auto& s : shards_) {
-    sum += s->memory_bytes();
+  for (const FrequencyHashView& shard : shards_) {
+    sum += shard.directory().slot_count();
   }
   return sum;
 }
 
-std::size_t ShardedFrequencyHash::key_bytes() const {
-  std::size_t sum = 0;
-  for (const auto& s : shards_) {
-    sum += s->key_bytes();
-  }
-  return sum;
-}
-
-void ShardedFrequencyHash::set_total_weight(double w) {
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    shards_[s]->set_total_weight(0.0);
-  }
-  shards_[0]->set_total_weight(w);
-}
-
-double ShardedFrequencyHash::shard_skew() const {
-  const std::size_t unique = unique_count();
-  if (unique == 0) {
+double BfhIndexView::shard_skew() const noexcept {
+  if (unique_ == 0) {
     return 1.0;
   }
-  std::size_t largest = 0;
-  for (const auto& s : shards_) {
-    largest = std::max(largest, s->unique_count());
-  }
+  const std::size_t largest =
+      *std::max_element(shard_keys_.begin(), shard_keys_.end());
   const double mean =
-      static_cast<double>(unique) / static_cast<double>(shards_.size());
+      static_cast<double>(unique_) / static_cast<double>(shards_.size());
   return static_cast<double>(largest) / mean;
-}
-
-BfhIndexView::BfhIndexView(const ShardedFrequencyHash& sharded)
-    : shard_bits_(sharded.shard_bits()) {
-  shards_.reserve(sharded.shard_count());
-  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
-    shards_.emplace_back(sharded.shard(s));
-  }
 }
 
 void BfhIndexView::frequency_many(const std::uint64_t* keys,

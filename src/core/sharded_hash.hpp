@@ -1,5 +1,6 @@
 // ShardedFrequencyHash — the frequency hash split into S = 2^b private
-// FrequencyHash shards, routed by the TOP b bits of the key fingerprint.
+// FrequencyHash shards, routed by the TOP b bits of the key fingerprint —
+// and BfhIndexView, the one read-only store every engine answers through.
 //
 // Why top bits: the group-probed table consumes the fingerprint from the
 // bottom up (low 7 bits = control tag, next 57 = home group;
@@ -14,7 +15,9 @@
 //    key is inserted exactly once, into the one shard that owns it. Bfhrf's
 //    parallel build stages keys per worker and per shard, then flushes a
 //    full bucket into its shard under that shard's lock (core/bfhrf):
-//    workers flushing different shards never wait on each other.
+//    workers flushing different shards never wait on each other. An
+//    inline build fills a one-shard store, whose shard is an ordinary
+//    single table.
 //  * A SHARD-SHAPED FILE FORMAT. The mmap index layout (core/index_file)
 //    persists each shard's (ctrl, slots, keys) sections verbatim, so a
 //    sharded build streams to disk with no re-keying and maps back with no
@@ -22,9 +25,9 @@
 //
 // Determinism: frequencies are order-independent integer sums, so a
 // sharded build reaches bit-identical counts regardless of worker
-// interleaving. Stores keep no per-key weight, and Bfhrf sets a weighted
-// variant's sumBFHR from a stream-order fold of per-tree weights
-// (set_total_weight), so variants and both key encodings shard too.
+// interleaving. sumBFHR is not a shard property: Bfhrf folds it from
+// per-tree weights in stream order and hands it to the view, so variants
+// and both key encodings shard too.
 //
 // Concurrency model: each shard is a single-writer FrequencyHash, so
 // concurrent writers to one shard must serialize (Bfhrf holds a mutex per
@@ -38,7 +41,7 @@
 #include <vector>
 
 #include "core/frequency_hash.hpp"
-#include "core/frequency_store.hpp"
+#include "util/hash.hpp"
 
 namespace bfhrf::core {
 
@@ -51,7 +54,9 @@ namespace bfhrf::core {
              : static_cast<std::size_t>(fp >> (64u - shard_bits));
 }
 
-class ShardedFrequencyHash final : public FrequencyStore {
+/// The tables a build fills: S = 2^b FrequencyHash shards. Only the
+/// shards themselves are exposed; every read goes through a BfhIndexView.
+class ShardedFrequencyHash {
  public:
   /// `shard_count` is rounded up to a power of two (min 1);
   /// `expected_unique` is split evenly across shards as a pre-size hint;
@@ -73,68 +78,76 @@ class ShardedFrequencyHash final : public FrequencyStore {
     return *shards_[s];
   }
 
-  /// Shard owning `key` (hashes it; build hot paths precompute the
-  /// fingerprint and call shard_of directly).
-  [[nodiscard]] std::size_t shard_index(util::ConstWordSpan key) const;
-
-  // FrequencyStore interface — totals are sums across shards; mutations
-  // route to the owning shard.
-  [[nodiscard]] std::size_t n_bits() const noexcept override {
-    return n_bits_;
-  }
-  [[nodiscard]] std::size_t words_per_key() const noexcept {
-    return shards_.front()->words_per_key();
-  }
-  [[nodiscard]] std::size_t unique_count() const noexcept override;
-  [[nodiscard]] std::uint64_t total_count() const noexcept override;
-  [[nodiscard]] double total_weight() const noexcept override;
-
-  void add_weighted(util::ConstWordSpan key, std::uint32_t count,
-                    double weight) override;
-
-  [[nodiscard]] std::uint32_t frequency(util::ConstWordSpan key)
-      const override;
-  void for_each_key(const std::function<void(util::ConstWordSpan,
-                                             std::uint32_t)>& fn)
-      const override;
-  [[nodiscard]] std::size_t memory_bytes() const override;
-  [[nodiscard]] std::size_t key_bytes() const override;
-
-  /// Sets the whole total on shard 0 and zero on the rest, so the sum
-  /// across shards is exactly `w` (a per-shard share of a variant's
-  /// weighted total has no meaning of its own).
-  void set_total_weight(double w) override;
-
-  /// Largest shard's unique-key count over the mean — 1.0 is a perfectly
-  /// balanced build (obs gauge bfhrf.build.shard.skew).
-  [[nodiscard]] double shard_skew() const;
-
  private:
-  std::size_t n_bits_ = 0;
   std::uint32_t shard_bits_ = 0;
   std::vector<std::unique_ptr<FrequencyHash>> shards_;
 };
 
-/// Read-only routing view over one or more FrequencyHash layouts — THE
-/// query-path object of the engine, for every store shape and key
-/// encoding. One shard: delegates to the shard's full 4-stage prefetch
-/// pipeline (bit-identical to the historical single-table fast path).
-/// Multiple shards: a fingerprint-routing loop that prefetches each key's
-/// home control group in its owning shard a few keys ahead. Backed equally
-/// by live tables (Bfhrf after a build) and by mmapped index sections
-/// (core/index_file) — the zero-copy cold-serve path.
+/// The one read-only store: a routing view over one or more
+/// FrequencyHash layouts plus the store's read-side scalars. Bfhrf::store()
+/// returns it for built and loaded engines alike, and the query path,
+/// consensus, stats, obs gauges and the persist oracle read nothing else.
+/// Backed equally by live tables (a build's ShardedFrequencyHash; the
+/// view is invalidated by any mutation of them) and by mmapped index
+/// sections (MappedIndex::view, the zero-copy cold-serve path). The
+/// scalars are fixed when the view is made.
+///
+/// Lookups: one shard delegates to the shard's full 4-stage prefetch
+/// pipeline (bit-identical to the single-table fast path); multiple shards
+/// run a fingerprint-routing loop that prefetches each key's home control
+/// group in its owning shard a few keys ahead.
 class BfhIndexView {
  public:
   BfhIndexView() = default;
-  explicit BfhIndexView(const FrequencyHash& single)
-      : shards_{FrequencyHashView(single)} {}
-  explicit BfhIndexView(const ShardedFrequencyHash& sharded);
+  /// View over built tables; `total_weight` is the engine's sumBFHR.
+  BfhIndexView(const ShardedFrequencyHash& tables, double total_weight);
+  /// View over shard layouts: `shard_keys[s]` distinct keys live in
+  /// `shards[s]` (a power-of-two count); `memory_bytes` is what backs them.
   BfhIndexView(std::vector<FrequencyHashView> shards,
-               std::uint32_t shard_bits)
-      : shards_(std::move(shards)), shard_bits_(shard_bits) {}
+               std::vector<std::size_t> shard_keys, std::uint64_t total_count,
+               double total_weight, std::size_t memory_bytes);
 
+  /// Taxon-universe width in bits (0 for an empty view).
+  [[nodiscard]] std::size_t n_bits() const noexcept {
+    return shards_.empty() ? 0 : shards_.front().n_bits();
+  }
+  /// Number of distinct bipartitions stored.
+  [[nodiscard]] std::size_t unique_count() const noexcept { return unique_; }
+  /// Σ frequencies — the paper's sumBFHR under unit weights.
+  [[nodiscard]] std::uint64_t total_count() const noexcept {
+    return total_count_;
+  }
+  /// sumBFHR: Σ weight·frequency under the engine's variant.
+  [[nodiscard]] double total_weight() const noexcept { return total_weight_; }
+  /// Bytes backing the store: the tables' control bytes, slots and key
+  /// arenas, or the size of a mapped index file.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return memory_bytes_;
+  }
+  /// Bytes of stored keys: the key arenas' length in their encoding.
+  [[nodiscard]] std::size_t key_bytes() const noexcept;
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
+  }
+  /// Slots over all shards.
+  [[nodiscard]] std::size_t capacity_slots() const noexcept;
+  /// Largest shard's distinct-key count over the mean (1.0 = perfectly
+  /// balanced; also 1.0 for an empty store).
+  [[nodiscard]] double shard_skew() const noexcept;
+
+  /// Frequency of one bipartition (0 if absent).
+  [[nodiscard]] std::uint32_t frequency(util::ConstWordSpan key) const {
+    return shards_[shard_of(util::hash_words(key), shard_bits_)].frequency(
+        key);
+  }
+
+  /// Visit every (key, frequency) pair, shard by shard, keys in raw word
+  /// form (sparse keys are decoded). Order is unspecified.
+  template <typename Fn>
+  void for_each_key(Fn&& fn) const {
+    for (const FrequencyHashView& shard : shards_) {
+      shard.for_each(fn);
+    }
   }
 
   /// Batched lookup over a contiguous key arena (see
@@ -149,7 +162,12 @@ class BfhIndexView {
              std::uint32_t* out) const;
 
   std::vector<FrequencyHashView> shards_;
+  std::vector<std::size_t> shard_keys_;  ///< distinct keys per shard
   std::uint32_t shard_bits_ = 0;
+  std::size_t unique_ = 0;
+  std::uint64_t total_count_ = 0;
+  double total_weight_ = 0.0;
+  std::size_t memory_bytes_ = 0;
 };
 
 }  // namespace bfhrf::core

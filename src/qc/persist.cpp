@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/bfhrf.hpp"
-#include "core/index_file.hpp"
 #include "core/serialize.hpp"
 #include "core/sharded_hash.hpp"
 #include "qc/harness.hpp"
@@ -31,7 +30,7 @@ struct StoreImage {
   double weight = 0.0;
 };
 
-StoreImage image_of(const core::FrequencyStore& store) {
+StoreImage image_of(const core::BfhIndexView& store) {
   StoreImage img;
   img.unique = store.unique_count();
   img.total = store.total_count();
@@ -66,7 +65,7 @@ struct Context {
   }
 };
 
-void compare_stores(Context& ctx, const core::FrequencyStore& got,
+void compare_stores(Context& ctx, const core::BfhIndexView& got,
                     const StoreImage& want, const std::string& label) {
   const StoreImage img = image_of(got);
   ctx.check(img.unique == want.unique,
@@ -117,19 +116,29 @@ class ScratchFile {
   std::string path_;
 };
 
+/// Save `engine`, load the file at the thread count it was built at (so a
+/// multi-shard index is queried by pipeline workers), and compare.
 void round_trip(Context& ctx, const Bfhrf& engine,
                 std::span<const phylo::Tree> queries, const StoreImage& want,
                 std::span<const double> want_rf, const std::string& label) {
   const ScratchFile file(ctx.opts.scratch_dir, ctx.opts.seed, "map");
   core::save_bfhrf_file(engine, file.path());
-  const Bfhrf loaded = core::load_bfhrf_file(file.path());
+  const Bfhrf loaded = core::load_bfhrf_file(
+      file.path(), {.threads = engine.options().threads});
   ++ctx.report.round_trips;
-  ctx.check(dynamic_cast<const core::MappedFrequencyStore*>(
-                &loaded.store()) != nullptr,
-            label + " mapped: load did not serve zero-copy "
-                    "(store is not MappedFrequencyStore)");
-  compare_stores(ctx, loaded.store(), want, label + " mapped");
-  compare_queries(ctx, loaded.query(queries), want_rf, label + " mapped");
+  const std::string mapped = label + " mapped";
+  ctx.check(loaded.store().shard_count() == engine.store().shard_count(),
+            mapped + ": " + std::to_string(loaded.store().shard_count()) +
+                " shards, built with " +
+                std::to_string(engine.store().shard_count()));
+  // Served zero-copy: the store's bytes are the file itself, not tables
+  // rebuilt from it.
+  ctx.check(loaded.store().memory_bytes() ==
+                std::filesystem::file_size(file.path()),
+            mapped + ": load did not serve zero-copy (store bytes are not "
+                     "the file's)");
+  compare_stores(ctx, loaded.store(), want, mapped);
+  compare_queries(ctx, loaded.query(queries), want_rf, mapped);
 }
 
 }  // namespace
@@ -173,10 +182,7 @@ PersistOracleReport check_persist_equivalence(
       Bfhrf engine(n_bits, shape_opts);
       engine.build(reference);
       const std::size_t threads = engine.options().threads;
-      const auto* sharded =
-          dynamic_cast<const core::ShardedFrequencyHash*>(&engine.store());
-      const std::size_t shards =
-          sharded != nullptr ? sharded->shard_count() : 1;
+      const std::size_t shards = engine.store().shard_count();
       const std::string label = std::string(compressed ? "sparse" : "raw") +
                                 " threads=" + std::to_string(threads) +
                                 " shards=" + std::to_string(shards);

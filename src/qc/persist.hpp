@@ -10,11 +10,13 @@
 //    encodings (raw words and sparse SparseKeyCodec bytes), has the shape
 //    its thread count gives, holds exactly the raw single-table store's
 //    (key, count) multiset and produces bit-identical query vectors;
-//  * the on-disk ("BFHMAP") format round-trips every shape — save, load,
-//    re-query, compare to the exact double;
-//  * a mapped load actually serves zero-copy (the loaded store is the
-//    read-only MappedFrequencyStore, not a rebuilt table), and so passes
-//    the loader's byte-level validation of every ctrl and slot section.
+//  * the on-disk ("BFHMAP") format round-trips every shape — save, load
+//    at the thread count the build ran at (so multi-shard indexes are
+//    queried by pipeline workers), re-query, compare to the exact double
+//    — and the loaded store has the built store's shard count;
+//  * a mapped load actually serves zero-copy (the loaded store's bytes
+//    are the file's, not tables rebuilt from it), and so passes the
+//    loader's byte-level validation of every ctrl and slot section.
 //
 // Failure messages carry the seed in the --seed/BFHRF_FUZZ_SEED replay
 // convention. Designed to run under the asan-ubsan preset (mapped views

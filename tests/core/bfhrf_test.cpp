@@ -297,9 +297,9 @@ TEST(BfhrfTest, IncrementalBuildAccumulates) {
     Bfhrf one_build(taxa->size(), opts);
     one_build.build(all);
 
-    const FrequencyStore& split = split_build.store();
-    const FrequencyStore& one = one_build.store();
-    EXPECT_EQ(test::shard_count(split), test::expected_shards(opts.threads));
+    const BfhIndexView& split = split_build.store();
+    const BfhIndexView& one = one_build.store();
+    EXPECT_EQ(split.shard_count(), test::expected_shards(opts.threads));
     EXPECT_EQ(test::store_image(split), test::store_image(one));
     EXPECT_EQ(split.total_count(), one.total_count());
     EXPECT_EQ(split.total_weight(), one.total_weight());

@@ -132,8 +132,8 @@ TEST(ConsensusTest, ThresholdOneKeepsOnlyUnanimousSplits) {
 
 TEST(ConsensusTest, EmptyCollectionThrows) {
   const auto taxa = TaxonSet::make_numbered(5);
-  const FrequencyHash hash(5);
-  EXPECT_THROW((void)consensus_tree(hash, 0, taxa), InvalidArgument);
+  EXPECT_THROW((void)consensus_tree(BfhIndexView{}, 0, taxa),
+               InvalidArgument);
 }
 
 TEST(ConsensusTest, ValidTreeOnLargeNoisyCollection) {

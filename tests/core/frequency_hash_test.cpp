@@ -120,9 +120,9 @@ TEST(FrequencyHashTest, ForEachVisitsEveryUniqueKeyOnce) {
 
 TEST(FrequencyHashTest, WeightedTotals) {
   FrequencyHash h(64);
-  h.add_weighted(key(64, {1}).words(), 1, 2.5);
-  h.add_weighted(key(64, {1}).words(), 1, 2.5);
-  h.add_weighted(key(64, {2}).words(), 1, 1.0);
+  h.add(key(64, {1}).words(), 1, 2.5);
+  h.add(key(64, {1}).words(), 1, 2.5);
+  h.add(key(64, {2}).words(), 1, 1.0);
   EXPECT_DOUBLE_EQ(h.total_weight(), 6.0);
   EXPECT_EQ(h.total_count(), 3u);
   EXPECT_EQ(h.frequency(key(64, {1}).words()), 2u);
@@ -295,7 +295,7 @@ TEST(CompressedHashTest, ForEachKeyDecodesExactKeys) {
     ++mirror[b.to_string()];
   }
   std::map<std::string, std::uint32_t> seen;
-  h.for_each_key([&](util::ConstWordSpan words, std::uint32_t count) {
+  h.for_each([&](util::ConstWordSpan words, std::uint32_t count) {
     seen[util::DynamicBitset(kBits, words).to_string()] = count;
   });
   EXPECT_EQ(seen, mirror);

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,9 +17,12 @@
 #include "core/sharded_hash.hpp"
 #include "core/tree_source.hpp"
 #include "phylo/bipartition.hpp"
+#include "phylo/newick.hpp"
 #include "support/test_util.hpp"
 #include "util/error.hpp"
 #include "util/group_table.hpp"
+#include "util/hash.hpp"
+#include "util/memory.hpp"
 #include "util/rng.hpp"
 
 namespace bfhrf::core {
@@ -91,10 +95,11 @@ TEST(IndexFileTest, MappedQueriesMatchMemoryExactly) {
     save_bfhrf_file(engine, file.path());
     const Bfhrf mapped = load_bfhrf_file(file.path(), {.threads = 3});
 
-    // The load serves in place, with the caller's runtime options and the
-    // file's trivial-split convention.
-    EXPECT_NE(dynamic_cast<const MappedFrequencyStore*>(&mapped.store()),
-              nullptr);
+    // The load serves in place (the store's bytes are the file's), with
+    // the caller's runtime options and the file's trivial-split
+    // convention.
+    EXPECT_EQ(mapped.store().memory_bytes(),
+              std::filesystem::file_size(file.path()));
     EXPECT_EQ(mapped.options().threads, 3u);
     EXPECT_EQ(mapped.options().include_trivial, include_trivial);
     EXPECT_EQ(mapped.stats().reference_trees, engine.stats().reference_trees);
@@ -121,17 +126,23 @@ TEST(IndexFileTest, ShardedLayoutRoundTrips) {
   for (const KeyEncoding encoding : {KeyEncoding::Raw, KeyEncoding::Sparse}) {
     ShardedFrequencyHash sharded(w.taxa->size(), 4, 0, encoding);
     for (const Tree& t : w.reference) {
-      phylo::extract_bipartitions(t).for_each(
-          [&](util::ConstWordSpan key) { sharded.add_weighted(key, 1, 1.0); });
+      phylo::extract_bipartitions(t).for_each([&](util::ConstWordSpan key) {
+        sharded.shard(shard_of(util::hash_words(key), sharded.shard_bits()))
+            .add(key);
+      });
     }
-    ASSERT_EQ(test::store_image(sharded), test::store_image(engine.store()));
+    const double total_weight = engine.store().total_weight();
+    ASSERT_EQ(test::store_image(BfhIndexView(sharded, total_weight)),
+              test::store_image(engine.store()));
 
     const TempFile file("sharded");
-    write_index_file(sharded, {.reference_trees = w.reference.size()},
-                     file.path());
+    write_index_file(sharded, total_weight,
+                     {.reference_trees = w.reference.size()}, file.path());
     const MappedIndex index(file.path());
     EXPECT_EQ(index.header().shard_count, 4u);
     EXPECT_EQ(index.header().unique_keys, engine.stats().unique_bipartitions);
+    EXPECT_EQ(index.header().total_weight, total_weight);
+    EXPECT_EQ(index.shard(0).total_weight, total_weight);
     for (std::size_t s = 0; s < 4; ++s) {
       EXPECT_EQ(index.shard(s).ctrl_offset % kMappedSectionAlign, 0u);
       EXPECT_EQ(index.shard(s).slots_offset % kMappedSectionAlign, 0u);
@@ -158,28 +169,98 @@ TEST(IndexFileTest, CompressedStoreRoundTrips) {
                  {.threads = threads, .compressed_keys = true});
     engine.build(w.reference);
     const std::size_t shards = test::expected_shards(threads);
-    ASSERT_EQ(test::shard_count(engine.store()), shards);
+    ASSERT_EQ(engine.store().shard_count(), shards);
     ASSERT_EQ(engine.query(w.queries), want) << "shards=" << shards;
 
     const TempFile file("compressed");
     save_bfhrf_file(engine, file.path());
     const Bfhrf loaded = load_bfhrf_file(file.path());
-    const auto* store =
-        dynamic_cast<const MappedFrequencyStore*>(&loaded.store());
-    ASSERT_NE(store, nullptr);
-    EXPECT_EQ(store->encoding(), KeyEncoding::Sparse);
-    EXPECT_EQ(store->shard_count(), shards);
-    EXPECT_EQ(store->index().header().store_kind,
+    const MappedIndex index(file.path());
+    EXPECT_EQ(index.encoding(), KeyEncoding::Sparse);
+    EXPECT_EQ(index.header().store_kind,
               static_cast<std::uint32_t>(MappedStoreKind::Sparse));
+    EXPECT_EQ(loaded.store().shard_count(), shards);
     EXPECT_TRUE(loaded.options().compressed_keys);
     EXPECT_EQ(test::store_image(loaded.store()),
               test::store_image(raw.store()))
         << "shards=" << shards;
-    EXPECT_EQ(store->key_bytes(), engine.store().key_bytes());
+    EXPECT_EQ(loaded.store().key_bytes(), engine.store().key_bytes());
     const auto got = loaded.query(w.queries);
     for (std::size_t i = 0; i < w.queries.size(); ++i) {
       EXPECT_EQ(got[i], want[i]) << "shards=" << shards << " query " << i;
     }
+  }
+}
+
+TEST(IndexFileTest, LoadAllocatesNoTable) {
+  // A load maps the file and allocates no table, whatever pre-size hint
+  // the options carry. 1 << 24 expected keys would size 2^25 slots: about
+  // 290 MB of slots and ctrl bytes, touched as they are cleared.
+  const BuiltEngine w = make_workload(40, 30, 8, 37);
+  Bfhrf engine(w.taxa->size());
+  engine.build(w.reference);
+  const auto want = engine.query(w.queries);
+  const TempFile file("noalloc");
+  save_bfhrf_file(engine, file.path());
+
+  const std::size_t before = util::peak_rss_bytes();
+  const Bfhrf loaded = load_bfhrf_file(
+      file.path(), {.threads = 4, .expected_unique = std::size_t{1} << 24});
+  const std::size_t rise = util::peak_rss_bytes() - before;
+  EXPECT_LT(rise, std::size_t{64} << 20) << "peak RSS rose by " << rise;
+  EXPECT_EQ(loaded.query(w.queries), want);
+}
+
+/// FNV-1a over a file's bytes: a fixed hash that owes nothing to the
+/// engine's own hashing.
+std::uint64_t fnv1a(const std::vector<char>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(IndexFileTest, SingleTableFileBytesArePinned) {
+  // An inline build's BFHMAP file, byte for byte, for a fixed hand-written
+  // corpus: the size and FNV-1a of each file the writer produces. A writer
+  // change that moves any byte of a 1-thread save fails here, so it must
+  // be a deliberate format revision that re-records these constants.
+  static constexpr const char* kCorpus[] = {
+      "((Ant,Bee),(Cat,Dog),((Elk,Fox),(Gnu,(Hen,(Ibis,Jay)))));",
+      "((Ant,Cat),(Bee,Dog),((Elk,Gnu),(Fox,(Hen,(Ibis,Jay)))));",
+      "(((Ant,Bee),Cat),Dog,((Elk,Fox),((Gnu,Hen),(Ibis,Jay))));",
+      "((Ant,Bee),(Cat,Dog),(Elk,(Fox,(Gnu,(Hen,(Ibis,Jay))))));",
+      "((Jay,Ibis),(Hen,Gnu),((Fox,Elk),(Dog,(Cat,(Bee,Ant)))));",
+      "((Ant,(Bee,(Cat,(Dog,Elk)))),Fox,(Gnu,(Hen,(Ibis,Jay))));",
+      "((Ant,Bee),(Cat,Dog),((Elk,Fox),(Gnu,(Hen,(Ibis,Jay)))));",
+      "((Ant,Dog),(Bee,Cat),((Elk,Jay),(Gnu,(Hen,(Ibis,Fox)))));",
+  };
+  struct Pin {
+    bool compressed;
+    std::size_t bytes;
+    std::uint64_t fnv;
+  };
+  static constexpr Pin kPins[] = {
+      {false, 952, 0x9233fa2720eade80},
+      {true, 877, 0xaf2cde1a2b620f71},
+  };
+  const auto taxa = std::make_shared<TaxonSet>();
+  std::vector<Tree> trees;
+  for (const char* newick : kCorpus) {
+    trees.push_back(phylo::parse_newick(newick, taxa));
+  }
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE(pin.compressed ? "sparse keys" : "raw keys");
+    Bfhrf engine(taxa->size(),
+                 {.threads = 1, .compressed_keys = pin.compressed});
+    engine.build(trees);
+    const TempFile file(pin.compressed ? "pin_sparse" : "pin_raw");
+    save_bfhrf_file(engine, file.path());
+    const std::vector<char> bytes = file.bytes();
+    EXPECT_EQ(bytes.size(), pin.bytes);
+    EXPECT_EQ(fnv1a(bytes), pin.fnv)
+        << std::hex << "0x" << fnv1a(bytes);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "core/variants.hpp"
 #include "support/test_util.hpp"
 #include "util/bitset.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace bfhrf::core {
@@ -41,6 +43,11 @@ TEST(ShardedHashTest, RoundsShardCountToPowerOfTwo) {
   EXPECT_EQ(h1.shard_bits(), 0u);
 }
 
+/// Add one occurrence of `key` to the shard that owns it.
+void add_routed(ShardedFrequencyHash& tables, util::ConstWordSpan key) {
+  tables.shard(shard_of(util::hash_words(key), tables.shard_bits())).add(key);
+}
+
 TEST(ShardedHashTest, MatchesSingleTableOnRandomKeys) {
   const std::size_t n_bits = 100;
   const std::size_t wp = util::words_for_bits(n_bits);
@@ -54,31 +61,45 @@ TEST(ShardedHashTest, MatchesSingleTableOnRandomKeys) {
   FrequencyHash single(n_bits);
   ShardedFrequencyHash sharded(n_bits, 8);
   // Insert every key twice: the single table through its scalar and
-  // batched paths, the sharded store through add_weighted, which routes
-  // each key to its owner shard.
+  // batched paths, the sharded store key by key into its owner shard.
   for (std::size_t i = 0; i < count; ++i) {
     single.add({keys.data() + i * wp, wp}, 1);
-    sharded.add_weighted({keys.data() + i * wp, wp}, 1, 1.0);
+    add_routed(sharded, {keys.data() + i * wp, wp});
   }
   single.add_many(keys.data(), count, nullptr);
   for (std::size_t i = 0; i < count; ++i) {
-    sharded.add_weighted({keys.data() + i * wp, wp}, 1, 1.0);
+    add_routed(sharded, {keys.data() + i * wp, wp});
   }
 
-  EXPECT_EQ(sharded.unique_count(), single.unique_count());
-  EXPECT_EQ(sharded.total_count(), single.total_count());
-  EXPECT_DOUBLE_EQ(sharded.total_weight(), single.total_weight());
+  const BfhIndexView view(sharded, single.total_weight());
+  EXPECT_EQ(view.n_bits(), n_bits);
+  EXPECT_EQ(view.shard_count(), 8u);
+  EXPECT_EQ(view.unique_count(), single.unique_count());
+  EXPECT_EQ(view.total_count(), single.total_count());
+  EXPECT_EQ(view.key_bytes(), single.key_bytes());
   for (std::size_t i = 0; i < count; ++i) {
     const util::ConstWordSpan key{keys.data() + i * wp, wp};
-    EXPECT_EQ(sharded.frequency(key), single.frequency(key));
+    EXPECT_EQ(view.frequency(key), single.frequency(key));
   }
-  // Shard totals must partition the global totals.
+  // Shard totals must partition the global totals, and the view's scalars
+  // must be the sums over its shards.
   std::size_t unique_sum = 0;
+  std::size_t largest = 0;
+  std::size_t slots = 0;
+  std::size_t bytes = 0;
   for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
     unique_sum += sharded.shard(s).unique_count();
+    largest = std::max(largest, sharded.shard(s).unique_count());
+    slots += sharded.shard(s).capacity_slots();
+    bytes += sharded.shard(s).memory_bytes();
   }
-  EXPECT_EQ(unique_sum, sharded.unique_count());
-  EXPECT_GE(sharded.shard_skew(), 1.0);
+  EXPECT_EQ(unique_sum, view.unique_count());
+  EXPECT_EQ(slots, view.capacity_slots());
+  EXPECT_EQ(bytes, view.memory_bytes());
+  EXPECT_DOUBLE_EQ(view.shard_skew(),
+                   static_cast<double>(largest) * 8.0 /
+                       static_cast<double>(unique_sum));
+  EXPECT_GE(view.shard_skew(), 1.0);
 }
 
 TEST(BfhIndexViewTest, RoutedLookupMatchesPerShardLookup) {
@@ -92,15 +113,22 @@ TEST(BfhIndexViewTest, RoutedLookupMatchesPerShardLookup) {
   }
   ShardedFrequencyHash sharded(n_bits, 4);
   for (std::size_t i = 0; i < count; ++i) {
-    sharded.add_weighted({keys.data() + i * wp, wp}, 1, 1.0);
+    add_routed(sharded, {keys.data() + i * wp, wp});
   }
 
-  const BfhIndexView view(sharded);
+  // The batched router against a direct lookup in the owner shard's table.
+  const auto owner_frequency = [&](const std::uint64_t* key) {
+    const util::ConstWordSpan span{key, wp};
+    return sharded.shard(shard_of(util::hash_words(span), 2)).frequency(span);
+  };
+  const BfhIndexView view(sharded, static_cast<double>(count));
   EXPECT_EQ(view.shard_count(), 4u);
+  EXPECT_EQ(view.total_weight(), static_cast<double>(count));
   std::vector<std::uint32_t> freqs(count);
   view.frequency_many(keys.data(), count, freqs.data());
   for (std::size_t i = 0; i < count; ++i) {
-    EXPECT_EQ(freqs[i], sharded.frequency({keys.data() + i * wp, wp}));
+    EXPECT_EQ(freqs[i], owner_frequency(keys.data() + i * wp));
+    EXPECT_EQ(freqs[i], 1u);
   }
   // Missing keys resolve to zero through the routed pipeline too.
   std::vector<std::uint64_t> missing(8 * wp);
@@ -110,7 +138,8 @@ TEST(BfhIndexViewTest, RoutedLookupMatchesPerShardLookup) {
   std::vector<std::uint32_t> zero(8);
   view.frequency_many(missing.data(), 8, zero.data());
   for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(zero[i], sharded.frequency({missing.data() + i * wp, wp}));
+    EXPECT_EQ(zero[i], owner_frequency(missing.data() + i * wp));
+    EXPECT_EQ(zero[i], 0u);
   }
 }
 
@@ -124,14 +153,14 @@ TEST(ShardedEngineTest, ShardedBuildMatchesSingleTableEngine) {
 
   Bfhrf single(taxa->size(), {.threads = 1});
   single.build(reference);
-  ASSERT_EQ(test::shard_count(single.store()), 1u);
+  ASSERT_EQ(single.store().shard_count(), 1u);
   const auto want = single.query(queries);
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{3},
                                     std::size_t{4}, std::size_t{8}}) {
     Bfhrf sharded(taxa->size(), {.threads = threads});
     sharded.build(reference);
-    EXPECT_EQ(test::shard_count(sharded.store()),
+    EXPECT_EQ(sharded.store().shard_count(),
               test::expected_shards(threads))
         << "threads=" << threads;
     EXPECT_EQ(sharded.stats().unique_bipartitions,
@@ -158,7 +187,7 @@ TEST(ShardedEngineTest, StreamingShardedBuildMatches) {
   Bfhrf sharded(taxa->size(), {.threads = 4});
   SpanTreeSource source(reference);
   sharded.build(source);
-  EXPECT_EQ(test::shard_count(sharded.store()), test::expected_shards(4));
+  EXPECT_EQ(sharded.store().shard_count(), test::expected_shards(4));
   const auto got = sharded.query(queries);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(got[i], want[i]);
@@ -196,7 +225,7 @@ TEST(ShardedEngineTest, VariantAndCompressedStoresShardBitForBit) {
       sharded.build(reference);
       SCOPED_TRACE(std::string(c.name) + " threads=" +
                    std::to_string(threads));
-      EXPECT_EQ(test::shard_count(sharded.store()),
+      EXPECT_EQ(sharded.store().shard_count(),
                 test::expected_shards(threads));
       EXPECT_EQ(test::store_image(sharded.store()),
                 test::store_image(single.store()));

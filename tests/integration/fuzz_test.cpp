@@ -490,7 +490,7 @@ TEST(FuzzTest, FrequencyHashInvariantsUnderRandomOps) {
       case 1: {  // weighted add (weight a pure function of the key)
         const auto k = random_key();
         const auto count = static_cast<std::uint32_t>(1 + rng.below(4));
-        hash.add_weighted(k.words(), count,
+        hash.add(k.words(), count,
                           0.5 + static_cast<double>(k.count()));
         mirror[k.to_string()] += count;
         total += count;

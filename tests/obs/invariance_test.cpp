@@ -5,16 +5,21 @@
 // switch is a no-op and the comparison degenerates to determinism across
 // repeated runs — still a meaningful check.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/all_pairs.hpp"
 #include "core/bfhrf.hpp"
+#include "core/index_file.hpp"
 #include "core/rf_matrix.hpp"
 #include "core/sequential_rf.hpp"
+#include "core/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "support/test_util.hpp"
 #include "util/rng.hpp"
@@ -117,7 +122,7 @@ TEST(ObsInvariance, MetricsActuallyRecordWhenEnabled) {
     obs::reset();
     core::Bfhrf engine(taxa->size(), {.threads = threads});
     engine.build(trees);
-    EXPECT_EQ(test::shard_count(engine.store()),
+    EXPECT_EQ(engine.store().shard_count(),
               test::expected_shards(threads));
     EXPECT_EQ(obs::counter_value("bfhrf.build.shard.keys"),
               test::expected_shards(threads) > 1 ? sum_bfhr : 0u);
@@ -130,6 +135,98 @@ TEST(ObsInvariance, MetricsActuallyRecordWhenEnabled) {
               obs::counter_value("bfhrf.query.bipartitions"));
     EXPECT_EQ(obs::counter_value("bfhrf.query.prefetch.batches"),
               obs::counter_value("bfhrf.query.trees"));
+  }
+}
+
+/// Check every table-shape gauge against the store saved at `path`: a
+/// BFHMAP file keeps each shard's slot count and live keys verbatim, so its
+/// records are the store's own numbers. Probe lengths are scanned only for
+/// an inline build's single table; every other shape publishes 0.
+void expect_shape_gauges(const core::Bfhrf& engine, const std::string& path,
+                         bool scanned) {
+  const core::MappedIndex index(path);
+  const std::size_t shards = index.header().shard_count;
+  std::size_t slots = 0;
+  std::size_t keys = 0;
+  std::size_t largest = 0;
+  for (std::size_t s = 0; s < shards; ++s) {
+    slots += index.shard(s).slot_count;
+    keys += index.shard(s).live_keys;
+    largest = std::max<std::size_t>(largest, index.shard(s).live_keys);
+  }
+  ASSERT_GT(keys, 0u);
+  EXPECT_EQ(engine.store().shard_count(), shards);
+  EXPECT_EQ(obs::gauge_value("bfhrf.build.shard.count"),
+            static_cast<double>(shards));
+  EXPECT_EQ(obs::gauge_value("bfhrf.hash.capacity_slots"),
+            static_cast<double>(slots));
+  EXPECT_DOUBLE_EQ(obs::gauge_value("bfhrf.hash.load_factor"),
+                   static_cast<double>(keys) / static_cast<double>(slots));
+  EXPECT_DOUBLE_EQ(obs::gauge_value("bfhrf.build.shard.skew"),
+                   static_cast<double>(largest) *
+                       static_cast<double>(shards) /
+                       static_cast<double>(keys));
+  EXPECT_EQ(obs::gauge_value("bfhrf.unique_bipartitions"),
+            static_cast<double>(keys));
+  EXPECT_EQ(obs::gauge_value("bfhrf.hash.resident_bytes"),
+            static_cast<double>(engine.store().memory_bytes()));
+  if (scanned) {
+    EXPECT_GE(obs::gauge_value("bfhrf.hash.mean_probe_groups"), 1.0);
+    EXPECT_GE(obs::gauge_value("bfhrf.hash.max_probe_groups"), 1.0);
+  } else {
+    EXPECT_EQ(obs::gauge_value("bfhrf.hash.mean_probe_groups"), 0.0);
+    EXPECT_EQ(obs::gauge_value("bfhrf.hash.max_probe_groups"), 0.0);
+  }
+}
+
+TEST(ObsInvariance, TableShapeGaugesFollowTheLatestStore) {
+  // A build at 4 threads, a smaller one at 1 thread, then a load of the
+  // first build's file: after each step every table-shape gauge must be
+  // that step's store's own number, not one left by an earlier engine.
+  if (!obs::compiled_in()) {
+    GTEST_SKIP() << "observability compiled out";
+  }
+  obs::reset();
+  obs::set_enabled(true);
+  const auto taxa = phylo::TaxonSet::make_numbered(40);
+  util::Rng rng(0x6A06E);
+  const auto wide = test::random_collection(taxa, 60, 8, rng);
+  const auto narrow = test::random_collection(taxa, 10, 2, rng);
+  const std::string base = ::testing::TempDir() + "bfhrf_gauges_" +
+                           std::to_string(::getpid());
+  struct Cleanup {
+    std::vector<std::string> paths;
+    ~Cleanup() {
+      for (const std::string& p : paths) {
+        std::error_code ec;
+        std::filesystem::remove(p, ec);
+      }
+    }
+  } files{{base + "_t4.bfi", base + "_t1.bfi"}};
+
+  core::Bfhrf sharded(taxa->size(), {.threads = 4});
+  sharded.build(wide);
+  core::save_bfhrf_file(sharded, files.paths[0]);
+  {
+    SCOPED_TRACE("-t 4 build");
+    expect_shape_gauges(sharded, files.paths[0],
+                        sharded.store().shard_count() == 1);
+  }
+
+  core::Bfhrf single(taxa->size(), {.threads = 1});
+  single.build(narrow);
+  core::save_bfhrf_file(single, files.paths[1]);
+  {
+    SCOPED_TRACE("-t 1 build");
+    expect_shape_gauges(single, files.paths[1], true);
+  }
+
+  const core::Bfhrf loaded = core::load_bfhrf_file(files.paths[0]);
+  {
+    SCOPED_TRACE("load of the -t 4 file");
+    expect_shape_gauges(loaded, files.paths[0], false);
+    EXPECT_EQ(loaded.store().memory_bytes(),
+              std::filesystem::file_size(files.paths[0]));
   }
 }
 

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/frequency_store.hpp"
 #include "core/sharded_hash.hpp"
 #include "phylo/newick.hpp"
 #include "phylo/taxon_set.hpp"
@@ -88,7 +87,7 @@ inline std::vector<phylo::Tree> independent_collection(
 
 /// A store's contents as a comparable value: sorted (key words, count).
 inline std::vector<std::pair<std::vector<std::uint64_t>, std::uint32_t>>
-store_image(const core::FrequencyStore& store) {
+store_image(const core::BfhIndexView& store) {
   std::vector<std::pair<std::vector<std::uint64_t>, std::uint32_t>> img;
   store.for_each_key([&](util::ConstWordSpan key, std::uint32_t count) {
     img.emplace_back(std::vector<std::uint64_t>(key.begin(), key.end()),
@@ -96,13 +95,6 @@ store_image(const core::FrequencyStore& store) {
   });
   std::sort(img.begin(), img.end());
   return img;
-}
-
-/// Shards of a store (1 = one table, or a mapped index).
-inline std::size_t shard_count(const core::FrequencyStore& store) {
-  const auto* sharded =
-      dynamic_cast<const core::ShardedFrequencyHash*>(&store);
-  return sharded != nullptr ? sharded->shard_count() : 1;
 }
 
 /// The shards a Bfhrf build at `threads` must produce: bit_ceil(threads)
