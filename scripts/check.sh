@@ -18,6 +18,9 @@
 #   3. BFHRF_OBS=OFF build, full suite (instrumentation compiled out)
 #   4. BFHRF_DISABLE_SIMD=ON build, full suite + bfhrf_verify (portable
 #      SWAR paths only; proves dispatch-level equivalence end to end)
+#   5. perfbench self-test (perfbench/selftest.py): builds the benchmark
+#      harness from this checkout and runs every workload on tiny corpora,
+#      so a change to an engine call the benchmark makes fails here
 # Run from the repo root. Each tier uses its own build directory (see
 # CMakePresets.json), so the default ./build is left untouched.
 set -euo pipefail
@@ -235,7 +238,11 @@ run ctest --preset simd-off
 # shellcheck disable=SC2086
 run ./build-simd-off/tools/bfhrf_verify --generate ${VERIFY_ARGS}
 
-# Optional tier 5: bench regression gate. Opt in by pointing
+# Tier 5: the benchmark harness builds against the engine and its
+# workloads still run, reproduce and report their metrics.
+run python3 perfbench/selftest.py
+
+# Optional tier 6: bench regression gate. Opt in by pointing
 # BFHRF_BENCH_BASELINE at a known-good BENCH_*.json export and
 # BFHRF_BENCH_CANDIDATE at a fresh one (tolerance override:
 # BFHRF_BENCH_TOLERANCE, default 0.15 relative).

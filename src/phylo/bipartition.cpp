@@ -40,33 +40,6 @@ void BipartitionSet::append(util::ConstWordSpan words, double value) {
   finalized_ = false;
 }
 
-void BipartitionSet::append_canonical(util::ConstWordSpan side,
-                                      util::ConstWordSpan leaf_mask,
-                                      bool flip) {
-  BFHRF_ASSERT(side.size() == words_per_ && leaf_mask.size() == words_per_);
-  BFHRF_ASSERT(values_.empty());  // value mode is all-or-nothing
-  const std::size_t offset = arena_.size();
-  arena_.resize(offset + words_per_);
-  util::store_canonical(arena_.data() + offset, side.data(), leaf_mask.data(),
-                        flip, words_per_);
-  ++count_;
-  finalized_ = false;
-}
-
-void BipartitionSet::append_canonical(util::ConstWordSpan side,
-                                      util::ConstWordSpan leaf_mask,
-                                      bool flip, double value) {
-  BFHRF_ASSERT(side.size() == words_per_ && leaf_mask.size() == words_per_);
-  BFHRF_ASSERT(values_.size() == count_);  // value mode is all-or-nothing
-  const std::size_t offset = arena_.size();
-  arena_.resize(offset + words_per_);
-  util::store_canonical(arena_.data() + offset, side.data(), leaf_mask.data(),
-                        flip, words_per_);
-  values_.push_back(value);
-  ++count_;
-  finalized_ = false;
-}
-
 void BipartitionSet::finalize(FinalizeScratch* scratch) {
   if (finalized_ || count_ <= 1) {
     finalized_ = true;
@@ -198,97 +171,115 @@ void BipartitionExtractor::extract_into(const Tree& tree,
   if (tree.empty() || !tree.taxa()) {
     throw InvalidArgument("extract_bipartitions: empty tree or no taxa");
   }
-  const std::size_t n_bits = tree.taxa()->size();
-  const std::size_t words = util::words_for_bits(n_bits);
-  const std::size_t n_tree = tree.num_leaves();
+  fold_.start(tree.taxa()->size(), opts.include_trivial);
+  values_.clear();
+  // The value of the split that a listed node's edge induces.
+  const auto list_value = [&](NodeId id) {
+    if (opts.value != SplitValue::None) {
+      const Tree::Node& nd = tree.node(id);
+      values_.push_back(opts.value == SplitValue::BranchLength ? nd.length
+                                                               : nd.support);
+    }
+  };
+  // The walk gives the fold the events the tree's Newick text would. A
+  // one-leaf tree is folded as a group around its leaf, whose split is
+  // trivial both ways.
+  const NodeId root = tree.root();
+  const bool lone_leaf = tree.is_leaf(root);
+  if (lone_leaf) {
+    fold_.open();
+  }
+  tree.walk([&](NodeId) { fold_.open(); },
+            [&](NodeId id) {
+              fold_.leaf(static_cast<std::size_t>(tree.node(id).taxon));
+              if (opts.include_trivial) {
+                list_value(id);
+              }
+            },
+            [&](NodeId id) {
+              fold_.close();
+              if (id != root) {
+                list_value(id);
+              }
+            });
+  if (lone_leaf) {
+    fold_.close();
+  }
+  fold_.finish(opts, out, values_);
+}
 
-  out.clear(n_bits);
+void SplitFold::start(std::size_t n_bits, bool include_trivial) {
+  words_ = util::words_for_bits(n_bits);
+  include_trivial_ = include_trivial;
+  unary_ = false;
+  root_degree_ = 0;
+  leaves_ = 0;
+  twin_ = kNoTwin;
+  open_.clear();
+  children_.clear();
+  closed_.clear();
+  if (leaf_mask_.size() != n_bits) {
+    leaf_mask_ = util::DynamicBitset(n_bits);
+  } else {
+    leaf_mask_.clear();
+  }
+}
+
+void SplitFold::finish(const BipartitionOptions& opts, BipartitionSet& out,
+                       std::span<const double> values) {
+  finish_splits({.sides = closed_,
+                 .leaf_mask = leaf_mask_,
+                 .leaves = leaves_,
+                 .twin = root_degree_ == 2 ? twin_ : kNoTwin,
+                 .unary = unary_,
+                 .values = values},
+                opts, out, scratch_);
+}
+
+void finish_splits(const SplitColumn& column, const BipartitionOptions& opts,
+                   BipartitionSet& out,
+                   BipartitionSet::FinalizeScratch& scratch) {
+  const util::DynamicBitset& leaf_mask = column.leaf_mask;
+  const std::size_t words = leaf_mask.num_words();
+  const bool with_values = opts.value != SplitValue::None;
+  BFHRF_ASSERT(!with_values ||
+               column.values.size() * words == column.sides.size());
+  out.clear(leaf_mask.size());
   if (opts.value == SplitValue::Support) {
     out.set_value_merge(BipartitionSet::ValueMerge::Max);
   }
-  if (leaf_mask_.size() != n_bits) {
-    leaf_mask_ = util::DynamicBitset(n_bits);
-  }
-
-  // Postorder accumulation: every node's mask is the OR of its children.
-  tree.postorder_into(order_, stack_);
-  masks_.assign(tree.num_nodes() * words, 0);
-  const auto mask_of = [&](NodeId id) {
-    return std::span<std::uint64_t>(
-        masks_.data() + static_cast<std::size_t>(id) * words, words);
-  };
-
-  bool has_unary = false;
-  for (const NodeId id : order_) {
-    auto m = mask_of(id);
-    if (tree.is_leaf(id)) {
-      const auto taxon = static_cast<std::size_t>(tree.node(id).taxon);
-      m[taxon >> 6] |= (std::uint64_t{1} << (taxon & 63));
-    } else {
-      std::size_t degree = 0;
-      tree.for_each_child(id, [&](NodeId c) {
-        ++degree;
-        const auto cm = mask_of(c);
-        for (std::size_t w = 0; w < words; ++w) {
-          m[w] |= cm[w];
-        }
-      });
-      has_unary |= (degree == 1);
-    }
-  }
-  {
-    const auto rm = mask_of(tree.root());
-    std::copy(rm.begin(), rm.end(), leaf_mask_.mutable_words().begin());
-  }
-  const std::size_t lowest = leaf_mask_.find_first();
-  BFHRF_ASSERT(lowest < n_bits);
-
-  // Unsorted fast path: on a unary-free tree, the ONLY possible duplicate
-  // split is the pair of half-edges under a degree-2 root (they describe
-  // one unrooted edge and canonicalize identically), so skipping one of
-  // them makes the arena duplicate-free without the finalize sort. Unary
-  // chains would replicate their child's mask, so they fall back.
-  const bool unsorted = !opts.sorted && opts.value == SplitValue::None &&
-                        !has_unary;
-  NodeId skip_root_dup = kNoNode;
-  if (unsorted && tree.num_children(tree.root()) == 2) {
-    skip_root_dup = tree.node(tree.node(tree.root()).first_child).next_sibling;
-  }
-
+  const std::size_t twin = with_values ? kNoTwin : column.twin;
+  const std::size_t lowest = leaf_mask.find_first();
   const std::size_t min_side = opts.include_trivial ? 1 : 2;
-  for (const NodeId id : order_) {
-    if (tree.is_root(id) || id == skip_root_dup) {
+  const util::ConstWordSpan lm = leaf_mask.words();
+  for (std::size_t i = 0; i * words < column.sides.size(); ++i) {
+    if (i == twin) {
       continue;
     }
-    const auto m = mask_of(id);
-    const std::size_t ones = util::popcount_words(m);
+    const util::ConstWordSpan side = column.sides.subspan(i * words, words);
+    const std::size_t ones = util::popcount_words(side);
     // A side of size < min_side, or its complement, is trivial/degenerate.
-    if (ones < min_side || ones > n_tree - min_side) {
+    if (ones < min_side || ones > column.leaves - min_side) {
       continue;
     }
     // Canonical polarity: store the side NOT containing the lowest taxon.
     // The flip (complement within the leaf universe) is fused into the
-    // arena copy as a branchless masked-xor store.
-    const bool flip = ((m[lowest >> 6] >> (lowest & 63)) & 1) != 0;
-    const util::ConstWordSpan side{m.data(), words};
-    const util::ConstWordSpan lm{leaf_mask_.words().data(), words};
-    switch (opts.value) {
-      case SplitValue::None:
-        out.append_canonical(side, lm, flip);
-        break;
-      case SplitValue::BranchLength:
-        out.append_canonical(side, lm, flip, tree.node(id).length);
-        break;
-      case SplitValue::Support:
-        out.append_canonical(side, lm, flip, tree.node(id).support);
-        break;
+    // arena copy as a branchless masked-xor store (no scratch bitset).
+    const bool flip = ((side[lowest >> 6] >> (lowest & 63)) & 1) != 0;
+    const std::size_t offset = out.arena_.size();
+    out.arena_.resize(offset + words);
+    util::store_canonical(out.arena_.data() + offset, side.data(), lm.data(),
+                          flip, words);
+    if (with_values) {
+      out.values_.push_back(column.values[i]);
     }
+    ++out.count_;
   }
-
-  out.assign_leaf_mask(leaf_mask_);
-  if (!unsorted) {
-    // Sorts and removes the rooted-edge duplicate, if any.
-    out.finalize(&finalize_scratch_);
+  out.finalized_ = out.count_ == 0;
+  out.assign_leaf_mask(leaf_mask);
+  if (opts.sorted || column.unary || with_values) {
+    // Sorts and removes the repeats, merging their values.
+    out.finalize(&scratch);
   }
 }
 

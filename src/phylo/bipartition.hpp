@@ -13,10 +13,17 @@
 // BipartitionSet stores a tree's bipartitions in one contiguous arena,
 // sorted and deduplicated, enabling O(k·w) merge-based set operations —
 // this is the "B(T)" object that every RF engine consumes.
+//
+// Every front end shares one finish (finish_splits): it takes a tree's
+// side masks in emission order and drops, canonicalizes and sorts them.
+// Newick text (phylo::NewickSplitExtractor) and a Tree's child links
+// (BipartitionExtractor) feed it through one open-mask stack fold
+// (SplitFold); vector rows (phylo::VectorBipartitionExtractor) fold their
+// decoded parent array and hand it the per-node mask column.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "phylo/tree.hpp"
@@ -52,6 +59,8 @@ struct BipartitionOptions {
   /// the BFHRF hash paths use this (insertion and lookup need no order).
   bool sorted = true;
 };
+
+struct SplitColumn;
 
 /// A tree's bipartitions: sorted, deduplicated, arena-backed bitmasks of a
 /// fixed width (the TaxonSet size at extraction time).
@@ -97,16 +106,6 @@ class BipartitionSet {
   /// A set must be built either entirely with values or entirely without.
   void append(util::ConstWordSpan words, double value);
 
-  /// Append `side`, complemented within `leaf_mask` iff `flip` — the
-  /// canonical-polarity store fused into the arena copy (one branchless
-  /// pass via util::store_canonical, no scratch bitset). This is the
-  /// extraction hot path's append.
-  void append_canonical(util::ConstWordSpan side, util::ConstWordSpan
-                            leaf_mask, bool flip);
-  void append_canonical(util::ConstWordSpan side,
-                        util::ConstWordSpan leaf_mask, bool flip,
-                        double value);
-
   /// How duplicate splits' values combine in finalize(): lengths of the
   /// two halves of a subdivided root edge sum; supports take the max (they
   /// annotate the same unrooted edge).
@@ -126,6 +125,12 @@ class BipartitionSet {
   /// ValueMerge). Idempotent. Pass a FinalizeScratch to reuse the sort
   /// buffers across trees (per-worker scratch in the streaming engines).
   void finalize(FinalizeScratch* scratch = nullptr);
+
+  /// The extractors' finish (below) stores canonical splits straight into
+  /// the arena: the extraction hot path's append.
+  friend void finish_splits(const SplitColumn& column,
+                            const BipartitionOptions& opts,
+                            BipartitionSet& out, FinalizeScratch& scratch);
 
   /// Reset to an empty set over a (possibly new) universe width, keeping
   /// the arena capacity for reuse.
@@ -183,17 +188,134 @@ class BipartitionSet {
   util::DynamicBitset leaf_mask_;
 };
 
+inline constexpr std::size_t kNoTwin = ~std::size_t{0};  ///< no twin mask
+
+/// One tree's folded side masks, as a front end hands them to the finish.
+struct SplitColumn {
+  util::ConstWordSpan sides;  ///< leaf_mask-wide masks, in emission order
+  const util::DynamicBitset& leaf_mask;  ///< the tree's taxa
+  std::size_t leaves = 0;                ///< the tree's leaf count
+  /// The mask of a degree-2 root's second child, whose split is the first
+  /// child's, or kNoTwin.
+  std::size_t twin = kNoTwin;
+  bool unary = false;  ///< some group had one child: splits may repeat
+  std::span<const double> values = {};  ///< one per mask, if opts.value
+};
+
+/// The finish every front end shares. Clears `out` to the leaf mask's
+/// width and appends each side mask but the twin, in canonical polarity
+/// (the side without the lowest taxon), whose split has at least 2 taxa
+/// (1 with include_trivial) on each side. Sorts when opts.sorted asks, or
+/// when a unary group or the values may have left a split twice. With
+/// values the twin is kept, and the sort merges it with its partner
+/// (lengths sum, supports take the max).
+void finish_splits(const SplitColumn& column, const BipartitionOptions& opts,
+                   BipartitionSet& out,
+                   BipartitionSet::FinalizeScratch& scratch);
+
+/// The open-mask stack fold: a tree given as open/leaf/close events, the
+/// shape of its Newick text, becomes side masks in postorder. Each open
+/// group keeps a ⌈n/64⌉-word mask that its leaves and closed child groups
+/// OR into. A closed group other than the root is listed, and so is each
+/// leaf's singleton with include_trivial. finish() hands the list to
+/// finish_splits. NewickSplitExtractor feeds it from the text and
+/// BipartitionExtractor from a walk over a Tree's child links, so both
+/// emit the same splits in the same order.
+///
+/// The events run per node on the ingest hot path, so they are inline.
+/// Not thread-safe: one fold per worker.
+class SplitFold {
+ public:
+  /// Begin a tree over a universe of `n_bits` taxa.
+  void start(std::size_t n_bits, bool include_trivial);
+
+  /// A group opens: '(' in the text, an internal node in a Tree.
+  void open() {
+    open_.resize(open_.size() + words_, 0);
+    children_.push_back(0);
+  }
+
+  /// A leaf of `taxon` joins the innermost open group. Returns false if
+  /// the tree already had that taxon; the leaf is folded either way.
+  bool leaf(std::size_t taxon) {
+    const std::size_t w = taxon >> 6;
+    const std::uint64_t bit = std::uint64_t{1} << (taxon & 63);
+    std::uint64_t& seen = leaf_mask_.mutable_words()[w];
+    const bool fresh = (seen & bit) == 0;
+    seen |= bit;
+    ++leaves_;
+    open_[open_.size() - words_ + w] |= bit;
+    if (include_trivial_) {
+      closed_.resize(closed_.size() + words_, 0);
+      closed_[closed_.size() - words_ + w] = bit;
+    }
+    child_done(include_trivial_);
+    return fresh;
+  }
+
+  /// The innermost open group closes. Returns its child count.
+  std::uint32_t close() {
+    const std::uint32_t degree = children_.back();
+    children_.pop_back();
+    unary_ |= degree == 1;
+    const std::size_t top = open_.size() - words_;
+    if (children_.empty()) {
+      root_degree_ = degree;  // the root's mask is the leaf mask
+    } else {
+      std::uint64_t* parent = open_.data() + top - words_;
+      const std::uint64_t* group = open_.data() + top;
+      for (std::size_t w = 0; w < words_; ++w) {
+        parent[w] |= group[w];
+      }
+      closed_.insert(closed_.end(), group, group + words_);
+      child_done(true);
+    }
+    open_.resize(top);
+    return degree;
+  }
+
+  /// Finish the tree through finish_splits into `out`, with one value per
+  /// listed mask when opts.value asks for values.
+  void finish(const BipartitionOptions& opts, BipartitionSet& out,
+              std::span<const double> values = {});
+
+ private:
+  /// A child of the innermost open group completed; `listed` if it took
+  /// the last listed mask.
+  void child_done(bool listed) {
+    if (++children_.back() == 2 && children_.size() == 1) {
+      twin_ = listed ? closed_.size() / words_ - 1 : kNoTwin;
+    }
+  }
+
+  std::size_t words_ = 0;
+  bool include_trivial_ = false;
+  bool unary_ = false;                   ///< a group closed with one child
+  std::uint32_t root_degree_ = 0;
+  std::size_t leaves_ = 0;
+  std::size_t twin_ = kNoTwin;           ///< the root's second child's mask
+  std::vector<std::uint64_t> open_;      ///< masks of the open groups
+  std::vector<std::uint32_t> children_;  ///< their child counts so far
+  std::vector<std::uint64_t> closed_;    ///< listed masks, postorder
+  util::DynamicBitset leaf_mask_;        ///< taxa seen so far
+  BipartitionSet::FinalizeScratch scratch_;
+};
+
 /// Extract the canonical bipartition set of `tree`.
 /// Cost: O(n^2 / 64) — O(n) edges, each masked over O(n/64) words.
 [[nodiscard]] BipartitionSet extract_bipartitions(
     const Tree& tree, const BipartitionOptions& opts = {});
 
-/// Reusable extraction engine. extract_bipartitions() allocates traversal
-/// buffers, node masks, sort scratch, and a fresh arena for EVERY tree; a
+/// Reusable extraction engine. extract_bipartitions() allocates the fold's
+/// buffers, sort scratch, and a fresh arena for EVERY tree; a
 /// BipartitionExtractor owns all of those and reuses them, so per-tree
 /// extraction is allocation-free once warm. This is the hot-loop API the
 /// streaming engines thread through their per-worker scratch
 /// (core/bfhrf, core/sequential_rf, core/branch_score).
+///
+/// Tree::walk gives SplitFold the events the tree's Newick text would, so
+/// its splits come out in postorder, in the order NewickSplitExtractor
+/// gives for that text.
 ///
 /// Not thread-safe: one extractor per worker.
 class BipartitionExtractor {
@@ -214,11 +336,8 @@ class BipartitionExtractor {
 
  private:
   BipartitionSet set_;
-  std::vector<NodeId> order_;              ///< postorder nodes
-  std::vector<NodeId> stack_;              ///< traversal scratch
-  std::vector<std::uint64_t> masks_;       ///< per-node leaf masks
-  util::DynamicBitset leaf_mask_;          ///< tree's leaf universe
-  BipartitionSet::FinalizeScratch finalize_scratch_;
+  SplitFold fold_;
+  std::vector<double> values_;  ///< per listed mask, when opts.value asks
 };
 
 /// Canonicalize one raw side-mask in place: flip to the side avoiding the

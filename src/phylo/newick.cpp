@@ -346,6 +346,34 @@ void parse_tree(std::string_view text, Tree& tree, Resolve resolve) {
   (void)parse(text, sink);
 }
 
+/// The split pass's sink: hands the grammar's events to the fold, looking
+/// each leaf label up in the namespace. Every event that would make the
+/// result differ from the Tree path's returns false.
+struct SplitSink {
+  SplitFold& fold;
+  const TaxonSet& taxa;
+
+  bool root_leaf(std::string_view /*label*/) { return false; }
+
+  void open() { fold.open(); }
+
+  /// False for a label outside the namespace (the Tree path names it) or
+  /// a repeated taxon.
+  bool leaf(std::string_view label) {
+    const std::optional<TaxonId> id = taxa.find(label);
+    return id && fold.leaf(static_cast<std::size_t>(*id));
+  }
+
+  void length(double /*v*/) {}
+
+  /// False for a unary group, which the Tree path suppresses.
+  bool close() { return fold.close() != 1; }
+
+  void internal_label(std::string_view /*label*/) {}
+
+  bool finish() { return true; }
+};
+
 }  // namespace
 
 Tree parse_newick(std::string_view text, const TaxonSetPtr& taxa) {
@@ -371,118 +399,6 @@ void parse_newick_into(std::string_view text, const TaxonSetPtr& taxa,
              [&](std::string_view label) { return taxa->index_of(label); });
 }
 
-/// The split pass's sink: one leaf mask per open group, OR-ed into the
-/// parent's at ')' and appended to the postorder list of closed groups
-/// (with include_trivial, each leaf's singleton too). Every event that
-/// would make the result differ from the Tree path's returns false.
-struct NewickSplitExtractor::Sink {
-  NewickSplitExtractor& x;
-  const TaxonSet& taxa;
-  const BipartitionOptions& opts;
-  BipartitionSet& out;
-  std::size_t words = 0;
-  std::size_t leaves = 0;
-  /// The closed-list entry of the root's second child, if it has one: the
-  /// twin of the first child's split under a degree-2 root.
-  std::size_t twin = kNone;
-  std::uint32_t root_degree = 0;
-
-  static constexpr std::size_t kNone = ~std::size_t{0};
-
-  bool root_leaf(std::string_view /*label*/) { return false; }
-
-  void open() {
-    x.open_.resize(x.open_.size() + words, 0);
-    x.children_.push_back(0);
-  }
-
-  bool leaf(std::string_view label) {
-    const std::optional<TaxonId> id = taxa.find(label);
-    if (!id) {
-      return false;  // outside the namespace: the Tree path names it
-    }
-    const auto taxon = static_cast<std::size_t>(*id);
-    const std::size_t w = taxon >> 6;
-    const std::uint64_t bit = std::uint64_t{1} << (taxon & 63);
-    std::uint64_t& seen = x.leaf_mask_.mutable_words()[w];
-    if ((seen & bit) != 0) {
-      return false;  // a repeated taxon
-    }
-    seen |= bit;
-    ++leaves;
-    x.open_[x.open_.size() - words + w] |= bit;
-    if (opts.include_trivial) {
-      x.closed_.resize(x.closed_.size() + words, 0);
-      x.closed_[x.closed_.size() - words + w] = bit;
-    }
-    child_done(opts.include_trivial);
-    return true;
-  }
-
-  void length(double /*v*/) {}
-
-  bool close() {
-    const std::uint32_t degree = x.children_.back();
-    if (degree == 1) {
-      return false;  // a unary group, which the Tree path suppresses
-    }
-    x.children_.pop_back();
-    const std::size_t top = x.open_.size() - words;
-    if (x.children_.empty()) {
-      root_degree = degree;  // the root's mask is the leaf mask
-    } else {
-      std::uint64_t* parent = x.open_.data() + top - words;
-      const std::uint64_t* group = x.open_.data() + top;
-      for (std::size_t w = 0; w < words; ++w) {
-        parent[w] |= group[w];
-      }
-      x.closed_.insert(x.closed_.end(), group, group + words);
-      child_done(true);
-    }
-    x.open_.resize(top);
-    return true;
-  }
-
-  void internal_label(std::string_view /*label*/) {}
-
-  /// Canonicalize the closed groups against the leaf mask, dropping the
-  /// root twin and the trivial splits, exactly as extract_into does.
-  bool finish() {
-    const std::size_t lowest = x.leaf_mask_.find_first();
-    const std::size_t min_side = opts.include_trivial ? 1 : 2;
-    const std::size_t skip = root_degree == 2 ? twin : kNone;
-    const util::ConstWordSpan lm{x.leaf_mask_.words().data(), words};
-    // A record that parsed has a leaf, so words > 0 here.
-    const std::size_t count = x.closed_.size() / words;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (i == skip) {
-        continue;
-      }
-      const util::ConstWordSpan side{x.closed_.data() + i * words, words};
-      const std::size_t ones = util::popcount_words(side);
-      if (ones < min_side || ones > leaves - min_side) {
-        continue;
-      }
-      const bool flip = ((side[lowest >> 6] >> (lowest & 63)) & 1) != 0;
-      out.append_canonical(side, lm, flip);
-    }
-    out.assign_leaf_mask(x.leaf_mask_);
-    if (opts.sorted) {
-      out.finalize(&x.finalize_scratch_);
-    }
-    return true;
-  }
-
- private:
-  /// A child of the innermost open group completed; `listed` if it took
-  /// the last closed-list entry.
-  void child_done(bool listed) {
-    if (++x.children_.back() == 2 && x.children_.size() == 1) {
-      twin = listed ? x.closed_.size() / words - 1 : kNone;
-    }
-  }
-};
-
 bool NewickSplitExtractor::extract_into(std::string_view text,
                                         const TaxonSet& taxa,
                                         const BipartitionOptions& opts,
@@ -491,25 +407,13 @@ bool NewickSplitExtractor::extract_into(std::string_view text,
     g_tree_fallbacks.inc();
     return false;
   }
-  const std::size_t n_bits = taxa.size();
-  out.clear(n_bits);
-  if (leaf_mask_.size() != n_bits) {
-    leaf_mask_ = util::DynamicBitset(n_bits);
-  } else {
-    leaf_mask_.clear();
-  }
-  open_.clear();
-  children_.clear();
-  closed_.clear();
-  Sink sink{.x = *this,
-            .taxa = taxa,
-            .opts = opts,
-            .out = out,
-            .words = util::words_for_bits(n_bits)};
+  fold_.start(taxa.size(), opts.include_trivial);
+  SplitSink sink{.fold = fold_, .taxa = taxa};
   if (!parse(text, sink)) {
     g_tree_fallbacks.inc();
     return false;
   }
+  fold_.finish(opts, out);
   g_split_records.inc();
   return true;
 }
@@ -554,26 +458,15 @@ std::string write_newick(const Tree& tree, const NewickWriteOptions& opts) {
   }
   std::ostringstream os;
   os.precision(opts.length_precision);
-
-  // Iterative serialization: frames carry the remaining children.
-  struct Frame {
-    NodeId id;
-    std::vector<NodeId> kids;
-    std::size_t next = 0;
-  };
-  std::vector<Frame> stack;
-
-  const auto open = [&](NodeId id) {
-    if (tree.is_leaf(id)) {
-      write_label(os, tree.taxa()->label_of(tree.node(id).taxon));
-      return false;
+  const NodeId root = tree.root();
+  // A node after its parent's first child follows a ','.
+  const auto separate = [&](NodeId id) {
+    if (id != root && tree.node(tree.node(id).parent).first_child != id) {
+      os << ',';
     }
-    os << '(';
-    stack.push_back({id, tree.children(id), 0});
-    return true;
   };
-
-  const auto close = [&](NodeId id, bool internal) {
+  // A node's support (internal nodes only) and length.
+  const auto annotate = [&](NodeId id, bool internal) {
     if (internal && opts.write_support && tree.node(id).has_support) {
       os << tree.node(id).support;
     }
@@ -581,28 +474,20 @@ std::string write_newick(const Tree& tree, const NewickWriteOptions& opts) {
       os << ':' << tree.node(id).length;
     }
   };
-
-  if (!open(tree.root())) {
-    close(tree.root(), false);
-    os << ';';
-    return std::move(os).str();
-  }
-  while (!stack.empty()) {
-    Frame& f = stack.back();
-    if (f.next < f.kids.size()) {
-      if (f.next > 0) {
-        os << ',';
-      }
-      const NodeId child = f.kids[f.next++];
-      if (!open(child)) {
-        close(child, false);
-      }
-    } else {
-      os << ')';
-      close(f.id, true);
-      stack.pop_back();
-    }
-  }
+  tree.walk(
+      [&](NodeId id) {
+        separate(id);
+        os << '(';
+      },
+      [&](NodeId id) {
+        separate(id);
+        write_label(os, tree.taxa()->label_of(tree.node(id).taxon));
+        annotate(id, false);
+      },
+      [&](NodeId id) {
+        os << ')';
+        annotate(id, true);
+      });
   os << ';';
   return std::move(os).str();
 }

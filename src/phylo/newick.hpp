@@ -18,7 +18,6 @@
 // same offset, whichever of them reads it.
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -44,11 +43,13 @@ void parse_newick_into(std::string_view text, const TaxonSetPtr& taxa,
                        Tree& out);
 
 /// Canonical splits straight from one record's Newick text, with no Tree.
-/// One pass keeps a ⌈n/64⌉-word leaf mask per open '(' and ORs it into its
-/// parent's at ')'; the closed groups come out in postorder, and once the
-/// root closes they are canonicalized against the record's leaf mask. The
-/// result is byte for byte, order included, what parse_newick_into plus
-/// BipartitionExtractor::extract_into give for `opts`.
+/// The grammar's '(', leaf and ')' events drive phylo::SplitFold, which
+/// keeps a ⌈n/64⌉-word leaf mask per open group and lists the closed
+/// groups in postorder; once the root closes, finish_splits canonicalizes
+/// them against the record's leaf mask. BipartitionExtractor feeds the
+/// same fold from a Tree, so the result is byte for byte, order included,
+/// what parse_newick_into plus BipartitionExtractor::extract_into give for
+/// `opts`.
 ///
 /// Not thread-safe: one extractor per worker. `taxa` is only read
 /// (TaxonSet::find), so extractors on several threads may share it.
@@ -64,13 +65,7 @@ class NewickSplitExtractor {
                     const BipartitionOptions& opts, BipartitionSet& out);
 
  private:
-  struct Sink;  ///< the grammar's event handler (newick.cpp)
-
-  std::vector<std::uint64_t> open_;      ///< masks of the open groups
-  std::vector<std::uint32_t> children_;  ///< their child counts so far
-  std::vector<std::uint64_t> closed_;    ///< closed group masks, postorder
-  util::DynamicBitset leaf_mask_;        ///< taxa seen so far
-  BipartitionSet::FinalizeScratch finalize_scratch_;
+  SplitFold fold_;
 };
 
 struct NewickWriteOptions {

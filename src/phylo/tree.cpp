@@ -5,6 +5,9 @@
 
 namespace bfhrf::phylo {
 
+// The last-child link sits in the padding after the two flags.
+static_assert(sizeof(Tree::Node) == 40);
+
 NodeId Tree::add_root() {
   BFHRF_ASSERT(nodes_.empty());
   nodes_.emplace_back();
@@ -15,18 +18,14 @@ NodeId Tree::add_root() {
 NodeId Tree::add_child(NodeId parent) {
   const auto id = static_cast<NodeId>(nodes_.size());
   nodes_.emplace_back();
-  Node& child = nodes_.back();
-  child.parent = parent;
+  nodes_.back().parent = parent;
   Node& p = at(parent);
   if (p.first_child == kNoNode) {
     p.first_child = id;
   } else {
-    NodeId c = p.first_child;
-    while (at(c).next_sibling != kNoNode) {
-      c = at(c).next_sibling;
-    }
-    at(c).next_sibling = id;
+    at(p.last_child).next_sibling = id;
   }
+  p.last_child = id;
   return id;
 }
 
@@ -50,23 +49,14 @@ std::vector<NodeId> Tree::children(NodeId id) const {
 }
 
 std::vector<NodeId> Tree::postorder() const {
-  std::vector<NodeId> order;
-  std::vector<NodeId> stack;
-  postorder_into(order, stack);
-  return order;
-}
-
-void Tree::postorder_into(std::vector<NodeId>& out,
-                          std::vector<NodeId>& stack) const {
-  out.clear();
-  stack.clear();
+  std::vector<NodeId> out;
   if (empty()) {
-    return;
+    return out;
   }
   out.reserve(nodes_.size());
   // Two-stack trick: emit in reverse preorder with children reversed,
   // then flip — yields postorder without recursion.
-  stack.push_back(root_);
+  std::vector<NodeId> stack{root_};
   while (!stack.empty()) {
     const NodeId id = stack.back();
     stack.pop_back();
@@ -74,16 +64,14 @@ void Tree::postorder_into(std::vector<NodeId>& out,
     for_each_child(id, [&stack](NodeId c) { stack.push_back(c); });
   }
   std::reverse(out.begin(), out.end());
+  return out;
 }
 
 std::vector<NodeId> Tree::leaves() const {
   std::vector<NodeId> out;
   out.reserve(num_leaves_);
-  for (const NodeId id : postorder()) {
-    if (is_leaf(id)) {
-      out.push_back(id);
-    }
-  }
+  walk([](NodeId) {}, [&out](NodeId id) { out.push_back(id); },
+       [](NodeId) {});
   return out;
 }
 
@@ -152,15 +140,14 @@ void Tree::validate() const {
   for (const NodeId id : postorder()) {
     ++reachable;
     const Node& nd = at(id);
-    if (!is_root(id)) {
-      // Parent must list `id` among its children.
-      bool found = false;
-      for_each_child(nd.parent, [&](NodeId c) { found |= (c == id); });
-      if (!found) {
+    // Each child must link back to `id`: O(n) over the tree, where asking
+    // each node's parent to list it would cost O(k^2) at a k-child node.
+    for_each_child(id, [&](NodeId c) {
+      if (at(c).parent != id) {
         throw InvariantError("parent/child link broken at node " +
-                             std::to_string(id));
+                             std::to_string(c));
       }
-    }
+    });
     if (is_leaf(id)) {
       ++leaf_count;
       if (nd.taxon == kNoTaxon) {
@@ -262,6 +249,9 @@ NodeId Tree::split_edge_insert_leaf(NodeId node, TaxonId taxon) {
   at(mid).parent = parent;
   at(mid).next_sibling = at(node).next_sibling;
   at(mid).first_child = node;
+  if (at(parent).last_child == node) {
+    at(parent).last_child = mid;
+  }
 
   if (at(parent).first_child == node) {
     at(parent).first_child = mid;
@@ -288,6 +278,7 @@ NodeId Tree::split_edge_insert_leaf(NodeId node, TaxonId taxon) {
   at(leaf).parent = mid;
   at(leaf).taxon = taxon;
   at(node).next_sibling = leaf;
+  at(mid).last_child = leaf;
   ++num_leaves_;
   return leaf;
 }

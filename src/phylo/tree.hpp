@@ -1,8 +1,11 @@
 // Tree: arena-allocated phylogenetic tree.
 //
 // Nodes live contiguously in one vector and refer to each other by index
-// (first-child / next-sibling), so a tree is two allocations total and
-// traversals are cache-friendly — this matters when streaming 10^5 trees.
+// (first-child / next-sibling, plus a last-child link so a child appends
+// in O(1)), so a tree is two allocations total and traversals are
+// cache-friendly — this matters when streaming 10^5 trees. walk() visits
+// them in the order of the tree's Newick text, which is how bipartition
+// extraction (bipartition.hpp) and write_newick (newick.hpp) read a tree.
 //
 // Rooted vs unrooted: the structure is stored rooted. An unrooted binary
 // tree on n taxa is represented as a tree whose root has degree >= 3 (the
@@ -34,6 +37,7 @@ class Tree {
     double support = 0.0;      ///< internal-node support value (0 if absent)
     bool has_length = false;   ///< whether the input carried a length
     bool has_support = false;  ///< whether the input carried a support
+    NodeId last_child = kNoNode;  ///< append point (fills the padding)
   };
 
   Tree() = default;
@@ -44,7 +48,8 @@ class Tree {
   /// Create the root node. The tree must be empty.
   NodeId add_root();
 
-  /// Create a child of `parent` (appended after existing children).
+  /// Create a child of `parent` (appended after existing children, in
+  /// O(1) through the parent's last-child link).
   NodeId add_child(NodeId parent);
 
   /// Create a leaf child of `parent` bound to `taxon`.
@@ -119,14 +124,35 @@ class Tree {
   /// safe for arbitrarily deep (caterpillar) trees.
   [[nodiscard]] std::vector<NodeId> postorder() const;
 
-  /// postorder() into caller-owned buffers: `out` receives the order and
-  /// `stack` is traversal scratch; both are cleared and reused without
-  /// reallocating once warm. The allocation-free path for per-tree loops
-  /// (phylo::BipartitionExtractor).
-  void postorder_into(std::vector<NodeId>& out,
-                      std::vector<NodeId>& stack) const;
+  /// Depth first over the child links, reporting each node as the tree's
+  /// Newick text would: open(id) entering an internal node, leaf(id) at a
+  /// leaf, close(id) after an internal node's last child. Parent links
+  /// lead back up, so the walk keeps no stack and allocates nothing.
+  template <typename Open, typename Leaf, typename Close>
+  void walk(Open&& open, Leaf&& leaf, Close&& close) const {
+    if (empty()) {
+      return;
+    }
+    for (NodeId id = root_;;) {
+      const Node* nd = &at(id);
+      for (; nd->first_child != kNoNode; nd = &at(id)) {
+        open(id);
+        id = nd->first_child;
+      }
+      leaf(id);
+      while (id != root_ && nd->next_sibling == kNoNode) {
+        id = nd->parent;
+        nd = &at(id);
+        close(id);
+      }
+      if (id == root_) {
+        return;
+      }
+      id = nd->next_sibling;
+    }
+  }
 
-  /// Leaf node ids in postorder.
+  /// Leaf node ids, left to right (their postorder).
   [[nodiscard]] std::vector<NodeId> leaves() const;
 
   /// Taxa present in this tree, ascending.

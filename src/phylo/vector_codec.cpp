@@ -551,15 +551,8 @@ void VectorBipartitionExtractor::extract_into(std::span<const std::uint32_t> v,
   }
   const std::size_t n = v.size() + 1;
   const std::size_t words = util::words_for_bits(n);
-  out.clear(n);
   if (leaf_mask_.size() != n) {
     leaf_mask_ = util::DynamicBitset(n);
-  }
-  if (n == 1) {
-    leaf_mask_.set(0);
-    out.assign_leaf_mask(leaf_mask_);
-    g_direct_extracts.inc();
-    return;
   }
 
   const std::int32_t root = decode_topology(v, parent_);
@@ -609,38 +602,23 @@ void VectorBipartitionExtractor::extract_into(std::span<const std::uint32_t> v,
     std::copy(rm, rm + words, leaf_mask_.mutable_words().begin());
   }
 
-  // A decoded tree always has a degree-2 root, whose two child masks are
-  // complements — one duplicate split. Skip the larger-id child
-  // unconditionally; the sorted path would only dedup it again.
-  std::int32_t skip_dup = -1;
-  for (std::size_t x = 0; x < total; ++x) {
-    if (parent_[x] == root) {
-      skip_dup = static_cast<std::int32_t>(x);
-    }
-  }
-
-  const std::size_t min_side = opts.include_trivial ? 1 : 2;
-  const util::ConstWordSpan universe{leaf_mask_.words().data(), words};
-  // Leaves only ever yield trivial splits; skip them wholesale otherwise.
+  // Leaves only ever yield trivial splits, so the column starts past them
+  // unless include_trivial asks for them; the root's full mask falls to
+  // the trivial filter. A decoded tree has a degree-2 root (or is one
+  // leaf), whose two child masks are complements: the larger-id child is
+  // the twin.
   const std::size_t first = opts.include_trivial ? 0 : n;
+  std::size_t twin = kNoTwin;
   for (std::size_t x = first; x < total; ++x) {
-    const auto id = static_cast<std::int32_t>(x);
-    if (id == root || id == skip_dup) {
-      continue;
+    if (parent_[x] == root) {
+      twin = x - first;
     }
-    const std::uint64_t* m = mask_of(id);
-    const std::size_t ones = util::popcount_words({m, words});
-    if (ones < min_side || ones > n - min_side) {
-      continue;
-    }
-    const bool flip = (m[0] & 1) != 0;
-    out.append_canonical({m, words}, universe, flip);
   }
-
-  out.assign_leaf_mask(leaf_mask_);
-  if (opts.sorted) {
-    out.finalize(&finalize_scratch_);
-  }
+  finish_splits({.sides = util::ConstWordSpan(masks_).subspan(first * words),
+                 .leaf_mask = leaf_mask_,
+                 .leaves = n,
+                 .twin = twin},
+                opts, out, finalize_scratch_);
   g_direct_extracts.inc();
 }
 

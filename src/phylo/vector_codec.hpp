@@ -172,9 +172,11 @@ void write_p2v_file(const std::string& path, std::span<const Tree> trees);
 
 /// Canonical bipartition extraction straight from the vector form: the
 /// vector decodes to a flat parent array (no Tree, no labels, no Newick
-/// characters) and subtree masks accumulate bottom-up over it. Output is
-/// identical to BipartitionExtractor over vector_to_tree(v) — the kept
-/// key sets match bit-for-bit, and sorted arenas match in order too.
+/// characters), subtree masks accumulate bottom-up over it, and the
+/// per-node mask column goes to the finish all front ends share
+/// (finish_splits). Output is identical to BipartitionExtractor over
+/// vector_to_tree(v) — the kept key sets match bit-for-bit, and sorted
+/// arenas match in order too.
 ///
 /// The universe width is v.size()+1 (vector trees always cover their full
 /// taxon set, so the canonical polarity pivot is taxon 0). Vectors carry

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -266,6 +267,32 @@ TEST(BfhrfTest, IncludeTrivialChangesNothingForFixedTaxa) {
   for (std::size_t i = 0; i < without.size(); ++i) {
     EXPECT_DOUBLE_EQ(with[i], without[i]);
   }
+}
+
+TEST(BfhrfTest, RepeatedTaxonRecordQueriesInLinearTime) {
+  // The split pass hands a record that repeats a taxon back to
+  // parse_newick, so a daemon request can make it build a group of 100,000
+  // leaves. Appending each child by walking the sibling chain made that
+  // O(k^2). The answer is the one the engine has always given such a
+  // record: its splits are all trivial, so it averages the reference's
+  // 7 splits per tree.
+  constexpr std::size_t kLeaves = 100'000;
+  const auto taxa = TaxonSet::make_numbered(10);
+  util::Rng rng(21);
+  const auto reference = test::random_collection(taxa, 8, 3, rng);
+  Bfhrf engine(taxa->size());
+  engine.build(reference);
+  std::string record = "(";
+  for (std::size_t i = 0; i < kLeaves; ++i) {
+    record += i == 0 ? "t0" : ",t0";
+  }
+  record += ");";
+  const auto start = std::chrono::steady_clock::now();
+  const double got = engine.query_newick(record, taxa);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took.count(), 5.0);
+  EXPECT_EQ(got, 7.0);
 }
 
 TEST(BfhrfTest, IncrementalBuildAccumulates) {

@@ -6,6 +6,8 @@
 // up front and attached to assertion traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
@@ -20,6 +22,7 @@
 #include "phylo/bipartition.hpp"
 #include "phylo/newick.hpp"
 #include "phylo/nexus.hpp"
+#include "phylo/vector_codec.hpp"
 #include "support/test_util.hpp"
 #include "util/rng.hpp"
 
@@ -329,6 +332,257 @@ TEST(FuzzTest, FusedSplitsMatchTreeExtraction) {
   EXPECT_GT(accepted, 0u);
   EXPECT_GT(handed_back, 0u);
   EXPECT_GT(errors, 0u);
+}
+
+/// A reference extractor that shares no code with the extractors' fold or
+/// finish: one DynamicBitset per node, OR-ed up over Tree::postorder();
+/// each non-root node's side filtered by its size, canonicalized by
+/// canonicalize_bipartition and appended; then BipartitionSet::finalize
+/// sorts, removes repeats and merges their values.
+phylo::BipartitionSet naive_splits(const phylo::Tree& tree,
+                                   const phylo::BipartitionOptions& opts) {
+  const std::size_t n_bits = tree.taxa()->size();
+  std::vector<util::DynamicBitset> masks(tree.num_nodes(),
+                                         util::DynamicBitset(n_bits));
+  const std::vector<phylo::NodeId> order = tree.postorder();
+  for (const phylo::NodeId id : order) {
+    util::DynamicBitset& mask = masks[static_cast<std::size_t>(id)];
+    if (tree.is_leaf(id)) {
+      mask.set(static_cast<std::size_t>(tree.node(id).taxon));
+    }
+    tree.for_each_child(
+        id, [&](phylo::NodeId c) { mask |= masks[static_cast<std::size_t>(c)]; });
+  }
+  const util::DynamicBitset& leaf_mask =
+      masks[static_cast<std::size_t>(tree.root())];
+  const std::size_t leaves = leaf_mask.count();
+  const std::size_t min_side = opts.include_trivial ? 1 : 2;
+  phylo::BipartitionSet out(n_bits);
+  if (opts.value == phylo::SplitValue::Support) {
+    out.set_value_merge(phylo::BipartitionSet::ValueMerge::Max);
+  }
+  for (const phylo::NodeId id : order) {
+    util::DynamicBitset side = masks[static_cast<std::size_t>(id)];
+    const std::size_t ones = side.count();
+    if (tree.is_root(id) || ones < min_side || ones + min_side > leaves) {
+      continue;
+    }
+    phylo::canonicalize_bipartition(side, leaf_mask);
+    switch (opts.value) {
+      case phylo::SplitValue::None:
+        out.append(side.words());
+        break;
+      case phylo::SplitValue::BranchLength:
+        out.append(side.words(), tree.node(id).length);
+        break;
+      case phylo::SplitValue::Support:
+        out.append(side.words(), tree.node(id).support);
+        break;
+    }
+  }
+  out.set_leaf_mask(leaf_mask);
+  out.finalize();
+  return out;
+}
+
+/// A copy of `src` with chains of unary nodes above random nodes, and
+/// sometimes a root whose only child is the old root. Every node gets a
+/// random length and support.
+phylo::Tree with_unary_nodes(const phylo::Tree& src, util::Rng& rng) {
+  phylo::Tree out(src.taxa());
+  const auto decorate = [&](phylo::NodeId id) {
+    out.set_length(id, rng.uniform_real(0.0, 1.0));
+    out.set_support(id, rng.uniform_real(0.0, 100.0));
+  };
+  struct Item {
+    phylo::NodeId old_id;
+    phylo::NodeId new_parent;
+  };
+  phylo::NodeId top = out.add_root();
+  if (rng.bernoulli(0.3)) {
+    top = out.add_child(top);
+    decorate(top);
+  }
+  std::vector<Item> stack;
+  const auto push_children = [&](phylo::NodeId old_id, phylo::NodeId parent) {
+    const std::vector<phylo::NodeId> kids = src.children(old_id);
+    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
+      stack.push_back({*it, parent});
+    }
+  };
+  push_children(src.root(), top);
+  while (!stack.empty()) {
+    const Item item = stack.back();
+    stack.pop_back();
+    phylo::NodeId parent = item.new_parent;
+    while (rng.bernoulli(0.3)) {
+      parent = out.add_child(parent);
+      decorate(parent);
+    }
+    const phylo::NodeId id =
+        src.is_leaf(item.old_id)
+            ? out.add_leaf(parent, src.node(item.old_id).taxon)
+            : out.add_child(parent);
+    decorate(id);
+    push_children(item.old_id, id);
+  }
+  return out;
+}
+
+/// Whether some internal node of `tree` has exactly one child.
+bool has_unary_node(const phylo::Tree& tree) {
+  for (phylo::NodeId id = 0; id < static_cast<phylo::NodeId>(tree.num_nodes());
+       ++id) {
+    if (!tree.is_leaf(id) && tree.num_children(id) == 1) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// `got` against the reference: the same splits with the same values and
+/// leaf mask. An unsorted arena must hold them once each, in any order.
+/// Values compare to a relative 1e-12: a split repeated down a unary chain
+/// sums its lengths in whatever order the sort leaves the repeats.
+testing::AssertionResult same_splits(phylo::BipartitionSet got,
+                                     const phylo::BipartitionSet& want) {
+  const std::size_t emitted = got.size();
+  got.finalize();
+  if (got.size() != emitted) {
+    return testing::AssertionFailure()
+           << emitted << " splits emitted, " << got.size() << " unique";
+  }
+  RouteResult a;
+  RouteResult b;
+  a.take(got);
+  b.take(want);
+  if (!(a == b)) {
+    return testing::AssertionFailure()
+           << "splits differ: " << a.count << " vs " << b.count
+           << " (n_bits " << a.n_bits << " vs " << b.n_bits << ")";
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::abs(got.value(i) - want.value(i)) >
+        1e-12 * std::max(1.0, std::abs(want.value(i)))) {
+      return testing::AssertionFailure()
+             << "value " << i << ": " << got.value(i) << " vs "
+             << want.value(i);
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+TEST(FuzzTest, FrontEndsMatchNaiveReference) {
+  // Every front end against a reference that shares no code with their
+  // fold and finish: the Tree walk (all three value modes), the Newick
+  // split pass over write_newick's text (handing unary records back to
+  // parse + extract), and the vector extractor over the rows of binary
+  // trees that cover every taxon; each in all four include_trivial x
+  // sorted cells. n = 64, 65 and 130 cross the word boundary.
+  const std::uint64_t seed = test::fuzz_seed(0xF428);
+  SCOPED_TRACE("seed=" + test::hex_seed(seed));
+  util::Rng rng(seed);
+  phylo::BipartitionExtractor tree_extractor;
+  phylo::NewickSplitExtractor newick_extractor;
+  phylo::VectorBipartitionExtractor vector_extractor;
+  phylo::Tree parsed;
+  phylo::BipartitionSet got;
+  std::size_t newick_accepted = 0;
+  std::size_t newick_handed_back = 0;
+  std::size_t vector_rows = 0;
+  for (const std::size_t n : {std::size_t{4}, std::size_t{12}, std::size_t{64},
+                              std::size_t{65}, std::size_t{130}}) {
+    const auto taxa = phylo::TaxonSet::make_numbered(n);
+    const sim::GeneratorOptions lengths{.branch_lengths = true};
+    for (int rep = 0; rep < 28; ++rep) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " rep=" + std::to_string(rep));
+      // Yule, uniform, caterpillar, multifurcating, a tree over a subset of
+      // the namespace, a hand-built tree with unary nodes, and a rooted
+      // binary tree (a degree-2 root, whose two root edges are one split).
+      phylo::Tree t = [&] {
+        switch (rep % 7) {
+          case 0:
+            return sim::yule_tree(taxa, rng, lengths);
+          case 1:
+            return sim::uniform_tree(taxa, rng, lengths);
+          case 2:
+            return sim::caterpillar_tree(taxa, rng, lengths);
+          case 3:
+            return sim::multifurcating_tree(taxa, rng, 0.5, lengths);
+          case 4: {
+            std::vector<std::string> subset = taxa->labels();
+            rng.shuffle(subset);
+            subset.resize(3 + rng.below(n - 2));
+            const phylo::Tree small = sim::uniform_tree(
+                std::make_shared<phylo::TaxonSet>(subset), rng, lengths);
+            return phylo::parse_newick(phylo::write_newick(small), taxa);
+          }
+          case 5:
+            return with_unary_nodes(sim::yule_tree(taxa, rng), rng);
+          default:
+            return phylo::vector_to_tree(
+                phylo::tree_to_vector(sim::uniform_tree(taxa, rng)), taxa);
+        }
+      }();
+      for (phylo::NodeId id = 0;
+           id < static_cast<phylo::NodeId>(t.num_nodes()); ++id) {
+        if (!t.node(id).has_length) {
+          t.set_length(id, rng.uniform_real(0.0, 1.0));
+        }
+        if (!t.node(id).has_support) {
+          t.set_support(id, rng.uniform_real(0.0, 100.0));
+        }
+      }
+      const bool unary = has_unary_node(t);
+      const bool full_binary = t.is_binary() && t.num_leaves() == n;
+      const std::string text = phylo::write_newick(t);
+      const phylo::TreeVector row =
+          full_binary ? phylo::tree_to_vector(t) : phylo::TreeVector{};
+
+      for (const bool include_trivial : {false, true}) {
+        for (const bool sorted : {false, true}) {
+          SCOPED_TRACE("include_trivial=" + std::to_string(include_trivial) +
+                       " sorted=" + std::to_string(sorted));
+          for (const phylo::SplitValue value :
+               {phylo::SplitValue::None, phylo::SplitValue::BranchLength,
+                phylo::SplitValue::Support}) {
+            const phylo::BipartitionOptions opts{
+                .include_trivial = include_trivial,
+                .value = value,
+                .sorted = sorted};
+            tree_extractor.extract_into(t, opts, got);
+            EXPECT_TRUE(same_splits(got, naive_splits(t, opts)))
+                << "Tree path, value mode " << static_cast<int>(value);
+          }
+          const phylo::BipartitionOptions opts{
+              .include_trivial = include_trivial, .sorted = sorted};
+          const phylo::BipartitionSet want = naive_splits(t, opts);
+
+          const bool accepted =
+              newick_extractor.extract_into(text, *taxa, opts, got);
+          EXPECT_EQ(accepted, !unary) << text;
+          if (accepted) {
+            ++newick_accepted;
+          } else {
+            ++newick_handed_back;
+            phylo::parse_newick_into(text, taxa, parsed);
+            tree_extractor.extract_into(parsed, opts, got);
+          }
+          EXPECT_TRUE(same_splits(got, want)) << "Newick path: " << text;
+
+          if (full_binary) {
+            ++vector_rows;
+            vector_extractor.extract_into(row, opts, got);
+            EXPECT_TRUE(same_splits(got, want)) << "vector path";
+          }
+        }
+      }
+    }
+  }
+  // Liveness: each route was exercised.
+  EXPECT_GT(newick_accepted, 0u);
+  EXPECT_GT(newick_handed_back, 0u);
+  EXPECT_GT(vector_rows, 0u);
 }
 
 TEST(FuzzTest, MutatedNewickNeverCrashes) {

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "phylo/newick.hpp"
+#include "phylo/vector_codec.hpp"
 #include "support/test_util.hpp"
 #include "util/rng.hpp"
 
@@ -317,6 +320,73 @@ TEST(BipartitionTest, UnsortedExtractionFallsBackOnUnaryNodes) {
   const auto strings = bip_strings(fast);
   EXPECT_EQ(strings.size(), fast.size()) << "duplicate split leaked through";
   EXPECT_EQ(strings, bip_strings(expect));
+}
+
+/// FNV-1a continued over a set's split count and its arena's bytes, in
+/// emission order: a fixed hash that owes nothing to the engine's own.
+std::uint64_t fnv1a(std::uint64_t h, const BipartitionSet& set) {
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h = (h ^ ((word >> (8 * byte)) & 0xFF)) * 0x100000001b3ULL;
+    }
+  };
+  mix(set.size());
+  for (const std::uint64_t w : set.arena_view()) {
+    mix(w);
+  }
+  return h;
+}
+
+TEST(BipartitionTest, UnsortedEmissionOrderIsPinned) {
+  // Index bytes depend on the order splits reach the store, so the
+  // unsorted arenas of the Tree and vector extractors are pinned, order
+  // included. Uniform and multifurcating trees number nodes out of
+  // topological order (split_edge_insert_leaf puts a new internal node
+  // after its child), and n = 65 and 130 give 2- and 3-word keys. The
+  // vector extractor reads the rows of the binary (uniform) trees. An
+  // extractor change that moves a split fails here.
+  struct Pin {
+    bool include_trivial;
+    std::uint64_t tree_fnv;
+    std::uint64_t vector_fnv;
+  };
+  static constexpr Pin kPins[] = {
+      {false, 0x453187ae2106e9efULL, 0x4cd7811a125bf59cULL},
+      {true, 0x225e1a73343f0563ULL, 0x0bb26a82bf481848ULL},
+  };
+  util::Rng rng(0x0DE5);
+  std::vector<Tree> uniform;
+  std::vector<Tree> multifurcating;
+  for (const std::size_t n : {std::size_t{12}, std::size_t{65},
+                              std::size_t{130}}) {
+    const auto taxa = TaxonSet::make_numbered(n);
+    for (int rep = 0; rep < 6; ++rep) {
+      uniform.push_back(sim::uniform_tree(taxa, rng));
+      multifurcating.push_back(sim::multifurcating_tree(taxa, rng, 0.4));
+    }
+  }
+  BipartitionExtractor extractor;
+  VectorBipartitionExtractor vector_extractor;
+  BipartitionSet set;
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE("include_trivial=" + std::to_string(pin.include_trivial));
+    const BipartitionOptions opts{.include_trivial = pin.include_trivial,
+                                  .sorted = false};
+    std::uint64_t tree_fnv = 0xcbf29ce484222325ULL;
+    std::uint64_t vector_fnv = 0xcbf29ce484222325ULL;
+    for (const std::vector<Tree>* trees : {&uniform, &multifurcating}) {
+      for (const Tree& t : *trees) {
+        extractor.extract_into(t, opts, set);
+        tree_fnv = fnv1a(tree_fnv, set);
+      }
+    }
+    for (const Tree& t : uniform) {
+      vector_extractor.extract_into(tree_to_vector(t), opts, set);
+      vector_fnv = fnv1a(vector_fnv, set);
+    }
+    EXPECT_EQ(tree_fnv, pin.tree_fnv) << std::hex << "0x" << tree_fnv;
+    EXPECT_EQ(vector_fnv, pin.vector_fnv) << std::hex << "0x" << vector_fnv;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -87,6 +88,28 @@ TEST(NewickParseTest, SingleLeaf) {
   const Tree t = test::tree_of("A;", taxa);
   EXPECT_EQ(t.num_leaves(), 1u);
   EXPECT_TRUE(t.is_leaf(t.root()));
+}
+
+TEST(NewickParseTest, WideStarParsesInLinearTime) {
+  // A group's children append in O(1) through the parent's last-child
+  // link. Walking the sibling chain instead made a k-child group O(k^2):
+  // this 200,000-leaf star then took about 90 s.
+  constexpr std::size_t kLeaves = 200'000;
+  std::string text = "(";
+  for (std::size_t i = 0; i < kLeaves; ++i) {
+    text += (i == 0 ? "t" : ",t") + std::to_string(i);
+  }
+  text += ");";
+  const auto taxa = std::make_shared<TaxonSet>();
+  const auto start = std::chrono::steady_clock::now();
+  const Tree t = parse_newick(text, taxa);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took.count(), 5.0);
+  EXPECT_EQ(t.num_leaves(), kLeaves);
+  ASSERT_EQ(t.num_children(t.root()), kLeaves);
+  EXPECT_EQ(t.node(t.node(t.root()).first_child).taxon, 0);
+  t.validate();
 }
 
 TEST(NewickParseTest, MissingSemicolonAccepted) {
