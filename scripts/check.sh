@@ -6,7 +6,9 @@
 #      builds a sharded index at 4 threads (4 shards on a multi-core
 #      host), saves it, and reloads it zero-copy at 1 and 4 threads (raw
 #      and compressed keys; also, at 1 thread, over a query file with its
-#      taxa in another order), a streamed CLI run at 4 threads diffed
+#      taxa in another order), saves the one-table index of a 1-thread
+#      build and reloads it at 4 threads (raw and compressed keys), a
+#      streamed CLI run at 4 threads diffed
 #      against 1 thread (a generated corpus and a hand-written decorated
 #      Newick file), and a generated corpus answered from its Newick text
 #      and from its .p2v vector form
@@ -161,6 +163,28 @@ echo "=== bfhrf_cli --compressed-keys sharded build -> index save -> reload ==="
 run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/sparse_direct.tsv"
 run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/sparse_mapped.tsv"
 run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/sparse_mapped_t4.tsv"
+
+# A 1-thread build's one-table file, reloaded by pipeline workers at 4
+# threads: with the walks above, workers query both store shapes (one
+# table, shards) over a mapped file, in both key encodings.
+echo
+echo "=== bfhrf_cli one-table build -> index save -> reload at 4 threads ==="
+for keys in raw sparse; do
+  flag=""
+  if [ "${keys}" = sparse ]; then
+    flag="--compressed-keys"
+  fi
+  # shellcheck disable=SC2086
+  ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -t 1 ${flag} \
+    --save-index "${PERSIST_DIR}/ref_t1_${keys}.bfhmap" \
+    > "${PERSIST_DIR}/t1_${keys}_direct.tsv"
+  ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -t 4 \
+    --load-index "${PERSIST_DIR}/ref_t1_${keys}.bfhmap" \
+    -q "${SERVE_DIR}/ref.nwk" > "${PERSIST_DIR}/t1_${keys}_mapped_t4.tsv"
+  run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/t1_${keys}_direct.tsv"
+  run diff "${PERSIST_DIR}/direct.tsv" \
+    "${PERSIST_DIR}/t1_${keys}_mapped_t4.tsv"
+done
 
 echo
 echo "=== bfhrf_cli --load-index with the query taxa in another order ==="

@@ -124,7 +124,8 @@ class Bfhrf {
   /// before any record is read) and is never written. A record the text
   /// pass hands back (a unary group, a repeated taxon, an unknown label, a
   /// single leaf) is parsed into a Tree and extracted from that, so an
-  /// unknown label throws InvalidArgument naming it.
+  /// unknown label throws InvalidArgument naming it and a repeated taxon
+  /// ParseError naming it.
   void build(TreeSource& reference);
 
   /// Build from a phylo2vec row stream (e.g. a .p2v corpus): bipartitions

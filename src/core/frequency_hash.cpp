@@ -5,6 +5,7 @@
 #include <cstring>
 #include <type_traits>
 
+#include "core/sharded_hash.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/simd.hpp"
@@ -28,15 +29,15 @@ void record_probes(std::uint64_t groups, std::size_t keys) noexcept {
   }
 }
 
-std::size_t table_size_for(std::size_t expected_unique) {
-  // Smallest power of two keeping the expected load under kMaxLoad, with a
-  // one-group floor so tiny hashes don't grow immediately.
-  std::size_t want = util::kGroupWidth;
-  while (static_cast<double>(expected_unique) >
-         0.7 * static_cast<double>(want)) {
-    want <<= 1;
+constexpr double kMaxLoad = 0.7;
+
+/// Slot count for `keys` distinct keys: the smallest power of two, and at
+/// least `slots` (itself a power of two), that keeps them under kMaxLoad.
+std::size_t table_size_for(std::size_t keys, std::size_t slots) {
+  while (static_cast<double>(keys) > kMaxLoad * static_cast<double>(slots)) {
+    slots <<= 1;
   }
-  return want;
+  return slots;
 }
 
 using RawTag = std::integral_constant<KeyEncoding, KeyEncoding::Raw>;
@@ -88,7 +89,9 @@ FrequencyHash::FrequencyHash(std::size_t n_bits, std::size_t expected_unique,
   if (encoding_ == KeyEncoding::Sparse) {
     (void)SparseKeyCodec(n_bits);  // rejects an empty universe
   }
-  const std::size_t slot_count = table_size_for(expected_unique);
+  // A one-group floor, so tiny hashes don't grow immediately.
+  const std::size_t slot_count =
+      table_size_for(expected_unique, util::kGroupWidth);
   dir_.reset(slot_count);
   slots_.assign(slot_count, Slot{});
   if (encoding_ == KeyEncoding::Raw) {
@@ -202,40 +205,10 @@ FrequencyHashView::FindResult FrequencyHashView::find_key(
   return r;
 }
 
-template <KeyEncoding E>
-std::uint32_t FrequencyHashView::count_for(std::uint64_t fp,
-                                           const std::uint64_t* key,
-                                           std::uint64_t& probe_groups) const {
-  const std::size_t wp = words_per_;
-  FindResult r;
-  if constexpr (E == KeyEncoding::Sparse) {
-    const ByteSpan enc = encode_probe(n_bits_, key);
-    r = dir_.find(fp, [&](std::size_t idx) { return holds(idx, enc); });
-  } else if (wp == 1) {
-    const std::uint64_t k = *key;
-    r = dir_.find(fp, [&](std::size_t idx) {
-      return words_[slots_[idx].key_index] == k;
-    });
-  } else {
-    r = dir_.find(fp, [&](std::size_t idx) {
-      return util::equal_words_fold(
-          words_ + static_cast<std::size_t>(slots_[idx].key_index) * wp, key,
-          wp);
-    });
-  }
-  probe_groups += r.groups_probed;
-  return slots_[r.index].count;
-}
-
-template std::uint32_t FrequencyHashView::count_for<KeyEncoding::Raw>(
-    std::uint64_t, const std::uint64_t*, std::uint64_t&) const;
-template std::uint32_t FrequencyHashView::count_for<KeyEncoding::Sparse>(
-    std::uint64_t, const std::uint64_t*, std::uint64_t&) const;
-
-template <typename Group, KeyEncoding E>
-void FrequencyHashView::frequency_many_impl(const std::uint64_t* keys,
-                                            std::size_t count,
-                                            std::uint32_t* out) const {
+template <typename Group, KeyEncoding E, bool Sharded>
+void FrequencyHashView::frequency_many_impl(
+    std::span<const FrequencyHashView> shards, const std::uint64_t* keys,
+    std::size_t count, std::uint32_t* out) {
   // Four-stage prefetch pipeline, one stage per dependent memory level.
   // Stage A fingerprints key i+kCtrlAhead and prefetches its home CONTROL
   // group (one line — slot lines are not touched blindly). Stage B, at
@@ -246,15 +219,27 @@ void FrequencyHashView::frequency_many_impl(const std::uint64_t* keys,
   // the candidate slot (its line hot from B) and prefetches the key-arena
   // line verification will compare against. Stage D resolves key i from
   // the stored hint, touching no control memory in the home-hit case.
-  // Hints stay valid because lookups never mutate the directory.
+  // Hints stay valid because lookups never mutate the directory. Every
+  // stage reads the view of the shard that owns the key, picked from the
+  // ring's fingerprint by one shift; one table needs no pick.
   constexpr std::size_t kRing = 16;  // power of two: masked ring indexing
   constexpr std::size_t kCtrlAhead = 12;
   constexpr std::size_t kSlotAhead = 8;
   constexpr std::size_t kKeyAhead = 4;
   static_assert(kCtrlAhead < kRing && kKeyAhead < kSlotAhead);
   constexpr std::uint32_t kNoCand = 0xffffffffu;
-  const std::size_t wp = words_per_;
+  const std::size_t n_bits = shards.front().n_bits_;
+  const std::size_t wp = shards.front().words_per_;
   const bool one_word = (wp == 1);
+  const auto shard_bits =
+      static_cast<std::uint32_t>(std::countr_zero(shards.size()));
+  const auto shard = [&](std::uint64_t fp) -> const FrequencyHashView& {
+    if constexpr (Sharded) {
+      return shards[shard_of(fp, shard_bits)];
+    } else {
+      return shards.front();
+    }
+  };
 
   std::uint64_t fps[kRing];
   util::GroupDirectory::GroupHint hints[kRing];
@@ -266,29 +251,31 @@ void FrequencyHashView::frequency_many_impl(const std::uint64_t* keys,
   const auto stage_a = [&](std::size_t j) {
     const std::uint64_t fp = util::hash_words(key_i(j));
     fps[j & (kRing - 1)] = fp;
-    dir_.prefetch(fp);
+    shard(fp).dir_.prefetch(fp);
   };
   const auto stage_b = [&](std::size_t j) {
     const std::uint64_t fp = fps[j & (kRing - 1)];
-    const auto hint = dir_.inspect<Group>(fp);
+    const FrequencyHashView& v = shard(fp);
+    const auto hint = v.dir_.inspect<Group>(fp);
     hints[j & (kRing - 1)] = hint;
     std::uint32_t cand = kNoCand;
     if (hint.match_mask != 0) {
       cand = static_cast<std::uint32_t>(
-          dir_.home_group(fp) * util::kGroupWidth +
+          v.dir_.home_group(fp) * util::kGroupWidth +
           static_cast<std::size_t>(std::countr_zero(hint.match_mask)));
-      __builtin_prefetch(slots_ + cand);
+      __builtin_prefetch(v.slots_ + cand);
     }
     cands[j & (kRing - 1)] = cand;
   };
   const auto stage_c = [&](std::size_t j) {
     const std::uint32_t cand = cands[j & (kRing - 1)];
     if (cand != kNoCand) {
-      const std::size_t at = slots_[cand].key_index;
+      const FrequencyHashView& v = shard(fps[j & (kRing - 1)]);
+      const std::size_t at = v.slots_[cand].key_index;
       if constexpr (E == KeyEncoding::Sparse) {
-        __builtin_prefetch(bytes_ + at);
+        __builtin_prefetch(v.bytes_ + at);
       } else {
-        __builtin_prefetch(words_ + at * wp);
+        __builtin_prefetch(v.words_ + at * wp);
       }
     }
   };
@@ -316,43 +303,51 @@ void FrequencyHashView::frequency_many_impl(const std::uint64_t* keys,
     if (i + kKeyAhead < count) {
       stage_c(i + kKeyAhead);
     }
+    const FrequencyHashView& v = shard(fp);
     util::GroupDirectory::FindResult r;
     if constexpr (E == KeyEncoding::Sparse) {
-      const ByteSpan enc = encode_probe(n_bits_, keys + i * wp);
-      r = dir_.find_hinted<Group>(
-          fp, hint, [&](std::size_t idx) { return holds(idx, enc); });
+      const ByteSpan enc = encode_probe(n_bits, keys + i * wp);
+      r = v.dir_.find_hinted<Group>(
+          fp, hint, [&](std::size_t idx) { return v.holds(idx, enc); });
     } else if (one_word) {
       const std::uint64_t k = keys[i];
-      r = dir_.find_hinted<Group>(fp, hint, [&](std::size_t idx) {
-        return words_[slots_[idx].key_index] == k;
+      r = v.dir_.find_hinted<Group>(fp, hint, [&](std::size_t idx) {
+        return v.words_[v.slots_[idx].key_index] == k;
       });
     } else {
       const std::uint64_t* k = keys + i * wp;
-      r = dir_.find_hinted<Group>(fp, hint, [&](std::size_t idx) {
+      r = v.dir_.find_hinted<Group>(fp, hint, [&](std::size_t idx) {
         return util::equal_words_fold(
-            words_ + static_cast<std::size_t>(slots_[idx].key_index) * wp, k,
-            wp);
+            v.words_ + static_cast<std::size_t>(v.slots_[idx].key_index) * wp,
+            k, wp);
       });
     }
     probe_groups += r.groups_probed;
-    out[i] = slots_[r.index].count;
+    out[i] = v.slots_[r.index].count;
   }
   record_probes(probe_groups, count);
 }
 
-void FrequencyHashView::frequency_many(const std::uint64_t* keys,
-                                       std::size_t count,
-                                       std::uint32_t* out) const {
-  dispatch(encoding_, [&](auto group, auto enc) {
-    frequency_many_impl<decltype(group), decltype(enc)::value>(keys, count,
-                                                               out);
+void FrequencyHashView::frequency_many(
+    std::span<const FrequencyHashView> shards, const std::uint64_t* keys,
+    std::size_t count, std::uint32_t* out) {
+  BFHRF_ASSERT(std::has_single_bit(shards.size()));
+  dispatch(shards.front().encoding_, [&](auto group, auto enc) {
+    using Group = decltype(group);
+    constexpr KeyEncoding kEnc = decltype(enc)::value;
+    if (shards.size() > 1) {
+      frequency_many_impl<Group, kEnc, true>(shards, keys, count, out);
+    } else {
+      frequency_many_impl<Group, kEnc, false>(shards, keys, count, out);
+    }
   });
 }
 
 void FrequencyHash::frequency_many(const std::uint64_t* keys,
                                    std::size_t count,
                                    std::uint32_t* out) const {
-  FrequencyHashView(*this).frequency_many(keys, count, out);
+  const FrequencyHashView view(*this);
+  FrequencyHashView::frequency_many({&view, 1}, keys, count, out);
 }
 
 template <typename Group, KeyEncoding E>
@@ -428,10 +423,7 @@ void FrequencyHash::add_many(const std::uint64_t* keys, std::size_t count,
 }
 
 void FrequencyHash::grow_to_fit(std::size_t keys) {
-  std::size_t want = slots_.size();
-  while (static_cast<double>(keys) > kMaxLoad * static_cast<double>(want)) {
-    want <<= 1;
-  }
+  const std::size_t want = table_size_for(keys, slots_.size());
   if (want != slots_.size()) {
     rehash(want);
   }

@@ -133,13 +133,9 @@ class FrequencyHash {
 
   /// Batched lookup: `keys` is a contiguous arena of `count` keys of
   /// words_per_key() words each (a BipartitionSet arena qualifies);
-  /// out[i] receives the frequency of key i. Runs a software-prefetch
-  /// pipeline — fingerprints are computed ahead, the control-group and
-  /// slot-group cache lines are prefetched 8 keys out and the key-arena
-  /// line 4 keys out — and takes a single-word-key fast path
-  /// (words_per_key() == 1, i.e. n <= 64) that replaces the full-key
-  /// memcmp loop with one 64-bit compare. This is the devirtualized hot
-  /// path of Bfhrf::query (Algorithm 2's per-split lookup).
+  /// out[i] receives the frequency of key i. Runs the one-table case of
+  /// the prefetch pipeline FrequencyHashView::frequency_many, which also
+  /// serves every Bfhrf query (Algorithm 2's per-split lookup).
   void frequency_many(const std::uint64_t* keys, std::size_t count,
                       std::uint32_t* out) const;
 
@@ -235,8 +231,6 @@ class FrequencyHash {
 
   void rehash(std::size_t new_slot_count);
 
-  static constexpr double kMaxLoad = 0.7;
-
   std::size_t n_bits_ = 0;
   std::size_t words_per_ = 0;
   KeyEncoding encoding_ = KeyEncoding::Raw;
@@ -250,11 +244,14 @@ class FrequencyHash {
 };
 
 /// Non-owning read-only view over a FrequencyHash layout: the control
-/// directory, slot array, and key arena as raw pointers. The lookup
-/// pipelines live HERE — FrequencyHash's read paths delegate to its view,
-/// and a BfhIndexView (core/sharded_hash.hpp) routes over one view per
-/// shard, whether the shard is a live table or the mmapped sections of a
-/// saved index (core/index_file). One probe implementation, two backings,
+/// directory, slot array, and key arena as raw pointers. The lookups live
+/// HERE. FrequencyHash's read paths delegate to its view, and the one
+/// batched lookup, frequency_many, takes a store's shard views: a single
+/// table passes one view, a BfhIndexView (core/sharded_hash.hpp) passes
+/// its 2^b shards, each a live table or the mmapped sections of a saved
+/// index (core/index_file). The pipeline picks a key's shard from its
+/// fingerprint and probes that shard exactly as it would probe a lone
+/// table, so every store shape and backing runs the same probe code with
 /// bit-identical results. All pointed-to memory must outlive the view and
 /// must satisfy the directory's 16-byte alignment requirement; a raw arena
 /// must be 8-byte aligned.
@@ -302,23 +299,18 @@ class FrequencyHashView {
     return slots_[find_key(key).index].count;
   }
 
-  /// Batched lookup over a contiguous arena of `count` keys — the 4-stage
-  /// software-prefetch pipeline documented at
-  /// FrequencyHash::frequency_many.
-  void frequency_many(const std::uint64_t* keys, std::size_t count,
-                      std::uint32_t* out) const;
-
-  /// Prefetch the home control group of `fp` (multi-shard routing loops).
-  void prefetch(std::uint64_t fp) const noexcept { dir_.prefetch(fp); }
-
-  /// Count stored for `key` under its precomputed fingerprint (0 if
-  /// absent); accumulates control groups probed into `probe_groups` for
-  /// the caller's one-flush-per-batch obs accounting. E must be this
-  /// view's encoding (routing loops choose it once per batch).
-  template <KeyEncoding E>
-  [[nodiscard]] std::uint32_t count_for(std::uint64_t fp,
-                                        const std::uint64_t* key,
-                                        std::uint64_t& probe_groups) const;
+  /// Batched lookup in a store of `shards.size()` = 2^b tables that share
+  /// one universe width and key encoding, each key living in shard
+  /// shard_of(fingerprint, b) (core/sharded_hash.hpp; one shard holds
+  /// every key). `keys` is a contiguous arena of `count` keys of
+  /// words_per_key() words each (a BipartitionSet arena qualifies); out[i]
+  /// receives the frequency of key i, 0 if absent. A four-stage
+  /// software-prefetch pipeline, one stage per dependent memory level:
+  /// fingerprint (and shard pick), control group, slot line, key line.
+  /// Single-word keys (n <= 64) compare as one 64-bit word.
+  static void frequency_many(std::span<const FrequencyHashView> shards,
+                             const std::uint64_t* keys, std::size_t count,
+                             std::uint32_t* out);
 
   /// The raw words of the key stored at `key_index`: in place for raw
   /// keys, decoded into `scratch` (sized n_bits) for sparse ones.
@@ -344,9 +336,12 @@ class FrequencyHashView {
   }
 
  private:
-  template <typename Group, KeyEncoding E>
-  void frequency_many_impl(const std::uint64_t* keys, std::size_t count,
-                           std::uint32_t* out) const;
+  /// frequency_many with the SIMD level, the key encoding and the shard
+  /// pick fixed at compile time (one table skips the pick).
+  template <typename Group, KeyEncoding E, bool Sharded>
+  static void frequency_many_impl(std::span<const FrequencyHashView> shards,
+                                  const std::uint64_t* keys,
+                                  std::size_t count, std::uint32_t* out);
 
   [[nodiscard]] util::ConstWordSpan decode(std::uint32_t offset,
                                            util::DynamicBitset& out) const;

@@ -4,18 +4,10 @@
 #include <bit>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "util/error.hpp"
-#include "util/hash.hpp"
 
 namespace bfhrf::core {
 namespace {
-
-// Lookup probes through the shard router (per-shard pipelines account
-// their own probes under core.frequency_hash.*; these count only the
-// multi-shard routed path).
-const obs::Counter g_routed_probes =
-    obs::counter("core.sharded_hash.routed_probes");
 
 std::size_t round_up_pow2(std::size_t v) {
   return v <= 1 ? 1 : std::bit_ceil(v);
@@ -39,7 +31,7 @@ ShardedFrequencyHash::ShardedFrequencyHash(std::size_t n_bits,
 
 BfhIndexView::BfhIndexView(const ShardedFrequencyHash& tables,
                            double total_weight)
-    : shard_bits_(tables.shard_bits()), total_weight_(total_weight) {
+    : total_weight_(total_weight) {
   shards_.reserve(tables.shard_count());
   shard_keys_.reserve(tables.shard_count());
   for (std::size_t s = 0; s < tables.shard_count(); ++s) {
@@ -58,7 +50,6 @@ BfhIndexView::BfhIndexView(std::vector<FrequencyHashView> shards,
                            std::size_t memory_bytes)
     : shards_(std::move(shards)),
       shard_keys_(std::move(shard_keys)),
-      shard_bits_(static_cast<std::uint32_t>(std::countr_zero(shards_.size()))),
       total_count_(total_count),
       total_weight_(total_weight),
       memory_bytes_(memory_bytes) {
@@ -94,56 +85,6 @@ double BfhIndexView::shard_skew() const noexcept {
   const double mean =
       static_cast<double>(unique_) / static_cast<double>(shards_.size());
   return static_cast<double>(largest) / mean;
-}
-
-void BfhIndexView::frequency_many(const std::uint64_t* keys,
-                                  std::size_t count,
-                                  std::uint32_t* out) const {
-  if (shards_.size() == 1) {
-    // Single table: the full 4-stage hinted prefetch pipeline.
-    shards_[0].frequency_many(keys, count, out);
-  } else if (shards_[0].encoding() == KeyEncoding::Sparse) {
-    route<KeyEncoding::Sparse>(keys, count, out);
-  } else {
-    route<KeyEncoding::Raw>(keys, count, out);
-  }
-}
-
-template <KeyEncoding E>
-void BfhIndexView::route(const std::uint64_t* keys, std::size_t count,
-                         std::uint32_t* out) const {
-  // Multi-shard router: fingerprint + shard a few keys ahead and prefetch
-  // each key's home control group inside its owning shard, then resolve
-  // in order. Shallower than the single-table pipeline (the shard is a
-  // data-dependent indirection), but the control line is resident by
-  // resolve time, which is most of the win.
-  constexpr std::size_t kAhead = 8;
-  const std::size_t wp = shards_[0].words_per_key();
-  std::uint64_t fps[kAhead];
-  std::uint32_t sids[kAhead];
-  std::uint64_t probe_groups = 0;
-  const auto stage = [&](std::size_t j) {
-    const std::uint64_t fp = util::hash_words({keys + j * wp, wp});
-    const std::uint32_t sid =
-        static_cast<std::uint32_t>(shard_of(fp, shard_bits_));
-    fps[j % kAhead] = fp;
-    sids[j % kAhead] = sid;
-    shards_[sid].prefetch(fp);
-  };
-  const std::size_t warm = count < kAhead ? count : kAhead;
-  for (std::size_t i = 0; i < warm; ++i) {
-    stage(i);
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t fp = fps[i % kAhead];
-    const std::uint32_t sid = sids[i % kAhead];
-    if (i + kAhead < count) {
-      stage(i + kAhead);
-    }
-    out[i] =
-        shards_[sid].template count_for<E>(fp, keys + i * wp, probe_groups);
-  }
-  g_routed_probes.inc(probe_groups);
 }
 
 }  // namespace bfhrf::core

@@ -7,8 +7,8 @@
 // util/group_table.hpp), so the top bits are statistically independent of
 // everything a shard-local probe looks at. Each shard therefore behaves
 // exactly like a standalone FrequencyHash over its key subset — same probe
-// lengths, same layouts, same batched pipelines — and the routing function
-// is a single shift.
+// lengths, same layouts, same probe code — and the routing function is a
+// single shift.
 //
 // What sharding buys:
 //  * PARALLEL BUILDS WITHOUT A MERGE. Key ownership is static, so each
@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "core/frequency_hash.hpp"
-#include "util/hash.hpp"
 
 namespace bfhrf::core {
 
@@ -92,10 +91,11 @@ class ShardedFrequencyHash {
 /// sections (MappedIndex::view, the zero-copy cold-serve path). The
 /// scalars are fixed when the view is made.
 ///
-/// Lookups: one shard delegates to the shard's full 4-stage prefetch
-/// pipeline (bit-identical to the single-table fast path); multiple shards
-/// run a fingerprint-routing loop that prefetches each key's home control
-/// group in its owning shard a few keys ahead.
+/// Lookups: every batch, whatever the shard count, runs the one 4-stage
+/// prefetch pipeline (FrequencyHashView::frequency_many) over the shard
+/// views. Its first stage picks each key's shard with shard_of; later
+/// stages probe that shard as a lone table, so a one-shard store runs the
+/// single-table lookup itself.
 class BfhIndexView {
  public:
   BfhIndexView() = default;
@@ -135,12 +135,6 @@ class BfhIndexView {
   /// balanced; also 1.0 for an empty store).
   [[nodiscard]] double shard_skew() const noexcept;
 
-  /// Frequency of one bipartition (0 if absent).
-  [[nodiscard]] std::uint32_t frequency(util::ConstWordSpan key) const {
-    return shards_[shard_of(util::hash_words(key), shard_bits_)].frequency(
-        key);
-  }
-
   /// Visit every (key, frequency) pair, shard by shard, keys in raw word
   /// form (sparse keys are decoded). Order is unspecified.
   template <typename Fn>
@@ -151,19 +145,15 @@ class BfhIndexView {
   }
 
   /// Batched lookup over a contiguous key arena (see
-  /// FrequencyHash::frequency_many for the contract).
+  /// FrequencyHashView::frequency_many for the contract).
   void frequency_many(const std::uint64_t* keys, std::size_t count,
-                      std::uint32_t* out) const;
+                      std::uint32_t* out) const {
+    FrequencyHashView::frequency_many(shards_, keys, count, out);
+  }
 
  private:
-  /// The multi-shard router; E is the shards' common key encoding.
-  template <KeyEncoding E>
-  void route(const std::uint64_t* keys, std::size_t count,
-             std::uint32_t* out) const;
-
   std::vector<FrequencyHashView> shards_;
   std::vector<std::size_t> shard_keys_;  ///< distinct keys per shard
-  std::uint32_t shard_bits_ = 0;
   std::size_t unique_ = 0;
   std::uint64_t total_count_ = 0;
   double total_weight_ = 0.0;

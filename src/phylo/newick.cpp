@@ -278,7 +278,8 @@ bool parse(std::string_view text, Sink& sink) {
 
 /// The Tree-building sink of parse_newick and parse_newick_into: grows
 /// `tree` (which must be empty) and maps each leaf label to a taxon id
-/// through `resolve`. Unary groups are suppressed once the tree is whole.
+/// through `resolve`. A record that names a taxon twice throws ParseError.
+/// Unary groups are suppressed once the tree is whole.
 template <typename Resolve>
 class TreeSink {
  public:
@@ -296,7 +297,19 @@ class TreeSink {
   }
 
   bool leaf(std::string_view label) {
-    current_ = tree_.add_leaf(open_.back(), resolve_(label));
+    const TaxonId id = resolve_(label);
+    const auto word = static_cast<std::size_t>(id) / 64;
+    const std::uint64_t bit = std::uint64_t{1}
+                              << (static_cast<std::size_t>(id) % 64);
+    if (word >= seen_.size()) {
+      seen_.resize(word + 1, 0);
+    }
+    if ((seen_[word] & bit) != 0) {
+      throw ParseError("newick tree names taxon '" + std::string(label) +
+                       "' twice");
+    }
+    seen_[word] |= bit;
+    current_ = tree_.add_leaf(open_.back(), id);
     return true;
   }
 
@@ -336,6 +349,7 @@ class TreeSink {
   Tree& tree_;
   Resolve& resolve_;
   std::vector<NodeId> open_;  ///< the open '(' groups, innermost last
+  std::vector<std::uint64_t> seen_;  ///< taxa named so far, one bit each
   NodeId current_ = kNoNode;  ///< node whose length/label comes next
   bool unary_ = false;        ///< some group closed with one child
 };

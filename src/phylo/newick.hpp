@@ -30,7 +30,8 @@
 namespace bfhrf::phylo {
 
 /// Parse a single Newick string into a tree over `taxa` (new labels are
-/// added unless the set is frozen). Throws ParseError on malformed input.
+/// added unless the set is frozen). Throws ParseError on malformed input
+/// and on a record that names one taxon twice.
 [[nodiscard]] Tree parse_newick(std::string_view text, const TaxonSetPtr& taxa);
 
 /// Parse a single Newick string into `out` over a fixed namespace: labels
@@ -38,7 +39,8 @@ namespace bfhrf::phylo {
 /// InvalidArgument naming it, and `taxa` is never written, so concurrent
 /// calls sharing one TaxonSet are safe. `out` is cleared first and keeps
 /// its node storage, so a tree re-parsed in a loop stops allocating once
-/// warm. Throws ParseError on malformed input.
+/// warm. Throws ParseError on malformed input and on a record that names
+/// one taxon twice.
 void parse_newick_into(std::string_view text, const TaxonSetPtr& taxa,
                        Tree& out);
 
@@ -59,8 +61,9 @@ class NewickSplitExtractor {
   /// return true, or return false, with `out` unspecified, for a record the
   /// Tree path must take: a single leaf, a group with one child, a repeated
   /// taxon, a label outside `taxa`, or opts.value other than None. That
-  /// path then gives the answer or raises its own error. Throws ParseError
-  /// on malformed text, as parse_newick does.
+  /// path then gives the answer or raises its own error (ParseError for a
+  /// repeated taxon). Throws ParseError on malformed text, as parse_newick
+  /// does.
   bool extract_into(std::string_view text, const TaxonSet& taxa,
                     const BipartitionOptions& opts, BipartitionSet& out);
 

@@ -257,15 +257,18 @@ TEST(BfhrfStreamTest, FileBackedStreamMatchesSpanPathBitwise) {
 TEST(BfhrfStreamTest, NewickRecordRoutesMatchSpanPathAndReconcile) {
   // Workers extract most records' splits straight from the text and hand
   // the rest to parse + extract. k records of m here need the Tree path:
-  // a unary group (suppressed by the parse) or a repeated taxon. Either
-  // way the answers must equal the span path over the same parsed trees,
-  // and every framed record must be counted by exactly one route: the k
-  // handed back once per pass, in the build and in the query.
+  // a unary group (suppressed by the parse) around a leaf or around an
+  // internal group. Either way the answers must equal the span path over
+  // the same parsed trees, and every framed record must be counted by
+  // exactly one route: the k handed back once per pass, in the build and
+  // in the query. A record that repeats a taxon is handed back too, and
+  // the parse rejects it at every thread count.
   constexpr std::size_t kRecords = 90;
   const auto taxa = TaxonSet::make_numbered(70);  // 2-word keys
   util::Rng rng(25);
   const std::vector<Tree> base = test::random_collection(taxa, kRecords, 5, rng);
   std::string text;
+  std::string repeated_taxon;
   std::size_t handed_back = 0;
   for (std::size_t i = 0; i < kRecords; ++i) {
     std::string record = phylo::write_newick(base[i]);
@@ -277,11 +280,22 @@ TEST(BfhrfStreamTest, NewickRecordRoutesMatchSpanPathAndReconcile) {
       record.insert(begin, "(");
       ++handed_back;
     } else if (i % 9 == 7) {
+      // A unary group around the first internal group below the root.
+      const std::size_t open = record.find('(', 1);
+      std::size_t close = open;
+      for (int depth = 0; close == open || depth > 0; ++close) {
+        depth += record[close] == '(' ? 1 : record[close] == ')' ? -1 : 0;
+      }
+      record.insert(close, ")");
+      record.insert(open, "(");
+      ++handed_back;
+    }
+    if (i == 0) {
       const std::string other = record.substr(begin, end - begin) == "t0"
                                     ? "t1"
                                     : "t0";
-      record.replace(begin, end - begin, other);  // a repeated taxon
-      ++handed_back;
+      repeated_taxon = record;
+      repeated_taxon.replace(begin, end - begin, other);
     }
     text += record + "\n";
   }
@@ -318,6 +332,19 @@ TEST(BfhrfStreamTest, NewickRecordRoutesMatchSpanPathAndReconcile) {
     EXPECT_EQ(framed, 2 * kRecords);
     EXPECT_EQ(split + fallbacks, framed);
     EXPECT_EQ(fallbacks, 2 * handed_back);
+  }
+
+  const TempNewick bad("routes_repeated", text + repeated_taxon + "\n");
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Bfhrf built(taxa->size(), BfhrfOptions{.threads = threads});
+    FileTreeSource good_source(file.path(), taxa);
+    built.build(good_source);
+    FileTreeSource query_source(bad.path(), taxa);
+    EXPECT_THROW((void)built.query(query_source), ParseError);
+    Bfhrf rejected(taxa->size(), BfhrfOptions{.threads = threads});
+    FileTreeSource ref_source(bad.path(), taxa);
+    EXPECT_THROW(rejected.build(ref_source), ParseError);
   }
 }
 

@@ -270,12 +270,12 @@ TEST(BfhrfTest, IncludeTrivialChangesNothingForFixedTaxa) {
 }
 
 TEST(BfhrfTest, RepeatedTaxonRecordQueriesInLinearTime) {
-  // The split pass hands a record that repeats a taxon back to
-  // parse_newick, so a daemon request can make it build a group of 100,000
-  // leaves. Appending each child by walking the sibling chain made that
-  // O(k^2). The answer is the one the engine has always given such a
-  // record: its splits are all trivial, so it averages the reference's
-  // 7 splits per tree.
+  // The split pass hands a record that repeats a taxon back to the Tree
+  // parse, which a daemon request can feed a group of 100,000 leaves.
+  // Appending each child by walking the sibling chain made that O(k^2),
+  // and folding the repeats answered the record (7.0: all of its splits
+  // trivial). A record that names a taxon twice is not a tree over its
+  // leaves, so the parse now rejects it, and must do so quickly.
   constexpr std::size_t kLeaves = 100'000;
   const auto taxa = TaxonSet::make_numbered(10);
   util::Rng rng(21);
@@ -288,11 +288,10 @@ TEST(BfhrfTest, RepeatedTaxonRecordQueriesInLinearTime) {
   }
   record += ");";
   const auto start = std::chrono::steady_clock::now();
-  const double got = engine.query_newick(record, taxa);
+  EXPECT_THROW((void)engine.query_newick(record, taxa), ParseError);
   const std::chrono::duration<double> took =
       std::chrono::steady_clock::now() - start;
   EXPECT_LT(took.count(), 5.0);
-  EXPECT_EQ(got, 7.0);
 }
 
 TEST(BfhrfTest, IncrementalBuildAccumulates) {

@@ -1,13 +1,16 @@
 #include "core/sharded_hash.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "core/bfhrf.hpp"
 #include "core/frequency_hash.hpp"
+#include "core/index_file.hpp"
 #include "core/tree_source.hpp"
 #include "core/variants.hpp"
 #include "support/test_util.hpp"
@@ -43,9 +46,11 @@ TEST(ShardedHashTest, RoundsShardCountToPowerOfTwo) {
   EXPECT_EQ(h1.shard_bits(), 0u);
 }
 
-/// Add one occurrence of `key` to the shard that owns it.
-void add_routed(ShardedFrequencyHash& tables, util::ConstWordSpan key) {
-  tables.shard(shard_of(util::hash_words(key), tables.shard_bits())).add(key);
+/// Add `count` occurrences of `key` to the shard that owns it.
+void add_routed(ShardedFrequencyHash& tables, util::ConstWordSpan key,
+                std::uint32_t count = 1) {
+  tables.shard(shard_of(util::hash_words(key), tables.shard_bits()))
+      .add(key, count);
 }
 
 TEST(ShardedHashTest, MatchesSingleTableOnRandomKeys) {
@@ -77,9 +82,10 @@ TEST(ShardedHashTest, MatchesSingleTableOnRandomKeys) {
   EXPECT_EQ(view.unique_count(), single.unique_count());
   EXPECT_EQ(view.total_count(), single.total_count());
   EXPECT_EQ(view.key_bytes(), single.key_bytes());
+  std::vector<std::uint32_t> freqs(count);
+  view.frequency_many(keys.data(), count, freqs.data());
   for (std::size_t i = 0; i < count; ++i) {
-    const util::ConstWordSpan key{keys.data() + i * wp, wp};
-    EXPECT_EQ(view.frequency(key), single.frequency(key));
+    EXPECT_EQ(freqs[i], single.frequency({keys.data() + i * wp, wp}));
   }
   // Shard totals must partition the global totals, and the view's scalars
   // must be the sums over its shards.
@@ -103,43 +109,90 @@ TEST(ShardedHashTest, MatchesSingleTableOnRandomKeys) {
 }
 
 TEST(BfhIndexViewTest, RoutedLookupMatchesPerShardLookup) {
-  const std::size_t n_bits = 72;
-  const std::size_t wp = util::words_for_bits(n_bits);
+  // The one batched lookup against a direct lookup in the owner shard's
+  // table, over every store shape it serves: 1, 2, 4 and 64 shards, both
+  // key encodings, 1-, 2- and 16-word keys, built tables and the same
+  // tables mapped back from disk. Batch sizes straddle the pipeline's
+  // stage offsets (4, 8, 12) and its 16-entry ring, and every batch is a
+  // slice of one pool that mixes stored and absent keys.
+  constexpr std::size_t kKeys = 300;
+  constexpr std::uint32_t kUntouched = 0xdeadbeefU;
+  const std::string base = ::testing::TempDir() + "bfhrf_lookup_" +
+                           std::to_string(::getpid());
   util::Rng rng(11);
-  std::vector<std::uint64_t> keys;
-  const std::size_t count = 300;
-  for (std::size_t i = 0; i < count * wp; ++i) {
-    keys.push_back(rng());
-  }
-  ShardedFrequencyHash sharded(n_bits, 4);
-  for (std::size_t i = 0; i < count; ++i) {
-    add_routed(sharded, {keys.data() + i * wp, wp});
-  }
-
-  // The batched router against a direct lookup in the owner shard's table.
-  const auto owner_frequency = [&](const std::uint64_t* key) {
-    const util::ConstWordSpan span{key, wp};
-    return sharded.shard(shard_of(util::hash_words(span), 2)).frequency(span);
-  };
-  const BfhIndexView view(sharded, static_cast<double>(count));
-  EXPECT_EQ(view.shard_count(), 4u);
-  EXPECT_EQ(view.total_weight(), static_cast<double>(count));
-  std::vector<std::uint32_t> freqs(count);
-  view.frequency_many(keys.data(), count, freqs.data());
-  for (std::size_t i = 0; i < count; ++i) {
-    EXPECT_EQ(freqs[i], owner_frequency(keys.data() + i * wp));
-    EXPECT_EQ(freqs[i], 1u);
-  }
-  // Missing keys resolve to zero through the routed pipeline too.
-  std::vector<std::uint64_t> missing(8 * wp);
-  for (auto& w : missing) {
-    w = rng() | (std::uint64_t{1} << 63);
-  }
-  std::vector<std::uint32_t> zero(8);
-  view.frequency_many(missing.data(), 8, zero.data());
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(zero[i], owner_frequency(missing.data() + i * wp));
-    EXPECT_EQ(zero[i], 0u);
+  for (const std::size_t n_bits :
+       {std::size_t{64}, std::size_t{72}, std::size_t{1000}}) {
+    const std::size_t wp = util::words_for_bits(n_bits);
+    const auto random_key = [&](std::vector<std::uint64_t>& out) {
+      for (std::size_t w = 0; w < wp; ++w) {
+        out.push_back(rng());
+      }
+      if (n_bits % 64 != 0) {
+        out.back() &= (std::uint64_t{1} << (n_bits % 64)) - 1;
+      }
+    };
+    std::vector<std::uint64_t> stored;
+    for (std::size_t i = 0; i < kKeys; ++i) {
+      random_key(stored);
+    }
+    std::vector<std::uint64_t> pool;
+    for (std::size_t i = 0; i < kKeys; ++i) {
+      if (rng.bernoulli(0.5)) {
+        const std::uint64_t* key = stored.data() + rng.below(kKeys) * wp;
+        pool.insert(pool.end(), key, key + wp);
+      } else {
+        random_key(pool);
+      }
+    }
+    for (const KeyEncoding encoding : {KeyEncoding::Raw, KeyEncoding::Sparse}) {
+      for (const std::uint32_t bits : {0U, 1U, 2U, 6U}) {
+        SCOPED_TRACE("n_bits=" + std::to_string(n_bits) + " sparse=" +
+                     std::to_string(encoding == KeyEncoding::Sparse) +
+                     " shard_bits=" + std::to_string(bits));
+        ShardedFrequencyHash tables(n_bits, std::size_t{1} << bits, 0,
+                                    encoding);
+        for (std::size_t i = 0; i < kKeys; ++i) {
+          add_routed(tables, {stored.data() + i * wp, wp},
+                     static_cast<std::uint32_t>(1 + i % 3));
+        }
+        const auto owner_frequency = [&](const std::uint64_t* key) {
+          const util::ConstWordSpan span{key, wp};
+          return tables.shard(shard_of(util::hash_words(span), bits))
+              .frequency(span);
+        };
+        const std::string path =
+            base + "_" + std::to_string(n_bits) + "_" +
+            std::to_string(static_cast<int>(encoding)) + "_" +
+            std::to_string(bits) + ".bfi";
+        write_index_file(tables, 0.0, {.reference_trees = 1}, path);
+        const MappedIndex mapped(path);
+        const BfhIndexView built(tables, 0.0);
+        const BfhIndexView loaded = mapped.view();
+        for (const BfhIndexView* view : {&built, &loaded}) {
+          SCOPED_TRACE(view == &built ? "built" : "mapped");
+          ASSERT_EQ(view->shard_count(), std::size_t{1} << bits);
+          std::size_t present = 0;
+          std::size_t absent = 0;
+          for (const std::size_t batch :
+               {0, 1, 3, 4, 5, 8, 9, 12, 13, 16, 17, 300}) {
+            const std::size_t first = rng.below(kKeys - batch + 1);
+            const std::uint64_t* keys = pool.data() + first * wp;
+            std::vector<std::uint32_t> freqs(batch + 1, kUntouched);
+            view->frequency_many(keys, batch, freqs.data());
+            for (std::size_t i = 0; i < batch; ++i) {
+              EXPECT_EQ(freqs[i], owner_frequency(keys + i * wp))
+                  << "batch=" << batch << " key " << i;
+              ++(freqs[i] == 0 ? absent : present);
+            }
+            EXPECT_EQ(freqs[batch], kUntouched) << "batch=" << batch;
+          }
+          EXPECT_GT(present, 0U);
+          EXPECT_GT(absent, 0U);
+        }
+        std::error_code ec;
+        std::filesystem::remove(path, ec);
+      }
+    }
   }
 }
 

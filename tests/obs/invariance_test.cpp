@@ -138,6 +138,63 @@ TEST(ObsInvariance, MetricsActuallyRecordWhenEnabled) {
   }
 }
 
+TEST(ObsInvariance, EveryLookupProbesItsHomeGroupOnce) {
+  // One lookup pipeline serves every store: one table or 4 shards, built
+  // or mapped from a saved file, raw or compressed keys. It counts every
+  // probe under core.frequency_hash.*, where each key inspects its home
+  // group once and collisions count the groups beyond it, so over one
+  // query probes - collisions is the number of keys looked up.
+  if (!obs::compiled_in()) {
+    GTEST_SKIP() << "observability compiled out";
+  }
+  obs::set_enabled(true);
+  const auto taxa = phylo::TaxonSet::make_numbered(40);
+  util::Rng rng(0x9B0BE5);
+  const auto trees = test::random_collection(taxa, 40, 6, rng);
+  struct Cleanup {
+    std::string path;
+    ~Cleanup() {
+      std::error_code ec;
+      std::filesystem::remove(path, ec);
+    }
+  } file{::testing::TempDir() + "bfhrf_probes_" +
+         std::to_string(::getpid()) + ".bfi"};
+  for (const bool compressed : {false, true}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const core::BfhrfOptions opts{.threads = threads,
+                                    .compressed_keys = compressed};
+      core::Bfhrf built(taxa->size(), opts);
+      built.build(trees);
+      ASSERT_EQ(built.store().shard_count(), test::expected_shards(threads));
+      core::save_bfhrf_file(built, file.path);
+      const core::Bfhrf loaded = core::load_bfhrf_file(file.path, opts);
+      const core::Bfhrf* const engines[] = {&built, &loaded};
+      for (const core::Bfhrf* engine : engines) {
+        SCOPED_TRACE(std::string(engine == &built ? "built" : "loaded") +
+                     " threads=" + std::to_string(threads) +
+                     " compressed=" + std::to_string(compressed));
+        const std::uint64_t probes0 =
+            obs::counter_value("core.frequency_hash.probes");
+        const std::uint64_t collisions0 =
+            obs::counter_value("core.frequency_hash.collisions");
+        const std::uint64_t keys0 =
+            obs::counter_value("bfhrf.query.prefetch.bipartitions");
+        const auto rf = engine->query(std::span<const phylo::Tree>(trees));
+        ASSERT_EQ(rf.size(), trees.size());
+        const std::uint64_t probes =
+            obs::counter_value("core.frequency_hash.probes") - probes0;
+        const std::uint64_t collisions =
+            obs::counter_value("core.frequency_hash.collisions") -
+            collisions0;
+        const std::uint64_t keys =
+            obs::counter_value("bfhrf.query.prefetch.bipartitions") - keys0;
+        EXPECT_GT(keys, 0u);
+        EXPECT_EQ(probes - collisions, keys);
+      }
+    }
+  }
+}
+
 /// Check every table-shape gauge against the store saved at `path`: a
 /// BFHMAP file keeps each shard's slot count and live keys verbatim, so its
 /// records are the store's own numbers. Probe lengths are scanned only for

@@ -131,6 +131,47 @@ TEST(NewickParseTest, MalformedInputsThrow) {
   EXPECT_THROW((void)parse_newick("(,);", taxa), ParseError);
 }
 
+TEST(NewickParseTest, RepeatedTaxonThrowsNamingIt) {
+  // A record that names one taxon twice is not a tree over its leaves:
+  // extraction would fold the repeats into splits the record never drew
+  // ("((A,A),(C,D),(E,F));" read as a tree with one split). Both parsers,
+  // and so every reader and the split pass's hand-back route, reject it.
+  const auto expect_rejected = [](const std::string& text,
+                                  const std::string& label,
+                                  std::size_t n_taxa) {
+    SCOPED_TRACE(text);
+    const auto fixed = TaxonSet::make_numbered(n_taxa);
+    const auto growing = std::make_shared<TaxonSet>();
+    Tree out;
+    for (int route = 0; route < 2; ++route) {
+      try {
+        if (route == 0) {
+          (void)parse_newick(text, growing);
+        } else {
+          parse_newick_into(text, fixed, out);
+        }
+        ADD_FAILURE() << "route " << route << " accepted a repeated taxon";
+      } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find("'" + label + "'"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  };
+  expect_rejected("((t0,t0),(t2,t3),(t4,t5));", "t0", 6);
+  expect_rejected("((t0,t1),(t2,t3),(t4,t0));", "t0", 6);
+  expect_rejected("(t1,(t2,(t3,t2)));", "t2", 6);
+  // Ids on both sides of a word boundary.
+  expect_rejected("((t63,t64),(t1,(t64,t2)));", "t64", 70);
+  expect_rejected("(t65,t3,'t65');", "t65", 70);
+  // A distinct-taxon tree still parses on both routes.
+  const auto taxa = TaxonSet::make_numbered(70);
+  Tree out;
+  parse_newick_into("((t63,t64),(t1,t65),t0);", taxa, out);
+  EXPECT_EQ(out.num_leaves(), 5u);
+  EXPECT_EQ(parse_newick("((t63,t64),(t1,t65),t0);", taxa).num_leaves(), 5u);
+}
+
 TEST(NewickParseTest, FrozenTaxonSetRejectsUnknownTaxa) {
   auto taxa = std::make_shared<TaxonSet>(
       std::vector<std::string>{"A", "B", "C", "D"});
