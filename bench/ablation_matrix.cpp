@@ -2,11 +2,13 @@
 //
 // The legacy all-pairs engine intersects two sorted bipartition-key sets
 // per cell — O(k) word-compares per pair with no reuse across cells. The
-// bit-matrix engines pay one FrequencyHash pass to assign every unique
-// bipartition a dense universe id, then each cell is either a fused
-// popcount-AND over two bit-rows (dense) or a sorted-id intersection
-// (sparse), scheduled as cache-sized tiles through a work-stealing queue
-// (DESIGN.md §7).
+// library no longer ships it, so the bench keeps it as a local baseline
+// (merge_walk_rf): the denominator of the gated *_over_legacy_ratio
+// baselines below. The bit-matrix engines pay one FrequencyHash pass to
+// assign every unique bipartition a dense universe id, then each cell is
+// either a fused popcount-AND over two bit-rows (dense) or a sorted-id
+// intersection (sparse), scheduled as cache-sized tiles through a
+// work-stealing queue (DESIGN.md §7).
 //
 // Two workloads bracket the density axis the Auto heuristic splits on:
 //
@@ -31,12 +33,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common.hpp"
 #include "core/all_pairs.hpp"
 #include "core/bit_matrix.hpp"
+#include "parallel/thread_pool.hpp"
 #include "phylo/bipartition.hpp"
 #include "sim/datasets.hpp"
 #include "util/string_util.hpp"
@@ -117,18 +121,56 @@ struct Timing {
   double ns_per_pair = 0;
 };
 
-Timing measure(const Workload& w, core::AllPairsEngine engine,
-               std::size_t threads) {
+/// The legacy engine: every tree's sorted bipartition set extracted once,
+/// then the upper triangle filled row-parallel with one sorted-arena merge
+/// per pair (a small grain keeps the longer top rows balanced).
+core::RfMatrix merge_walk_rf(std::span<const phylo::Tree> trees,
+                             std::size_t threads) {
+  threads = parallel::effective_threads(threads);
+  const std::size_t r = trees.size();
+  std::vector<phylo::BipartitionSet> sets(r);
+  parallel::parallel_for(
+      0, r, threads,
+      [&](std::size_t i) { sets[i] = phylo::extract_bipartitions(trees[i]); },
+      /*grain=*/8);
+  core::RfMatrix matrix(r);
+  parallel::parallel_for(
+      0, r, threads,
+      [&](std::size_t i) {
+        for (std::size_t j = i + 1; j < r; ++j) {
+          matrix.set(i, j,
+                     static_cast<std::uint32_t>(
+                         phylo::BipartitionSet::symmetric_difference_size(
+                             sets[i], sets[j])));
+        }
+      },
+      /*grain=*/1);
+  return matrix;
+}
+
+/// Median of kReps runs of `run`, which builds one matrix of `w`.
+template <typename Run>
+Timing measure(const Workload& w, Run run) {
   std::vector<double> secs;
   for (std::size_t rep = 0; rep < kReps; ++rep) {
     util::WallTimer timer;
-    const core::RfMatrix m =
-        core::all_pairs_rf(w.ds.trees, {.threads = threads, .engine = engine});
+    const core::RfMatrix m = run();
     secs.push_back(timer.seconds());
     benchmark::DoNotOptimize(m.size());
   }
   const double med = median_of(secs);
   return {med, med * 1e9 / static_cast<double>(w.pairs)};
+}
+
+Timing measure_legacy(const Workload& w, std::size_t threads) {
+  return measure(w, [&] { return merge_walk_rf(w.ds.trees, threads); });
+}
+
+Timing measure_engine(const Workload& w, core::AllPairsEngine engine) {
+  return measure(w, [&] {
+    return core::all_pairs_rf(w.ds.trees,
+                              {.threads = kThreads, .engine = engine});
+  });
 }
 
 struct WorkloadOutcome {
@@ -151,8 +193,7 @@ Outcomes& outcomes() {
 /// Correctness pin: the three engines must agree cell-for-cell before any
 /// timing is trusted. Divergence aborts the whole binary.
 void pin_engines_agree(const Workload& w) {
-  const core::RfMatrix want =
-      core::all_pairs_rf(w.ds.trees, {.engine = core::AllPairsEngine::Legacy});
+  const core::RfMatrix want = merge_walk_rf(w.ds.trees, 1);
   for (const core::AllPairsEngine e : {core::AllPairsEngine::BitDense,
                                        core::AllPairsEngine::BitSparse}) {
     const core::RfMatrix got =
@@ -183,10 +224,10 @@ void run_all_measurements() {
 
   const auto run_workload = [](const Workload& w) {
     WorkloadOutcome o;
-    o.legacy_t1 = measure(w, core::AllPairsEngine::Legacy, 1);
-    o.legacy_t8 = measure(w, core::AllPairsEngine::Legacy, kThreads);
-    o.dense_t8 = measure(w, core::AllPairsEngine::BitDense, kThreads);
-    o.sparse_t8 = measure(w, core::AllPairsEngine::BitSparse, kThreads);
+    o.legacy_t1 = measure_legacy(w, 1);
+    o.legacy_t8 = measure_legacy(w, kThreads);
+    o.dense_t8 = measure_engine(w, core::AllPairsEngine::BitDense);
+    o.sparse_t8 = measure_engine(w, core::AllPairsEngine::BitSparse);
     return o;
   };
   outcomes().birthday = run_workload(birthday());

@@ -10,8 +10,7 @@
 //             [--include-trivial] [--compressed-keys] [--stats]
 //             [--save-index FILE | --load-index FILE]
 //             [--input-format auto|newick|nexus|vector]
-//             [--emit-vector FILE]
-//             [--matrix [--matrix-engine auto|legacy|dense|sparse]]
+//             [--emit-vector FILE] [--matrix]
 //
 // With no -q, the reference collection is scored against itself (Q is R,
 // the paper's experimental setting). --load-index takes the hash from a
@@ -27,8 +26,12 @@
 // exits. Output: one line per query tree, "<index>\t<avg RF>".
 //
 // --matrix switches to the exact all-pairs product instead: the full RF
-// matrix of the reference collection (core/all_pairs bit-matrix engines)
-// printed in PHYLIP format on stdout.
+// matrix of the reference collection (core/all_pairs bit-matrix engines,
+// dense or sparse rows as the collection's density picks) printed in
+// PHYLIP format on stdout.
+//
+// -t sizes the worker pool: 0 is the hardware default, and a count above
+// util::kMaxFlagThreads is refused while the arguments are read.
 #include <cctype>
 #include <cstdio>
 #include <cstring>
@@ -72,27 +75,7 @@ struct CliOptions {
   bool compressed_keys = false;
   bool stats = false;
   bool matrix = false;  // all-pairs PHYLIP matrix instead of averages
-  bfhrf::core::AllPairsEngine matrix_engine =
-      bfhrf::core::AllPairsEngine::Auto;
 };
-
-bfhrf::core::AllPairsEngine parse_matrix_engine(const std::string& name) {
-  if (name == "auto") {
-    return bfhrf::core::AllPairsEngine::Auto;
-  }
-  if (name == "legacy") {
-    return bfhrf::core::AllPairsEngine::Legacy;
-  }
-  if (name == "dense") {
-    return bfhrf::core::AllPairsEngine::BitDense;
-  }
-  if (name == "sparse") {
-    return bfhrf::core::AllPairsEngine::BitSparse;
-  }
-  throw bfhrf::InvalidArgument("--matrix-engine must be auto, legacy, dense "
-                               "or sparse (got '" +
-                               name + "')");
-}
 
 /// Sniff the file format: NEXUS files start with "#NEXUS".
 bool is_nexus(const std::string& path) {
@@ -183,16 +166,15 @@ std::vector<bfhrf::phylo::Tree> load_trees(const std::string& path,
     return std::move(phylo::read_nexus_file(path, taxa).trees);
   }
   std::vector<phylo::Tree> trees;
-  phylo::Tree t;
   if (format == TreeFormat::Vector) {
     core::P2vFileSource rows(path);
     taxa = p2v_taxa(rows.header());
-    core::VectorTreeSource src(rows, taxa);
-    while (src.next(t)) {
-      trees.push_back(std::move(t));
+    for (phylo::TreeVector row; rows.next(row);) {
+      trees.push_back(phylo::vector_to_tree(row, taxa));
     }
     return trees;
   }
+  phylo::Tree t;
   core::FileTreeSource src(path, taxa);
   while (src.next(t)) {
     trees.push_back(std::move(t));
@@ -261,8 +243,7 @@ void usage(const char* argv0) {
       "          [--include-trivial] [--compressed-keys] [--stats]\n"
       "          [--save-index FILE | --load-index FILE]\n"
       "          [--input-format auto|newick|nexus|vector]\n"
-      "          [--emit-vector FILE]\n"
-      "          [--matrix [--matrix-engine auto|legacy|dense|sparse]]\n"
+      "          [--emit-vector FILE] [--matrix]\n"
       "\n"
       "Average Robinson-Foulds distance of each query tree against the\n"
       "reference collection, via a bipartition frequency hash (BFHRF).\n"
@@ -292,7 +273,8 @@ CliOptions parse_args(int argc, char** argv) {
     } else if (arg == "-q" || arg == "--query") {
       o.query_path = need_value("-q");
     } else if (arg == "-t" || arg == "--threads") {
-      o.threads = bfhrf::util::parse_size(need_value("-t"));
+      o.threads = bfhrf::util::parse_flag_size(
+          arg, need_value("-t"), bfhrf::util::kMaxFlagThreads);
     } else if (arg == "--normalized") {
       o.norm = bfhrf::core::RfNorm::MaxScaled;
     } else if (arg == "--half") {
@@ -317,8 +299,6 @@ CliOptions parse_args(int argc, char** argv) {
       o.stats = true;
     } else if (arg == "--matrix") {
       o.matrix = true;
-    } else if (arg == "--matrix-engine") {
-      o.matrix_engine = parse_matrix_engine(need_value("--matrix-engine"));
     } else if (arg == "-h" || arg == "--help") {
       usage(argv[0]);
       std::exit(0);
@@ -397,9 +377,7 @@ int main(int argc, char** argv) {
           load_trees(cli.reference_path, fmt, taxa);
       taxa->freeze();
       const core::AllPairsOptions matrix_opts{
-          .threads = cli.threads,
-          .include_trivial = cli.include_trivial,
-          .engine = cli.matrix_engine};
+          .threads = cli.threads, .include_trivial = cli.include_trivial};
       const core::RfMatrix matrix = core::all_pairs_rf(trees, matrix_opts);
       const std::vector<std::string> names(trees.size());  // "tN" defaults
       core::write_phylip_matrix(std::cout, matrix, names);

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
       } else if (arg == "-o") {
         output_path = value();
       } else if (arg == "-t") {
-        threads = util::parse_size(value());
+        threads = util::parse_flag_size(arg, value(), util::kMaxFlagThreads);
       } else if (arg == "-k") {
         k = util::parse_size(value());
       } else {

@@ -10,8 +10,11 @@
 #      build and reloads it at 4 threads (raw and compressed keys), a
 #      streamed CLI run at 4 threads diffed
 #      against 1 thread (a generated corpus and a hand-written decorated
-#      Newick file), and a generated corpus answered from its Newick text
-#      and from its .p2v vector form
+#      Newick file), a generated corpus answered from its Newick text
+#      and from its .p2v vector form, and its --matrix output at 1 and 4
+#      threads. Before any of that, with the default build: every flag
+#      that sizes threads, queues or sockets refuses hostile values
+#      while the arguments are read
 #   2. TSan build, concurrency-sensitive labels only (parallel, obs,
 #      serve, codec) + bfhrf_verify differential run (concurrent readers
 #      of one table across its 1..8 thread sweep) + the persistence oracle
@@ -38,10 +41,9 @@ run() {
 # Differential verification workload (docs/TESTING.md): every engine and
 # mode over a generated collection, full matrices cross-checked
 # bit-for-bit. Size can be overridden, e.g. BFHRF_VERIFY_ARGS="n=128 r=64".
-# The 1..8 thread sweep drives every all-pairs engine (legacy merge walk,
-# bit-matrix dense, bit-matrix sparse) and the BFHRF span, streamed and
-# Newick-record ingest paths at each count under the sanitizers: 39
-# engine configs.
+# The 1..8 thread sweep drives both all-pairs engines (bit-matrix dense
+# and sparse) and the BFHRF span and Newick-file ingest paths at each
+# count under the sanitizers: 30 engine configs.
 VERIFY_ARGS=${BFHRF_VERIFY_ARGS:-"n=64 r=32 q=32 --threads 1,2,4,8"}
 
 # Persistence oracle workload: a build at each --threads count (each count
@@ -59,7 +61,52 @@ SERVE_DIR=$(mktemp -d)
 trap 'rm -rf "${PERSIST_DIR}" "${SERVE_DIR}"' EXIT
 
 run cmake -B build -S .
-run cmake --build build -j "$(nproc)" --target bfhrf_generate bfhrf_cli
+run cmake --build build -j "$(nproc)" --target bfhrf_generate bfhrf_cli \
+  rf_matrix_tool bfhrf_serve bfhrf_loadgen bfhrf_verify
+
+# Hostile flag values: each is refused while the arguments are read, with
+# the exit status the tool gives argument errors and a message naming the
+# flag. -r (and -q) name a file that does not exist, so a parser that let
+# a value through would fail on the missing file before any engine,
+# socket or thread starts, and its message would not name the flag.
+# bfhrf_verify exits 2 on argument errors (1 means a divergence).
+expect_flag_error() {
+  local status=$1 flag=$2
+  shift 2
+  local got=0
+  "$@" > /dev/null 2> "${PERSIST_DIR}/flag.err" || got=$?
+  if [[ ${got} -ne ${status} ]] ||
+     ! grep -qF -- "${flag}:" "${PERSIST_DIR}/flag.err"; then
+    echo "hostile ${flag}: want exit ${status} naming the flag, got ${got}:"
+    cat "${PERSIST_DIR}/flag.err"
+    return 1
+  fi
+}
+echo
+echo "=== hostile flag values ==="
+NO_FILE="${PERSIST_DIR}/missing.nwk"
+expect_flag_error 1 -t ./build/examples/bfhrf_cli -r "${NO_FILE}" -t 100000
+expect_flag_error 1 -t ./build/examples/bfhrf_cli -r "${NO_FILE}" -t -1
+expect_flag_error 1 -t ./build/examples/rf_matrix_tool -r "${NO_FILE}" \
+  -t 100000
+expect_flag_error 1 --port ./build/tools/bfhrf_serve -r "${NO_FILE}" \
+  --port 70000
+expect_flag_error 1 --workers ./build/tools/bfhrf_serve -r "${NO_FILE}" \
+  --workers -1
+expect_flag_error 1 --queue ./build/tools/bfhrf_serve -r "${NO_FILE}" \
+  --queue abc
+expect_flag_error 1 --threads ./build/tools/bfhrf_serve -r "${NO_FILE}" \
+  --threads 100000
+expect_flag_error 1 --port ./build/tools/bfhrf_loadgen -q "${NO_FILE}" \
+  --port 70000
+expect_flag_error 1 --clients ./build/tools/bfhrf_loadgen -q "${NO_FILE}" \
+  --inprocess -r "${NO_FILE}" --clients abc
+expect_flag_error 1 --workers ./build/tools/bfhrf_loadgen -q "${NO_FILE}" \
+  --inprocess -r "${NO_FILE}" --workers 5000
+expect_flag_error 1 --requests ./build/tools/bfhrf_loadgen -q "${NO_FILE}" \
+  --inprocess -r "${NO_FILE}" --requests -5
+expect_flag_error 2 --threads ./build/tools/bfhrf_verify --files \
+  "${NO_FILE}" --threads 100000
 run ./build/examples/bfhrf_generate --preset variable-trees -n 32 -r 24 \
   --seed 7 -o "${SERVE_DIR}/ref.nwk"
 run ./build/examples/bfhrf_generate --preset variable-trees -n 32 -r 8 \
@@ -239,6 +286,16 @@ echo "=== bfhrf_cli Newick vs .p2v answers ==="
 ./build/examples/bfhrf_cli -r "${PERSIST_DIR}/avian.p2v" -t 4 \
   > "${PERSIST_DIR}/avian_vector.tsv"
 run diff "${PERSIST_DIR}/avian_newick.tsv" "${PERSIST_DIR}/avian_vector.tsv"
+
+# The all-pairs matrix of the same corpus: tiles scheduled over 4 workers
+# must fill exactly the PHYLIP bytes one thread writes.
+echo
+echo "=== bfhrf_cli --matrix -t 4 vs -t 1 ==="
+./build/examples/bfhrf_cli -r "${PERSIST_DIR}/avian.nwk" --matrix -t 1 \
+  > "${PERSIST_DIR}/avian_matrix_t1.phy"
+./build/examples/bfhrf_cli -r "${PERSIST_DIR}/avian.nwk" --matrix -t 4 \
+  > "${PERSIST_DIR}/avian_matrix_t4.phy"
+run cmp "${PERSIST_DIR}/avian_matrix_t1.phy" "${PERSIST_DIR}/avian_matrix_t4.phy"
 
 run cmake --preset tsan
 run cmake --build --preset tsan -j "$(nproc)"

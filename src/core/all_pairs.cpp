@@ -14,33 +14,6 @@ namespace {
 const obs::Counter g_ap_trees = obs::counter("core.all_pairs.trees");
 const obs::Counter g_ap_pairs = obs::counter("core.all_pairs.pairs");
 const obs::Histogram g_ap_seconds = obs::histogram("core.all_pairs.seconds");
-const obs::Counter g_engine_legacy =
-    obs::counter("bfhrf.matrix.engine.legacy");
-
-/// The pre-bit-matrix engine: upper-triangular fill, parallel over rows,
-/// one sorted-arena merge per pair. Kept verbatim as the independent
-/// reference implementation the qc oracle cross-checks the bit engines
-/// against — it shares no id space, no hash, and no kernel with them.
-RfMatrix legacy_rf(std::span<const phylo::BipartitionSet> sets,
-                   std::size_t threads) {
-  g_engine_legacy.inc();
-  const std::size_t r = sets.size();
-  // Rows near the top carry more cells, so a small grain keeps the load
-  // balanced.
-  RfMatrix matrix(r);
-  parallel::parallel_for(
-      0, r, threads,
-      [&](std::size_t i) {
-        for (std::size_t j = i + 1; j < r; ++j) {
-          matrix.set(i, j,
-                     static_cast<std::uint32_t>(
-                         phylo::BipartitionSet::symmetric_difference_size(
-                             sets[i], sets[j])));
-        }
-      },
-      /*grain=*/1);
-  return matrix;
-}
 
 }  // namespace
 
@@ -60,8 +33,7 @@ RfMatrix all_pairs_rf(std::span<const phylo::Tree> trees,
   const std::size_t r = trees.size();
   const std::size_t threads = parallel::effective_threads(opts.threads);
 
-  // Precompute every tree's sorted bipartition set once (O(n²r/64)) —
-  // shared by every engine.
+  // Precompute every tree's sorted bipartition set once (O(n²r/64)).
   const phylo::BipartitionOptions bip_opts{.include_trivial =
                                                opts.include_trivial};
   std::vector<phylo::BipartitionSet> sets(r);
@@ -72,9 +44,7 @@ RfMatrix all_pairs_rf(std::span<const phylo::Tree> trees,
       },
       /*grain=*/8);
 
-  RfMatrix matrix = opts.engine == AllPairsEngine::Legacy
-                        ? legacy_rf(sets, threads)
-                        : bit_matrix_rf(sets, opts);
+  RfMatrix matrix = bit_matrix_rf(sets, opts);
   g_ap_trees.inc(r);
   g_ap_pairs.inc(static_cast<std::uint64_t>(r) * (r - 1) / 2);
   return matrix;

@@ -3,24 +3,23 @@
 // The paper positions the matrix as the product "useful for clustering
 // techniques" (§VIII) but its comparator, HashRF, computes it sequentially
 // and collision-prone. This module is the modern replacement: collision-
-// free and parallel, with three engines behind one entry point:
+// free and parallel, with two engines behind one entry point, the
+// bit-matrix engines of core/bit_matrix:
 //
-//  * BitDense / BitSparse — the bit-matrix engines (core/bit_matrix): one
-//    FrequencyHash pass assigns every unique bipartition a dense universe
-//    id, each tree becomes a bit-row (or sorted id list) over that
-//    universe, and RF(i,j) = d_i + d_j − 2·|row_i ∩ row_j| runs on the
-//    fused popcount kernels (util/bitset) or the sorted-id intersection
-//    kernels (util/sorted_ids), scheduled as cache-sized tiles through a
-//    work-stealing queue.
-//  * Legacy — the original row-parallel sorted-set merge walk, kept as the
-//    independent reference implementation the qc oracle cross-checks the
-//    bit engines against bit-for-bit.
+//  * BitDense / BitSparse — one FrequencyHash pass assigns every unique
+//    bipartition a dense universe id, each tree becomes a bit-row (or
+//    sorted id list) over that universe, and RF(i,j) = d_i + d_j −
+//    2·|row_i ∩ row_j| runs on the fused popcount kernels (util/bitset) or
+//    the sorted-id intersection kernels (util/sorted_ids), scheduled as
+//    cache-sized tiles through a work-stealing queue.
 //
 // Auto (the default) measures the collection's universe density and picks
 // dense rows for birthday-heavy collections (shared bipartitions, narrow
 // universe) and sparse id lists for unique-heavy ones (wide universe,
-// near-empty rows). The O(r²) time/memory is inherent to the matrix
-// itself — use Bfhrf when only averages are needed.
+// near-empty rows). The qc oracle checks both engines bit-for-bit against
+// its own sorted-set merge walk, which shares no id space, hash or kernel
+// with them. The O(r²) time/memory is inherent to the matrix itself — use
+// Bfhrf when only averages are needed.
 #pragma once
 
 #include <cstddef>
@@ -32,12 +31,10 @@
 
 namespace bfhrf::core {
 
-/// Which all-pairs implementation to run. Auto measures universe density
-/// and picks BitDense or BitSparse; Legacy (the pre-bit-matrix merge walk)
-/// is never auto-selected — it exists as the qc oracle's reference.
+/// Which all-pairs engine to run. Auto measures universe density and
+/// picks BitDense or BitSparse.
 enum class AllPairsEngine : std::uint8_t {
   Auto,
-  Legacy,
   BitDense,
   BitSparse,
 };
@@ -55,14 +52,6 @@ struct AllPairsOptions {
 
   /// Engine selection (Auto = density-measured dense/sparse pick).
   AllPairsEngine engine = AllPairsEngine::Auto;
-
-  /// Override the Auto dense-vs-sparse crossover density
-  /// (0 = kDefaultDensityThreshold).
-  double density_threshold = 0.0;
-
-  /// Rows per scheduling tile for the bit engines (0 = auto-size so a
-  /// tile's row band stays resident in L2).
-  std::size_t tile_rows = 0;
 };
 
 /// RF distance matrix of one collection (exact; parallel over tiles).

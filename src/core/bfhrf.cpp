@@ -111,8 +111,8 @@ struct Batch {
   std::vector<Item> items;
 };
 
-/// Text bytes an item adds to its batch: Newick records count, parsed
-/// trees and vector rows do not.
+/// Text bytes an item adds to its batch: Newick records count, vector
+/// rows do not.
 std::size_t text_bytes(const std::string& record) { return record.size(); }
 template <typename Item>
 std::size_t text_bytes(const Item& /*item*/) {
@@ -121,10 +121,10 @@ std::size_t text_bytes(const Item& /*item*/) {
 
 /// Streams: the producer pulls items with next(item) and queues them in
 /// batches of up to kBatchItems (text batches also close at
-/// kBatchTextBytes). An item is a Newick record (std::string), a parsed
-/// Tree or a TreeVector row; the workers consume payload(item). Records
-/// are only framed on the producer, so all the per-record text work runs
-/// on the workers instead of on the one producer thread.
+/// kBatchTextBytes). An item is a Newick record (std::string) or a
+/// TreeVector row; the workers consume payload(item). Records are only
+/// framed on the producer, so all the per-record text work runs on the
+/// workers instead of on the one producer thread.
 template <typename Item, typename Next, typename Payload = std::identity>
 auto stream_scheduler(Next next, Payload payload = {}) {
   return [next = std::move(next), payload](std::size_t workers,
@@ -472,14 +472,8 @@ void Bfhrf::build(std::span<const phylo::Tree> reference) {
   build_from(span_scheduler(reference), reference.size());
 }
 
-void Bfhrf::build(TreeSource& reference) {
-  if (auto* file = dynamic_cast<FileTreeSource*>(&reference)) {
-    build_from(record_scheduler<NewickRecord>(*file, n_bits_),
-               file->size_hint());
-    return;
-  }
-  build_from(stream_scheduler<phylo::Tree>(
-                 [&](phylo::Tree& out) { return reference.next(out); }),
+void Bfhrf::build(FileTreeSource& reference) {
+  build_from(record_scheduler<NewickRecord>(reference, n_bits_),
              reference.size_hint());
 }
 
@@ -576,13 +570,8 @@ std::vector<double> Bfhrf::query(
   return query_from(span_scheduler(queries), queries.size());
 }
 
-std::vector<double> Bfhrf::query(TreeSource& queries) const {
-  if (auto* file = dynamic_cast<FileTreeSource*>(&queries)) {
-    return query_from(record_scheduler<NewickRecord>(*file, n_bits_),
-                      file->size_hint());
-  }
-  return query_from(stream_scheduler<phylo::Tree>(
-                        [&](phylo::Tree& out) { return queries.next(out); }),
+std::vector<double> Bfhrf::query(FileTreeSource& queries) const {
+  return query_from(record_scheduler<NewickRecord>(queries, n_bits_),
                     queries.size_hint());
 }
 

@@ -103,10 +103,10 @@ class Bfhrf {
   // --- Phase 1: build BFH_R -----------------------------------------------
   //
   // All three overloads share one code path on one pipeline; they differ in
-  // the payload (a pointer into the span, a Tree, a phylo2vec row, a Newick
-  // record) and in what the producer queues (spans queue index ranges;
-  // streams queue batches of trees, rows, or Newick record text that the
-  // workers extract splits from).
+  // the payload (a pointer into the span, a Newick record, a phylo2vec row)
+  // and in what the producer queues (spans queue index ranges; streams
+  // queue batches of Newick record text or rows that the workers extract
+  // splits from).
   // Builds accumulate: a second build() adds to the first. An engine that
   // serves a loaded index is read-only: build() throws Error before it
   // reads any input. A build that throws otherwise (a malformed record, a
@@ -116,8 +116,8 @@ class Bfhrf {
   /// Build from an in-memory collection (parallel, zero-copy).
   void build(std::span<const phylo::Tree> reference);
 
-  /// Build from a stream; at most max_resident_trees() trees resident. A
-  /// FileTreeSource's records are framed on the calling thread, and the
+  /// Build from a Newick file; at most max_resident_trees() trees
+  /// resident. Its records are framed on the calling thread, and the
   /// workers extract each record's splits straight from its text
   /// (phylo::NewickSplitExtractor) against the source's namespace. That
   /// namespace must already be `n_bits` wide (InvalidArgument otherwise,
@@ -126,7 +126,7 @@ class Bfhrf {
   /// single leaf) is parsed into a Tree and extracted from that, so an
   /// unknown label throws InvalidArgument naming it and a repeated taxon
   /// ParseError naming it.
-  void build(TreeSource& reference);
+  void build(FileTreeSource& reference);
 
   /// Build from a phylo2vec row stream (e.g. a .p2v corpus): bipartitions
   /// are extracted directly from the vector form — no Tree is ever
@@ -140,9 +140,10 @@ class Bfhrf {
   [[nodiscard]] std::vector<double> query(
       std::span<const phylo::Tree> queries) const;
 
-  /// Streaming query; results are in stream order. FileTreeSource input
-  /// is framed, extracted and checked as in build(TreeSource&).
-  [[nodiscard]] std::vector<double> query(TreeSource& queries) const;
+  /// Streaming query over a Newick file; results are in stream order.
+  /// Records are framed, extracted and checked as in
+  /// build(FileTreeSource&).
+  [[nodiscard]] std::vector<double> query(FileTreeSource& queries) const;
 
   /// Streaming query over phylo2vec rows (direct extraction, stream order).
   [[nodiscard]] std::vector<double> query(VectorSource& queries) const;
@@ -285,9 +286,9 @@ class Bfhrf {
                                           WorkerScratch& scratch) const;
 
   /// The one build path and the one query path. `schedule` feeds
-  /// them the payload — a pointer into an in-memory span, a streamed Tree,
-  /// a NewickRecord or a TreeVector row —
-  /// through parallel::pipeline_run; `hint` is the input's size if known.
+  /// them the payload — a pointer into an in-memory span, a NewickRecord
+  /// or a TreeVector row — through parallel::pipeline_run; `hint` is the
+  /// input's size if known.
   template <typename Schedule>
   void build_from(Schedule schedule, std::optional<std::size_t> hint);
   template <typename Schedule>

@@ -130,11 +130,9 @@ AllPairsEngine pick_bit_engine(const UniverseStats& stats,
       opts.engine == AllPairsEngine::BitSparse) {
     return opts.engine;
   }
-  const double threshold = opts.density_threshold > 0.0
-                               ? opts.density_threshold
-                               : kDefaultDensityThreshold;
-  return stats.density() >= threshold ? AllPairsEngine::BitDense
-                                      : AllPairsEngine::BitSparse;
+  return stats.density() >= kDefaultDensityThreshold
+             ? AllPairsEngine::BitDense
+             : AllPairsEngine::BitSparse;
 }
 
 RfMatrix bit_matrix_rf(std::span<const phylo::BipartitionSet> sets,
@@ -197,9 +195,7 @@ RfMatrix bit_matrix_rf(std::span<const phylo::BipartitionSet> sets,
     g_encode_seconds.observe(encode_timer.seconds());
 
     const std::size_t tile_rows =
-        opts.tile_rows != 0
-            ? opts.tile_rows
-            : auto_tile_rows(r, row_words * sizeof(std::uint64_t), threads);
+        auto_tile_rows(r, row_words * sizeof(std::uint64_t), threads);
     const std::uint64_t* base = rows.data();
     run_tiles(cut_tiles(r, tile_rows), threads, [&](const Tile& t) {
       for (std::size_t i = t.r0; i < t.r1; ++i) {
@@ -240,9 +236,7 @@ RfMatrix bit_matrix_rf(std::span<const phylo::BipartitionSet> sets,
              sizeof(std::uint32_t) +
          r - 1) /
         r;
-    const std::size_t tile_rows =
-        opts.tile_rows != 0 ? opts.tile_rows
-                            : auto_tile_rows(r, mean_row_bytes, threads);
+    const std::size_t tile_rows = auto_tile_rows(r, mean_row_bytes, threads);
     const auto ids_of = [&](std::size_t i) {
       return std::span<const std::uint32_t>{ids.data() + offsets[i],
                                             offsets[i + 1] - offsets[i]};

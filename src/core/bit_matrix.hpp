@@ -3,8 +3,8 @@
 //
 // The succinct-representations direction (PAPERS.md, arXiv 2312.14029)
 // applied to the all-pairs product: instead of merging two sorted arenas
-// of n-bit bipartition keys per pair (the legacy walk, O(d·n/64) per
-// pair), number the collection's unique bipartitions once — a single
+// of n-bit bipartition keys per pair (a merge walk, O(d·n/64) per pair),
+// number the collection's unique bipartitions once — a single
 // FrequencyHash build assigns each its dense arena index — and re-encode
 // every tree against that id space. A pair comparison then touches ids,
 // not keys:
@@ -20,14 +20,16 @@
 //    per pair, the right shape when U ≈ r·d and dense rows would be
 //    mostly-zero word scans.
 //
-// Scheduling: the upper triangle is cut into tile_rows × tile_rows blocks
+// Scheduling: the upper triangle is cut into square blocks of tile rows
 // pushed through a BoundedQueue drained by a ThreadPool — work-stealing in
 // effect, since any lane takes the next tile regardless of the static
 // owner the tile was dealt to. A tile's row band is sized to stay L2-
-// resident, so the column stream is the only DRAM traffic.
+// resident, so the column stream is the only DRAM traffic: at least 8
+// and at most 256 rows, fewer when the triangle would otherwise yield too
+// few tiles to balance the lanes.
 //
 // Everything here is exact: ids are collision-free by FrequencyHash's
-// full-key verification, so the engines are bit-identical to the legacy
+// full-key verification, so the engines are bit-identical to a sorted-set
 // merge walk (the qc oracle enforces this across thread counts).
 #pragma once
 
@@ -57,18 +59,16 @@ struct UniverseStats {
 };
 
 /// The Auto decision, exposed pure so the density-threshold boundary is
-/// unit-testable without building a collection: BitDense at or above the
-/// threshold (opts.density_threshold, 0 = kDefaultDensityThreshold),
-/// BitSparse below it. An explicit BitDense/BitSparse in opts is returned
-/// unchanged; Legacy is never returned (Auto only picks bit engines).
+/// unit-testable without building a collection: BitDense at or above
+/// kDefaultDensityThreshold, BitSparse below it. An explicit BitDense or
+/// BitSparse in opts is returned unchanged.
 [[nodiscard]] AllPairsEngine pick_bit_engine(
     const UniverseStats& stats, const AllPairsOptions& opts) noexcept;
 
 /// All-pairs RF over pre-extracted, sorted bipartition sets (one per
-/// tree, all the same n_bits) using the bit-matrix engines. `opts.engine`
-/// may be Auto, BitDense, or BitSparse (Legacy is the caller's branch —
-/// core/all_pairs dispatches it before reaching here). When `stats_out`
-/// is non-null the measured universe shape is written there.
+/// tree, all the same n_bits) using the bit-matrix engine `opts.engine`
+/// picks. When `stats_out` is non-null the measured universe shape is
+/// written there.
 [[nodiscard]] RfMatrix bit_matrix_rf(
     std::span<const phylo::BipartitionSet> sets, const AllPairsOptions& opts,
     UniverseStats* stats_out = nullptr);

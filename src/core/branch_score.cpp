@@ -4,7 +4,6 @@
 
 #include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
-#include "util/hash.hpp"
 
 namespace bfhrf::core {
 namespace {
@@ -66,64 +65,11 @@ double branch_score_squared(const phylo::Tree& a, const phylo::Tree& b,
 
 BranchScoreBfhrf::BranchScoreBfhrf(std::size_t n_bits,
                                    BranchScoreOptions opts)
-    : n_bits_(n_bits),
-      words_per_(util::words_for_bits(n_bits)),
-      opts_(opts),
-      slots_(util::kGroupWidth) {
+    : n_bits_(n_bits), opts_(opts), splits_(n_bits) {
   if (n_bits_ == 0) {
     throw InvalidArgument("BranchScoreBfhrf: empty taxon universe");
   }
   opts_.threads = parallel::effective_threads(opts_.threads);
-  dir_.reset(slots_.size());
-}
-
-util::GroupDirectory::FindResult BranchScoreBfhrf::find(
-    util::ConstWordSpan key, std::uint64_t fp) const noexcept {
-  return dir_.find(fp, [&](std::size_t idx) {
-    return util::equal_words(key_at(slots_[idx].key_index), key);
-  });
-}
-
-void BranchScoreBfhrf::insert(util::ConstWordSpan key, double length) {
-  if (static_cast<double>(size_ + 1) >
-      kMaxLoad * static_cast<double>(slots_.size())) {
-    grow();
-  }
-  const std::uint64_t fp = util::hash_words(key);
-  const auto r = find(key, fp);
-  Slot& s = slots_[r.index];
-  if (!r.found) {
-    dir_.mark(r.index, fp);
-    s.key_index = static_cast<std::uint32_t>(keys_.size() / words_per_);
-    keys_.insert(keys_.end(), key.begin(), key.end());
-    ++size_;
-  }
-  s.count += 1;
-  s.sum_len += length;
-  sum_len_sq_total_ += length * length;
-}
-
-BranchScoreBfhrf::LookupResult BranchScoreBfhrf::lookup(
-    util::ConstWordSpan key) const {
-  const std::uint64_t fp = util::hash_words(key);
-  const Slot& s = slots_[find(key, fp).index];
-  return {s.count, s.sum_len};
-}
-
-void BranchScoreBfhrf::grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.size() * 2, Slot{});
-  dir_.reset(slots_.size());
-  // Fingerprints are not stored; recompute from the retained keys.
-  for (const Slot& s : old) {
-    if (s.count == 0) {
-      continue;
-    }
-    const std::uint64_t fp = util::hash_words(key_at(s.key_index));
-    const auto r = dir_.find_insert(fp);
-    dir_.mark(r.index, fp);
-    slots_[r.index] = s;
-  }
 }
 
 void BranchScoreBfhrf::add_tree(const phylo::Tree& tree,
@@ -140,7 +86,15 @@ void BranchScoreBfhrf::add_tree(const phylo::Tree& tree,
       .include_trivial = opts_.include_trivial, .value = opts_.value};
   const phylo::BipartitionSet& bips = extractor.extract(tree, bip_opts);
   for (std::size_t i = 0; i < bips.size(); ++i) {
-    insert(bips[i], bips.value(i));
+    const double length = bips.value(i);
+    // Raw key ids are dense and assigned in first-insertion order, so a
+    // new split's id is the column's next row.
+    const std::uint32_t id = splits_.add(bips[i]);
+    if (id == sum_len_.size()) {
+      sum_len_.push_back(0.0);
+    }
+    sum_len_[id] += length;
+    sum_len_sq_total_ += length * length;
   }
 }
 
@@ -173,8 +127,10 @@ double BranchScoreBfhrf::query_one(
   double total = sum_len_sq_total_;
   for (std::size_t i = 0; i < bips.size(); ++i) {
     const double l = bips.value(i);
-    const LookupResult hit = lookup(bips[i]);
-    total += r * l * l - 2.0 * l * hit.sum_len;
+    const std::uint32_t id = splits_.key_index_of(bips[i]);
+    const double sum_len =
+        id == FrequencyHash::kNoKeyIndex ? 0.0 : sum_len_[id];
+    total += r * l * l - 2.0 * l * sum_len;
   }
   return total / r;
 }

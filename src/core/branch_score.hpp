@@ -15,8 +15,10 @@
 //     = Σ_b Σ_T l_T(b)²                            (S2, a build-time total)
 //       + Σ_{b'∈B(T')} ( r·l'(b')² − 2·l'(b')·Σ_T l_T(b') )
 //
-// so the hash stores, per unique split, its frequency and Σ l_T(b); one
-// global Σ l² completes the query. NOTE the linearity is what makes this
+// so the engine keeps, per unique split, its frequency and Σ l_T(b): a
+// FrequencyHash numbers the splits (the raw encoding's dense key ids), and
+// a Σ-length column is indexed by that id. One global Σ l² completes the
+// query. NOTE the linearity is what makes this
 // work — the engine therefore reports the mean SQUARED branch score (the
 // mean of per-pair square roots does not decompose).
 //
@@ -28,10 +30,9 @@
 #include <span>
 #include <vector>
 
+#include "core/frequency_hash.hpp"
 #include "phylo/bipartition.hpp"
 #include "phylo/tree.hpp"
-#include "util/bitset.hpp"
-#include "util/group_table.hpp"
 
 namespace bfhrf::core {
 
@@ -69,55 +70,28 @@ class BranchScoreBfhrf {
   /// Mean squared branch score of one tree. Thread-safe after build.
   [[nodiscard]] double query_one(const phylo::Tree& tree) const;
 
-  [[nodiscard]] std::size_t unique_splits() const noexcept { return size_; }
+  [[nodiscard]] std::size_t unique_splits() const noexcept {
+    return splits_.unique_count();
+  }
   [[nodiscard]] std::size_t reference_trees() const noexcept {
     return reference_trees_;
   }
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return dir_.memory_bytes() + slots_.capacity() * sizeof(Slot) +
-           keys_.capacity() * sizeof(std::uint64_t);
+    return splits_.memory_bytes() + sum_len_.capacity() * sizeof(double);
   }
 
  private:
-  /// Group-probed map: canonical split -> {count, Σ length}. Same
-  /// collision-free discipline as FrequencyHash (control-byte tag fast
-  /// path + full-key verification; see util/group_table.hpp).
-  struct Slot {
-    std::uint32_t key_index = 0;
-    std::uint32_t count = 0;  ///< 0 marks empty
-    double sum_len = 0.0;
-  };
-
-  struct LookupResult {
-    std::uint32_t count = 0;
-    double sum_len = 0.0;
-  };
-
-  [[nodiscard]] util::ConstWordSpan key_at(std::uint32_t index) const {
-    return {keys_.data() + static_cast<std::size_t>(index) * words_per_,
-            words_per_};
-  }
-  [[nodiscard]] util::GroupDirectory::FindResult find(
-      util::ConstWordSpan key, std::uint64_t fp) const noexcept;
-  void insert(util::ConstWordSpan key, double length);
-  [[nodiscard]] LookupResult lookup(util::ConstWordSpan key) const;
   void add_tree(const phylo::Tree& tree,
                 phylo::BipartitionExtractor& extractor);
   [[nodiscard]] double query_one(const phylo::Tree& tree,
                                  phylo::BipartitionExtractor& extractor) const;
-  void grow();
-
-  static constexpr double kMaxLoad = 0.7;
 
   std::size_t n_bits_;
-  std::size_t words_per_;
   BranchScoreOptions opts_;
-  std::size_t size_ = 0;
   std::size_t reference_trees_ = 0;
   double sum_len_sq_total_ = 0.0;  ///< S2 = Σ_b Σ_T l_T(b)²
-  util::GroupDirectory dir_;
-  std::vector<Slot> slots_;
-  std::vector<std::uint64_t> keys_;
+  FrequencyHash splits_;           ///< unique splits, numbered 0..U-1
+  std::vector<double> sum_len_;    ///< Σ_T l_T(b), by split id
 };
 
 /// Sequential oracle: mean squared branch score by explicit pairwise

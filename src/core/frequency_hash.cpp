@@ -146,8 +146,8 @@ FrequencyHash::Slot& FrequencyHash::upsert(const std::uint64_t* key,
   return s;
 }
 
-void FrequencyHash::add(util::ConstWordSpan key, std::uint32_t count,
-                        double weight) {
+std::uint32_t FrequencyHash::add(util::ConstWordSpan key,
+                                 std::uint32_t count, double weight) {
   BFHRF_ASSERT(key.size() == words_per_);
   BFHRF_ASSERT(count > 0);
   grow_to_fit(size_ + 1);
@@ -162,6 +162,7 @@ void FrequencyHash::add(util::ConstWordSpan key, std::uint32_t count,
   s.count += count;
   total_ += count;
   total_weight_ += static_cast<double>(count) * weight;
+  return s.key_index;
 }
 
 std::uint32_t FrequencyHash::frequency(util::ConstWordSpan key) const {

@@ -113,9 +113,10 @@ class FrequencyHash {
   }
 
   /// Add `count` occurrences of a canonical bipartition with a per-key
-  /// weight (1.0 for classic RF).
-  void add(util::ConstWordSpan key, std::uint32_t count = 1,
-           double weight = 1.0);
+  /// weight (1.0 for classic RF). Returns the key's slot key_index (see
+  /// key_index_of), so a caller keeping per-key columns probes once.
+  std::uint32_t add(util::ConstWordSpan key, std::uint32_t count = 1,
+                    double weight = 1.0);
 
   /// Frequency of a bipartition (0 if absent).
   [[nodiscard]] std::uint32_t frequency(util::ConstWordSpan key) const;

@@ -145,43 +145,4 @@ SequentialRfResult sequential_avg_rf(std::span<const phylo::Tree> queries,
   return result;
 }
 
-SequentialRfResult sequential_avg_rf(TreeSource& queries,
-                                     std::span<const phylo::Tree> reference,
-                                     const SequentialRfOptions& opts) {
-  if (reference.empty()) {
-    throw InvalidArgument("sequential_avg_rf: empty reference collection");
-  }
-  const ReferenceSets ref_sets = precompute_reference(reference, opts);
-  const std::size_t threads = parallel::effective_threads(opts.threads);
-
-  SequentialRfResult result;
-  result.reference_memory_bytes = ref_sets.memory_bytes;
-  std::vector<phylo::BipartitionExtractor> extractors(
-      std::max<std::size_t>(1, threads));
-
-  std::vector<phylo::Tree> batch;
-  const std::size_t batch_cap = std::max<std::size_t>(1, threads) * 64;
-  while (true) {
-    batch.clear();
-    phylo::Tree t;
-    while (batch.size() < batch_cap && queries.next(t)) {
-      batch.push_back(std::move(t));
-    }
-    if (batch.empty()) {
-      break;
-    }
-    const std::size_t base = result.avg_rf.size();
-    result.avg_rf.resize(base + batch.size());
-    parallel::parallel_for_ranked(
-        0, batch.size(), threads,
-        [&](std::size_t rank, std::size_t i) {
-          result.avg_rf[base + i] = query_against(batch[i], reference,
-                                                  ref_sets, opts,
-                                                  extractors[rank]);
-        },
-        /*grain=*/1);
-  }
-  return result;
-}
-
 }  // namespace bfhrf::core

@@ -1,9 +1,10 @@
 // SequentialRF (paper Alg. 1) — the DS / DSMP baselines.
 //
 // Precomputes B(T) for every reference tree (the paper's memory-conscious
-// layout: R resident, Q streamed), then computes all q·r pairwise symmetric
-// differences and averages per query tree. `threads == 1` is DS;
-// `threads > 1` is DSMP (tree-level parallelism over Q).
+// layout: R's sets resident, each query tree's set extracted in turn), then
+// computes all q·r pairwise symmetric differences and averages per query
+// tree. `threads == 1` is DS; `threads > 1` is DSMP (tree-level
+// parallelism over Q).
 //
 // Complexity (Table I): time O(n²qr/64), space O(n²r/64) for the resident
 // reference bipartition sets.
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "core/rf.hpp"
-#include "core/tree_source.hpp"
 #include "core/variants.hpp"
 #include "phylo/bipartition.hpp"
 #include "phylo/tree.hpp"
@@ -46,12 +46,6 @@ struct SequentialRfResult {
 [[nodiscard]] SequentialRfResult sequential_avg_rf(
     std::span<const phylo::Tree> queries,
     std::span<const phylo::Tree> reference,
-    const SequentialRfOptions& opts = {});
-
-/// Streaming-Q variant: Q is consumed one batch at a time (R stays
-/// resident, as in the paper's implementation).
-[[nodiscard]] SequentialRfResult sequential_avg_rf(
-    TreeSource& queries, std::span<const phylo::Tree> reference,
     const SequentialRfOptions& opts = {});
 
 /// Weighted symmetric difference of two sorted bipartition sets under a

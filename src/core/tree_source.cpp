@@ -92,22 +92,4 @@ const phylo::P2vHeader& P2vFileSource::header() const {
   return reader_->header();
 }
 
-VectorTreeSource::VectorTreeSource(VectorSource& source,
-                                   phylo::TaxonSetPtr taxa)
-    : source_(source), taxa_(std::move(taxa)) {
-  if (!taxa_ || taxa_->size() != source_.n_taxa()) {
-    throw InvalidArgument(
-        "VectorTreeSource: taxon set size does not match the source "
-        "universe");
-  }
-}
-
-bool VectorTreeSource::next(phylo::Tree& out) {
-  if (!source_.next(row_)) {
-    return false;
-  }
-  out = phylo::vector_to_tree(row_, taxa_);
-  return true;
-}
-
 }  // namespace bfhrf::core

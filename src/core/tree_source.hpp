@@ -1,10 +1,16 @@
-// TreeSource: a resettable forward stream of trees.
+// Streamed tree input: the engine's two file-shaped sources.
 //
 // The paper's memory argument (Table I) hinges on *dynamically* loading
-// tree collections — only one tree resident at a time. TreeSource is that
-// abstraction: engines that accept a TreeSource never materialize the
-// collection; engines that accept std::span<const Tree> trade memory for
-// zero re-parsing. Both paths are benchmarked.
+// the tree collections, one tree resident at a time. Two inputs stream:
+//
+//  * FileTreeSource: a Newick file. The engine (core/bfhrf) reads it as
+//    record text, framed on one thread and extracted on the workers.
+//  * VectorSource: phylo2vec rows (a .p2v corpus, P2vFileSource, or the
+//    in-memory SpanVectorSource standing in for one). The engine extracts
+//    splits straight from each row; no Tree is built.
+//
+// Engines that take std::span<const Tree> trade memory for zero re-parsing
+// instead. Both forms are benchmarked.
 #pragma once
 
 #include <fstream>
@@ -20,49 +26,6 @@
 
 namespace bfhrf::core {
 
-class TreeSource {
- public:
-  virtual ~TreeSource() = default;
-
-  /// Move the next tree into `out`; false at end of stream.
-  virtual bool next(phylo::Tree& out) = 0;
-
-  /// Rewind to the first tree (re-opens files; re-iterates spans).
-  virtual void reset() = 0;
-
-  /// Total tree count if cheaply known (spans: yes; files: no).
-  [[nodiscard]] virtual std::optional<std::size_t> size_hint() const {
-    return std::nullopt;
-  }
-};
-
-/// Adapts an in-memory collection. next() copies (callers that can work
-/// over the span directly should; this adapter exists so the streaming
-/// engines can be tested against in-memory data).
-class SpanTreeSource final : public TreeSource {
- public:
-  explicit SpanTreeSource(std::span<const phylo::Tree> trees)
-      : trees_(trees) {}
-
-  bool next(phylo::Tree& out) override {
-    if (pos_ >= trees_.size()) {
-      return false;
-    }
-    out = trees_[pos_++];
-    return true;
-  }
-
-  void reset() override { pos_ = 0; }
-
-  [[nodiscard]] std::optional<std::size_t> size_hint() const override {
-    return trees_.size();
-  }
-
- private:
-  std::span<const phylo::Tree> trees_;
-  std::size_t pos_ = 0;
-};
-
 /// Streams trees from a Newick file; holds one parsed tree at a time.
 ///
 /// next() frames and parses on the calling thread and grows a non-frozen
@@ -72,19 +35,22 @@ class SpanTreeSource final : public TreeSource {
 /// (phylo::NewickSplitExtractor) against the namespace as it stands, which
 /// they never write. A record that pass hands back is parsed into a Tree
 /// (parse_record) and extracted from that.
-class FileTreeSource final : public TreeSource {
+class FileTreeSource {
  public:
   FileTreeSource(std::string path, phylo::TaxonSetPtr taxa);
 
-  bool next(phylo::Tree& out) override;
-  void reset() override;
+  /// Move the next tree into `out`; false at end of stream.
+  bool next(phylo::Tree& out);
+
+  /// Rewind to the first tree (re-opens the file).
+  void reset();
 
   /// Estimated tree count from a one-pass semicolon scan of the file,
   /// computed lazily on first call and cached. Every Newick tree ends
   /// with ';', so this is exact for well-formed files unless ';' also
   /// appears inside quoted labels or [comments] — acceptable for the
   /// reserve/pre-size consumers a hint feeds.
-  [[nodiscard]] std::optional<std::size_t> size_hint() const override;
+  [[nodiscard]] std::optional<std::size_t> size_hint() const;
 
   /// Frame the next record's text into `out` without parsing it
   /// (NewickReader::next_record); false at end of stream.
@@ -131,7 +97,8 @@ class VectorSource {
   }
 };
 
-/// Adapts an in-memory vector collection.
+/// Adapts an in-memory vector collection. The engine treats every
+/// VectorSource alike, so this is a faithful stand-in for P2vFileSource.
 class SpanVectorSource final : public VectorSource {
  public:
   SpanVectorSource(std::span<const phylo::TreeVector> vectors,
@@ -182,28 +149,6 @@ class P2vFileSource final : public VectorSource {
   std::string path_;
   std::ifstream in_;
   std::unique_ptr<phylo::P2vReader> reader_;
-};
-
-/// Adapts a VectorSource into a TreeSource by decoding each row, so every
-/// Tree-consuming engine can read vector corpora unchanged. The source's
-/// (exact, for .p2v) size_hint passes through. Non-owning: the underlying
-/// source must outlive the adapter.
-class VectorTreeSource final : public TreeSource {
- public:
-  /// `taxa` must have exactly source.n_taxa() taxa.
-  VectorTreeSource(VectorSource& source, phylo::TaxonSetPtr taxa);
-
-  bool next(phylo::Tree& out) override;
-  void reset() override { source_.reset(); }
-
-  [[nodiscard]] std::optional<std::size_t> size_hint() const override {
-    return source_.size_hint();
-  }
-
- private:
-  VectorSource& source_;
-  phylo::TaxonSetPtr taxa_;
-  phylo::TreeVector row_;
 };
 
 }  // namespace bfhrf::core

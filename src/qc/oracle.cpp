@@ -71,23 +71,15 @@ RfMatrix matrix_day(std::span<const Tree> trees) {
 /// build per column, every tree queried against it. avgRF over r=1 is the
 /// raw pairwise RF, so the cells are exact integers.
 RfMatrix matrix_bfhrf_columns(std::span<const Tree> trees,
-                              const core::BfhrfOptions& opts, bool stream,
+                              const core::BfhrfOptions& opts,
                               OracleReport& report,
                               const std::string& engine_label) {
   const std::size_t n_bits = trees.empty() ? 0 : trees[0].taxa()->size();
   RfMatrix m(trees.size());
   for (std::size_t j = 0; j < trees.size(); ++j) {
     core::Bfhrf engine(n_bits, opts);
-    std::vector<double> col;
-    if (stream) {
-      core::SpanTreeSource ref(trees.subspan(j, 1));
-      engine.build(ref);
-      core::SpanTreeSource q(trees);
-      col = engine.query(q);
-    } else {
-      engine.build(trees.subspan(j, 1));
-      col = engine.query(trees);
-    }
+    engine.build(trees.subspan(j, 1));
+    const std::vector<double> col = engine.query(trees);
     for (std::size_t i = 0; i < trees.size(); ++i) {
       if (i == j) {
         continue;
@@ -208,16 +200,15 @@ void run_matrix_engines(std::span<const Tree> trees, const OracleOptions& opts,
                      report);
   }
 
-  // All-pairs: the legacy merge walk and both bit-matrix engines at every
-  // thread count — the engines share no kernels, so agreement here is the
-  // bit-for-bit cross-check of the dense-id encoding, the popcount path,
-  // and the sorted-id intersection path all at once.
+  // All-pairs: both bit-matrix engines at every thread count against the
+  // merge-walk oracle, with which they share no kernel — the bit-for-bit
+  // cross-check of the dense-id encoding, the popcount path, and the
+  // sorted-id intersection path all at once.
   for (const std::size_t t : opts.thread_counts) {
     static constexpr struct {
       core::AllPairsEngine engine;
       const char* label;
     } kAllPairsEngines[] = {
-        {core::AllPairsEngine::Legacy, "all_pairs/legacy/t"},
         {core::AllPairsEngine::BitDense, "all_pairs/dense/t"},
         {core::AllPairsEngine::BitSparse, "all_pairs/sparse/t"},
     };
@@ -232,24 +223,17 @@ void run_matrix_engines(std::span<const Tree> trees, const OracleOptions& opts,
   }
 
   // BFHRF per-column: the real build+query machinery at pair granularity.
-  const auto bfhrf_cols = [&](const char* label, core::BfhrfOptions o,
-                              bool stream) {
+  const auto bfhrf_cols = [&](const std::string& label, core::BfhrfOptions o) {
     o.include_trivial = opts.include_trivial;
-    const RfMatrix m =
-        matrix_bfhrf_columns(trees, o, stream, report, label);
+    const RfMatrix m = matrix_bfhrf_columns(trees, o, report, label);
     compare_matrices(label, "sequential", oracle, m, report);
   };
   for (const std::size_t t : opts.thread_counts) {
-    bfhrf_cols(("bfhrf/span/t" + std::to_string(t)).c_str(),
-               {.threads = t}, /*stream=*/false);
+    bfhrf_cols("bfhrf/span/t" + std::to_string(t), {.threads = t});
   }
   if (opts.check_compressed) {
-    bfhrf_cols("bfhrf/compressed-keys", {.threads = 1, .compressed_keys = true},
-               /*stream=*/false);
-  }
-  if (opts.check_streaming) {
-    bfhrf_cols("bfhrf/stream-pipelined/t2", {.threads = 2},
-               /*stream=*/true);
+    bfhrf_cols("bfhrf/compressed-keys",
+               {.threads = 1, .compressed_keys = true});
   }
 }
 
@@ -283,10 +267,10 @@ void run_average_engines(std::span<const Tree> reference,
     compare_averages("seq/day", expected, day.avg_rf, 1.0, report);
   }
 
-  // How the engine reads the collections: the spans, a TreeSource over
-  // them, or Newick files streamed through FileTreeSource (the record path,
-  // whose workers extract splits straight from the text).
-  enum class Ingest { Span, Stream, Newick };
+  // How the engine reads the collections: the spans, or Newick files
+  // streamed through FileTreeSource (the record path, whose workers
+  // extract splits straight from the text).
+  enum class Ingest { Span, Newick };
   const std::unique_ptr<const NewickCorpus> corpus =
       opts.check_streaming ? std::make_unique<const NewickCorpus>(reference,
                                                                   queries)
@@ -298,12 +282,7 @@ void run_average_engines(std::span<const Tree> reference,
         reference.empty() ? nullptr : reference[0].taxa();
     core::Bfhrf engine(taxa ? taxa->size() : 0, o);
     std::vector<double> avg;
-    if (ingest == Ingest::Stream) {
-      core::SpanTreeSource ref(reference);
-      engine.build(ref);
-      core::SpanTreeSource q(queries);
-      avg = engine.query(q);
-    } else if (ingest == Ingest::Newick) {
+    if (ingest == Ingest::Newick) {
       core::FileTreeSource ref(corpus->reference_path(), taxa);
       engine.build(ref);
       core::FileTreeSource q(corpus->query_path(), taxa);
@@ -328,10 +307,6 @@ void run_average_engines(std::span<const Tree> reference,
               Ingest::Span, 1.0);
   }
   if (opts.check_streaming) {
-    for (const std::size_t t : opts.thread_counts) {
-      bfhrf_avg("bfhrf/stream-pipelined/t" + std::to_string(t),
-                {.threads = t}, Ingest::Stream, 1.0);
-    }
     for (const std::size_t t : opts.thread_counts) {
       bfhrf_avg("bfhrf/stream-newick/t" + std::to_string(t), {.threads = t},
                 Ingest::Newick, 1.0);

@@ -4,10 +4,11 @@
 // for tree-versus-tree RF. This module checks that claim mechanically and
 // exhaustively: one workload is pushed through every engine and mode in
 // the library — sequential BipartitionSet, Day's O(n) algorithm, HashRF,
-// the parallel all-pairs matrix, and BFHRF over span and streamed input
-// with raw and compressed-key stores across thread counts — and the
-// *full pairwise RF matrix* is compared bit-for-bit, not just the
-// average vectors the engines report.
+// the parallel all-pairs matrix (dense and sparse bit-matrix engines),
+// and BFHRF over span input and Newick files streamed by record, with raw
+// and compressed-key stores across thread counts — and the *full pairwise
+// RF matrix* is compared bit-for-bit, not just the average vectors the
+// engines report.
 //
 // The single source of truth is the sequential BipartitionSet matrix
 // (sorted-merge symmetric differences, no hashing, no threads). Every
@@ -42,7 +43,8 @@ struct OracleOptions {
   /// SparseKeyCodec keys).
   bool check_compressed = true;
 
-  /// Also run the TreeSource streaming path.
+  /// Also stream both collections from Newick files through
+  /// FileTreeSource (the engine's record route) at every thread count.
   bool check_streaming = true;
 
   /// Also run one size-filtered RfVariant config through DS and BFHRF.

@@ -1,7 +1,6 @@
 #include "util/simd.hpp"
 
 #include <atomic>
-#include <cstdlib>
 
 namespace bfhrf::util::simd {
 namespace {
@@ -12,20 +11,12 @@ std::atomic<int> g_forced{-1};
 Level detect_level() noexcept {
 #if defined(BFHRF_DISABLE_SIMD)
   return Level::Swar;
-#else
-  // Runtime kill switch: BFHRF_DISABLE_SIMD=1 in the environment drops a
-  // vector-capable binary to the portable path (read once, cached).
-  const char* env = std::getenv("BFHRF_DISABLE_SIMD");
-  if (env != nullptr && env[0] == '1' && env[1] == '\0') {
-    return Level::Swar;
-  }
-#if defined(BFHRF_SIMD_X86)
+#elif defined(BFHRF_SIMD_X86)
   return __builtin_cpu_supports("avx2") ? Level::Avx2 : Level::Sse2;
 #elif defined(BFHRF_SIMD_ARM)
   return Level::Neon;
 #else
   return Level::Swar;
-#endif
 #endif
 }
 

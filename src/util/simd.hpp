@@ -1,16 +1,14 @@
 // SIMD capability layer: compile-time feature gating plus runtime dispatch
 // for the vectorized kernels (group-probed hash control bytes, bitset math).
 //
-// Three layers of control, strongest first:
+// Two layers of control, strongest first:
 //  1. BFHRF_DISABLE_SIMD (compile definition, CMake option of the same
 //     name): vector intrinsics are not even compiled; everything runs the
 //     portable SWAR path. This is the "avx2-off"/portability CI build.
 //  2. set_force_level() (process-wide): tests and benches pin a level to
 //     compare paths inside one binary. Levels above compiled_level() clamp.
-//  3. BFHRF_DISABLE_SIMD=1 in the environment: runtime kill switch for a
-//     vector-capable binary, read once on first use.
-// Absent all three, active_level() is the widest level both the binary and
-// the CPU support (AVX2 is probed with __builtin_cpu_supports, since the
+// Absent both, active_level() is the widest level both the binary and the
+// CPU support (AVX2 is probed with __builtin_cpu_supports, since the
 // baseline build targets plain x86-64 and AVX2 kernels carry per-function
 // target attributes).
 //

@@ -49,6 +49,21 @@ std::size_t parse_size(std::string_view s) {
   return v;
 }
 
+std::size_t parse_flag_size(std::string_view flag, std::string_view value,
+                            std::size_t max) {
+  std::size_t v = 0;
+  try {
+    v = parse_size(value);
+  } catch (const ParseError& e) {
+    throw ParseError(std::string(flag) + ": " + e.what());
+  }
+  if (v > max) {
+    throw InvalidArgument(std::string(flag) + ": " + std::to_string(v) +
+                          " is above the limit of " + std::to_string(max));
+  }
+  return v;
+}
+
 double parse_double(std::string_view s) {
   s = trim(s);
   double v = 0;

@@ -1,19 +1,15 @@
 // Streaming-engine equivalence: the pipelined engine over every payload
-// (span pointers, streamed trees, Newick records parsed on the workers)
-// must produce per-tree averages
-// BIT-IDENTICAL to Algorithm 1 (core/sequential_rf, which shares no code
-// with BFHRF) for classic RF — all terms are integer-valued — regardless of
-// thread count, store kind, or pre-sizing hints.
+// (span pointers, Newick records extracted on the workers) must produce
+// per-tree averages BIT-IDENTICAL to Algorithm 1 (core/sequential_rf,
+// which shares no code with BFHRF) for classic RF — all terms are
+// integer-valued — regardless of thread count, store kind, or pre-sizing
+// hints.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <span>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "core/bfhrf.hpp"
 #include "core/sequential_rf.hpp"
@@ -32,7 +28,10 @@ namespace {
 using phylo::TaxonSet;
 using phylo::Tree;
 
+using test::TempNewick;
+
 struct Collections {
+  phylo::TaxonSetPtr taxa;
   std::vector<Tree> reference;
   std::vector<Tree> queries;
   std::size_t n_bits = 0;
@@ -40,22 +39,26 @@ struct Collections {
 
 Collections make_collections(std::size_t n_taxa, std::size_t r,
                              std::size_t q, std::uint64_t seed) {
-  const auto taxa = TaxonSet::make_numbered(n_taxa);
-  util::Rng rng(seed);
   Collections c;
-  c.reference = test::random_collection(taxa, r, 4, rng);
-  c.queries = test::random_collection(taxa, q, 6, rng);
-  c.n_bits = taxa->size();
+  c.taxa = TaxonSet::make_numbered(n_taxa);
+  util::Rng rng(seed);
+  c.reference = test::random_collection(c.taxa, r, 4, rng);
+  c.queries = test::random_collection(c.taxa, q, 6, rng);
+  c.n_bits = c.taxa->size();
   return c;
 }
 
+/// Both collections through the engine: from the spans, or streamed from
+/// Newick files through FileTreeSource.
 std::vector<double> run_engine(const Collections& c, BfhrfOptions opts,
                                bool stream) {
   Bfhrf engine(c.n_bits, opts);
   if (stream) {
-    SpanTreeSource ref_source(c.reference);
-    SpanTreeSource query_source(c.queries);
+    const TempNewick ref_file("ref", c.reference);
+    const TempNewick query_file("query", c.queries);
+    FileTreeSource ref_source(ref_file.path(), c.taxa);
     engine.build(ref_source);
+    FileTreeSource query_source(query_file.path(), c.taxa);
     return engine.query(query_source);
   }
   engine.build(c.reference);
@@ -151,31 +154,6 @@ TEST(BfhrfStreamTest, CompressedStoreStreamsThroughPipeline) {
     EXPECT_EQ(got[i], expect[i]) << "query " << i;
   }
 }
-
-/// A Newick file under the test temp dir, removed on scope exit. ctest
-/// runs every test as its own process, concurrently, so names carry the
-/// pid.
-class TempNewick {
- public:
-  TempNewick(const std::string& name, std::span<const Tree> trees)
-      : path_(::testing::TempDir() + "/bfhrf_stream_" +
-              std::to_string(::getpid()) + "_" + name + ".nwk") {
-    phylo::write_newick_file(path_, trees);
-  }
-  TempNewick(const std::string& name, const std::string& text)
-      : path_(::testing::TempDir() + "/bfhrf_stream_" +
-              std::to_string(::getpid()) + "_" + name + ".nwk") {
-    std::ofstream(path_) << text;
-  }
-  ~TempNewick() { std::remove(path_.c_str()); }
-  TempNewick(const TempNewick&) = delete;
-  TempNewick& operator=(const TempNewick&) = delete;
-
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
- private:
-  std::string path_;
-};
 
 bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&

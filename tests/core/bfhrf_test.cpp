@@ -105,7 +105,8 @@ TEST(BfhrfTest, StreamingBuildMatchesInMemory) {
   in_memory.build(reference);
 
   Bfhrf streaming(taxa->size(), {.threads = 2});
-  SpanTreeSource source(reference);
+  const test::TempNewick file("reference", reference);
+  FileTreeSource source(file.path(), taxa);
   streaming.build(source);
 
   EXPECT_EQ(streaming.stats().reference_trees,
@@ -131,7 +132,8 @@ TEST(BfhrfTest, StreamingQueryPreservesOrder) {
   Bfhrf engine(taxa->size(), {.threads = 3});
   engine.build(reference);
   const auto direct = engine.query(queries);
-  SpanTreeSource source(queries);
+  const test::TempNewick file("queries", queries);
+  FileTreeSource source(file.path(), taxa);
   const auto streamed = engine.query(source);
   ASSERT_EQ(streamed.size(), direct.size());
   for (std::size_t i = 0; i < direct.size(); ++i) {

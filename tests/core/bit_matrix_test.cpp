@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/all_pairs.hpp"
@@ -28,12 +30,31 @@ void expect_same(const RfMatrix& a, const RfMatrix& b) {
   }
 }
 
+/// The pre-bit-matrix all-pairs walk: one sorted-set merge per pair. It
+/// shares no id space, hash or kernel with the bit engines.
+RfMatrix merge_walk(std::span<const Tree> trees) {
+  std::vector<phylo::BipartitionSet> sets;
+  sets.reserve(trees.size());
+  for (const Tree& t : trees) {
+    sets.push_back(phylo::extract_bipartitions(t, {}));
+  }
+  RfMatrix m(trees.size());
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    for (std::size_t j = i + 1; j < sets.size(); ++j) {
+      m.set(i, j,
+            static_cast<std::uint32_t>(
+                phylo::BipartitionSet::symmetric_difference_size(sets[i],
+                                                                 sets[j])));
+    }
+  }
+  return m;
+}
+
 TEST(BitMatrixTest, EnginesMatchLegacyAcrossThreadCounts) {
   const auto taxa = TaxonSet::make_numbered(24);
   util::Rng rng(test::fuzz_seed(0xB17));
   const auto trees = test::random_collection(taxa, 30, 5, rng);
-  const RfMatrix legacy =
-      all_pairs_rf(trees, {.engine = AllPairsEngine::Legacy});
+  const RfMatrix legacy = merge_walk(trees);
   for (const std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                               std::size_t{8}}) {
     expect_same(legacy, all_pairs_rf(trees, {.threads = t,
@@ -113,22 +134,27 @@ TEST(BitMatrixTest, MaxRfSaturation) {
 }
 
 TEST(BitMatrixTest, DensityThresholdBoundary) {
-  // density() = memberships / (trees · width). 100 trees × 64 of 1024
-  // unique splits each → density 1/16.
-  UniverseStats stats{.trees = 100,
-                      .universe_width = 1024,
-                      .total_memberships = 100 * 64};
-  ASSERT_DOUBLE_EQ(stats.density(), 1.0 / 16.0);
+  // density() = memberships / (trees · width). 100 trees × 4 of 1024
+  // unique splits each → density 1/256, kDefaultDensityThreshold exactly.
+  const UniverseStats stats{.trees = 100,
+                            .universe_width = 1024,
+                            .total_memberships = 100 * 4};
+  ASSERT_EQ(stats.density(), kDefaultDensityThreshold);
 
   // At the threshold exactly: dense (the comparison is >=).
-  AllPairsOptions opts{.density_threshold = 1.0 / 16.0};
+  AllPairsOptions opts;
   EXPECT_EQ(pick_bit_engine(stats, opts), AllPairsEngine::BitDense);
-  // Just below: sparse.
-  opts.density_threshold = 1.0 / 16.0 + 1e-12;
-  EXPECT_EQ(pick_bit_engine(stats, opts), AllPairsEngine::BitSparse);
-  // Default threshold (0 = kDefaultDensityThreshold): 1/16 is denser.
-  opts.density_threshold = 0.0;
-  EXPECT_EQ(pick_bit_engine(stats, opts), AllPairsEngine::BitDense);
+  // One more unique split puts the density just below: sparse.
+  const UniverseStats below{.trees = 100,
+                            .universe_width = 1025,
+                            .total_memberships = 100 * 4};
+  ASSERT_LT(below.density(), kDefaultDensityThreshold);
+  EXPECT_EQ(pick_bit_engine(below, opts), AllPairsEngine::BitSparse);
+  // 100 trees × 64 of 1024 splits each (density 1/16): dense.
+  const UniverseStats dense_stats{.trees = 100,
+                                  .universe_width = 1024,
+                                  .total_memberships = 100 * 64};
+  EXPECT_EQ(pick_bit_engine(dense_stats, opts), AllPairsEngine::BitDense);
 
   // A wide universe where each row is one split in 100k: sparse.
   const UniverseStats sparse_stats{.trees = 10,
@@ -171,17 +197,21 @@ TEST(BitMatrixTest, BitMatrixRfReportsUniverseStats) {
 }
 
 TEST(BitMatrixTest, TileRowsOverrideDoesNotChangeResults) {
+  // Tiles are at least 8 rows, and a small triangle gets 8-row tiles to
+  // feed every lane: r below, at and just past one tile, and past two,
+  // gives one partial tile, one full tile, and full tiles beside a partial
+  // one, on and off the diagonal.
   const auto taxa = TaxonSet::make_numbered(18);
   util::Rng rng(13);
   const auto trees = test::random_collection(taxa, 21, 4, rng);
-  const RfMatrix base = all_pairs_rf(trees, {.threads = 1});
-  for (const std::size_t tile_rows : {std::size_t{1}, std::size_t{3},
-                                      std::size_t{1000}}) {
+  for (const std::size_t r : {std::size_t{7}, std::size_t{8}, std::size_t{9},
+                              std::size_t{17}, std::size_t{21}}) {
+    SCOPED_TRACE("r=" + std::to_string(r));
+    const std::span<const Tree> collection(trees.data(), r);
+    const RfMatrix base = merge_walk(collection);
     for (const AllPairsEngine e :
          {AllPairsEngine::BitDense, AllPairsEngine::BitSparse}) {
-      expect_same(base, all_pairs_rf(trees, {.threads = 4,
-                                             .engine = e,
-                                             .tile_rows = tile_rows}));
+      expect_same(base, all_pairs_rf(collection, {.threads = 4, .engine = e}));
     }
   }
 }

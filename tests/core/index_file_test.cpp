@@ -458,35 +458,25 @@ TEST(IndexFileTest, ResavingUnderALiveMappingKeepsItsAnswers) {
   }
 }
 
-/// Counts next() calls, to show a build read nothing before it threw.
-class CountingSource final : public TreeSource {
- public:
-  explicit CountingSource(std::span<const Tree> trees) : inner_(trees) {}
-  bool next(Tree& out) override {
-    ++calls;
-    return inner_.next(out);
-  }
-  void reset() override { inner_.reset(); }
-  std::size_t calls = 0;
-
- private:
-  SpanTreeSource inner_;
-};
-
 TEST(IndexFileTest, MappedStoreIsReadOnly) {
   const BuiltEngine w = make_workload(16, 8, 2, 19);
   Bfhrf engine(w.taxa->size());
   engine.build(w.reference);
   const TempFile file("readonly");
   save_bfhrf_file(engine, file.path());
+  const test::TempNewick trees("readonly", w.reference);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     Bfhrf mapped = load_bfhrf_file(file.path(), {.threads = threads});
     // Building more trees into a mapped engine throws before any input is
-    // read, whichever ingest path the thread count picks.
+    // read, whichever ingest path the thread count picks: the stream still
+    // frames the file's first record afterwards.
     EXPECT_THROW(mapped.build(std::span<const Tree>(w.reference)), Error);
-    CountingSource source(w.reference);
+    FileTreeSource source(trees.path(), w.taxa);
     EXPECT_THROW(mapped.build(source), Error);
-    EXPECT_EQ(source.calls, 0u) << "threads=" << threads;
+    std::string record;
+    ASSERT_TRUE(source.next_record(record)) << "threads=" << threads;
+    EXPECT_EQ(record, phylo::write_newick(w.reference.front()))
+        << "threads=" << threads;
     EXPECT_EQ(mapped.stats().reference_trees, w.reference.size());
   }
 }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/tree_source.hpp"
 #include "support/test_util.hpp"
 #include "util/rng.hpp"
 
@@ -100,27 +99,6 @@ TEST(SequentialRfTest, MaxScaledWithDayEngineMatchesSetEngine) {
     EXPECT_NEAR(day_engine.avg_rf[i], set_engine.avg_rf[i], 1e-12);
   }
 }
-
-class BatchSweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(BatchSweep, StreamingQMatchesSpanAcrossThreadCounts) {
-  const std::size_t threads = GetParam();
-  const auto taxa = TaxonSet::make_numbered(10);
-  util::Rng rng(8);
-  const auto reference = test::random_collection(taxa, 15, 3, rng);
-  const auto queries = test::random_collection(taxa, 23, 4, rng);
-
-  const auto direct = sequential_avg_rf(queries, reference);
-  SpanTreeSource source(queries);
-  const auto streamed =
-      sequential_avg_rf(source, reference, {.threads = threads});
-  ASSERT_EQ(streamed.avg_rf.size(), direct.avg_rf.size());
-  for (std::size_t i = 0; i < direct.avg_rf.size(); ++i) {
-    EXPECT_DOUBLE_EQ(streamed.avg_rf[i], direct.avg_rf[i]);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, BatchSweep, ::testing::Values(1, 2, 5, 9));
 
 TEST(SequentialRfTest, WeightedSymmetricDifferenceAgainstManual) {
   auto taxa = std::make_shared<TaxonSet>(

@@ -238,7 +238,8 @@ TEST(ShardedEngineTest, StreamingShardedBuildMatches) {
   const auto want = single.query(queries);
 
   Bfhrf sharded(taxa->size(), {.threads = 4});
-  SpanTreeSource source(reference);
+  const test::TempNewick file("reference", reference);
+  FileTreeSource source(file.path(), taxa);
   sharded.build(source);
   EXPECT_EQ(sharded.store().shard_count(), test::expected_shards(4));
   const auto got = sharded.query(queries);

@@ -1,12 +1,11 @@
-// Vector-ingest equivalence: the VectorSource family (spans, .p2v files,
-// the Tree-decoding adapter) and the engine's direct-from-vector build and
-// query paths must be BIT-IDENTICAL to the Tree ingest paths — the codec
-// preserves every unrooted bipartition, and downstream of extraction both
-// forms share one insertion/query tail. Also pins the size_hint contract:
-// exact from a counted .p2v header, semicolon-estimated for Newick files.
+// Vector-ingest equivalence: the VectorSource family (spans, .p2v files)
+// and the engine's direct-from-vector build and query paths must be
+// BIT-IDENTICAL to the Tree ingest paths — the codec preserves every
+// unrooted bipartition, and downstream of extraction both forms share one
+// insertion/query tail. Also pins the size_hint contract: exact from a
+// counted .p2v header, semicolon-estimated for Newick files.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -14,7 +13,6 @@
 
 #include "core/bfhrf.hpp"
 #include "core/tree_source.hpp"
-#include "phylo/bipartition.hpp"
 #include "phylo/taxon_set.hpp"
 #include "phylo/vector_codec.hpp"
 #include "support/test_util.hpp"
@@ -79,12 +77,14 @@ std::vector<double> tree_baseline(const Collections& c, BfhrfOptions opts) {
   return engine.query(c.queries);
 }
 
-/// Streamed Tree path over in-memory trees (build and query).
+/// The trees streamed from Newick files (build and query).
 std::vector<double> tree_stream_run(const Collections& c, BfhrfOptions opts) {
   Bfhrf engine(c.n_bits, opts);
-  SpanTreeSource ref(c.reference);
-  SpanTreeSource queries(c.queries);
+  const test::TempNewick ref_file("reference", c.reference);
+  const test::TempNewick query_file("queries", c.queries);
+  FileTreeSource ref(ref_file.path(), c.taxa);
   engine.build(ref);
+  FileTreeSource queries(query_file.path(), c.taxa);
   return engine.query(queries);
 }
 
@@ -174,35 +174,6 @@ TEST(VectorSourceTest, FileTreeSourceCountsSemicolons) {
   EXPECT_EQ(*source.size_hint(), 3u);  // cached hint survives the stream
 }
 
-TEST(VectorSourceTest, VectorTreeSourceDecodesEveryRow) {
-  const Collections c = make_collections(13, 9, 0, 23);
-  SpanVectorSource rows(c.reference_vectors, c.n_bits);
-  VectorTreeSource adapter(rows, c.taxa);
-  ASSERT_TRUE(adapter.size_hint().has_value());
-  EXPECT_EQ(*adapter.size_hint(), c.reference.size());
-
-  Tree t;
-  std::size_t seen = 0;
-  while (adapter.next(t)) {
-    // Decoded trees carry the full unrooted split set of the original.
-    const auto got = phylo::extract_bipartitions(t);
-    const auto expect = phylo::extract_bipartitions(c.reference[seen]);
-    ASSERT_EQ(got.size(), expect.size()) << "tree " << seen;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      const auto a = got[i];
-      const auto b = expect[i];
-      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-          << "tree " << seen << " split " << i;
-    }
-    ++seen;
-  }
-  EXPECT_EQ(seen, c.reference.size());
-
-  SpanVectorSource narrow(c.reference_vectors, c.n_bits);
-  EXPECT_THROW(VectorTreeSource(narrow, TaxonSet::make_numbered(c.n_bits + 1)),
-               InvalidArgument);
-}
-
 TEST(VectorSourceTest, DirectVectorBuildAndQueryMatchTreePathBitwise) {
   const Collections c = make_collections(20, 40, 12, 24);
   const auto expect = tree_baseline(c, BfhrfOptions{.threads = 1});
@@ -244,7 +215,7 @@ TEST(VectorSourceTest, WeightedVariantAgreesAcrossIngestForms) {
     opts.threads = threads;
     expect_bitwise(tree_baseline(c, opts), expect, "weighted span build");
     expect_bitwise(tree_stream_run(c, opts), expect,
-                   "weighted TreeSource build");
+                   "weighted Newick file build");
     expect_bitwise(vector_run(c, opts), expect, "weighted vector build");
   }
 }

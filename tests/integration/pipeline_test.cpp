@@ -116,17 +116,6 @@ TEST_F(PipelineTest, AllEnginesAgreeOnDisjointQandR) {
   }
 }
 
-TEST_F(PipelineTest, StreamingSequentialMatchesSpan) {
-  core::FileTreeSource query_source(query_path_, taxa_);
-  const auto streamed =
-      core::sequential_avg_rf(query_source, reference_, {.threads = 2});
-  const auto direct = core::sequential_avg_rf(queries_, reference_);
-  ASSERT_EQ(streamed.avg_rf.size(), direct.avg_rf.size());
-  for (std::size_t i = 0; i < direct.avg_rf.size(); ++i) {
-    EXPECT_DOUBLE_EQ(streamed.avg_rf[i], direct.avg_rf[i]);
-  }
-}
-
 TEST_F(PipelineTest, FrozenTaxaCatchForeignTrees) {
   auto frozen = std::make_shared<TaxonSet>(taxa_->labels());
   frozen->freeze();

@@ -1,16 +1,23 @@
 // Shared helpers for the bfhrf test suites.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/sharded_hash.hpp"
 #include "phylo/newick.hpp"
@@ -84,6 +91,37 @@ inline std::vector<phylo::Tree> independent_collection(
   }
   return trees;
 }
+
+/// A Newick file under the test temp dir, removed on scope exit: a tree
+/// collection (one record per tree, as phylo::write_newick_file writes it)
+/// or raw text. Tests stream it through core::FileTreeSource, the engine's
+/// one streamed-tree route. ctest runs every test as its own process,
+/// concurrently, so paths carry the pid and a per-process serial.
+class TempNewick {
+ public:
+  TempNewick(const std::string& name, std::span<const phylo::Tree> trees)
+      : path_(make_path(name)) {
+    phylo::write_newick_file(path_, trees);
+  }
+  TempNewick(const std::string& name, const std::string& text)
+      : path_(make_path(name)) {
+    std::ofstream(path_) << text;
+  }
+  ~TempNewick() { std::remove(path_.c_str()); }
+  TempNewick(const TempNewick&) = delete;
+  TempNewick& operator=(const TempNewick&) = delete;
+
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  static std::string make_path(const std::string& name) {
+    static std::atomic<unsigned> serial{0};
+    return ::testing::TempDir() + "bfhrf_" + std::to_string(::getpid()) +
+           "_" + std::to_string(serial++) + "_" + name + ".nwk";
+  }
+
+  std::string path_;
+};
 
 /// A store's contents as a comparable value: sorted (key words, count).
 inline std::vector<std::pair<std::vector<std::uint64_t>, std::uint32_t>>

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "util/error.hpp"
 #include "util/memory.hpp"
@@ -42,6 +44,43 @@ TEST(StringUtilTest, ParseSize) {
   EXPECT_THROW((void)parse_size("abc"), ParseError);
   EXPECT_THROW((void)parse_size("12x"), ParseError);
   EXPECT_THROW((void)parse_size(""), ParseError);
+}
+
+TEST(StringUtilTest, ParseFlagSize) {
+  EXPECT_EQ(parse_flag_size("-t", "4", kMaxFlagThreads), 4u);
+  EXPECT_EQ(parse_flag_size("-t", "0", kMaxFlagThreads), 0u);
+  EXPECT_EQ(parse_flag_size("-t", "1024", kMaxFlagThreads), 1024u);
+  EXPECT_EQ(parse_flag_size("--port", "65535", kMaxFlagPort), 65535u);
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(parse_flag_size("--queue", std::to_string(kMax)), kMax);
+  // Every error names the flag: a non-number or a negative is a
+  // ParseError, a value above the limit an InvalidArgument.
+  const auto message = [](auto&& parse) -> std::string {
+    try {
+      parse();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  for (const char* bad : {"-1", "abc", "", "4x", "1e3",
+                          "18446744073709551616"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW((void)parse_flag_size("--workers", bad), ParseError);
+    EXPECT_NE(message([&] { (void)parse_flag_size("--workers", bad); })
+                  .find("--workers"),
+              std::string::npos);
+  }
+  EXPECT_THROW((void)parse_flag_size("-t", "1025", kMaxFlagThreads),
+               InvalidArgument);
+  EXPECT_THROW((void)parse_flag_size("-t", "100000", kMaxFlagThreads),
+               InvalidArgument);
+  EXPECT_THROW((void)parse_flag_size("--port", "70000", kMaxFlagPort),
+               InvalidArgument);
+  EXPECT_NE(message([] {
+              (void)parse_flag_size("--clients", "5000", kMaxFlagThreads);
+            }).find("--clients"),
+            std::string::npos);
 }
 
 TEST(StringUtilTest, ParseDouble) {

@@ -16,8 +16,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -29,6 +29,8 @@
 #include "phylo/taxon_set.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
+#include "util/error.hpp"
+#include "util/string_util.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -54,23 +56,40 @@ void usage(const char* argv0) {
       "usage: %s -q QUERY.nwk (--inprocess -r REF.nwk | --port N) "
       "[options]\n"
       "  --host ADDR      daemon address (default 127.0.0.1)\n"
-      "  --clients LIST   comma-separated concurrency sweep (default "
-      "1,8,64)\n"
+      "  --clients LIST   comma-separated concurrency sweep, each level\n"
+      "                   1..1024 (default 1,8,64)\n"
       "  --requests N     requests per client per level (default 50)\n"
       "  --batch N        query trees per request (default 1)\n"
-      "  --workers N      in-process daemon worker threads (default 4)\n"
+      "  --workers N      in-process daemon worker threads, at most 1024\n"
+      "                   (default 4)\n"
       "  --slug NAME      BENCH_<NAME>.json export slug\n",
       argv0);
 }
 
-std::vector<std::size_t> parse_csv_sizes(const std::string& text) {
+/// util::parse_flag_size for this tool's flags: a rejected value exits 1
+/// with a message naming the flag, before any file, socket or thread
+/// opens.
+std::size_t flag_size(
+    const std::string& flag, const std::string& value,
+    std::size_t max = std::numeric_limits<std::size_t>::max()) {
+  try {
+    return util::parse_flag_size(flag, value, max);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "bfhrf_loadgen: %s\n", e.what());
+    std::exit(1);
+  }
+}
+
+/// The --clients sweep: comma-separated concurrency levels, each at least
+/// 1 and at most util::kMaxFlagThreads.
+std::vector<std::size_t> parse_client_levels(const std::string& text) {
   std::vector<std::size_t> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const long v = std::atol(item.c_str());
-    if (v > 0) {
-      out.push_back(static_cast<std::size_t>(v));
+  for (const std::string& item : util::split(text, ',')) {
+    out.push_back(flag_size("--clients", item, util::kMaxFlagThreads));
+    if (out.back() == 0) {
+      std::fprintf(stderr, "bfhrf_loadgen: --clients: a concurrency level "
+                           "must be at least 1\n");
+      std::exit(1);
     }
   }
   return out;
@@ -183,17 +202,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--host") {
       opts.host = next();
     } else if (arg == "--port") {
-      opts.port = std::atoi(next());
+      opts.port = static_cast<int>(flag_size(arg, next(), util::kMaxFlagPort));
     } else if (arg == "--clients") {
-      opts.clients = parse_csv_sizes(next());
+      opts.clients = parse_client_levels(next());
     } else if (arg == "--requests") {
-      opts.requests = static_cast<std::size_t>(std::atol(next()));
+      opts.requests = flag_size(arg, next());
     } else if (arg == "--batch") {
-      opts.batch =
-          static_cast<std::size_t>(std::max<long>(1, std::atol(next())));
+      opts.batch = std::max<std::size_t>(1, flag_size(arg, next()));
     } else if (arg == "--workers") {
-      opts.workers =
-          static_cast<std::size_t>(std::max<long>(1, std::atol(next())));
+      opts.workers = std::max<std::size_t>(
+          1, flag_size(arg, next(), util::kMaxFlagThreads));
     } else if (arg == "--slug") {
       opts.slug = next();
     } else if (arg == "-h" || arg == "--help") {

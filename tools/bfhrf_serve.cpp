@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +26,8 @@
 #include "phylo/newick.hpp"
 #include "phylo/taxon_set.hpp"
 #include "serve/server.hpp"
+#include "util/error.hpp"
+#include "util/string_util.hpp"
 
 namespace {
 
@@ -41,12 +44,29 @@ void usage(const char* argv0) {
                "                     building from -r. FILE must have been\n"
                "                     built over the same reference file.\n"
                "  --host ADDR        bind address (default 127.0.0.1)\n"
-               "  --port N           TCP port; 0 = ephemeral (default 0)\n"
-               "  --workers N        query worker threads (default 2)\n"
+               "  --port N           TCP port, at most 65535; 0 = ephemeral\n"
+               "                     (default 0)\n"
+               "  --workers N        query worker threads, at most 1024\n"
+               "                     (default 2)\n"
                "  --queue N          admission queue capacity (default auto)\n"
-               "  --threads N        index build threads (default 1)\n"
+               "  --threads N        index build threads, at most 1024;\n"
+               "                     0 = hardware default (default 1)\n"
                "  --no-admin         refuse Publish/Shutdown opcodes\n",
                argv0);
+}
+
+/// util::parse_flag_size for this tool's flags: a rejected value exits 1
+/// with a message naming the flag, before any file, socket or thread
+/// opens.
+std::size_t flag_size(
+    const std::string& flag, const char* value,
+    std::size_t max = std::numeric_limits<std::size_t>::max()) {
+  try {
+    return bfhrf::util::parse_flag_size(flag, value, max);
+  } catch (const bfhrf::Error& e) {
+    std::fprintf(stderr, "bfhrf_serve: %s\n", e.what());
+    std::exit(1);
+  }
 }
 
 bfhrf::serve::RfServer* g_server = nullptr;
@@ -77,13 +97,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--host") {
       opts.host = next();
     } else if (arg == "--port") {
-      opts.port = static_cast<std::uint16_t>(std::atoi(next()));
+      opts.port = static_cast<std::uint16_t>(
+          flag_size(arg, next(), util::kMaxFlagPort));
     } else if (arg == "--workers") {
-      opts.workers = static_cast<std::size_t>(std::atol(next()));
+      opts.workers = flag_size(arg, next(), util::kMaxFlagThreads);
     } else if (arg == "--queue") {
-      opts.queue_capacity = static_cast<std::size_t>(std::atol(next()));
+      opts.queue_capacity = flag_size(arg, next());
     } else if (arg == "--threads") {
-      opts.load_opts.threads = static_cast<std::size_t>(std::atol(next()));
+      opts.load_opts.threads = flag_size(arg, next(), util::kMaxFlagThreads);
     } else if (arg == "--no-admin") {
       opts.allow_admin = false;
     } else if (arg == "-h" || arg == "--help") {

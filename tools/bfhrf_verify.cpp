@@ -70,7 +70,8 @@ void usage(const char* argv0) {
       "                    single-table engine\n"
       "  --seed S          workload seed (decimal or 0x hex); also read\n"
       "                    from BFHRF_FUZZ_SEED when the flag is absent\n"
-      "  --threads a,b,c   thread counts to sweep (0 = hardware default)\n"
+      "  --threads a,b,c   thread counts to sweep, each at most 1024\n"
+      "                    (0 = hardware default)\n"
       "  --artifact PATH   where to write the reproducer on failure\n"
       "                    (default bfhrf_verify_failure.repro)\n"
       "  --no-invariants   skip the metamorphic invariant layer\n"
@@ -163,8 +164,8 @@ CliOptions parse_args(int argc, char** argv) {
       o.harness.oracle.thread_counts.clear();
       for (const std::string& part :
            bfhrf::util::split(need_value("--threads"), ',')) {
-        o.harness.oracle.thread_counts.push_back(
-            bfhrf::util::parse_size(bfhrf::util::trim(part)));
+        o.harness.oracle.thread_counts.push_back(bfhrf::util::parse_flag_size(
+            "--threads", part, bfhrf::util::kMaxFlagThreads));
       }
       if (o.harness.oracle.thread_counts.empty()) {
         throw bfhrf::InvalidArgument("--threads needs at least one count");
