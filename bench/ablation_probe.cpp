@@ -20,6 +20,10 @@
 //   group+simd  — the new table at the host's native dispatch level
 //                 (SSE2 group matching; AVX2 bitset kernels).
 //
+// All three fingerprint each key with util::fingerprint from its words
+// (the group tables through the fingerprint-less add_many/frequency_many
+// calls), so the ablation compares probe layouts only.
+//
 // Medians land in BENCH_PR5.json via record_baseline for
 // scripts/bench_compare.py to gate on.
 #include <benchmark/benchmark.h>
@@ -174,14 +178,15 @@ class ScalarProbeHash {
     std::uint64_t fps[kSlotAhead];
     const std::size_t warm = count < kSlotAhead ? count : kSlotAhead;
     for (std::size_t i = 0; i < warm; ++i) {
-      const std::uint64_t fp = util::hash_words(key_i(keys, i));
+      const std::uint64_t fp = util::fingerprint(key_i(keys, i));
       fps[i % kSlotAhead] = fp;
       __builtin_prefetch(&slots_[static_cast<std::size_t>(fp) & mask], 1);
     }
     for (std::size_t i = 0; i < count; ++i) {
       const std::uint64_t fp = fps[i % kSlotAhead];
       if (i + kSlotAhead < count) {
-        const std::uint64_t ahead = util::hash_words(key_i(keys, i + kSlotAhead));
+        const std::uint64_t ahead =
+            util::fingerprint(key_i(keys, i + kSlotAhead));
         fps[(i + kSlotAhead) % kSlotAhead] = ahead;
         __builtin_prefetch(&slots_[static_cast<std::size_t>(ahead) & mask], 1);
       }
@@ -212,14 +217,15 @@ class ScalarProbeHash {
     std::uint64_t fps[kSlotAhead];
     const std::size_t warm = count < kSlotAhead ? count : kSlotAhead;
     for (std::size_t i = 0; i < warm; ++i) {
-      const std::uint64_t fp = util::hash_words(key_i(keys, i));
+      const std::uint64_t fp = util::fingerprint(key_i(keys, i));
       fps[i % kSlotAhead] = fp;
       __builtin_prefetch(&slots_[static_cast<std::size_t>(fp) & mask]);
     }
     for (std::size_t i = 0; i < count; ++i) {
       const std::uint64_t fp = fps[i % kSlotAhead];
       if (i + kSlotAhead < count) {
-        const std::uint64_t ahead = util::hash_words(key_i(keys, i + kSlotAhead));
+        const std::uint64_t ahead =
+            util::fingerprint(key_i(keys, i + kSlotAhead));
         fps[(i + kSlotAhead) % kSlotAhead] = ahead;
         __builtin_prefetch(&slots_[static_cast<std::size_t>(ahead) & mask]);
       }

@@ -4,13 +4,18 @@
 // manner as traditional RF" — i.e. at no structural cost. This bench
 // quantifies the runtime overhead of each shipped variant relative to
 // classic RF on one collection, plus the branch-score engine (which needs
-// its own per-split length statistics).
+// its own per-split length statistics). Each row is the median of
+// kTimedIterations timed build+query runs, the classic row included: at
+// smoke scale classic takes a few milliseconds, and one noisy run of it
+// would move every ratio.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common.hpp"
 #include "core/bfhrf.hpp"
@@ -38,6 +43,9 @@ std::size_t r_trees() {
 
 constexpr std::size_t kTaxa = 100;
 
+/// Timed build+query runs per row; the row reports their median.
+constexpr int kTimedIterations = 5;
+
 const sim::Dataset& dataset() {
   static const sim::Dataset ds = [] {
     sim::DatasetSpec spec = sim::variable_trees(r_trees());
@@ -48,7 +56,7 @@ const sim::Dataset& dataset() {
 }
 
 struct Row {
-  double seconds = 0;
+  double seconds = 0;  ///< median of the timed runs
   std::size_t memory = 0;
 };
 std::map<std::string, Row>& rows() {
@@ -56,35 +64,48 @@ std::map<std::string, Row>& rows() {
   return r;
 }
 
+/// Time `once` (one build+query, returning its store bytes) per benchmark
+/// iteration and record the median as row `name`.
+template <typename Once>
+void time_row(benchmark::State& state, const std::string& name, Once once) {
+  std::vector<double> times;
+  std::size_t memory = 0;
+  for (auto _ : state) {
+    const util::WallTimer timer;
+    memory = once();
+    times.push_back(timer.seconds());
+  }
+  std::sort(times.begin(), times.end());
+  rows()[name] = {times[times.size() / 2], memory};
+}
+
 void run_variant(benchmark::State& state, const std::string& name,
                  const core::RfVariant* variant) {
   const auto& ds = dataset();
-  for (auto _ : state) {
-    util::WallTimer timer;
+  time_row(state, name, [&] {
     core::BfhrfOptions opts;
     opts.variant = variant;
     core::Bfhrf engine(kTaxa, opts);
     engine.build(ds.trees);
     benchmark::DoNotOptimize(engine.query(ds.trees));
-    rows()[name] = {timer.seconds(), engine.stats().hash_memory_bytes};
-  }
+    return engine.stats().hash_memory_bytes;
+  });
 }
 
 void run_branch_score(benchmark::State& state) {
   const auto& ds = dataset();
-  for (auto _ : state) {
-    util::WallTimer timer;
+  time_row(state, "branch-score", [&] {
     core::BranchScoreBfhrf engine(kTaxa);
     engine.build(ds.trees);
     benchmark::DoNotOptimize(engine.query(ds.trees));
-    rows()["branch-score"] = {timer.seconds(), engine.memory_bytes()};
-  }
+    return engine.memory_bytes();
+  });
 }
 
 void report() {
-  std::printf("\n--- Ablation A5: variant overhead (n=%zu, r=%zu, Q=R) "
-              "---\n",
-              kTaxa, dataset().trees.size());
+  std::printf("\n--- Ablation A5: variant overhead (n=%zu, r=%zu, Q=R; "
+              "median of %d runs) ---\n",
+              kTaxa, dataset().trees.size(), kTimedIterations);
   const double base = rows().count("classic") ? rows()["classic"].seconds
                                               : 0.0;
   util::TextTable table({"Variant", "Time(s)", "vs classic", "Store MB"});
@@ -117,14 +138,12 @@ void report() {
 
 void run_compressed(benchmark::State& state) {
   const auto& ds = dataset();
-  for (auto _ : state) {
-    util::WallTimer timer;
+  time_row(state, "compressed-keys", [&] {
     core::Bfhrf engine(kTaxa, {.compressed_keys = true});
     engine.build(ds.trees);
     benchmark::DoNotOptimize(engine.query(ds.trees));
-    rows()["compressed-keys"] = {timer.seconds(),
-                                 engine.stats().hash_memory_bytes};
-  }
+    return engine.stats().hash_memory_bytes;
+  });
 }
 
 }  // namespace
@@ -139,25 +158,25 @@ int main(int argc, char** argv) {
 
   benchmark::RegisterBenchmark("variant/classic", [](benchmark::State& s) {
     run_variant(s, "classic", nullptr);
-  })->Iterations(1)->Unit(benchmark::kMillisecond);
+  })->Iterations(kTimedIterations)->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("variant/size_filtered",
                                [](benchmark::State& s) {
                                  run_variant(s, "size-filtered",
                                              &size_filter);
                                })
-      ->Iterations(1)
+      ->Iterations(kTimedIterations)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("variant/info_weighted",
                                [](benchmark::State& s) {
                                  run_variant(s, "info-weighted", &info);
                                })
-      ->Iterations(1)
+      ->Iterations(kTimedIterations)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("variant/compressed_keys", &run_compressed)
-      ->Iterations(1)
+      ->Iterations(kTimedIterations)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("variant/branch_score", &run_branch_score)
-      ->Iterations(1)
+      ->Iterations(kTimedIterations)
       ->Unit(benchmark::kMillisecond);
 
   benchmark::Initialize(&argc, argv);

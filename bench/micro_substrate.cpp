@@ -5,6 +5,8 @@
 // the constants behind the table-level results.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common.hpp"
 #include "core/bfhrf.hpp"
 #include "core/day.hpp"
@@ -15,6 +17,7 @@
 #include "sim/generators.hpp"
 #include "sim/moves.hpp"
 #include "util/bitset.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace bfhrf {
@@ -40,6 +43,49 @@ void BM_BitsetXorCount(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BitsetXorCount)->Arg(48)->Arg(144)->Arg(1000)->Arg(10000);
+
+/// A pool of random keys of `words` words, cycled through so the hash is
+/// timed on fresh words rather than one key the compiler could fold.
+std::vector<std::uint64_t> random_keys(std::size_t words, util::Rng& rng) {
+  std::vector<std::uint64_t> keys(words * 256);
+  for (std::uint64_t& w : keys) {
+    w = rng();
+  }
+  return keys;
+}
+
+// The store's key fingerprint (mix64 of the linear map L, PCLMULQDQ when
+// the CPU has it) against the serial word combine it replaced, per key at
+// 1, 3 and 16 words (n = 48, 144, 1000). The extractors fold L with the
+// masks, so the engine pays neither; this is what a caller without the
+// column pays.
+void BM_Fingerprint(benchmark::State& state) {
+  const auto words = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(words);
+  const std::vector<std::uint64_t> keys = random_keys(words, rng);
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        util::fingerprint({keys.data() + k * words, words}));
+    k = (k + 1) & 255;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Fingerprint)->Arg(1)->Arg(3)->Arg(16);
+
+void BM_HashWords(benchmark::State& state) {
+  const auto words = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(words);
+  const std::vector<std::uint64_t> keys = random_keys(words, rng);
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        util::hash_words({keys.data() + k * words, words}));
+    k = (k + 1) & 255;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HashWords)->Arg(1)->Arg(3)->Arg(16);
 
 void BM_CompareWords(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

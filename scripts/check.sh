@@ -22,7 +22,11 @@
 #      + the serve daemon loopback smoke
 #   3. BFHRF_OBS=OFF build, full suite (instrumentation compiled out)
 #   4. BFHRF_DISABLE_SIMD=ON build, full suite + bfhrf_verify (portable
-#      SWAR paths only; proves dispatch-level equivalence end to end)
+#      SWAR paths and the portable fingerprint kernel only; proves
+#      dispatch-level equivalence end to end) + its CLI saving the
+#      one-table index files of tier 1's walk byte for byte and answering
+#      from the default build's files exactly as the default build does
+#      (the portable kernel gives the PCLMULQDQ kernel's fingerprints)
 #   5. perfbench self-test (perfbench/selftest.py): builds the benchmark
 #      harness from this checkout and runs every workload on tiny corpora,
 #      so a change to an engine call the benchmark makes fails here
@@ -105,6 +109,8 @@ expect_flag_error 1 --workers ./build/tools/bfhrf_loadgen -q "${NO_FILE}" \
   --inprocess -r "${NO_FILE}" --workers 5000
 expect_flag_error 1 --requests ./build/tools/bfhrf_loadgen -q "${NO_FILE}" \
   --inprocess -r "${NO_FILE}" --requests -5
+expect_flag_error 1 --requests ./build/tools/bfhrf_loadgen -q "${NO_FILE}" \
+  --inprocess -r "${NO_FILE}" --requests 1000000000000
 expect_flag_error 2 --threads ./build/tools/bfhrf_verify --files \
   "${NO_FILE}" --threads 100000
 run ./build/examples/bfhrf_generate --preset variable-trees -n 32 -r 24 \
@@ -312,12 +318,38 @@ run ctest --preset obs-off
 
 # Tier 4: portable-SWAR build (BFHRF_DISABLE_SIMD=ON, no vector intrinsics
 # compiled at all), full suite + the qc differential oracle — proves the
-# group-probed hash and bitset kernels are bit-identical without SIMD.
+# group-probed hash, bitset and fingerprint kernels are bit-identical
+# without SIMD.
 run cmake --preset simd-off
 run cmake --build --preset simd-off -j "$(nproc)"
 run ctest --preset simd-off
 # shellcheck disable=SC2086
 run ./build-simd-off/tools/bfhrf_verify --generate ${VERIFY_ARGS}
+
+# Where a key sits in an index file is a function of its fingerprint, so
+# the portable kernel must give the PCLMULQDQ kernel's bits: a one-table
+# file the default build saved in tier 1's walk must answer under the
+# simd-off CLI exactly as under the default build (other bits would send
+# every lookup to the wrong group), and the simd-off CLI must save the
+# same bytes. Raw and compressed keys.
+echo
+echo "=== simd-off bfhrf_cli over the default build's one-table indexes ==="
+for keys in raw sparse; do
+  flag=""
+  if [ "${keys}" = sparse ]; then
+    flag="--compressed-keys"
+  fi
+  ./build-simd-off/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -t 1 \
+    --load-index "${PERSIST_DIR}/ref_t1_${keys}.bfhmap" \
+    -q "${SERVE_DIR}/ref.nwk" > "${PERSIST_DIR}/simd_off_${keys}_mapped.tsv"
+  run diff "${PERSIST_DIR}/t1_${keys}_direct.tsv" \
+    "${PERSIST_DIR}/simd_off_${keys}_mapped.tsv"
+  # shellcheck disable=SC2086
+  ./build-simd-off/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -t 1 ${flag} \
+    --save-index "${PERSIST_DIR}/simd_off_${keys}.bfhmap" > /dev/null
+  run cmp "${PERSIST_DIR}/ref_t1_${keys}.bfhmap" \
+    "${PERSIST_DIR}/simd_off_${keys}.bfhmap"
+done
 
 # Tier 5: the benchmark harness builds against the engine and its
 # workloads still run, reproduce and report their metrics.

@@ -190,15 +190,16 @@ auto span_scheduler(std::span<const phylo::Tree> trees) {
   };
 }
 
-/// Insert a staging bucket's keys into `shard` through add_many and empty
-/// the bucket, keeping its capacity for the next fill. Returns the number
-/// of keys flushed.
+/// Insert a staging bucket's keys into `shard` through add_many, with the
+/// fingerprints staged beside them, and empty the bucket, keeping its
+/// capacity for the next fill. Returns the number of keys flushed.
 std::size_t flush_bucket(FrequencyHash& shard,
-                         std::vector<std::uint64_t>& bucket,
-                         std::size_t words_per_key) {
-  const std::size_t keys = bucket.size() / words_per_key;
-  shard.add_many(bucket.data(), keys, nullptr);
-  bucket.clear();
+                         std::vector<std::uint64_t>& keys_arena,
+                         std::vector<std::uint64_t>& fingerprints) {
+  const std::size_t keys = fingerprints.size();
+  shard.add_many(keys_arena.data(), keys, nullptr, fingerprints.data());
+  keys_arena.clear();
+  fingerprints.clear();
   g_shard_keys.inc(keys);
   g_shard_chunks.inc();
   return keys;
@@ -330,23 +331,29 @@ Bfhrf::KeptSplits Bfhrf::kept_splits(const phylo::BipartitionSet& bips,
                                      WorkerScratch& scratch) const {
   if (opts_.variant == nullptr) {
     // Classic RF keeps every split at unit weight: the extractor's arena
-    // goes through as is — no per-split popcount or virtual keep/weight.
-    return {bips.arena_view().data(), nullptr, bips.size()};
+    // and fingerprint column go through as is — no per-split popcount or
+    // virtual keep/weight.
+    return {bips.arena_view().data(), bips.fingerprints().data(), nullptr,
+            bips.size()};
   }
   const RfVariant& v = *opts_.variant;
   scratch.kept_keys.clear();
+  scratch.kept_fingerprints.clear();
   scratch.kept_weights.clear();
-  bips.for_each([&](util::ConstWordSpan words) {
+  const std::span<const std::uint64_t> fps = bips.fingerprints();
+  for (std::size_t i = 0; i < bips.size(); ++i) {
+    const util::ConstWordSpan words = bips[i];
     const BipartitionRef ref{words, n_bits_, util::popcount_words(words)};
     if (!v.keep(ref)) {
-      return;
+      continue;
     }
     scratch.kept_keys.insert(scratch.kept_keys.end(), words.begin(),
                              words.end());
+    scratch.kept_fingerprints.push_back(fps[i]);
     scratch.kept_weights.push_back(v.weight(ref));
-  });
-  return {scratch.kept_keys.data(), scratch.kept_weights.data(),
-          scratch.kept_weights.size()};
+  }
+  return {scratch.kept_keys.data(), scratch.kept_fingerprints.data(),
+          scratch.kept_weights.data(), scratch.kept_weights.size()};
 }
 
 double Bfhrf::KeptSplits::weight() const noexcept {
@@ -364,7 +371,7 @@ double Bfhrf::insert_bipartitions(const phylo::BipartitionSet& bips,
                                   FrequencyHash& table,
                                   WorkerScratch& scratch) const {
   const KeptSplits kept = kept_splits(bips, scratch);
-  table.add_many(kept.keys, kept.count, kept.weights);
+  table.add_many(kept.keys, kept.count, kept.weights, kept.fingerprints);
   return kept.weight();
 }
 
@@ -378,19 +385,22 @@ double Bfhrf::route_bipartitions(const phylo::BipartitionSet& bips,
   const std::uint32_t bits = tables.shard_bits();
   for (std::size_t k = 0; k < kept.count; ++k) {
     const std::uint64_t* key = kept.keys + k * wp;
-    const std::uint64_t fp = util::hash_words({key, wp});
-    auto& bucket = staging.buckets[shard_of(fp, bits)];
-    bucket.insert(bucket.end(), key, key + wp);
+    const std::uint64_t fp = kept.fingerprints[k];
+    Bucket& bucket = staging.buckets[shard_of(fp, bits)];
+    bucket.keys.insert(bucket.keys.end(), key, key + wp);
+    bucket.fingerprints.push_back(fp);
   }
   staging.keys += kept.count;
   staging.peak_keys = std::max(staging.peak_keys, staging.keys);
   // Every bucket held less than its share of kStageKeys before this tree,
   // so the worker never stages more than kStageKeys keys plus one tree.
-  const std::size_t full = kStageKeys / staging.buckets.size() * wp;
+  const std::size_t full = kStageKeys / staging.buckets.size();
   for (std::size_t s = 0; s < staging.buckets.size(); ++s) {
-    if (staging.buckets[s].size() >= full) {
+    Bucket& bucket = staging.buckets[s];
+    if (bucket.fingerprints.size() >= full) {
       const std::lock_guard lock(locks[s]);
-      staging.keys -= flush_bucket(tables.shard(s), staging.buckets[s], wp);
+      staging.keys -=
+          flush_bucket(tables.shard(s), bucket.keys, bucket.fingerprints);
     }
   }
   return kept.weight();
@@ -421,8 +431,9 @@ void Bfhrf::build_from(Schedule schedule, std::optional<std::size_t> hint) {
   std::vector<Staging> staging(route ? lanes : 0);
   for (Staging& st : staging) {
     st.buckets.resize(shards);
-    for (auto& bucket : st.buckets) {
-      bucket.reserve((kStageKeys / shards + n_bits_) * wp);
+    for (Bucket& bucket : st.buckets) {
+      bucket.keys.reserve((kStageKeys / shards + n_bits_) * wp);
+      bucket.fingerprints.reserve(kStageKeys / shards + n_bits_);
     }
   }
   std::vector<WorkerScratch> scratch(lanes);
@@ -444,8 +455,9 @@ void Bfhrf::build_from(Schedule schedule, std::optional<std::size_t> hint) {
       0, shards, opts_.threads,
       [&](std::size_t s) {
         for (Staging& st : staging) {
-          if (!st.buckets[s].empty()) {
-            flush_bucket(tables.shard(s), st.buckets[s], wp);
+          Bucket& bucket = st.buckets[s];
+          if (!bucket.fingerprints.empty()) {
+            flush_bucket(tables.shard(s), bucket.keys, bucket.fingerprints);
           }
         }
       },
@@ -493,7 +505,8 @@ double Bfhrf::query_bipartitions(const phylo::BipartitionSet& bips,
   const std::size_t wp = util::words_for_bits(n_bits_);
   const KeptSplits kept = kept_splits(bips, scratch);
   scratch.freqs.resize(kept.count);
-  view_.frequency_many(kept.keys, kept.count, scratch.freqs.data());
+  view_.frequency_many(kept.keys, kept.count, scratch.freqs.data(),
+                       kept.fingerprints);
   g_prefetch_batches.inc();
   g_prefetch_bips.inc(kept.count);
   if (wp == 1 && !opts_.compressed_keys) {

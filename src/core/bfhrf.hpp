@@ -185,7 +185,7 @@ class Bfhrf {
   /// Most keys a build stages at once, over all its workers: under
   /// kStageKeys each, plus the tree being routed. 0 when the build runs
   /// inline, straight into one table. A staged key is ⌈n/64⌉ words
-  /// whatever the store's key encoding.
+  /// whatever the store's key encoding, plus its one-word fingerprint.
   [[nodiscard]] std::size_t max_staged_keys() const noexcept;
 
  private:
@@ -200,14 +200,17 @@ class Bfhrf {
     phylo::Tree tree;  ///< a record that needs the Tree path, parsed
     std::vector<std::uint32_t> freqs;        ///< frequency_many output
     std::vector<std::uint64_t> kept_keys;    ///< variant-filtered key arena
+    std::vector<std::uint64_t> kept_fingerprints;  ///< aligned with keys
     std::vector<double> kept_weights;        ///< weights aligned with keys
   };
 
-  /// One tree's kept splits as a contiguous key arena: the extractor's own
-  /// arena under classic RF (weights == nullptr: unit weights), or the
-  /// variant-filtered copy in the scratch staging vectors.
+  /// One tree's kept splits as a contiguous key arena with the
+  /// fingerprints its extractor folded: the extractor's own columns under
+  /// classic RF (weights == nullptr: unit weights), or the
+  /// variant-filtered copies in the scratch staging vectors.
   struct KeptSplits {
     const std::uint64_t* keys = nullptr;
+    const std::uint64_t* fingerprints = nullptr;
     const double* weights = nullptr;
     std::size_t count = 0;
 
@@ -215,11 +218,17 @@ class Bfhrf {
     [[nodiscard]] double weight() const noexcept;
   };
 
-  /// One build worker's routing buckets, one key arena per shard, and the
-  /// keys they hold: now, and at most (the staged-bytes gauge). Workers
-  /// never share a Staging.
+  /// One shard's staged keys: a key arena and the keys' fingerprints.
+  struct Bucket {
+    std::vector<std::uint64_t> keys;
+    std::vector<std::uint64_t> fingerprints;
+  };
+
+  /// One build worker's routing buckets, one per shard, and the keys they
+  /// hold: now, and at most (the staged-bytes gauge). Workers never share
+  /// a Staging.
   struct Staging {
-    std::vector<std::vector<std::uint64_t>> buckets;
+    std::vector<Bucket> buckets;
     std::size_t keys = 0;
     std::size_t peak_keys = 0;
   };
@@ -270,10 +279,11 @@ class Bfhrf {
                              FrequencyHash& table,
                              WorkerScratch& scratch) const;
 
-  /// Build with workers: append every kept split to its owner shard's
-  /// bucket in `staging`, then flush each bucket that holds its share of
-  /// kStageKeys into its shard of `tables` under that shard's mutex in
-  /// `locks`. Buckets carry bare keys: shards count occurrences only, and
+  /// Build with workers: append every kept split to the bucket in
+  /// `staging` of the shard its folded fingerprint picks, then flush each
+  /// bucket that holds its share of kStageKeys into its shard of `tables`
+  /// under that shard's mutex in `locks`. Buckets carry keys and their
+  /// fingerprints, no weights: shards count occurrences only, and
   /// build_from folds sumBFHR from the returned per-tree kept weights.
   double route_bipartitions(const phylo::BipartitionSet& bips,
                             ShardedFrequencyHash& tables, Staging& staging,
@@ -281,7 +291,7 @@ class Bfhrf {
                             WorkerScratch& scratch) const;
 
   /// The Algorithm-2 inner loop for one query tree: one batched, prefetched
-  /// frequency_many through view_.
+  /// frequency_many through view_, fed the extractor's fingerprints.
   [[nodiscard]] double query_bipartitions(const phylo::BipartitionSet& bips,
                                           WorkerScratch& scratch) const;
 

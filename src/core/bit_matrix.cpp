@@ -149,15 +149,16 @@ RfMatrix bit_matrix_rf(std::span<const phylo::BipartitionSet> sets,
     stats.total_memberships += s.size();
   }
 
-  // Universe pass: one FrequencyHash build over every tree's arena,
-  // pre-sized as if every membership were unique. The arena appends keys
-  // in first-insertion order, so each unique bipartition's key_index IS
-  // its dense universe id in [0, U).
+  // Universe pass: one FrequencyHash build over every tree's arena and
+  // fingerprint column, pre-sized as if every membership were unique. The
+  // arena appends keys in first-insertion order, so each unique
+  // bipartition's key_index IS its dense universe id in [0, U).
   const util::WallTimer encode_timer;
   FrequencyHash universe(n_bits,
                          static_cast<std::size_t>(stats.total_memberships));
   for (const auto& s : sets) {
-    universe.add_many(s.arena_view().data(), s.size(), nullptr);
+    universe.add_many(s.arena_view().data(), s.size(), nullptr,
+                      s.fingerprints().data());
   }
   stats.universe_width = universe.unique_count();
   g_universe_width.set(static_cast<double>(stats.universe_width));
@@ -187,7 +188,8 @@ RfMatrix bit_matrix_rf(std::span<const phylo::BipartitionSet> sets,
           std::uint64_t* row = rows.data() + i * row_words;
           const auto& s = sets[i];
           for (std::size_t k = 0; k < s.size(); ++k) {
-            const std::uint32_t id = universe.key_index_of(s[k]);
+            const std::uint32_t id =
+                universe.key_index_of(s[k], s.fingerprints()[k]);
             row[id >> 6] |= (std::uint64_t{1} << (id & 63));
           }
         },
@@ -224,7 +226,7 @@ RfMatrix bit_matrix_rf(std::span<const phylo::BipartitionSet> sets,
           std::uint32_t* out = ids.data() + offsets[i];
           const auto& s = sets[i];
           for (std::size_t k = 0; k < s.size(); ++k) {
-            out[k] = universe.key_index_of(s[k]);
+            out[k] = universe.key_index_of(s[k], s.fingerprints()[k]);
           }
           std::sort(out, out + s.size());
         },

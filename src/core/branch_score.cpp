@@ -127,7 +127,8 @@ double BranchScoreBfhrf::query_one(
   double total = sum_len_sq_total_;
   for (std::size_t i = 0; i < bips.size(); ++i) {
     const double l = bips.value(i);
-    const std::uint32_t id = splits_.key_index_of(bips[i]);
+    const std::uint32_t id =
+        splits_.key_index_of(bips[i], bips.fingerprints()[i]);
     const double sum_len =
         id == FrequencyHash::kNoKeyIndex ? 0.0 : sum_len_[id];
     total += r * l * l - 2.0 * l * sum_len;

@@ -152,7 +152,7 @@ std::uint32_t FrequencyHash::add(util::ConstWordSpan key,
   BFHRF_ASSERT(count > 0);
   grow_to_fit(size_ + 1);
   g_inserts.inc();
-  const std::uint64_t fp = util::hash_words(key);
+  const std::uint64_t fp = util::fingerprint(key);
   std::uint64_t groups = 0;
   Slot& s = dispatch(encoding_, [&](auto group, auto enc) -> Slot& {
     return upsert<decltype(group), decltype(enc)::value>(key.data(), fp,
@@ -169,8 +169,9 @@ std::uint32_t FrequencyHash::frequency(util::ConstWordSpan key) const {
   return FrequencyHashView(*this).frequency(key);
 }
 
-std::uint32_t FrequencyHash::key_index_of(util::ConstWordSpan key) const {
-  const auto r = FrequencyHashView(*this).find_key(key);
+std::uint32_t FrequencyHash::key_index_of(util::ConstWordSpan key,
+                                          std::uint64_t fingerprint) const {
+  const auto r = FrequencyHashView(*this).find_key(key, fingerprint);
   return r.found ? slots_[r.index].key_index : kNoKeyIndex;
 }
 
@@ -187,9 +188,8 @@ util::ConstWordSpan FrequencyHashView::decode(std::uint32_t offset,
 }
 
 FrequencyHashView::FindResult FrequencyHashView::find_key(
-    util::ConstWordSpan key) const {
+    util::ConstWordSpan key, std::uint64_t fp) const {
   BFHRF_ASSERT(key.size() == words_per_);
-  const std::uint64_t fp = util::hash_words(key);
   FindResult r;
   if (encoding_ == KeyEncoding::Sparse) {
     const ByteSpan enc = encode_probe(n_bits_, key.data());
@@ -209,9 +209,11 @@ FrequencyHashView::FindResult FrequencyHashView::find_key(
 template <typename Group, KeyEncoding E, bool Sharded>
 void FrequencyHashView::frequency_many_impl(
     std::span<const FrequencyHashView> shards, const std::uint64_t* keys,
-    std::size_t count, std::uint32_t* out) {
+    std::size_t count, std::uint32_t* out,
+    const std::uint64_t* fingerprints) {
   // Four-stage prefetch pipeline, one stage per dependent memory level.
-  // Stage A fingerprints key i+kCtrlAhead and prefetches its home CONTROL
+  // Stage A takes key i+kCtrlAhead's fingerprint (from the caller's array,
+  // or computed from the words) and prefetches its home CONTROL
   // group (one line — slot lines are not touched blindly). Stage B, at
   // i+kSlotAhead, inspects the now-resident control group once — recording
   // its tag/empty masks as a GroupHint — and prefetches only the slot line
@@ -250,7 +252,9 @@ void FrequencyHashView::frequency_many_impl(
     return util::ConstWordSpan{keys + i * wp, wp};
   };
   const auto stage_a = [&](std::size_t j) {
-    const std::uint64_t fp = util::hash_words(key_i(j));
+    const std::uint64_t fp = fingerprints != nullptr
+                                 ? fingerprints[j]
+                                 : util::fingerprint(key_i(j));
     fps[j & (kRing - 1)] = fp;
     shard(fp).dir_.prefetch(fp);
   };
@@ -331,29 +335,34 @@ void FrequencyHashView::frequency_many_impl(
 
 void FrequencyHashView::frequency_many(
     std::span<const FrequencyHashView> shards, const std::uint64_t* keys,
-    std::size_t count, std::uint32_t* out) {
+    std::size_t count, std::uint32_t* out,
+    const std::uint64_t* fingerprints) {
   BFHRF_ASSERT(std::has_single_bit(shards.size()));
   dispatch(shards.front().encoding_, [&](auto group, auto enc) {
     using Group = decltype(group);
     constexpr KeyEncoding kEnc = decltype(enc)::value;
     if (shards.size() > 1) {
-      frequency_many_impl<Group, kEnc, true>(shards, keys, count, out);
+      frequency_many_impl<Group, kEnc, true>(shards, keys, count, out,
+                                             fingerprints);
     } else {
-      frequency_many_impl<Group, kEnc, false>(shards, keys, count, out);
+      frequency_many_impl<Group, kEnc, false>(shards, keys, count, out,
+                                              fingerprints);
     }
   });
 }
 
 void FrequencyHash::frequency_many(const std::uint64_t* keys,
-                                   std::size_t count,
-                                   std::uint32_t* out) const {
+                                   std::size_t count, std::uint32_t* out,
+                                   const std::uint64_t* fingerprints) const {
   const FrequencyHashView view(*this);
-  FrequencyHashView::frequency_many({&view, 1}, keys, count, out);
+  FrequencyHashView::frequency_many({&view, 1}, keys, count, out,
+                                    fingerprints);
 }
 
 template <typename Group, KeyEncoding E>
 void FrequencyHash::add_many_impl(const std::uint64_t* keys,
-                                  std::size_t count, const double* weights) {
+                                  std::size_t count, const double* weights,
+                                  const std::uint64_t* fingerprints) {
   constexpr std::size_t kGroupAhead = 8;
   constexpr std::size_t kKeyAhead = 4;
   const std::size_t wp = words_per_;
@@ -365,8 +374,10 @@ void FrequencyHash::add_many_impl(const std::uint64_t* keys,
 
   std::uint64_t fps[kGroupAhead];
   std::uint64_t probe_groups = 0;  // flushed to obs once per batch
-  const auto key_i = [&](std::size_t i) {
-    return util::ConstWordSpan{keys + i * wp, wp};
+  const auto fp_of = [&](std::size_t i) {
+    return fingerprints != nullptr
+               ? fingerprints[i]
+               : util::fingerprint(util::ConstWordSpan{keys + i * wp, wp});
   };
   const auto prefetch_groups = [&](std::uint64_t fp) {
     const std::size_t base = dir_.home_group(fp) * util::kGroupWidth;
@@ -376,7 +387,7 @@ void FrequencyHash::add_many_impl(const std::uint64_t* keys,
   };
   const std::size_t warm = count < kGroupAhead ? count : kGroupAhead;
   for (std::size_t i = 0; i < warm; ++i) {
-    const std::uint64_t fp = util::hash_words(key_i(i));
+    const std::uint64_t fp = fp_of(i);
     fps[i % kGroupAhead] = fp;
     prefetch_groups(fp);
   }
@@ -384,7 +395,7 @@ void FrequencyHash::add_many_impl(const std::uint64_t* keys,
     const std::uint64_t fp = fps[i % kGroupAhead];  // read before the
                                                     // stage-A overwrite
     if (i + kGroupAhead < count) {
-      const std::uint64_t ahead = util::hash_words(key_i(i + kGroupAhead));
+      const std::uint64_t ahead = fp_of(i + kGroupAhead);
       fps[(i + kGroupAhead) % kGroupAhead] = ahead;
       prefetch_groups(ahead);
     }
@@ -409,7 +420,8 @@ void FrequencyHash::add_many_impl(const std::uint64_t* keys,
 }
 
 void FrequencyHash::add_many(const std::uint64_t* keys, std::size_t count,
-                             const double* weights) {
+                             const double* weights,
+                             const std::uint64_t* fingerprints) {
   if (count == 0) {
     return;
   }
@@ -419,7 +431,8 @@ void FrequencyHash::add_many(const std::uint64_t* keys, std::size_t count,
   g_inserts.inc(count);
   dispatch(encoding_, [&](auto group, auto enc) {
     add_many_impl<decltype(group), decltype(enc)::value>(keys, count,
-                                                         weights);
+                                                         weights,
+                                                         fingerprints);
   });
 }
 
@@ -443,7 +456,7 @@ void FrequencyHash::rehash(std::size_t new_slot_count) {
       continue;
     }
     const std::uint64_t fp =
-        util::hash_words(view.key_words(s.key_index, scratch));
+        util::fingerprint(view.key_words(s.key_index, scratch));
     const auto r = dir_.find_insert(fp);
     dir_.mark(r.index, fp);
     slots_[r.index] = s;
@@ -464,7 +477,7 @@ FrequencyHash::ProbeStats FrequencyHash::probe_stats() const {
       continue;
     }
     const std::uint64_t fp =
-        util::hash_words(view.key_words(slots_[i].key_index, scratch));
+        util::fingerprint(view.key_words(slots_[i].key_index, scratch));
     const std::size_t home = dir_.home_group(fp);
     const std::size_t displacement =
         ((i / util::kGroupWidth) + gcount - home) & (gcount - 1);

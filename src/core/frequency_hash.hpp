@@ -18,8 +18,9 @@
 //     (§VII-C).
 //
 // Layout (Swiss-table-style group probing, util/group_table.hpp): the
-// 64-bit key fingerprint splits into a 57-bit slot hash choosing the home
-// control group and a 7-bit tag stored in a separate control-byte
+// 64-bit key fingerprint (util::fingerprint, mix64 of a GF(2)-linear map
+// of the key words; util/hash.hpp) splits into a 57-bit slot hash choosing
+// the home control group and a 7-bit tag stored in a separate control-byte
 // directory. Probes compare 16 tags at once (SSE2/NEON/SWAR, runtime
 // dispatched via util/simd.hpp); tag hits are verified against the full
 // key. Slots are 8 bytes ({key_index, count}) — the fingerprint is NOT
@@ -32,7 +33,7 @@
 // byte strings (core/key_codec.hpp) — the paper's §IX lossless, reversible
 // key compression, which stores a split's smaller side as varint indices
 // instead of n/8 bytes. Both encodings share the slot and the fingerprint
-// (util::hash_words of the raw key), so probing, shard routing and the
+// (util::fingerprint of the raw key), so probing, shard routing and the
 // on-disk slot layout do not depend on the encoding; only key verification
 // does. A raw slot's key_index is a dense key id; a sparse slot's is the
 // byte offset of its encoding. A sparse probe encodes its key and compares
@@ -41,6 +42,13 @@
 // keys. Rehash, for_each and probe_stats decode sparse keys. The batched
 // paths choose the encoding once per call, as they choose the SIMD level,
 // so the raw loops carry no per-key encoding branch.
+//
+// Fingerprints from the caller: the batched insert and lookup take an
+// optional array of the keys' fingerprints. The extractors fold each
+// split's fingerprint next to its mask (phylo::BipartitionSet::
+// fingerprints), so the engine's build and query hand them in and no hot
+// path hashes a key; without the array the batch computes
+// util::fingerprint from the words, with the same result.
 //
 // Where it sits: a FrequencyHash is one table, usable on its own (the
 // bit-matrix universe, benches). A Bfhrf build fills the shards of a
@@ -129,26 +137,37 @@ class FrequencyHash {
   /// order and never drops one, so these indexes form a dense id space
   /// [0, U) — the universe numbering the bit-matrix all-pairs engine
   /// (core/bit_matrix) encodes trees against. Sparse indexes are byte
-  /// offsets, not dense ids.
-  [[nodiscard]] std::uint32_t key_index_of(util::ConstWordSpan key) const;
+  /// offsets, not dense ids. `fingerprint` is util::fingerprint(key), for
+  /// a caller that has it.
+  [[nodiscard]] std::uint32_t key_index_of(util::ConstWordSpan key) const {
+    return key_index_of(key, util::fingerprint(key));
+  }
+  [[nodiscard]] std::uint32_t key_index_of(util::ConstWordSpan key,
+                                           std::uint64_t fingerprint) const;
 
   /// Batched lookup: `keys` is a contiguous arena of `count` keys of
   /// words_per_key() words each (a BipartitionSet arena qualifies);
-  /// out[i] receives the frequency of key i. Runs the one-table case of
-  /// the prefetch pipeline FrequencyHashView::frequency_many, which also
-  /// serves every Bfhrf query (Algorithm 2's per-split lookup).
+  /// out[i] receives the frequency of key i. `fingerprints`, if given,
+  /// holds util::fingerprint of each key (a BipartitionSet's
+  /// fingerprints()); nullptr computes them from the words. Runs the
+  /// one-table case of the prefetch pipeline
+  /// FrequencyHashView::frequency_many, which also serves every Bfhrf
+  /// query (Algorithm 2's per-split lookup).
   void frequency_many(const std::uint64_t* keys, std::size_t count,
-                      std::uint32_t* out) const;
+                      std::uint32_t* out,
+                      const std::uint64_t* fingerprints = nullptr) const;
 
   /// Batched insert: add `count` keys from a contiguous arena (one
   /// occurrence each), with per-key weights (`weights[i]`; nullptr = unit
-  /// weights). Runs the same software-prefetch pipeline as
+  /// weights) and optional precomputed fingerprints (as in
+  /// frequency_many). Runs the same software-prefetch pipeline as
   /// frequency_many — the table is pre-sized for the whole batch up front,
   /// so no rehash invalidates prefetched lines mid-batch. Insertion
   /// order matches the arena order, so totals accumulate exactly as the
   /// per-key add loop would.
   void add_many(const std::uint64_t* keys, std::size_t count,
-                const double* weights);
+                const double* weights,
+                const std::uint64_t* fingerprints = nullptr);
 
   /// Visit every (key, frequency) pair, keys in raw word form (sparse keys
   /// are decoded). Order is unspecified.
@@ -224,7 +243,8 @@ class FrequencyHash {
 
   template <typename Group, KeyEncoding E>
   void add_many_impl(const std::uint64_t* keys, std::size_t count,
-                     const double* weights);
+                     const double* weights,
+                     const std::uint64_t* fingerprints);
 
   /// Grow (never shrink) so `keys` distinct keys fit under kMaxLoad, which
   /// also leaves every probe an empty byte to stop at.
@@ -292,8 +312,13 @@ class FrequencyHashView {
     return arena_bytes_;
   }
 
-  /// Probe for one bipartition: the matching slot, or the insertion point.
-  [[nodiscard]] FindResult find_key(util::ConstWordSpan key) const;
+  /// Probe for one bipartition (whose util::fingerprint is `fingerprint`):
+  /// the matching slot, or the insertion point.
+  [[nodiscard]] FindResult find_key(util::ConstWordSpan key,
+                                    std::uint64_t fingerprint) const;
+  [[nodiscard]] FindResult find_key(util::ConstWordSpan key) const {
+    return find_key(key, util::fingerprint(key));
+  }
 
   /// Frequency of one bipartition (0 if absent).
   [[nodiscard]] std::uint32_t frequency(util::ConstWordSpan key) const {
@@ -305,13 +330,16 @@ class FrequencyHashView {
   /// shard_of(fingerprint, b) (core/sharded_hash.hpp; one shard holds
   /// every key). `keys` is a contiguous arena of `count` keys of
   /// words_per_key() words each (a BipartitionSet arena qualifies); out[i]
-  /// receives the frequency of key i, 0 if absent. A four-stage
-  /// software-prefetch pipeline, one stage per dependent memory level:
-  /// fingerprint (and shard pick), control group, slot line, key line.
-  /// Single-word keys (n <= 64) compare as one 64-bit word.
+  /// receives the frequency of key i, 0 if absent. `fingerprints`, if
+  /// given, holds util::fingerprint of each key; nullptr computes them
+  /// from the words. A four-stage software-prefetch pipeline, one stage
+  /// per dependent memory level: fingerprint (and shard pick), control
+  /// group, slot line, key line. Single-word keys (n <= 64) compare as one
+  /// 64-bit word.
   static void frequency_many(std::span<const FrequencyHashView> shards,
                              const std::uint64_t* keys, std::size_t count,
-                             std::uint32_t* out);
+                             std::uint32_t* out,
+                             const std::uint64_t* fingerprints = nullptr);
 
   /// The raw words of the key stored at `key_index`: in place for raw
   /// keys, decoded into `scratch` (sized n_bits) for sparse ones.
@@ -342,7 +370,8 @@ class FrequencyHashView {
   template <typename Group, KeyEncoding E, bool Sharded>
   static void frequency_many_impl(std::span<const FrequencyHashView> shards,
                                   const std::uint64_t* keys,
-                                  std::size_t count, std::uint32_t* out);
+                                  std::size_t count, std::uint32_t* out,
+                                  const std::uint64_t* fingerprints);
 
   [[nodiscard]] util::ConstWordSpan decode(std::uint32_t offset,
                                            util::DynamicBitset& out) const;

@@ -238,6 +238,10 @@ void MappedIndex::validate(const std::string& path) const {
   const MappedHeader& h = header();
   require(std::memcmp(h.magic, kMappedMagic, sizeof kMappedMagic) == 0, path,
           "bad magic (not a mapped BFHRF index)");
+  require(h.version != 1, path,
+          "format version 1 placed keys by an older fingerprint (every "
+          "table layout moved in version 2); rebuild the index from its "
+          "reference trees");
   require(h.version == kMappedVersion, path, "unsupported format version");
   require(h.store_kind != 1, path,
           "store kind 1 (compressed keys in 24-byte slots) is a retired "

@@ -28,6 +28,10 @@
 // fsyncs it and renames it over the target, so a reader that still maps
 // the old file keeps its old inode and a crash never leaves a torn index.
 //
+// Where each key sits depends on its fingerprint (util::fingerprint), so
+// the fingerprint is part of the format: changing it moves every table
+// layout and bumps kMappedVersion.
+//
 // The format is explicitly little-endian and fixed-layout; static_asserts
 // pin the struct sizes. Loading validates magic, version, section bounds,
 // 64-byte section alignment, power-of-two shard/slot counts, per-shard vs
@@ -52,7 +56,11 @@
 namespace bfhrf::core {
 
 inline constexpr char kMappedMagic[8] = {'B', 'F', 'H', 'M', 'A', 'P', 0, 0};
-inline constexpr std::uint32_t kMappedVersion = 1;
+/// Version 2 places keys by util::fingerprint, the linear fingerprint the
+/// extractors fold; version 1 files placed them by util::hash_words, so
+/// their slots sit where no version-2 probe looks. Opening one raises a
+/// ParseError that asks for a rebuild.
+inline constexpr std::uint32_t kMappedVersion = 2;
 inline constexpr std::size_t kMappedSectionAlign = 64;
 
 /// Store kinds a mapped index can hold: the key encoding of its shards.

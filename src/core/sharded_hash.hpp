@@ -1,6 +1,7 @@
 // ShardedFrequencyHash — the frequency hash split into S = 2^b private
-// FrequencyHash shards, routed by the TOP b bits of the key fingerprint —
-// and BfhIndexView, the one read-only store every engine answers through.
+// FrequencyHash shards, routed by the TOP b bits of the key fingerprint
+// (util::fingerprint; util/hash.hpp) — and BfhIndexView, the one read-only
+// store every engine answers through.
 //
 // Why top bits: the group-probed table consumes the fingerprint from the
 // bottom up (low 7 bits = control tag, next 57 = home group;
@@ -13,8 +14,10 @@
 // What sharding buys:
 //  * PARALLEL BUILDS WITHOUT A MERGE. Key ownership is static, so each
 //    key is inserted exactly once, into the one shard that owns it. Bfhrf's
-//    parallel build stages keys per worker and per shard, then flushes a
-//    full bucket into its shard under that shard's lock (core/bfhrf):
+//    parallel build routes each key by the fingerprint its extractor
+//    folded, stages the key and that fingerprint per worker and per shard,
+//    then flushes a full bucket into its shard under that shard's lock
+//    (core/bfhrf), so neither the route nor the insert hashes the key:
 //    workers flushing different shards never wait on each other. An
 //    inline build fills a one-shard store, whose shard is an ordinary
 //    single table.
@@ -144,11 +147,14 @@ class BfhIndexView {
     }
   }
 
-  /// Batched lookup over a contiguous key arena (see
+  /// Batched lookup over a contiguous key arena, with the keys'
+  /// fingerprints if the caller has them (see
   /// FrequencyHashView::frequency_many for the contract).
   void frequency_many(const std::uint64_t* keys, std::size_t count,
-                      std::uint32_t* out) const {
-    FrequencyHashView::frequency_many(shards_, keys, count, out);
+                      std::uint32_t* out,
+                      const std::uint64_t* fingerprints = nullptr) const {
+    FrequencyHashView::frequency_many(shards_, keys, count, out,
+                                      fingerprints);
   }
 
  private:

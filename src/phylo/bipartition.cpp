@@ -27,6 +27,7 @@ void BipartitionSet::append(util::ConstWordSpan words) {
   BFHRF_ASSERT(words.size() == words_per_);
   BFHRF_ASSERT(values_.empty());  // value mode is all-or-nothing
   arena_.insert(arena_.end(), words.begin(), words.end());
+  fingerprints_.push_back(util::fingerprint(words));
   ++count_;
   finalized_ = false;
 }
@@ -35,6 +36,7 @@ void BipartitionSet::append(util::ConstWordSpan words, double value) {
   BFHRF_ASSERT(words.size() == words_per_);
   BFHRF_ASSERT(values_.size() == count_);  // value mode is all-or-nothing
   arena_.insert(arena_.end(), words.begin(), words.end());
+  fingerprints_.push_back(util::fingerprint(words));
   values_.push_back(value);
   ++count_;
   finalized_ = false;
@@ -63,6 +65,9 @@ void BipartitionSet::finalize(FinalizeScratch* scratch) {
   std::vector<std::uint64_t>& sorted = s.sorted;
   sorted.clear();
   sorted.reserve(arena_.size());
+  std::vector<std::uint64_t>& sorted_fps = s.fingerprints;
+  sorted_fps.clear();
+  sorted_fps.reserve(count_);
   std::vector<double>& sorted_values = s.values;
   sorted_values.clear();
   if (with_values) {
@@ -89,6 +94,7 @@ void BipartitionSet::finalize(FinalizeScratch* scratch) {
       }
     }
     sorted.insert(sorted.end(), w.begin(), w.end());
+    sorted_fps.push_back(fingerprints_[order[i]]);
     if (with_values) {
       sorted_values.push_back(values_[order[i]]);
     }
@@ -97,6 +103,7 @@ void BipartitionSet::finalize(FinalizeScratch* scratch) {
   // Swap rather than move: the displaced arena becomes next call's sort
   // buffer, so a reused scratch keeps both allocations warm.
   std::swap(arena_, sorted);
+  std::swap(fingerprints_, sorted_fps);
   std::swap(values_, sorted_values);
   if (!with_values) {
     values_.clear();
@@ -112,6 +119,7 @@ void BipartitionSet::clear(std::size_t n_bits) {
   finalized_ = true;
   value_merge_ = ValueMerge::Sum;
   arena_.clear();
+  fingerprints_.clear();
   values_.clear();
   // leaf_mask_ is left untouched; extraction overwrites it.
 }
@@ -212,12 +220,15 @@ void SplitFold::start(std::size_t n_bits, bool include_trivial) {
   words_ = util::words_for_bits(n_bits);
   include_trivial_ = include_trivial;
   unary_ = false;
+  repeated_ = false;
   root_degree_ = 0;
   leaves_ = 0;
   twin_ = kNoTwin;
   open_.clear();
+  open_linear_.clear();
   children_.clear();
   closed_.clear();
+  closed_linear_.clear();
   if (leaf_mask_.size() != n_bits) {
     leaf_mask_ = util::DynamicBitset(n_bits);
   } else {
@@ -227,7 +238,11 @@ void SplitFold::start(std::size_t n_bits, bool include_trivial) {
 
 void SplitFold::finish(const BipartitionOptions& opts, BipartitionSet& out,
                        std::span<const double> values) {
+  // A repeated taxon XORed its column out of the groups it reached twice.
   finish_splits({.sides = closed_,
+                 .linear = repeated_ ? std::span<const std::uint64_t>{}
+                                     : std::span<const std::uint64_t>(
+                                           closed_linear_),
                  .leaf_mask = leaf_mask_,
                  .leaves = leaves_,
                  .twin = root_degree_ == 2 ? twin_ : kNoTwin,
@@ -244,6 +259,9 @@ void finish_splits(const SplitColumn& column, const BipartitionOptions& opts,
   const bool with_values = opts.value != SplitValue::None;
   BFHRF_ASSERT(!with_values ||
                column.values.size() * words == column.sides.size());
+  const bool folded = !column.linear.empty();
+  BFHRF_ASSERT(!folded ||
+               column.linear.size() * words == column.sides.size());
   out.clear(leaf_mask.size());
   if (opts.value == SplitValue::Support) {
     out.set_value_merge(BipartitionSet::ValueMerge::Max);
@@ -252,6 +270,8 @@ void finish_splits(const SplitColumn& column, const BipartitionOptions& opts,
   const std::size_t lowest = leaf_mask.find_first();
   const std::size_t min_side = opts.include_trivial ? 1 : 2;
   const util::ConstWordSpan lm = leaf_mask.words();
+  // L(side ^ leaf mask) = L(side) ^ L(leaf mask): the flip's one XOR.
+  const std::uint64_t flip_linear = folded ? util::linear_fingerprint(lm) : 0;
   for (std::size_t i = 0; i * words < column.sides.size(); ++i) {
     if (i == twin) {
       continue;
@@ -270,6 +290,10 @@ void finish_splits(const SplitColumn& column, const BipartitionOptions& opts,
     out.arena_.resize(offset + words);
     util::store_canonical(out.arena_.data() + offset, side.data(), lm.data(),
                           flip, words);
+    out.fingerprints_.push_back(
+        folded ? util::fingerprint_of_linear(column.linear[i] ^
+                                             (flip ? flip_linear : 0))
+               : util::fingerprint({out.arena_.data() + offset, words}));
     if (with_values) {
       out.values_.push_back(column.values[i]);
     }

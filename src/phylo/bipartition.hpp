@@ -20,6 +20,17 @@
 // (BipartitionExtractor) feed it through one open-mask stack fold
 // (SplitFold); vector rows (phylo::VectorBipartitionExtractor) fold their
 // decoded parent array and hand it the per-node mask column.
+//
+// Fingerprints ride along. The frequency store's key fingerprint is
+// mix64(L(key)) for a GF(2)-linear L (util::fingerprint, util/hash.hpp),
+// so each fold keeps one L word next to each mask: a leaf XORs in its
+// taxon's column (util::taxon_column) where it ORs in its bit, and a
+// closed group XORs its L into its parent's where it ORs its mask. The
+// finish flips a side's L to its complement's with one XOR of L(leaf
+// mask), applies mix64, and keeps the result in the set's fingerprint
+// column, which follows the keys through the sort and dedup. The engine
+// hands that column to the store (core/bfhrf), so no build or query
+// hashes a key.
 #pragma once
 
 #include <cstdint>
@@ -91,6 +102,14 @@ class BipartitionSet {
     return {arena_.data(), count_ * words_per_};
   }
 
+  /// util::fingerprint of each bipartition, in arena order: the column
+  /// the extractors fold (append computes it from the words). The
+  /// batched store calls take it beside arena_view().
+  [[nodiscard]] std::span<const std::uint64_t> fingerprints()
+      const noexcept {
+    return {fingerprints_.data(), count_};
+  }
+
   /// Copy the i-th bipartition into an owning bitset.
   [[nodiscard]] util::DynamicBitset bitset(std::size_t i) const {
     return util::DynamicBitset(n_bits_, (*this)[i]);
@@ -118,6 +137,7 @@ class BipartitionSet {
   struct FinalizeScratch {
     std::vector<std::uint32_t> order;
     std::vector<std::uint64_t> sorted;
+    std::vector<std::uint64_t> fingerprints;
     std::vector<double> values;
   };
 
@@ -173,7 +193,8 @@ class BipartitionSet {
   }
 
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return arena_.capacity() * sizeof(std::uint64_t) +
+    return (arena_.capacity() + fingerprints_.capacity()) *
+               sizeof(std::uint64_t) +
            values_.capacity() * sizeof(double) + leaf_mask_.memory_bytes();
   }
 
@@ -184,6 +205,7 @@ class BipartitionSet {
   bool finalized_ = true;  // empty set is trivially sorted
   ValueMerge value_merge_ = ValueMerge::Sum;
   std::vector<std::uint64_t> arena_;
+  std::vector<std::uint64_t> fingerprints_;  // one per bipartition
   std::vector<double> values_;  // empty, or one value per bipartition
   util::DynamicBitset leaf_mask_;
 };
@@ -193,6 +215,9 @@ inline constexpr std::size_t kNoTwin = ~std::size_t{0};  ///< no twin mask
 /// One tree's folded side masks, as a front end hands them to the finish.
 struct SplitColumn {
   util::ConstWordSpan sides;  ///< leaf_mask-wide masks, in emission order
+  /// util::linear_fingerprint of each side mask, folded with it; empty
+  /// makes the finish compute each fingerprint from the canonical words.
+  std::span<const std::uint64_t> linear = {};
   const util::DynamicBitset& leaf_mask;  ///< the tree's taxa
   std::size_t leaves = 0;                ///< the tree's leaf count
   /// The mask of a degree-2 root's second child, whose split is the first
@@ -205,10 +230,11 @@ struct SplitColumn {
 /// The finish every front end shares. Clears `out` to the leaf mask's
 /// width and appends each side mask but the twin, in canonical polarity
 /// (the side without the lowest taxon), whose split has at least 2 taxa
-/// (1 with include_trivial) on each side. Sorts when opts.sorted asks, or
-/// when a unary group or the values may have left a split twice. With
-/// values the twin is kept, and the sort merges it with its partner
-/// (lengths sum, supports take the max).
+/// (1 with include_trivial) on each side, with its fingerprint:
+/// mix64(L(side) ^ L(leaf mask)) when the side flips, else mix64(L(side)).
+/// Sorts when opts.sorted asks, or when a unary group or the values may
+/// have left a split twice. With values the twin is kept, and the sort
+/// merges it with its partner (lengths sum, supports take the max).
 void finish_splits(const SplitColumn& column, const BipartitionOptions& opts,
                    BipartitionSet& out,
                    BipartitionSet::FinalizeScratch& scratch);
@@ -216,11 +242,13 @@ void finish_splits(const SplitColumn& column, const BipartitionOptions& opts,
 /// The open-mask stack fold: a tree given as open/leaf/close events, the
 /// shape of its Newick text, becomes side masks in postorder. Each open
 /// group keeps a ⌈n/64⌉-word mask that its leaves and closed child groups
-/// OR into. A closed group other than the root is listed, and so is each
-/// leaf's singleton with include_trivial. finish() hands the list to
-/// finish_splits. NewickSplitExtractor feeds it from the text and
-/// BipartitionExtractor from a walk over a Tree's child links, so both
-/// emit the same splits in the same order.
+/// OR into, and one linear-fingerprint word that they XOR into. A closed
+/// group other than the root is listed, and so is each leaf's singleton
+/// with include_trivial. finish() hands the list to finish_splits. (A
+/// repeated taxon ORs in twice but would XOR out, so a tree that repeats
+/// one leaves its fingerprints to the finish.) NewickSplitExtractor feeds
+/// it from the text and BipartitionExtractor from a walk over a Tree's
+/// child links, so both emit the same splits in the same order.
 ///
 /// The events run per node on the ingest hot path, so they are inline.
 /// Not thread-safe: one fold per worker.
@@ -232,6 +260,7 @@ class SplitFold {
   /// A group opens: '(' in the text, an internal node in a Tree.
   void open() {
     open_.resize(open_.size() + words_, 0);
+    open_linear_.push_back(0);
     children_.push_back(0);
   }
 
@@ -243,11 +272,15 @@ class SplitFold {
     std::uint64_t& seen = leaf_mask_.mutable_words()[w];
     const bool fresh = (seen & bit) == 0;
     seen |= bit;
+    repeated_ |= !fresh;
     ++leaves_;
     open_[open_.size() - words_ + w] |= bit;
+    const std::uint64_t column = util::taxon_column(taxon);
+    open_linear_.back() ^= column;
     if (include_trivial_) {
       closed_.resize(closed_.size() + words_, 0);
       closed_[closed_.size() - words_ + w] = bit;
+      closed_linear_.push_back(column);
     }
     child_done(include_trivial_);
     return fresh;
@@ -259,6 +292,8 @@ class SplitFold {
     children_.pop_back();
     unary_ |= degree == 1;
     const std::size_t top = open_.size() - words_;
+    const std::uint64_t linear = open_linear_.back();
+    open_linear_.pop_back();
     if (children_.empty()) {
       root_degree_ = degree;  // the root's mask is the leaf mask
     } else {
@@ -267,7 +302,9 @@ class SplitFold {
       for (std::size_t w = 0; w < words_; ++w) {
         parent[w] |= group[w];
       }
+      open_linear_.back() ^= linear;
       closed_.insert(closed_.end(), group, group + words_);
+      closed_linear_.push_back(linear);
       child_done(true);
     }
     open_.resize(top);
@@ -291,12 +328,15 @@ class SplitFold {
   std::size_t words_ = 0;
   bool include_trivial_ = false;
   bool unary_ = false;                   ///< a group closed with one child
+  bool repeated_ = false;                ///< a taxon came twice
   std::uint32_t root_degree_ = 0;
   std::size_t leaves_ = 0;
   std::size_t twin_ = kNoTwin;           ///< the root's second child's mask
   std::vector<std::uint64_t> open_;      ///< masks of the open groups
+  std::vector<std::uint64_t> open_linear_;  ///< their linear fingerprints
   std::vector<std::uint32_t> children_;  ///< their child counts so far
   std::vector<std::uint64_t> closed_;    ///< listed masks, postorder
+  std::vector<std::uint64_t> closed_linear_;  ///< one per listed mask
   util::DynamicBitset leaf_mask_;        ///< taxa seen so far
   BipartitionSet::FinalizeScratch scratch_;
 };

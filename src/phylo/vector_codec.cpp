@@ -564,8 +564,10 @@ void VectorBipartitionExtractor::extract_into(std::span<const std::uint32_t> v,
   // Bottom-up mask accumulation over the parent array. Creation order is
   // not topological (later internal nodes interpose below earlier ones),
   // so fold with a pending-children ready queue: leaves seed it, a node
-  // joins once both of its children have OR-ed in.
+  // joins once both of its children have OR-ed in. Each node's linear
+  // fingerprint folds beside its mask: the XOR of its children's.
   masks_.assign(total * words, 0);
+  linear_.assign(total, 0);
   pending_.assign(total, 0);
   for (std::size_t x = 0; x < total; ++x) {
     if (static_cast<std::int32_t>(x) != root) {
@@ -577,6 +579,7 @@ void VectorBipartitionExtractor::extract_into(std::span<const std::uint32_t> v,
   for (std::size_t leaf = 0; leaf < n; ++leaf) {
     mask_of(static_cast<std::int32_t>(leaf))[leaf >> 6] |=
         (std::uint64_t{1} << (leaf & 63));
+    linear_[leaf] = util::taxon_column(leaf);
     ready_.push_back(static_cast<std::int32_t>(leaf));
   }
   for (std::size_t head = 0; head < ready_.size(); ++head) {
@@ -590,6 +593,8 @@ void VectorBipartitionExtractor::extract_into(std::span<const std::uint32_t> v,
     for (std::size_t w = 0; w < words; ++w) {
       pm[w] |= xm[w];
     }
+    linear_[static_cast<std::size_t>(p)] ^=
+        linear_[static_cast<std::size_t>(x)];
     if (--pending_[static_cast<std::size_t>(p)] == 0) {
       ready_.push_back(p);
     }
@@ -615,6 +620,8 @@ void VectorBipartitionExtractor::extract_into(std::span<const std::uint32_t> v,
     }
   }
   finish_splits({.sides = util::ConstWordSpan(masks_).subspan(first * words),
+                 .linear = std::span<const std::uint64_t>(linear_).subspan(
+                     first),
                  .leaf_mask = leaf_mask_,
                  .leaves = n,
                  .twin = twin},

@@ -172,11 +172,11 @@ void write_p2v_file(const std::string& path, std::span<const Tree> trees);
 
 /// Canonical bipartition extraction straight from the vector form: the
 /// vector decodes to a flat parent array (no Tree, no labels, no Newick
-/// characters), subtree masks accumulate bottom-up over it, and the
-/// per-node mask column goes to the finish all front ends share
-/// (finish_splits). Output is identical to BipartitionExtractor over
-/// vector_to_tree(v) — the kept key sets match bit-for-bit, and sorted
-/// arenas match in order too.
+/// characters), subtree masks and their linear fingerprints accumulate
+/// bottom-up over it, and the per-node mask and fingerprint columns go to
+/// the finish all front ends share (finish_splits). Output is identical to
+/// BipartitionExtractor over vector_to_tree(v) — the kept key sets match
+/// bit-for-bit, and sorted arenas match in order too.
 ///
 /// The universe width is v.size()+1 (vector trees always cover their full
 /// taxon set, so the canonical polarity pivot is taxon 0). Vectors carry
@@ -203,6 +203,7 @@ class VectorBipartitionExtractor {
   std::vector<std::int32_t> pending_;   ///< unfolded-children counts
   std::vector<std::int32_t> ready_;     ///< bottom-up work queue
   std::vector<std::uint64_t> masks_;    ///< per-node leaf masks
+  std::vector<std::uint64_t> linear_;   ///< their linear fingerprints
   util::DynamicBitset leaf_mask_;       ///< full universe (all n bits)
   BipartitionSet::FinalizeScratch finalize_scratch_;
 };

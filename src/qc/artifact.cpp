@@ -77,9 +77,19 @@ Artifact read_artifact(const std::string& path) {
     if (key == "seed") {
       a.seed = std::strtoull(std::string(value).c_str(), nullptr, 0);
     } else if (key == "threads") {
+      // A replay starts every engine at each count, so a count is capped
+      // as --threads is, before any engine or thread starts.
       a.thread_counts.clear();
       for (const std::string& part : util::split(value, ',')) {
-        a.thread_counts.push_back(util::parse_size(util::trim(part)));
+        const std::size_t threads = util::parse_size(util::trim(part));
+        if (threads > util::kMaxFlagThreads) {
+          throw ParseError("read_artifact: line 'threads " +
+                           std::string(value) + "' in '" + path +
+                           "' asks for " + std::to_string(threads) +
+                           " threads; the limit is " +
+                           std::to_string(util::kMaxFlagThreads));
+        }
+        a.thread_counts.push_back(threads);
       }
     } else if (key == "include_trivial") {
       a.include_trivial = value == "1" || value == "true";

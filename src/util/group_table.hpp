@@ -7,11 +7,14 @@
 // directory is cache-line aligned, so a group load is one aligned 16-byte
 // read inside one line, and four consecutive groups share a line.
 //
-// Fingerprint split: the 64-bit key fingerprint fp (util::hash_words)
-// provides the low 7 bits as the control tag and the remaining 57 bits as
-// the slot hash (home-group index). Using disjoint bits keeps the tag
-// uncorrelated with the group choice, so a group's 16 tags behave like
-// independent 7-bit samples and a probe's false-candidate rate is ~16/128.
+// Fingerprint split: the 64-bit key fingerprint fp (util::fingerprint:
+// mix64 over a linear map of the key words, util/hash.hpp) provides the low
+// 7 bits as the control tag and the remaining 57 bits as the slot hash
+// (home-group index). Using disjoint bits keeps the tag uncorrelated with
+// the group choice, so a group's 16 tags behave like independent 7-bit
+// samples and a probe's false-candidate rate is ~16/128. The directory
+// never hashes: callers hand it fp, most of them straight from the
+// extractor that folded it.
 // (The sharded store routes on the TOP fingerprint bits — see
 // core/sharded_hash.hpp — which are disjoint from both of these, so a
 // per-shard directory behaves exactly like a standalone one.)

@@ -127,7 +127,7 @@ TEST(IndexFileTest, ShardedLayoutRoundTrips) {
     ShardedFrequencyHash sharded(w.taxa->size(), 4, 0, encoding);
     for (const Tree& t : w.reference) {
       phylo::extract_bipartitions(t).for_each([&](util::ConstWordSpan key) {
-        sharded.shard(shard_of(util::hash_words(key), sharded.shard_bits()))
+        sharded.shard(shard_of(util::fingerprint(key), sharded.shard_bits()))
             .add(key);
       });
     }
@@ -225,7 +225,10 @@ TEST(IndexFileTest, SingleTableFileBytesArePinned) {
   // An inline build's BFHMAP file, byte for byte, for a fixed hand-written
   // corpus: the size and FNV-1a of each file the writer produces. A writer
   // change that moves any byte of a 1-thread save fails here, so it must
-  // be a deliberate format revision that re-records these constants.
+  // be a deliberate format revision that re-records these constants. They
+  // were last recorded for BFHMAP version 2 (keys placed by
+  // util::fingerprint), and the portable fingerprint kernel of a
+  // BFHRF_DISABLE_SIMD build must write the same bytes.
   static constexpr const char* kCorpus[] = {
       "((Ant,Bee),(Cat,Dog),((Elk,Fox),(Gnu,(Hen,(Ibis,Jay)))));",
       "((Ant,Cat),(Bee,Dog),((Elk,Gnu),(Fox,(Hen,(Ibis,Jay)))));",
@@ -242,8 +245,8 @@ TEST(IndexFileTest, SingleTableFileBytesArePinned) {
     std::uint64_t fnv;
   };
   static constexpr Pin kPins[] = {
-      {false, 952, 0x9233fa2720eade80},
-      {true, 877, 0xaf2cde1a2b620f71},
+      {false, 952, 0x17e954661a565143},
+      {true, 877, 0x19f726d3f8ec8840},
   };
   const auto taxa = std::make_shared<TaxonSet>();
   std::vector<Tree> trees;
@@ -261,6 +264,29 @@ TEST(IndexFileTest, SingleTableFileBytesArePinned) {
     EXPECT_EQ(bytes.size(), pin.bytes);
     EXPECT_EQ(fnv1a(bytes), pin.fnv)
         << std::hex << "0x" << fnv1a(bytes);
+  }
+}
+
+TEST(IndexFileTest, VersionOneFileAsksForARebuild) {
+  // Version 1 placed keys by util::hash_words; a version-2 probe would look
+  // for them in other slots, so such a file must not open. Its layout is
+  // otherwise the one a version-2 save writes.
+  const BuiltEngine w = make_workload(16, 10, 4, 13);
+  Bfhrf engine(w.taxa->size());
+  engine.build(w.reference);
+  const TempFile file("version1");
+  save_bfhrf_file(engine, file.path());
+  std::vector<char> old = file.bytes();
+  const std::uint32_t v1 = 1;
+  std::memcpy(old.data() + offsetof(MappedHeader, version), &v1, sizeof v1);
+  file.write_bytes(old);
+  try {
+    (void)load_bfhrf_file(file.path());
+    ADD_FAILURE() << "a version-1 file opened";
+  } catch (const ParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("rebuild"), std::string::npos) << what;
   }
 }
 

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -49,8 +50,160 @@ TEST(ShardedHashTest, RoundsShardCountToPowerOfTwo) {
 /// Add `count` occurrences of `key` to the shard that owns it.
 void add_routed(ShardedFrequencyHash& tables, util::ConstWordSpan key,
                 std::uint32_t count = 1) {
-  tables.shard(shard_of(util::hash_words(key), tables.shard_bits()))
+  tables.shard(shard_of(util::fingerprint(key), tables.shard_bits()))
       .add(key, count);
+}
+
+/// `count` keys of n_bits bits in the kernel of util::linear_fingerprint,
+/// linearly independent: Gaussian elimination over GF(2)^64 of the taxon
+/// columns of taxa 1.. (bit 0 stays clear, as in a canonical key). Each
+/// column that reduces to zero closes a set of taxa whose columns XOR to
+/// zero; 65 columns always hold one.
+std::vector<std::vector<std::uint64_t>> fingerprint_kernel(std::size_t n_bits,
+                                                           std::size_t count) {
+  const std::size_t wp = util::words_for_bits(n_bits);
+  struct Row {
+    std::uint64_t value = 0;           ///< XOR of the chosen columns
+    std::vector<std::uint64_t> taxa;   ///< which columns, as a key
+  };
+  std::vector<Row> basis(64);  // by pivot (highest set) bit; value 0: none
+  std::vector<std::vector<std::uint64_t>> kernel;
+  for (std::size_t t = 1; t < n_bits && kernel.size() < count; ++t) {
+    Row row{util::taxon_column(t), std::vector<std::uint64_t>(wp, 0)};
+    row.taxa[t >> 6] |= std::uint64_t{1} << (t & 63);
+    while (row.value != 0) {
+      Row& pivot =
+          basis[static_cast<std::size_t>(63 - std::countl_zero(row.value))];
+      if (pivot.value == 0) {
+        pivot = row;
+        break;
+      }
+      row.value ^= pivot.value;
+      for (std::size_t w = 0; w < wp; ++w) {
+        row.taxa[w] ^= pivot.taxa[w];
+      }
+    }
+    if (row.value == 0) {
+      kernel.push_back(std::move(row.taxa));
+    }
+  }
+  return kernel;
+}
+
+TEST(ShardedHashTest, LinearFingerprintCollisionsKeepSeparateCounts) {
+  // The fingerprint is linear, so a test can build distinct keys with equal
+  // util::fingerprint: a base key XOR any combination of kernel vectors.
+  // 32 such keys share one tag, home group and shard (two groups' worth),
+  // and 32 more colliders stay absent. Each stored key must keep its own
+  // count through add, add_many (with and without fingerprints) and
+  // frequency_many, in one table and in 4 shards, built and mapped, with
+  // raw and sparse keys: full-key verification, not the fingerprint, is
+  // what keeps the store collision-free.
+  constexpr std::size_t kBits = 130;  // 3 words, 129 columns
+  constexpr std::size_t kStored = 5;  // 2^5 stored colliders
+  const std::size_t wp = util::words_for_bits(kBits);
+  const auto kernel = fingerprint_kernel(kBits, kStored + 1);
+  ASSERT_EQ(kernel.size(), kStored + 1);
+  util::Rng rng(0xC011);
+  std::vector<std::uint64_t> base(wp);
+  for (std::uint64_t& w : base) {
+    w = rng();
+  }
+  base[0] &= ~std::uint64_t{1};
+  base.back() &= (std::uint64_t{1} << (kBits % 64)) - 1;
+  // Keys 0..31 are stored; 32..63 add the last kernel vector: absent.
+  constexpr std::size_t kKeys = std::size_t{2} << kStored;
+  constexpr std::size_t kPresent = kKeys / 2;
+  std::vector<std::uint64_t> keys;
+  for (std::size_t m = 0; m < kKeys; ++m) {
+    std::vector<std::uint64_t> key = base;
+    for (std::size_t j = 0; j <= kStored; ++j) {
+      if (((m >> j) & 1) != 0) {
+        for (std::size_t w = 0; w < wp; ++w) {
+          key[w] ^= kernel[j][w];
+        }
+      }
+    }
+    keys.insert(keys.end(), key.begin(), key.end());
+  }
+  const auto key_i = [&](std::size_t i) {
+    return util::ConstWordSpan{keys.data() + i * wp, wp};
+  };
+  std::vector<std::uint64_t> fps(kKeys);
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    fps[i] = util::fingerprint(key_i(i));
+    ASSERT_EQ(fps[i], fps[0]) << "key " << i;
+    for (std::size_t j = 0; j < i; ++j) {
+      ASSERT_FALSE(util::equal_words(key_i(i), key_i(j))) << i << ", " << j;
+    }
+  }
+  // Stored key i counts 1 + i; every absent collider counts 0.
+  const auto want = [&](std::size_t i) {
+    return i < kPresent ? static_cast<std::uint32_t>(1 + i) : 0u;
+  };
+  const auto check_many = [&](const auto& lookup, const char* what) {
+    for (const bool with_fps : {false, true}) {
+      std::vector<std::uint32_t> out(kKeys, 0xdeadbeef);
+      lookup(out.data(), with_fps ? fps.data() : nullptr);
+      for (std::size_t i = 0; i < kKeys; ++i) {
+        EXPECT_EQ(out[i], want(i)) << what << " key " << i
+                                   << (with_fps ? " (fingerprints given)"
+                                                : "");
+      }
+    }
+  };
+  const std::string base_path = ::testing::TempDir() + "bfhrf_collide_" +
+                                std::to_string(::getpid());
+  for (const KeyEncoding encoding : {KeyEncoding::Raw, KeyEncoding::Sparse}) {
+    SCOPED_TRACE(encoding == KeyEncoding::Sparse ? "sparse" : "raw");
+    // One table through add: key i added once with count 1 + i.
+    FrequencyHash single(kBits, 0, encoding);
+    for (std::size_t i = 0; i < kPresent; ++i) {
+      single.add(key_i(i), static_cast<std::uint32_t>(1 + i));
+    }
+    EXPECT_EQ(single.unique_count(), kPresent);
+    for (std::size_t i = 0; i < kKeys; ++i) {
+      EXPECT_EQ(single.frequency(key_i(i)), want(i)) << "key " << i;
+    }
+    check_many(
+        [&](std::uint32_t* out, const std::uint64_t* f) {
+          single.frequency_many(keys.data(), kKeys, out, f);
+        },
+        "one table, add");
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards");
+      // Every collider lives in the one shard its fingerprint picks; fill
+      // it through add_many: key i's first occurrence with its
+      // fingerprint, the other i without.
+      ShardedFrequencyHash tables(kBits, shards, 0, encoding);
+      FrequencyHash& owner =
+          tables.shard(shard_of(fps[0], tables.shard_bits()));
+      owner.add_many(keys.data(), kPresent, nullptr, fps.data());
+      for (std::size_t i = 1; i < kPresent; ++i) {
+        std::vector<std::uint64_t> repeats;
+        for (std::size_t r = 0; r < i; ++r) {
+          repeats.insert(repeats.end(), key_i(i).begin(), key_i(i).end());
+        }
+        owner.add_many(repeats.data(), i, nullptr);
+      }
+      EXPECT_EQ(owner.unique_count(), kPresent);
+      const std::string path = base_path + "_" +
+                               std::to_string(static_cast<int>(encoding)) +
+                               "_" + std::to_string(shards) + ".bfi";
+      write_index_file(tables, 0.0, {.reference_trees = 1}, path);
+      const MappedIndex mapped(path);
+      const BfhIndexView built(tables, 0.0);
+      const BfhIndexView loaded = mapped.view();
+      for (const BfhIndexView* view : {&built, &loaded}) {
+        check_many(
+            [&](std::uint32_t* out, const std::uint64_t* f) {
+              view->frequency_many(keys.data(), kKeys, out, f);
+            },
+            view == &built ? "built" : "mapped");
+      }
+      std::filesystem::remove(path);
+    }
+  }
 }
 
 TEST(ShardedHashTest, MatchesSingleTableOnRandomKeys) {
@@ -157,7 +310,7 @@ TEST(BfhIndexViewTest, RoutedLookupMatchesPerShardLookup) {
         }
         const auto owner_frequency = [&](const std::uint64_t* key) {
           const util::ConstWordSpan span{key, wp};
-          return tables.shard(shard_of(util::hash_words(span), bits))
+          return tables.shard(shard_of(util::fingerprint(span), bits))
               .frequency(span);
         };
         const std::string path =

@@ -24,6 +24,7 @@
 #include "phylo/nexus.hpp"
 #include "phylo/vector_codec.hpp"
 #include "support/test_util.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace bfhrf {
@@ -440,6 +441,43 @@ bool has_unary_node(const phylo::Tree& tree) {
   return false;
 }
 
+/// Tree kinds front_end_tree draws.
+constexpr int kFrontEndTreeKinds = 7;
+
+/// A random tree of one of kFrontEndTreeKinds kinds over `taxa`, with
+/// branch lengths: Yule, uniform, caterpillar, multifurcating, a tree over
+/// a subset of the namespace, a hand-built tree with unary nodes, and a
+/// rooted binary tree (a degree-2 root, whose two root edges are one
+/// split).
+phylo::Tree front_end_tree(int kind, const phylo::TaxonSetPtr& taxa,
+                           util::Rng& rng) {
+  const sim::GeneratorOptions lengths{.branch_lengths = true};
+  const std::size_t n = taxa->size();
+  switch (kind) {
+    case 0:
+      return sim::yule_tree(taxa, rng, lengths);
+    case 1:
+      return sim::uniform_tree(taxa, rng, lengths);
+    case 2:
+      return sim::caterpillar_tree(taxa, rng, lengths);
+    case 3:
+      return sim::multifurcating_tree(taxa, rng, 0.5, lengths);
+    case 4: {
+      std::vector<std::string> subset = taxa->labels();
+      rng.shuffle(subset);
+      subset.resize(3 + rng.below(n - 2));
+      const phylo::Tree small = sim::uniform_tree(
+          std::make_shared<phylo::TaxonSet>(subset), rng, lengths);
+      return phylo::parse_newick(phylo::write_newick(small), taxa);
+    }
+    case 5:
+      return with_unary_nodes(sim::yule_tree(taxa, rng), rng);
+    default:
+      return phylo::vector_to_tree(
+          phylo::tree_to_vector(sim::uniform_tree(taxa, rng)), taxa);
+  }
+}
+
 /// `got` against the reference: the same splits with the same values and
 /// leaf mask. An unsorted arena must hold them once each, in any order.
 /// Values compare to a relative 1e-12: a split repeated down a unary chain
@@ -493,37 +531,9 @@ TEST(FuzzTest, FrontEndsMatchNaiveReference) {
   for (const std::size_t n : {std::size_t{4}, std::size_t{12}, std::size_t{64},
                               std::size_t{65}, std::size_t{130}}) {
     const auto taxa = phylo::TaxonSet::make_numbered(n);
-    const sim::GeneratorOptions lengths{.branch_lengths = true};
     for (int rep = 0; rep < 28; ++rep) {
       SCOPED_TRACE("n=" + std::to_string(n) + " rep=" + std::to_string(rep));
-      // Yule, uniform, caterpillar, multifurcating, a tree over a subset of
-      // the namespace, a hand-built tree with unary nodes, and a rooted
-      // binary tree (a degree-2 root, whose two root edges are one split).
-      phylo::Tree t = [&] {
-        switch (rep % 7) {
-          case 0:
-            return sim::yule_tree(taxa, rng, lengths);
-          case 1:
-            return sim::uniform_tree(taxa, rng, lengths);
-          case 2:
-            return sim::caterpillar_tree(taxa, rng, lengths);
-          case 3:
-            return sim::multifurcating_tree(taxa, rng, 0.5, lengths);
-          case 4: {
-            std::vector<std::string> subset = taxa->labels();
-            rng.shuffle(subset);
-            subset.resize(3 + rng.below(n - 2));
-            const phylo::Tree small = sim::uniform_tree(
-                std::make_shared<phylo::TaxonSet>(subset), rng, lengths);
-            return phylo::parse_newick(phylo::write_newick(small), taxa);
-          }
-          case 5:
-            return with_unary_nodes(sim::yule_tree(taxa, rng), rng);
-          default:
-            return phylo::vector_to_tree(
-                phylo::tree_to_vector(sim::uniform_tree(taxa, rng)), taxa);
-        }
-      }();
+      phylo::Tree t = front_end_tree(rep % kFrontEndTreeKinds, taxa, rng);
       for (phylo::NodeId id = 0;
            id < static_cast<phylo::NodeId>(t.num_nodes()); ++id) {
         if (!t.node(id).has_length) {
@@ -583,6 +593,125 @@ TEST(FuzzTest, FrontEndsMatchNaiveReference) {
   EXPECT_GT(newick_accepted, 0u);
   EXPECT_GT(newick_handed_back, 0u);
   EXPECT_GT(vector_rows, 0u);
+}
+
+/// Every split's fingerprint in `set` is util::fingerprint of its words.
+testing::AssertionResult fingerprints_match(const phylo::BipartitionSet& set) {
+  if (set.fingerprints().size() != set.size()) {
+    return testing::AssertionFailure()
+           << set.fingerprints().size() << " fingerprints for " << set.size()
+           << " splits";
+  }
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    const std::uint64_t want = util::fingerprint(set[i]);
+    if (set.fingerprints()[i] != want) {
+      return testing::AssertionFailure()
+             << "split " << i << " of " << set.size() << ": folded 0x"
+             << std::hex << set.fingerprints()[i] << ", words give 0x" << want;
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+TEST(FuzzTest, FoldedFingerprintsMatchTheWords) {
+  // Each extractor folds a linear fingerprint next to its masks and flips
+  // it with the canonical polarity; the column it leaves must equal
+  // util::fingerprint of each kept split's words, in arena order, through
+  // the sort and dedup. The Tree walk (also in the two value modes, which
+  // sort and merge), the Newick split pass (unary records hand back to the
+  // Tree walk) and the vector rows of full binary trees, in all four
+  // include_trivial x sorted cells. n = 63, 64, 65 and 130 straddle word
+  // boundaries; n = 1000 is 16 words.
+  const std::uint64_t seed = test::fuzz_seed(0xF1A7);
+  SCOPED_TRACE("seed=" + test::hex_seed(seed));
+  util::Rng rng(seed);
+  phylo::BipartitionExtractor tree_extractor;
+  phylo::NewickSplitExtractor newick_extractor;
+  phylo::VectorBipartitionExtractor vector_extractor;
+  phylo::Tree parsed;
+  phylo::BipartitionSet got;
+  std::size_t checked = 0;
+  std::size_t newick_accepted = 0;
+  std::size_t vector_rows = 0;
+  for (const std::size_t n :
+       {std::size_t{4}, std::size_t{12}, std::size_t{63}, std::size_t{64},
+        std::size_t{65}, std::size_t{130}, std::size_t{1000}}) {
+    const auto taxa = phylo::TaxonSet::make_numbered(n);
+    const int reps = n >= 1000 ? kFrontEndTreeKinds : 3 * kFrontEndTreeKinds;
+    for (int rep = 0; rep < reps; ++rep) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " rep=" + std::to_string(rep));
+      const phylo::Tree t = front_end_tree(rep % kFrontEndTreeKinds, taxa, rng);
+      const std::string text = phylo::write_newick(t);
+      const bool full_binary = t.is_binary() && t.num_leaves() == n;
+      const phylo::TreeVector row =
+          full_binary ? phylo::tree_to_vector(t) : phylo::TreeVector{};
+      for (const bool include_trivial : {false, true}) {
+        for (const bool sorted : {false, true}) {
+          SCOPED_TRACE("include_trivial=" + std::to_string(include_trivial) +
+                       " sorted=" + std::to_string(sorted));
+          for (const phylo::SplitValue value :
+               {phylo::SplitValue::None, phylo::SplitValue::BranchLength,
+                phylo::SplitValue::Support}) {
+            tree_extractor.extract_into(t,
+                                        {.include_trivial = include_trivial,
+                                         .value = value,
+                                         .sorted = sorted},
+                                        got);
+            EXPECT_TRUE(fingerprints_match(got))
+                << "Tree path, value mode " << static_cast<int>(value);
+            checked += got.size();
+          }
+          const phylo::BipartitionOptions opts{
+              .include_trivial = include_trivial, .sorted = sorted};
+          if (newick_extractor.extract_into(text, *taxa, opts, got)) {
+            ++newick_accepted;
+          } else {
+            phylo::parse_newick_into(text, taxa, parsed);
+            tree_extractor.extract_into(parsed, opts, got);
+          }
+          EXPECT_TRUE(fingerprints_match(got)) << "Newick path: " << text;
+          checked += got.size();
+          if (full_binary) {
+            ++vector_rows;
+            vector_extractor.extract_into(row, opts, got);
+            EXPECT_TRUE(fingerprints_match(got)) << "vector path";
+            checked += got.size();
+          }
+        }
+      }
+    }
+  }
+  // A Tree built through the API may name one taxon twice, which the fold's
+  // XOR would cancel where its OR keeps it; such a tree's fingerprints
+  // come from the words. (((t0,t1),(t2,(t0,t3))),t4,t5) over 70 taxa: the
+  // first group holds t0 twice.
+  const auto taxa = phylo::TaxonSet::make_numbered(70);
+  phylo::Tree repeated(taxa);
+  const phylo::NodeId root = repeated.add_root();
+  const phylo::NodeId both = repeated.add_child(root);
+  const phylo::NodeId left = repeated.add_child(both);
+  const phylo::NodeId right = repeated.add_child(both);
+  const phylo::NodeId inner = repeated.add_child(right);
+  repeated.add_leaf(left, 0);
+  repeated.add_leaf(left, 1);
+  repeated.add_leaf(right, 2);
+  repeated.add_leaf(inner, 0);
+  repeated.add_leaf(inner, 3);
+  repeated.add_leaf(root, 4);
+  repeated.add_leaf(root, 5);
+  for (const bool include_trivial : {false, true}) {
+    for (const bool sorted : {false, true}) {
+      tree_extractor.extract_into(
+          repeated, {.include_trivial = include_trivial, .sorted = sorted},
+          got);
+      EXPECT_TRUE(fingerprints_match(got)) << "repeated taxon";
+      checked += got.size();
+    }
+  }
+  // Liveness: each route ran, and splits were compared.
+  EXPECT_GT(newick_accepted, 0u);
+  EXPECT_GT(vector_rows, 0u);
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(FuzzTest, MutatedNewickNeverCrashes) {

@@ -9,6 +9,7 @@
 #include "qc/artifact.hpp"
 #include "support/test_util.hpp"
 #include "util/error.hpp"
+#include "util/string_util.hpp"
 
 namespace bfhrf::qc {
 namespace {
@@ -134,6 +135,33 @@ TEST(ArtifactTest, RejectsMalformedFiles) {
   EXPECT_THROW(read_artifact(path), ParseError);
   std::remove(path.c_str());
   EXPECT_THROW(read_artifact(path), Error);  // missing file
+}
+
+TEST(ArtifactTest, ThreadCountsAboveTheFlagLimitAreRejected) {
+  // A replay runs every engine at each stored count, so a crafted artifact
+  // must not reach them with 100,000 threads: read_artifact alone rejects
+  // the line, naming it and the value, and starts nothing.
+  const std::string path = temp_path("artifact_threads.repro");
+  const auto write = [&](const char* threads_line) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(threads_line, f);
+    std::fputs("tree ((A,B),(C,D),(E,F));\n", f);
+    std::fclose(f);
+  };
+  write("threads 1,100000\n");
+  try {
+    (void)read_artifact(path);
+    ADD_FAILURE() << "a threads 100000 artifact was read";
+  } catch (const ParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("threads 1,100000"), std::string::npos) << what;
+    EXPECT_NE(what.find("100000 threads"), std::string::npos) << what;
+  }
+  write(("threads 1," + std::to_string(util::kMaxFlagThreads) + "\n").c_str());
+  EXPECT_EQ(read_artifact(path).thread_counts,
+            (std::vector<std::size_t>{1, util::kMaxFlagThreads}));
+  std::remove(path.c_str());
 }
 
 TEST(ArtifactTest, ReplayVerifiesTheStoredCollection) {

@@ -37,6 +37,10 @@ namespace {
 
 using namespace bfhrf;
 
+/// Most requests --requests may ask of each client per level: every client
+/// thread reserves one latency slot per request before its first one.
+constexpr std::size_t kMaxRequests = 100000;
+
 struct LoadgenOptions {
   std::string query_path;
   std::string ref_path;  // --inprocess only
@@ -58,7 +62,8 @@ void usage(const char* argv0) {
       "  --host ADDR      daemon address (default 127.0.0.1)\n"
       "  --clients LIST   comma-separated concurrency sweep, each level\n"
       "                   1..1024 (default 1,8,64)\n"
-      "  --requests N     requests per client per level (default 50)\n"
+      "  --requests N     requests per client per level, at most 100000\n"
+      "                   (default 50)\n"
       "  --batch N        query trees per request (default 1)\n"
       "  --workers N      in-process daemon worker threads, at most 1024\n"
       "                   (default 4)\n"
@@ -206,7 +211,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--clients") {
       opts.clients = parse_client_levels(next());
     } else if (arg == "--requests") {
-      opts.requests = flag_size(arg, next());
+      opts.requests = flag_size(arg, next(), kMaxRequests);
     } else if (arg == "--batch") {
       opts.batch = std::max<std::size_t>(1, flag_size(arg, next()));
     } else if (arg == "--workers") {
