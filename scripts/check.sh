@@ -3,12 +3,13 @@
 #   1. ASan+UBSan build, full labeled suite + bfhrf_verify differential run
 #      + the sharding/persistence oracle at 1/2/4/8 threads (store shapes
 #      1, 2, 4 and 8) + the serve daemon loopback smoke + a CLI walk that
-#      builds a sharded index at 4 threads (4 shards on a multi-core
-#      host), saves it, and reloads it zero-copy at 1 and 4 threads (raw
-#      and compressed keys; also, at 1 thread, over a query file with its
-#      taxa in another order), saves the one-table index of a 1-thread
-#      build and reloads it at 4 threads (raw and compressed keys), a
-#      streamed CLI run at 4 threads diffed
+#      builds a sharded store at 4 threads (4 shards on a multi-core
+#      host), saves it as one table, and reloads it zero-copy at 1 and 4
+#      threads (raw and compressed keys; also, at 1 thread, over a query
+#      file with its taxa in another order), saves the index of a 1-thread
+#      build and reloads it at 4 threads, and requires the 4-thread save,
+#      a second 4-thread save and the 1-thread save to be the same bytes
+#      (raw and compressed keys), a streamed CLI run at 4 threads diffed
 #      against 1 thread (a generated corpus and a hand-written decorated
 #      Newick file), a generated corpus answered from its Newick text
 #      and from its .p2v vector form, and its --matrix output at 1 and 4
@@ -24,7 +25,7 @@
 #   4. BFHRF_DISABLE_SIMD=ON build, full suite + bfhrf_verify (portable
 #      SWAR paths and the portable fingerprint kernel only; proves
 #      dispatch-level equivalence end to end) + its CLI saving the
-#      one-table index files of tier 1's walk byte for byte and answering
+#      index files of tier 1's walk byte for byte and answering
 #      from the default build's files exactly as the default build does
 #      (the portable kernel gives the PCLMULQDQ kernel's fingerprints)
 #   5. perfbench self-test (perfbench/selftest.py): builds the benchmark
@@ -53,7 +54,8 @@ VERIFY_ARGS=${BFHRF_VERIFY_ARGS:-"n=64 r=32 q=32 --threads 1,2,4,8"}
 # Persistence oracle workload: a build at each --threads count (each count
 # gives its own store shape) vs single-table in both key encodings, and
 # every shape round-tripped through the BFHMAP index (save, mmap, query)
-# — all compared bit-for-bit.
+# — all compared bit-for-bit, and every save byte-identical to the inline
+# build's file.
 PERSIST_ARGS=${BFHRF_PERSIST_ARGS:-"n=24 r=24 q=10"}
 
 # Scratch dirs for the CLI index walk and the serve loopback smoke.
@@ -175,11 +177,12 @@ run ./build-asan/tools/bfhrf_verify --generate ${VERIFY_ARGS}
 run ./build-asan/tools/bfhrf_verify --persist ${PERSIST_ARGS} --threads 1,2,4,8
 run serve_smoke ./build-asan
 
-# End-to-end index walk: build a small sharded index with the CLI (-t 4
+# End-to-end index walk: build a small sharded store with the CLI (-t 4
 # gives 4 shards on a multi-core host), persist it in the mmap-able
-# layout, reload it zero-copy at 1 thread and at 4 (pipeline workers
-# routing over the mapped shards), and require byte-identical query
-# output from the mapped view. The sanitizer
+# one-table layout, reload it zero-copy at 1 thread and at 4 (pipeline
+# workers querying the mapped table; only the direct -t 4 run queries
+# shards), and require byte-identical query output from the mapped view.
+# The sanitizer
 # presets build without examples (BFHRF_BUILD_EXAMPLES=OFF), so this
 # uses the default tree — the mmap + asan interaction itself is covered
 # by the --persist oracle above, which maps index files under ASan.
@@ -189,12 +192,12 @@ run serve_smoke ./build-asan
 echo
 echo "=== bfhrf_cli sharded build -> index save -> mmap reload ==="
 ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -t 4 \
-  --save-index "${PERSIST_DIR}/ref.bfhmap" > "${PERSIST_DIR}/direct.tsv"
+  --save-index "${PERSIST_DIR}/ref_t4_raw.bfhmap" > "${PERSIST_DIR}/direct.tsv"
 ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" \
-  --load-index "${PERSIST_DIR}/ref.bfhmap" \
+  --load-index "${PERSIST_DIR}/ref_t4_raw.bfhmap" \
   -q "${SERVE_DIR}/ref.nwk" > "${PERSIST_DIR}/mapped.tsv"
 ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -t 4 \
-  --load-index "${PERSIST_DIR}/ref.bfhmap" \
+  --load-index "${PERSIST_DIR}/ref_t4_raw.bfhmap" \
   -q "${SERVE_DIR}/ref.nwk" > "${PERSIST_DIR}/mapped_t4.tsv"
 run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/mapped.tsv"
 run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/mapped_t4.tsv"
@@ -205,21 +208,22 @@ run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/mapped_t4.tsv"
 echo
 echo "=== bfhrf_cli --compressed-keys sharded build -> index save -> reload ==="
 ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -t 4 \
-  --compressed-keys --save-index "${PERSIST_DIR}/ref_sparse.bfhmap" \
+  --compressed-keys --save-index "${PERSIST_DIR}/ref_t4_sparse.bfhmap" \
   > "${PERSIST_DIR}/sparse_direct.tsv"
 ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" \
-  --load-index "${PERSIST_DIR}/ref_sparse.bfhmap" \
+  --load-index "${PERSIST_DIR}/ref_t4_sparse.bfhmap" \
   -q "${SERVE_DIR}/ref.nwk" > "${PERSIST_DIR}/sparse_mapped.tsv"
 ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -t 4 \
-  --load-index "${PERSIST_DIR}/ref_sparse.bfhmap" \
+  --load-index "${PERSIST_DIR}/ref_t4_sparse.bfhmap" \
   -q "${SERVE_DIR}/ref.nwk" > "${PERSIST_DIR}/sparse_mapped_t4.tsv"
 run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/sparse_direct.tsv"
 run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/sparse_mapped.tsv"
 run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/sparse_mapped_t4.tsv"
 
-# A 1-thread build's one-table file, reloaded by pipeline workers at 4
-# threads: with the walks above, workers query both store shapes (one
-# table, shards) over a mapped file, in both key encodings.
+# A 1-thread build's file, reloaded by pipeline workers at 4 threads. A
+# save depends only on what the store holds, so it must be the bytes of
+# the 4-thread build's save above and of a second 4-thread save, in both
+# key encodings.
 echo
 echo "=== bfhrf_cli one-table build -> index save -> reload at 4 threads ==="
 for keys in raw sparse; do
@@ -237,6 +241,13 @@ for keys in raw sparse; do
   run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/t1_${keys}_direct.tsv"
   run diff "${PERSIST_DIR}/direct.tsv" \
     "${PERSIST_DIR}/t1_${keys}_mapped_t4.tsv"
+  # shellcheck disable=SC2086
+  ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -t 4 ${flag} \
+    --save-index "${PERSIST_DIR}/ref_t4_${keys}_again.bfhmap" > /dev/null
+  run cmp "${PERSIST_DIR}/ref_t1_${keys}.bfhmap" \
+    "${PERSIST_DIR}/ref_t4_${keys}.bfhmap"
+  run cmp "${PERSIST_DIR}/ref_t4_${keys}.bfhmap" \
+    "${PERSIST_DIR}/ref_t4_${keys}_again.bfhmap"
 done
 
 echo
@@ -327,13 +338,13 @@ run ctest --preset simd-off
 run ./build-simd-off/tools/bfhrf_verify --generate ${VERIFY_ARGS}
 
 # Where a key sits in an index file is a function of its fingerprint, so
-# the portable kernel must give the PCLMULQDQ kernel's bits: a one-table
+# the portable kernel must give the PCLMULQDQ kernel's bits: an index
 # file the default build saved in tier 1's walk must answer under the
 # simd-off CLI exactly as under the default build (other bits would send
 # every lookup to the wrong group), and the simd-off CLI must save the
 # same bytes. Raw and compressed keys.
 echo
-echo "=== simd-off bfhrf_cli over the default build's one-table indexes ==="
+echo "=== simd-off bfhrf_cli over the default build's indexes ==="
 for keys in raw sparse; do
   flag=""
   if [ "${keys}" = sparse ]; then

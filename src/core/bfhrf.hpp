@@ -165,7 +165,7 @@ class Bfhrf {
 
   /// The frequency store, read-only: a view over the build's tables (one
   /// shard when builds run inline, else one per worker rounded up to a
-  /// power of two; see BfhrfOptions::threads), or over the mapped shards
+  /// power of two; see BfhrfOptions::threads), or over the mapped table
   /// of a loaded index. A build replaces it, so do not hold it across one.
   [[nodiscard]] const BfhIndexView& store() const noexcept { return view_; }
   [[nodiscard]] BfhrfStats stats() const;

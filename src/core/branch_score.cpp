@@ -89,7 +89,8 @@ void BranchScoreBfhrf::add_tree(const phylo::Tree& tree,
     const double length = bips.value(i);
     // Raw key ids are dense and assigned in first-insertion order, so a
     // new split's id is the column's next row.
-    const std::uint32_t id = splits_.add(bips[i]);
+    const std::uint32_t id =
+        splits_.add(bips[i], bips.fingerprints()[i], 1, 1.0);
     if (id == sum_len_.size()) {
       sum_len_.push_back(0.0);
     }

@@ -29,17 +29,6 @@ void record_probes(std::uint64_t groups, std::size_t keys) noexcept {
   }
 }
 
-constexpr double kMaxLoad = 0.7;
-
-/// Slot count for `keys` distinct keys: the smallest power of two, and at
-/// least `slots` (itself a power of two), that keeps them under kMaxLoad.
-std::size_t table_size_for(std::size_t keys, std::size_t slots) {
-  while (static_cast<double>(keys) > kMaxLoad * static_cast<double>(slots)) {
-    slots <<= 1;
-  }
-  return slots;
-}
-
 using RawTag = std::integral_constant<KeyEncoding, KeyEncoding::Raw>;
 using SparseTag = std::integral_constant<KeyEncoding, KeyEncoding::Sparse>;
 
@@ -81,6 +70,12 @@ bool sparse_equal(const std::byte* arena, std::size_t arena_bytes,
 
 }  // namespace
 
+std::size_t table_size_for(std::size_t keys) noexcept {
+  // The load limit 0.7 in integers, so the bound is exact: the smallest
+  // power of two s with 10 * keys <= 7 * s.
+  return std::max(util::kGroupWidth, std::bit_ceil((keys * 10 + 6) / 7));
+}
+
 FrequencyHash::FrequencyHash(std::size_t n_bits, std::size_t expected_unique,
                              KeyEncoding encoding)
     : n_bits_(n_bits),
@@ -89,9 +84,7 @@ FrequencyHash::FrequencyHash(std::size_t n_bits, std::size_t expected_unique,
   if (encoding_ == KeyEncoding::Sparse) {
     (void)SparseKeyCodec(n_bits);  // rejects an empty universe
   }
-  // A one-group floor, so tiny hashes don't grow immediately.
-  const std::size_t slot_count =
-      table_size_for(expected_unique, util::kGroupWidth);
+  const std::size_t slot_count = table_size_for(expected_unique);
   dir_.reset(slot_count);
   slots_.assign(slot_count, Slot{});
   if (encoding_ == KeyEncoding::Raw) {
@@ -127,6 +120,12 @@ FrequencyHash::Slot& FrequencyHash::upsert(const std::uint64_t* key,
     });
   }
   probe_groups += r.groups_probed;
+  if (!r.found && table_size_for(size_ + 1) > slots_.size()) {
+    // The new key would push the table past its load limit: double it,
+    // then find the key's slot there (it is absent there too).
+    rehash(slots_.size() * 2);
+    r = dir_.find_insert(fp);
+  }
   Slot& s = slots_[r.index];
   if (!r.found) {
     // Append first: a throw leaves the slot EMPTY.
@@ -146,13 +145,11 @@ FrequencyHash::Slot& FrequencyHash::upsert(const std::uint64_t* key,
   return s;
 }
 
-std::uint32_t FrequencyHash::add(util::ConstWordSpan key,
+std::uint32_t FrequencyHash::add(util::ConstWordSpan key, std::uint64_t fp,
                                  std::uint32_t count, double weight) {
   BFHRF_ASSERT(key.size() == words_per_);
   BFHRF_ASSERT(count > 0);
-  grow_to_fit(size_ + 1);
   g_inserts.inc();
-  const std::uint64_t fp = util::fingerprint(key);
   std::uint64_t groups = 0;
   Slot& s = dispatch(encoding_, [&](auto group, auto enc) -> Slot& {
     return upsert<decltype(group), decltype(enc)::value>(key.data(), fp,
@@ -366,11 +363,10 @@ void FrequencyHash::add_many_impl(const std::uint64_t* keys,
   constexpr std::size_t kGroupAhead = 8;
   constexpr std::size_t kKeyAhead = 4;
   const std::size_t wp = words_per_;
-  const std::size_t nslots = slots_.size();
-  // Arena growth is left to the vector's geometric policy — an exact
-  // reserve per batch would reallocate (and copy) the whole arena on
-  // almost every call. Arena prefetches read data() fresh each iteration,
-  // so intra-batch reallocation is safe.
+  // upsert may double the table and the arenas grow geometrically
+  // mid-batch: the ring holds fingerprints, not slots, and every prefetch
+  // reads the directory, slots and arenas fresh, so a stale line is only a
+  // wasted hint.
 
   std::uint64_t fps[kGroupAhead];
   std::uint64_t probe_groups = 0;  // flushed to obs once per batch
@@ -402,7 +398,7 @@ void FrequencyHash::add_many_impl(const std::uint64_t* keys,
     if (i + kKeyAhead < count) {
       const std::uint64_t near = fps[(i + kKeyAhead) % kGroupAhead];
       const std::size_t cand = dir_.first_candidate<Group>(near);
-      if (cand != nslots) {
+      if (cand != slots_.size()) {
         const std::size_t at = slots_[cand].key_index;
         if constexpr (E == KeyEncoding::Sparse) {
           __builtin_prefetch(bytes_.data() + at);
@@ -422,25 +418,12 @@ void FrequencyHash::add_many_impl(const std::uint64_t* keys,
 void FrequencyHash::add_many(const std::uint64_t* keys, std::size_t count,
                              const double* weights,
                              const std::uint64_t* fingerprints) {
-  if (count == 0) {
-    return;
-  }
-  // Pre-size for the worst case (every key new) so the table never rehashes
-  // mid-batch: prefetched group lines stay valid for the whole pipeline.
-  grow_to_fit(size_ + count);
   g_inserts.inc(count);
   dispatch(encoding_, [&](auto group, auto enc) {
     add_many_impl<decltype(group), decltype(enc)::value>(keys, count,
                                                          weights,
                                                          fingerprints);
   });
-}
-
-void FrequencyHash::grow_to_fit(std::size_t keys) {
-  const std::size_t want = table_size_for(keys, slots_.size());
-  if (want != slots_.size()) {
-    rehash(want);
-  }
 }
 
 void FrequencyHash::rehash(std::size_t new_slot_count) {

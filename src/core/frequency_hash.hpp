@@ -82,12 +82,18 @@ enum class KeyEncoding : std::uint8_t {
   Sparse,  ///< SparseKeyCodec bytes; key_index is the encoding's offset
 };
 
+/// Slot count for `keys` distinct keys: the smallest power of two, at
+/// least one control group, that holds them at load 0.7 or less (so every
+/// probe meets an EMPTY byte). The one sizing rule: the constructor's
+/// pre-size, an insert's growth check and the index writer all use it.
+[[nodiscard]] std::size_t table_size_for(std::size_t keys) noexcept;
+
 class FrequencyHash {
  public:
   /// One table slot: where the key lives in the arena plus its frequency.
-  /// Public (and exactly 8 bytes with no padding) because the slot array is
-  /// persisted verbatim by the mapped index format (core/index_file) and
-  /// addressed directly by FrequencyHashView over mapped memory.
+  /// Public (and exactly 8 bytes with no padding) because the mapped index
+  /// format (core/index_file) persists slot arrays and FrequencyHashView
+  /// addresses them directly over mapped memory.
   struct Slot {
     std::uint32_t key_index = 0;  ///< raw: key id (words at key_index *
                                   ///< words_per); sparse: byte offset
@@ -121,10 +127,15 @@ class FrequencyHash {
   }
 
   /// Add `count` occurrences of a canonical bipartition with a per-key
-  /// weight (1.0 for classic RF). Returns the key's slot key_index (see
+  /// weight (1.0 for classic RF); `fingerprint` is util::fingerprint(key),
+  /// for a caller that has it. Returns the key's slot key_index (see
   /// key_index_of), so a caller keeping per-key columns probes once.
   std::uint32_t add(util::ConstWordSpan key, std::uint32_t count = 1,
-                    double weight = 1.0);
+                    double weight = 1.0) {
+    return add(key, util::fingerprint(key), count, weight);
+  }
+  std::uint32_t add(util::ConstWordSpan key, std::uint64_t fingerprint,
+                    std::uint32_t count, double weight);
 
   /// Frequency of a bipartition (0 if absent).
   [[nodiscard]] std::uint32_t frequency(util::ConstWordSpan key) const;
@@ -160,11 +171,11 @@ class FrequencyHash {
   /// Batched insert: add `count` keys from a contiguous arena (one
   /// occurrence each), with per-key weights (`weights[i]`; nullptr = unit
   /// weights) and optional precomputed fingerprints (as in
-  /// frequency_many). Runs the same software-prefetch pipeline as
-  /// frequency_many — the table is pre-sized for the whole batch up front,
-  /// so no rehash invalidates prefetched lines mid-batch. Insertion
-  /// order matches the arena order, so totals accumulate exactly as the
-  /// per-key add loop would.
+  /// frequency_many). Runs a software-prefetch pipeline like
+  /// frequency_many's; the table grows as add's does, when a new key would
+  /// overfill it, so a batch of repeats does not grow it. Insertion order
+  /// matches the arena order, so totals accumulate exactly as the per-key
+  /// add loop would.
   void add_many(const std::uint64_t* keys, std::size_t count,
                 const double* weights,
                 const std::uint64_t* fingerprints = nullptr);
@@ -194,7 +205,7 @@ class FrequencyHash {
                      static_cast<double>(slots_.size());
   }
 
-  /// Total slots (power of two; diagnostics/obs gauges).
+  /// Total slots: table_size_for(unique_count()) without a pre-size hint.
   [[nodiscard]] std::size_t capacity_slots() const noexcept {
     return slots_.size();
   }
@@ -246,10 +257,6 @@ class FrequencyHash {
                      const double* weights,
                      const std::uint64_t* fingerprints);
 
-  /// Grow (never shrink) so `keys` distinct keys fit under kMaxLoad, which
-  /// also leaves every probe an empty byte to stop at.
-  void grow_to_fit(std::size_t keys);
-
   void rehash(std::size_t new_slot_count);
 
   std::size_t n_bits_ = 0;
@@ -269,7 +276,7 @@ class FrequencyHash {
 /// HERE. FrequencyHash's read paths delegate to its view, and the one
 /// batched lookup, frequency_many, takes a store's shard views: a single
 /// table passes one view, a BfhIndexView (core/sharded_hash.hpp) passes
-/// its 2^b shards, each a live table or the mmapped sections of a saved
+/// its 2^b shards, each a live table or the one mmapped table of a saved
 /// index (core/index_file). The pipeline picks a key's shard from its
 /// fingerprint and probes that shard exactly as it would probe a lone
 /// table, so every store shape and backing runs the same probe code with

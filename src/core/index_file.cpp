@@ -5,16 +5,20 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <new>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/bitset.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace bfhrf::core {
 namespace {
@@ -40,68 +44,61 @@ void require(bool ok, const std::string& path, const char* what) {
   throw Error(what + " '" + path + "': " + std::strerror(errno));
 }
 
-/// Position-tracking binary writer with zero-padding up to aligned offsets.
-/// Writes go to a fresh temp file beside `path`; commit() fsyncs it,
+/// Binary writer with zero-padding up to aligned offsets.
+/// Writes go through a stdio buffer (the key arena arrives a key at a time)
+/// to a fresh temp file beside `path`; commit() flushes and fsyncs it,
 /// renames it over `path` and fsyncs the directory, so readers see either
 /// the old file or the complete new one. Destroying an uncommitted writer
 /// removes the temp file.
 class FileWriter {
  public:
   explicit FileWriter(const std::string& path) : path_(path) {
-    // O_EXCL on a pid + counter name: unique like mkstemp, but created
-    // with the usual 0666 & ~umask permissions.
+    // "x" (O_EXCL) and "e" (O_CLOEXEC) on a pid + counter name: unique like
+    // mkstemp, but created with the usual 0666 & ~umask permissions.
     static std::atomic<std::uint64_t> serial{0};
     do {
       tmp_ = path + ".tmp." + std::to_string(::getpid()) + "." +
              std::to_string(serial.fetch_add(1));
-      fd_ = ::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
-                   0666);
-    } while (fd_ < 0 && errno == EEXIST);
-    if (fd_ < 0) {
+      file_ = std::fopen(tmp_.c_str(), "wbxe");
+    } while (file_ == nullptr && errno == EEXIST);
+    if (file_ == nullptr) {
       throw_io("cannot create", tmp_);
     }
   }
   FileWriter(const FileWriter&) = delete;
   FileWriter& operator=(const FileWriter&) = delete;
   ~FileWriter() {
-    if (fd_ >= 0) {
-      ::close(fd_);
+    if (file_ != nullptr) {
+      std::fclose(file_);
       ::unlink(tmp_.c_str());
     }
   }
 
   void write(const void* p, std::size_t n) {
-    const auto* bytes = static_cast<const char*>(p);
-    for (std::size_t done = 0; done < n;) {
-      const ::ssize_t w = ::write(fd_, bytes + done, n - done);
-      if (w < 0) {
-        if (errno == EINTR) {
-          continue;
-        }
-        throw_io("write failed for", tmp_);
-      }
-      done += static_cast<std::size_t>(w);
+    if (std::fwrite(p, 1, n, file_) != n) {
+      throw_io("write failed for", tmp_);
     }
-    pos_ += n;
   }
 
   void pad_to(std::uint64_t off) {
-    BFHRF_ASSERT(off >= pos_ && off - pos_ <= kMappedSectionAlign);
+    BFHRF_ASSERT(off >= pos() && off - pos() <= kMappedSectionAlign);
     static constexpr char kZeros[kMappedSectionAlign] = {};
-    write(kZeros, static_cast<std::size_t>(off - pos_));
+    write(kZeros, static_cast<std::size_t>(off - pos()));
   }
 
-  [[nodiscard]] std::uint64_t pos() const noexcept { return pos_; }
+  [[nodiscard]] std::uint64_t pos() const noexcept {
+    return static_cast<std::uint64_t>(std::ftell(file_));
+  }
 
   void commit() {
-    if (::fsync(fd_) != 0) {
-      throw_io("fsync failed for", tmp_);
+    if (std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
+      throw_io("write or fsync failed for", tmp_);
     }
     if (::rename(tmp_.c_str(), path_.c_str()) != 0) {
       throw_io("cannot rename temp file over", path_);
     }
-    ::close(fd_);
-    fd_ = -1;
+    std::fclose(file_);
+    file_ = nullptr;
     // Make the rename itself durable.
     const std::string dir =
         std::filesystem::path(path_).parent_path().string();
@@ -120,8 +117,35 @@ class FileWriter {
  private:
   std::string path_;
   std::string tmp_;
-  int fd_ = -1;
-  std::uint64_t pos_ = 0;
+  std::FILE* file_ = nullptr;
+};
+
+/// Whole anonymous pages, unmapped on free, for the writer's large
+/// short-lived buffers: freed through malloc they would raise glibc's mmap
+/// threshold and fragment the heap of a process that saves repeatedly.
+template <typename T>
+struct PageAllocator {
+  using value_type = T;
+  PageAllocator() noexcept = default;
+  template <typename U>
+  PageAllocator(const PageAllocator<U>&) noexcept {}  // NOLINT
+  [[nodiscard]] T* allocate(std::size_t n) {
+    void* p = ::mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    return p == MAP_FAILED ? throw std::bad_alloc() : static_cast<T*>(p);
+  }
+  void deallocate(T* p, std::size_t n) noexcept { ::munmap(p, n * sizeof(T)); }
+  bool operator==(const PageAllocator&) const noexcept { return true; }
+};
+template <typename T>
+using PageVector = std::vector<T, PageAllocator<T>>;
+
+/// One stored key as the writer orders and places it: its fingerprint and
+/// where it lives in the store (shard, slot). 16 bytes per key.
+struct KeyRef {
+  std::uint64_t fp;
+  std::uint32_t shard;
+  std::uint32_t slot;
 };
 
 }  // namespace
@@ -131,68 +155,106 @@ void write_index_file(const ShardedFrequencyHash& tables, double total_weight,
   if (std::endian::native != std::endian::little) {
     throw Error("the mapped index format is little-endian only");
   }
-
-  const std::size_t shard_count = tables.shard_count();
-  const FrequencyHash& first = tables.shard(0);
-  const std::size_t wp = first.words_per_key();
-  const bool sparse = first.encoding() == KeyEncoding::Sparse;
-
+  const std::size_t n_bits = tables.shard(0).n_bits();
+  const std::size_t wp = tables.shard(0).words_per_key();
+  const bool sparse = tables.shard(0).encoding() == KeyEncoding::Sparse;
   MappedHeader h{};
+  MappedTableRecord r{};
+  for (std::size_t s = 0; s < tables.shard_count(); ++s) {
+    r.live_keys += tables.shard(s).unique_count();
+    r.total_count += tables.shard(s).total_count();
+    r.key_bytes += tables.shard(s).arena().size();
+  }
+  // Slots address keys by 32-bit index: a key id (raw) or byte offset.
+  if ((sparse ? r.key_bytes : r.live_keys) > 0xffffffffU) {
+    throw Error("write_index_file: too many keys for one table");
+  }
+  const auto slot_of = [&](const KeyRef& k) -> const FrequencyHash::Slot& {
+    return tables.shard(k.shard).slots()[k.slot];
+  };
+  util::DynamicBitset scratch_a(n_bits);
+  util::DynamicBitset scratch_b(n_bits);
+  const auto words_of = [&](const KeyRef& k, util::DynamicBitset& scratch) {
+    return FrequencyHashView(tables.shard(k.shard))
+        .key_words(slot_of(k).key_index, scratch);
+  };
+  // A key's bytes in its shard's arena: its words, or its encoding.
+  const SparseKeyCodec codec(n_bits);
+  const auto stored = [&](const KeyRef& k) {
+    const std::span<const std::byte> arena = tables.shard(k.shard).arena();
+    const std::size_t at = slot_of(k).key_index;
+    if (sparse) {
+      const std::span<const std::byte> rest = arena.subspan(at);
+      return rest.first(codec.encoded_size(rest));
+    }
+    const std::size_t size = wp * sizeof(std::uint64_t);
+    return arena.subspan(at * size, size);
+  };
+
+  // Every key with its fingerprint, in one total order on the keys
+  // themselves: fingerprint, then words. The order fixes both where each
+  // key lands in the table and where it sits in the arena, so neither
+  // depends on the store's shape or insertion history.
+  PageVector<KeyRef> order;
+  order.reserve(r.live_keys);
+  for (std::uint32_t s = 0; s < tables.shard_count(); ++s) {
+    const std::span<const FrequencyHash::Slot> slots = tables.shard(s).slots();
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      if (slots[i].count != 0) {
+        order.push_back({0, s, static_cast<std::uint32_t>(i)});
+        order.back().fp = util::fingerprint(words_of(order.back(), scratch_a));
+      }
+    }
+  }
+  std::sort(order.begin(), order.end(), [&](const KeyRef& x, const KeyRef& y) {
+    return x.fp != y.fp ? x.fp < y.fp
+                        : util::compare_words(words_of(x, scratch_a),
+                                              words_of(y, scratch_b)) < 0;
+  });
+
+  // One table sized by the build's own rule, filled the way rehash fills
+  // one: each key at its probe's insertion point, in key order. A slot
+  // addresses its key by its place in the arena written in that order.
+  r.slot_count = table_size_for(r.live_keys);
+  PageVector<std::uint8_t> ctrl(r.slot_count, util::kCtrlEmpty);
+  const util::GroupDirectoryView dir(ctrl.data(), r.slot_count);
+  PageVector<FrequencyHash::Slot> slots(r.slot_count);
+  std::uint64_t at = 0;
+  for (const KeyRef& k : order) {
+    const auto place = dir.find_insert(k.fp);
+    ctrl[place.index] = util::ctrl_tag(k.fp);
+    slots[place.index] = {static_cast<std::uint32_t>(at), slot_of(k).count};
+    at += sparse ? stored(k).size() : 1;
+  }
+
   std::memcpy(h.magic, kMappedMagic, sizeof h.magic);
   h.version = kMappedVersion;
   h.store_kind = static_cast<std::uint32_t>(sparse ? MappedStoreKind::Sparse
                                                    : MappedStoreKind::Raw);
   h.flags = meta.include_trivial ? kMappedFlagIncludeTrivial : 0;
-  h.shard_count = static_cast<std::uint32_t>(shard_count);
-  h.n_bits = first.n_bits();
+  h.shard_count = 1;
+  h.n_bits = n_bits;
   h.words_per_key = wp;
   h.reference_trees = meta.reference_trees;
-  h.total_weight = total_weight;
-
-  std::vector<MappedShardRecord> records(shard_count);
-  std::uint64_t off =
-      sizeof(MappedHeader) + shard_count * sizeof(MappedShardRecord);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    MappedShardRecord& r = records[s];
-    const FrequencyHash& fh = tables.shard(s);
-    // An add-only raw table's arena is dense: exactly one key per live
-    // slot.
-    BFHRF_ASSERT(sparse || fh.arena().size() ==
-                               fh.unique_count() * wp * sizeof(std::uint64_t));
-    r.slot_count = fh.capacity_slots();
-    r.key_bytes = fh.arena().size();
-    r.live_keys = fh.unique_count();
-    r.total_count = fh.total_count();
-    r.total_weight = s == 0 ? total_weight : 0.0;
-    h.unique_keys += r.live_keys;
-    h.total_count += r.total_count;
-    off = align_up(off);
-    r.ctrl_offset = off;
-    off += r.slot_count;
-    off = align_up(off);
-    r.slots_offset = off;
-    off += r.slot_count * sizeof(FrequencyHash::Slot);
-    off = align_up(off);
-    r.keys_offset = off;
-    off += r.key_bytes;
-  }
-  h.file_bytes = off;
+  h.unique_keys = r.live_keys;
+  h.total_count = r.total_count;
+  h.total_weight = r.total_weight = total_weight;
+  r.ctrl_offset = align_up(sizeof h + sizeof r);
+  r.slots_offset = align_up(r.ctrl_offset + r.slot_count);
+  r.keys_offset = align_up(r.slots_offset + r.slot_count * sizeof(slots[0]));
+  h.file_bytes = r.keys_offset + r.key_bytes;
 
   FileWriter w(path);
   w.write(&h, sizeof h);
-  w.write(records.data(), shard_count * sizeof(MappedShardRecord));
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    const MappedShardRecord& r = records[s];
-    const FrequencyHash& fh = tables.shard(s);
-    w.pad_to(r.ctrl_offset);
-    const std::span<const std::uint8_t> ctrl = fh.directory().ctrl_bytes();
-    w.write(ctrl.data(), ctrl.size());
-    w.pad_to(r.slots_offset);
-    const std::span<const FrequencyHash::Slot> slots = fh.slots();
-    w.write(slots.data(), slots.size() * sizeof(FrequencyHash::Slot));
-    w.pad_to(r.keys_offset);
-    const std::span<const std::byte> arena = fh.arena();
-    w.write(arena.data(), arena.size());
+  w.write(&r, sizeof r);
+  w.pad_to(r.ctrl_offset);
+  w.write(ctrl.data(), r.slot_count);
+  w.pad_to(r.slots_offset);
+  w.write(slots.data(), r.slot_count * sizeof(slots[0]));
+  w.pad_to(r.keys_offset);
+  for (const KeyRef& k : order) {  // straight from the shards' arenas
+    const std::span<const std::byte> key = stored(k);
+    w.write(key.data(), key.size());
   }
   BFHRF_ASSERT(w.pos() == h.file_bytes);
   w.commit();
@@ -251,78 +313,64 @@ void MappedIndex::validate(const std::string& path) const {
   require(raw || h.store_kind ==
                      static_cast<std::uint32_t>(MappedStoreKind::Sparse),
           path, "unknown store kind");
-  require(h.shard_count >= 1 &&
-              std::has_single_bit(std::uint64_t{h.shard_count}),
-          path, "shard count must be a power of two");
+  if (h.shard_count != 1) {
+    throw ParseError("mapped index '" + path + "': the file holds " +
+                     std::to_string(h.shard_count) +
+                     " shard tables, a layout that multi-threaded saves "
+                     "wrote before an index file became one table; rebuild "
+                     "the index from its reference trees");
+  }
   require(h.file_bytes == size_, path, "truncated or oversized file");
   require(h.n_bits >= 1 && h.n_bits <= (std::uint64_t{1} << 31), path,
           "implausible taxon count");
   require(h.words_per_key ==
               util::words_for_bits(static_cast<std::size_t>(h.n_bits)),
           path, "words_per_key does not match n_bits");
-  const std::uint64_t records_end =
-      sizeof(MappedHeader) +
-      std::uint64_t{h.shard_count} * sizeof(MappedShardRecord);
-  require(records_end <= size_, path, "shard records out of bounds");
+  constexpr std::uint64_t kRecordEnd =
+      sizeof(MappedHeader) + sizeof(MappedTableRecord);
+  require(kRecordEnd <= size_, path, "table record out of bounds");
   const auto in_bounds = [&](std::uint64_t off, std::uint64_t len) {
-    return off >= records_end && off <= size_ && len <= size_ - off;
+    return off >= kRecordEnd && off <= size_ && len <= size_ - off;
   };
-  std::uint64_t live = 0;
-  std::uint64_t total = 0;
-  for (std::size_t s = 0; s < h.shard_count; ++s) {
-    const MappedShardRecord& r = shard(s);
-    require(r.slot_count >= util::kGroupWidth &&
-                std::has_single_bit(r.slot_count) && r.slot_count <= size_,
-            path, "bad shard slot count");
-    require(r.ctrl_offset % kMappedSectionAlign == 0 &&
-                r.slots_offset % kMappedSectionAlign == 0 &&
-                r.keys_offset % kMappedSectionAlign == 0,
-            path, "misaligned section offset");
-    require(in_bounds(r.ctrl_offset, r.slot_count), path,
-            "ctrl section out of bounds");
-    require(in_bounds(r.slots_offset,
-                      r.slot_count * sizeof(FrequencyHash::Slot)),
-            path, "slot section out of bounds");
-    require(in_bounds(r.keys_offset, r.key_bytes), path,
-            "key section out of bounds");
-    require(r.live_keys < r.slot_count, path,
-            "no EMPTY slot left for probes to stop at");
-    if (raw) {
-      // A persisted arena is dense: exactly live_keys keys of
-      // words_per_key words.
-      require(r.key_bytes % sizeof(std::uint64_t) == 0, path,
-              "raw key arena not word-sized");
-      const std::uint64_t words = r.key_bytes / sizeof(std::uint64_t);
-      require(h.words_per_key != 0 && words % h.words_per_key == 0 &&
-                  words / h.words_per_key == r.live_keys,
-              path, "raw key arena size does not match live keys");
-    }
-    validate_slots(s, path);
-    live += r.live_keys;
-    total += r.total_count;
+  const MappedTableRecord& r = table();
+  require(r.slot_count >= util::kGroupWidth &&
+              std::has_single_bit(r.slot_count) && r.slot_count <= size_,
+          path, "bad table slot count");
+  require(r.ctrl_offset % kMappedSectionAlign == 0 &&
+              r.slots_offset % kMappedSectionAlign == 0 &&
+              r.keys_offset % kMappedSectionAlign == 0,
+          path, "misaligned section offset");
+  require(in_bounds(r.ctrl_offset, r.slot_count), path,
+          "ctrl section out of bounds");
+  require(in_bounds(r.slots_offset,
+                    r.slot_count * sizeof(FrequencyHash::Slot)),
+          path, "slot section out of bounds");
+  require(in_bounds(r.keys_offset, r.key_bytes), path,
+          "key section out of bounds");
+  require(r.live_keys == h.unique_keys && r.total_count == h.total_count,
+          path, "the table's totals do not match the header's");
+  require(r.live_keys < r.slot_count, path,
+          "no EMPTY slot left for probes to stop at");
+  if (raw) {
+    // A persisted arena is dense: exactly live_keys keys of words_per_key
+    // words.
+    require(r.key_bytes % (h.words_per_key * sizeof(std::uint64_t)) == 0 &&
+                r.key_bytes / (h.words_per_key * sizeof(std::uint64_t)) ==
+                    r.live_keys,
+            path, "raw key arena size does not match live keys");
   }
-  require(live == h.unique_keys, path,
-          "per-shard live keys do not sum to the header total");
-  require(total == h.total_count, path,
-          "per-shard frequencies do not sum to the header total");
-}
 
-void MappedIndex::validate_slots(std::size_t s,
-                                 const std::string& path) const {
   // One pass over the ctrl and slot sections (the key arena is never
   // read): probes over these bytes terminate and stay inside the arena.
   // A raw key_index counts keys; a sparse one is a byte offset whose
   // encoding the probes bounds-check against the arena's end.
-  const MappedShardRecord& r = shard(s);
-  const std::uint64_t key_limit =
-      header().store_kind == static_cast<std::uint32_t>(MappedStoreKind::Raw)
-          ? r.live_keys
-          : r.key_bytes;
-  const std::span<const std::uint8_t> ctrl = this->ctrl(s);
-  const FrequencyHash::Slot* slot = slots(s).data();
+  const std::uint64_t key_limit = raw ? r.live_keys : r.key_bytes;
+  const std::uint8_t* ctrl = base_ + r.ctrl_offset;
+  const auto* slot =
+      reinterpret_cast<const FrequencyHash::Slot*>(base_ + r.slots_offset);
   std::uint64_t full = 0;
   std::uint64_t total = 0;
-  for (std::size_t i = 0; i < ctrl.size(); ++i) {
+  for (std::size_t i = 0; i < r.slot_count; ++i) {
     const bool is_full = ctrl[i] < util::kCtrlEmpty;
     require(is_full || ctrl[i] == util::kCtrlEmpty, path,
             "ctrl byte is neither EMPTY nor FULL");
@@ -336,9 +384,9 @@ void MappedIndex::validate_slots(std::size_t s,
     }
   }
   require(full == r.live_keys, path,
-          "FULL ctrl bytes do not match the shard's live keys");
+          "FULL ctrl bytes do not match the table's live keys");
   require(total == r.total_count, path,
-          "slot counts do not sum to the shard's total");
+          "slot counts do not sum to the table's total");
 }
 
 void MappedIndex::release() noexcept {
@@ -366,19 +414,16 @@ MappedIndex& MappedIndex::operator=(MappedIndex&& other) noexcept {
 
 BfhIndexView MappedIndex::view() const {
   const MappedHeader& h = header();
-  std::vector<FrequencyHashView> shards;
-  std::vector<std::size_t> shard_keys;
-  shards.reserve(h.shard_count);
-  shard_keys.reserve(h.shard_count);
-  for (std::size_t s = 0; s < h.shard_count; ++s) {
-    shards.emplace_back(
-        util::GroupDirectoryView(ctrl(s).data(),
-                                 static_cast<std::size_t>(shard(s).slot_count)),
-        slots(s).data(), arena(s), static_cast<std::size_t>(h.n_bits),
-        encoding());
-    shard_keys.push_back(static_cast<std::size_t>(shard(s).live_keys));
-  }
-  return {std::move(shards), std::move(shard_keys), h.total_count,
+  const MappedTableRecord& r = table();
+  return {FrequencyHashView(
+              util::GroupDirectoryView(base_ + r.ctrl_offset,
+                                       static_cast<std::size_t>(r.slot_count)),
+              reinterpret_cast<const FrequencyHash::Slot*>(base_ +
+                                                           r.slots_offset),
+              {reinterpret_cast<const std::byte*>(base_ + r.keys_offset),
+               static_cast<std::size_t>(r.key_bytes)},
+              static_cast<std::size_t>(h.n_bits), encoding()),
+          static_cast<std::size_t>(h.unique_keys), h.total_count,
           h.total_weight, size_};
 }
 

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <utility>
-
-#include "util/error.hpp"
 
 namespace bfhrf::core {
 namespace {
@@ -44,21 +41,15 @@ BfhIndexView::BfhIndexView(const ShardedFrequencyHash& tables,
   }
 }
 
-BfhIndexView::BfhIndexView(std::vector<FrequencyHashView> shards,
-                           std::vector<std::size_t> shard_keys,
+BfhIndexView::BfhIndexView(FrequencyHashView table, std::size_t keys,
                            std::uint64_t total_count, double total_weight,
                            std::size_t memory_bytes)
-    : shards_(std::move(shards)),
-      shard_keys_(std::move(shard_keys)),
+    : shards_{table},
+      shard_keys_{keys},
+      unique_(keys),
       total_count_(total_count),
       total_weight_(total_weight),
-      memory_bytes_(memory_bytes) {
-  BFHRF_ASSERT(std::has_single_bit(shards_.size()) &&
-               shard_keys_.size() == shards_.size());
-  for (const std::size_t keys : shard_keys_) {
-    unique_ += keys;
-  }
-}
+      memory_bytes_(memory_bytes) {}
 
 std::size_t BfhIndexView::key_bytes() const noexcept {
   std::size_t sum = 0;

@@ -21,10 +21,9 @@
 //    workers flushing different shards never wait on each other. An
 //    inline build fills a one-shard store, whose shard is an ordinary
 //    single table.
-//  * A SHARD-SHAPED FILE FORMAT. The mmap index layout (core/index_file)
-//    persists each shard's (ctrl, slots, keys) sections verbatim, so a
-//    sharded build streams to disk with no re-keying and maps back with no
-//    deserialization.
+//  * THE SAME FILE AS ONE TABLE. The index writer (core/index_file) lays
+//    every shard's keys out afresh in one table, so a sharded build saves
+//    an inline build's bytes, and a loaded index needs no shard pick.
 //
 // Determinism: frequencies are order-independent integer sums, so a
 // sharded build reaches bit-identical counts regardless of worker
@@ -90,9 +89,9 @@ class ShardedFrequencyHash {
 /// returns it for built and loaded engines alike, and the query path,
 /// consensus, stats, obs gauges and the persist oracle read nothing else.
 /// Backed equally by live tables (a build's ShardedFrequencyHash; the
-/// view is invalidated by any mutation of them) and by mmapped index
-/// sections (MappedIndex::view, the zero-copy cold-serve path). The
-/// scalars are fixed when the view is made.
+/// view is invalidated by any mutation of them) and by the one table of an
+/// mmapped index file (MappedIndex::view, the zero-copy cold-serve path).
+/// The scalars are fixed when the view is made.
 ///
 /// Lookups: every batch, whatever the shard count, runs the one 4-stage
 /// prefetch pipeline (FrequencyHashView::frequency_many) over the shard
@@ -104,11 +103,11 @@ class BfhIndexView {
   BfhIndexView() = default;
   /// View over built tables; `total_weight` is the engine's sumBFHR.
   BfhIndexView(const ShardedFrequencyHash& tables, double total_weight);
-  /// View over shard layouts: `shard_keys[s]` distinct keys live in
-  /// `shards[s]` (a power-of-two count); `memory_bytes` is what backs them.
-  BfhIndexView(std::vector<FrequencyHashView> shards,
-               std::vector<std::size_t> shard_keys, std::uint64_t total_count,
-               double total_weight, std::size_t memory_bytes);
+  /// View over one table layout holding `keys` distinct keys (a mapped
+  /// index file); `memory_bytes` is what backs it.
+  BfhIndexView(FrequencyHashView table, std::size_t keys,
+               std::uint64_t total_count, double total_weight,
+               std::size_t memory_bytes);
 
   /// Taxon-universe width in bits (0 for an empty view).
   [[nodiscard]] std::size_t n_bits() const noexcept {

@@ -11,9 +11,10 @@
 //    its thread count gives, holds exactly the raw single-table store's
 //    (key, count) multiset and produces bit-identical query vectors;
 //  * the on-disk ("BFHMAP") format round-trips every shape — save, load
-//    at the thread count the build ran at (so multi-shard indexes are
-//    queried by pipeline workers), re-query, compare to the exact double
-//    — and the loaded store has the built store's shard count;
+//    at the thread count the build ran at (so pipeline workers query the
+//    mapped file), re-query, compare to the exact double — and every save
+//    is byte-identical to the inline build's file of its key encoding and
+//    loads as one table, whatever shape the store was built in;
 //  * a mapped load actually serves zero-copy (the loaded store's bytes
 //    are the file's, not tables rebuilt from it), and so passes the
 //    loader's byte-level validation of every ctrl and slot section.

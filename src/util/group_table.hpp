@@ -225,8 +225,7 @@ class GroupDirectory {
     return ctrl_[index] < kCtrlEmpty;
   }
 
-  /// The raw control bytes (tests / layout-equivalence oracles / the
-  /// index-file writer).
+  /// The raw control bytes (tests / layout-equivalence oracles).
   [[nodiscard]] std::span<const std::uint8_t> ctrl_bytes() const noexcept {
     return {ctrl_.data(), ctrl_.size()};
   }

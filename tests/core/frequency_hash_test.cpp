@@ -11,8 +11,10 @@
 #include "core/bfhrf.hpp"
 #include "core/consensus.hpp"
 #include "core/rf.hpp"
+#include "core/sharded_hash.hpp"
 #include "support/test_util.hpp"
 #include "util/bitset.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace bfhrf::core {
@@ -173,10 +175,12 @@ INSTANTIATE_TEST_SUITE_P(Widths, FrequencyHashWidthSweep,
                          ::testing::Values(8, 48, 64, 65, 100, 144, 128, 250,
                                            1000));
 
-TEST(FrequencyHashTest, AddManyAtExactLoadBoundaryGrowsUpFrontOnly) {
+TEST(FrequencyHashTest, AddManyAtExactLoadBoundaryGrowsAtTheKeyPastIt) {
   // A 16-slot table holds at most floor(0.7 * 16) = 11 resident keys.
   FrequencyHash h(64, 1);
   ASSERT_EQ(h.capacity_slots(), 16u);
+  EXPECT_EQ(table_size_for(11), 16u);
+  EXPECT_EQ(table_size_for(12), 32u);
   for (std::uint64_t k = 1; k <= 3; ++k) {
     h.add(util::ConstWordSpan{&k, 1});
   }
@@ -189,10 +193,13 @@ TEST(FrequencyHashTest, AddManyAtExactLoadBoundaryGrowsUpFrontOnly) {
   EXPECT_EQ(h.unique_count(), 11u);
   EXPECT_EQ(h.capacity_slots(), 16u);
   EXPECT_LE(h.load_factor(), 0.7);
-  // One key past the boundary doubles the table — before the batch runs,
-  // so no prefetched line is ever invalidated mid-pipeline.
+  // A batch of repeats with one new key among them: the new key doubles
+  // the table mid-batch, and the keys after it land in the new table.
+  std::vector<std::uint64_t> mixed(batch.begin(), batch.begin() + 4);
   const std::uint64_t extra = 999;
-  h.add_many(&extra, 1, nullptr);
+  mixed.push_back(extra);
+  mixed.insert(mixed.end(), batch.begin() + 4, batch.end());
+  h.add_many(mixed.data(), mixed.size(), nullptr);
   EXPECT_EQ(h.capacity_slots(), 32u);
   EXPECT_EQ(h.unique_count(), 12u);
   // Every key survived the boundary dance with its exact count.
@@ -200,9 +207,63 @@ TEST(FrequencyHashTest, AddManyAtExactLoadBoundaryGrowsUpFrontOnly) {
     EXPECT_EQ(h.frequency(util::ConstWordSpan{&k, 1}), 1u);
   }
   for (const std::uint64_t k : batch) {
-    EXPECT_EQ(h.frequency(util::ConstWordSpan{&k, 1}), 1u);
+    EXPECT_EQ(h.frequency(util::ConstWordSpan{&k, 1}), 2u);
   }
   EXPECT_EQ(h.frequency(util::ConstWordSpan{&extra, 1}), 1u);
+}
+
+TEST(FrequencyHashTest, BatchesOfRepeatsSizeTablesByTheirKeys) {
+  // A multi-threaded build flushes 4,096-key batches that are mostly
+  // repeats. However the keys arrive, one table and each of 4 shards must
+  // end at table_size_for its own keys, as if it had held them from the
+  // start.
+  constexpr std::size_t kBits = 100;
+  constexpr std::size_t kBatch = 4096;
+  util::Rng rng(0x51ED);
+  std::vector<std::uint64_t> pool;  // 3,000 distinct two-word keys
+  for (std::uint64_t i = 0; i < 3000; ++i) {
+    pool.push_back(rng());
+    pool.push_back(i);
+  }
+  for (const KeyEncoding encoding : {KeyEncoding::Raw, KeyEncoding::Sparse}) {
+    SCOPED_TRACE(encoding == KeyEncoding::Raw ? "raw keys" : "sparse keys");
+    FrequencyHash one(kBits, 0, encoding);
+    ShardedFrequencyHash four(kBits, 4, 0, encoding);
+    std::vector<std::vector<std::uint64_t>> buckets(4);
+    for (int b = 0; b < 8; ++b) {
+      std::vector<std::uint64_t> batch;
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        const std::uint64_t* key = pool.data() + 2 * rng.below(3000);
+        batch.insert(batch.end(), key, key + 2);
+        const std::uint64_t fp = util::fingerprint({key, 2});
+        auto& bucket = buckets[shard_of(fp, four.shard_bits())];
+        bucket.insert(bucket.end(), key, key + 2);
+      }
+      one.add_many(batch.data(), kBatch, nullptr);
+      for (std::size_t s = 0; s < 4; ++s) {
+        four.shard(s).add_many(buckets[s].data(), buckets[s].size() / 2,
+                               nullptr);
+        buckets[s].clear();
+      }
+      EXPECT_EQ(one.capacity_slots(), table_size_for(one.unique_count()))
+          << "batch " << b;
+      for (std::size_t s = 0; s < 4; ++s) {
+        EXPECT_EQ(four.shard(s).capacity_slots(),
+                  table_size_for(four.shard(s).unique_count()))
+            << "batch " << b << " shard " << s;
+      }
+    }
+    EXPECT_EQ(one.unique_count(), 3000u);
+    EXPECT_EQ(one.total_count(), 8 * kBatch);
+    EXPECT_EQ(one.capacity_slots(), 8192u);
+    EXPECT_GT(one.load_factor(), 0.35);
+    std::size_t keys = 0;
+    for (std::size_t s = 0; s < 4; ++s) {
+      keys += four.shard(s).unique_count();
+      EXPECT_GT(four.shard(s).load_factor(), 0.35) << "shard " << s;
+    }
+    EXPECT_EQ(keys, 3000u);
+  }
 }
 
 TEST(FrequencyHashTest, ProbeStatsReflectResidentKeys) {

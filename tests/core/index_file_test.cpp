@@ -80,7 +80,7 @@ BuiltEngine make_workload(std::size_t n, std::size_t r, std::size_t q,
 TEST(IndexFileTest, HeaderLayoutIsPinned) {
   // These sizes ARE the on-disk format; a change is a format revision.
   EXPECT_EQ(sizeof(MappedHeader), 128u);
-  EXPECT_EQ(sizeof(MappedShardRecord), 64u);
+  EXPECT_EQ(sizeof(MappedTableRecord), 64u);
   EXPECT_EQ(kMappedSectionAlign % 16u, 0u);  // vector ctrl loads
 }
 
@@ -115,43 +115,68 @@ TEST(IndexFileTest, MappedQueriesMatchMemoryExactly) {
   }
 }
 
+/// Fill a 4-shard store with every split of `trees`, each key into the
+/// shard its fingerprint picks, in stream order or in reverse: the store a
+/// 4-worker build makes, on any host (an engine shards only when its build
+/// has workers).
+ShardedFrequencyHash four_shards(std::span<const Tree> trees,
+                                 KeyEncoding encoding, bool reverse) {
+  ShardedFrequencyHash sharded(trees.front().taxa()->size(), 4, 0, encoding);
+  std::vector<std::vector<std::uint64_t>> keys;
+  for (const Tree& t : trees) {
+    phylo::extract_bipartitions(t).for_each([&](util::ConstWordSpan key) {
+      keys.emplace_back(key.begin(), key.end());
+    });
+  }
+  if (reverse) {
+    std::reverse(keys.begin(), keys.end());
+  }
+  for (const std::vector<std::uint64_t>& key : keys) {
+    sharded.shard(shard_of(util::fingerprint(key), sharded.shard_bits()))
+        .add(key);
+  }
+  return sharded;
+}
+
 TEST(IndexFileTest, ShardedLayoutRoundTrips) {
-  // A 4-shard store built directly, so the layout is covered on any host
-  // (an engine shards only when its build has workers).
+  // A 4-shard store saves one table holding every shard's keys, sized by
+  // the build's own rule, and loads as a one-table store with the built
+  // store's contents and answers.
   const BuiltEngine w = make_workload(20, 24, 8, 5);
   Bfhrf engine(w.taxa->size());
   engine.build(w.reference);
   const auto want = engine.query(w.queries);
 
   for (const KeyEncoding encoding : {KeyEncoding::Raw, KeyEncoding::Sparse}) {
-    ShardedFrequencyHash sharded(w.taxa->size(), 4, 0, encoding);
-    for (const Tree& t : w.reference) {
-      phylo::extract_bipartitions(t).for_each([&](util::ConstWordSpan key) {
-        sharded.shard(shard_of(util::fingerprint(key), sharded.shard_bits()))
-            .add(key);
-      });
-    }
+    const ShardedFrequencyHash sharded =
+        four_shards(w.reference, encoding, false);
     const double total_weight = engine.store().total_weight();
-    ASSERT_EQ(test::store_image(BfhIndexView(sharded, total_weight)),
-              test::store_image(engine.store()));
+    const BfhIndexView built(sharded, total_weight);
+    ASSERT_EQ(built.shard_count(), 4u);
+    ASSERT_EQ(test::store_image(built), test::store_image(engine.store()));
 
     const TempFile file("sharded");
     write_index_file(sharded, total_weight,
                      {.reference_trees = w.reference.size()}, file.path());
     const MappedIndex index(file.path());
-    EXPECT_EQ(index.header().shard_count, 4u);
-    EXPECT_EQ(index.header().unique_keys, engine.stats().unique_bipartitions);
+    const std::size_t unique = engine.stats().unique_bipartitions;
+    EXPECT_EQ(index.header().shard_count, 1u);
+    EXPECT_EQ(index.header().unique_keys, unique);
     EXPECT_EQ(index.header().total_weight, total_weight);
-    EXPECT_EQ(index.shard(0).total_weight, total_weight);
-    for (std::size_t s = 0; s < 4; ++s) {
-      EXPECT_EQ(index.shard(s).ctrl_offset % kMappedSectionAlign, 0u);
-      EXPECT_EQ(index.shard(s).slots_offset % kMappedSectionAlign, 0u);
-      EXPECT_EQ(index.shard(s).keys_offset % kMappedSectionAlign, 0u);
-    }
+    EXPECT_EQ(index.table().total_weight, total_weight);
+    EXPECT_EQ(index.table().live_keys, unique);
+    EXPECT_EQ(index.table().slot_count, table_size_for(unique));
+    EXPECT_EQ(index.table().key_bytes, built.key_bytes());
+    EXPECT_EQ(index.table().ctrl_offset % kMappedSectionAlign, 0u);
+    EXPECT_EQ(index.table().slots_offset % kMappedSectionAlign, 0u);
+    EXPECT_EQ(index.table().keys_offset % kMappedSectionAlign, 0u);
 
-    const Bfhrf loaded = load_bfhrf_file(file.path());
+    const Bfhrf loaded = load_bfhrf_file(file.path(), {.threads = 4});
+    EXPECT_EQ(loaded.store().shard_count(), 1u);
     EXPECT_EQ(loaded.options().compressed_keys,
               encoding == KeyEncoding::Sparse);
+    EXPECT_EQ(test::store_image(loaded.store()),
+              test::store_image(engine.store()));
     const auto got = loaded.query(w.queries);
     for (std::size_t i = 0; i < w.queries.size(); ++i) {
       EXPECT_EQ(got[i], want[i]);
@@ -179,7 +204,7 @@ TEST(IndexFileTest, CompressedStoreRoundTrips) {
     EXPECT_EQ(index.encoding(), KeyEncoding::Sparse);
     EXPECT_EQ(index.header().store_kind,
               static_cast<std::uint32_t>(MappedStoreKind::Sparse));
-    EXPECT_EQ(loaded.store().shard_count(), shards);
+    EXPECT_EQ(loaded.store().shard_count(), 1u);
     EXPECT_TRUE(loaded.options().compressed_keys);
     EXPECT_EQ(test::store_image(loaded.store()),
               test::store_image(raw.store()))
@@ -222,13 +247,16 @@ std::uint64_t fnv1a(const std::vector<char>& bytes) {
 }
 
 TEST(IndexFileTest, SingleTableFileBytesArePinned) {
-  // An inline build's BFHMAP file, byte for byte, for a fixed hand-written
-  // corpus: the size and FNV-1a of each file the writer produces. A writer
-  // change that moves any byte of a 1-thread save fails here, so it must
-  // be a deliberate format revision that re-records these constants. They
-  // were last recorded for BFHMAP version 2 (keys placed by
-  // util::fingerprint), and the portable fingerprint kernel of a
-  // BFHRF_DISABLE_SIMD build must write the same bytes.
+  // A BFHMAP file, byte for byte, for a fixed hand-written corpus: the size
+  // and FNV-1a of each file the writer produces. A writer change that
+  // moves any byte fails here, so it must be a deliberate format revision
+  // that re-records these constants. They were last recorded for the
+  // canonical one-table layout of BFHMAP version 2 (keys placed by
+  // util::fingerprint in fingerprint-then-words order), and the portable
+  // fingerprint kernel of a BFHRF_DISABLE_SIMD build must write the same
+  // bytes. A save depends only on the store's contents, so an inline
+  // build and a 4-shard store filled with the same splits, in stream order
+  // or in reverse, write these same bytes.
   static constexpr const char* kCorpus[] = {
       "((Ant,Bee),(Cat,Dog),((Elk,Fox),(Gnu,(Hen,(Ibis,Jay)))));",
       "((Ant,Cat),(Bee,Dog),((Elk,Gnu),(Fox,(Hen,(Ibis,Jay)))));",
@@ -245,8 +273,8 @@ TEST(IndexFileTest, SingleTableFileBytesArePinned) {
     std::uint64_t fnv;
   };
   static constexpr Pin kPins[] = {
-      {false, 952, 0x17e954661a565143},
-      {true, 877, 0x19f726d3f8ec8840},
+      {false, 952, 0xb07fff989fab141f},
+      {true, 877, 0x7ca9c6127abde434},
   };
   const auto taxa = std::make_shared<TaxonSet>();
   std::vector<Tree> trees;
@@ -264,6 +292,17 @@ TEST(IndexFileTest, SingleTableFileBytesArePinned) {
     EXPECT_EQ(bytes.size(), pin.bytes);
     EXPECT_EQ(fnv1a(bytes), pin.fnv)
         << std::hex << "0x" << fnv1a(bytes);
+
+    const KeyEncoding encoding =
+        pin.compressed ? KeyEncoding::Sparse : KeyEncoding::Raw;
+    for (const bool reverse : {false, true}) {
+      SCOPED_TRACE(reverse ? "4 shards, reverse order" : "4 shards");
+      const ShardedFrequencyHash sharded =
+          four_shards(trees, encoding, reverse);
+      write_index_file(sharded, engine.store().total_weight(),
+                       {.reference_trees = trees.size()}, file.path());
+      EXPECT_EQ(file.bytes(), bytes);
+    }
   }
 }
 
@@ -286,6 +325,51 @@ TEST(IndexFileTest, VersionOneFileAsksForARebuild) {
   } catch (const ParseError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("rebuild"), std::string::npos) << what;
+  }
+}
+
+TEST(IndexFileTest, ShardedFileAsksForARebuild) {
+  // Multi-threaded saves once wrote one table record per shard, each
+  // shard's sections after the last. Such a file (here four empty 16-slot
+  // shards, which the per-shard reader accepted) must not open: an index
+  // file is one table.
+  constexpr std::uint32_t kShards = 4;
+  MappedHeader h{};
+  std::memcpy(h.magic, kMappedMagic, sizeof h.magic);
+  h.version = kMappedVersion;
+  h.store_kind = static_cast<std::uint32_t>(MappedStoreKind::Raw);
+  h.shard_count = kShards;
+  h.n_bits = 16;
+  h.words_per_key = 1;
+  h.reference_trees = 1;
+  std::vector<MappedTableRecord> records(kShards);
+  std::uint64_t off =
+      sizeof(MappedHeader) + kShards * sizeof(MappedTableRecord);
+  for (MappedTableRecord& r : records) {
+    r.slot_count = util::kGroupWidth;
+    r.ctrl_offset = off;
+    r.slots_offset = r.ctrl_offset + kMappedSectionAlign;
+    r.keys_offset =
+        r.slots_offset + r.slot_count * sizeof(FrequencyHash::Slot);
+    off = r.keys_offset;  // an empty key arena
+  }
+  h.file_bytes = off;
+  std::vector<char> bytes(off, 0);
+  std::memcpy(bytes.data(), &h, sizeof h);
+  std::memcpy(bytes.data() + sizeof h, records.data(),
+              kShards * sizeof(MappedTableRecord));
+  for (const MappedTableRecord& r : records) {
+    std::memset(bytes.data() + r.ctrl_offset, util::kCtrlEmpty, r.slot_count);
+  }
+  const TempFile file("sharded_old");
+  file.write_bytes(bytes);
+  try {
+    (void)load_bfhrf_file(file.path());
+    ADD_FAILURE() << "a 4-shard file opened";
+  } catch (const ParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("4 shard tables"), std::string::npos) << what;
     EXPECT_NE(what.find("rebuild"), std::string::npos) << what;
   }
 }
@@ -328,25 +412,25 @@ TEST(IndexFileTest, RejectsForeignAndCorruptFiles) {
     std::vector<char> bad = good;
     std::uint64_t off = 0;
     const std::size_t field =
-        sizeof(MappedHeader) + offsetof(MappedShardRecord, ctrl_offset);
+        sizeof(MappedHeader) + offsetof(MappedTableRecord, ctrl_offset);
     std::memcpy(&off, bad.data() + field, sizeof off);
     off += 8;  // still in bounds, no longer 64-byte aligned
     std::memcpy(bad.data() + field, &off, sizeof off);
     file.write_bytes(bad);
     EXPECT_THROW(MappedIndex{file.path()}, ParseError);
   }
-  {  // shard totals no longer match the header
+  {  // the table's totals no longer match the header
     std::vector<char> bad = good;
     std::uint64_t live = 0;
     const std::size_t field =
-        sizeof(MappedHeader) + offsetof(MappedShardRecord, live_keys);
+        sizeof(MappedHeader) + offsetof(MappedTableRecord, live_keys);
     std::memcpy(&live, bad.data() + field, sizeof live);
     live += 1;
     std::memcpy(bad.data() + field, &live, sizeof live);
     file.write_bytes(bad);
     EXPECT_THROW(MappedIndex{file.path()}, ParseError);
   }
-  MappedShardRecord record{};
+  MappedTableRecord record{};
   std::memcpy(&record, good.data() + sizeof(MappedHeader), sizeof record);
   {  // live slots address keys far outside the arena (segfaulted a query)
     std::vector<char> bad = good;
@@ -386,7 +470,7 @@ TEST(IndexFileTest, RejectsForeignAndCorruptFiles) {
     compressed.build(w.reference);
     save_bfhrf_file(compressed, file.path());
     std::vector<char> bad = file.bytes();
-    MappedShardRecord r{};
+    MappedTableRecord r{};
     std::memcpy(&r, bad.data() + sizeof(MappedHeader), sizeof r);
     for (std::uint64_t i = 0; i < r.slot_count; ++i) {
       FrequencyHash::Slot slot{};
@@ -408,9 +492,9 @@ TEST(IndexFileTest, RejectsForeignAndCorruptFiles) {
     h.shard_count = 1;
     h.n_bits = 16;
     h.words_per_key = 1;
-    MappedShardRecord r{};
+    MappedTableRecord r{};
     r.slot_count = util::kGroupWidth;
-    r.ctrl_offset = sizeof(MappedHeader) + sizeof(MappedShardRecord);
+    r.ctrl_offset = sizeof(MappedHeader) + sizeof(MappedTableRecord);
     r.slots_offset = r.ctrl_offset + kMappedSectionAlign;
     r.keys_offset = r.slots_offset + r.slot_count * 24;
     h.file_bytes = r.keys_offset;

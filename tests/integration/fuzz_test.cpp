@@ -5,13 +5,17 @@
 // be replayed with `--seed=N` (or BFHRF_FUZZ_SEED); the seed is printed
 // up front and attached to assertion traces.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <typeinfo>
@@ -19,6 +23,8 @@
 
 #include "core/bfhrf.hpp"
 #include "core/frequency_hash.hpp"
+#include "core/index_file.hpp"
+#include "core/serialize.hpp"
 #include "phylo/bipartition.hpp"
 #include "phylo/newick.hpp"
 #include "phylo/nexus.hpp"
@@ -803,6 +809,90 @@ TEST(FuzzTest, GarbageBytesRejected) {
     } catch (const Error&) {
     }
   }
+}
+
+TEST(FuzzTest, FlippedIndexBytesRejectedOrServed) {
+  // Single-byte flips over valid one-table BFHMAP files, raw and sparse
+  // keys, spread over every section: the header, the table record, the
+  // ctrl bytes, the slots and the key arena. Every open must throw
+  // ParseError or load. A file that loads must answer a query batch (its
+  // answers may differ) or refuse it with a typed error, such as a taxon
+  // count the flip changed: never crash or hang.
+  const std::uint64_t seed = test::fuzz_seed(0xF429);
+  SCOPED_TRACE("seed=" + test::hex_seed(seed));
+  util::Rng rng(seed);
+  const auto taxa = phylo::TaxonSet::make_numbered(20);
+  const auto reference = test::random_collection(taxa, 24, 4, rng);
+  const auto queries = test::random_collection(taxa, 6, 6, rng);
+  struct Cleanup {
+    std::string path;
+    ~Cleanup() {
+      std::error_code ec;
+      std::filesystem::remove(path, ec);
+    }
+  } file{::testing::TempDir() + "bfhrf_fuzz_index_" +
+         std::to_string(::getpid()) + ".bfi"};
+  const auto write_file = [&](const std::vector<char>& bytes) {
+    std::ofstream out(file.path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+
+  std::size_t rejected = 0;
+  std::size_t served = 0;
+  for (const bool compressed : {false, true}) {
+    core::Bfhrf engine(taxa->size(), {.compressed_keys = compressed});
+    engine.build(reference);
+    core::save_bfhrf_file(engine, file.path);
+    std::ifstream in(file.path, std::ios::binary);
+    const std::vector<char> good{std::istreambuf_iterator<char>(in),
+                                 std::istreambuf_iterator<char>()};
+    const core::MappedTableRecord r = core::MappedIndex(file.path).table();
+    struct Section {
+      const char* name;
+      std::uint64_t begin;
+      std::uint64_t end;
+    };
+    constexpr std::uint64_t kRecord = sizeof(core::MappedHeader);
+    const Section sections[] = {
+        {"header", 0, kRecord},
+        {"record", kRecord, kRecord + sizeof(core::MappedTableRecord)},
+        {"ctrl", r.ctrl_offset, r.ctrl_offset + r.slot_count},
+        {"slots", r.slots_offset,
+         r.slots_offset + r.slot_count * sizeof(core::FrequencyHash::Slot)},
+        {"keys", r.keys_offset, r.keys_offset + r.key_bytes},
+    };
+    for (const Section& section : sections) {
+      ASSERT_LT(section.begin, section.end) << section.name;
+      ASSERT_LE(section.end, good.size()) << section.name;
+      for (int rep = 0; rep < 150; ++rep) {
+        std::vector<char> bad = good;
+        const std::uint64_t at =
+            section.begin + rng.below(section.end - section.begin);
+        bad[at] = static_cast<char>(bad[at] ^ (1 + rng.below(255)));
+        write_file(bad);
+        SCOPED_TRACE(std::string(compressed ? "sparse " : "raw ") +
+                     section.name + " byte " + std::to_string(at));
+        std::optional<core::Bfhrf> loaded;
+        try {
+          loaded.emplace(core::load_bfhrf_file(file.path));
+        } catch (const ParseError&) {
+          ++rejected;
+          continue;
+        }
+        try {
+          const auto rf =
+              loaded->query(std::span<const phylo::Tree>(queries));
+          ASSERT_EQ(rf.size(), queries.size());
+          ++served;
+        } catch (const Error&) {
+        }
+      }
+    }
+  }
+  // Both outcomes must occur: all-rejected would mean no flip reaches a
+  // query, all-loaded that the reader checks nothing.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(served, 0u);
 }
 
 TEST(FuzzTest, EngineSurvivesAdversarialCollections) {

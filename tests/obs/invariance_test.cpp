@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <span>
@@ -195,38 +194,23 @@ TEST(ObsInvariance, EveryLookupProbesItsHomeGroupOnce) {
   }
 }
 
-/// Check every table-shape gauge against the store saved at `path`: a
-/// BFHMAP file keeps each shard's slot count and live keys verbatim, so its
-/// records are the store's own numbers. Probe lengths are scanned only for
-/// an inline build's single table; every other shape publishes 0.
-void expect_shape_gauges(const core::Bfhrf& engine, const std::string& path,
-                         bool scanned) {
-  const core::MappedIndex index(path);
-  const std::size_t shards = index.header().shard_count;
-  std::size_t slots = 0;
-  std::size_t keys = 0;
-  std::size_t largest = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    slots += index.shard(s).slot_count;
-    keys += index.shard(s).live_keys;
-    largest = std::max<std::size_t>(largest, index.shard(s).live_keys);
-  }
-  ASSERT_GT(keys, 0u);
-  EXPECT_EQ(engine.store().shard_count(), shards);
+/// Check every table-shape gauge against `engine`'s store view: shard
+/// count, slots, keys, balance and bytes. Probe lengths are scanned only
+/// for an inline build's single table; every other shape publishes 0.
+void expect_shape_gauges(const core::Bfhrf& engine, bool scanned) {
+  const core::BfhIndexView& store = engine.store();
+  const auto keys = static_cast<double>(store.unique_count());
+  const auto slots = static_cast<double>(store.capacity_slots());
+  ASSERT_GT(keys, 0.0);
   EXPECT_EQ(obs::gauge_value("bfhrf.build.shard.count"),
-            static_cast<double>(shards));
-  EXPECT_EQ(obs::gauge_value("bfhrf.hash.capacity_slots"),
-            static_cast<double>(slots));
-  EXPECT_DOUBLE_EQ(obs::gauge_value("bfhrf.hash.load_factor"),
-                   static_cast<double>(keys) / static_cast<double>(slots));
+            static_cast<double>(store.shard_count()));
+  EXPECT_EQ(obs::gauge_value("bfhrf.hash.capacity_slots"), slots);
+  EXPECT_DOUBLE_EQ(obs::gauge_value("bfhrf.hash.load_factor"), keys / slots);
   EXPECT_DOUBLE_EQ(obs::gauge_value("bfhrf.build.shard.skew"),
-                   static_cast<double>(largest) *
-                       static_cast<double>(shards) /
-                       static_cast<double>(keys));
-  EXPECT_EQ(obs::gauge_value("bfhrf.unique_bipartitions"),
-            static_cast<double>(keys));
+                   store.shard_skew());
+  EXPECT_EQ(obs::gauge_value("bfhrf.unique_bipartitions"), keys);
   EXPECT_EQ(obs::gauge_value("bfhrf.hash.resident_bytes"),
-            static_cast<double>(engine.store().memory_bytes()));
+            static_cast<double>(store.memory_bytes()));
   if (scanned) {
     EXPECT_GE(obs::gauge_value("bfhrf.hash.mean_probe_groups"), 1.0);
     EXPECT_GE(obs::gauge_value("bfhrf.hash.max_probe_groups"), 1.0);
@@ -240,6 +224,8 @@ TEST(ObsInvariance, TableShapeGaugesFollowTheLatestStore) {
   // A build at 4 threads, a smaller one at 1 thread, then a load of the
   // first build's file: after each step every table-shape gauge must be
   // that step's store's own number, not one left by an earlier engine.
+  // Every save is one table sized for its keys, so the one-table build
+  // and the loaded file are also checked against the file's own record.
   if (!obs::compiled_in()) {
     GTEST_SKIP() << "observability compiled out";
   }
@@ -263,25 +249,36 @@ TEST(ObsInvariance, TableShapeGaugesFollowTheLatestStore) {
 
   core::Bfhrf sharded(taxa->size(), {.threads = 4});
   sharded.build(wide);
-  core::save_bfhrf_file(sharded, files.paths[0]);
+  ASSERT_EQ(sharded.store().shard_count(), test::expected_shards(4));
   {
     SCOPED_TRACE("-t 4 build");
-    expect_shape_gauges(sharded, files.paths[0],
-                        sharded.store().shard_count() == 1);
+    expect_shape_gauges(sharded, sharded.store().shard_count() == 1);
   }
+  core::save_bfhrf_file(sharded, files.paths[0]);
 
   core::Bfhrf single(taxa->size(), {.threads = 1});
   single.build(narrow);
-  core::save_bfhrf_file(single, files.paths[1]);
   {
     SCOPED_TRACE("-t 1 build");
-    expect_shape_gauges(single, files.paths[1], true);
+    expect_shape_gauges(single, true);
+    core::save_bfhrf_file(single, files.paths[1]);
+    const core::MappedIndex index(files.paths[1]);
+    EXPECT_EQ(obs::gauge_value("bfhrf.hash.capacity_slots"),
+              static_cast<double>(index.table().slot_count));
   }
 
   const core::Bfhrf loaded = core::load_bfhrf_file(files.paths[0]);
   {
     SCOPED_TRACE("load of the -t 4 file");
-    expect_shape_gauges(loaded, files.paths[0], false);
+    expect_shape_gauges(loaded, false);
+    const core::MappedIndex index(files.paths[0]);
+    EXPECT_EQ(obs::gauge_value("bfhrf.build.shard.count"), 1.0);
+    EXPECT_EQ(obs::gauge_value("bfhrf.build.shard.skew"), 1.0);
+    EXPECT_EQ(obs::gauge_value("bfhrf.hash.capacity_slots"),
+              static_cast<double>(index.table().slot_count));
+    EXPECT_EQ(obs::gauge_value("bfhrf.unique_bipartitions"),
+              static_cast<double>(index.table().live_keys));
+    EXPECT_EQ(index.table().live_keys, sharded.store().unique_count());
     EXPECT_EQ(loaded.store().memory_bytes(),
               std::filesystem::file_size(files.paths[0]));
   }
