@@ -13,8 +13,7 @@
 //               corpus bytes/sec.
 //   frontend  : stream + canonical bipartition extraction per tree — the
 //               exact per-tree work the engine's ingest workers perform:
-//               framing plus the split pass from text (parse + extract
-//               only for a record the pass hands back), or a row read
+//               framing plus the split pass from text, or a row read
 //               plus the vector extractor.
 //   e2e       : engine build + self-query (Q == R) streamed from file,
 //               Tree ingest vs direct vector ingest across thread counts.
@@ -133,15 +132,10 @@ RunResult run_frontend_newick() {
   core::FileTreeSource src(c.nwk, c.taxa);
   std::string record;
   phylo::NewickSplitExtractor extractor;
-  phylo::Tree tree;
-  phylo::BipartitionExtractor fallback;
   phylo::BipartitionSet bips;
   const phylo::BipartitionOptions opts{};
   while (src.next_record(record)) {
-    if (!extractor.extract_into(record, *c.taxa, opts, bips)) {
-      src.parse_record(record, tree);
-      fallback.extract_into(tree, opts, bips);
-    }
+    extractor.extract_into(record, *c.taxa, opts, bips);
     out.splits += bips.size();
     ++out.trees;
   }

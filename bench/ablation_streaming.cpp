@@ -8,8 +8,8 @@
 //
 //   in-memory path : all r trees resident + the hash
 //   streaming path : <= the queued batches, one batch per worker and the
-//                    producer's, 16 trees each, plus one parse tree per
-//                    worker (Bfhrf::max_resident_trees) + the hash
+//                    producer's, 16 trees each (Bfhrf::max_resident_trees)
+//                    + the hash
 //
 // Build workers also stage split keys on their way into the sharded hash,
 // at most Bfhrf::kStageKeys plus one tree each whatever r is

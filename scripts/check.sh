@@ -11,8 +11,10 @@
 #      a second 4-thread save and the 1-thread save to be the same bytes
 #      (raw and compressed keys), a streamed CLI run at 4 threads diffed
 #      against 1 thread (a generated corpus and a hand-written decorated
-#      Newick file), a generated corpus answered from its Newick text
-#      and from its .p2v vector form, and its --matrix output at 1 and 4
+#      Newick file, which must answer as its twin without the unary
+#      group), a generated corpus answered from its Newick text and from
+#      its .p2v vector form, a failed --emit-vector that must leave the
+#      old .p2v corpus as it was, and its --matrix output at 1 and 4
 #      threads. Before any of that, with the default build: every flag
 #      that sizes threads, queues or sockets refuses hostile values
 #      while the arguments are read
@@ -267,8 +269,10 @@ run diff "${PERSIST_DIR}/order_direct.tsv" "${PERSIST_DIR}/order_mapped.tsv"
 # Streamed Newick ingest extracts splits from the record text on the
 # workers; answers must not depend on the thread count, byte for byte. The
 # decorated file has quoted labels, nested comments, supports, lengths, a
-# unary group (which takes the parse + extract route) and degree-2 and
-# degree-3 roots.
+# unary group and degree-2 and degree-3 roots. The split pass folds the
+# unary group like any other and drops the split it repeats, so the file
+# must answer exactly as its twin, where the group is written without
+# its extra parentheses.
 echo
 echo "=== bfhrf_cli streamed -t 4 vs -t 1 ==="
 ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -q "${SERVE_DIR}/q.nwk" \
@@ -283,11 +287,22 @@ cat > "${PERSIST_DIR}/decorated.nwk" <<'NEWICK'
 ((('Homo sapiens',Gorilla)),('Pan [x]','O''Brien'),(Macaca,Papio)[c;]) ;
 	(Macaca:1,(Papio:2,('Homo sapiens',(Gorilla,('Pan [x]','O''Brien')))));
 NEWICK
-./build/examples/bfhrf_cli -r "${PERSIST_DIR}/decorated.nwk" -t 1 \
-  > "${PERSIST_DIR}/decorated_t1.tsv"
-./build/examples/bfhrf_cli -r "${PERSIST_DIR}/decorated.nwk" -t 4 \
-  > "${PERSIST_DIR}/decorated_t4.tsv"
+cat > "${PERSIST_DIR}/decorated_twin.nwk" <<'NEWICK'
+[decorated [nested] records]
+('Homo sapiens':0.1,('Pan [x]':2.5e-3,(Gorilla,'O''Brien':1E+2)95:0.5)0.87,
+ (Macaca,Papio)'node label');
+(('Homo sapiens',Gorilla),('Pan [x]','O''Brien'),(Macaca,Papio)[c;]) ;
+	(Macaca:1,(Papio:2,('Homo sapiens',(Gorilla,('Pan [x]','O''Brien')))));
+NEWICK
+for file in decorated decorated_twin; do
+  for t in 1 4; do
+    ./build/examples/bfhrf_cli -r "${PERSIST_DIR}/${file}.nwk" -t "${t}" \
+      > "${PERSIST_DIR}/${file}_t${t}.tsv"
+  done
+done
 run diff "${PERSIST_DIR}/decorated_t1.tsv" "${PERSIST_DIR}/decorated_t4.tsv"
+run diff "${PERSIST_DIR}/decorated_t1.tsv" "${PERSIST_DIR}/decorated_twin_t1.tsv"
+run diff "${PERSIST_DIR}/decorated_t4.tsv" "${PERSIST_DIR}/decorated_twin_t4.tsv"
 
 # The Newick front end against code it shares nothing with: the same
 # corpus answered from its text and from its phylo2vec form, whose rows
@@ -303,6 +318,21 @@ echo "=== bfhrf_cli Newick vs .p2v answers ==="
 ./build/examples/bfhrf_cli -r "${PERSIST_DIR}/avian.p2v" -t 4 \
   > "${PERSIST_DIR}/avian_vector.tsv"
 run diff "${PERSIST_DIR}/avian_newick.tsv" "${PERSIST_DIR}/avian_vector.tsv"
+
+# .p2v corpora are replaced atomically: an --emit-vector that fails on its
+# third tree (a star over all 48 taxa, which has no phylo2vec form) exits
+# 1 and leaves the old corpus byte for byte, with no temp file beside it.
+echo
+echo "=== bfhrf_cli failed --emit-vector keeps the old corpus ==="
+cp "${PERSIST_DIR}/avian.p2v" "${PERSIST_DIR}/avian_saved.p2v"
+{ head -n 2 "${PERSIST_DIR}/avian.nwk"; echo "($(seq -s, -f 't%g' 0 47));"; } \
+  > "${PERSIST_DIR}/avian_multi.nwk"
+status=0
+./build/examples/bfhrf_cli -r "${PERSIST_DIR}/avian_multi.nwk" \
+  --emit-vector "${PERSIST_DIR}/avian.p2v" > /dev/null 2>&1 || status=$?
+run test "${status}" -eq 1
+run cmp "${PERSIST_DIR}/avian.p2v" "${PERSIST_DIR}/avian_saved.p2v"
+run test -z "$(find "${PERSIST_DIR}" -name 'avian.p2v.tmp.*')"
 
 # The all-pairs matrix of the same corpus: tiles scheduled over 4 workers
 # must fill exactly the PHYLIP bytes one thread writes.

@@ -63,16 +63,6 @@ const obs::Gauge g_staged_bytes =
 /// no lock or shared resize sits on the hot path.
 using LaneValues = std::vector<std::vector<std::pair<std::size_t, double>>>;
 
-LaneValues make_lanes(std::size_t lanes, std::optional<std::size_t> hint) {
-  LaneValues out(lanes);
-  if (hint) {
-    for (auto& lane : out) {
-      lane.reserve(*hint / lanes + 1);
-    }
-  }
-  return out;
-}
-
 std::vector<double> in_stream_order(const LaneValues& lanes, std::size_t n) {
   std::vector<double> out(n, 0.0);
   for (const auto& lane : lanes) {
@@ -211,21 +201,27 @@ void check_width(const VectorSource& source, std::size_t n_bits) {
   }
 }
 
-/// A Newick file streams as record text, which the workers read against
-/// the source's namespace as it stands, so that namespace must already
-/// span the engine's universe. Each record reaches them as a `Record`
-/// (Bfhrf::NewickRecord): its text and the source.
+/// Newick text is read against a namespace as it stands, which nothing
+/// writes, so that namespace must already span the engine's universe.
+void check_namespace(const phylo::TaxonSetPtr& taxa, std::size_t n_bits) {
+  if (!taxa || taxa->size() != n_bits) {
+    throw InvalidArgument(
+        "Bfhrf: Newick namespace has " +
+        (taxa ? std::to_string(taxa->size()) + " taxa" : "no taxon set") +
+        " but the engine's universe is " + std::to_string(n_bits) + " wide");
+  }
+}
+
+/// A Newick file streams as record text, each record reaching the workers
+/// as a `Record` (Bfhrf::NewickRecord): its text and the source's
+/// namespace.
 template <typename Record>
 auto record_scheduler(FileTreeSource& file, std::size_t n_bits) {
-  if (file.taxa()->size() != n_bits) {
-    throw InvalidArgument("Bfhrf: Newick source namespace has " +
-                          std::to_string(file.taxa()->size()) +
-                          " taxa but the engine's universe is " +
-                          std::to_string(n_bits) + " wide");
-  }
+  check_namespace(file.taxa(), n_bits);
+  const phylo::TaxonSet* taxa = file.taxa().get();
   return stream_scheduler<std::string>(
       [&file](std::string& out) { return file.next_record(out); },
-      [&file](const std::string& text) { return Record{text, &file}; });
+      [taxa](const std::string& text) { return Record{text, taxa}; });
 }
 
 }  // namespace
@@ -281,7 +277,7 @@ std::size_t Bfhrf::max_resident_trees() const noexcept {
   const std::size_t workers = pipeline_workers();
   const std::size_t batches =
       workers == 0 ? 1 : queue_capacity(workers) + workers + 1;
-  return batches * kBatchItems + std::max<std::size_t>(1, workers);
+  return batches * kBatchItems;
 }
 
 std::size_t Bfhrf::max_staged_keys() const noexcept {
@@ -319,12 +315,9 @@ const phylo::BipartitionSet& Bfhrf::extract(
 const phylo::BipartitionSet& Bfhrf::extract(const NewickRecord& record,
                                             WorkerScratch& scratch) const {
   // record_scheduler checked the namespace's width up front.
-  if (scratch.newick.extract_into(record.text, *record.source->taxa(),
-                                  split_options(), scratch.newick_splits)) {
-    return scratch.newick_splits;
-  }
-  record.source->parse_record(record.text, scratch.tree);
-  return extract(scratch.tree, scratch);
+  scratch.newick.extract_into(record.text, *record.taxa, split_options(),
+                              scratch.newick_splits);
+  return scratch.newick_splits;
 }
 
 Bfhrf::KeptSplits Bfhrf::kept_splits(const phylo::BipartitionSet& bips,
@@ -407,7 +400,7 @@ double Bfhrf::route_bipartitions(const phylo::BipartitionSet& bips,
 }
 
 template <typename Schedule>
-void Bfhrf::build_from(Schedule schedule, std::optional<std::size_t> hint) {
+void Bfhrf::build_from(Schedule schedule) {
   if (!tables_) {
     throw Error(
         "Bfhrf::build: the engine serves a loaded index, which is "
@@ -437,7 +430,7 @@ void Bfhrf::build_from(Schedule schedule, std::optional<std::size_t> hint) {
     }
   }
   std::vector<WorkerScratch> scratch(lanes);
-  LaneValues tree_weights = make_lanes(lanes, hint);
+  LaneValues tree_weights(lanes);
 
   const std::size_t seen = schedule(
       workers, [&](std::size_t rank, std::size_t index, const auto& item) {
@@ -481,19 +474,17 @@ void Bfhrf::build_from(Schedule schedule, std::optional<std::size_t> hint) {
 }
 
 void Bfhrf::build(std::span<const phylo::Tree> reference) {
-  build_from(span_scheduler(reference), reference.size());
+  build_from(span_scheduler(reference));
 }
 
 void Bfhrf::build(FileTreeSource& reference) {
-  build_from(record_scheduler<NewickRecord>(reference, n_bits_),
-             reference.size_hint());
+  build_from(record_scheduler<NewickRecord>(reference, n_bits_));
 }
 
 void Bfhrf::build(VectorSource& reference) {
   check_width(reference, n_bits_);
   build_from(stream_scheduler<phylo::TreeVector>(
-                 [&](phylo::TreeVector& out) { return reference.next(out); }),
-             reference.size_hint());
+      [&](phylo::TreeVector& out) { return reference.next(out); }));
 }
 
 double Bfhrf::query_bipartitions(const phylo::BipartitionSet& bips,
@@ -549,25 +540,21 @@ double Bfhrf::query_one(const phylo::Tree& tree) const {
 
 double Bfhrf::query_newick(std::string_view record,
                            const phylo::TaxonSetPtr& taxa) const {
+  check_namespace(taxa, n_bits_);
   WorkerScratch& scratch = thread_scratch();
-  if (taxa && taxa->size() == n_bits_ &&
-      scratch.newick.extract_into(record, *taxa, split_options(),
-                                  scratch.newick_splits)) {
-    return query_bipartitions(scratch.newick_splits, scratch);
-  }
-  const phylo::Tree tree = phylo::parse_newick(record, taxa);
-  return query_bipartitions(extract(tree, scratch), scratch);
+  scratch.newick.extract_into(record, *taxa, split_options(),
+                              scratch.newick_splits);
+  return query_bipartitions(scratch.newick_splits, scratch);
 }
 
 template <typename Schedule>
-std::vector<double> Bfhrf::query_from(Schedule schedule,
-                                      std::optional<std::size_t> hint) const {
+std::vector<double> Bfhrf::query_from(Schedule schedule) const {
   const obs::TraceSpan span("bfhrf.query");
   const obs::ScopedTimer timer(g_query_seconds);
   const std::size_t workers = pipeline_workers();
   const std::size_t lanes = std::max<std::size_t>(1, workers);
   std::vector<WorkerScratch> scratch(lanes);
-  LaneValues results = make_lanes(lanes, hint);
+  LaneValues results(lanes);
   const std::size_t seen = schedule(
       workers, [&](std::size_t rank, std::size_t index, const auto& item) {
         results[rank].emplace_back(
@@ -580,20 +567,17 @@ std::vector<double> Bfhrf::query_from(Schedule schedule,
 
 std::vector<double> Bfhrf::query(
     std::span<const phylo::Tree> queries) const {
-  return query_from(span_scheduler(queries), queries.size());
+  return query_from(span_scheduler(queries));
 }
 
 std::vector<double> Bfhrf::query(FileTreeSource& queries) const {
-  return query_from(record_scheduler<NewickRecord>(queries, n_bits_),
-                    queries.size_hint());
+  return query_from(record_scheduler<NewickRecord>(queries, n_bits_));
 }
 
 std::vector<double> Bfhrf::query(VectorSource& queries) const {
   check_width(queries, n_bits_);
-  return query_from(
-      stream_scheduler<phylo::TreeVector>(
-          [&](phylo::TreeVector& out) { return queries.next(out); }),
-      queries.size_hint());
+  return query_from(stream_scheduler<phylo::TreeVector>(
+      [&](phylo::TreeVector& out) { return queries.next(out); }));
 }
 
 void Bfhrf::publish_store_metrics() {

@@ -119,13 +119,11 @@ class Bfhrf {
   /// Build from a Newick file; at most max_resident_trees() trees
   /// resident. Its records are framed on the calling thread, and the
   /// workers extract each record's splits straight from its text
-  /// (phylo::NewickSplitExtractor) against the source's namespace. That
-  /// namespace must already be `n_bits` wide (InvalidArgument otherwise,
-  /// before any record is read) and is never written. A record the text
-  /// pass hands back (a unary group, a repeated taxon, an unknown label, a
-  /// single leaf) is parsed into a Tree and extracted from that, so an
-  /// unknown label throws InvalidArgument naming it and a repeated taxon
-  /// ParseError naming it.
+  /// (phylo::NewickSplitExtractor) against the source's namespace; no
+  /// record becomes a Tree. That namespace must already be `n_bits` wide
+  /// (InvalidArgument otherwise, before any record is read) and is never
+  /// written. An unknown label throws InvalidArgument naming it, a
+  /// repeated taxon ParseError naming it.
   void build(FileTreeSource& reference);
 
   /// Build from a phylo2vec row stream (e.g. a .p2v corpus): bipartitions
@@ -152,12 +150,13 @@ class Bfhrf {
   /// each calling thread reuses its own extraction scratch.
   [[nodiscard]] double query_one(const phylo::Tree& tree) const;
 
-  /// Average RF of one Newick record against R, its labels resolved in
-  /// `taxa` (which must be `n_bits` wide). The splits come straight from
-  /// the text; a record that needs a Tree goes through
-  /// phylo::parse_newick(record, taxa) instead, whose errors it raises
-  /// (ParseError on malformed text; InvalidArgument on a label outside a
-  /// frozen `taxa`). Thread-safe after build, like query_one.
+  /// Average RF of one Newick record against R, its splits taken straight
+  /// from the text (phylo::NewickSplitExtractor) with its labels looked up
+  /// in `taxa`, which is never written. Throws InvalidArgument for a null
+  /// `taxa` or one that is not `n_bits` wide, before reading the record;
+  /// then ParseError on malformed text or a repeated taxon, and
+  /// InvalidArgument naming a label outside `taxa`. Thread-safe after
+  /// build, like query_one.
   [[nodiscard]] double query_newick(std::string_view record,
                                     const phylo::TaxonSetPtr& taxa) const;
 
@@ -173,9 +172,7 @@ class Bfhrf {
 
   /// Most trees (Newick records, or rows) a streamed build or query holds
   /// at once, counted in batches of up to 16: the bounded queue's batches,
-  /// one in flight per worker and the one the producer is filling, plus
-  /// one Tree per worker, into which a Newick record that needs the Tree
-  /// path is parsed.
+  /// one in flight per worker and the one the producer is filling.
   [[nodiscard]] std::size_t max_resident_trees() const noexcept;
 
   /// Keys a build worker stages before flushing: each of its S shard
@@ -197,7 +194,6 @@ class Bfhrf {
     phylo::VectorBipartitionExtractor vec_extractor;  ///< phylo2vec rows
     phylo::NewickSplitExtractor newick;      ///< Newick record text
     phylo::BipartitionSet newick_splits;     ///< its output
-    phylo::Tree tree;  ///< a record that needs the Tree path, parsed
     std::vector<std::uint32_t> freqs;        ///< frequency_many output
     std::vector<std::uint64_t> kept_keys;    ///< variant-filtered key arena
     std::vector<std::uint64_t> kept_fingerprints;  ///< aligned with keys
@@ -237,11 +233,11 @@ class Bfhrf {
     return opts_.compressed_keys ? KeyEncoding::Sparse : KeyEncoding::Raw;
   }
 
-  /// One framed record of a FileTreeSource: the payload of a streamed
-  /// Newick build or query.
+  /// One framed record of a FileTreeSource and the source's namespace:
+  /// the payload of a streamed Newick build or query.
   struct NewickRecord {
     std::string_view text;
-    const FileTreeSource* source = nullptr;
+    const phylo::TaxonSet* taxa = nullptr;
   };
 
   /// This thread's scratch for query_one and query_newick, reused across
@@ -257,9 +253,7 @@ class Bfhrf {
   }
 
   /// The extract step of build_from/query_from: check the payload's taxon
-  /// width, then run the matching per-worker extractor. A Newick record
-  /// goes through the text pass, or else is parsed into scratch.tree
-  /// (FileTreeSource::parse_record) and extracted from that.
+  /// width, then run the matching per-worker extractor.
   const phylo::BipartitionSet& extract(const phylo::Tree& tree,
                                        WorkerScratch& scratch) const;
   const phylo::BipartitionSet& extract(const phylo::Tree* tree,
@@ -297,13 +291,11 @@ class Bfhrf {
 
   /// The one build path and the one query path. `schedule` feeds
   /// them the payload — a pointer into an in-memory span, a NewickRecord
-  /// or a TreeVector row — through parallel::pipeline_run; `hint` is the
-  /// input's size if known.
+  /// or a TreeVector row — through parallel::pipeline_run.
   template <typename Schedule>
-  void build_from(Schedule schedule, std::optional<std::size_t> hint);
+  void build_from(Schedule schedule);
   template <typename Schedule>
-  [[nodiscard]] std::vector<double> query_from(
-      Schedule schedule, std::optional<std::size_t> hint) const;
+  [[nodiscard]] std::vector<double> query_from(Schedule schedule) const;
 
   /// The engine over a loaded index (load_bfhrf_file): no table is
   /// allocated; the store, sumBFHR, reference count, key encoding and

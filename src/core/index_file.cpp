@@ -6,16 +6,14 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <new>
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "util/atomic_file.hpp"
 #include "util/bitset.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
@@ -43,82 +41,6 @@ void require(bool ok, const std::string& path, const char* what) {
 [[noreturn]] void throw_io(const std::string& what, const std::string& path) {
   throw Error(what + " '" + path + "': " + std::strerror(errno));
 }
-
-/// Binary writer with zero-padding up to aligned offsets.
-/// Writes go through a stdio buffer (the key arena arrives a key at a time)
-/// to a fresh temp file beside `path`; commit() flushes and fsyncs it,
-/// renames it over `path` and fsyncs the directory, so readers see either
-/// the old file or the complete new one. Destroying an uncommitted writer
-/// removes the temp file.
-class FileWriter {
- public:
-  explicit FileWriter(const std::string& path) : path_(path) {
-    // "x" (O_EXCL) and "e" (O_CLOEXEC) on a pid + counter name: unique like
-    // mkstemp, but created with the usual 0666 & ~umask permissions.
-    static std::atomic<std::uint64_t> serial{0};
-    do {
-      tmp_ = path + ".tmp." + std::to_string(::getpid()) + "." +
-             std::to_string(serial.fetch_add(1));
-      file_ = std::fopen(tmp_.c_str(), "wbxe");
-    } while (file_ == nullptr && errno == EEXIST);
-    if (file_ == nullptr) {
-      throw_io("cannot create", tmp_);
-    }
-  }
-  FileWriter(const FileWriter&) = delete;
-  FileWriter& operator=(const FileWriter&) = delete;
-  ~FileWriter() {
-    if (file_ != nullptr) {
-      std::fclose(file_);
-      ::unlink(tmp_.c_str());
-    }
-  }
-
-  void write(const void* p, std::size_t n) {
-    if (std::fwrite(p, 1, n, file_) != n) {
-      throw_io("write failed for", tmp_);
-    }
-  }
-
-  void pad_to(std::uint64_t off) {
-    BFHRF_ASSERT(off >= pos() && off - pos() <= kMappedSectionAlign);
-    static constexpr char kZeros[kMappedSectionAlign] = {};
-    write(kZeros, static_cast<std::size_t>(off - pos()));
-  }
-
-  [[nodiscard]] std::uint64_t pos() const noexcept {
-    return static_cast<std::uint64_t>(std::ftell(file_));
-  }
-
-  void commit() {
-    if (std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
-      throw_io("write or fsync failed for", tmp_);
-    }
-    if (::rename(tmp_.c_str(), path_.c_str()) != 0) {
-      throw_io("cannot rename temp file over", path_);
-    }
-    std::fclose(file_);
-    file_ = nullptr;
-    // Make the rename itself durable.
-    const std::string dir =
-        std::filesystem::path(path_).parent_path().string();
-    const int dfd =
-        ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dfd < 0) {
-      throw_io("cannot open directory of", path_);
-    }
-    const int rc = ::fsync(dfd);
-    ::close(dfd);
-    if (rc != 0) {
-      throw_io("fsync failed for the directory of", path_);
-    }
-  }
-
- private:
-  std::string path_;
-  std::string tmp_;
-  std::FILE* file_ = nullptr;
-};
 
 /// Whole anonymous pages, unmapped on free, for the writer's large
 /// short-lived buffers: freed through malloc they would raise glibc's mmap
@@ -244,20 +166,35 @@ void write_index_file(const ShardedFrequencyHash& tables, double total_weight,
   r.keys_offset = align_up(r.slots_offset + r.slot_count * sizeof(slots[0]));
   h.file_bytes = r.keys_offset + r.key_bytes;
 
-  FileWriter w(path);
-  w.write(&h, sizeof h);
-  w.write(&r, sizeof r);
-  w.pad_to(r.ctrl_offset);
-  w.write(ctrl.data(), r.slot_count);
-  w.pad_to(r.slots_offset);
-  w.write(slots.data(), r.slot_count * sizeof(slots[0]));
-  w.pad_to(r.keys_offset);
+  // The sections are zero-padded up to their aligned offsets. Writes go
+  // through the stream's buffer: the key arena arrives a key at a time.
+  util::AtomicFile file(path);
+  std::ofstream& out = file.stream();
+  const auto write = [&](const void* p, std::size_t n) {
+    if (!out.write(static_cast<const char*>(p),
+                   static_cast<std::streamsize>(n))) {
+      throw Error("write failed for '" + path + "'");
+    }
+  };
+  const auto pad_to = [&](std::uint64_t off) {
+    static constexpr char kZeros[kMappedSectionAlign] = {};
+    const auto at = static_cast<std::uint64_t>(out.tellp());
+    BFHRF_ASSERT(off >= at && off - at <= kMappedSectionAlign);
+    write(kZeros, static_cast<std::size_t>(off - at));
+  };
+  write(&h, sizeof h);
+  write(&r, sizeof r);
+  pad_to(r.ctrl_offset);
+  write(ctrl.data(), r.slot_count);
+  pad_to(r.slots_offset);
+  write(slots.data(), r.slot_count * sizeof(slots[0]));
+  pad_to(r.keys_offset);
   for (const KeyRef& k : order) {  // straight from the shards' arenas
     const std::span<const std::byte> key = stored(k);
-    w.write(key.data(), key.size());
+    write(key.data(), key.size());
   }
-  BFHRF_ASSERT(w.pos() == h.file_bytes);
-  w.commit();
+  BFHRF_ASSERT(static_cast<std::uint64_t>(out.tellp()) == h.file_bytes);
+  file.commit();
   g_writes.inc();
 }
 

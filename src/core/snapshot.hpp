@@ -69,9 +69,9 @@ class IndexSnapshot {
 
   /// Score one Newick record against the snapshot's namespace
   /// (Bfhrf::query_newick): its splits come straight from the text on a
-  /// per-thread scratch, and only a record that needs a Tree is parsed
-  /// into one. Throws ParseError on malformed text and InvalidArgument on
-  /// a taxon outside the namespace.
+  /// per-thread scratch, and the namespace is never written. Throws
+  /// ParseError on malformed text or a repeated taxon and InvalidArgument
+  /// naming a taxon outside the namespace.
   [[nodiscard]] double query_newick(std::string_view newick) const;
 
   [[nodiscard]] const Bfhrf& engine() const noexcept { return engine_; }

@@ -34,11 +34,6 @@ bool FileTreeSource::next_record(std::string& out) {
   return reader_->next_record(out);
 }
 
-void FileTreeSource::parse_record(std::string_view record,
-                                  phylo::Tree& out) const {
-  phylo::parse_newick_into(record, taxa_, out);
-}
-
 std::optional<std::size_t> FileTreeSource::size_hint() const {
   if (!cached_hint_) {
     // One buffered pass over a separate descriptor (the streaming reader's

@@ -18,7 +18,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 
 #include "phylo/newick.hpp"
 #include "phylo/tree.hpp"
@@ -29,12 +28,11 @@ namespace bfhrf::core {
 /// Streams trees from a Newick file; holds one parsed tree at a time.
 ///
 /// next() frames and parses on the calling thread and grows a non-frozen
-/// namespace, like NewickReader::next. The engine (core/bfhrf) splits the
-/// two steps instead: its producer only frames records (next_record), and
-/// its workers extract each record's splits straight from the text
+/// namespace, like NewickReader::next. The engine (core/bfhrf) parses no
+/// Tree: its producer only frames records (next_record), and its workers
+/// extract each record's splits straight from the text
 /// (phylo::NewickSplitExtractor) against the namespace as it stands, which
-/// they never write. A record that pass hands back is parsed into a Tree
-/// (parse_record) and extracted from that.
+/// they never write.
 class FileTreeSource {
  public:
   FileTreeSource(std::string path, phylo::TaxonSetPtr taxa);
@@ -48,18 +46,13 @@ class FileTreeSource {
   /// Estimated tree count from a one-pass semicolon scan of the file,
   /// computed lazily on first call and cached. Every Newick tree ends
   /// with ';', so this is exact for well-formed files unless ';' also
-  /// appears inside quoted labels or [comments] — acceptable for the
-  /// reserve/pre-size consumers a hint feeds.
+  /// appears inside quoted labels or [comments]. The engine never asks:
+  /// the scan reads the whole file once more before the stream does.
   [[nodiscard]] std::optional<std::size_t> size_hint() const;
 
   /// Frame the next record's text into `out` without parsing it
   /// (NewickReader::next_record); false at end of stream.
   bool next_record(std::string& out);
-
-  /// Parse one framed record into `out` over the source's namespace
-  /// without writing it (phylo::parse_newick_into): an unknown label
-  /// throws InvalidArgument. Safe to call from several threads at once.
-  void parse_record(std::string_view record, phylo::Tree& out) const;
 
   [[nodiscard]] const phylo::TaxonSetPtr& taxa() const noexcept {
     return taxa_;
@@ -128,8 +121,7 @@ class SpanVectorSource final : public VectorSource {
 };
 
 /// Streams records from a .p2v corpus. The counted header makes
-/// size_hint() EXACT — no scan, unlike text formats — so downstream
-/// reserves and pre-sizing never degrade on file input.
+/// size_hint() EXACT, with no scan, unlike text formats.
 class P2vFileSource final : public VectorSource {
  public:
   explicit P2vFileSource(std::string path);

@@ -286,8 +286,8 @@ class SplitFold {
     return fresh;
   }
 
-  /// The innermost open group closes. Returns its child count.
-  std::uint32_t close() {
+  /// The innermost open group closes.
+  void close() {
     const std::uint32_t degree = children_.back();
     children_.pop_back();
     unary_ |= degree == 1;
@@ -308,7 +308,6 @@ class SplitFold {
       child_done(true);
     }
     open_.resize(top);
-    return degree;
   }
 
   /// Finish the tree through finish_splits into `out`, with one value per

@@ -16,12 +16,9 @@ namespace {
 // Streaming-reader throughput: records framed and their bytes.
 const obs::Counter g_newick_trees = obs::counter("phylo.newick.trees");
 const obs::Counter g_newick_bytes = obs::counter("phylo.newick.bytes");
-// The two routes a record's splits take: straight from its text
-// (NewickSplitExtractor), or handed back for parse + extract.
+// Records whose splits NewickSplitExtractor took straight from their text.
 const obs::Counter g_split_records =
     obs::counter("phylo.newick.split_records");
-const obs::Counter g_tree_fallbacks =
-    obs::counter("phylo.newick.tree_fallbacks");
 
 /// NewickReader's read-ahead block.
 constexpr std::size_t kBlockBytes = 64 * 1024;
@@ -173,12 +170,10 @@ class Cursor {
 ///   length(v)             ":v" after the node just completed
 ///   close()               ')' closes the innermost open group
 ///   internal_label(label) a label after ')'
-///   finish()              the whole record parsed
-/// A sink event returning false stops the descent there, and parse()
-/// returns false: that is how the split pass hands a record to the Tree
-/// path. Malformed text throws ParseError from the cursor.
+/// Malformed text throws ParseError from the cursor; a sink throws its own
+/// errors from the event that finds them.
 template <typename Sink>
-bool parse(std::string_view text, Sink& sink) {
+void parse(std::string_view text, Sink& sink) {
   Cursor cur(text);
   if (cur.peek() == '\0') {
     cur.fail("empty input");
@@ -189,9 +184,7 @@ bool parse(std::string_view text, Sink& sink) {
     if (lbl.empty()) {
       cur.fail("expected '(' or a label");
     }
-    if (!sink.root_leaf(lbl)) {
-      return false;
-    }
+    sink.root_leaf(lbl);
     if (cur.peek() == ':') {
       cur.take();
       sink.length(cur.length());
@@ -202,7 +195,7 @@ bool parse(std::string_view text, Sink& sink) {
     if (cur.peek() != '\0') {
       cur.fail("trailing characters after tree");
     }
-    return sink.finish();
+    return;
   }
   cur.take();
   sink.open();
@@ -225,9 +218,7 @@ bool parse(std::string_view text, Sink& sink) {
       if (lbl.empty()) {
         cur.fail("expected a leaf label");
       }
-      if (!sink.leaf(lbl)) {
-        return false;
-      }
+      sink.leaf(lbl);
       subtree = false;
     }
 
@@ -252,9 +243,7 @@ bool parse(std::string_view text, Sink& sink) {
         cur.fail("unbalanced ')'");
       }
       --depth;
-      if (!sink.close()) {
-        return false;
-      }
+      sink.close();
       const std::string_view internal_label = cur.label();
       if (!internal_label.empty()) {
         sink.internal_label(internal_label);
@@ -273,22 +262,24 @@ bool parse(std::string_view text, Sink& sink) {
     }
     cur.fail(std::string("unexpected character '") + c + "'");
   }
-  return sink.finish();
 }
 
-/// The Tree-building sink of parse_newick and parse_newick_into: grows
-/// `tree` (which must be empty) and maps each leaf label to a taxon id
-/// through `resolve`. A record that names a taxon twice throws ParseError.
-/// Unary groups are suppressed once the tree is whole.
-template <typename Resolve>
+/// A record that names one taxon twice is not a tree over its leaves.
+[[noreturn]] void repeated_taxon(std::string_view label) {
+  throw ParseError("newick tree names taxon '" + std::string(label) +
+                   "' twice");
+}
+
+/// parse_newick's sink: grows `tree` (which must be empty) and maps each
+/// leaf label to a taxon id through TaxonSet::add_or_get. finish()
+/// suppresses unary groups once the tree is whole.
 class TreeSink {
  public:
-  TreeSink(Tree& tree, Resolve& resolve) : tree_(tree), resolve_(resolve) {}
+  TreeSink(Tree& tree, TaxonSet& taxa) : tree_(tree), taxa_(taxa) {}
 
-  bool root_leaf(std::string_view label) {
+  void root_leaf(std::string_view label) {
     current_ = tree_.add_root();
-    tree_.set_taxon(current_, resolve_(label));
-    return true;
+    tree_.set_taxon(current_, taxa_.add_or_get(label));
   }
 
   void open() {
@@ -296,8 +287,8 @@ class TreeSink {
                                   : tree_.add_child(open_.back()));
   }
 
-  bool leaf(std::string_view label) {
-    const TaxonId id = resolve_(label);
+  void leaf(std::string_view label) {
+    const TaxonId id = taxa_.add_or_get(label);
     const auto word = static_cast<std::size_t>(id) / 64;
     const std::uint64_t bit = std::uint64_t{1}
                               << (static_cast<std::size_t>(id) % 64);
@@ -305,22 +296,19 @@ class TreeSink {
       seen_.resize(word + 1, 0);
     }
     if ((seen_[word] & bit) != 0) {
-      throw ParseError("newick tree names taxon '" + std::string(label) +
-                       "' twice");
+      repeated_taxon(label);
     }
     seen_[word] |= bit;
     current_ = tree_.add_leaf(open_.back(), id);
-    return true;
   }
 
   void length(double v) { tree_.set_length(current_, v); }
 
-  bool close() {
+  void close() {
     current_ = open_.back();
     open_.pop_back();
     const NodeId first = tree_.node(current_).first_child;
     unary_ |= tree_.node(first).next_sibling == kNoNode;
-    return true;
   }
 
   /// Numeric internal labels are support values (the common bootstrap /
@@ -335,57 +323,51 @@ class TreeSink {
     }
   }
 
-  bool finish() {
-    if (tree_.num_leaves() == 0) {
-      throw ParseError("newick tree has no leaves");
-    }
+  void finish() {
     if (unary_) {
       tree_.suppress_unary();
     }
-    return true;
   }
 
  private:
   Tree& tree_;
-  Resolve& resolve_;
+  TaxonSet& taxa_;
   std::vector<NodeId> open_;  ///< the open '(' groups, innermost last
   std::vector<std::uint64_t> seen_;  ///< taxa named so far, one bit each
   NodeId current_ = kNoNode;  ///< node whose length/label comes next
   bool unary_ = false;        ///< some group closed with one child
 };
 
-template <typename Resolve>
-void parse_tree(std::string_view text, Tree& tree, Resolve resolve) {
-  TreeSink<Resolve> sink(tree, resolve);
-  (void)parse(text, sink);
-}
-
 /// The split pass's sink: hands the grammar's events to the fold, looking
-/// each leaf label up in the namespace. Every event that would make the
-/// result differ from the Tree path's returns false.
+/// each leaf label up in the namespace without writing it. A one-leaf
+/// record folds as a group around its leaf, as BipartitionExtractor folds
+/// a one-leaf Tree; a unary group closes like any other, and the finish
+/// sorts out the splits it repeats.
 struct SplitSink {
   SplitFold& fold;
   const TaxonSet& taxa;
 
-  bool root_leaf(std::string_view /*label*/) { return false; }
+  void root_leaf(std::string_view label) {
+    fold.open();
+    leaf(label);
+    fold.close();
+  }
 
   void open() { fold.open(); }
 
-  /// False for a label outside the namespace (the Tree path names it) or
-  /// a repeated taxon.
-  bool leaf(std::string_view label) {
-    const std::optional<TaxonId> id = taxa.find(label);
-    return id && fold.leaf(static_cast<std::size_t>(*id));
+  /// InvalidArgument for a label outside the namespace (TaxonSet::index_of
+  /// names it), ParseError for a repeated taxon.
+  void leaf(std::string_view label) {
+    if (!fold.leaf(static_cast<std::size_t>(taxa.index_of(label)))) {
+      repeated_taxon(label);
+    }
   }
 
   void length(double /*v*/) {}
 
-  /// False for a unary group, which the Tree path suppresses.
-  bool close() { return fold.close() != 1; }
+  void close() { fold.close(); }
 
   void internal_label(std::string_view /*label*/) {}
-
-  bool finish() { return true; }
 };
 
 }  // namespace
@@ -395,41 +377,26 @@ Tree parse_newick(std::string_view text, const TaxonSetPtr& taxa) {
     throw InvalidArgument("parse_newick: null taxon set");
   }
   Tree tree(taxa);
-  parse_tree(text, tree,
-             [&](std::string_view label) { return taxa->add_or_get(label); });
+  TreeSink sink(tree, *taxa);
+  parse(text, sink);
+  sink.finish();
   return tree;
 }
 
-void parse_newick_into(std::string_view text, const TaxonSetPtr& taxa,
-                       Tree& out) {
-  if (!taxa) {
-    throw InvalidArgument("parse_newick_into: null taxon set");
-  }
-  if (out.taxa() != taxa) {
-    out.set_taxa(taxa);
-  }
-  out.clear();
-  parse_tree(text, out,
-             [&](std::string_view label) { return taxa->index_of(label); });
-}
-
-bool NewickSplitExtractor::extract_into(std::string_view text,
+void NewickSplitExtractor::extract_into(std::string_view text,
                                         const TaxonSet& taxa,
                                         const BipartitionOptions& opts,
                                         BipartitionSet& out) {
   if (opts.value != SplitValue::None) {
-    g_tree_fallbacks.inc();
-    return false;
+    throw InvalidArgument(
+        "NewickSplitExtractor: per-split values need a parsed Tree "
+        "(parse_newick + BipartitionExtractor)");
   }
   fold_.start(taxa.size(), opts.include_trivial);
   SplitSink sink{.fold = fold_, .taxa = taxa};
-  if (!parse(text, sink)) {
-    g_tree_fallbacks.inc();
-    return false;
-  }
+  parse(text, sink);
   fold_.finish(opts, out);
   g_split_records.inc();
-  return true;
 }
 
 namespace {

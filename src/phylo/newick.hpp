@@ -11,11 +11,11 @@
 // arbitrary whitespace are handled.
 //
 // One iterative descent (explicit stack, so pathological caterpillar trees
-// cannot overflow the call stack) implements the grammar for all three
-// consumers: parse_newick and parse_newick_into build a Tree from it, and
-// NewickSplitExtractor turns the same events straight into canonical
-// splits. Malformed text therefore fails with the same ParseError, at the
-// same offset, whichever of them reads it.
+// cannot overflow the call stack) implements the grammar for both
+// consumers: parse_newick builds a Tree from it, and NewickSplitExtractor
+// turns the same events straight into canonical splits. Malformed text
+// therefore fails with the same ParseError, at the same offset, whichever
+// of them reads it.
 #pragma once
 
 #include <iosfwd>
@@ -34,37 +34,30 @@ namespace bfhrf::phylo {
 /// and on a record that names one taxon twice.
 [[nodiscard]] Tree parse_newick(std::string_view text, const TaxonSetPtr& taxa);
 
-/// Parse a single Newick string into `out` over a fixed namespace: labels
-/// resolve through TaxonSet::find only, an unknown label throws
-/// InvalidArgument naming it, and `taxa` is never written, so concurrent
-/// calls sharing one TaxonSet are safe. `out` is cleared first and keeps
-/// its node storage, so a tree re-parsed in a loop stops allocating once
-/// warm. Throws ParseError on malformed input and on a record that names
-/// one taxon twice.
-void parse_newick_into(std::string_view text, const TaxonSetPtr& taxa,
-                       Tree& out);
-
-/// Canonical splits straight from one record's Newick text, with no Tree.
-/// The grammar's '(', leaf and ')' events drive phylo::SplitFold, which
-/// keeps a ⌈n/64⌉-word leaf mask per open group and lists the closed
-/// groups in postorder; once the root closes, finish_splits canonicalizes
-/// them against the record's leaf mask. BipartitionExtractor feeds the
-/// same fold from a Tree, so the result is byte for byte, order included,
-/// what parse_newick_into plus BipartitionExtractor::extract_into give for
-/// `opts`.
+/// Canonical splits straight from one record's Newick text, with no Tree:
+/// the only route a streamed or served Newick record takes. The grammar's
+/// '(', leaf and ')' events drive phylo::SplitFold, which keeps a
+/// ⌈n/64⌉-word leaf mask per open group and lists the closed groups in
+/// postorder; once the root closes, finish_splits canonicalizes them
+/// against the record's leaf mask. BipartitionExtractor feeds the same
+/// fold from a Tree, so the splits and their fingerprints are what
+/// parse_newick plus BipartitionExtractor give for `opts`, byte for byte
+/// and in the same order. The one exception is a record with a unary
+/// group: the parse suppresses it, while here it closes like any other
+/// group and the finish sorts and dedups the split it repeats, so such a
+/// record's arena comes out sorted even when opts.sorted is false.
 ///
 /// Not thread-safe: one extractor per worker. `taxa` is only read
-/// (TaxonSet::find), so extractors on several threads may share it.
+/// (TaxonSet::index_of), so extractors on several threads may share it.
 class NewickSplitExtractor {
  public:
-  /// Extract `text`'s splits over `taxa` into `out` (cleared first) and
-  /// return true, or return false, with `out` unspecified, for a record the
-  /// Tree path must take: a single leaf, a group with one child, a repeated
-  /// taxon, a label outside `taxa`, or opts.value other than None. That
-  /// path then gives the answer or raises its own error (ParseError for a
-  /// repeated taxon). Throws ParseError on malformed text, as parse_newick
-  /// does.
-  bool extract_into(std::string_view text, const TaxonSet& taxa,
+  /// Extract `text`'s splits over `taxa` into `out` (cleared first).
+  /// Throws, with `out` unspecified and `taxa` unwritten: ParseError on
+  /// malformed text, as parse_newick does, and on a record that names one
+  /// taxon twice; InvalidArgument naming a label outside `taxa`, and for
+  /// opts.value other than None (only a Tree carries lengths and
+  /// supports).
+  void extract_into(std::string_view text, const TaxonSet& taxa,
                     const BipartitionOptions& opts, BipartitionSet& out);
 
  private:

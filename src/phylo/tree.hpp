@@ -79,14 +79,6 @@ class Tree {
 
   void reserve(std::size_t nodes) { nodes_.reserve(nodes); }
 
-  /// Drop every node but keep the arena's capacity and the taxon set, so
-  /// a tree rebuilt in a loop (phylo::parse_newick_into) reuses its storage.
-  void clear() noexcept {
-    nodes_.clear();
-    root_ = kNoNode;
-    num_leaves_ = 0;
-  }
-
   // --- access --------------------------------------------------------------
 
   [[nodiscard]] const TaxonSetPtr& taxa() const noexcept { return taxa_; }

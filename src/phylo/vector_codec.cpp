@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "util/atomic_file.hpp"
 #include "util/error.hpp"
 
 namespace bfhrf::phylo {
@@ -502,15 +503,13 @@ P2vHeader read_p2v_header(const std::string& path) {
 void write_p2v_file(const std::string& path, std::uint32_t n_taxa,
                     std::span<const TreeVector> vectors,
                     std::span<const std::string> labels) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw Error("p2v: cannot open " + path + " for writing");
-  }
-  P2vWriter writer(out, n_taxa, labels);
+  util::AtomicFile file(path);
+  P2vWriter writer(file.stream(), n_taxa, labels);
   for (const TreeVector& v : vectors) {
     writer.write(v);
   }
   writer.finish();
+  file.commit();
 }
 
 void write_p2v_file(const std::string& path, std::span<const Tree> trees) {
@@ -521,17 +520,14 @@ void write_p2v_file(const std::string& path, std::span<const Tree> trees) {
   if (!taxa) {
     throw InvalidArgument("write_p2v_file: trees carry no taxon set");
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw Error("p2v: cannot open " + path + " for writing");
-  }
-  P2vWriter writer(out, static_cast<std::uint32_t>(taxa->size()),
+  util::AtomicFile file(path);
+  P2vWriter writer(file.stream(), static_cast<std::uint32_t>(taxa->size()),
                    taxa->labels());
   for (const Tree& tree : trees) {
-    const TreeVector v = tree_to_vector(tree);
-    writer.write(v);
+    writer.write(tree_to_vector(tree));
   }
   writer.finish();
+  file.commit();
 }
 
 // --- direct extraction ------------------------------------------------------

@@ -35,7 +35,7 @@
 // Three surfaces:
 //  * Tree <-> vector conversion through the existing Tree/TaxonSet types.
 //  * Text ("0,2,4") and binary (.p2v, little-endian, counted header)
-//    corpus I/O. The counted header gives ingest an EXACT size_hint.
+//    corpus I/O. The counted header gives an EXACT size_hint.
 //  * VectorBipartitionExtractor: canonical BipartitionSets straight from
 //    the vector form, no Tree materialized — a dense integer array beats
 //    pointer-chasing the node arena for the extraction stage the PR 2
@@ -158,6 +158,9 @@ class P2vReader {
 
 /// Parse just the header of a .p2v file (for size_hint probes).
 [[nodiscard]] P2vHeader read_p2v_header(const std::string& path);
+
+// Both corpus writers replace `path` atomically (util::AtomicFile): a
+// write that throws leaves the old file as it was and no temp file.
 
 /// Write a whole corpus of raw vectors.
 void write_p2v_file(const std::string& path, std::uint32_t n_taxa,

@@ -233,21 +233,18 @@ TEST(BfhrfStreamTest, FileBackedStreamMatchesSpanPathBitwise) {
 }
 
 TEST(BfhrfStreamTest, NewickRecordRoutesMatchSpanPathAndReconcile) {
-  // Workers extract most records' splits straight from the text and hand
-  // the rest to parse + extract. k records of m here need the Tree path:
-  // a unary group (suppressed by the parse) around a leaf or around an
-  // internal group. Either way the answers must equal the span path over
-  // the same parsed trees, and every framed record must be counted by
-  // exactly one route: the k handed back once per pass, in the build and
-  // in the query. A record that repeats a taxon is handed back too, and
-  // the parse rejects it at every thread count.
+  // Workers extract every record's splits straight from the text, and
+  // each record is counted once, in the build and in the query. Some
+  // records here carry a unary group (which the parse suppresses) around
+  // a leaf or around an internal group: the split pass folds it, and the
+  // answers must equal the span path over the same parsed trees. A record
+  // that repeats a taxon is rejected at every thread count.
   constexpr std::size_t kRecords = 90;
   const auto taxa = TaxonSet::make_numbered(70);  // 2-word keys
   util::Rng rng(25);
   const std::vector<Tree> base = test::random_collection(taxa, kRecords, 5, rng);
   std::string text;
   std::string repeated_taxon;
-  std::size_t handed_back = 0;
   for (std::size_t i = 0; i < kRecords; ++i) {
     std::string record = phylo::write_newick(base[i]);
     // The label after the record's first '(' run is always a leaf.
@@ -256,7 +253,6 @@ TEST(BfhrfStreamTest, NewickRecordRoutesMatchSpanPathAndReconcile) {
     if (i % 9 == 4) {
       record.insert(end, ")");  // a unary group around that leaf
       record.insert(begin, "(");
-      ++handed_back;
     } else if (i % 9 == 7) {
       // A unary group around the first internal group below the root.
       const std::size_t open = record.find('(', 1);
@@ -266,7 +262,6 @@ TEST(BfhrfStreamTest, NewickRecordRoutesMatchSpanPathAndReconcile) {
       }
       record.insert(close, ")");
       record.insert(open, "(");
-      ++handed_back;
     }
     if (i == 0) {
       const std::string other = record.substr(begin, end - begin) == "t0"
@@ -291,8 +286,6 @@ TEST(BfhrfStreamTest, NewickRecordRoutesMatchSpanPathAndReconcile) {
     const std::uint64_t framed0 = obs::counter_value("phylo.newick.trees");
     const std::uint64_t split0 =
         obs::counter_value("phylo.newick.split_records");
-    const std::uint64_t fallback0 =
-        obs::counter_value("phylo.newick.tree_fallbacks");
     Bfhrf engine(taxa->size(), BfhrfOptions{.threads = threads});
     FileTreeSource ref_source(file.path(), taxa);
     engine.build(ref_source);
@@ -305,11 +298,8 @@ TEST(BfhrfStreamTest, NewickRecordRoutesMatchSpanPathAndReconcile) {
         obs::counter_value("phylo.newick.trees") - framed0;
     const std::uint64_t split =
         obs::counter_value("phylo.newick.split_records") - split0;
-    const std::uint64_t fallbacks =
-        obs::counter_value("phylo.newick.tree_fallbacks") - fallback0;
     EXPECT_EQ(framed, 2 * kRecords);
-    EXPECT_EQ(split + fallbacks, framed);
-    EXPECT_EQ(fallbacks, 2 * handed_back);
+    EXPECT_EQ(split, framed);
   }
 
   const TempNewick bad("routes_repeated", text + repeated_taxon + "\n");

@@ -272,12 +272,12 @@ TEST(BfhrfTest, IncludeTrivialChangesNothingForFixedTaxa) {
 }
 
 TEST(BfhrfTest, RepeatedTaxonRecordQueriesInLinearTime) {
-  // The split pass hands a record that repeats a taxon back to the Tree
-  // parse, which a daemon request can feed a group of 100,000 leaves.
-  // Appending each child by walking the sibling chain made that O(k^2),
+  // A daemon request can feed query_newick a group of 100,000 leaves that
+  // all name one taxon. When such a record went to a Tree parse,
+  // appending each child by walking the sibling chain made that O(k^2),
   // and folding the repeats answered the record (7.0: all of its splits
   // trivial). A record that names a taxon twice is not a tree over its
-  // leaves, so the parse now rejects it, and must do so quickly.
+  // leaves, so it is rejected, and must be rejected quickly.
   constexpr std::size_t kLeaves = 100'000;
   const auto taxa = TaxonSet::make_numbered(10);
   util::Rng rng(21);
@@ -294,6 +294,34 @@ TEST(BfhrfTest, RepeatedTaxonRecordQueriesInLinearTime) {
   const std::chrono::duration<double> took =
       std::chrono::steady_clock::now() - start;
   EXPECT_LT(took.count(), 5.0);
+}
+
+TEST(BfhrfTest, QueryNewickUnknownLabelLeavesTheNamespaceUnwritten) {
+  // query_newick only reads its namespace. A record with a label outside
+  // it used to be parsed into a Tree over that namespace, which, not
+  // frozen, grew by the label before the width check threw; every later
+  // record then failed the width check too.
+  const auto taxa = TaxonSet::make_numbered(6);
+  util::Rng rng(27);
+  const std::vector<Tree> reference = test::random_collection(taxa, 8, 3, rng);
+  Bfhrf engine(taxa->size());
+  engine.build(reference);
+  try {
+    (void)engine.query_newick("((t0,t1),(t2,t3),(t4,NEW));", taxa);
+    FAIL() << "an unknown label must throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("'NEW'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(taxa->size(), 6u);
+  EXPECT_FALSE(taxa->frozen());
+  const std::string valid = "((t0,t1),(t2,t3),(t4,t5));";
+  EXPECT_EQ(engine.query_newick(valid, taxa),
+            engine.query_one(phylo::parse_newick(valid, taxa)));
+  // A null or wrong-width namespace is refused before the text is read.
+  EXPECT_THROW((void)engine.query_newick(valid, nullptr), InvalidArgument);
+  EXPECT_THROW((void)engine.query_newick("((((;", TaxonSet::make_numbered(7)),
+               InvalidArgument);
 }
 
 TEST(BfhrfTest, IncrementalBuildAccumulates) {

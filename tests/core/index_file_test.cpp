@@ -1,13 +1,17 @@
 #include "core/index_file.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +22,7 @@
 #include "core/tree_source.hpp"
 #include "phylo/bipartition.hpp"
 #include "phylo/newick.hpp"
+#include "phylo/vector_codec.hpp"
 #include "support/test_util.hpp"
 #include "util/error.hpp"
 #include "util/group_table.hpp"
@@ -566,6 +571,76 @@ TEST(IndexFileTest, ResavingUnderALiveMappingKeepsItsAnswers) {
     EXPECT_NE(entry.path().filename().string().rfind(prefix, 0), 0u)
         << entry.path();
   }
+}
+
+void kill_self(int /*signal*/) { ::kill(::getpid(), SIGKILL); }
+
+/// Run `write` in a forked child that is SIGKILLed once it writes past
+/// `limit` bytes of a file: RLIMIT_FSIZE raises SIGXFSZ at that offset,
+/// and the child's handler turns it into SIGKILL, so no destructor, exit
+/// handler or core dump runs. Returns the child's wait status.
+int write_until_killed(std::uint64_t limit,
+                       const std::function<void()>& write) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    std::signal(SIGXFSZ, kill_self);
+    const rlimit cap{limit, limit};
+    ::setrlimit(RLIMIT_FSIZE, &cap);
+    try {
+      write();
+    } catch (...) {
+    }
+    ::_exit(0);
+  }
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  return status;
+}
+
+TEST(IndexFileTest, WritersKilledMidWriteLeaveTheOldFile) {
+  // Both persisted formats replace their file atomically
+  // (util::AtomicFile): a writer killed halfway through the new file's
+  // bytes leaves the old file byte for byte. Its temp file stays, as
+  // nothing ran to remove it.
+  const BuiltEngine w = make_workload(40, 60, 0, 31);
+  const std::span<const Tree> all(w.reference);
+  Bfhrf small(w.taxa->size());
+  small.build(all.first(2));
+  Bfhrf large(w.taxa->size());
+  large.build(all);
+  const auto check = [](const char* tag, const auto& write_old,
+                        const auto& write_new) {
+    SCOPED_TRACE(tag);
+    const TempFile file(tag);
+    write_new(file.path());
+    const std::uint64_t limit = file.bytes().size() / 2;
+    write_old(file.path());
+    const std::vector<char> old = file.bytes();
+    const int status =
+        write_until_killed(limit, [&] { write_new(file.path()); });
+    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+        << "wait status " << status;
+    EXPECT_EQ(file.bytes(), old);
+    const std::filesystem::path path(file.path());
+    const std::string prefix = path.filename().string() + ".tmp.";
+    std::size_t left = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(path.parent_path())) {
+      if (entry.path().filename().string().rfind(prefix, 0) == 0) {
+        ++left;
+        EXPECT_LE(entry.file_size(), limit);
+        std::filesystem::remove(entry.path());
+      }
+    }
+    EXPECT_EQ(left, 1u);
+  };
+  check(
+      "killed_index", [&](const std::string& p) { save_bfhrf_file(small, p); },
+      [&](const std::string& p) { save_bfhrf_file(large, p); });
+  check(
+      "killed_corpus",
+      [&](const std::string& p) { phylo::write_p2v_file(p, all.first(2)); },
+      [&](const std::string& p) { phylo::write_p2v_file(p, all); });
 }
 
 TEST(IndexFileTest, MappedStoreIsReadOnly) {

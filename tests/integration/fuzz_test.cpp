@@ -95,8 +95,9 @@ std::string internal_text(util::Rng& rng) {
   return rng.bernoulli(0.5) ? "" : kLabels[rng.below(std::size(kLabels))];
 }
 
-/// What a written record carries that makes the split pass hand it to
-/// the Tree path.
+/// What a written record carries besides a clean tree: a unary group (the
+/// parse suppresses it, the split pass folds it), a repeated taxon or a
+/// label outside the namespace (both errors).
 enum class Feature { None, Unary, Repeated, Unknown };
 
 /// A decorated Newick writer: random quoting, comments, whitespace (tab,
@@ -162,13 +163,15 @@ struct DecoratedWriter {
   }
 };
 
-/// One route's answer for a record: its arena and leaf mask, or the
-/// exception it threw (type and message).
+/// One route's answer for a record: its arena, fingerprints and leaf mask,
+/// or the exception it threw (type and message).
 struct RouteResult {
+  std::string error_type;
   std::string error;
   std::size_t n_bits = 0;
   std::size_t count = 0;
   std::vector<std::uint64_t> arena;
+  std::vector<std::uint64_t> fingerprints;
   std::vector<std::uint64_t> leaf_mask;
 
   void take(const phylo::BipartitionSet& set) {
@@ -176,58 +179,77 @@ struct RouteResult {
     count = set.size();
     const util::ConstWordSpan a = set.arena_view();
     arena.assign(a.begin(), a.end());
+    fingerprints.assign(set.fingerprints().begin(), set.fingerprints().end());
     const util::ConstWordSpan m = set.leaf_mask().words();
     leaf_mask.assign(m.begin(), m.end());
+  }
+
+  void take(const Error& e) {
+    error_type = typeid(e).name();
+    error = e.what();
   }
 
   bool operator==(const RouteResult&) const = default;
 };
 
-std::string describe(const Error& e) {
-  return std::string(typeid(e).name()) + ": " + e.what();
-}
-
-/// parse_newick_into + BipartitionExtractor::extract_into: the Tree path.
+/// The reference route: parse_newick over a frozen namespace, then
+/// BipartitionExtractor::extract_into (its splits stay in `out`).
 RouteResult tree_route(const std::string& text,
                        const phylo::TaxonSetPtr& taxa,
                        const phylo::BipartitionOptions& opts,
                        phylo::BipartitionExtractor& extractor,
-                       phylo::Tree& tree, phylo::BipartitionSet& out) {
+                       phylo::BipartitionSet& out) {
   RouteResult r;
   try {
-    phylo::parse_newick_into(text, taxa, tree);
-    extractor.extract_into(tree, opts, out);
+    extractor.extract_into(phylo::parse_newick(text, taxa), opts, out);
     r.take(out);
   } catch (const Error& e) {
-    r.error = describe(e);
+    r.take(e);
+  }
+  return r;
+}
+
+/// The engine's one route: NewickSplitExtractor straight from the text.
+RouteResult split_route(const std::string& text, const phylo::TaxonSet& taxa,
+                        const phylo::BipartitionOptions& opts,
+                        phylo::NewickSplitExtractor& extractor,
+                        phylo::BipartitionSet& out) {
+  RouteResult r;
+  try {
+    extractor.extract_into(text, taxa, opts, out);
+    r.take(out);
+  } catch (const Error& e) {
+    r.take(e);
   }
   return r;
 }
 
 TEST(FuzzTest, FusedSplitsMatchTreeExtraction) {
-  // The engine's record route (the split pass straight from text, or else
-  // parse + extract) must give exactly what parse + extract gives: the
-  // same arena bytes in the same order and the same leaf mask, or the
-  // same exception type and message. n = 64, 65 and 130 cross the word
-  // boundary (1-, 2- and 3-word keys).
+  // The split pass answers every record, and must answer what parse +
+  // extract gives: the same arena bytes and fingerprints in the same
+  // order and the same leaf mask, or the same exception. Two things may
+  // differ. A record with a unary group comes out sorted even unsorted,
+  // because the finish dedups the split the group repeats where the parse
+  // suppressed the group. And an unknown label's message is TaxonSet's
+  // "unknown taxon '<label>'", which the frozen parse extends. n = 64, 65
+  // and 130 cross the word boundary (1-, 2- and 3-word keys).
   const std::uint64_t seed = test::fuzz_seed(0xF427);
   SCOPED_TRACE("seed=" + test::hex_seed(seed));
   util::Rng rng(seed);
   phylo::NewickSplitExtractor fused;
   phylo::BipartitionExtractor extractor;
-  phylo::Tree tree;
   phylo::BipartitionSet fused_set;
   phylo::BipartitionSet tree_set;
-  std::size_t accepted = 0;
-  std::size_t handed_back = 0;
+  std::size_t answered = 0;
+  std::size_t reordered = 0;
   std::size_t errors = 0;
 
   // Every input runs through both routes under the four option pairs.
-  // `expect_fused`: 1 = the split pass must accept it (a clean record), 0
-  // = it must hand it back (a record with a Tree-path feature), -1 =
-  // either (mutated and truncated text).
+  // `unary`: 1 = the record has a unary group, 0 = it has none, -1 =
+  // either (mutated and truncated text). `clean`: the record must answer.
   const auto check = [&](const std::string& text,
-                         const phylo::TaxonSetPtr& taxa, int expect_fused) {
+                         const phylo::TaxonSetPtr& taxa, int unary,
+                         bool clean) {
     for (const bool include_trivial : {false, true}) {
       for (const bool sorted : {false, true}) {
         SCOPED_TRACE("include_trivial=" + std::to_string(include_trivial) +
@@ -235,35 +257,36 @@ TEST(FuzzTest, FusedSplitsMatchTreeExtraction) {
         const phylo::BipartitionOptions opts{.include_trivial = include_trivial,
                                              .sorted = sorted};
         const RouteResult expect =
-            tree_route(text, taxa, opts, extractor, tree, tree_set);
-        RouteResult got;
-        bool took_fused = false;
-        try {
-          took_fused = fused.extract_into(text, *taxa, opts, fused_set);
-          if (took_fused) {
-            got.take(fused_set);
-          }
-        } catch (const Error& e) {
-          got.error = describe(e);
-        }
-        if (!took_fused && got.error.empty()) {
-          got = tree_route(text, taxa, opts, extractor, tree, tree_set);
-        }
-        EXPECT_EQ(got, expect);
-        if (expect_fused >= 0) {
-          EXPECT_EQ(took_fused, expect_fused == 1);
-        }
-        if (expect_fused == 1) {
+            tree_route(text, taxa, opts, extractor, tree_set);
+        const RouteResult got = split_route(text, *taxa, opts, fused, fused_set);
+        if (clean) {
           EXPECT_TRUE(expect.error.empty()) << expect.error;
-        }
-        if (took_fused) {
-          ++accepted;
-        } else if (got.error.empty()) {
-          ++handed_back;
         }
         if (!expect.error.empty()) {
           ++errors;
+          EXPECT_EQ(got.error_type, expect.error_type) << got.error;
+          if (got.error_type == typeid(InvalidArgument).name()) {
+            EXPECT_TRUE(got.error.starts_with("unknown taxon '") &&
+                        expect.error.starts_with(got.error))
+                << got.error << " | " << expect.error;
+          } else {
+            EXPECT_EQ(got.error, expect.error);
+          }
+          continue;
         }
+        ++answered;
+        if (got == expect) {
+          continue;
+        }
+        // Only a unary group may reorder an unsorted arena, into the
+        // sorted order of the same splits.
+        EXPECT_TRUE(!sorted && unary != 0) << "arena differs";
+        ++reordered;
+        phylo::BipartitionSet want = tree_set;
+        want.finalize();
+        RouteResult sorted_expect;
+        sorted_expect.take(want);
+        EXPECT_EQ(got, sorted_expect);
       }
     }
   };
@@ -279,6 +302,7 @@ TEST(FuzzTest, FusedSplitsMatchTreeExtraction) {
                        std::to_string(i));
     }
     const auto taxa = std::make_shared<phylo::TaxonSet>(labels);
+    taxa->freeze();
     for (int rep = 0; rep < 24; ++rep) {
       SCOPED_TRACE("n=" + std::to_string(n) + " rep=" + std::to_string(rep));
       // Binary (degree-3 root), multifurcating, caterpillar, and a tree
@@ -311,33 +335,36 @@ TEST(FuzzTest, FusedSplitsMatchTreeExtraction) {
                              .target = phylo::kNoNode,
                              .other_label = {}};
       const std::string clean = writer.record(rng.bernoulli(0.5));
-      check(clean, taxa, 1);
+      check(clean, taxa, 0, true);
 
       writer.target = leaf;
       writer.feature = Feature::Unknown;
-      check(writer.record(rng.bernoulli(0.5)), taxa, 0);
+      check(writer.record(rng.bernoulli(0.5)), taxa, 0, false);
       writer.feature = Feature::Repeated;
       writer.other_label = t.taxa()->label_of(t.node(other).taxon);
-      check(writer.record(rng.bernoulli(0.5)), taxa, 0);
+      check(writer.record(rng.bernoulli(0.5)), taxa, 0, false);
       // Unary groups anywhere, the root included (which record() writes
       // as is only without the degree-2 regrouping).
       writer.feature = Feature::Unary;
       writer.target = static_cast<phylo::NodeId>(rng.below(t.num_nodes()));
       check(writer.record(writer.target != t.root() && rng.bernoulli(0.5)),
-            taxa, 0);
-      check(gap(rng) + label_text(labels[rng.below(n)], rng) +
-                length_text(rng) + gap(rng) + ";",
-            taxa, 0);
+            taxa, 1, true);
+      // A lone leaf, bare and wrapped in unary groups.
+      const std::string lone =
+          label_text(labels[rng.below(n)], rng) + length_text(rng);
+      check(gap(rng) + lone + gap(rng) + ";", taxa, 0, true);
+      check("((" + lone + "))" + internal_text(rng) + ";", taxa, 1, true);
 
       for (int m = 0; m < 3; ++m) {
-        check(mutate(clean, 1 + rng.below(6), rng), taxa, -1);
+        check(mutate(clean, 1 + rng.below(6), rng), taxa, -1, false);
       }
-      check(clean.substr(0, rng.below(clean.size())), taxa, -1);
+      check(clean.substr(0, rng.below(clean.size())), taxa, -1, false);
     }
   }
-  // Liveness: each route and the error path were exercised.
-  EXPECT_GT(accepted, 0u);
-  EXPECT_GT(handed_back, 0u);
+  // Liveness: records were answered, some reordered by a unary group, and
+  // the error path was exercised.
+  EXPECT_GT(answered, 0u);
+  EXPECT_GT(reordered, 0u);
   EXPECT_GT(errors, 0u);
 }
 
@@ -519,27 +546,30 @@ testing::AssertionResult same_splits(phylo::BipartitionSet got,
 TEST(FuzzTest, FrontEndsMatchNaiveReference) {
   // Every front end against a reference that shares no code with their
   // fold and finish: the Tree walk (all three value modes), the Newick
-  // split pass over write_newick's text (handing unary records back to
-  // parse + extract), and the vector extractor over the rows of binary
-  // trees that cover every taxon; each in all four include_trivial x
-  // sorted cells. n = 64, 65 and 130 cross the word boundary.
+  // split pass over write_newick's text (unary groups and a lone leaf
+  // included), and the vector extractor over the rows of binary trees
+  // that cover every taxon; each in all four include_trivial x sorted
+  // cells. n = 64, 65 and 130 cross the word boundary.
   const std::uint64_t seed = test::fuzz_seed(0xF428);
   SCOPED_TRACE("seed=" + test::hex_seed(seed));
   util::Rng rng(seed);
   phylo::BipartitionExtractor tree_extractor;
   phylo::NewickSplitExtractor newick_extractor;
   phylo::VectorBipartitionExtractor vector_extractor;
-  phylo::Tree parsed;
   phylo::BipartitionSet got;
-  std::size_t newick_accepted = 0;
-  std::size_t newick_handed_back = 0;
+  std::size_t newick_records = 0;
+  std::size_t newick_unary = 0;
   std::size_t vector_rows = 0;
   for (const std::size_t n : {std::size_t{4}, std::size_t{12}, std::size_t{64},
                               std::size_t{65}, std::size_t{130}}) {
     const auto taxa = phylo::TaxonSet::make_numbered(n);
-    for (int rep = 0; rep < 28; ++rep) {
+    // One more rep than the kinds' multiple: a lone leaf.
+    for (int rep = 0; rep <= 28; ++rep) {
       SCOPED_TRACE("n=" + std::to_string(n) + " rep=" + std::to_string(rep));
-      phylo::Tree t = front_end_tree(rep % kFrontEndTreeKinds, taxa, rng);
+      phylo::Tree t =
+          rep == 28 ? phylo::parse_newick(
+                          "t" + std::to_string(rng.below(n)) + ":0.5;", taxa)
+                    : front_end_tree(rep % kFrontEndTreeKinds, taxa, rng);
       for (phylo::NodeId id = 0;
            id < static_cast<phylo::NodeId>(t.num_nodes()); ++id) {
         if (!t.node(id).has_length) {
@@ -574,16 +604,9 @@ TEST(FuzzTest, FrontEndsMatchNaiveReference) {
               .include_trivial = include_trivial, .sorted = sorted};
           const phylo::BipartitionSet want = naive_splits(t, opts);
 
-          const bool accepted =
-              newick_extractor.extract_into(text, *taxa, opts, got);
-          EXPECT_EQ(accepted, !unary) << text;
-          if (accepted) {
-            ++newick_accepted;
-          } else {
-            ++newick_handed_back;
-            phylo::parse_newick_into(text, taxa, parsed);
-            tree_extractor.extract_into(parsed, opts, got);
-          }
+          newick_extractor.extract_into(text, *taxa, opts, got);
+          ++newick_records;
+          newick_unary += unary ? 1 : 0;
           EXPECT_TRUE(same_splits(got, want)) << "Newick path: " << text;
 
           if (full_binary) {
@@ -595,9 +618,9 @@ TEST(FuzzTest, FrontEndsMatchNaiveReference) {
       }
     }
   }
-  // Liveness: each route was exercised.
-  EXPECT_GT(newick_accepted, 0u);
-  EXPECT_GT(newick_handed_back, 0u);
+  // Liveness: each route was exercised, unary records included.
+  EXPECT_GT(newick_records, newick_unary);
+  EXPECT_GT(newick_unary, 0u);
   EXPECT_GT(vector_rows, 0u);
 }
 
@@ -624,8 +647,8 @@ TEST(FuzzTest, FoldedFingerprintsMatchTheWords) {
   // it with the canonical polarity; the column it leaves must equal
   // util::fingerprint of each kept split's words, in arena order, through
   // the sort and dedup. The Tree walk (also in the two value modes, which
-  // sort and merge), the Newick split pass (unary records hand back to the
-  // Tree walk) and the vector rows of full binary trees, in all four
+  // sort and merge), the Newick split pass (unary records and lone leaves
+  // included) and the vector rows of full binary trees, in all four
   // include_trivial x sorted cells. n = 63, 64, 65 and 130 straddle word
   // boundaries; n = 1000 is 16 words.
   const std::uint64_t seed = test::fuzz_seed(0xF1A7);
@@ -634,10 +657,9 @@ TEST(FuzzTest, FoldedFingerprintsMatchTheWords) {
   phylo::BipartitionExtractor tree_extractor;
   phylo::NewickSplitExtractor newick_extractor;
   phylo::VectorBipartitionExtractor vector_extractor;
-  phylo::Tree parsed;
   phylo::BipartitionSet got;
   std::size_t checked = 0;
-  std::size_t newick_accepted = 0;
+  std::size_t newick_records = 0;
   std::size_t vector_rows = 0;
   for (const std::size_t n :
        {std::size_t{4}, std::size_t{12}, std::size_t{63}, std::size_t{64},
@@ -669,14 +691,12 @@ TEST(FuzzTest, FoldedFingerprintsMatchTheWords) {
           }
           const phylo::BipartitionOptions opts{
               .include_trivial = include_trivial, .sorted = sorted};
-          if (newick_extractor.extract_into(text, *taxa, opts, got)) {
-            ++newick_accepted;
-          } else {
-            phylo::parse_newick_into(text, taxa, parsed);
-            tree_extractor.extract_into(parsed, opts, got);
-          }
+          newick_extractor.extract_into(text, *taxa, opts, got);
+          ++newick_records;
           EXPECT_TRUE(fingerprints_match(got)) << "Newick path: " << text;
           checked += got.size();
+          newick_extractor.extract_into("((t0));", *taxa, opts, got);
+          EXPECT_TRUE(got.empty() && fingerprints_match(got)) << "lone leaf";
           if (full_binary) {
             ++vector_rows;
             vector_extractor.extract_into(row, opts, got);
@@ -715,7 +735,7 @@ TEST(FuzzTest, FoldedFingerprintsMatchTheWords) {
     }
   }
   // Liveness: each route ran, and splits were compared.
-  EXPECT_GT(newick_accepted, 0u);
+  EXPECT_GT(newick_records, 0u);
   EXPECT_GT(vector_rows, 0u);
   EXPECT_GT(checked, 0u);
 }

@@ -134,27 +134,27 @@ TEST(NewickParseTest, MalformedInputsThrow) {
 TEST(NewickParseTest, RepeatedTaxonThrowsNamingIt) {
   // A record that names one taxon twice is not a tree over its leaves:
   // extraction would fold the repeats into splits the record never drew
-  // ("((A,A),(C,D),(E,F));" read as a tree with one split). Both parsers,
-  // and so every reader and the split pass's hand-back route, reject it.
+  // ("((A,A),(C,D),(E,F));" read as a tree with one split). The parse and
+  // the split pass, and so every reader, reject it with one message.
   const auto expect_rejected = [](const std::string& text,
                                   const std::string& label,
                                   std::size_t n_taxa) {
     SCOPED_TRACE(text);
     const auto fixed = TaxonSet::make_numbered(n_taxa);
     const auto growing = std::make_shared<TaxonSet>();
-    Tree out;
+    NewickSplitExtractor splitter;
+    BipartitionSet splits;
     for (int route = 0; route < 2; ++route) {
       try {
         if (route == 0) {
           (void)parse_newick(text, growing);
         } else {
-          parse_newick_into(text, fixed, out);
+          splitter.extract_into(text, *fixed, {}, splits);
         }
         ADD_FAILURE() << "route " << route << " accepted a repeated taxon";
       } catch (const ParseError& e) {
-        EXPECT_NE(std::string(e.what()).find("'" + label + "'"),
-                  std::string::npos)
-            << e.what();
+        EXPECT_EQ(std::string(e.what()),
+                  "newick tree names taxon '" + label + "' twice");
       }
     }
   };
@@ -164,11 +164,13 @@ TEST(NewickParseTest, RepeatedTaxonThrowsNamingIt) {
   // Ids on both sides of a word boundary.
   expect_rejected("((t63,t64),(t1,(t64,t2)));", "t64", 70);
   expect_rejected("(t65,t3,'t65');", "t65", 70);
-  // A distinct-taxon tree still parses on both routes.
+  // A distinct-taxon tree still reads on both routes.
   const auto taxa = TaxonSet::make_numbered(70);
-  Tree out;
-  parse_newick_into("((t63,t64),(t1,t65),t0);", taxa, out);
-  EXPECT_EQ(out.num_leaves(), 5u);
+  NewickSplitExtractor splitter;
+  BipartitionSet splits;
+  splitter.extract_into("((t63,t64),(t1,t65),t0);", *taxa, {}, splits);
+  EXPECT_EQ(splits.leaf_mask().count(), 5u);
+  EXPECT_EQ(splits.size(), 2u);
   EXPECT_EQ(parse_newick("((t63,t64),(t1,t65),t0);", taxa).num_leaves(), 5u);
 }
 
@@ -368,40 +370,88 @@ TEST(NewickReaderTest, TrailingRecordWithoutSemicolonIsFramed) {
   EXPECT_EQ(parse_newick(records.back(), taxa).num_leaves(), 4u);
 }
 
-TEST(NewickParseIntoTest, MatchesParseNewickAndReusesTheTree) {
-  const auto taxa = TaxonSet::make_numbered(30);
-  util::Rng rng(5);
-  Tree reused;
-  for (const Tree& t : test::random_collection(taxa, 6, 4, rng, true)) {
-    const std::string text = write_newick(t);
-    parse_newick_into(text, taxa, reused);
-    EXPECT_EQ(reused.taxa(), taxa);
-    EXPECT_EQ(write_newick(reused), write_newick(parse_newick(text, taxa)));
-    reused.validate();
-  }
-  // Unary chains are still suppressed on the reuse path.
-  auto abc = std::make_shared<TaxonSet>(std::vector<std::string>{"A", "B", "C"});
-  parse_newick_into("(((A,B)),(C));", abc, reused);
-  EXPECT_EQ(reused.num_leaves(), 3u);
-  reused.validate();
+/// The sorted splits parse_newick + BipartitionExtractor give for `text`.
+BipartitionSet parsed_splits(const std::string& text, const TaxonSetPtr& taxa,
+                             bool include_trivial) {
+  return extract_bipartitions(parse_newick(text, taxa),
+                              {.include_trivial = include_trivial});
 }
 
-TEST(NewickParseIntoTest, UnknownLabelThrowsWithoutWritingTheSet) {
+/// The sorted splits the split pass gives for `text`.
+BipartitionSet text_splits(const std::string& text, const TaxonSet& taxa,
+                           bool include_trivial) {
+  NewickSplitExtractor splitter;
+  BipartitionSet out;
+  splitter.extract_into(text, taxa, {.include_trivial = include_trivial},
+                        out);
+  return out;
+}
+
+/// The same splits in the same order, with the same fingerprints and leaf
+/// mask.
+bool same_set(const BipartitionSet& a, const BipartitionSet& b) {
+  if (a.size() != b.size() || a.n_bits() != b.n_bits() ||
+      a.leaf_mask() != b.leaf_mask()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!util::equal_words(a[i], b[i]) ||
+        a.fingerprints()[i] != b.fingerprints()[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(NewickSplitExtractorTest, UnaryGroupsAndLoneLeavesMatchTheParsedTree) {
+  // The split pass folds what the parse suppresses: a unary group closes
+  // like any other and the finish drops the split it repeats; a one-leaf
+  // record folds as a group around its leaf. The root may be unary too.
+  const auto taxa = std::make_shared<TaxonSet>(
+      std::vector<std::string>{"A", "B", "C", "D", "E", "F"});
+  taxa->freeze();
+  for (const char* text :
+       {"(((A,B)),(C),(D,(E,F)));", "((((A,B),(C,D)),(E,F)));",
+        "(((A,B),((C))),((D,E)),F);", "((A,(B)),C,D,E,F);", "((A));",
+        "(A);", "A;", "'B':0.5;"}) {
+    for (const bool include_trivial : {false, true}) {
+      SCOPED_TRACE(std::string(text) +
+                   " include_trivial=" + std::to_string(include_trivial));
+      EXPECT_TRUE(same_set(text_splits(text, *taxa, include_trivial),
+                           parsed_splits(text, taxa, include_trivial)));
+    }
+  }
+  EXPECT_TRUE(text_splits("A;", *taxa, true).empty());
+  EXPECT_EQ(text_splits("A;", *taxa, true).leaf_mask().count(), 1u);
+}
+
+TEST(NewickSplitExtractorTest, UnknownLabelThrowsWithoutWritingTheSet) {
+  // The split pass only looks labels up: a label outside a namespace that
+  // is not frozen still throws, naming it, and the set never grows.
   auto taxa = std::make_shared<TaxonSet>(
       std::vector<std::string>{"A", "B", "C", "D"});
-  Tree out;
-  parse_newick_into("((A,B),(C,D));", taxa, out);
-  EXPECT_EQ(out.num_leaves(), 4u);
-  try {
-    parse_newick_into("((A,B),(C,NEWTAXON));", taxa, out);
-    FAIL() << "an unknown label must throw";
-  } catch (const InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find("NEWTAXON"), std::string::npos)
-        << e.what();
+  NewickSplitExtractor splitter;
+  BipartitionSet out;
+  splitter.extract_into("((A,B),(C,D));", *taxa, {}, out);
+  EXPECT_EQ(out.leaf_mask().count(), 4u);
+  for (const char* text : {"((A,B),(C,NEWTAXON));", "NEWTAXON;"}) {
+    try {
+      splitter.extract_into(text, *taxa, {}, out);
+      FAIL() << "an unknown label must throw: " << text;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("'NEWTAXON'"), std::string::npos)
+          << e.what();
+    }
   }
   EXPECT_EQ(taxa->size(), 4u);  // never grown, frozen or not
   EXPECT_FALSE(taxa->frozen());
-  EXPECT_THROW(parse_newick_into("((A,B),(C,D);", taxa, out), ParseError);
+  EXPECT_THROW(splitter.extract_into("((A,B),(C,D);", *taxa, {}, out),
+               ParseError);
+  // Lengths and supports need a Tree; the split pass refuses them up front.
+  EXPECT_THROW(
+      splitter.extract_into("((A,B),(C,D));", *taxa,
+                            {.value = SplitValue::BranchLength}, out),
+      InvalidArgument);
 }
 
 TEST(NewickFileTest, WriteReadRoundTrip) {

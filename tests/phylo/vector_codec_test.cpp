@@ -3,8 +3,12 @@
 #include "phylo/vector_codec.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -373,6 +377,54 @@ TEST(VectorCodecP2v, WriterValidatesRecords) {
   writer.finish();
   EXPECT_THROW(writer.write(TreeVector{0, 1, 2}), InvalidArgument);
   EXPECT_EQ(writer.count(), 1U);
+}
+
+TEST(VectorCodecP2v, FailedWriteLeavesTheOldCorpus) {
+  // Both corpus writers replace their target atomically. A write that
+  // throws part-way (a third tree that is not binary; a third row of the
+  // wrong width) must leave the old corpus byte for byte and no temp file
+  // beside it. Writing in place left a shorter corpus of the rows written
+  // so far, which loaded without complaint.
+  const auto taxa = TaxonSet::make_numbered(6);
+  util::Rng rng(31);
+  std::vector<Tree> trees = test::random_collection(taxa, 3, 2, rng);
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("p2v_atomic_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "corpus.p2v").string();
+  const auto bytes = [&] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const auto only_the_corpus = [&] {
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      names.push_back(entry.path().filename().string());
+    }
+    return names == std::vector<std::string>{"corpus.p2v"};
+  };
+  write_p2v_file(path, trees);
+  const std::string old = bytes();
+  ASSERT_FALSE(old.empty());
+
+  trees[2] = parse_newick("((t0,t1,t2),(t3,t4,t5));", taxa);
+  EXPECT_THROW(write_p2v_file(path, trees), InvalidArgument);
+  EXPECT_EQ(bytes(), old);
+  EXPECT_TRUE(only_the_corpus());
+
+  const std::vector<TreeVector> rows = {TreeVector{0, 1, 2, 3, 4},
+                                        TreeVector{0, 0, 0, 0, 0},
+                                        TreeVector{0, 1}};
+  EXPECT_THROW(write_p2v_file(path, 6, rows), InvalidArgument);
+  EXPECT_EQ(bytes(), old);
+  EXPECT_TRUE(only_the_corpus());
+
+  // A write that completes does replace the corpus.
+  write_p2v_file(path, 6, std::span(rows).first(2));
+  EXPECT_EQ(read_p2v_header(path).n_trees, 2u);
+  EXPECT_TRUE(only_the_corpus());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(VectorCodecExtractor, MatchesTreeExtractorOnRandomTrees) {

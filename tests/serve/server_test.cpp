@@ -124,6 +124,42 @@ TEST_F(RfServerTest, BadTreeTextIsBadRequestAndConnectionSurvives) {
   EXPECT_EQ(client.query(query_text_).avg_rf.size(), queries_.size());
 }
 
+TEST_F(RfServerTest, UnaryAndLoneLeafRecordsAnswerAsTheirSuppressedForms) {
+  // The daemon takes every record's splits straight from its text: a
+  // unary group folds into the split it repeats, and a one-leaf record
+  // has none. One Query frame must answer each record exactly as the Tree
+  // that parse_newick suppresses it to.
+  start();
+  RfClient client = connect();
+  const std::string& plain = query_text_[0];
+  std::string unary_leaf = plain;  // a unary group around the first leaf
+  const std::size_t begin = unary_leaf.find_first_not_of('(');
+  unary_leaf.insert(unary_leaf.find_first_of(",):", begin), ")");
+  unary_leaf.insert(begin, "(");
+  // A unary group around the first group below the root, whose split the
+  // fold then lists twice.
+  std::string unary_group = plain;
+  const std::size_t open = unary_group.find('(', 1);
+  std::size_t close = open;
+  for (int depth = 0; close == open || depth > 0; ++close) {
+    const char c = unary_group[close];
+    depth += c == '(' ? 1 : c == ')' ? -1 : 0;
+  }
+  unary_group.insert(close, ")");
+  unary_group.insert(open, "(");
+  const std::vector<std::string> records = {
+      unary_leaf, unary_group, "(" + plain.substr(0, plain.size() - 1) + ");",
+      "t3;", "((t7:0.5));"};
+  const QueryResult result = client.query(records);
+  ASSERT_EQ(result.avg_rf.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const phylo::Tree suppressed = phylo::parse_newick(records[i], taxa_);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.avg_rf[i]),
+              std::bit_cast<std::uint64_t>(snapshot_->query_one(suppressed)))
+        << records[i];
+  }
+}
+
 TEST_F(RfServerTest, UnknownOpcodeIsBadRequestAndConnectionSurvives) {
   start();
   RfClient client = connect();
