@@ -40,7 +40,7 @@
 #include "common.hpp"
 #include "core/all_pairs.hpp"
 #include "core/bit_matrix.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/parallel_for.hpp"
 #include "phylo/bipartition.hpp"
 #include "sim/datasets.hpp"
 #include "util/string_util.hpp"

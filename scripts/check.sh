@@ -12,10 +12,11 @@
 #      (raw and compressed keys), a streamed CLI run at 4 threads diffed
 #      against 1 thread (a generated corpus and a hand-written decorated
 #      Newick file, which must answer as its twin without the unary
-#      group), a generated corpus answered from its Newick text and from
-#      its .p2v vector form, a failed --emit-vector that must leave the
-#      old .p2v corpus as it was, and its --matrix output at 1 and 4
-#      threads. Before any of that, with the default build: every flag
+#      group), a generated corpus answered from its Newick text, from
+#      its .p2v vector form and from its NEXUS form (at 1 and 4 threads),
+#      a failed --emit-vector that must leave the old .p2v corpus as it
+#      was, and its --matrix output at 3, 4 and 8 threads against 1
+#      thread. Before any of that, with the default build: every flag
 #      that sizes threads, queues or sockets refuses hostile values
 #      while the arguments are read
 #   2. TSan build, concurrency-sensitive labels only (parallel, obs,
@@ -319,6 +320,20 @@ echo "=== bfhrf_cli Newick vs .p2v answers ==="
   > "${PERSIST_DIR}/avian_vector.tsv"
 run diff "${PERSIST_DIR}/avian_newick.tsv" "${PERSIST_DIR}/avian_vector.tsv"
 
+# The same trees written as NEXUS: the CLI loads its TREES block into
+# memory, so this walks the in-memory span build and query, at one thread
+# and at four.
+echo
+echo "=== bfhrf_cli NEXUS vs Newick answers ==="
+./build/examples/bfhrf_generate --preset avian -n 48 -r 200 --seed 13 \
+  -o "${PERSIST_DIR}/avian.nex"
+for t in 1 4; do
+  ./build/examples/bfhrf_cli -r "${PERSIST_DIR}/avian.nex" -t "${t}" \
+    > "${PERSIST_DIR}/avian_nexus_t${t}.tsv"
+  run diff "${PERSIST_DIR}/avian_newick.tsv" \
+    "${PERSIST_DIR}/avian_nexus_t${t}.tsv"
+done
+
 # .p2v corpora are replaced atomically: an --emit-vector that fails on its
 # third tree (a star over all 48 taxa, which has no phylo2vec form) exits
 # 1 and leaves the old corpus byte for byte, with no temp file beside it.
@@ -334,15 +349,20 @@ run test "${status}" -eq 1
 run cmp "${PERSIST_DIR}/avian.p2v" "${PERSIST_DIR}/avian_saved.p2v"
 run test -z "$(find "${PERSIST_DIR}" -name 'avian.p2v.tmp.*')"
 
-# The all-pairs matrix of the same corpus: tiles scheduled over 4 workers
-# must fill exactly the PHYLIP bytes one thread writes.
+# The all-pairs matrix of the same corpus: tiles scheduled over 3, 4 and
+# 8 lanes (a lane count that is not a power of two, and more lanes than
+# most hosts have cores) must fill exactly the PHYLIP bytes one thread
+# writes.
 echo
-echo "=== bfhrf_cli --matrix -t 4 vs -t 1 ==="
-./build/examples/bfhrf_cli -r "${PERSIST_DIR}/avian.nwk" --matrix -t 1 \
-  > "${PERSIST_DIR}/avian_matrix_t1.phy"
-./build/examples/bfhrf_cli -r "${PERSIST_DIR}/avian.nwk" --matrix -t 4 \
-  > "${PERSIST_DIR}/avian_matrix_t4.phy"
-run cmp "${PERSIST_DIR}/avian_matrix_t1.phy" "${PERSIST_DIR}/avian_matrix_t4.phy"
+echo "=== bfhrf_cli --matrix -t 3, 4, 8 vs -t 1 ==="
+for t in 1 3 4 8; do
+  ./build/examples/bfhrf_cli -r "${PERSIST_DIR}/avian.nwk" --matrix -t "${t}" \
+    > "${PERSIST_DIR}/avian_matrix_t${t}.phy"
+done
+for t in 3 4 8; do
+  run cmp "${PERSIST_DIR}/avian_matrix_t1.phy" \
+    "${PERSIST_DIR}/avian_matrix_t${t}.phy"
+done
 
 run cmake --preset tsan
 run cmake --build --preset tsan -j "$(nproc)"

@@ -4,7 +4,7 @@
 
 #include "core/bit_matrix.hpp"
 #include "obs/metrics.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/parallel_for.hpp"
 #include "phylo/bipartition.hpp"
 #include "util/error.hpp"
 

@@ -11,7 +11,7 @@
 //    sorted id list) over that universe, and RF(i,j) = d_i + d_j −
 //    2·|row_i ∩ row_j| runs on the fused popcount kernels (util/bitset) or
 //    the sorted-id intersection kernels (util/sorted_ids), scheduled as
-//    cache-sized tiles through a work-stealing queue.
+//    cache-sized tiles that parallel_for lanes claim one at a time.
 //
 // Auto (the default) measures the collection's universe density and picks
 // dense rows for birthday-heavy collections (shared bipartitions, narrow

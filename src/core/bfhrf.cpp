@@ -9,8 +9,8 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "parallel/parallel_for.hpp"
 #include "parallel/pipeline.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
 
 namespace bfhrf::core {

@@ -6,8 +6,7 @@
 
 #include "core/frequency_hash.hpp"
 #include "obs/metrics.hpp"
-#include "parallel/bounded_queue.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/parallel_for.hpp"
 #include "util/bitset.hpp"
 #include "util/error.hpp"
 #include "util/memory.hpp"
@@ -32,14 +31,12 @@ const obs::Histogram g_tile_seconds =
 
 /// One upper-triangle block of the matrix: rows [r0, r1) × cols [c0, c1),
 /// cells restricted to j > i inside the block (diagonal blocks are
-/// triangular). `index` is the tile's position in deal order — the static
-/// owner lane is derived from it for steal accounting.
+/// triangular).
 struct Tile {
   std::uint32_t r0 = 0;
   std::uint32_t r1 = 0;
   std::uint32_t c0 = 0;
   std::uint32_t c1 = 0;
-  std::uint32_t index = 0;
 };
 
 /// Rows per tile so that two row bands (the tile's rows and the streamed
@@ -64,7 +61,6 @@ std::size_t auto_tile_rows(std::size_t r, std::size_t row_bytes,
 
 std::vector<Tile> cut_tiles(std::size_t r, std::size_t tile_rows) {
   std::vector<Tile> tiles;
-  std::uint32_t index = 0;
   for (std::size_t rb = 0; rb < r; rb += tile_rows) {
     const std::size_t r1 = std::min(r, rb + tile_rows);
     for (std::size_t cb = rb; cb < r; cb += tile_rows) {
@@ -72,54 +68,34 @@ std::vector<Tile> cut_tiles(std::size_t r, std::size_t tile_rows) {
       tiles.push_back({static_cast<std::uint32_t>(rb),
                        static_cast<std::uint32_t>(r1),
                        static_cast<std::uint32_t>(cb),
-                       static_cast<std::uint32_t>(c1), index++});
+                       static_cast<std::uint32_t>(c1)});
     }
   }
   return tiles;
 }
 
-/// Run every tile through `body` across `threads` lanes via a shared
-/// bounded queue — each lane takes the next tile the moment it frees up,
-/// so a lane that drew cheap (near-diagonal, triangular) tiles steals from
-/// the slice a static deal would have pinned elsewhere. Sequential when
-/// threads <= 1 (no queue, no pool — honest single-thread baseline).
+/// Run every tile through `body` on parallel_for lanes, one tile per
+/// claim in deal order: each lane takes the next tile the moment it frees
+/// up, so a lane that drew cheap (near-diagonal, triangular) tiles steals
+/// from the slice a static deal would have pinned elsewhere. A tile is
+/// stolen when a lane other than its static owner, index·lanes/tiles, runs
+/// it. One lane runs inline and steals nothing.
 template <typename Body>
 void run_tiles(const std::vector<Tile>& tiles, std::size_t threads,
                const Body& body) {
   g_tiles.inc(tiles.size());
-  if (threads <= 1 || tiles.size() <= 1) {
-    for (const Tile& t : tiles) {
-      const util::WallTimer timer;
-      body(t);
-      g_tile_seconds.observe(timer.seconds());
-    }
-    return;
-  }
-  parallel::BoundedQueue<Tile> queue(tiles.size());
-  for (const Tile& t : tiles) {
-    Tile copy = t;
-    queue.push(std::move(copy));
-  }
-  queue.close();
-  const std::size_t lanes = threads;
-  const std::size_t n_tiles = tiles.size();
-  parallel::ThreadPool pool(lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    pool.submit([&queue, &body, lane, lanes, n_tiles] {
-      std::uint64_t stolen = 0;
-      Tile t;
-      while (queue.pop(t)) {
+  const std::size_t lanes = parallel::lane_count(tiles.size(), threads, 1);
+  parallel::parallel_for_ranked(
+      0, tiles.size(), threads,
+      [&](std::size_t lane, std::size_t index) {
         const util::WallTimer timer;
-        body(t);
+        body(tiles[index]);
         g_tile_seconds.observe(timer.seconds());
-        const std::size_t owner =
-            static_cast<std::size_t>(t.index) * lanes / n_tiles;
-        stolen += (owner != lane);
-      }
-      g_tiles_stolen.inc(stolen);
-    });
-  }
-  pool.wait_idle();
+        if (index * lanes / tiles.size() != lane) {
+          g_tiles_stolen.inc();
+        }
+      },
+      /*grain=*/1);
 }
 
 }  // namespace
@@ -150,12 +126,12 @@ RfMatrix bit_matrix_rf(std::span<const phylo::BipartitionSet> sets,
   }
 
   // Universe pass: one FrequencyHash build over every tree's arena and
-  // fingerprint column, pre-sized as if every membership were unique. The
-  // arena appends keys in first-insertion order, so each unique
-  // bipartition's key_index IS its dense universe id in [0, U).
+  // fingerprint column, sized by its keys: the table doubles as they
+  // arrive, and a rehash never reorders the key arena, which appends keys
+  // in first-insertion order, so each unique bipartition's key_index IS
+  // its dense universe id in [0, U).
   const util::WallTimer encode_timer;
-  FrequencyHash universe(n_bits,
-                         static_cast<std::size_t>(stats.total_memberships));
+  FrequencyHash universe(n_bits);
   for (const auto& s : sets) {
     universe.add_many(s.arena_view().data(), s.size(), nullptr,
                       s.fingerprints().data());

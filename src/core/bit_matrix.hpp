@@ -20,13 +20,13 @@
 //    per pair, the right shape when U ≈ r·d and dense rows would be
 //    mostly-zero word scans.
 //
-// Scheduling: the upper triangle is cut into square blocks of tile rows
-// pushed through a BoundedQueue drained by a ThreadPool — work-stealing in
-// effect, since any lane takes the next tile regardless of the static
-// owner the tile was dealt to. A tile's row band is sized to stay L2-
-// resident, so the column stream is the only DRAM traffic: at least 8
-// and at most 256 rows, fewer when the triangle would otherwise yield too
-// few tiles to balance the lanes.
+// Scheduling: the upper triangle is cut into square blocks of tile rows,
+// and parallel_for hands them out one at a time from a single cursor —
+// work-stealing in effect, since any lane takes the next tile regardless
+// of the static owner the tile was dealt to. A tile's row band is sized to
+// stay L2-resident, so the column stream is the only DRAM traffic: at
+// least 8 and at most 256 rows, fewer when the triangle would otherwise
+// yield too few tiles to balance the lanes.
 //
 // Everything here is exact: ids are collision-free by FrequencyHash's
 // full-key verification, so the engines are bit-identical to a sorted-set

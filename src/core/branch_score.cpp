@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "parallel/thread_pool.hpp"
+#include "parallel/parallel_for.hpp"
 #include "util/error.hpp"
 
 namespace bfhrf::core {

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "core/day.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/parallel_for.hpp"
 #include "util/error.hpp"
 
 namespace bfhrf::core {

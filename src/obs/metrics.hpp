@@ -200,8 +200,9 @@ class TraceSpan {
 void flush_thread() noexcept;
 
 /// RAII flush: merges the current thread's sink into the registry at scope
-/// exit. Worker threads get this automatically (thread-exit flush and the
-/// ThreadPool's per-task flush); use it for hand-rolled threads.
+/// exit. Worker threads get this automatically (thread-exit flush, and
+/// parallel_for's lanes flush before the call returns); use it for
+/// hand-rolled threads.
 class ScopedThreadSink {
  public:
   ScopedThreadSink() = default;

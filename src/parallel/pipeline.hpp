@@ -13,7 +13,7 @@
 // Error protocol:
 //  * a consumer exception aborts the queue — the producer's next emit()
 //    returns false and production stops; the first exception is rethrown on
-//    the calling thread after all consumers join (mirrors ThreadPool).
+//    the calling thread after all consumers join (as in parallel_for).
 //  * a producer exception aborts the queue (unblocking consumers) and
 //    rethrows after the join; a consumer exception takes precedence.
 //

@@ -60,17 +60,6 @@ class Cursor {
     return c;
   }
 
-  void expect(char c) {
-    const char got = take();
-    if (got != c) {
-      fail(std::string("expected '") + c + "', got " +
-           (got == '\0' ? std::string("end of input")
-                        : "'" + std::string(1, got) + "'"));
-    }
-  }
-
-  [[nodiscard]] std::size_t position() const noexcept { return pos_; }
-
   [[noreturn]] void fail(const std::string& msg) const {
     throw ParseError("newick parse error at offset " + std::to_string(pos_) +
                      ": " + msg);

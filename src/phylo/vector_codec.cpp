@@ -369,14 +369,6 @@ P2vWriter::P2vWriter(std::ostream& out, std::uint32_t n_taxa,
   }
 }
 
-P2vWriter::~P2vWriter() {
-  try {
-    finish();
-  } catch (...) {
-    // Destructor must not throw; call finish() explicitly to see errors.
-  }
-}
-
 void P2vWriter::write(std::span<const std::uint32_t> v) {
   if (finished_) {
     throw InvalidArgument("p2v: write after finish()");

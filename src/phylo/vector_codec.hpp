@@ -109,16 +109,15 @@ struct P2vHeader {
 };
 
 /// Streaming .p2v writer. The tree count is back-patched into the header
-/// by finish(), so the stream must be seekable (files are). finish() is
-/// called by the destructor if the caller did not; call it explicitly to
-/// surface errors.
+/// by finish(), so the stream must be seekable (files are). Only finish()
+/// patches it: a writer destroyed unfinished, say while a failed write()
+/// unwinds, leaves the count at 0, and readers reject the rows after it.
 class P2vWriter {
  public:
   P2vWriter(std::ostream& out, std::uint32_t n_taxa,
             std::span<const std::string> labels = {});
   P2vWriter(const P2vWriter&) = delete;
   P2vWriter& operator=(const P2vWriter&) = delete;
-  ~P2vWriter();
 
   /// Append one record; validates width and code ranges.
   void write(std::span<const std::uint32_t> v);

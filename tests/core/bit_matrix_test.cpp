@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/all_pairs.hpp"
+#include "obs/metrics.hpp"
 #include "phylo/bipartition.hpp"
 #include "phylo/taxon_set.hpp"
 #include "support/test_util.hpp"
@@ -55,8 +56,8 @@ TEST(BitMatrixTest, EnginesMatchLegacyAcrossThreadCounts) {
   util::Rng rng(test::fuzz_seed(0xB17));
   const auto trees = test::random_collection(taxa, 30, 5, rng);
   const RfMatrix legacy = merge_walk(trees);
-  for (const std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                              std::size_t{8}}) {
+  for (const std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                              std::size_t{4}, std::size_t{8}}) {
     expect_same(legacy, all_pairs_rf(trees, {.threads = t,
                                              .engine =
                                                  AllPairsEngine::BitDense}));
@@ -200,18 +201,66 @@ TEST(BitMatrixTest, TileRowsOverrideDoesNotChangeResults) {
   // Tiles are at least 8 rows, and a small triangle gets 8-row tiles to
   // feed every lane: r below, at and just past one tile, and past two,
   // gives one partial tile, one full tile, and full tiles beside a partial
-  // one, on and off the diagonal.
+  // one, on and off the diagonal. r = 7, 8 and 9 give 1 to 3 tiles, so 3
+  // and 8 lanes can outnumber them.
   const auto taxa = TaxonSet::make_numbered(18);
   util::Rng rng(13);
   const auto trees = test::random_collection(taxa, 21, 4, rng);
   for (const std::size_t r : {std::size_t{7}, std::size_t{8}, std::size_t{9},
                               std::size_t{17}, std::size_t{21}}) {
-    SCOPED_TRACE("r=" + std::to_string(r));
     const std::span<const Tree> collection(trees.data(), r);
     const RfMatrix base = merge_walk(collection);
-    for (const AllPairsEngine e :
-         {AllPairsEngine::BitDense, AllPairsEngine::BitSparse}) {
-      expect_same(base, all_pairs_rf(collection, {.threads = 4, .engine = e}));
+    for (const std::size_t t :
+         {std::size_t{3}, std::size_t{4}, std::size_t{8}}) {
+      SCOPED_TRACE("r=" + std::to_string(r) + " threads=" + std::to_string(t));
+      for (const AllPairsEngine e :
+           {AllPairsEngine::BitDense, AllPairsEngine::BitSparse}) {
+        expect_same(base,
+                    all_pairs_rf(collection, {.threads = t, .engine = e}));
+      }
+    }
+  }
+}
+
+TEST(BitMatrixTest, TileCountersCountEveryTileOnce) {
+  if (!obs::compiled_in()) {
+    GTEST_SKIP() << "observability compiled out";
+  }
+  // 21 trees cut into 8-row bands give 3 bands and 6 upper-triangle tiles.
+  // Every tile is counted and timed once; a tile run by a lane other than
+  // its static owner counts as stolen, and one lane steals none.
+  const auto taxa = TaxonSet::make_numbered(18);
+  util::Rng rng(13);
+  const auto trees = test::random_collection(taxa, 21, 4, rng);
+  std::vector<phylo::BipartitionSet> sets;
+  sets.reserve(trees.size());
+  for (const auto& t : trees) {
+    sets.push_back(phylo::extract_bipartitions(t, {}));
+  }
+  const auto tile_timings = [] {
+    for (const auto& [name, h] : obs::snapshot().histograms) {
+      if (name == "bfhrf.matrix.tile.seconds") {
+        return h.count;
+      }
+    }
+    return std::uint64_t{0};
+  };
+  for (const std::size_t t : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(t));
+    const std::uint64_t tiles0 = obs::counter_value("bfhrf.matrix.tiles");
+    const std::uint64_t stolen0 =
+        obs::counter_value("bfhrf.matrix.tiles_stolen");
+    const std::uint64_t timed0 = tile_timings();
+    (void)bit_matrix_rf(sets, {.threads = t});
+    const std::uint64_t tiles =
+        obs::counter_value("bfhrf.matrix.tiles") - tiles0;
+    const std::uint64_t stolen =
+        obs::counter_value("bfhrf.matrix.tiles_stolen") - stolen0;
+    EXPECT_EQ(tiles, 6U);
+    EXPECT_EQ(tile_timings() - timed0, tiles);
+    EXPECT_LE(stolen, tiles);
+    if (t == 1) {
+      EXPECT_EQ(stolen, 0U);
     }
   }
 }

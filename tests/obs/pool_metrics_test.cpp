@@ -1,67 +1,16 @@
-// ThreadPool metric integration: the per-worker sinks plus the per-task
-// flush in worker_loop must lose no increments — wait_idle() returning
-// means every completed task's counts are visible in the registry.
+// parallel_for metric integration: every lane flushes its sink before the
+// call returns, so no increment made inside `fn` is lost or late, and the
+// parallel.for.* series count what was handed out.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 
 #include "obs/metrics.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace bfhrf::parallel {
 namespace {
-
-TEST(PoolMetrics, NoLostIncrementsUnder8x10k) {
-  if (!obs::compiled_in()) {
-    GTEST_SKIP() << "observability compiled out";
-  }
-  obs::reset();
-  const obs::Counter c = obs::counter("test.pool.increments");
-  constexpr std::uint64_t kTasks = 10000;
-  {
-    ThreadPool pool(8);
-    for (std::uint64_t i = 0; i < kTasks; ++i) {
-      pool.submit([c] { c.inc(); });
-    }
-    pool.wait_idle();
-    // Visible immediately after wait_idle, before the pool is destroyed:
-    // workers flush their sinks per task, not just at thread exit.
-    EXPECT_EQ(obs::counter_value("test.pool.increments"), kTasks);
-    EXPECT_EQ(obs::counter_value("parallel.pool.tasks"), kTasks);
-  }
-  // The per-worker series partitions the same total.
-  std::uint64_t per_worker_sum = 0;
-  for (int i = 0; i < 8; ++i) {
-    per_worker_sum += obs::counter_value("parallel.pool.worker." +
-                                         std::to_string(i) + ".tasks");
-  }
-  EXPECT_EQ(per_worker_sum, kTasks);
-}
-
-TEST(PoolMetrics, StatsAccumulateRegardlessOfObsMode) {
-  // WorkerStats live in the pool itself, so this invariant holds with the
-  // obs layer compiled out too.
-  std::atomic<std::uint64_t> done{0};
-  ThreadPool pool(4);
-  constexpr std::uint64_t kTasks = 1000;
-  for (std::uint64_t i = 0; i < kTasks; ++i) {
-    pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), kTasks);
-
-  const auto stats = pool.stats();
-  ASSERT_EQ(stats.size(), 4u);
-  std::uint64_t total = 0;
-  for (const auto& ws : stats) {
-    total += ws.tasks;
-    EXPECT_GE(ws.idle_seconds, 0.0);
-  }
-  EXPECT_EQ(total, kTasks);
-}
 
 TEST(PoolMetrics, ParallelForCountsItemsAndChunks) {
   if (!obs::compiled_in()) {
@@ -87,6 +36,14 @@ TEST(PoolMetrics, ParallelForCountsItemsAndChunks) {
   ASSERT_LE(steals, chunks);
   EXPECT_GE(chunks - steals, 1u);
   EXPECT_LE(chunks - steals, 8u);
+
+  // A registry counter bumped inside fn by 8 lanes over 10k items reads
+  // the full count as soon as parallel_for returns: each lane flushes its
+  // sink before the call does, not only at thread exit.
+  const obs::Counter c = obs::counter("test.pool.increments");
+  constexpr std::uint64_t kIncrements = 10000;
+  parallel_for(0, kIncrements, 8, [c](std::size_t) { c.inc(); }, 1);
+  EXPECT_EQ(obs::counter_value("test.pool.increments"), kIncrements);
 }
 
 TEST(PoolMetrics, InlineParallelForStillCounts) {
@@ -98,22 +55,6 @@ TEST(PoolMetrics, InlineParallelForStillCounts) {
   EXPECT_EQ(obs::counter_value("parallel.for.items"), 10u);
   EXPECT_EQ(obs::counter_value("parallel.for.chunks"), 1u);
   EXPECT_EQ(obs::counter_value("parallel.for.steals"), 0u);
-}
-
-TEST(PoolMetrics, WaitIdleRethrowsAndStillDrains) {
-  if (!obs::compiled_in()) {
-    GTEST_SKIP() << "observability compiled out";
-  }
-  obs::reset();
-  const obs::Counter c = obs::counter("test.pool.before_throw");
-  ThreadPool pool(2);
-  pool.submit([c] { c.inc(); });
-  pool.submit([] { throw std::runtime_error("task failed"); });
-  pool.submit([c] { c.inc(); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The error path must still publish the completed tasks' metrics.
-  EXPECT_EQ(obs::counter_value("test.pool.before_throw"), 2u);
-  EXPECT_EQ(obs::counter_value("parallel.pool.tasks"), 3u);
 }
 
 }  // namespace

@@ -379,6 +379,26 @@ TEST(VectorCodecP2v, WriterValidatesRecords) {
   EXPECT_EQ(writer.count(), 1U);
 }
 
+TEST(VectorCodecP2v, UnfinishedWriterLeavesNoValidCorpus) {
+  // Only finish() patches the record count. A writer destroyed while a
+  // failed write unwinds leaves the count at 0, so the rows it wrote are
+  // trailing bytes to a reader, not a shorter corpus that loads.
+  std::ostringstream out(std::ios::binary);
+  try {
+    P2vWriter writer(out, 4);
+    writer.write(TreeVector{0, 1, 2});
+    writer.write(TreeVector{0, 0, 0});
+    writer.write(TreeVector{0, 1});  // the wrong width: throws
+    FAIL() << "a row of the wrong width was written";
+  } catch (const InvalidArgument&) {
+  }
+  std::istringstream in(out.str(), std::ios::binary);
+  P2vReader reader(in);
+  EXPECT_EQ(reader.header().n_trees, 0U);
+  TreeVector row;
+  EXPECT_THROW((void)reader.next(row), ParseError);
+}
+
 TEST(VectorCodecP2v, FailedWriteLeavesTheOldCorpus) {
   // Both corpus writers replace their target atomically. A write that
   // throws part-way (a third tree that is not binary; a third row of the
