@@ -1,16 +1,19 @@
-// Ablation A7: the pipelined streaming engine across thread counts.
+// Ablation A7: the streaming engine across thread counts.
 //
-// Every build and query runs through one pipeline: the calling thread
-// frames Newick records and queues them in batches while workers parse,
-// extract, hash and (for the sharded store) route keys continuously — an
-// inline zero-sync loop on 1-core hosts, where overlap is impossible. This bench streams the same file
-// through it at 1..8 threads and reports build+query wall time per thread
-// count, the speedup over 1 thread, and bitwise equality of every run's
-// outputs with pipelined/t1 (classic RF is integer-valued, so ANY
-// difference is a bug, not roundoff).
+// Every streamed build and query fans its trees out over lanes that each
+// claim their next batch of Newick records straight from the file, under
+// one lock, then extract, hash and (for the sharded store) route keys
+// with the lock released — one lane runs inline on 1-core hosts. This
+// bench streams the same file at 1..8 threads and reports build+query
+// wall time per thread count, the speedup over 1 thread, and bitwise
+// equality of every run's outputs with the 1-thread run (classic RF is
+// integer-valued, so ANY difference is a bug, not roundoff).
 //
-// The legacy barrier-batch baseline this bench used to race is gone from
-// the engine; its last multi-core numbers are recorded in EXPERIMENTS.md.
+// The printed labels and metric names ("pipelined/tN") predate the
+// lanes and are kept, since the checked-in BENCH files list them. The
+// producer-thread pipeline and the legacy barrier-batch baseline this
+// bench used to race are gone from the engine; their last multi-core
+// numbers are recorded in EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>

@@ -1,12 +1,12 @@
 // Ablation A9: the sharded parallel build and the mmap index.
 //
-// A build with workers shards the store by the top bits of each key's
-// fingerprint: every worker routes a tree's keys into its own per-shard
-// buckets and flushes a bucket into its shard, under that shard's lock,
-// once it holds Bfhrf::kStageKeys / S keys; the residue drains after the
-// pipeline joins. Each key is inserted exactly once, with no merge, and a
-// worker never stages more than kStageKeys keys plus one tree (DESIGN.md
-// §6).
+// A build with more than one lane shards the store by the top bits of
+// each key's fingerprint: every lane routes a tree's keys into its own
+// per-shard buckets and flushes a bucket into its shard, under that
+// shard's lock, once it holds Bfhrf::kStageKeys / S keys; the residue
+// drains after the lanes join. Each key is inserted exactly once, with no
+// merge, and a lane never stages more than kStageKeys keys plus one tree
+// (DESIGN.md §6).
 //
 // This bench measures that build on a unique-heavy collection (n = 144,
 // high discordance, so most splits appear once) against the serial
@@ -16,7 +16,7 @@
 // load is validation only — no key is re-inserted.
 //
 //   single@1   — threads=1: the inline build into one table.
-//   sharded@8  — threads=8: 8 shards, routed and flushed by 8 workers.
+//   sharded@8  — threads=8: 8 shards, routed and flushed by 8 lanes.
 //
 // Medians land in BENCH_PR7.json via record_baseline for
 // scripts/bench_compare.py.
@@ -69,7 +69,7 @@ std::size_t r_trees() {
 struct Workload {
   sim::Dataset ds;
   std::size_t total_keys = 0;  ///< bipartitions inserted during a build
-  std::size_t unique = 0;      ///< distinct splits (pre-sizing hint)
+  std::size_t unique = 0;      ///< distinct splits (U)
 };
 
 const Workload& workload() {
@@ -79,8 +79,9 @@ const Workload& workload() {
     spec.moves_per_tree = 96;  // near-random trees: mostly singleton splits
     Workload out;
     out.ds = sim::generate(spec);
-    // One untimed build discovers U and the key volume so every measured
-    // run pre-sizes identically and no rehash lands in a timed region.
+    // One untimed build discovers U and the key volume for the report.
+    // Every measured build grows its tables as keys arrive, as the CLI's
+    // builds do.
     core::Bfhrf probe(out.ds.taxa->size(), {.threads = 1});
     probe.build(out.ds.trees);
     out.unique = probe.stats().unique_bipartitions;
@@ -88,13 +89,6 @@ const Workload& workload() {
     return out;
   }();
   return w;
-}
-
-core::BfhrfOptions engine_opts(std::size_t threads) {
-  core::BfhrfOptions o;
-  o.threads = threads;
-  o.expected_unique = workload().unique;
-  return o;
 }
 
 double median_of(std::vector<double> v) {
@@ -106,7 +100,7 @@ struct BuildOutcome {
   double ns_per_key = 0;
   double seconds = 0;
   double staged_bytes_max = 0;  ///< largest gauge reading over the reps
-  double staged_bytes_bound = 0;  ///< kStageKeys + n keys per worker
+  double staged_bytes_bound = 0;  ///< kStageKeys + n keys per lane
 };
 
 BuildOutcome measure_build(std::size_t threads) {
@@ -114,7 +108,7 @@ BuildOutcome measure_build(std::size_t threads) {
   std::vector<double> secs;
   BuildOutcome out;
   for (std::size_t rep = 0; rep < kReps; ++rep) {
-    core::Bfhrf engine(w.ds.taxa->size(), engine_opts(threads));
+    core::Bfhrf engine(w.ds.taxa->size(), {.threads = threads});
     util::WallTimer timer;
     engine.build(w.ds.trees);
     secs.push_back(timer.seconds());
@@ -143,7 +137,7 @@ LoadOutcome measure_cold_load(const std::vector<double>& want) {
   const Workload& w = workload();
   // The persisted index comes from the sharded build: the writer persists
   // each shard's tables verbatim as one set of sections per shard.
-  core::Bfhrf built(w.ds.taxa->size(), engine_opts(kThreads));
+  core::Bfhrf built(w.ds.taxa->size(), {.threads = kThreads});
   built.build(w.ds.trees);
   const std::string path =
       (std::filesystem::temp_directory_path() /
@@ -191,10 +185,10 @@ void run_all_measurements() {
   // Correctness pin before any timing: the two builds must agree
   // bit-for-bit on the self-query, and on a multi-core host the 8-thread
   // engine's store must actually have several shards.
-  core::Bfhrf single(w.ds.taxa->size(), engine_opts(1));
+  core::Bfhrf single(w.ds.taxa->size(), {.threads = 1});
   single.build(w.ds.trees);
   const auto want = single.query(w.ds.trees);
-  core::Bfhrf sharded(w.ds.taxa->size(), engine_opts(kThreads));
+  core::Bfhrf sharded(w.ds.taxa->size(), {.threads = kThreads});
   sharded.build(w.ds.trees);
   if (std::thread::hardware_concurrency() > 1 &&
       sharded.store().shard_count() == 1) {

@@ -3,15 +3,16 @@
 // Table I footnotes BFHRF's space as "O(n²) in theory, O(n²r) in the
 // current implementation due to the nature of multiprocessing" — the
 // Python build had to materialize R to fan it out to worker processes.
-// This implementation streams trees to worker threads through a bounded
-// queue, so the claim is achievable; this bench measures it:
+// This implementation streams trees to lanes that each read their next
+// batch straight from the file, so the claim is achievable; this bench
+// measures it:
 //
 //   in-memory path : all r trees resident + the hash
-//   streaming path : <= the queued batches, one batch per worker and the
-//                    producer's, 16 trees each (Bfhrf::max_resident_trees)
+//   streaming path : <= one batch of 16 trees per lane, which the lane
+//                    reuses across claims (Bfhrf::max_resident_trees)
 //                    + the hash
 //
-// Build workers also stage split keys on their way into the sharded hash,
+// Build lanes also stage split keys on their way into the sharded hash,
 // at most Bfhrf::kStageKeys plus one tree each whatever r is
 // (Bfhrf::max_staged_keys), so staging adds no r term either.
 //
@@ -83,7 +84,7 @@ phylo::TaxonSetPtr file_taxa() {
   return taxa;
 }
 
-/// Bytes of the most keys `engine`'s build workers can stage at once.
+/// Bytes of the most keys `engine`'s build lanes can stage at once.
 std::size_t staged_bound_bytes(const core::Bfhrf& engine) {
   return engine.max_staged_keys() * util::words_for_bits(kTaxa) *
          sizeof(std::uint64_t);
@@ -102,10 +103,9 @@ void run_streaming(benchmark::State& state) {
     g_stream.seconds = timer.seconds();
     g_stream.engine_bytes = engine.stats().hash_memory_bytes;
     g_stream.staged_bytes = staged_bound_bytes(engine);
-    // Residency bound: the trees the pipeline can hold at once (queued
-    // batches + one batch per worker + the producer's, 16 trees each, and
-    // each worker's parse tree), each counted as a Tree arena of ~2n nodes.
-    // Newick records queue as text, about a tenth of that.
+    // Residency bound: the trees the lanes can hold at once (one batch of
+    // 16 per lane), each counted as a Tree arena of ~2n nodes. Newick
+    // records are held as text, about a tenth of that.
     g_stream.tree_bytes = engine.max_resident_trees() * 2 * kTaxa *
                           sizeof(phylo::Tree::Node);
     g_stream.rss_peak = util::peak_rss_bytes();

@@ -9,7 +9,6 @@
 //             [--normalized | --half] [--min-size K] [--max-size K]
 //             [--include-trivial] [--compressed-keys] [--stats]
 //             [--save-index FILE | --load-index FILE]
-//             [--input-format auto|newick|nexus|vector]
 //             [--emit-vector FILE] [--matrix]
 //
 // With no -q, the reference collection is scored against itself (Q is R,
@@ -18,17 +17,21 @@
 // stores no taxon labels, so the namespace (the label-to-bit order) comes
 // from the reference file, exactly as a build over it assigns it.
 //
-// Input files may be Newick (streamed), NEXUS (detected by the #NEXUS
-// header; loaded via the TREES block), or a phylo2vec .p2v corpus
-// (detected by extension or the P2V1 magic; streamed with bipartitions
-// extracted directly from the vector rows — no Newick parse, no Tree).
+// Each input file's format is sniffed on its own, so -r and -q may
+// differ: a phylo2vec .p2v corpus (the extension or the P2V1 magic;
+// streamed with bipartitions extracted directly from the vector rows — no
+// Newick parse, no Tree), else NEXUS (the #NEXUS header; loaded via the
+// TREES block), else Newick (streamed). A labeled .p2v query must list
+// the reference namespace's labels in its order, as --emit-vector over
+// the reference file writes them.
 // --emit-vector converts the reference collection to a .p2v corpus and
 // exits. Output: one line per query tree, "<index>\t<avg RF>".
 //
 // --matrix switches to the exact all-pairs product instead: the full RF
 // matrix of the reference collection (core/all_pairs bit-matrix engines,
 // dense or sparse rows as the collection's density picks) printed in
-// PHYLIP format on stdout.
+// PHYLIP format on stdout; --stats adds the universe width, its density
+// and the engine picked.
 //
 // -t sizes the worker pool: 0 is the hardware default, and a count above
 // util::kMaxFlagThreads is refused while the arguments are read.
@@ -45,6 +48,7 @@
 
 #include "core/all_pairs.hpp"
 #include "core/bfhrf.hpp"
+#include "core/bit_matrix.hpp"
 #include "core/matrix_io.hpp"
 #include "core/serialize.hpp"
 #include "core/tree_source.hpp"
@@ -58,7 +62,7 @@
 
 namespace {
 
-enum class TreeFormat { Auto, Newick, Nexus, Vector };
+enum class TreeFormat { Newick, Nexus, Vector };
 
 struct CliOptions {
   std::string reference_path;
@@ -66,7 +70,6 @@ struct CliOptions {
   std::string save_index;   // write the built index here
   std::string load_index;   // read a prebuilt index instead of -r
   std::string emit_vector;  // convert -r to a .p2v corpus and exit
-  TreeFormat input_format = TreeFormat::Auto;  // applies to -r and -q
   std::size_t threads = 1;
   bfhrf::core::RfNorm norm = bfhrf::core::RfNorm::None;
   std::optional<std::size_t> min_size;
@@ -98,28 +101,8 @@ bool is_p2v(const std::string& path) {
   return in.gcount() == 4 && std::memcmp(magic, "P2V1", 4) == 0;
 }
 
-TreeFormat parse_format(const std::string& name) {
-  if (name == "auto") {
-    return TreeFormat::Auto;
-  }
-  if (name == "newick") {
-    return TreeFormat::Newick;
-  }
-  if (name == "nexus") {
-    return TreeFormat::Nexus;
-  }
-  if (name == "vector") {
-    return TreeFormat::Vector;
-  }
-  throw bfhrf::InvalidArgument(
-      "--input-format must be auto, newick, nexus or vector (got '" + name +
-      "')");
-}
-
-TreeFormat resolve_format(const std::string& path, TreeFormat forced) {
-  if (forced != TreeFormat::Auto) {
-    return forced;
-  }
+/// One input file's format: a .p2v corpus, else NEXUS, else Newick.
+TreeFormat format_of(const std::string& path) {
   if (is_p2v(path)) {
     return TreeFormat::Vector;
   }
@@ -158,10 +141,10 @@ void check_p2v_labels(const bfhrf::phylo::P2vHeader& header,
 /// Load a whole collection into memory, in any input format. For vector
 /// input `taxa` is replaced by the corpus's own namespace.
 std::vector<bfhrf::phylo::Tree> load_trees(const std::string& path,
-                                           TreeFormat format,
                                            bfhrf::phylo::TaxonSetPtr& taxa) {
   namespace core = bfhrf::core;
   namespace phylo = bfhrf::phylo;
+  const TreeFormat format = format_of(path);
   if (format == TreeFormat::Nexus) {
     return std::move(phylo::read_nexus_file(path, taxa).trees);
   }
@@ -196,10 +179,11 @@ struct Reference {
 /// and its workers parse against the namespace without growing it) and
 /// are rewound for streaming; NEXUS files are loaded via their TREES
 /// block; a .p2v header fixes the namespace itself.
-Reference open_reference(const std::string& path, TreeFormat format,
+Reference open_reference(const std::string& path,
                          bfhrf::phylo::TaxonSetPtr& taxa) {
   namespace core = bfhrf::core;
   namespace phylo = bfhrf::phylo;
+  const TreeFormat format = format_of(path);
   Reference ref;
   if (format == TreeFormat::Vector) {
     ref.rows = std::make_unique<core::P2vFileSource>(path);
@@ -219,9 +203,10 @@ Reference open_reference(const std::string& path, TreeFormat format,
 
 /// Run the -q file through `engine` over the reference namespace.
 std::vector<double> query_file(const bfhrf::core::Bfhrf& engine,
-                               const std::string& path, TreeFormat format,
+                               const std::string& path,
                                const bfhrf::phylo::TaxonSetPtr& taxa) {
   namespace core = bfhrf::core;
+  const TreeFormat format = format_of(path);
   if (format == TreeFormat::Vector) {
     core::P2vFileSource queries(path);
     check_p2v_labels(queries.header(), *taxa);
@@ -242,7 +227,6 @@ void usage(const char* argv0) {
       "          [--normalized | --half] [--min-size K] [--max-size K]\n"
       "          [--include-trivial] [--compressed-keys] [--stats]\n"
       "          [--save-index FILE | --load-index FILE]\n"
-      "          [--input-format auto|newick|nexus|vector]\n"
       "          [--emit-vector FILE] [--matrix]\n"
       "\n"
       "Average Robinson-Foulds distance of each query tree against the\n"
@@ -250,11 +234,13 @@ void usage(const char* argv0) {
       "With no -q the reference collection is compared against itself.\n"
       "--load-index FILE queries a saved index instead of building one; it\n"
       "needs -q and -r (the reference file fixes the taxon namespace).\n"
-      "Inputs may be Newick, NEXUS, or phylo2vec .p2v corpora (vector rows\n"
-      "stream straight into bipartition extraction — no Newick parse).\n"
+      "Each input's format is sniffed on its own: a phylo2vec .p2v corpus\n"
+      "(by extension or magic; its rows stream straight into bipartition\n"
+      "extraction), else NEXUS (#NEXUS header), else Newick.\n"
       "--emit-vector converts the reference collection to a .p2v corpus\n"
       "and exits. --matrix instead prints the exact all-pairs RF matrix\n"
-      "of the reference collection in PHYLIP format.\n",
+      "of the reference collection in PHYLIP format; with --stats it also\n"
+      "reports the bipartition universe and the engine it picked.\n",
       argv0);
 }
 
@@ -291,8 +277,6 @@ CliOptions parse_args(int argc, char** argv) {
       o.save_index = need_value("--save-index");
     } else if (arg == "--load-index") {
       o.load_index = need_value("--load-index");
-    } else if (arg == "--input-format") {
-      o.input_format = parse_format(need_value("--input-format"));
     } else if (arg == "--emit-vector") {
       o.emit_vector = need_value("--emit-vector");
     } else if (arg == "--stats") {
@@ -358,9 +342,7 @@ int main(int argc, char** argv) {
     // Conversion mode: materialize the reference collection (any format)
     // and re-emit it as a .p2v corpus, labels included. No engine runs.
     if (!cli.emit_vector.empty()) {
-      const TreeFormat fmt =
-          resolve_format(cli.reference_path, cli.input_format);
-      const auto trees = load_trees(cli.reference_path, fmt, taxa);
+      const auto trees = load_trees(cli.reference_path, taxa);
       phylo::write_p2v_file(cli.emit_vector, trees);
       std::fprintf(stderr, "# wrote %zu trees over %zu taxa to %s\n",
                    trees.size(), taxa->size(), cli.emit_vector.c_str());
@@ -371,35 +353,37 @@ int main(int argc, char** argv) {
     // pipeline. The whole collection must be resident (the matrix is
     // O(r²) anyway), so streamed input is collected into memory.
     if (cli.matrix) {
-      const TreeFormat fmt =
-          resolve_format(cli.reference_path, cli.input_format);
-      std::vector<phylo::Tree> trees =
-          load_trees(cli.reference_path, fmt, taxa);
+      std::vector<phylo::Tree> trees = load_trees(cli.reference_path, taxa);
       taxa->freeze();
       const core::AllPairsOptions matrix_opts{
           .threads = cli.threads, .include_trivial = cli.include_trivial};
-      const core::RfMatrix matrix = core::all_pairs_rf(trees, matrix_opts);
+      core::UniverseStats universe;
+      const core::RfMatrix matrix =
+          core::all_pairs_rf(trees, matrix_opts, &universe);
       const std::vector<std::string> names(trees.size());  // "tN" defaults
       core::write_phylip_matrix(std::cout, matrix, names);
       if (cli.stats) {
+        const bool dense = core::pick_bit_engine(universe, matrix_opts) ==
+                           core::AllPairsEngine::BitDense;
         std::fprintf(stderr,
-                     "# taxa: %zu\n# trees: %zu\n# matrix time: %.3f s\n",
-                     taxa->size(), trees.size(), timer.seconds());
+                     "# taxa: %zu\n# trees: %zu\n"
+                     "# universe width: %zu\n# density: %.6f\n"
+                     "# engine: %s\n# matrix time: %.3f s\n",
+                     taxa->size(), trees.size(), universe.universe_width,
+                     universe.density(), dense ? "dense" : "sparse",
+                     timer.seconds());
       }
       return 0;
     }
 
     // Phase 1: fix the namespace from R, then build the frequency hash
     // from R or load it from a saved index built over the same R.
-    const TreeFormat ref_format =
-        resolve_format(cli.reference_path, cli.input_format);
-    Reference ref = open_reference(cli.reference_path, ref_format, taxa);
+    Reference ref = open_reference(cli.reference_path, taxa);
     if (!cli.load_index.empty()) {
       const core::Bfhrf engine = core::load_bfhrf_file(cli.load_index, opts);
       util::WallTimer qtimer;
-      const std::vector<double> avg_rf = query_file(
-          engine, cli.query_path,
-          resolve_format(cli.query_path, cli.input_format), taxa);
+      const std::vector<double> avg_rf =
+          query_file(engine, cli.query_path, taxa);
       for (std::size_t i = 0; i < avg_rf.size(); ++i) {
         std::printf("%zu\t%.6f\n", i, avg_rf[i]);
       }
@@ -432,9 +416,7 @@ int main(int argc, char** argv) {
     timer.restart();
     std::vector<double> avg_rf;
     if (!cli.query_path.empty()) {
-      avg_rf = query_file(engine, cli.query_path,
-                          resolve_format(cli.query_path, cli.input_format),
-                          taxa);
+      avg_rf = query_file(engine, cli.query_path, taxa);
     } else if (ref.rows) {
       ref.rows->reset();
       avg_rf = engine.query(*ref.rows);

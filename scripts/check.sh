@@ -9,20 +9,23 @@
 #      file with its taxa in another order), saves the index of a 1-thread
 #      build and reloads it at 4 threads, and requires the 4-thread save,
 #      a second 4-thread save and the 1-thread save to be the same bytes
-#      (raw and compressed keys), a streamed CLI run at 4 threads diffed
-#      against 1 thread (a generated corpus and a hand-written decorated
-#      Newick file, which must answer as its twin without the unary
-#      group), a generated corpus answered from its Newick text, from
-#      its .p2v vector form and from its NEXUS form (at 1 and 4 threads),
-#      a failed --emit-vector that must leave the old .p2v corpus as it
-#      was, and its --matrix output at 3, 4 and 8 threads against 1
-#      thread. Before any of that, with the default build: every flag
+#      (raw and compressed keys), streamed CLI runs at 3, 4 and 8 threads
+#      diffed against 1 thread (a generated corpus and a hand-written
+#      decorated Newick file, which must answer as its twin without the
+#      unary group), a generated corpus answered from its Newick text,
+#      from its .p2v vector form (at 3, 4 and 8 threads) and from its
+#      NEXUS form (at 1, 3, 4 and 8 threads), a truncated copy of that
+#      .p2v that must fail, not hang, at 4 and 8 threads, a failed
+#      --emit-vector that must leave the old .p2v corpus as it was, its
+#      --matrix output at 3, 4 and 8 threads against 1 thread, and the
+#      engine --matrix --stats names for a dense and a sparse universe.
+#      Before any of that, with the default build: every flag
 #      that sizes threads, queues or sockets refuses hostile values
 #      while the arguments are read
 #   2. TSan build, concurrency-sensitive labels only (parallel, obs,
 #      serve, codec) + bfhrf_verify differential run (concurrent readers
 #      of one table across its 1..8 thread sweep) + the persistence oracle
-#      at 1/2/4/8 threads (workers flushing shards under per-shard locks)
+#      at 1/2/4/8 threads (lanes flushing shards under per-shard locks)
 #      + the serve daemon loopback smoke
 #   3. BFHRF_OBS=OFF build, full suite (instrumentation compiled out)
 #   4. BFHRF_DISABLE_SIMD=ON build, full suite + bfhrf_verify (portable
@@ -182,8 +185,8 @@ run serve_smoke ./build-asan
 
 # End-to-end index walk: build a small sharded store with the CLI (-t 4
 # gives 4 shards on a multi-core host), persist it in the mmap-able
-# one-table layout, reload it zero-copy at 1 thread and at 4 (pipeline
-# workers querying the mapped table; only the direct -t 4 run queries
+# one-table layout, reload it zero-copy at 1 thread and at 4 (four
+# lanes querying the mapped table; only the direct -t 4 run queries
 # shards), and require byte-identical query output from the mapped view.
 # The sanitizer
 # presets build without examples (BFHRF_BUILD_EXAMPLES=OFF), so this
@@ -223,7 +226,7 @@ run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/sparse_direct.tsv"
 run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/sparse_mapped.tsv"
 run diff "${PERSIST_DIR}/direct.tsv" "${PERSIST_DIR}/sparse_mapped_t4.tsv"
 
-# A 1-thread build's file, reloaded by pipeline workers at 4 threads. A
+# A 1-thread build's file, reloaded by four query lanes. A
 # save depends only on what the store holds, so it must be the bytes of
 # the 4-thread build's save above and of a second 4-thread save, in both
 # key encodings.
@@ -267,20 +270,23 @@ printf '%s\n' '((E,A),(B,C),(D,F));' '((A,C),(B,D),(E,F));' \
   -q "${PERSIST_DIR}/order_q.nwk" > "${PERSIST_DIR}/order_mapped.tsv"
 run diff "${PERSIST_DIR}/order_direct.tsv" "${PERSIST_DIR}/order_mapped.tsv"
 
-# Streamed Newick ingest extracts splits from the record text on the
-# workers; answers must not depend on the thread count, byte for byte. The
+# Streamed Newick ingest extracts splits from the record text on every
+# lane; answers must not depend on the lane count (3 and 8 are not powers
+# of two, and 8 is more lanes than most hosts have cores), byte for byte. The
 # decorated file has quoted labels, nested comments, supports, lengths, a
 # unary group and degree-2 and degree-3 roots. The split pass folds the
 # unary group like any other and drops the split it repeats, so the file
 # must answer exactly as its twin, where the group is written without
 # its extra parentheses.
 echo
-echo "=== bfhrf_cli streamed -t 4 vs -t 1 ==="
-./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -q "${SERVE_DIR}/q.nwk" \
-  -t 1 > "${PERSIST_DIR}/t1.tsv"
-./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" -q "${SERVE_DIR}/q.nwk" \
-  -t 4 > "${PERSIST_DIR}/t4.tsv"
-run diff "${PERSIST_DIR}/t1.tsv" "${PERSIST_DIR}/t4.tsv"
+echo "=== bfhrf_cli streamed -t 3, 4, 8 vs -t 1 ==="
+for t in 1 3 4 8; do
+  ./build/examples/bfhrf_cli -r "${SERVE_DIR}/ref.nwk" \
+    -q "${SERVE_DIR}/q.nwk" -t "${t}" > "${PERSIST_DIR}/t${t}.tsv"
+done
+for t in 3 4 8; do
+  run diff "${PERSIST_DIR}/t1.tsv" "${PERSIST_DIR}/t${t}.tsv"
+done
 cat > "${PERSIST_DIR}/decorated.nwk" <<'NEWICK'
 [decorated [nested] records]
 ('Homo sapiens':0.1,('Pan [x]':2.5e-3,(Gorilla,'O''Brien':1E+2)95:0.5)0.87,
@@ -296,14 +302,16 @@ cat > "${PERSIST_DIR}/decorated_twin.nwk" <<'NEWICK'
 	(Macaca:1,(Papio:2,('Homo sapiens',(Gorilla,('Pan [x]','O''Brien')))));
 NEWICK
 for file in decorated decorated_twin; do
-  for t in 1 4; do
+  for t in 1 3 4 8; do
     ./build/examples/bfhrf_cli -r "${PERSIST_DIR}/${file}.nwk" -t "${t}" \
       > "${PERSIST_DIR}/${file}_t${t}.tsv"
   done
 done
-run diff "${PERSIST_DIR}/decorated_t1.tsv" "${PERSIST_DIR}/decorated_t4.tsv"
-run diff "${PERSIST_DIR}/decorated_t1.tsv" "${PERSIST_DIR}/decorated_twin_t1.tsv"
-run diff "${PERSIST_DIR}/decorated_t4.tsv" "${PERSIST_DIR}/decorated_twin_t4.tsv"
+for t in 1 3 4 8; do
+  run diff "${PERSIST_DIR}/decorated_t1.tsv" "${PERSIST_DIR}/decorated_t${t}.tsv"
+  run diff "${PERSIST_DIR}/decorated_t${t}.tsv" \
+    "${PERSIST_DIR}/decorated_twin_t${t}.tsv"
+done
 
 # The Newick front end against code it shares nothing with: the same
 # corpus answered from its text and from its phylo2vec form, whose rows
@@ -316,18 +324,40 @@ echo "=== bfhrf_cli Newick vs .p2v answers ==="
   --emit-vector "${PERSIST_DIR}/avian.p2v"
 ./build/examples/bfhrf_cli -r "${PERSIST_DIR}/avian.nwk" -t 4 \
   > "${PERSIST_DIR}/avian_newick.tsv"
-./build/examples/bfhrf_cli -r "${PERSIST_DIR}/avian.p2v" -t 4 \
-  > "${PERSIST_DIR}/avian_vector.tsv"
-run diff "${PERSIST_DIR}/avian_newick.tsv" "${PERSIST_DIR}/avian_vector.tsv"
+for t in 3 4 8; do
+  ./build/examples/bfhrf_cli -r "${PERSIST_DIR}/avian.p2v" -t "${t}" \
+    > "${PERSIST_DIR}/avian_vector_t${t}.tsv"
+  run diff "${PERSIST_DIR}/avian_newick.tsv" \
+    "${PERSIST_DIR}/avian_vector_t${t}.tsv"
+done
+
+# A reader that fails mid-stream must fail the run, not hang it: every
+# lane stops claiming once one has thrown, and the reader's error is the
+# one reported, as a build (-r) and as a query (-q).
+echo
+echo "=== bfhrf_cli truncated .p2v at -t 4 and -t 8 ==="
+head -c $(( $(wc -c < "${PERSIST_DIR}/avian.p2v") * 3 / 5 )) \
+  "${PERSIST_DIR}/avian.p2v" > "${PERSIST_DIR}/avian_truncated.p2v"
+for t in 4 8; do
+  for args in "-r ${PERSIST_DIR}/avian_truncated.p2v" \
+              "-r ${PERSIST_DIR}/avian.p2v -q ${PERSIST_DIR}/avian_truncated.p2v"; do
+    status=0
+    # shellcheck disable=SC2086  # args is a word list by design
+    timeout 60 ./build/examples/bfhrf_cli ${args} -t "${t}" > /dev/null \
+      2> "${PERSIST_DIR}/truncated.err" || status=$?
+    run test "${status}" -eq 1
+    run grep -q "truncated record" "${PERSIST_DIR}/truncated.err"
+  done
+done
 
 # The same trees written as NEXUS: the CLI loads its TREES block into
-# memory, so this walks the in-memory span build and query, at one thread
-# and at four.
+# memory, so this walks the in-memory span build and query, inline and on
+# 3, 4 and 8 lanes.
 echo
 echo "=== bfhrf_cli NEXUS vs Newick answers ==="
 ./build/examples/bfhrf_generate --preset avian -n 48 -r 200 --seed 13 \
   -o "${PERSIST_DIR}/avian.nex"
-for t in 1 4; do
+for t in 1 3 4 8; do
   ./build/examples/bfhrf_cli -r "${PERSIST_DIR}/avian.nex" -t "${t}" \
     > "${PERSIST_DIR}/avian_nexus_t${t}.tsv"
   run diff "${PERSIST_DIR}/avian_newick.tsv" \
@@ -363,6 +393,20 @@ for t in 3 4 8; do
   run cmp "${PERSIST_DIR}/avian_matrix_t1.phy" \
     "${PERSIST_DIR}/avian_matrix_t${t}.phy"
 done
+
+# --matrix --stats reports the universe and the engine Auto picked: dense
+# rows for the avian corpus (density 0.029), sorted id lists for a wide,
+# discordant one (n = 400, density 0.0022, below the 1/256 crossover).
+echo
+echo "=== bfhrf_cli --matrix --stats names the engine ==="
+./build/examples/bfhrf_cli -r "${PERSIST_DIR}/avian.nwk" --matrix --stats \
+  > /dev/null 2> "${PERSIST_DIR}/avian_matrix.err"
+run grep -qx "# engine: dense" "${PERSIST_DIR}/avian_matrix.err"
+./build/examples/bfhrf_generate --preset avian -n 400 -r 600 --moves 300 \
+  --seed 3 -o "${PERSIST_DIR}/wide.nwk"
+./build/examples/bfhrf_cli -r "${PERSIST_DIR}/wide.nwk" --matrix --stats \
+  > /dev/null 2> "${PERSIST_DIR}/wide_matrix.err"
+run grep -qx "# engine: sparse" "${PERSIST_DIR}/wide_matrix.err"
 
 run cmake --preset tsan
 run cmake --build --preset tsan -j "$(nproc)"

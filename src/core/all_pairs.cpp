@@ -18,7 +18,7 @@ const obs::Histogram g_ap_seconds = obs::histogram("core.all_pairs.seconds");
 }  // namespace
 
 RfMatrix all_pairs_rf(std::span<const phylo::Tree> trees,
-                      const AllPairsOptions& opts) {
+                      const AllPairsOptions& opts, UniverseStats* stats_out) {
   if (trees.empty()) {
     throw InvalidArgument("all_pairs_rf: empty collection");
   }
@@ -44,7 +44,7 @@ RfMatrix all_pairs_rf(std::span<const phylo::Tree> trees,
       },
       /*grain=*/8);
 
-  RfMatrix matrix = bit_matrix_rf(sets, opts);
+  RfMatrix matrix = bit_matrix_rf(sets, opts, stats_out);
   g_ap_trees.inc(r);
   g_ap_pairs.inc(static_cast<std::uint64_t>(r) * (r - 1) / 2);
   return matrix;

@@ -31,6 +31,8 @@
 
 namespace bfhrf::core {
 
+struct UniverseStats;  // core/bit_matrix.hpp
+
 /// Which all-pairs engine to run. Auto measures universe density and
 /// picks BitDense or BitSparse.
 enum class AllPairsEngine : std::uint8_t {
@@ -55,7 +57,10 @@ struct AllPairsOptions {
 };
 
 /// RF distance matrix of one collection (exact; parallel over tiles).
+/// When `stats_out` is non-null the collection's measured universe shape
+/// (the input to the Auto pick) is written there.
 [[nodiscard]] RfMatrix all_pairs_rf(std::span<const phylo::Tree> trees,
-                                    const AllPairsOptions& opts = {});
+                                    const AllPairsOptions& opts = {},
+                                    UniverseStats* stats_out = nullptr);
 
 }  // namespace bfhrf::core

@@ -10,7 +10,6 @@
 
 #include "obs/metrics.hpp"
 #include "parallel/parallel_for.hpp"
-#include "parallel/pipeline.hpp"
 #include "util/error.hpp"
 
 namespace bfhrf::core {
@@ -49,7 +48,7 @@ const obs::Counter g_prefetch_fast_path =
 // Sharded-store metrics: shard count and balance (largest shard / mean,
 // 1.0 = perfect) of the store last built or loaded, the keys flushed from
 // staging buckets into shards and the flushes (add_many calls) that moved
-// them, and the most key bytes one worker staged at once in the last
+// them, and the most key bytes one lane staged at once in the last
 // build.
 const obs::Gauge g_shard_count = obs::gauge("bfhrf.build.shard.count");
 const obs::Gauge g_shard_skew = obs::gauge("bfhrf.build.shard.skew");
@@ -58,8 +57,8 @@ const obs::Counter g_shard_chunks = obs::counter("bfhrf.build.shard.chunks");
 const obs::Gauge g_staged_bytes =
     obs::gauge("bfhrf.build.shard.staged_bytes_max");
 
-/// Per-lane (stream index, value) records. Each worker appends to its own
-/// lane; in_stream_order() scatters them once the pipeline has joined, so
+/// Per-lane (stream index, value) records. Each lane appends to its own
+/// list; in_stream_order() scatters them once the lanes have joined, so
 /// no lock or shared resize sits on the hot path.
 using LaneValues = std::vector<std::vector<std::pair<std::size_t, double>>>;
 
@@ -73,35 +72,22 @@ std::vector<double> in_stream_order(const LaneValues& lanes, std::size_t n) {
   return out;
 }
 
-/// Bounded-queue capacity of the ingest pipeline, in queue items (batches
-/// of up to kBatchItems stream items, or span index ranges): two batches
-/// of work per worker keep every worker fed while bounding residency.
-std::size_t queue_capacity(std::size_t workers) { return 2 * workers; }
-
-/// Stream items per queue item. One queue hop per tree cost more than a
+/// Trees a lane takes per claim. One hand-off per tree cost more than a
 /// small tree's own work: in-memory queries at n=48 and n=144 ran 1.6-2.3x
-/// slower with 4 workers on a 4-core host, and a streamed 4,000-tree query
-/// woke a consumer about 4,040 times.
+/// slower with a queue hop per tree on a 4-core host, and a streamed
+/// 4,000-tree query woke a waiting thread about 4,040 times.
 constexpr std::size_t kBatchItems = 16;
 
-/// A Newick text batch also closes once it holds this many bytes, so wide
+/// A Newick claim also closes once it holds this many bytes, so wide
 /// trees do not multiply the text a stream keeps resident.
 constexpr std::size_t kBatchTextBytes = 64 * 1024;
 
-// The two schedulers of build_from/query_from, both on pipeline_run. A
-// scheduler is called as schedule(workers, consume): the calling thread
-// produces and `workers` threads call consume(rank, index, item) for every
-// item. It returns the item count once every worker has joined.
+// The two schedulers of build_from/query_from. A scheduler is called as
+// schedule(lanes, consume) and calls consume(lane, index, item) for every
+// item on `lanes` lanes (parallel::run_lanes). It returns the item count
+// once every lane has joined.
 
-/// Consecutive stream items queued as one; `first` is the stream index of
-/// items[0].
-template <typename Item>
-struct Batch {
-  std::size_t first = 0;
-  std::vector<Item> items;
-};
-
-/// Text bytes an item adds to its batch: Newick records count, vector
+/// Text bytes an item adds to its claim: Newick records count, vector
 /// rows do not.
 std::size_t text_bytes(const std::string& record) { return record.size(); }
 template <typename Item>
@@ -109,73 +95,66 @@ std::size_t text_bytes(const Item& /*item*/) {
   return 0;
 }
 
-/// Streams: the producer pulls items with next(item) and queues them in
-/// batches of up to kBatchItems (text batches also close at
-/// kBatchTextBytes). An item is a Newick record (std::string) or a
-/// TreeVector row; the workers consume payload(item). Records are only
-/// framed on the producer, so all the per-record text work runs on the
-/// workers instead of on the one producer thread.
+/// Streams: every lane claims its next batch straight from the source.
+/// Under one lock it notes the next stream index and pulls up to
+/// kBatchItems items with next(item) (a text batch also closes at
+/// kBatchTextBytes); with the lock released it consumes payload(item) for
+/// each. An item is a Newick record (std::string) or a TreeVector row, and
+/// a lane reuses its kBatchItems of them across claims. Once a lane
+/// throws, in the source or in consume, no lane claims again; run_lanes
+/// rethrows the first exception after the join.
 template <typename Item, typename Next, typename Payload = std::identity>
 auto stream_scheduler(Next next, Payload payload = {}) {
-  return [next = std::move(next), payload](std::size_t workers,
+  return [next = std::move(next), payload](std::size_t lanes,
                                           const auto& consume) mutable {
-    std::size_t seen = 0;
-    parallel::pipeline_run<Batch<Item>>(
-        workers, queue_capacity(workers),
-        [&](const parallel::PipelineEmit<Batch<Item>>& emit) {
-          bool more = true;
-          while (more) {
-            Batch<Item> batch{.first = seen, .items = {}};
-            batch.items.reserve(kBatchItems);
-            std::size_t bytes = 0;
-            while (batch.items.size() < kBatchItems &&
-                   bytes < kBatchTextBytes) {
-              Item& item = batch.items.emplace_back();
-              if (!next(item)) {
-                batch.items.pop_back();
-                more = false;
+    std::mutex mu;
+    std::size_t seen = 0;  // guarded by mu: the next item's stream index
+    bool done = false;     // guarded by mu: end of stream, or a lane threw
+    parallel::run_lanes(lanes, [&](std::size_t lane) {
+      std::vector<Item> batch(kBatchItems);
+      try {
+        while (true) {
+          std::size_t first = 0;
+          std::size_t count = 0;
+          {
+            const std::lock_guard lock(mu);
+            if (done) {
+              return;
+            }
+            first = seen;
+            for (std::size_t bytes = 0;
+                 count < kBatchItems && bytes < kBatchTextBytes; ++count) {
+              if (!next(batch[count])) {
+                done = true;
                 break;
               }
-              bytes += text_bytes(item);
+              bytes += text_bytes(batch[count]);
             }
-            seen += batch.items.size();
-            if (batch.items.empty() || !emit(std::move(batch))) {
-              break;  // end of stream, or the pipeline aborted (the
-                      // failure rethrows after join)
-            }
+            seen += count;
           }
-        },
-        [&](std::size_t rank, Batch<Item>& batch) {
-          for (std::size_t i = 0; i < batch.items.size(); ++i) {
-            consume(rank, batch.first + i, payload(batch.items[i]));
+          for (std::size_t i = 0; i < count; ++i) {
+            consume(lane, first + i, payload(batch[i]));
           }
-        });
+        }
+      } catch (...) {
+        const std::lock_guard lock(mu);
+        done = true;
+        throw;
+      }
+    });
     return seen;
   };
 }
 
-/// In-memory spans: the items are pointers into the span (no tree is
-/// copied), queued as index ranges of kBatchItems trees.
+/// In-memory spans: lanes claim index ranges of kBatchItems trees from
+/// parallel_for's cursor and consume the trees in place (no tree is
+/// copied).
 auto span_scheduler(std::span<const phylo::Tree> trees) {
-  return [trees](std::size_t workers, const auto& consume) {
-    struct Range {
-      std::size_t begin = 0;
-      std::size_t end = 0;
-    };
-    parallel::pipeline_run<Range>(
-        workers, queue_capacity(workers),
-        [&](const parallel::PipelineEmit<Range>& emit) {
-          for (std::size_t b = 0; b < trees.size(); b += kBatchItems) {
-            if (!emit({b, std::min(trees.size(), b + kBatchItems)})) {
-              break;  // pipeline aborted; the failure rethrows after join
-            }
-          }
-        },
-        [&](std::size_t rank, Range& range) {
-          for (std::size_t i = range.begin; i < range.end; ++i) {
-            consume(rank, i, &trees[i]);
-          }
-        });
+  return [trees](std::size_t lanes, const auto& consume) {
+    parallel::parallel_for_ranked(
+        0, trees.size(), lanes,
+        [&](std::size_t lane, std::size_t i) { consume(lane, i, trees[i]); },
+        kBatchItems);
     return trees.size();
   };
 }
@@ -212,7 +191,7 @@ void check_namespace(const phylo::TaxonSetPtr& taxa, std::size_t n_bits) {
   }
 }
 
-/// A Newick file streams as record text, each record reaching the workers
+/// A Newick file streams as record text, each record reaching the lanes
 /// as a `Record` (Bfhrf::NewickRecord): its text and the source's
 /// namespace.
 template <typename Record>
@@ -232,8 +211,7 @@ Bfhrf::Bfhrf(std::size_t n_bits, BfhrfOptions opts)
     throw InvalidArgument("Bfhrf: empty taxon universe");
   }
   opts_.threads = parallel::effective_threads(opts_.threads);
-  tables_.emplace(n_bits_, effective_shards(), opts_.expected_unique,
-                  key_encoding());
+  tables_.emplace(n_bits_, effective_shards(), key_encoding());
   view_ = BfhIndexView(*tables_, total_weight_);
 }
 
@@ -253,37 +231,34 @@ Bfhrf::Bfhrf(MappedIndex index, BfhrfOptions opts)
 }
 
 std::size_t Bfhrf::effective_shards() const noexcept {
-  // One table when the build runs inline; otherwise a shard per worker,
+  // One table when the build runs inline; otherwise a shard per lane,
   // rounded up to a power of two and capped at 64, so a store is sharded
-  // exactly when its build has workers.
-  const std::size_t workers = pipeline_workers();
-  return workers == 0 ? 1
-                      : std::bit_ceil(std::min<std::size_t>(workers, 64));
+  // exactly when its build has more than one lane.
+  const std::size_t lanes = this->lanes();
+  return lanes == 1 ? 1 : std::bit_ceil(std::min<std::size_t>(lanes, 64));
 }
 
-std::size_t Bfhrf::pipeline_workers() const noexcept {
-  // The calling thread produces; `workers` consumers drain the queue. With
-  // threads <= 1 — or on a single-hardware-thread host, where produce/
-  // consume overlap is physically impossible and the queue would only add
-  // synchronization — the pipeline degenerates to an inline zero-sync
-  // loop (results are identical either way).
+std::size_t Bfhrf::lanes() const noexcept {
+  // On a single-hardware-thread host a second lane could only time-slice
+  // with the first, so the run stays inline there too (results are
+  // identical either way).
   if (opts_.threads <= 1 || std::thread::hardware_concurrency() <= 1) {
-    return 0;
+    return 1;
   }
   return opts_.threads;
 }
 
 std::size_t Bfhrf::max_resident_trees() const noexcept {
-  const std::size_t workers = pipeline_workers();
-  const std::size_t batches =
-      workers == 0 ? 1 : queue_capacity(workers) + workers + 1;
-  return batches * kBatchItems;
+  return lanes() * kBatchItems;
 }
 
 std::size_t Bfhrf::max_staged_keys() const noexcept {
+  if (lanes() == 1) {
+    return 0;  // the inline build inserts straight into its one table
+  }
   // A tree keeps at most n-3 splits, or 2n-3 with the trivial ones.
   const std::size_t per_tree = opts_.include_trivial ? 2 * n_bits_ : n_bits_;
-  return pipeline_workers() * (kStageKeys + per_tree);
+  return lanes() * (kStageKeys + per_tree);
 }
 
 Bfhrf::WorkerScratch& Bfhrf::thread_scratch() {
@@ -297,11 +272,6 @@ const phylo::BipartitionSet& Bfhrf::extract(const phylo::Tree& tree,
     throw InvalidArgument("Bfhrf: tree taxon universe width mismatch");
   }
   return scratch.extractor.extract(tree, split_options());
-}
-
-const phylo::BipartitionSet& Bfhrf::extract(const phylo::Tree* tree,
-                                            WorkerScratch& scratch) const {
-  return extract(*tree, scratch);
 }
 
 const phylo::BipartitionSet& Bfhrf::extract(
@@ -386,7 +356,7 @@ double Bfhrf::route_bipartitions(const phylo::BipartitionSet& bips,
   staging.keys += kept.count;
   staging.peak_keys = std::max(staging.peak_keys, staging.keys);
   // Every bucket held less than its share of kStageKeys before this tree,
-  // so the worker never stages more than kStageKeys keys plus one tree.
+  // so the lane never stages more than kStageKeys keys plus one tree.
   const std::size_t full = kStageKeys / staging.buckets.size();
   for (std::size_t s = 0; s < staging.buckets.size(); ++s) {
     Bucket& bucket = staging.buckets[s];
@@ -409,15 +379,14 @@ void Bfhrf::build_from(Schedule schedule) {
   ShardedFrequencyHash& tables = *tables_;
   const obs::TraceSpan span("bfhrf.build");
   const obs::ScopedTimer timer(g_build_seconds);
-  const std::size_t workers = pipeline_workers();
-  const std::size_t lanes = std::max<std::size_t>(1, workers);
+  const std::size_t lanes = this->lanes();
   const std::size_t wp = util::words_for_bits(n_bits_);
 
-  // Where a worker's keys go. One shard (the inline build): straight into
-  // its table. Several (a build with workers): into the worker's own
-  // per-shard buckets, each flushed into its shard under that shard's lock
-  // once it holds its share of kStageKeys; the residue drains after the
-  // pipeline joins. Every key is inserted exactly once, with no merge.
+  // Where a lane's keys go. One shard (the inline build): straight into
+  // its table. Several (a build with more than one lane): into the lane's
+  // own per-shard buckets, each flushed into its shard under that shard's
+  // lock once it holds its share of kStageKeys; the residue drains after
+  // the lanes join. Every key is inserted exactly once, with no merge.
   const bool route = tables.shard_count() > 1;
   const std::size_t shards = route ? tables.shard_count() : 0;
   std::vector<std::mutex> locks(shards);
@@ -433,17 +402,17 @@ void Bfhrf::build_from(Schedule schedule) {
   LaneValues tree_weights(lanes);
 
   const std::size_t seen = schedule(
-      workers, [&](std::size_t rank, std::size_t index, const auto& item) {
-        const phylo::BipartitionSet& bips = extract(item, scratch[rank]);
+      lanes, [&](std::size_t lane, std::size_t index, const auto& item) {
+        const phylo::BipartitionSet& bips = extract(item, scratch[lane]);
         const double weight =
-            route ? route_bipartitions(bips, tables, staging[rank], locks,
-                                       scratch[rank])
-                  : insert_bipartitions(bips, tables.shard(0), scratch[rank]);
-        tree_weights[rank].emplace_back(index, weight);
+            route ? route_bipartitions(bips, tables, staging[lane], locks,
+                                       scratch[lane])
+                  : insert_bipartitions(bips, tables.shard(0), scratch[lane]);
+        tree_weights[lane].emplace_back(index, weight);
       });
 
   // The residue, one task per shard (none after an inline build); the
-  // workers have joined, so no lock.
+  // lanes have joined, so no lock.
   parallel::parallel_for(
       0, shards, opts_.threads,
       [&](std::size_t s) {
@@ -551,15 +520,14 @@ template <typename Schedule>
 std::vector<double> Bfhrf::query_from(Schedule schedule) const {
   const obs::TraceSpan span("bfhrf.query");
   const obs::ScopedTimer timer(g_query_seconds);
-  const std::size_t workers = pipeline_workers();
-  const std::size_t lanes = std::max<std::size_t>(1, workers);
+  const std::size_t lanes = this->lanes();
   std::vector<WorkerScratch> scratch(lanes);
   LaneValues results(lanes);
   const std::size_t seen = schedule(
-      workers, [&](std::size_t rank, std::size_t index, const auto& item) {
-        results[rank].emplace_back(
+      lanes, [&](std::size_t lane, std::size_t index, const auto& item) {
+        results[lane].emplace_back(
             index,
-            query_bipartitions(extract(item, scratch[rank]), scratch[rank]));
+            query_bipartitions(extract(item, scratch[lane]), scratch[lane]));
       });
   g_query_trees.inc(seen);
   return in_stream_order(results, seen);

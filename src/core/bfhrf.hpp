@@ -15,8 +15,10 @@
 //
 // Under a weighted variant every term carries w(b'); sumBFHR becomes the
 // weighted total. Both phases parallelize at tree granularity in one
-// code path each. With workers, the build routes each tree's keys into
-// per-worker, per-shard buckets and flushes a full bucket into its shard
+// code path each, on parallel::run_lanes: lanes claim batches of trees
+// from parallel_for's cursor (spans) or straight from the input (streams).
+// With more than one lane, the build routes each tree's keys into
+// per-lane, per-shard buckets and flushes a full bucket into its shard
 // under that shard's lock, so staging stays bounded whatever r is and no
 // merge follows; the query is embarrassingly parallel (read-only hash).
 //
@@ -45,8 +47,9 @@
 namespace bfhrf::core {
 
 struct BfhrfOptions {
-  /// Worker threads for both phases (1 = sequential; 0 = hardware default).
-  /// The count also shapes the store: a build with pipeline workers
+  /// Threads (lanes) for both phases (1 = sequential; 0 = hardware
+  /// default).
+  /// The count also shapes the store: a build with more than one lane
   /// (threads > 1 on a multi-core host) fills a ShardedFrequencyHash of
   /// bit_ceil(min(threads, 64)) shards, routed by the top fingerprint bits
   /// (core/sharded_hash.hpp); otherwise its one shard is a single table.
@@ -71,13 +74,6 @@ struct BfhrfOptions {
   /// future work. Exactness, variants, sharding and the batched query are
   /// unaffected; see bench_ablation_hash (A4c).
   bool compressed_keys = false;
-
-  /// Expected number of unique bipartitions U. Pre-sizes the frequency
-  /// store (split evenly across its shards), so a build is one table
-  /// allocation per shard instead of a rehash cascade. 0 = grow on demand.
-  /// A prior build's stats().unique_bipartitions is a good value (U
-  /// saturates as r grows, §VII-C).
-  std::size_t expected_unique = 0;
 };
 
 enum class IndexFormat;  // core/serialize.hpp
@@ -102,11 +98,14 @@ class Bfhrf {
 
   // --- Phase 1: build BFH_R -----------------------------------------------
   //
-  // All three overloads share one code path on one pipeline; they differ in
-  // the payload (a pointer into the span, a Newick record, a phylo2vec row)
-  // and in what the producer queues (spans queue index ranges; streams
-  // queue batches of Newick record text or rows that the workers extract
-  // splits from).
+  // All three overloads share one code path on one fan-out
+  // (parallel::run_lanes); they differ in the payload (a tree of the span,
+  // a Newick record, a phylo2vec row) and in how a lane claims it: spans
+  // hand out index ranges from parallel_for's cursor, and streams let each
+  // lane read its next batch of record text or rows from the source under
+  // one lock, then extract splits from it with the lock released. A
+  // reader's or extractor's exception stops every lane's claims and is
+  // rethrown after they join.
   // Builds accumulate: a second build() adds to the first. An engine that
   // serves a loaded index is read-only: build() throws Error before it
   // reads any input. A build that throws otherwise (a malformed record, a
@@ -117,8 +116,8 @@ class Bfhrf {
   void build(std::span<const phylo::Tree> reference);
 
   /// Build from a Newick file; at most max_resident_trees() trees
-  /// resident. Its records are framed on the calling thread, and the
-  /// workers extract each record's splits straight from its text
+  /// resident. Each lane frames its records under the source's lock and
+  /// extracts their splits straight from the text
   /// (phylo::NewickSplitExtractor) against the source's namespace; no
   /// record becomes a Tree. That namespace must already be `n_bits` wide
   /// (InvalidArgument otherwise, before any record is read) and is never
@@ -163,7 +162,7 @@ class Bfhrf {
   // --- introspection --------------------------------------------------------
 
   /// The frequency store, read-only: a view over the build's tables (one
-  /// shard when builds run inline, else one per worker rounded up to a
+  /// shard when builds run inline, else one per lane rounded up to a
   /// power of two; see BfhrfOptions::threads), or over the mapped table
   /// of a loaded index. A build replaces it, so do not hold it across one.
   [[nodiscard]] const BfhIndexView& store() const noexcept { return view_; }
@@ -171,23 +170,23 @@ class Bfhrf {
   [[nodiscard]] const BfhrfOptions& options() const noexcept { return opts_; }
 
   /// Most trees (Newick records, or rows) a streamed build or query holds
-  /// at once, counted in batches of up to 16: the bounded queue's batches,
-  /// one in flight per worker and the one the producer is filling.
+  /// at once: each lane's batch of up to 16, which it reuses across
+  /// claims (lanes() × 16).
   [[nodiscard]] std::size_t max_resident_trees() const noexcept;
 
-  /// Keys a build worker stages before flushing: each of its S shard
+  /// Keys a build lane stages before flushing: each of its S shard
   /// buckets flushes into its shard once it holds kStageKeys / S keys.
   static constexpr std::size_t kStageKeys = 16384;
 
-  /// Most keys a build stages at once, over all its workers: under
+  /// Most keys a build stages at once, over all its lanes: under
   /// kStageKeys each, plus the tree being routed. 0 when the build runs
   /// inline, straight into one table. A staged key is ⌈n/64⌉ words
   /// whatever the store's key encoding, plus its one-word fingerprint.
   [[nodiscard]] std::size_t max_staged_keys() const noexcept;
 
  private:
-  /// Per-worker hot-loop scratch: extraction buffers plus the batched
-  /// staging vectors. One per worker rank, or per thread for query_one and
+  /// Per-lane hot-loop scratch: extraction buffers plus the batched
+  /// staging vectors. One per lane, or per thread for query_one and
   /// query_newick (thread_scratch); never shared across threads.
   struct WorkerScratch {
     phylo::BipartitionExtractor extractor;
@@ -220,8 +219,8 @@ class Bfhrf {
     std::vector<std::uint64_t> fingerprints;
   };
 
-  /// One build worker's routing buckets, one per shard, and the keys they
-  /// hold: now, and at most (the staged-bytes gauge). Workers never share
+  /// One build lane's routing buckets, one per shard, and the keys they
+  /// hold: now, and at most (the staged-bytes gauge). Lanes never share
   /// a Staging.
   struct Staging {
     std::vector<Bucket> buckets;
@@ -253,10 +252,8 @@ class Bfhrf {
   }
 
   /// The extract step of build_from/query_from: check the payload's taxon
-  /// width, then run the matching per-worker extractor.
+  /// width, then run the matching per-lane extractor.
   const phylo::BipartitionSet& extract(const phylo::Tree& tree,
-                                       WorkerScratch& scratch) const;
-  const phylo::BipartitionSet& extract(const phylo::Tree* tree,
                                        WorkerScratch& scratch) const;
   const phylo::BipartitionSet& extract(std::span<const std::uint32_t> row,
                                        WorkerScratch& scratch) const;
@@ -273,11 +270,11 @@ class Bfhrf {
                              FrequencyHash& table,
                              WorkerScratch& scratch) const;
 
-  /// Build with workers: append every kept split to the bucket in
-  /// `staging` of the shard its folded fingerprint picks, then flush each
-  /// bucket that holds its share of kStageKeys into its shard of `tables`
-  /// under that shard's mutex in `locks`. Buckets carry keys and their
-  /// fingerprints, no weights: shards count occurrences only, and
+  /// Build with more than one lane: append every kept split to the bucket
+  /// in `staging` of the shard its folded fingerprint picks, then flush
+  /// each bucket that holds its share of kStageKeys into its shard of
+  /// `tables` under that shard's mutex in `locks`. Buckets carry keys and
+  /// their fingerprints, no weights: shards count occurrences only, and
   /// build_from folds sumBFHR from the returned per-tree kept weights.
   double route_bipartitions(const phylo::BipartitionSet& bips,
                             ShardedFrequencyHash& tables, Staging& staging,
@@ -290,8 +287,8 @@ class Bfhrf {
                                           WorkerScratch& scratch) const;
 
   /// The one build path and the one query path. `schedule` feeds
-  /// them the payload — a pointer into an in-memory span, a NewickRecord
-  /// or a TreeVector row — through parallel::pipeline_run.
+  /// them the payload — a tree of an in-memory span, a NewickRecord or a
+  /// TreeVector row — on lanes() lanes.
   template <typename Schedule>
   void build_from(Schedule schedule);
   template <typename Schedule>
@@ -306,9 +303,10 @@ class Bfhrf {
   /// table, the inline build's store).
   [[nodiscard]] std::size_t effective_shards() const noexcept;
 
-  /// Pipeline consumer count (0 = inline zero-sync loop; chosen when
-  /// threads <= 1 or the host has one hardware thread).
-  [[nodiscard]] std::size_t pipeline_workers() const noexcept;
+  /// Lanes every build and query fans its trees out over: 1, run inline
+  /// on the calling thread, when threads <= 1 or the host has one
+  /// hardware thread; else threads, each on a spawned thread.
+  [[nodiscard]] std::size_t lanes() const noexcept;
 
   /// Remake view_ over the tables (table growth reallocates the memory it
   /// points into, so every build ends here) and publish the store's shape

@@ -76,26 +76,31 @@ std::vector<Tile> cut_tiles(std::size_t r, std::size_t tile_rows) {
 
 /// Run every tile through `body` on parallel_for lanes, one tile per
 /// claim in deal order: each lane takes the next tile the moment it frees
-/// up, so a lane that drew cheap (near-diagonal, triangular) tiles steals
-/// from the slice a static deal would have pinned elsewhere. A tile is
-/// stolen when a lane other than its static owner, index·lanes/tiles, runs
-/// it. One lane runs inline and steals nothing.
+/// up, so a lane that drew cheap (near-diagonal, triangular) tiles takes
+/// more of them. Each lane counts its claims; the tiles stolen are those
+/// a lane ran past its fair share ⌈tiles/lanes⌉, so one lane steals none
+/// and a balanced run steals close to none.
 template <typename Body>
 void run_tiles(const std::vector<Tile>& tiles, std::size_t threads,
                const Body& body) {
   g_tiles.inc(tiles.size());
   const std::size_t lanes = parallel::lane_count(tiles.size(), threads, 1);
+  std::vector<std::size_t> claims(lanes, 0);
   parallel::parallel_for_ranked(
       0, tiles.size(), threads,
       [&](std::size_t lane, std::size_t index) {
         const util::WallTimer timer;
         body(tiles[index]);
         g_tile_seconds.observe(timer.seconds());
-        if (index * lanes / tiles.size() != lane) {
-          g_tiles_stolen.inc();
-        }
+        ++claims[lane];
       },
       /*grain=*/1);
+  const std::size_t fair = (tiles.size() + lanes - 1) / lanes;
+  std::size_t stolen = 0;
+  for (const std::size_t c : claims) {
+    stolen += c > fair ? c - fair : 0;
+  }
+  g_tiles_stolen.inc(stolen);
 }
 
 }  // namespace

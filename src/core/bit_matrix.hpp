@@ -21,9 +21,10 @@
 //    mostly-zero word scans.
 //
 // Scheduling: the upper triangle is cut into square blocks of tile rows,
-// and parallel_for hands them out one at a time from a single cursor —
-// work-stealing in effect, since any lane takes the next tile regardless
-// of the static owner the tile was dealt to. A tile's row band is sized to
+// and parallel_for's lanes claim them one at a time from a single cursor —
+// work-stealing in effect: a lane that drew cheap tiles comes back for
+// more, and the tiles it runs past its fair share ⌈tiles/lanes⌉ count as
+// stolen (bfhrf.matrix.tiles_stolen). A tile's row band is sized to
 // stay L2-resident, so the column stream is the only DRAM traffic: at
 // least 8 and at most 256 rows, fewer when the triangle would otherwise
 // yield too few tiles to balance the lanes.

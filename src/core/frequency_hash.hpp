@@ -57,7 +57,7 @@
 // the one read-only store that a loaded index file also serves.
 //
 // Concurrency model: a FrequencyHash is single-writer. A parallel build
-// shards the store and each worker flushes its staged keys into a shard
+// shards the store and each lane flushes its staged keys into a shard
 // while holding that shard's lock (src/core/bfhrf). The read path
 // (frequency/frequency_many) is safe for concurrent readers once writers
 // are quiesced.

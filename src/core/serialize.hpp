@@ -46,9 +46,8 @@ void save_bfhrf_file(const Bfhrf& engine, const std::string& path,
 /// validated, and queried in place — bit-identical results. Calling build
 /// on the engine throws. Runtime options (threads, variant, norm) come
 /// from `opts`; the store kind, trivial-split convention, universe width
-/// and contents come from the file, and
-/// `opts.expected_unique` is unused (no table is allocated). Throws Error
-/// when the file cannot be opened or mapped, ParseError when it is
+/// and contents come from the file, and no table is allocated. Throws
+/// Error when the file cannot be opened or mapped, ParseError when it is
 /// malformed.
 [[nodiscard]] Bfhrf load_bfhrf_file(const std::string& path,
                                     BfhrfOptions opts = {});

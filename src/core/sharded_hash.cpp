@@ -14,15 +14,12 @@ std::size_t round_up_pow2(std::size_t v) {
 
 ShardedFrequencyHash::ShardedFrequencyHash(std::size_t n_bits,
                                            std::size_t shard_count,
-                                           std::size_t expected_unique,
                                            KeyEncoding encoding) {
   const std::size_t count = round_up_pow2(shard_count);
   shard_bits_ = static_cast<std::uint32_t>(std::countr_zero(count));
   shards_.reserve(count);
-  const std::size_t per_shard = expected_unique / count;
   for (std::size_t s = 0; s < count; ++s) {
-    shards_.push_back(
-        std::make_unique<FrequencyHash>(n_bits, per_shard, encoding));
+    shards_.push_back(std::make_unique<FrequencyHash>(n_bits, 0, encoding));
   }
 }
 

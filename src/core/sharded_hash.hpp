@@ -15,10 +15,10 @@
 //  * PARALLEL BUILDS WITHOUT A MERGE. Key ownership is static, so each
 //    key is inserted exactly once, into the one shard that owns it. Bfhrf's
 //    parallel build routes each key by the fingerprint its extractor
-//    folded, stages the key and that fingerprint per worker and per shard,
+//    folded, stages the key and that fingerprint per lane and per shard,
 //    then flushes a full bucket into its shard under that shard's lock
 //    (core/bfhrf), so neither the route nor the insert hashes the key:
-//    workers flushing different shards never wait on each other. An
+//    lanes flushing different shards never wait on each other. An
 //    inline build fills a one-shard store, whose shard is an ordinary
 //    single table.
 //  * THE SAME FILE AS ONE TABLE. The index writer (core/index_file) lays
@@ -26,7 +26,7 @@
 //    an inline build's bytes, and a loaded index needs no shard pick.
 //
 // Determinism: frequencies are order-independent integer sums, so a
-// sharded build reaches bit-identical counts regardless of worker
+// sharded build reaches bit-identical counts regardless of lane
 // interleaving. sumBFHR is not a shard property: Bfhrf folds it from
 // per-tree weights in stream order and hands it to the view, so variants
 // and both key encodings shard too.
@@ -59,11 +59,9 @@ namespace bfhrf::core {
 /// shards themselves are exposed; every read goes through a BfhIndexView.
 class ShardedFrequencyHash {
  public:
-  /// `shard_count` is rounded up to a power of two (min 1);
-  /// `expected_unique` is split evenly across shards as a pre-size hint;
-  /// every shard stores its keys in `encoding`.
+  /// `shard_count` is rounded up to a power of two (min 1); every shard
+  /// stores its keys in `encoding` and grows with them.
   ShardedFrequencyHash(std::size_t n_bits, std::size_t shard_count,
-                       std::size_t expected_unique = 0,
                        KeyEncoding encoding = KeyEncoding::Raw);
 
   [[nodiscard]] std::size_t shard_count() const noexcept {

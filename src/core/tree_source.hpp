@@ -4,7 +4,8 @@
 // the tree collections, one tree resident at a time. Two inputs stream:
 //
 //  * FileTreeSource: a Newick file. The engine (core/bfhrf) reads it as
-//    record text, framed on one thread and extracted on the workers.
+//    record text: each lane frames its next batch of records under the
+//    source's lock and extracts their splits with the lock released.
 //  * VectorSource: phylo2vec rows (a .p2v corpus, P2vFileSource, or the
 //    in-memory SpanVectorSource standing in for one). The engine extracts
 //    splits straight from each row; no Tree is built.
@@ -29,8 +30,9 @@ namespace bfhrf::core {
 ///
 /// next() frames and parses on the calling thread and grows a non-frozen
 /// namespace, like NewickReader::next. The engine (core/bfhrf) parses no
-/// Tree: its producer only frames records (next_record), and its workers
-/// extract each record's splits straight from the text
+/// Tree: its lanes take turns framing records (next_record; the source is
+/// not thread-safe, so the engine calls it under one lock) and extract
+/// each record's splits straight from the text
 /// (phylo::NewickSplitExtractor) against the namespace as it stands, which
 /// they never write.
 class FileTreeSource {
@@ -70,7 +72,8 @@ class FileTreeSource {
 
 /// A resettable forward stream of phylo2vec rows — the text-free ingest
 /// path. Every row is over one shared universe of n_taxa() taxa (so
-/// rows carry n_taxa()-1 codes).
+/// rows carry n_taxa()-1 codes). Implementations need not be
+/// thread-safe: the engine's lanes call next() under one lock.
 class VectorSource {
  public:
   virtual ~VectorSource() = default;

@@ -1,11 +1,10 @@
 // BoundedQueue: a bounded, blocking multi-producer/multi-consumer queue.
 //
-// The coupling device of the producer/consumer pipeline
-// (parallel/pipeline.hpp) the streaming engines (src/core/bfhrf) run on:
-// the producer thread pushes batches of stream items (Newick record text,
-// trees or phylo2vec rows) continuously while workers pop, parse and
-// process them, so reading the input and the per-tree work overlap instead
-// of alternating.
+// The query daemon's admission queue (serve/server.hpp): connection reader
+// threads push decoded requests while the worker threads pop and answer
+// them, so the queue bound is the only buffering and a burst backpressures
+// the sockets instead of growing memory. The engines' ingest does not use
+// it: lanes claim trees straight from their input (core/bfhrf).
 //
 // Semantics:
 //  * push() blocks while the queue is full; returns false once the queue is
@@ -13,16 +12,16 @@
 //  * pop() blocks while the queue is empty and open; returns false once the
 //    queue is closed AND drained, or aborted.
 //  * close() ends production: pending items drain, further pushes fail.
-//  * abort() tears the pipeline down: pending items are discarded and every
-//    blocked producer/consumer wakes up with `false` (used to propagate a
-//    consumer exception back to the producer without deadlocking on a full
-//    queue).
+//  * abort() tears the queue down: pending items are discarded and every
+//    blocked producer/consumer wakes up with `false` (so a failing consumer
+//    cannot leave a producer blocked on a full queue).
 //
-// Observability (docs/OBSERVABILITY.md, parallel.pipeline.*): queue depth
-// gauge sampled on push, producer-stall and consumer-wait histograms
-// recording only *blocking* waits, and push/pop counters. All increments go
-// through thread-local obs sinks, so producers and consumers never contend
-// on instrumentation.
+// Observability (docs/OBSERVABILITY.md, parallel.pipeline.queue.*, names
+// kept from the retired ingest pipeline because perfbench reads two of
+// them): queue depth gauge sampled on push, producer-stall and
+// consumer-wait histograms recording only *blocking* waits, and push/pop
+// counters. All increments go through thread-local obs sinks, so producers
+// and consumers never contend on instrumentation.
 #pragma once
 
 #include <condition_variable>

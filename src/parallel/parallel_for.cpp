@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -34,6 +33,38 @@ std::size_t lane_count(std::size_t items, std::size_t threads,
   return std::min(effective_threads(threads), (items + grain - 1) / grain);
 }
 
+void run_lanes(std::size_t lanes,
+               const std::function<void(std::size_t)>& lane) {
+  if (lanes == 1) {
+    lane(0);
+    return;
+  }
+  std::exception_ptr first_error;
+  std::mutex err_mu;
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(lanes);
+    for (std::size_t rank = 0; rank < lanes; ++rank) {
+      threads.emplace_back([&, rank] {
+        // Flush this lane's sink before the join, not only at thread exit.
+        const obs::ScopedThreadSink sink_flush;
+        try {
+          lane(rank);
+        } catch (...) {
+          const std::lock_guard lock(err_mu);
+          if (!first_error) {
+            first_error = std::current_exception();
+          }
+        }
+      });
+    }
+    // lanes join here
+  }
+  if (first_error) {
+    std::rethrow_exception(first_error);
+  }
+}
+
 void parallel_for_ranked(
     std::size_t begin, std::size_t end, std::size_t threads,
     const std::function<void(std::size_t, std::size_t)>& fn,
@@ -42,67 +73,29 @@ void parallel_for_ranked(
     return;
   }
   g_pf_invocations.inc();
-  const std::size_t t = lane_count(end - begin, threads, grain);
-  if (t <= 1) {
-    for (std::size_t i = begin; i < end; ++i) {
-      fn(0, i);
-    }
-    g_pf_items.inc(end - begin);
-    g_pf_chunks.inc();
-    return;
-  }
-
+  const std::size_t lanes = lane_count(end - begin, threads, grain);
+  // One lane claims the whole range as one chunk, in index order.
+  const std::size_t step = lanes == 1 ? end - begin : grain;
   std::atomic<std::size_t> cursor{begin};
-  std::exception_ptr first_error;
-  std::mutex err_mu;
-
-  const auto body = [&](std::size_t rank) {
-    // Flush this worker's sink when the body unwinds (normally or not);
-    // ranks > 0 also flush via thread-exit, rank 0 runs on the caller.
-    const obs::ScopedThreadSink sink_flush;
-    std::uint64_t chunks = 0;
-    std::uint64_t items = 0;
-    try {
-      while (true) {
-        const std::size_t chunk_begin =
-            cursor.fetch_add(grain, std::memory_order_relaxed);
-        if (chunk_begin >= end) {
-          break;
-        }
-        const std::size_t chunk_end = std::min(end, chunk_begin + grain);
-        ++chunks;
-        items += chunk_end - chunk_begin;
-        for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-          fn(rank, i);
-        }
+  run_lanes(lanes, [&](std::size_t rank) {
+    bool claimed = false;
+    for (std::size_t first = cursor.fetch_add(step, std::memory_order_relaxed);
+         first < end;
+         first = cursor.fetch_add(step, std::memory_order_relaxed)) {
+      const std::size_t last = std::min(end, first + step);
+      g_pf_chunks.inc();
+      g_pf_items.inc(last - first);
+      // Every claim after a lane's first came off the shared cursor: a
+      // chunk steal in the work-stealing sense.
+      if (claimed) {
+        g_pf_steals.inc();
       }
-    } catch (...) {
-      const std::lock_guard lock(err_mu);
-      if (!first_error) {
-        first_error = std::current_exception();
+      claimed = true;
+      for (std::size_t i = first; i < last; ++i) {
+        fn(rank, i);
       }
     }
-    if (chunks != 0) {
-      g_pf_chunks.inc(chunks);
-      g_pf_items.inc(items);
-      // Everything after a worker's first claim came off the shared
-      // cursor: chunk steals in the work-stealing sense.
-      g_pf_steals.inc(chunks - 1);
-    }
-  };
-
-  {
-    std::vector<std::jthread> workers;
-    workers.reserve(t - 1);
-    for (std::size_t rank = 1; rank < t; ++rank) {
-      workers.emplace_back([&body, rank] { body(rank); });
-    }
-    body(0);
-    // workers join here
-  }
-  if (first_error) {
-    std::rethrow_exception(first_error);
-  }
+  });
 }
 
 void parallel_for(std::size_t begin, std::size_t end, std::size_t threads,

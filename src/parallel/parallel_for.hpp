@@ -8,16 +8,21 @@
 // cursor: each lane claims the next `grain` items the moment it frees up.
 //
 // Design notes (C++ Core Guidelines CP.*):
-//  * the calling thread is lane 0; the other lanes are std::jthread and
-//    are joined before the call returns (RAII);
-//  * exceptions thrown by `fn` are captured and the first one is rethrown
-//    on the caller's thread, so failures are not silently swallowed;
-//  * a single lane executes inline with zero synchronization, which keeps
-//    the sequential baselines honest in benchmarks.
+//  * run_lanes is the one routine that starts lanes: with more than one,
+//    every lane is a std::jthread and the calling thread only joins them
+//    before the call returns (RAII), so no lane's allocations land on the
+//    caller's thread;
+//  * exceptions thrown by a lane are captured and the first one is
+//    rethrown on the caller's thread once every lane has joined, so
+//    failures are not silently swallowed;
+//  * a single lane executes inline on the caller with zero
+//    synchronization, which keeps the sequential baselines honest in
+//    benchmarks.
 //
-// Observability: every lane flushes its thread-local metrics before the
-// call returns, so a snapshot taken after it sees every increment `fn`
-// made. parallel.for.* counts invocations, items, chunks and chunk steals.
+// Observability: every spawned lane flushes its thread-local metrics
+// before the call returns, so a snapshot taken after it sees every
+// increment `fn` made. parallel.for.* counts the range calls' invocations,
+// items, chunks and chunk steals; run_lanes alone counts nothing.
 #pragma once
 
 #include <cstddef>
@@ -33,10 +38,18 @@ namespace bfhrf::parallel {
 [[nodiscard]] std::size_t lane_count(std::size_t items, std::size_t threads,
                                      std::size_t grain = 16) noexcept;
 
+/// Run `lane(rank)` once for every rank in [0, lanes). One lane runs
+/// inline on the calling thread; more each run on a spawned thread while
+/// the caller waits. Returns once every lane has finished, and rethrows
+/// the first exception a lane threw.
+void run_lanes(std::size_t lanes,
+               const std::function<void(std::size_t)>& lane);
+
 /// Apply `fn(i)` for i in [begin, end) across `threads` threads.
 /// Work is handed out in chunks of `grain` via an atomic cursor, so uneven
 /// per-item cost (trees differ in size) still balances.
-/// A single lane runs inline. Exceptions propagate to the caller.
+/// A single lane runs inline, in index order. Exceptions propagate to the
+/// caller.
 void parallel_for(std::size_t begin, std::size_t end, std::size_t threads,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t grain = 16);

@@ -6,12 +6,13 @@
 // interchangeable:
 //
 //  * a build at each configured thread count — one table inline, or
-//    bit_ceil(threads) shards when the build has workers — under both key
-//    encodings (raw words and sparse SparseKeyCodec bytes), has the shape
-//    its thread count gives, holds exactly the raw single-table store's
-//    (key, count) multiset and produces bit-identical query vectors;
+//    bit_ceil(threads) shards when the build has more than one lane —
+//    under both key encodings (raw words and sparse SparseKeyCodec bytes),
+//    has the shape its thread count gives, holds exactly the raw
+//    single-table store's (key, count) multiset and produces
+//    bit-identical query vectors;
 //  * the on-disk ("BFHMAP") format round-trips every shape — save, load
-//    at the thread count the build ran at (so pipeline workers query the
+//    at the thread count the build ran at (so the query lanes read the
 //    mapped file), re-query, compare to the exact double — and every save
 //    is byte-identical to the inline build's file of its key encoding and
 //    loads as one table, whatever shape the store was built in;

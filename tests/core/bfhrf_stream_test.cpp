@@ -1,15 +1,19 @@
-// Streaming-engine equivalence: the pipelined engine over every payload
-// (span pointers, Newick records extracted on the workers) must produce
-// per-tree averages BIT-IDENTICAL to Algorithm 1 (core/sequential_rf,
-// which shares no code with BFHRF) for classic RF — all terms are
-// integer-valued — regardless of thread count, store kind, or pre-sizing
-// hints.
+// Streaming-engine equivalence: the engine over every payload (span
+// trees, Newick records and phylo2vec rows that each lane claims straight
+// from its source) must produce per-tree averages BIT-IDENTICAL to
+// Algorithm 1 (core/sequential_rf, which shares no code with BFHRF) for
+// classic RF — all terms are integer-valued — regardless of lane count or
+// store kind. A reader's or extractor's failure must surface as the same
+// exception at every lane count, and stop every lane.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <span>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/bfhrf.hpp"
 #include "core/sequential_rf.hpp"
@@ -18,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "phylo/newick.hpp"
 #include "phylo/taxon_set.hpp"
+#include "phylo/vector_codec.hpp"
 #include "sim/datasets.hpp"
 #include "support/test_util.hpp"
 #include "util/rng.hpp"
@@ -29,6 +34,10 @@ using phylo::TaxonSet;
 using phylo::Tree;
 
 using test::TempNewick;
+
+/// Lane counts every fan-out check runs at: inline, even, odd, and more
+/// lanes than a 4-core host has cores.
+constexpr std::size_t kLaneCounts[] = {1, 2, 3, 8};
 
 struct Collections {
   phylo::TaxonSetPtr taxa;
@@ -74,7 +83,8 @@ TEST(BfhrfStreamTest, PipelinedStreamMatchesSpanPathBitwise) {
   const Collections c = make_collections(18, 40, 13, 11);
   const auto expect = sequential_baseline(c);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}, std::size_t{8}}) {
+                                    std::size_t{3}, std::size_t{4},
+                                    std::size_t{8}}) {
     for (const bool stream : {false, true}) {
       const auto got =
           run_engine(c, BfhrfOptions{.threads = threads}, stream);
@@ -89,7 +99,7 @@ TEST(BfhrfStreamTest, PipelinedStreamMatchesSpanPathBitwise) {
 }
 
 TEST(BfhrfStreamTest, ScratchReuseIsInvariant) {
-  // Re-querying through the same engine (same warm per-worker scratch)
+  // Re-querying through the same engine (same warm per-lane scratch)
   // is stable: a warm extractor must not leak state from the previous tree.
   const Collections c = make_collections(20, 35, 11, 14);
   Bfhrf engine(c.n_bits, BfhrfOptions{.threads = 2});
@@ -120,30 +130,10 @@ TEST(BfhrfStreamTest, BatchedQueryIsInvariant) {
   }
 }
 
-TEST(BfhrfStreamTest, ExpectedUniqueHintDoesNotChangeResults) {
-  const Collections c = make_collections(15, 30, 8, 17);
-  const auto expect = sequential_baseline(c);
-
-  Bfhrf sized(c.n_bits, BfhrfOptions{.threads = 2, .expected_unique = 4096});
-  sized.build(c.reference);
-  const auto got = sized.query(c.queries);
-  ASSERT_EQ(got.size(), expect.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i], expect[i]) << "query " << i;
-  }
-  // The hint pre-sizes; it must never undercount what was actually stored.
-  EXPECT_EQ(sized.stats().unique_bipartitions,
-            [&] {
-              Bfhrf plain(c.n_bits, BfhrfOptions{.threads = 1});
-              plain.build(c.reference);
-              return plain.stats().unique_bipartitions;
-            }());
-}
-
 TEST(BfhrfStreamTest, CompressedStoreStreamsThroughPipeline) {
   // Compressed stores take the same batched add_many/frequency_many paths
-  // as raw ones, comparing encoded bytes instead of words; the pipeline
-  // must still hold exactly.
+  // as raw ones, comparing encoded bytes instead of words; a streamed run
+  // over three lanes must still hold exactly.
   const Collections c = make_collections(17, 25, 7, 18);
   const auto expect = sequential_baseline(c);
   const auto got = run_engine(
@@ -161,9 +151,9 @@ bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 TEST(BfhrfStreamTest, FileBackedStreamMatchesSpanPathBitwise) {
-  // Workers parse FileTreeSource records into per-rank trees from batches
-  // of up to 16 records; 16k + 7 records leave a short last batch, and a
-  // 1-record file is a single short batch.
+  // Lanes claim FileTreeSource records in batches of up to 16; 71 records
+  // leave a short last batch, and a 1-record file is a single short
+  // batch.
   const auto taxa = TaxonSet::make_numbered(40);
   util::Rng rng(21);
   const std::vector<Tree> reference = test::random_collection(taxa, 71, 5, rng);
@@ -233,7 +223,7 @@ TEST(BfhrfStreamTest, FileBackedStreamMatchesSpanPathBitwise) {
 }
 
 TEST(BfhrfStreamTest, NewickRecordRoutesMatchSpanPathAndReconcile) {
-  // Workers extract every record's splits straight from the text, and
+  // Lanes extract every record's splits straight from the text, and
   // each record is counted once, in the build and in the query. Some
   // records here carry a unary group (which the parse suppresses) around
   // a leaf or around an internal group: the split pass folds it, and the
@@ -317,10 +307,10 @@ TEST(BfhrfStreamTest, NewickRecordRoutesMatchSpanPathAndReconcile) {
 }
 
 TEST(BfhrfStreamTest, StagedKeysStayUnderTheBudgetAtEveryThreadCount) {
-  // A build worker flushes a shard's bucket once it holds its share of
+  // A build lane flushes a shard's bucket once it holds its share of
   // Bfhrf::kStageKeys, so it never stages more than kStageKeys keys plus
   // one tree, however long the stream. 16k + 7 trees of 37 splits are
-  // about 600k keys; staging them all would take 0.6-2.4 MB per worker.
+  // about 600k keys; staging them all would take 0.6-2.4 MB per lane.
   if (!obs::compiled_in()) {
     GTEST_SKIP() << "observability compiled out";
   }
@@ -351,7 +341,7 @@ TEST(BfhrfStreamTest, StagedKeysStayUnderTheBudgetAtEveryThreadCount) {
           obs::gauge_value("bfhrf.build.shard.staged_bytes_max");
       EXPECT_LE(staged, bound);
       if (test::expected_shards(threads) > 1) {
-        EXPECT_GT(staged, 0.0);  // the build had workers, which staged
+        EXPECT_GT(staged, 0.0);  // the build had lanes, which staged
       }
     }
   }
@@ -368,7 +358,7 @@ TEST(BfhrfStreamTest, FileBackedMalformedRecordThrowsParseError) {
   text.insert(cut + 1, "((t0,t1),(t2,t3);\n");
   const TempNewick file("malformed", text);
   const std::vector<Tree> good = test::random_collection(taxa, 5, 3, rng);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  for (const std::size_t threads : kLaneCounts) {
     Bfhrf engine(taxa->size(), BfhrfOptions{.threads = threads});
     FileTreeSource build_source(file.path(), taxa);
     EXPECT_THROW(engine.build(build_source), ParseError) << threads;
@@ -380,9 +370,9 @@ TEST(BfhrfStreamTest, FileBackedMalformedRecordThrowsParseError) {
 }
 
 TEST(BfhrfStreamTest, UnknownLabelThrowsAndLeavesNamespaceUnchanged) {
-  // Workers parse against the caller's namespace read-only: a label
+  // Lanes parse against the caller's namespace read-only: a label
   // outside it fails the stream naming the label, and the set never grows
-  // (growing it while workers read its size would be a data race; the
+  // (growing it while lanes read its size would be a data race; the
   // TSan tier runs this test).
   const sim::Dataset ds = sim::generate(sim::insect_like(600));
   std::string text;
@@ -410,7 +400,7 @@ TEST(BfhrfStreamTest, UnknownLabelThrowsAndLeavesNamespaceUnchanged) {
     }
     EXPECT_EQ(ds.taxa->size(), width);
   };
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  for (const std::size_t threads : kLaneCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expect_unknown([&] {
       Bfhrf engine(width, BfhrfOptions{.threads = threads});
@@ -444,6 +434,157 @@ TEST(BfhrfStreamTest, FileSourceNamespaceWidthCheckedUpFront) {
     engine.build(good);
     FileTreeSource narrow(file.path(), TaxonSet::make_numbered(9));
     EXPECT_THROW((void)engine.query(narrow), InvalidArgument);
+  }
+}
+
+/// A scratch file under the test temp dir, removed on scope exit; the
+/// path carries the pid (ctest runs tests as concurrent processes).
+class TempPath {
+ public:
+  explicit TempPath(const std::string& name)
+      : path_(::testing::TempDir() + "bfhrf_stream_" +
+              std::to_string(::getpid()) + "_" + name) {}
+  ~TempPath() { std::filesystem::remove(path_); }
+  TempPath(const TempPath&) = delete;
+  TempPath& operator=(const TempPath&) = delete;
+
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// Rows that fail: row `fail_at` throws a ParseError naming it instead of
+/// being read. Counts every row it is asked for; the engine asks only
+/// under its claim lock, and the test reads the count after the lanes
+/// have joined.
+class FailingVectorSource final : public VectorSource {
+ public:
+  FailingVectorSource(std::span<const phylo::TreeVector> rows,
+                      std::size_t n_taxa, std::size_t fail_at)
+      : rows_(rows), n_taxa_(n_taxa), fail_at_(fail_at) {}
+
+  bool next(phylo::TreeVector& out) override {
+    const std::size_t row = asked_++;
+    if (row == fail_at_) {
+      throw ParseError("row " + std::to_string(row) + " is unreadable");
+    }
+    if (row >= rows_.size()) {
+      return false;
+    }
+    out = rows_[row];
+    return true;
+  }
+  void reset() override { asked_ = 0; }
+  [[nodiscard]] std::size_t n_taxa() const override { return n_taxa_; }
+  [[nodiscard]] std::size_t asked() const noexcept { return asked_; }
+
+ private:
+  std::span<const phylo::TreeVector> rows_;
+  std::size_t n_taxa_;
+  std::size_t fail_at_;
+  std::size_t asked_ = 0;
+};
+
+/// The message `run` fails with, or "" (and a test failure) if it does
+/// not throw a ParseError.
+template <typename Run>
+std::string parse_error_of(const Run& run) {
+  try {
+    run();
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected ParseError";
+  return "";
+}
+
+TEST(BfhrfStreamTest, ReaderFailureStopsEveryLaneAndRethrows) {
+  // A reader that throws mid-stream fails the build and the query with its
+  // own exception at every lane count: no lane claims after it, none
+  // hangs, and the source is asked for at most the failing row's index
+  // plus one batch per lane. A truncated .p2v fails with the message the
+  // inline run gives.
+  constexpr std::size_t kFailAt = 137;
+  const auto taxa = TaxonSet::make_numbered(20);
+  util::Rng rng(31);
+  const std::vector<Tree> trees = test::random_collection(taxa, 400, 5, rng);
+  std::vector<phylo::TreeVector> rows;
+  for (const Tree& t : trees) {
+    rows.push_back(phylo::tree_to_vector(t));
+  }
+  const TempPath truncated("truncated.p2v");
+  phylo::write_p2v_file(truncated.path(), trees);
+  std::filesystem::resize_file(
+      truncated.path(), std::filesystem::file_size(truncated.path()) - 3);
+
+  std::string truncated_message;
+  for (const std::size_t threads : kLaneCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::size_t most_asked = kFailAt + test::expected_lanes(threads) * 16;
+    Bfhrf built(taxa->size(), BfhrfOptions{.threads = threads});
+    built.build(trees);
+    const auto build_from = [&](VectorSource& source) {
+      return [&] {
+        Bfhrf engine(taxa->size(), BfhrfOptions{.threads = threads});
+        engine.build(source);
+      };
+    };
+    const auto query_from = [&](VectorSource& source) {
+      return [&] { (void)built.query(source); };
+    };
+
+    FailingVectorSource build_rows(rows, taxa->size(), kFailAt);
+    EXPECT_EQ(parse_error_of(build_from(build_rows)), "row 137 is unreadable");
+    EXPECT_LE(build_rows.asked(), most_asked);
+    FailingVectorSource query_rows(rows, taxa->size(), kFailAt);
+    EXPECT_EQ(parse_error_of(query_from(query_rows)), "row 137 is unreadable");
+    EXPECT_LE(query_rows.asked(), most_asked);
+
+    P2vFileSource build_file(truncated.path());
+    const std::string message = parse_error_of(build_from(build_file));
+    if (threads == 1) {
+      truncated_message = message;
+      EXPECT_NE(message.find("truncated record"), std::string::npos)
+          << message;
+    }
+    EXPECT_EQ(message, truncated_message);
+    P2vFileSource query_file(truncated.path());
+    EXPECT_EQ(parse_error_of(query_from(query_file)), truncated_message);
+  }
+}
+
+TEST(BfhrfStreamTest, EmptyStreamsBuildNothingAndAnswerNothing) {
+  const auto taxa = TaxonSet::make_numbered(12);
+  util::Rng rng(32);
+  const std::vector<Tree> trees = test::random_collection(taxa, 20, 3, rng);
+  const TempNewick empty_newick("empty", std::string());
+  const TempPath empty_p2v("empty.p2v");
+  phylo::write_p2v_file(empty_p2v.path(),
+                        static_cast<std::uint32_t>(taxa->size()), {});
+  for (const std::size_t threads : kLaneCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Bfhrf engine(taxa->size(), BfhrfOptions{.threads = threads});
+    FileTreeSource newick(empty_newick.path(), taxa);
+    engine.build(newick);
+    P2vFileSource rows(empty_p2v.path());
+    engine.build(rows);
+    EXPECT_EQ(engine.stats().reference_trees, 0u);
+    EXPECT_EQ(engine.stats().unique_bipartitions, 0u);
+
+    engine.build(trees);
+    newick.reset();
+    EXPECT_TRUE(engine.query(newick).empty());
+    rows.reset();
+    EXPECT_TRUE(engine.query(rows).empty());
+  }
+}
+
+TEST(BfhrfStreamTest, StreamsHoldSixteenTreesPerLane) {
+  for (const std::size_t threads : kLaneCounts) {
+    const Bfhrf engine(10, BfhrfOptions{.threads = threads});
+    EXPECT_EQ(engine.max_resident_trees(), test::expected_lanes(threads) * 16)
+        << "threads=" << threads;
   }
 }
 

@@ -228,7 +228,7 @@ TEST(FrequencyHashTest, BatchesOfRepeatsSizeTablesByTheirKeys) {
   for (const KeyEncoding encoding : {KeyEncoding::Raw, KeyEncoding::Sparse}) {
     SCOPED_TRACE(encoding == KeyEncoding::Raw ? "raw keys" : "sparse keys");
     FrequencyHash one(kBits, 0, encoding);
-    ShardedFrequencyHash four(kBits, 4, 0, encoding);
+    ShardedFrequencyHash four(kBits, 4, encoding);
     std::vector<std::vector<std::uint64_t>> buckets(4);
     for (int b = 0; b < 8; ++b) {
       std::vector<std::uint64_t> batch;

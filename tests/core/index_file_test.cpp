@@ -126,7 +126,7 @@ TEST(IndexFileTest, MappedQueriesMatchMemoryExactly) {
 /// has workers).
 ShardedFrequencyHash four_shards(std::span<const Tree> trees,
                                  KeyEncoding encoding, bool reverse) {
-  ShardedFrequencyHash sharded(trees.front().taxa()->size(), 4, 0, encoding);
+  ShardedFrequencyHash sharded(trees.front().taxa()->size(), 4, encoding);
   std::vector<std::vector<std::uint64_t>> keys;
   for (const Tree& t : trees) {
     phylo::extract_bipartitions(t).for_each([&](util::ConstWordSpan key) {
@@ -223,9 +223,8 @@ TEST(IndexFileTest, CompressedStoreRoundTrips) {
 }
 
 TEST(IndexFileTest, LoadAllocatesNoTable) {
-  // A load maps the file and allocates no table, whatever pre-size hint
-  // the options carry. 1 << 24 expected keys would size 2^25 slots: about
-  // 290 MB of slots and ctrl bytes, touched as they are cleared.
+  // A load maps the file and allocates no table, even at a thread count
+  // that shards a built store, so peak RSS stays under the bound.
   const BuiltEngine w = make_workload(40, 30, 8, 37);
   Bfhrf engine(w.taxa->size());
   engine.build(w.reference);
@@ -234,8 +233,7 @@ TEST(IndexFileTest, LoadAllocatesNoTable) {
   save_bfhrf_file(engine, file.path());
 
   const std::size_t before = util::peak_rss_bytes();
-  const Bfhrf loaded = load_bfhrf_file(
-      file.path(), {.threads = 4, .expected_unique = std::size_t{1} << 24});
+  const Bfhrf loaded = load_bfhrf_file(file.path(), {.threads = 4});
   const std::size_t rise = util::peak_rss_bytes() - before;
   EXPECT_LT(rise, std::size_t{64} << 20) << "peak RSS rose by " << rise;
   EXPECT_EQ(loaded.query(w.queries), want);

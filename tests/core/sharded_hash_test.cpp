@@ -175,7 +175,7 @@ TEST(ShardedHashTest, LinearFingerprintCollisionsKeepSeparateCounts) {
       // Every collider lives in the one shard its fingerprint picks; fill
       // it through add_many: key i's first occurrence with its
       // fingerprint, the other i without.
-      ShardedFrequencyHash tables(kBits, shards, 0, encoding);
+      ShardedFrequencyHash tables(kBits, shards, encoding);
       FrequencyHash& owner =
           tables.shard(shard_of(fps[0], tables.shard_bits()));
       owner.add_many(keys.data(), kPresent, nullptr, fps.data());
@@ -303,7 +303,7 @@ TEST(BfhIndexViewTest, RoutedLookupMatchesPerShardLookup) {
         SCOPED_TRACE("n_bits=" + std::to_string(n_bits) + " sparse=" +
                      std::to_string(encoding == KeyEncoding::Sparse) +
                      " shard_bits=" + std::to_string(bits));
-        ShardedFrequencyHash tables(n_bits, std::size_t{1} << bits, 0,
+        ShardedFrequencyHash tables(n_bits, std::size_t{1} << bits,
                                     encoding);
         for (std::size_t i = 0; i < kKeys; ++i) {
           add_routed(tables, {stored.data() + i * wp, wp},

@@ -4,11 +4,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <stdexcept>
 #include <thread>
 #include <vector>
-
-#include "parallel/pipeline.hpp"
 
 namespace bfhrf::parallel {
 namespace {
@@ -252,96 +249,6 @@ TEST(BoundedQueueTest, MpmcStressPreservesEveryItem) {
   for (int i = 0; i < kTotal; ++i) {
     EXPECT_EQ(seen[static_cast<std::size_t>(i)].load(), 1) << "item " << i;
   }
-}
-
-TEST(PipelineTest, InlineModeRunsOnCallingThreadInOrder) {
-  const auto caller = std::this_thread::get_id();
-  std::vector<int> consumed;
-  pipeline_run<int>(
-      /*consumers=*/0, /*queue_capacity=*/4,
-      [](const PipelineEmit<int>& emit) {
-        for (int i = 0; i < 10; ++i) {
-          ASSERT_TRUE(emit(int{i}));
-        }
-      },
-      [&](std::size_t rank, int& item) {
-        EXPECT_EQ(rank, 0u);
-        EXPECT_EQ(std::this_thread::get_id(), caller);
-        consumed.push_back(item);
-      });
-  ASSERT_EQ(consumed.size(), 10u);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(consumed[static_cast<std::size_t>(i)], i);
-  }
-}
-
-TEST(PipelineTest, EveryItemConsumedExactlyOnce) {
-  constexpr int kItems = 500;
-  std::vector<std::atomic<int>> seen(kItems);
-  pipeline_run<int>(
-      /*consumers=*/3, /*queue_capacity=*/4,
-      [](const PipelineEmit<int>& emit) {
-        for (int i = 0; i < kItems; ++i) {
-          ASSERT_TRUE(emit(int{i}));
-        }
-      },
-      [&](std::size_t /*rank*/, int& item) {
-        seen[static_cast<std::size_t>(item)].fetch_add(1);
-      });
-  for (int i = 0; i < kItems; ++i) {
-    EXPECT_EQ(seen[static_cast<std::size_t>(i)].load(), 1) << "item " << i;
-  }
-}
-
-TEST(PipelineTest, ConsumerExceptionPropagatesWithoutDeadlock) {
-  // The queue is tiny and the producer has far more items than capacity, so
-  // without the abort protocol the producer would block forever on a full
-  // queue after the consumer dies. The emit() false return must also reach
-  // the producer so it stops early.
-  std::atomic<int> emitted{0};
-  const auto run = [&] {
-    pipeline_run<int>(
-        /*consumers=*/2, /*queue_capacity=*/2,
-        [&](const PipelineEmit<int>& emit) {
-          for (int i = 0; i < 100000; ++i) {
-            if (!emit(int{i})) {
-              return;  // pipeline aborted underneath us
-            }
-            emitted.fetch_add(1);
-          }
-        },
-        [](std::size_t /*rank*/, int& item) {
-          if (item == 5) {
-            throw std::runtime_error("consumer boom");
-          }
-        });
-  };
-  EXPECT_THROW(run(), std::runtime_error);
-  EXPECT_LT(emitted.load(), 100000);  // production stopped early
-}
-
-TEST(PipelineTest, ProducerExceptionPropagatesAndUnblocksConsumers) {
-  const auto run = [] {
-    pipeline_run<int>(
-        /*consumers=*/2, /*queue_capacity=*/2,
-        [](const PipelineEmit<int>& emit) {
-          ASSERT_TRUE(emit(1));
-          throw std::runtime_error("producer boom");
-        },
-        [](std::size_t /*rank*/, int& /*item*/) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        });
-  };
-  EXPECT_THROW(run(), std::runtime_error);
-}
-
-TEST(PipelineTest, EmptyStreamCompletes) {
-  int consumed = 0;
-  pipeline_run<int>(
-      /*consumers=*/2, /*queue_capacity=*/4,
-      [](const PipelineEmit<int>& /*emit*/) {},
-      [&](std::size_t /*rank*/, int& /*item*/) { ++consumed; });
-  EXPECT_EQ(consumed, 0);
 }
 
 }  // namespace

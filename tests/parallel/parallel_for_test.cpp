@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace bfhrf::parallel {
@@ -32,6 +34,59 @@ TEST(ParallelForTest, SingleThreadRunsInline) {
   std::vector<std::size_t> expect(10);
   std::iota(expect.begin(), expect.end(), 0u);
   EXPECT_EQ(order, expect);  // inline execution preserves order
+}
+
+TEST(ParallelForTest, SeveralLanesLeaveTheCallerOnlyJoining) {
+  // With more than one lane every lane is a spawned thread and the caller
+  // runs no item; one lane runs every item inline on the caller.
+  const std::thread::id caller = std::this_thread::get_id();
+  ASSERT_EQ(lane_count(400, 4, 1), 4u);
+  std::atomic<int> on_caller{0};
+  parallel_for(
+      0, 400, 4,
+      [&](std::size_t) {
+        if (std::this_thread::get_id() == caller) {
+          ++on_caller;
+        }
+      },
+      1);
+  EXPECT_EQ(on_caller.load(), 0);
+
+  std::size_t inline_calls = 0;
+  parallel_for(0, 400, 1, [&](std::size_t) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++inline_calls;
+  });
+  EXPECT_EQ(inline_calls, 400u);
+}
+
+TEST(RunLanesTest, JoinsEveryLaneBeforeRethrowingTheFirstError) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ids(4);
+  std::atomic<int> finished{0};
+  const auto run = [&] {
+    run_lanes(4, [&](std::size_t lane) {
+      ids[lane] = std::this_thread::get_id();
+      if (lane == 0) {
+        throw std::runtime_error("lane 0");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      ++finished;
+    });
+  };
+  EXPECT_THROW(run(), std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);  // the others ran to the end first
+  for (const std::thread::id id : ids) {
+    EXPECT_NE(id, caller);
+  }
+
+  std::size_t inline_lanes = 0;
+  run_lanes(1, [&](std::size_t lane) {
+    EXPECT_EQ(lane, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++inline_lanes;
+  });
+  EXPECT_EQ(inline_lanes, 1u);
 }
 
 TEST(ParallelForTest, PropagatesExceptions) {

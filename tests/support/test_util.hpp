@@ -135,13 +135,18 @@ store_image(const core::BfhIndexView& store) {
   return img;
 }
 
-/// The shards a Bfhrf build at `threads` must produce: bit_ceil(threads)
-/// when the build has workers (threads > 1 on a multi-core host), else one
-/// table.
+/// The lanes a Bfhrf build or query at `threads` runs: threads on a
+/// multi-core host, one (inline) when threads <= 1 or on a 1-core host.
+inline std::size_t expected_lanes(std::size_t threads) {
+  return threads > 1 && std::thread::hardware_concurrency() > 1 ? threads
+                                                                 : 1;
+}
+
+/// The shards a Bfhrf build at `threads` must produce: bit_ceil(lanes)
+/// when the build has more than one lane, else one table.
 inline std::size_t expected_shards(std::size_t threads) {
-  return threads > 1 && std::thread::hardware_concurrency() > 1
-             ? std::bit_ceil(std::min<std::size_t>(threads, 64))
-             : 1;
+  const std::size_t lanes = expected_lanes(threads);
+  return lanes > 1 ? std::bit_ceil(std::min<std::size_t>(lanes, 64)) : 1;
 }
 
 }  // namespace bfhrf::test
